@@ -33,10 +33,6 @@ cargo run -q --release -p sigma-bench --bin chaos_resume -- --smoke
 # committed BENCH_sim.json baseline (release build; the check self-skips
 # in debug builds where timings are incomparable).
 cargo run -q --release -p sigma-bench --bin perf_bench -- --check --smoke
-# Scheduler equivalence gate: the event-driven core must reproduce the
-# lockstep tick oracle bit-for-bit (stats and result f32 bits) on the
-# 128/512-PE smoke cases.
-cargo run -q --release -p sigma-bench --bin perf_bench -- --lockstep-check --quiet
 # Telemetry smoke leg: the trace subcommand must emit a Chrome trace that
 # passes its own validator, and a telemetry sweep must surface the new
 # profiling columns and drop a telemetry_summary.json.

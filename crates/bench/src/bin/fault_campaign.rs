@@ -174,7 +174,6 @@ struct Gate {
     transient_numeric: u64,
     transient_detected: u64,
     false_positives: u64,
-    scheduler_mismatches: u64,
 }
 
 struct CampaignConfig {
@@ -259,69 +258,6 @@ fn sigma_leg(cc: &CampaignConfig, gate: &mut Gate) -> Table {
     table
 }
 
-/// The scheduler-parity leg: every SIGMA campaign cell reruns under the
-/// event-driven *and* the lockstep config and the two fault reports must
-/// match exactly — identical injected/detected/corrected/escaped
-/// counters, fired-site lists, and bitwise-identical results. Faulted
-/// runs deliberately route through the tick loop so injection semantics
-/// cannot drift between schedulers; this leg pins that contract at
-/// campaign scale.
-fn scheduler_parity_leg(cc: &CampaignConfig, gate: &mut Gate) -> Table {
-    const DPES: usize = 4;
-    const DPE_SIZE: usize = 8;
-    let policy = RecoveryPolicy::default();
-    let mut table = Table::new(
-        "Fault campaign — event vs lockstep scheduler parity (faulted runs)",
-        &["site_class", "target", "trials", "counter_matches", "result_matches"],
-    );
-    for df in Dataflow::ALL {
-        let base = SigmaConfig::new(DPES, DPE_SIZE, DPES * DPE_SIZE, df)
-            .expect("static campaign config is valid");
-        let event = SigmaSim::new(base).expect("static campaign config is valid");
-        let lockstep =
-            SigmaSim::new(base.with_lockstep(true)).expect("static campaign config is valid");
-        let target = format!("sigma {df}");
-        for class in SiteClass::ALL {
-            if !class.reachable_under(df) {
-                continue;
-            }
-            let (mut trials, mut counter_matches, mut result_matches) = (0u64, 0u64, 0u64);
-            for t in 0..cc.trials_per_cell {
-                let s = derive_seed(0x5C_ED + t, ((df as u64) << 8) | class as u64);
-                let (a, b) = materialize(&cc.problem, s);
-                let plan = class.plan(s, DPES, DPE_SIZE);
-                let (run_e, rep_e) = event
-                    .run_gemm_checked(&a, &b, &plan, &policy)
-                    .expect("campaign operands are valid");
-                let (run_l, rep_l) = lockstep
-                    .run_gemm_checked(&a, &b, &plan, &policy)
-                    .expect("campaign operands are valid");
-                trials += 1;
-                let counters_match = rep_e.counters == rep_l.counters
-                    && rep_e.fired == rep_l.fired
-                    && rep_e.numeric_effect == rep_l.numeric_effect;
-                let results_match = run_e
-                    .result
-                    .as_slice()
-                    .iter()
-                    .zip(run_l.result.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-                counter_matches += u64::from(counters_match);
-                result_matches += u64::from(results_match);
-                gate.scheduler_mismatches += u64::from(!(counters_match && results_match));
-            }
-            table.push(vec![
-                class.label().to_string(),
-                target.clone(),
-                trials.to_string(),
-                counter_matches.to_string(),
-                result_matches.to_string(),
-            ]);
-        }
-    }
-    table
-}
-
 /// The output-corruption leg: every registry engine runs clean (false-
 /// positive control), then one result element takes a transient bit
 /// flip and the checksums must flag — and at single-site granularity,
@@ -395,11 +331,7 @@ fn main() {
 
     let cc = CampaignConfig::new(smoke);
     let mut gate = Gate::default();
-    let tables = [
-        sigma_leg(&cc, &mut gate),
-        scheduler_parity_leg(&cc, &mut gate),
-        output_corruption_leg(&cc, &mut gate),
-    ];
+    let tables = [sigma_leg(&cc, &mut gate), output_corruption_leg(&cc, &mut gate)];
     if let Err(msg) = emit_tables_with(&tables, &args, &mut std::io::stdout()) {
         eprintln!("{msg} (flags: [--smoke] [--csv DIR] [--json DIR] [--quiet])");
         std::process::exit(2);
@@ -411,12 +343,11 @@ fn main() {
         gate.transient_detected as f64 / gate.transient_numeric as f64
     };
     println!(
-        "gate: transient detection {}/{} ({:.1}%), false positives {}, scheduler mismatches {}",
+        "gate: transient detection {}/{} ({:.1}%), false positives {}",
         gate.transient_detected,
         gate.transient_numeric,
         100.0 * rate,
         gate.false_positives,
-        gate.scheduler_mismatches,
     );
     let mut failed = false;
     if rate < 0.99 {
@@ -425,13 +356,6 @@ fn main() {
     }
     if gate.false_positives > 0 {
         eprintln!("FAIL: ABFT flagged {} fault-free run(s)", gate.false_positives);
-        failed = true;
-    }
-    if gate.scheduler_mismatches > 0 {
-        eprintln!(
-            "FAIL: {} faulted run(s) diverged between the event and lockstep schedulers",
-            gate.scheduler_mismatches
-        );
         failed = true;
     }
     if failed {

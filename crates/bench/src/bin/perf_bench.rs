@@ -18,9 +18,6 @@
 //!   `--smoke`, whose low rep count is noisier; override with
 //!   `SIGMA_PERF_TOLERANCE=<fraction>`);
 //! * `--smoke` — CI subset: the small end of the ladder at low rep count;
-//! * `--lockstep-check` — run the 128/512-PE cases through both the event
-//!   scheduler and the lockstep tick oracle and require bitwise-equal
-//!   stats and results; exits non-zero on any divergence;
 //! * `--telemetry` — measure each case twice (telemetry off, then on) and
 //!   report the instrumentation overhead per case; no baseline is written;
 //! * `--dse-warm` — the run-cache leg: sweep a DSE-style grid cold (empty
@@ -47,9 +44,7 @@
 use sigma_bench::harness::{
     default_registry, demo_suite, records_table, records_to_json, EngineEntry, RunCache, Sweep,
 };
-use sigma_bench::perf::{
-    cases, lockstep_check, measure, measure_with, parse_baseline, to_json, PerfMeasurement,
-};
+use sigma_bench::perf::{cases, measure, measure_with, parse_baseline, to_json, PerfMeasurement};
 use sigma_bench::util::{json_string, Table};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -69,7 +64,6 @@ struct Args {
     smoke: bool,
     quiet: bool,
     telemetry: bool,
-    lockstep_check: bool,
     dse_warm: bool,
     recorder_check: bool,
     json: bool,
@@ -82,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
         smoke: false,
         quiet: false,
         telemetry: false,
-        lockstep_check: false,
         dse_warm: false,
         recorder_check: false,
         json: false,
@@ -95,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
             "--smoke" => args.smoke = true,
             "--quiet" => args.quiet = true,
             "--telemetry" => args.telemetry = true,
-            "--lockstep-check" => args.lockstep_check = true,
             "--dse-warm" => args.dse_warm = true,
             "--recorder-check" => args.recorder_check = true,
             "--json" => args.json = true,
@@ -105,9 +97,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: perf_bench [--check] [--smoke] [--telemetry] [--lockstep-check] \
-                     [--dse-warm] [--recorder-check] [--json] [--quiet] [--out PATH] \
-                     [--baseline PATH]"
+                    "usage: perf_bench [--check] [--smoke] [--telemetry] [--dse-warm] \
+                     [--recorder-check] [--json] [--quiet] [--out PATH] [--baseline PATH]"
                 );
                 std::process::exit(0);
             }
@@ -115,35 +106,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// `--lockstep-check`: run the 128/512-PE ladder cases through both the
-/// event scheduler and the lockstep tick oracle and require bitwise-equal
-/// runs (stats and per-element result bits). Exits non-zero on the first
-/// divergence — this is the CI equivalence gate for the epoch scheduler.
-fn run_lockstep_check(quiet: bool) -> ExitCode {
-    let mut checked = 0usize;
-    for case in cases().iter().filter(|c| c.pes() <= 512) {
-        if !quiet {
-            eprintln!(
-                "perf_bench: lockstep-check {} ({} PEs, {})...",
-                case.name,
-                case.pes(),
-                case.shape()
-            );
-        }
-        if let Err(e) = lockstep_check(case) {
-            eprintln!("perf_bench: LOCKSTEP MISMATCH on {}: {e}", case.name);
-            return ExitCode::FAILURE;
-        }
-        checked += 1;
-    }
-    if checked == 0 {
-        eprintln!("perf_bench: lockstep-check found no eligible cases");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("perf_bench: lockstep-check passed ({checked} case(s) bitwise-equal)");
-    ExitCode::SUCCESS
 }
 
 /// `--telemetry`: times every ladder case with the registry off and on and
@@ -506,9 +468,6 @@ fn main() -> ExitCode {
     let reps = if args.smoke { SMOKE_REPS } else { FULL_REPS };
     let ladder: Vec<_> = cases().into_iter().filter(|c| !args.smoke || c.smoke).collect();
 
-    if args.lockstep_check {
-        return run_lockstep_check(args.quiet);
-    }
     if args.telemetry {
         return run_overhead(&ladder, reps, args.quiet);
     }

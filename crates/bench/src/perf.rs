@@ -90,10 +90,8 @@ impl PerfCase {
     }
 
     /// The scheduler the timed runs use: the stationary dataflows execute
-    /// on the epoch/event scheduler (the lockstep tick loop survives only
-    /// as the [`SigmaConfig::with_lockstep`] debug oracle), while
-    /// No-Local-Reuse packs full-array waves and has no stationary
-    /// schedule to skip.
+    /// on the epoch/event scheduler, while No-Local-Reuse packs
+    /// full-array waves and has no stationary schedule to skip.
     #[must_use]
     pub fn scheduler_mode(&self) -> &'static str {
         match self.dataflow {
@@ -101,49 +99,6 @@ impl PerfCase {
             _ => "event",
         }
     }
-}
-
-/// Runs one case under both scheduler modes — the event scheduler and the
-/// lockstep tick oracle ([`SigmaConfig::with_lockstep`]) — and checks the
-/// two runs are bitwise identical: equal [`CycleStats`] (including
-/// `idle_cycles_skipped`) and per-element `f32` bit equality of the
-/// results. This is the `perf_bench --lockstep-check` CI gate.
-///
-/// [`CycleStats`]: sigma_core::CycleStats
-///
-/// # Errors
-///
-/// Returns a description of the first divergence, or of a failed run.
-pub fn lockstep_check(case: &PerfCase) -> Result<(), String> {
-    let (a, b) = case.operands();
-    let run = |lockstep: bool| {
-        let cfg = SigmaConfig::clamped(case.num_dpes, case.dpe_size, case.dpe_size, case.dataflow)
-            .with_stream_bandwidth_clamped(case.pes())
-            .with_lockstep(lockstep);
-        SigmaSim::new_clamped(cfg).run_gemm(&a, &b)
-    };
-    let event = run(false).map_err(|e| format!("event-scheduler run failed: {e}"))?;
-    let tick = run(true).map_err(|e| format!("lockstep oracle run failed: {e}"))?;
-    if event.stats != tick.stats {
-        return Err(format!(
-            "stats diverge:\n  event: {:?}\n  tick:  {:?}",
-            event.stats, tick.stats
-        ));
-    }
-    let (ev, tv) = (event.result.as_slice(), tick.result.as_slice());
-    if ev.len() != tv.len() {
-        return Err(format!("result shapes diverge: {} vs {} elements", ev.len(), tv.len()));
-    }
-    for (i, (x, y)) in ev.iter().zip(tv).enumerate() {
-        if x.to_bits() != y.to_bits() {
-            return Err(format!(
-                "result diverges at flat index {i}: event {x:?} (0x{:08x}) vs tick {y:?} (0x{:08x})",
-                x.to_bits(),
-                y.to_bits()
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// The fixed benchmark ladder: dense/sparse/irregular shapes at 128, 512,
@@ -429,13 +384,6 @@ mod tests {
         for c in cases() {
             let expect = if c.dataflow == Dataflow::NoLocalReuse { "wave" } else { "event" };
             assert_eq!(c.scheduler_mode(), expect, "{}", c.name);
-        }
-    }
-
-    #[test]
-    fn lockstep_check_passes_on_the_smoke_cases() {
-        for c in cases().into_iter().filter(|c| c.pes() <= 512) {
-            lockstep_check(&c).unwrap_or_else(|e| panic!("{}: {e}", c.name));
         }
     }
 

@@ -13,15 +13,23 @@
 //!
 //! The stationary store is *flattened* — dense `values`/`contractions`
 //! arrays plus a `u64` occupancy bitmask instead of `Vec<Option<..>>` —
-//! and the unit owns its scratch state (product buffer,
-//! [`FanScratch`], [`RouteCache`], request buffer), so the steady-state
-//! streaming path ([`FlexDpe::step_into`]) performs **zero heap
-//! allocations** and the per-fold loading unicast is routed once and
-//! memoized. The allocating [`FlexDpe::step`] remains as a convenience
-//! wrapper with identical results.
+//! and the unit owns its scratch state (product and operand buffers,
+//! [`FanScratch`], the compiled [`FanProgram`], [`RouteCache`], request
+//! buffer), so the per-fold loading unicast is routed once and memoized.
+//!
+//! Two step functions share one product pass:
+//!
+//! * [`FlexDpe::step_compiled`] — the engine's streaming step. It replays
+//!   the FAN schedule compiled at load time and performs **zero heap
+//!   allocations** once warm (`crates/core/tests/alloc_free.rs`).
+//! * [`FlexDpe::step_faulted`] — the same step under an armed
+//!   [`FaultInjector`]. Port, multiplier and adder faults perturb the
+//!   wave, which reduces through [`Fan::reduce_into`] because the
+//!   compiled program has no adder hook.
 
 use crate::config::SigmaError;
 use crate::controller::MappedElement;
+use crate::fault::FaultInjector;
 use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction, FanScratch, RouteCache};
 use sigma_telemetry::{Counter, Hist, Telemetry};
 
@@ -55,6 +63,9 @@ pub struct FlexDpe {
     distinct_operands: usize,
     // Reusable hot-loop state.
     products: Vec<f32>,
+    /// Operands as delivered to each slot, for the faulted step's
+    /// Benes-port faults.
+    operands: Vec<f32>,
     fan_scratch: FanScratch,
     /// The FAN add schedule compiled once per load: the schedule is a pure
     /// function of the `vecID` layout, so the event-driven engine replays
@@ -91,6 +102,7 @@ impl FlexDpe {
             occupied_count: 0,
             distinct_operands: 0,
             products: vec![0.0; size],
+            operands: vec![0.0; size],
             fan_scratch: FanScratch::default(),
             program: FanProgram::default(),
             route_cache: RouteCache::new(),
@@ -237,97 +249,16 @@ impl FlexDpe {
         let _ = self.program.compile(&self.fan, &self.vec_ids);
     }
 
-    /// Streams one vector through the engine: `operand(k)` supplies the
-    /// streamed value for contraction index `k` (the Benes multicasts one
-    /// SRAM read of each distinct `k` to every matching multiplier).
-    ///
-    /// Allocating convenience wrapper over the same datapath as
-    /// [`FlexDpe::step_into`]; results are identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FAN errors, which cannot occur for controller-produced
-    /// cluster assignments (contiguous by construction).
-    pub fn step(&self, operand: &dyn Fn(usize) -> f32) -> Result<DpeStep, SigmaError> {
-        let mut products = vec![0.0f32; self.size];
-        let mut useful = 0usize;
-        self.fill_products(operand, &mut products, &mut useful);
-        let reduction = self
-            .fan
-            .reduce(&products, &self.vec_ids)
-            .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
-        Ok(DpeStep { reduction, useful_macs: useful, operands_consumed: self.distinct_operands })
-    }
-
-    /// Allocation-free [`FlexDpe::step`]: products land in the unit's own
-    /// scratch buffer, the FAN reduces through reusable working state, and
-    /// the wave's sums are written into `out` (cleared first). After one
-    /// warmup step, repeated calls perform zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlexDpe::step`].
-    pub fn step_into(
-        &mut self,
-        operand: &dyn Fn(usize) -> f32,
-        out: &mut DpeStep,
-    ) -> Result<(), SigmaError> {
-        self.products.fill(0.0);
-        let mut useful = 0usize;
-        for (wi, &word) in self.occupied_words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let slot = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let v = operand(self.contractions[slot]);
-                if v != 0.0 {
-                    useful += 1;
-                }
-                self.products[slot] = self.values[slot] * v;
-            }
-        }
-        self.fan
-            .reduce_into(
-                &self.products,
-                &self.vec_ids,
-                &[],
-                &mut self.fan_scratch,
-                &mut out.reduction,
-            )
-            .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
-        out.useful_macs = useful;
-        out.operands_consumed = self.distinct_operands;
-        if self.telemetry.is_enabled() {
-            self.telemetry.add(Counter::StreamSteps, 1);
-            self.telemetry.add(Counter::UsefulMacs, useful as u64);
-            self.telemetry.add(Counter::IssuedMacs, self.occupied_count as u64);
-            let adds = out.reduction.adds_performed as u64;
-            self.telemetry.add(Counter::FanAdds, adds);
-            self.telemetry.add(Counter::FanClusterSums, out.reduction.sums.len() as u64);
-            self.telemetry.observe(
-                Hist::FanAdderOccupancyPct,
-                adds * 100 / (self.fan.adder_count() as u64).max(1),
-            );
-            self.telemetry.observe(
-                Hist::FanLinkOccupancyPct,
-                out.reduction.sums.len() as u64 * 100
-                    / (self.fan.forwarding_link_count() as u64).max(1),
-            );
-        }
-        Ok(())
-    }
-
     /// Allocation-free streaming step on the *compiled* FAN schedule: the
     /// streamed operands arrive as a dense contraction-indexed column
     /// slice and the reduction replays the add schedule compiled at
     /// [`FlexDpe::load`] time instead of re-deriving the tree structure
-    /// per wave. Bitwise-identical results to [`FlexDpe::step_into`] —
-    /// same products, same f32 association order — at a fraction of the
-    /// cost; this is the event-driven engine's steady-state path.
+    /// per wave. This is the engine's steady-state path.
     ///
-    /// Records **no** per-step telemetry: the event scheduler batches the
-    /// per-step counters per fold (they are constants of the layout), so
-    /// recording here would double-count.
+    /// Records **no** per-step telemetry: the engine batches the per-step
+    /// counters per fold (they are constants of the layout, see
+    /// [`FlexDpe::record_steps_telemetry`]), so recording here would
+    /// double-count.
     ///
     /// # Errors
     ///
@@ -336,22 +267,85 @@ impl FlexDpe {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `column` does not cover every
-    /// contraction index the loaded elements reference.
+    /// Panics if `column` does not cover every contraction index the
+    /// loaded elements reference.
     pub fn step_compiled(&mut self, column: &[f32], out: &mut DpeStep) -> Result<(), SigmaError> {
         if !self.program.is_valid() {
             return Err(SigmaError::Internal(
                 "step_compiled without a valid compiled FAN program".to_string(),
             ));
         }
-        // No products.fill here: load() zeroes the buffer and this loop
-        // rewrites every occupied slot, while the compiled program only
-        // reads cluster leaves (all occupied) — unoccupied slots stay 0.0
-        // across steps by construction.
-        //
-        // Occupancy is always a contiguous prefix (`load` packs elements
-        // into slots `0..len`), so the product pass runs over plain
-        // slices instead of walking the occupancy words bit by bit.
+        // No products.fill here: load() zeroes the buffer and the product
+        // pass rewrites every occupied slot, while the compiled program
+        // only reads cluster leaves (all occupied) — unoccupied slots stay
+        // 0.0 across steps by construction.
+        let occ = self.occupied_prefix();
+        let operands = self.contractions[..occ].iter().map(|&c| column[c]);
+        let useful = multiply(&mut self.products[..occ], &self.values[..occ], operands);
+        self.program.execute_into(&mut self.products, &mut out.reduction);
+        out.useful_macs = useful;
+        out.operands_consumed = self.distinct_operands;
+        Ok(())
+    }
+
+    /// [`FlexDpe::step_compiled`] with an armed [`FaultInjector`]: Benes
+    /// delivery faults perturb the gathered operands, multiplier-output
+    /// faults perturb the products, and stuck FAN adders corrupt the
+    /// reduction. The compiled program has no adder hook, so the wave
+    /// reduces through [`Fan::reduce_into`] — the same add order, so an
+    /// injector that fires nothing leaves the step bitwise equal to
+    /// [`FlexDpe::step_compiled`]. Allocates only to list the adder
+    /// faults armed on this unit.
+    ///
+    /// `dpe_index` names this engine in the injector's site space and
+    /// `cycle` stamps any fault that fires.
+    ///
+    /// # Errors
+    ///
+    /// Propagates FAN errors, which cannot occur for controller-produced
+    /// cluster assignments (contiguous by construction).
+    ///
+    /// # Panics
+    ///
+    /// Same as [`FlexDpe::step_compiled`].
+    pub fn step_faulted(
+        &mut self,
+        column: &[f32],
+        injector: &mut FaultInjector<'_>,
+        dpe_index: usize,
+        cycle: u64,
+        out: &mut DpeStep,
+    ) -> Result<(), SigmaError> {
+        let occ = self.occupied_prefix();
+        for (x, &c) in self.operands[..occ].iter_mut().zip(&self.contractions[..occ]) {
+            *x = column[c];
+        }
+        injector.apply_port_faults(dpe_index, &mut self.operands[..occ], cycle);
+        let delivered = self.operands[..occ].iter().copied();
+        let useful = multiply(&mut self.products[..occ], &self.values[..occ], delivered);
+        for (slot, p) in self.products[..occ].iter_mut().enumerate() {
+            *p = injector.apply_multiplier(dpe_index, slot, *p, cycle);
+        }
+        let adder_faults = injector.adder_faults(dpe_index, cycle);
+        self.fan
+            .reduce_into(
+                &self.products,
+                &self.vec_ids,
+                &adder_faults,
+                &mut self.fan_scratch,
+                &mut out.reduction,
+            )
+            .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
+        out.useful_macs = useful;
+        out.operands_consumed = self.distinct_operands;
+        Ok(())
+    }
+
+    /// The occupied slot count. Occupancy is always a contiguous prefix
+    /// (`load` packs elements into slots `0..len`), so the step functions
+    /// run over plain slices instead of walking the occupancy words.
+    #[inline]
+    fn occupied_prefix(&self) -> usize {
         let occ = self.occupied_count;
         debug_assert_eq!(
             self.occupied_words.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
@@ -359,18 +353,7 @@ impl FlexDpe {
             "occupancy words out of sync with occupied_count"
         );
         debug_assert!(occ == 0 || self.slot_occupied(occ - 1), "occupancy must be a prefix");
-        let mut useful = 0usize;
-        for ((p, &v), &c) in
-            self.products[..occ].iter_mut().zip(&self.values[..occ]).zip(&self.contractions[..occ])
-        {
-            let x = column[c];
-            useful += usize::from(x != 0.0);
-            *p = v * x;
-        }
-        self.program.execute_into(&mut self.products, &mut out.reduction);
-        out.useful_macs = useful;
-        out.operands_consumed = self.distinct_operands;
-        Ok(())
+        occ
     }
 
     /// Cycles until the FAN is quiescent after the last streamed wave of
@@ -381,8 +364,8 @@ impl FlexDpe {
         self.program.latency_until_quiescent()
     }
 
-    /// Batch-records the per-step telemetry [`FlexDpe::step_into`] would
-    /// have recorded over `steps` waves of the current layout. Every
+    /// Batch-records the per-step telemetry of `steps` waves of the
+    /// current layout. Every
     /// per-step quantity except useful MACs is a pure function of the
     /// loaded layout — `n` waves add `n×` the same counter deltas and
     /// observe the same histogram value `n` times — so the event-driven
@@ -411,43 +394,24 @@ impl FlexDpe {
         );
     }
 
-    /// Computes the product vector for one streamed wave (shared by the
-    /// allocating step paths).
-    fn fill_products(
-        &self,
-        operand: &dyn Fn(usize) -> f32,
-        products: &mut [f32],
-        useful: &mut usize,
-    ) {
-        for (wi, &word) in self.occupied_words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let slot = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let v = operand(self.contractions[slot]);
-                if v != 0.0 {
-                    *useful += 1;
-                }
-                products[slot] = self.values[slot] * v;
-            }
-        }
+    /// Latency components of this engine: (distribution, multiply,
+    /// reduction-levels) in cycles — the paper's "1-cycle distribution,
+    /// 1-cycle multiplication, 1-cycle per reduction level" pipeline.
+    #[must_use]
+    pub fn pipeline_depths(&self) -> (u64, u64, u64) {
+        (self.benes.traversal_latency_cycles(), 1, self.fan.latency_cycles())
     }
 
-    /// [`FlexDpe::step`] with an armed [`FaultInjector`]: Benes delivery
-    /// faults perturb the streamed operands, multiplier-output faults
-    /// perturb the products, and stuck FAN adders corrupt the reduction.
-    /// With an empty plan this is value-identical to [`FlexDpe::step`].
-    ///
-    /// `dpe_index` names this engine in the injector's site space and
-    /// `cycle` stamps any fault that fires.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FAN errors, as [`FlexDpe::step`] does.
-    pub fn step_faulted(
+    /// The lockstep oracle's reference step: operands through a closure,
+    /// fresh buffers per wave, and the reduction re-derived by
+    /// [`Fan::reduce_with_faults`] — nothing shared with the compiled
+    /// program, so the oracle checks the production steps rather than
+    /// mirroring them. An empty injector makes it a plain step.
+    #[cfg(test)]
+    pub(crate) fn step_reference(
         &self,
         operand: &dyn Fn(usize) -> f32,
-        injector: &mut crate::fault::FaultInjector<'_>,
+        injector: &mut FaultInjector<'_>,
         dpe_index: usize,
         cycle: u64,
     ) -> Result<DpeStep, SigmaError> {
@@ -459,7 +423,7 @@ impl FlexDpe {
                 occupied[slot] = true;
             }
         }
-        injector.apply_port_faults(dpe_index, &mut delivered, &occupied, cycle);
+        injector.apply_port_faults(dpe_index, &mut delivered[..self.occupied_count], cycle);
 
         let mut products = vec![0.0f32; self.size];
         let mut useful = 0usize;
@@ -480,67 +444,19 @@ impl FlexDpe {
             .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
         Ok(DpeStep { reduction, useful_macs: useful, operands_consumed: self.distinct_operands })
     }
+}
 
-    /// Latency components of this engine: (distribution, multiply,
-    /// reduction-levels) in cycles — the paper's "1-cycle distribution,
-    /// 1-cycle multiplication, 1-cycle per reduction level" pipeline.
-    #[must_use]
-    pub fn pipeline_depths(&self) -> (u64, u64, u64) {
-        (self.benes.traversal_latency_cycles(), 1, self.fan.latency_cycles())
+/// The product pass both step functions share: `products[s] = values[s] *
+/// operand s` over the occupied prefix, returning how many operands were
+/// non-zero (the useful MACs).
+#[inline]
+fn multiply(products: &mut [f32], values: &[f32], operands: impl Iterator<Item = f32>) -> usize {
+    let mut useful = 0usize;
+    for ((p, &v), x) in products.iter_mut().zip(values).zip(operands) {
+        useful += usize::from(x != 0.0);
+        *p = v * x;
     }
-
-    /// Streams one vector with the operands *routed through the real
-    /// Benes network*: `arrivals` are the streamed values in SRAM arrival
-    /// order, and `request[slot] = Some(rank)` says which arrival each
-    /// multiplier needs (a [`crate::ControllerPlan::streaming_request`]).
-    /// Functionally identical to [`FlexDpe::step`] — asserted in tests —
-    /// but every operand word traverses routed switch states, and the
-    /// returned pass count is the distribution serialization. The
-    /// multi-pass routing is memoized per request pattern.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing errors for malformed requests (out-of-range
-    /// ranks) and FAN errors (cannot occur for controller output).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request.len() != size`.
-    pub fn step_routed(
-        &mut self,
-        arrivals: &[f32],
-        request: &[Option<usize>],
-    ) -> Result<(DpeStep, usize), SigmaError> {
-        assert_eq!(request.len(), self.size, "request must cover every multiplier");
-        let (routing, _) = self
-            .route_cache
-            .route_general_multicast_tracked(&self.benes, request)
-            .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
-        let mut inputs: Vec<Option<f32>> = vec![None; self.size];
-        for (i, v) in arrivals.iter().enumerate().take(self.size) {
-            inputs[i] = Some(*v);
-        }
-        let delivered = routing.apply(&inputs);
-        let pass_count = routing.pass_count();
-
-        let mut products = vec![0.0f32; self.size];
-        let mut useful = 0usize;
-        for slot in 0..self.size {
-            if self.slot_occupied(slot) {
-                let v = delivered[slot].unwrap_or(0.0);
-                if v != 0.0 {
-                    useful += 1;
-                }
-                products[slot] = self.values[slot] * v;
-            }
-        }
-        let reduction = self
-            .fan
-            .reduce(&products, &self.vec_ids)
-            .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
-        let distinct = request.iter().flatten().collect::<std::collections::BTreeSet<_>>().len();
-        Ok((DpeStep { reduction, useful_macs: useful, operands_consumed: distinct }, pass_count))
-    }
+    useful
 }
 
 #[cfg(test)]
@@ -551,6 +467,18 @@ mod tests {
         spec.iter()
             .map(|&(group, contraction, value)| MappedElement { group, contraction, value })
             .collect()
+    }
+
+    /// The streamed column `x[k] = f(k)` for `k < len`.
+    fn column(len: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
+        (0..len).map(f).collect()
+    }
+
+    /// One compiled step into a fresh output.
+    fn step(dpe: &mut FlexDpe, col: &[f32]) -> DpeStep {
+        let mut out = DpeStep::default();
+        dpe.step_compiled(col, &mut out).unwrap();
+        out
     }
 
     fn ids(spec: &[i64], size: usize) -> Vec<Option<u32>> {
@@ -576,7 +504,7 @@ mod tests {
         assert_eq!(dpe.occupied(), 5);
 
         // Streamed vector: x[k] = k + 1.
-        let step = dpe.step(&|k| (k + 1) as f32).unwrap();
+        let step = step(&mut dpe, &column(4, |k| (k + 1) as f32));
         assert_eq!(step.useful_macs, 5);
         assert_eq!(step.operands_consumed, 4); // k in {0,1,2,3}
         let sums: Vec<f32> = step.reduction.sums.iter().map(|s| s.value).collect();
@@ -585,62 +513,85 @@ mod tests {
     }
 
     #[test]
-    fn step_into_matches_step_and_reuses_buffers() {
-        let mut dpe = FlexDpe::new(8).unwrap();
-        let els = elements(&[(0, 0, 2.0), (0, 1, 3.0), (0, 2, 4.0), (1, 1, 5.0), (1, 3, 6.0)]);
-        dpe.load(&els, &ids(&[0, 0, 0, 1, 1], 8)).unwrap();
-        let mut out = DpeStep::default();
-        for wave in 0..4 {
-            let shift = wave as f32;
-            let reference = dpe.step(&|k| (k + 1) as f32 + shift).unwrap();
-            dpe.step_into(&|k| (k + 1) as f32 + shift, &mut out).unwrap();
-            assert_eq!(out, reference, "wave {wave}");
-        }
-        // Reloading (fold swap) keeps step_into consistent too.
-        let els2 = elements(&[(2, 0, 1.0), (2, 2, 1.0), (3, 1, 7.0)]);
-        dpe.load(&els2, &ids(&[0, 0, 1], 8)).unwrap();
-        let reference = dpe.step(&|k| k as f32).unwrap();
-        dpe.step_into(&|k| k as f32, &mut out).unwrap();
-        assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn step_compiled_matches_step_into_bitwise() {
+    fn step_functions_match_the_reference_step_bitwise() {
+        // The compiled step, the faulted step under an injector that never
+        // fires, and the oracle's reference step must agree bit for bit —
+        // same products, same f32 association order, same drain.
+        let plan = crate::fault::FaultPlan::none();
         let mut dpe = FlexDpe::new(8).unwrap();
         let els = elements(&[(0, 0, 2.5), (0, 1, -3.0), (0, 2, 4.0), (1, 1, 0.5), (1, 3, -6.0)]);
         dpe.load(&els, &ids(&[0, 0, 0, 1, 1], 8)).unwrap();
         let mut a = DpeStep::default();
         let mut b = DpeStep::default();
+        let mut check = |dpe: &mut FlexDpe, col: &[f32], ctx: &str| {
+            let mut quiet = FaultInjector::new(&plan);
+            let reference = dpe.step_reference(&|k| col[k], &mut quiet, 0, 0).unwrap();
+            dpe.step_compiled(col, &mut a).unwrap();
+            dpe.step_faulted(col, &mut quiet, 0, 0, &mut b).unwrap();
+            assert_eq!(dpe.drain_cycles(), reference.reduction.critical_cycles, "{ctx}");
+            for out in [&a, &b] {
+                assert_eq!(out.useful_macs, reference.useful_macs, "{ctx}");
+                assert_eq!(out.operands_consumed, reference.operands_consumed, "{ctx}");
+                assert_eq!(out.reduction.adds_performed, reference.reduction.adds_performed);
+                assert_eq!(out.reduction.critical_cycles, reference.reduction.critical_cycles);
+                assert_eq!(out.reduction.sums.len(), reference.reduction.sums.len(), "{ctx}");
+                for (x, y) in out.reduction.sums.iter().zip(&reference.reduction.sums) {
+                    assert_eq!(x.vec_id, y.vec_id, "{ctx}");
+                    assert_eq!(x.value.to_bits(), y.value.to_bits(), "{ctx}");
+                }
+            }
+            assert!(quiet.fired().is_empty());
+        };
         for wave in 0..6 {
             // Include zeros and negative zero among the streamed values.
-            let col: Vec<f32> = (0..4)
-                .map(|k| match (k + wave) % 4 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 => 1.5 + wave as f32,
-                    _ => -2.25,
-                })
-                .collect();
-            dpe.step_into(&|k| col[k], &mut a).unwrap();
-            dpe.step_compiled(&col, &mut b).unwrap();
-            assert_eq!(dpe.drain_cycles(), a.reduction.critical_cycles);
-            assert_eq!(a.useful_macs, b.useful_macs, "wave {wave}");
-            assert_eq!(a.operands_consumed, b.operands_consumed);
-            assert_eq!(a.reduction.adds_performed, b.reduction.adds_performed);
-            assert_eq!(a.reduction.critical_cycles, b.reduction.critical_cycles);
-            assert_eq!(a.reduction.sums.len(), b.reduction.sums.len());
-            for (x, y) in a.reduction.sums.iter().zip(&b.reduction.sums) {
-                assert_eq!(x.vec_id, y.vec_id);
-                assert_eq!(x.value.to_bits(), y.value.to_bits(), "wave {wave}");
-            }
+            let col = column(4, |k| match (k + wave) % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.5 + wave as f32,
+                _ => -2.25,
+            });
+            check(&mut dpe, &col, &format!("wave {wave}"));
         }
         // Reload with a different layout: the program recompiles.
         dpe.load(&elements(&[(2, 0, 1.0), (3, 1, 7.0)]), &ids(&[0, 1], 8)).unwrap();
-        let col = [2.0f32, 3.0];
-        dpe.step_into(&|k| col[k], &mut a).unwrap();
-        dpe.step_compiled(&col, &mut b).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(dpe.drain_cycles(), a.reduction.critical_cycles);
+        check(&mut dpe, &[2.0, 3.0], "reloaded");
+    }
+
+    #[test]
+    fn step_faulted_applies_port_multiplier_and_adder_faults() {
+        use crate::fault::{FaultKind, FaultPlan, FaultSite, StuckLevel};
+        let mut dpe = FlexDpe::new(4).unwrap();
+        // One cluster over slots 0..3: x0*1 + x1*2 + x2*4.
+        let els = elements(&[(0, 0, 1.0), (0, 1, 2.0), (0, 2, 4.0)]);
+        dpe.load(&els, &ids(&[0, 0, 0], 4)).unwrap();
+        let col = [1.0f32, 1.0, 1.0];
+        let mut out = DpeStep::default();
+        // Port 1 dropped: its product vanishes and stops being useful.
+        let drop =
+            FaultPlan::single(FaultSite::BenesPort { dpe: 2, port: 1 }, FaultKind::DroppedPort);
+        let mut inj = FaultInjector::new(&drop);
+        dpe.step_faulted(&col, &mut inj, 2, 9, &mut out).unwrap();
+        assert_eq!(out.reduction.sums[0].value, 5.0);
+        assert_eq!(out.useful_macs, 2);
+        assert_eq!(inj.fired()[0].cycle, 9);
+        // The same plan on another unit fires nothing.
+        let mut other = FaultInjector::new(&drop);
+        dpe.step_faulted(&col, &mut other, 0, 9, &mut out).unwrap();
+        assert_eq!(out.reduction.sums[0].value, 7.0);
+        assert!(other.fired().is_empty());
+        // A sign-stuck multiplier output and a sign-stuck root adder.
+        let mult = FaultPlan::single(
+            FaultSite::MultiplierOutput { dpe: 0, slot: 2 },
+            FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
+        );
+        dpe.step_faulted(&col, &mut FaultInjector::new(&mult), 0, 0, &mut out).unwrap();
+        assert_eq!(out.reduction.sums[0].value, -1.0);
+        let adder = FaultPlan::single(
+            FaultSite::FanAdder { dpe: 0, adder: 1 },
+            FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
+        );
+        dpe.step_faulted(&col, &mut FaultInjector::new(&adder), 0, 0, &mut out).unwrap();
+        assert!(out.reduction.sums[0].value < 0.0, "the root add is forced negative");
     }
 
     #[test]
@@ -674,7 +625,7 @@ mod tests {
     fn zero_operands_are_not_useful() {
         let mut dpe = FlexDpe::new(4).unwrap();
         dpe.load(&elements(&[(0, 0, 1.0), (0, 1, 1.0)]), &ids(&[0, 0], 4)).unwrap();
-        let step = dpe.step(&|k| if k == 0 { 3.0 } else { 0.0 }).unwrap();
+        let step = step(&mut dpe, &[3.0, 0.0]);
         assert_eq!(step.useful_macs, 1);
         assert_eq!(step.reduction.sums[0].value, 3.0);
     }
@@ -686,7 +637,7 @@ mod tests {
         assert_eq!(dpe.occupied(), 1);
         dpe.clear();
         assert_eq!(dpe.occupied(), 0);
-        let step = dpe.step(&|_| 1.0).unwrap();
+        let step = step(&mut dpe, &[1.0]);
         assert!(step.reduction.sums.is_empty());
         assert_eq!(step.operands_consumed, 0);
     }
@@ -708,44 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn step_routed_matches_step() {
-        // The same streamed vector through the closure path and through
-        // the routed Benes path must produce identical results.
-        let mut dpe = FlexDpe::new(8).unwrap();
-        let els = elements(&[(0, 0, 2.0), (0, 2, 3.0), (1, 1, 4.0), (1, 2, 5.0), (1, 3, 6.0)]);
-        dpe.load(&els, &ids(&[0, 0, 1, 1, 1], 8)).unwrap();
-
-        // Streamed vector x[k] = k + 1, arriving in contraction order
-        // (all four k present): arrival rank == k here.
-        let arrivals = [1.0f32, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0];
-        let request: Vec<Option<usize>> =
-            vec![Some(0), Some(2), Some(1), Some(2), Some(3), None, None, None];
-        let plain = dpe.step(&|k| (k + 1) as f32).unwrap();
-        let (routed, passes) = dpe.step_routed(&arrivals, &request).unwrap();
-        assert_eq!(plain.reduction.sums, routed.reduction.sums);
-        assert_eq!(plain.useful_macs, routed.useful_macs);
-        // This request descends once (rank 2 -> 1): two passes.
-        assert_eq!(passes, 2);
-        // The same request pattern again is served from the cache with
-        // identical results.
-        let (routed2, passes2) = dpe.step_routed(&arrivals, &request).unwrap();
-        assert_eq!(routed2, routed);
-        assert_eq!(passes2, passes);
-        assert!(dpe.route_cache().hits() >= 1);
-    }
-
-    #[test]
-    fn step_routed_monotone_single_pass() {
-        let mut dpe = FlexDpe::new(4).unwrap();
-        dpe.load(&elements(&[(0, 0, 1.0), (0, 1, 1.0), (0, 3, 1.0)]), &ids(&[0, 0, 0], 4)).unwrap();
-        let arrivals = [10.0f32, 20.0, 30.0, 0.0];
-        let request = vec![Some(0), Some(1), Some(2), None];
-        let (step, passes) = dpe.step_routed(&arrivals, &request).unwrap();
-        assert_eq!(passes, 1);
-        assert_eq!(step.reduction.sums[0].value, 60.0);
-    }
-
-    #[test]
     fn route_caching_can_be_disabled() {
         let mut dpe = FlexDpe::new(8).unwrap();
         dpe.set_route_caching(false);
@@ -755,7 +668,7 @@ mod tests {
         }
         assert_eq!(dpe.route_cache().hits(), 0);
         assert_eq!(dpe.route_cache().misses(), 3);
-        let step = dpe.step(&|k| (k + 1) as f32).unwrap();
+        let step = step(&mut dpe, &[1.0, 2.0]);
         assert_eq!(step.reduction.sums[0].value, 1.0 + 4.0);
     }
 
@@ -767,13 +680,15 @@ mod tests {
         let els = elements(&[(0, 0, 2.0), (0, 1, 3.0)]);
         dpe.load(&els, &ids(&[0, 0], 8)).unwrap();
         dpe.load(&els, &ids(&[0, 0], 8)).unwrap();
-        let mut out = DpeStep::default();
-        dpe.step_into(&|k| (k + 1) as f32, &mut out).unwrap();
+        // Steps record nothing themselves; the engine batches them.
+        let out = step(&mut dpe, &[1.0, 2.0]);
+        assert_eq!(t.counter(Counter::StreamSteps), 0);
+        dpe.record_steps_telemetry(1);
         assert_eq!(t.counter(Counter::BenesLoads), 2);
         assert_eq!(t.counter(Counter::RouteCacheMisses), 1);
         assert_eq!(t.counter(Counter::RouteCacheHits), 1);
         assert_eq!(t.counter(Counter::StreamSteps), 1);
-        assert_eq!(t.counter(Counter::UsefulMacs), 2);
+        assert_eq!(out.useful_macs, 2);
         assert_eq!(t.counter(Counter::IssuedMacs), 2);
         assert_eq!(t.counter(Counter::FanClusterSums), 1);
         let snap = t.snapshot();
@@ -797,7 +712,7 @@ mod tests {
             (2, 3, 2.0),
         ]);
         dpe.load(&els, &ids(&[0, 1, 1, 1, 1, 2, 2, 2], 8)).unwrap();
-        let step = dpe.step(&|_| 1.0).unwrap();
+        let step = step(&mut dpe, &[1.0; 4]);
         let sums: Vec<f32> = step.reduction.sums.iter().map(|s| s.value).collect();
         assert_eq!(sums, vec![1.0, 4.0, 6.0]);
         assert_eq!(step.reduction.adds_performed, 3 + 2);

@@ -1,6 +1,6 @@
 //! Deterministic event queue for the epoch-driven simulation core.
 //!
-//! The lockstep tick loop pays one iteration per streaming cycle per
+//! A lockstep tick loop pays one iteration per streaming cycle per
 //! Flex-DPE even when nothing interesting happens. The event scheduler
 //! instead lets each actor (the stationary loader, the streaming
 //! front-end, and the FAN drain) register its *next interesting cycle*,
@@ -17,9 +17,9 @@
 //!   no randomness, no pointer identity ever enters the ordering.
 //!
 //! The engine's handlers therefore produce an identical event history —
-//! and identical statistics, traces, and outputs — on every run, which is
-//! what lets `perf_bench --lockstep-check` assert bitwise equality
-//! against the legacy tick loop.
+//! and identical statistics, traces, fault reports and outputs — on every
+//! run, which is what lets the engine's unit tests assert bitwise
+//! equality against a tick-loop oracle that only exists in test builds.
 
 use std::collections::BTreeMap;
 

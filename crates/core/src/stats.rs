@@ -44,8 +44,9 @@ pub struct CycleStats {
     pub route_cache_misses: u64,
     /// Streaming cycles whose step carried no non-zero streamed operands —
     /// dead cycles the event scheduler fast-forwards in O(1). They remain
-    /// part of [`CycleStats::streaming_cycles`] (and thus total cycles);
-    /// the lockstep oracle executes them and counts them identically.
+    /// part of [`CycleStats::streaming_cycles`] (and thus total cycles).
+    /// A fault-injected run executes them (a fault may fire there) and
+    /// counts them identically.
     pub idle_cycles_skipped: u64,
     /// Fault events that fired during the run (zero unless a
     /// [`FaultPlan`](crate::fault::FaultPlan) was armed).

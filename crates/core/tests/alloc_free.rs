@@ -1,6 +1,7 @@
 //! Verifies the allocation-free claim for the simulation hot loops: after
-//! a warmup pass, `FlexDpe::load` (route-cache hit), `FlexDpe::step_into`
-//! and `Fan::reduce_into` perform **zero** heap allocations.
+//! a warmup pass, `FlexDpe::load` (route-cache hit), the engine's
+//! streaming step `FlexDpe::step_compiled` (telemetry off and on) and
+//! `Fan::reduce_into` perform **zero** heap allocations.
 //!
 //! A counting `#[global_allocator]` makes the claim checkable instead of
 //! aspirational. This file intentionally holds a single `#[test]`: the
@@ -54,6 +55,12 @@ fn min_allocations_over<R>(n: usize, mut f: impl FnMut() -> R) -> u64 {
     (0..n).map(|_| allocations_during(&mut f).0).min().unwrap()
 }
 
+/// Streamed columns `x[k] = k + shift` over the fold's 8 contraction
+/// indices, built before any measurement starts.
+fn columns(shifts: usize) -> Vec<Vec<f32>> {
+    (0..shifts).map(|s| (0..8).map(|k| k as f32 + s as f32).collect()).collect()
+}
+
 fn elements(spec: &[(usize, usize, f32)]) -> Vec<MappedElement> {
     spec.iter()
         .map(|&(group, contraction, value)| MappedElement { group, contraction, value })
@@ -84,8 +91,9 @@ fn warmed_hot_loops_do_not_allocate() {
 
     // Warmup: cold route, scratch capacity growth, first reduction.
     dpe.load(&els, &ids).unwrap();
+    let cols = columns(4);
     let mut out = DpeStep::default();
-    dpe.step_into(&|k| (k * k) as f32, &mut out).unwrap();
+    dpe.step_compiled(&cols[0], &mut out).unwrap();
     assert_eq!(dpe.route_cache().misses(), 1);
 
     // Steady state: reloading the same fold pattern hits the route cache
@@ -94,14 +102,13 @@ fn warmed_hot_loops_do_not_allocate() {
     assert_eq!(reload, 0, "warmed load allocated {reload} times");
     assert!(dpe.route_cache().hits() >= 3);
 
-    // Streaming: multiply + FAN reduce through reused scratch.
+    // Streaming: multiply + compiled FAN replay through reused scratch.
     let mut wave = 0usize;
     let stepping = min_allocations_over(3, || {
         wave += 1;
-        let shift = wave as f32;
-        dpe.step_into(&|k| k as f32 + shift, &mut out).unwrap();
+        dpe.step_compiled(&cols[wave], &mut out).unwrap();
     });
-    assert_eq!(stepping, 0, "warmed step_into allocated {stepping} times");
+    assert_eq!(stepping, 0, "warmed step_compiled allocated {stepping} times");
     assert_eq!(out.useful_macs, 9);
 
     // The FAN reduction path in isolation, as the NLR dataflow drives it.
@@ -126,13 +133,16 @@ fn warmed_hot_loops_do_not_allocate() {
     tdpe.set_telemetry(Telemetry::enabled());
     tdpe.load(&els, &ids).unwrap();
     let mut tout = DpeStep::default();
-    tdpe.step_into(&|k| (k * k) as f32, &mut tout).unwrap();
+    tdpe.step_compiled(&cols[0], &mut tout).unwrap();
+    tdpe.record_steps_telemetry(1);
     let treload = min_allocations_over(3, || tdpe.load(&els, &ids).unwrap());
     assert_eq!(treload, 0, "telemetry-enabled load allocated {treload} times");
+    // The engine steps, then batch-records the fold's per-step telemetry.
     let tstepping = min_allocations_over(3, || {
-        tdpe.step_into(&|k| k as f32 + 1.0, &mut tout).unwrap();
+        tdpe.step_compiled(&cols[1], &mut tout).unwrap();
+        tdpe.record_steps_telemetry(1);
     });
-    assert_eq!(tstepping, 0, "telemetry-enabled step_into allocated {tstepping} times");
+    assert_eq!(tstepping, 0, "telemetry-enabled step_compiled allocated {tstepping} times");
 
     // A disabled telemetry handle is byte-identical to never attaching
     // one: the datapath never branches on telemetry for anything but
@@ -144,8 +154,9 @@ fn warmed_hot_loops_do_not_allocate() {
     disabled.load(&els, &ids).unwrap();
     let mut out_plain = DpeStep::default();
     let mut out_disabled = DpeStep::default();
-    plain.step_into(&|k| k as f32 * 0.5 - 1.0, &mut out_plain).unwrap();
-    disabled.step_into(&|k| k as f32 * 0.5 - 1.0, &mut out_disabled).unwrap();
+    let col: Vec<f32> = (0..8).map(|k| k as f32 * 0.5 - 1.0).collect();
+    plain.step_compiled(&col, &mut out_plain).unwrap();
+    disabled.step_compiled(&col, &mut out_disabled).unwrap();
     assert_eq!(out_plain, out_disabled);
     for (a, b) in out_plain.reduction.sums.iter().zip(&out_disabled.reduction.sums) {
         assert_eq!(a.value.to_bits(), b.value.to_bits(), "cluster {} diverged bitwise", a.vec_id);

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sigma_core::model::GemmProblem;
-use sigma_core::{ControllerPlan, DpuAllocator, Engine, FlexDpe, SigmaConfig, SigmaSim};
+use sigma_core::{ControllerPlan, DpeStep, DpuAllocator, Engine, FlexDpe, SigmaConfig, SigmaSim};
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::GemmShape;
 
@@ -89,7 +89,9 @@ proptest! {
         if let Some(fold) = plan.folds.first() {
             let mut dpe = FlexDpe::new(16).unwrap();
             dpe.load(&fold.elements, &fold.vec_ids).unwrap();
-            let step = dpe.step(&|kk| stream_dense.get(kk, 0)).unwrap();
+            let column: Vec<f32> = (0..8).map(|kk| stream_dense.get(kk, 0)).collect();
+            let mut step = DpeStep::default();
+            dpe.step_compiled(&column, &mut step).unwrap();
 
             // Expected per-cluster partial dot products from the fold's
             // own elements (a group may span folds, so the cluster sum is

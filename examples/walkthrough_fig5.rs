@@ -8,7 +8,7 @@
 //! cargo run --example walkthrough_fig5
 //! ```
 
-use sigma::arch::{ControllerPlan, FlexDpe};
+use sigma::arch::{ControllerPlan, DpeStep, FlexDpe};
 use sigma::matrix::{Matrix, SparseMatrix};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -86,8 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut ids = vec![None; n_mult];
         ids[..hi - lo].copy_from_slice(&fold.vec_ids[lo..hi]);
         unit.load(&fold.elements[lo..hi], &ids)?;
+        let mut out = DpeStep::default();
         for step in 0..kn.cols() {
-            let out = unit.step(&|k| kn_dense.get(k, step))?;
+            let column: Vec<f32> = (0..kn.rows()).map(|k| kn_dense.get(k, step)).collect();
+            unit.step_compiled(&column, &mut out)?;
             for s in &out.reduction.sums {
                 let row = fold.cluster_groups[s.vec_id as usize];
                 result.set(row, step, result.get(row, step) + s.value);
