@@ -120,18 +120,20 @@ impl Bitmap {
     /// XORs `mask` into storage word `word` — a bitmap-word upset in the
     /// sparsity controller's metadata SRAM. Bits past the logical end of
     /// the bitmap are masked off so the corruption cannot create
-    /// out-of-range occupancy.
+    /// out-of-range occupancy. Returns the bits actually flipped (zero
+    /// when `mask` only touches bits past the end).
     ///
     /// # Panics
     ///
     /// Panics if `word >= word_count()`.
-    pub fn xor_word(&mut self, word: usize, mask: u64) {
+    pub fn xor_word(&mut self, word: usize, mask: u64) -> u64 {
         assert!(word < self.words.len(), "bitmap word {word} out of range");
         let bits = self.rows * self.cols;
         let first_bit = word * 64;
         let valid = bits.saturating_sub(first_bit).min(64);
         let keep = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
         self.words[word] ^= mask & keep;
+        mask & keep
     }
 
     /// Number of set bits in row `r` (word-at-a-time popcount; rows are
@@ -425,10 +427,12 @@ mod tests {
     fn xor_word_flips_bits_and_masks_tail() {
         let mut bm = Bitmap::new(3, 3); // 9 bits -> one word, 9 valid bits
         assert_eq!(bm.word_count(), 1);
-        bm.xor_word(0, u64::MAX);
+        assert_eq!(bm.xor_word(0, u64::MAX), 0x1ff);
         // Only the 9 in-range bits may flip.
         assert_eq!(bm.count_ones(), 9);
-        bm.xor_word(0, 0b101);
+        assert_eq!(bm.xor_word(0, 0b101), 0b101);
+        // A mask entirely past the logical end flips nothing.
+        assert_eq!(bm.xor_word(0, 1 << 9), 0);
         assert!(!bm.get(0, 0));
         assert!(bm.get(0, 1));
         assert!(!bm.get(0, 2));
@@ -438,7 +442,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn xor_word_out_of_range_panics() {
-        Bitmap::new(2, 2).xor_word(1, 1);
+        let _ = Bitmap::new(2, 2).xor_word(1, 1);
     }
 
     #[test]
