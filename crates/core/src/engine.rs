@@ -55,7 +55,8 @@ pub struct SigmaSim {
     fan: Fan,
     telemetry: Telemetry,
     /// Test builds only: run stationary folds on the lockstep tick oracle
-    /// ([`SigmaSim::run_stationary_lockstep`]) instead of the scheduler.
+    /// ([`SigmaSim::run_stationary_lockstep`]) instead of the scheduler,
+    /// and find NLR pairs with the dense scan ([`nlr_pairs_dense`]).
     #[cfg(test)]
     tick_oracle: bool,
 }
@@ -702,6 +703,15 @@ impl SigmaSim {
     /// pairs stream; nothing is stationary. Pairs are grouped by output
     /// element into FAN clusters and packed into full-array waves.
     ///
+    /// Pairs are found on compressed metadata, the inner-product case of
+    /// sparse GEMM: each row of A and column of B is packed into a
+    /// k-aligned `u64` bitset ([`KPacked`]), and every output `(i, j)`
+    /// ANDs its two bitsets a word at a time and walks the set bits with
+    /// `trailing_zeros`. Cost scales with `m·n·k/64` words plus the useful
+    /// pairs, not `m·n·k`. Within each output, pairs come out in
+    /// ascending k, so waves, FAN clusters and f32 sums are those of a
+    /// dense `(i, j, k)` scan.
+    ///
     /// Fault support covers [`crate::fault::FaultSite::MultiplierOutput`]
     /// and [`crate::fault::FaultSite::FanAdder`]; NLR has no stationary
     /// metadata or per-slot Benes delivery to corrupt.
@@ -717,22 +727,10 @@ impl SigmaSim {
         let stream_bw = self.config.stream_bandwidth() as u64;
         let dpe = self.config.dpe_size();
         let (m, n) = (a.rows(), b.cols());
-        let a_d = a.to_dense();
-        let b_d = b.to_dense();
-
-        // Enumerate useful pairs grouped by output (m, n).
-        let mut pairs: Vec<(usize, usize, f32, f32)> = Vec::new();
-        for i in 0..m {
-            for j in 0..n {
-                for k in 0..a.cols() {
-                    let x = a_d.get(i, k);
-                    let y = b_d.get(k, j);
-                    if x != 0.0 && y != 0.0 {
-                        pairs.push((i, j, x, y));
-                    }
-                }
-            }
-        }
+        #[cfg(test)]
+        let pairs = if self.tick_oracle { nlr_pairs_dense(a, b) } else { nlr_pairs(a, b) };
+        #[cfg(not(test))]
+        let pairs = nlr_pairs(a, b);
 
         let mut out = Matrix::zeros(m, n);
         let mut stats = CycleStats { pes: pes as u64, ..CycleStats::default() };
@@ -810,6 +808,96 @@ impl SigmaSim {
 
         Ok(GemmRun { result: out, stats })
     }
+}
+
+/// The non-zero values of a sparse operand, one k-aligned `u64` bitset
+/// per row, for word-level intersection.
+struct KPacked {
+    /// Bitset words per row: `ceil(k / 64)`.
+    words_per_row: usize,
+    /// `rows × words_per_row` occupancy words; bit `k % 64` of word
+    /// `k / 64` marks a non-zero in column `k`.
+    bits: Vec<u64>,
+    /// Per word, the index in `values` of its lowest set bit.
+    base: Vec<usize>,
+    /// The non-zeros in row-major order.
+    values: Vec<f32>,
+}
+
+impl KPacked {
+    /// Packs the rows of `m`. Stored values equal to `0.0` (either sign;
+    /// [`SparseMatrix::from_parts`] can hold them) are left out, as a
+    /// dense scan would skip them.
+    fn new(m: &SparseMatrix) -> Self {
+        let words_per_row = m.cols().div_ceil(64);
+        let mut bits = vec![0u64; m.rows() * words_per_row];
+        let mut values = Vec::with_capacity(m.nnz());
+        for (r, c, v) in m.iter().filter(|&(_, _, v)| v != 0.0) {
+            bits[r * words_per_row + c / 64] |= 1 << (c % 64);
+            values.push(v);
+        }
+        let mut base = Vec::with_capacity(bits.len());
+        let mut total = 0usize;
+        for word in &bits {
+            base.push(total);
+            total += word.count_ones() as usize;
+        }
+        Self { words_per_row, bits, base, values }
+    }
+
+    /// The value at set bit `bit` of word `w`.
+    #[inline]
+    fn value(&self, w: usize, bit: u32) -> f32 {
+        self.values[self.base[w] + (self.bits[w] & ((1u64 << bit) - 1)).count_ones() as usize]
+    }
+}
+
+/// Every useful NLR pair `(i, j, a[i,k], b[k,j])`, both operands non-zero,
+/// ordered by output `(i, j)` and then ascending `k`.
+fn nlr_pairs(a: &SparseMatrix, b: &SparseMatrix) -> Vec<(usize, usize, f32, f32)> {
+    let rows = KPacked::new(a);
+    let cols = KPacked::new(&b.transposed());
+    let wpr = rows.words_per_row;
+    let mut pairs = Vec::new();
+    if wpr == 0 {
+        return pairs;
+    }
+    for (i, row) in rows.bits.chunks_exact(wpr).enumerate() {
+        if row.iter().all(|&w| w == 0) {
+            continue;
+        }
+        for (j, col) in cols.bits.chunks_exact(wpr).enumerate() {
+            for (w, (&x, &y)) in row.iter().zip(col).enumerate() {
+                let mut both = x & y;
+                while both != 0 {
+                    let bit = both.trailing_zeros();
+                    both &= both - 1;
+                    pairs.push((i, j, rows.value(i * wpr + w, bit), cols.value(j * wpr + w, bit)));
+                }
+            }
+        }
+    }
+    pairs
+}
+
+/// The dense `(i, j, k)` scan [`nlr_pairs`] replaces: the bitwise oracle
+/// for pair order and values.
+#[cfg(test)]
+fn nlr_pairs_dense(a: &SparseMatrix, b: &SparseMatrix) -> Vec<(usize, usize, f32, f32)> {
+    let (a_d, b_d) = (a.to_dense(), b.to_dense());
+    let mut pairs = Vec::new();
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            for k in 0..a.cols() {
+                let x = a_d.get(i, k);
+                let y = b_d.get(k, j);
+                if x != 0.0 && y != 0.0 {
+                    pairs.push((i, j, x, y));
+                }
+            }
+        }
+    }
+    pairs
 }
 
 #[cfg(test)]
@@ -1002,7 +1090,7 @@ mod tests {
     }
 
     /// The same simulator, with stationary folds on the lockstep tick
-    /// oracle.
+    /// oracle and NLR pairs from the dense scan.
     fn oracle(sim: &SigmaSim) -> SigmaSim {
         SigmaSim { tick_oracle: true, ..sim.clone() }
     }
@@ -1234,6 +1322,125 @@ mod tests {
             assert_eq!(report.attempts, 3, "{ctx}: the stuck adder survives every recompute");
             assert_eq!(report.counters.escaped, 1, "{ctx}");
         }
+    }
+
+    /// `m` with its stored pattern widened by every `(r, c)` where
+    /// `(r + 2c) % 5 == 0`, holding `+0.0` or `-0.0` there: explicit zeros
+    /// only [`SparseMatrix::from_parts`] can store.
+    fn with_stored_zeros(m: &SparseMatrix) -> SparseMatrix {
+        let dense = m.to_dense();
+        let mut bitmap = Bitmap::new(m.rows(), m.cols());
+        let mut values = Vec::new();
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                let v = dense.get(r, c);
+                if v != 0.0 || (r + 2 * c) % 5 == 0 {
+                    bitmap.set(r, c, true);
+                    values.push(if v != 0.0 {
+                        v
+                    } else if c % 2 == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    });
+                }
+            }
+        }
+        SparseMatrix::from_parts(bitmap, values)
+    }
+
+    /// NLR operand pairs over an empty contraction and every length that
+    /// straddles a bitset word edge: random, dense, all-zero, with an
+    /// empty row of A
+    /// and an empty column of B, and with stored `±0.0` values.
+    fn nlr_operand_cases() -> Vec<(String, SparseMatrix, SparseMatrix)> {
+        let mut cases = Vec::new();
+        for (t, k) in [0usize, 1, 63, 64, 65, 130].into_iter().enumerate() {
+            let seed = 900 + 10 * t as u64;
+            let (m, n) = (7, 6);
+            for (da, db) in [(0.3, 0.4), (1.0, 1.0), (0.0, 0.6), (0.6, 0.0)] {
+                let a = sparse_uniform(m, k, Density::new(da).unwrap(), seed);
+                let b = sparse_uniform(k, n, Density::new(db).unwrap(), seed + 1);
+                cases.push((format!("k={k} densities ({da},{db})"), a, b));
+            }
+            let mut a = sparse_uniform(m, k, Density::new(0.5).unwrap(), seed + 2).to_dense();
+            let mut b = sparse_uniform(k, n, Density::new(0.5).unwrap(), seed + 3).to_dense();
+            for kk in 0..k {
+                a.set(2, kk, 0.0);
+                b.set(kk, 3, 0.0);
+            }
+            let (a, b) = (SparseMatrix::from_dense(&a), SparseMatrix::from_dense(&b));
+            cases.push((
+                format!("k={k} stored zeros"),
+                with_stored_zeros(&a),
+                with_stored_zeros(&b),
+            ));
+            cases.push((format!("k={k} empty row and column"), a, b));
+        }
+        cases
+    }
+
+    #[test]
+    fn nlr_pair_enumeration_matches_the_dense_oracle() {
+        let bits = |pairs: Vec<(usize, usize, f32, f32)>| -> Vec<(usize, usize, u32, u32)> {
+            pairs.into_iter().map(|(i, j, x, y)| (i, j, x.to_bits(), y.to_bits())).collect()
+        };
+        for (ctx, a, b) in nlr_operand_cases() {
+            assert_eq!(bits(nlr_pairs(&a, &b)), bits(nlr_pairs_dense(&a, &b)), "{ctx}");
+            for sim in
+                [cfg(2, 8, 16, Dataflow::NoLocalReuse), cfg(4, 16, 8, Dataflow::NoLocalReuse)]
+            {
+                let (run, trace) = sim.run_gemm_traced(&a, &b).unwrap();
+                let (run_o, trace_o) = oracle(&sim).run_gemm_traced(&a, &b).unwrap();
+                assert_eq!(run.stats, run_o.stats, "{ctx}");
+                assert_eq!(trace, trace_o, "{ctx}");
+                assert_bits_eq(&run.result, &run_o.result, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn nlr_fault_paths_match_the_dense_oracle() {
+        use crate::fault::{FaultKind, FaultSite};
+        use sigma_interconnect::StuckLevel;
+        let plans = [
+            FaultPlan::single(
+                FaultSite::MultiplierOutput { dpe: 0, slot: 3 },
+                FaultKind::TransientFlip { bit: 27 },
+            ),
+            FaultPlan::single(
+                FaultSite::MultiplierOutput { dpe: 1, slot: 5 },
+                FaultKind::StuckBit { bit: 30, level: StuckLevel::One },
+            ),
+            FaultPlan::single(
+                FaultSite::FanAdder { dpe: 0, adder: 3 },
+                FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
+            )
+            .with_event(
+                FaultSite::FanAdder { dpe: 1, adder: 6 },
+                FaultKind::StuckBit { bit: 2, level: StuckLevel::Zero },
+            )
+            .with_event(
+                FaultSite::MultiplierOutput { dpe: 1, slot: 0 },
+                FaultKind::TransientFlip { bit: 29 },
+            ),
+        ];
+        let policy = RecoveryPolicy::default();
+        let sim = cfg(2, 8, 16, Dataflow::NoLocalReuse);
+        let mut fired = 0usize;
+        for (ctx, a, b) in nlr_operand_cases() {
+            for (p, plan) in plans.iter().enumerate() {
+                let ctx = format!("{ctx} plan {p}");
+                let (run, rep) = sim.run_gemm_with_faults(&a, &b, plan).unwrap();
+                let (run_o, rep_o) = oracle(&sim).run_gemm_with_faults(&a, &b, plan).unwrap();
+                assert_eq!(rep, rep_o, "{ctx}");
+                assert_eq!(run.stats, run_o.stats, "{ctx}");
+                assert_bits_eq(&run.result, &run_o.result, &ctx);
+                fired += rep.fired.len();
+                assert_fault_parity(&sim, &a, &b, plan, &policy, &ctx);
+            }
+        }
+        assert!(fired > 50, "the plans must fire on most cases ({fired} fired)");
     }
 
     #[test]

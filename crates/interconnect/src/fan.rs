@@ -33,6 +33,20 @@
 //!
 //! [`Fan::reduce`] executes this faithfully on real `f32` data — same add
 //! order, same adder activations, same per-segment completion times.
+//!
+//! ## Add order: the ruler tree
+//!
+//! Adder levels follow the ruler sequence `trailing_ones(i)`. Between two
+//! adders of the same level `L` there is always one of a higher level, so
+//! every leaf range `s..=e` has a *unique* highest-level adder `h`
+//! ([`top_adder`]). All other adders of the range sit strictly below it,
+//! and the network fires one level per cycle, so `h` fires last: it joins
+//! the fully reduced halves `s..=h` and `h+1..=e`. Applied recursively,
+//! a cluster's sum is exactly `reduce(s..=h) + reduce(h+1..=e)`, down to
+//! single leaves — the association order of the level-by-level hardware
+//! schedule, reached in one left-to-right pass over the clusters with
+//! recursion depth at most `log₂N` and no working state. The cluster
+//! completes one cycle after `h` fires, at `level(h) + 1`.
 
 use crate::{is_power_of_two, log2_ceil};
 use std::error::Error;
@@ -103,21 +117,90 @@ pub struct FanReduction {
 
 /// Reusable working state for [`Fan::reduce_into`].
 ///
-/// The interval list, per-leaf completion table, and contiguity set are
-/// cleared (not dropped) between waves, so a warmed scratch makes the
-/// reduction allocation-free in steady state — the property the
-/// simulator's streaming hot loop relies on.
+/// Holds the contiguity check's run list, cleared (not dropped) between
+/// waves, so a warmed scratch makes the reduction allocation-free in
+/// steady state — the property the simulator's streaming hot loop relies
+/// on.
 #[derive(Debug, Clone, Default)]
 pub struct FanScratch {
-    /// Active `(leaf_start, leaf_end_inclusive, partial)` intervals.
-    intervals: Vec<(usize, usize, f32)>,
-    /// Completion cycle of the cluster starting at each leaf
-    /// (`u64::MAX` = not yet complete).
-    completion: Vec<u64>,
     /// One vecID per run, sorted for the contiguity check; a Vec (not a
     /// hash set) keeps the hot loop allocation-free after warmup and
     /// independent of per-process hasher state.
     seen: Vec<u32>,
+}
+
+/// The highest-level adder among `s..e`, the adders joining leaves
+/// `s..=e` (`s < e`). It is unique, and it fires last.
+///
+/// Adder `a` has level `trailing_zeros(a + 1)`, so this is the number in
+/// `s+1..=e` with the most trailing zeros, minus one: `e` with every bit
+/// below the highest bit where `s` and `e` differ cleared.
+#[inline]
+#[must_use]
+pub(crate) fn top_adder(s: usize, e: usize) -> usize {
+    debug_assert!(s < e);
+    let b = (s ^ e).ilog2();
+    (e & !((1usize << b) - 1)) - 1
+}
+
+/// Completion cycle of a cluster on leaves `s..=e`: 0 for a singleton
+/// (pure bypass), else one cycle after its top adder fires.
+#[inline]
+pub(crate) fn completion_cycles(s: usize, e: usize) -> u64 {
+    if s == e {
+        0
+    } else {
+        u64::from(top_adder(s, e).trailing_ones()) + 1
+    }
+}
+
+/// Reduces the cluster on leaves `s..=e` along the ruler tree (see the
+/// module docs): `leaf(i)` seeds leaf `i`, and `join(left, right, s, h)`
+/// fires adder `h` on the reduced halves `s..=h` and `h+1..=e`. Adds come
+/// out in post-order, each after both of its operands.
+pub(crate) fn ruler_reduce<T>(
+    s: usize,
+    e: usize,
+    leaf: &mut impl FnMut(usize) -> T,
+    join: &mut impl FnMut(T, T, usize, usize) -> T,
+) -> T {
+    if s == e {
+        return leaf(s);
+    }
+    let h = top_adder(s, e);
+    let left = ruler_reduce(s, h, leaf, join);
+    let right = ruler_reduce(h + 1, e, leaf, join);
+    join(left, right, s, h)
+}
+
+/// Calls `cluster(vec_id, s, e)` for every maximal run `s..=e` of one
+/// vecID, left to right, then checks that no vecID formed two runs
+/// (the smallest such id is reported). `seen` is working storage.
+pub(crate) fn for_each_cluster(
+    vec_ids: &[Option<u32>],
+    seen: &mut Vec<u32>,
+    mut cluster: impl FnMut(u32, usize, usize),
+) -> Result<(), FanError> {
+    seen.clear();
+    let mut s = 0;
+    while s < vec_ids.len() {
+        let Some(id) = vec_ids[s] else {
+            s += 1;
+            continue;
+        };
+        let mut e = s;
+        while vec_ids.get(e + 1) == Some(&Some(id)) {
+            e += 1;
+        }
+        seen.push(id);
+        cluster(id, s, e);
+        s = e + 1;
+    }
+    seen.sort_unstable();
+    match seen.windows(2).find(|w| w[0] == w[1]) {
+        Some(dup) => Err(FanError::NonContiguousSegments(dup[0])),
+        None => Ok(()),
+    }
 }
 
 /// A Forwarding Adder Network over `N` multiplier outputs.
@@ -304,96 +387,31 @@ impl Fan {
         if vec_ids.len() != self.size {
             return Err(FanError::SizeMismatch { expected: self.size, actual: vec_ids.len() });
         }
-        // Contiguity check: every vecID forms a single run. Collect one
-        // id per run, sort, and look for duplicates.
-        scratch.seen.clear();
-        let mut prev: Option<u32> = None;
-        for id in vec_ids.iter() {
-            if let Some(cur) = *id {
-                if prev != Some(cur) {
-                    scratch.seen.push(cur);
-                }
-            }
-            prev = *id;
-        }
-        scratch.seen.sort_unstable();
-        if let Some(dup) = scratch.seen.windows(2).find(|w| w[0] == w[1]) {
-            return Err(FanError::NonContiguousSegments(dup[0]));
-        }
-
-        // Active intervals: (leaf_start, leaf_end_inclusive, partial value).
-        // Level-by-level merging reproduces the hardware's add order.
-        let intervals = &mut scratch.intervals;
-        intervals.clear();
-        // Completion cycle by leaf start; u64::MAX marks "still reducing".
-        scratch.completion.resize(self.size, u64::MAX);
-        scratch.completion.fill(u64::MAX);
-        for (i, id) in vec_ids.iter().enumerate() {
-            if id.is_some() {
-                intervals.push((i, i, values[i]));
-                // Single-leaf clusters complete immediately (pure bypass).
-                let left_same = i > 0 && vec_ids[i - 1] == *id;
-                let right_same = i + 1 < self.size && vec_ids[i + 1] == *id;
-                if !left_same && !right_same {
-                    scratch.completion[i] = 0;
-                }
-            }
-        }
+        // One pass over the clusters, each reduced along its ruler tree;
+        // stuck adders corrupt every activation of `h`, in plan order.
         let mut adds = 0usize;
-        let levels = self.level_count();
-
-        for lvl in 0..levels {
-            // Adders at this level whose flanking leaves share a cluster.
-            let mut i = 0;
-            while i + 1 < intervals.len() {
-                let (s0, e0, v0) = intervals[i];
-                let (s1, e1, v1) = intervals[i + 1];
-                let adjacent = e0 + 1 == s1;
-                let same_cluster = adjacent && vec_ids[e0] == vec_ids[s1];
-                let adder_id = e0; // adder between leaves e0 and e0+1
-                if same_cluster && self.adder_level(adder_id) == lvl {
-                    let mut sum = v0 + v1;
-                    if !faults.is_empty() {
-                        for fault in faults.iter().filter(|f| f.adder == adder_id) {
-                            sum = fault.corrupt(sum);
-                        }
-                    }
-                    intervals[i] = (s0, e1, sum);
-                    intervals.remove(i + 1);
-                    adds += 1;
-                    // If the merged interval now covers its whole cluster,
-                    // it completes one cycle after this level fires.
-                    let whole = (s0 == 0 || vec_ids[s0 - 1] != vec_ids[s0])
-                        && (e1 + 1 == self.size || vec_ids[e1 + 1] != vec_ids[e1]);
-                    if whole {
-                        scratch.completion[s0] = u64::from(lvl) + 1;
-                    }
-                    // Re-examine the same position: the merged interval may
-                    // merge again with the next one at this level.
-                    continue;
-                }
-                i += 1;
-            }
-        }
-
-        out.sums.reserve(intervals.len());
         let mut critical = 0u64;
-        for &(s, e, v) in intervals.iter() {
-            let cycles = scratch.completion[s];
-            debug_assert_ne!(cycles, u64::MAX, "every cluster completes within log2(N) levels");
+        let walked = for_each_cluster(vec_ids, &mut scratch.seen, |vec_id, s, e| {
+            let value = ruler_reduce(s, e, &mut |i| values[i], &mut |left, right, _, h| {
+                let mut sum = left + right;
+                for fault in faults.iter().filter(|f| f.adder == h) {
+                    sum = fault.corrupt(sum);
+                }
+                sum
+            });
+            let cycles = completion_cycles(s, e);
+            adds += e - s;
             critical = critical.max(cycles);
-            // Intervals are seeded from active leaves, so `vec_ids[s]` is
-            // always Some; skip (debug-asserting) rather than panic.
-            let Some(vec_id) = vec_ids[s] else {
-                debug_assert!(false, "interval starts at an active leaf");
-                continue;
-            };
             out.sums.push(SegmentSum {
                 vec_id,
-                value: v,
+                value,
                 leaf_range: (s, e),
                 completion_cycles: cycles,
             });
+        });
+        if let Err(e) = walked {
+            out.sums.clear();
+            return Err(e);
         }
         out.adds_performed = adds;
         out.critical_cycles = critical;
@@ -404,9 +422,236 @@ impl Fan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{AdderFault, StuckLevel};
+    use crate::FanProgram;
 
     fn ids(spec: &[i64]) -> Vec<Option<u32>> {
         spec.iter().map(|&x| if x < 0 { None } else { Some(x as u32) }).collect()
+    }
+
+    /// The level-by-level interval merge the hardware schedule describes:
+    /// at each level, every adder whose flanking intervals are adjacent
+    /// and share a cluster fires, merging them. The bitwise oracle for
+    /// [`Fan::reduce_into`] and [`FanProgram`].
+    fn reduce_level_by_level(
+        fan: &Fan,
+        values: &[f32],
+        vec_ids: &[Option<u32>],
+        faults: &[AdderFault],
+    ) -> Result<FanReduction, FanError> {
+        let size = fan.size();
+        let mut seen: Vec<u32> = Vec::new();
+        let mut prev: Option<u32> = None;
+        for id in vec_ids {
+            if let Some(cur) = *id {
+                if prev != Some(cur) {
+                    seen.push(cur);
+                }
+            }
+            prev = *id;
+        }
+        seen.sort_unstable();
+        if let Some(dup) = seen.windows(2).find(|w| w[0] == w[1]) {
+            return Err(FanError::NonContiguousSegments(dup[0]));
+        }
+        let mut intervals: Vec<(usize, usize, f32)> = Vec::new();
+        let mut completion = vec![u64::MAX; size];
+        for (i, id) in vec_ids.iter().enumerate() {
+            if id.is_some() {
+                intervals.push((i, i, values[i]));
+                let left_same = i > 0 && vec_ids[i - 1] == *id;
+                let right_same = i + 1 < size && vec_ids[i + 1] == *id;
+                if !left_same && !right_same {
+                    completion[i] = 0;
+                }
+            }
+        }
+        let mut adds = 0usize;
+        for lvl in 0..fan.level_count() {
+            let mut i = 0;
+            while i + 1 < intervals.len() {
+                let (s0, e0, v0) = intervals[i];
+                let (s1, e1, v1) = intervals[i + 1];
+                let same_cluster = e0 + 1 == s1 && vec_ids[e0] == vec_ids[s1];
+                if same_cluster && fan.adder_level(e0) == lvl {
+                    let mut sum = v0 + v1;
+                    for fault in faults.iter().filter(|f| f.adder == e0) {
+                        sum = fault.corrupt(sum);
+                    }
+                    intervals[i] = (s0, e1, sum);
+                    intervals.remove(i + 1);
+                    adds += 1;
+                    let whole = (s0 == 0 || vec_ids[s0 - 1] != vec_ids[s0])
+                        && (e1 + 1 == size || vec_ids[e1 + 1] != vec_ids[e1]);
+                    if whole {
+                        completion[s0] = u64::from(lvl) + 1;
+                    }
+                    continue;
+                }
+                i += 1;
+            }
+        }
+        let sums: Vec<SegmentSum> = intervals
+            .iter()
+            .map(|&(s, e, value)| SegmentSum {
+                vec_id: vec_ids[s].unwrap(),
+                value,
+                leaf_range: (s, e),
+                completion_cycles: completion[s],
+            })
+            .collect();
+        assert!(sums.iter().all(|s| s.completion_cycles != u64::MAX));
+        let critical_cycles = sums.iter().map(|s| s.completion_cycles).max().unwrap_or(0);
+        Ok(FanReduction { sums, adds_performed: adds, critical_cycles })
+    }
+
+    fn assert_reductions_bitwise_eq(got: &FanReduction, want: &FanReduction, ctx: &str) {
+        assert_eq!(got.adds_performed, want.adds_performed, "{ctx}: adds");
+        assert_eq!(got.critical_cycles, want.critical_cycles, "{ctx}: critical");
+        assert_eq!(got.sums.len(), want.sums.len(), "{ctx}: cluster count");
+        for (g, w) in got.sums.iter().zip(&want.sums) {
+            assert_eq!(g.vec_id, w.vec_id, "{ctx}");
+            assert_eq!(g.leaf_range, w.leaf_range, "{ctx}: vecID {}", w.vec_id);
+            assert_eq!(g.completion_cycles, w.completion_cycles, "{ctx}: vecID {}", w.vec_id);
+            assert_eq!(g.value.to_bits(), w.value.to_bits(), "{ctx}: vecID {}", w.vec_id);
+        }
+    }
+
+    /// splitmix64: a seeded, dependency-free generator for the property
+    /// test below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random layout of `size` leaves: runs of idle leaves, singletons
+    /// and clusters up to the full width. With `straddle`, one cluster is
+    /// forced across the top adder `size/2 - 1`.
+    fn random_layout(size: usize, straddle: bool, rng: &mut u64) -> Vec<Option<u32>> {
+        let mut layout = vec![None; size];
+        let mut id = 0u32;
+        let mut i = 0;
+        while i < size {
+            let r = next(rng);
+            let len = match r % 4 {
+                0 => 1,
+                1 => 1 + (r >> 8) as usize % 4,
+                2 => 1 + (r >> 8) as usize % size,
+                _ => 1 + (r >> 8) as usize % 16,
+            };
+            let end = (i + len).min(size);
+            if !(r >> 40).is_multiple_of(5) {
+                layout[i..end].fill(Some(id));
+                id += 1;
+            }
+            i = end;
+        }
+        if straddle {
+            let mid = size / 2;
+            let lo = mid - 1 - next(rng) as usize % mid;
+            let hi = mid + next(rng) as usize % mid;
+            layout[lo..=hi].fill(Some(id));
+            // A run that covered all of `lo..=hi` would now resume past
+            // `hi`; idle its tail to keep every cluster contiguous.
+            if let Some(left) = lo.checked_sub(1).and_then(|l| layout[l]) {
+                for v in &mut layout[hi + 1..] {
+                    if *v == Some(left) {
+                        *v = None;
+                    }
+                }
+            }
+        }
+        layout
+    }
+
+    #[test]
+    fn ruler_tree_matches_the_level_by_level_oracle() {
+        let mut rng = 0x5eed_f00d_u64;
+        let (mut active_faults, mut idle_faults) = (0usize, 0usize);
+        let mut scratch = FanScratch::default();
+        let mut out = FanReduction::default();
+        let mut program = FanProgram::default();
+        for log in 1..=8 {
+            let size = 1usize << log;
+            let fan = Fan::new(size).unwrap();
+            for case in 0..96 {
+                let ctx = format!("size {size} case {case}");
+                let layout = random_layout(size, case % 3 == 0, &mut rng);
+                let values: Vec<f32> = (0..size)
+                    .map(|_| match next(&mut rng) % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        r => {
+                            (r as f32 - 4.5)
+                                * f32::from_bits(next(&mut rng) as u32 >> 9 | 0x3f00_0000)
+                        }
+                    })
+                    .collect();
+                let clean = reduce_level_by_level(&fan, &values, &layout, &[]).unwrap();
+                fan.reduce_into(&values, &layout, &[], &mut scratch, &mut out).unwrap();
+                assert_reductions_bitwise_eq(&out, &clean, &ctx);
+
+                program.compile(&fan, &layout).unwrap();
+                let mut work = values.clone();
+                program.execute_into(&mut work, &mut out);
+                assert_reductions_bitwise_eq(&out, &clean, &format!("{ctx} (program)"));
+
+                // Stuck adders, up to three, possibly repeated, on adders
+                // that fire and on adders no cluster spans.
+                let faults: Vec<AdderFault> = (0..1 + next(&mut rng) % 3)
+                    .map(|_| AdderFault {
+                        adder: next(&mut rng) as usize % fan.adder_count(),
+                        bit: (next(&mut rng) % 32) as u32,
+                        level: if next(&mut rng).is_multiple_of(2) {
+                            StuckLevel::Zero
+                        } else {
+                            StuckLevel::One
+                        },
+                    })
+                    .collect();
+                for f in &faults {
+                    if layout[f.adder].is_some() && layout[f.adder] == layout[f.adder + 1] {
+                        active_faults += 1;
+                    } else {
+                        idle_faults += 1;
+                    }
+                }
+                let faulted = reduce_level_by_level(&fan, &values, &layout, &faults).unwrap();
+                fan.reduce_into(&values, &layout, &faults, &mut scratch, &mut out).unwrap();
+                assert_reductions_bitwise_eq(&out, &faulted, &format!("{ctx} {faults:?}"));
+            }
+        }
+        assert!(active_faults > 100 && idle_faults > 100, "{active_faults} / {idle_faults}");
+    }
+
+    #[test]
+    fn top_adder_is_the_unique_highest_level_adder() {
+        let fan = Fan::new(256).unwrap();
+        for s in 0..256 {
+            for e in s + 1..256 {
+                let h = top_adder(s, e);
+                assert!((s..e).contains(&h), "{s}..={e}: {h}");
+                let level = fan.adder_level(h);
+                assert!((s..e).all(|a| a == h || fan.adder_level(a) < level), "{s}..={e}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_contiguous_layouts_fail_like_the_oracle() {
+        let fan = Fan::new(8).unwrap();
+        let values = [1.0f32; 8];
+        let mut program = FanProgram::default();
+        for spec in [[0, 1, 0, 1, 2, 2, 2, 2], [3, 3, -1, 3, 1, -1, 1, 0], [5, 4, 4, 5, 4, 5, 6, 6]]
+        {
+            let layout = ids(&spec);
+            let want = reduce_level_by_level(&fan, &values, &layout, &[]).unwrap_err();
+            assert_eq!(fan.reduce(&values, &layout), Err(want.clone()));
+            assert_eq!(program.compile(&fan, &layout), Err(want));
+        }
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Compiled FAN schedules: the structural half of a reduction wave,
 //! factored out of the per-cycle loop.
 //!
-//! [`Fan::reduce_into`](crate::Fan::reduce_into) re-derives the same
-//! interval structure on every wave: which adders fire, in what order,
-//! where each cluster's partial accumulates, and when each sum
-//! completes. None of that depends on the multiplier *values* — it is a
-//! pure function of the `vecID` layout, which SIGMA fixes once per fold
-//! when the stationary operand is loaded. A [`FanProgram`] runs the
-//! interval algorithm once at load time and records:
+//! Which adders fire, in what order, where each cluster's partial
+//! accumulates, and when each sum completes do not depend on the
+//! multiplier *values* — they are a pure function of the `vecID` layout,
+//! which SIGMA fixes once per fold when the stationary operand is loaded.
+//! A [`FanProgram`] walks the same ruler tree as
+//! [`Fan::reduce_into`](crate::Fan::reduce_into) (see the `fan` module
+//! docs) once at load time and records:
 //!
-//! * the exact ordered add sequence as `(dst, src)` leaf positions
-//!   (partial sums live at their interval's leftmost leaf), and
+//! * the add sequence as `(dst, src)` leaf positions, in post-order per
+//!   cluster. Partial sums live at each interval's leftmost leaf, so
+//!   every adder `h` on leaves `s..=e` becomes `work[s] += work[h + 1]`
+//!   after both halves are reduced — the hardware's association order,
+//!   and
 //! * the output template: one entry per cluster in left-to-right leaf
 //!   order with its `vecID`, leaf range, accumulator slot, and
 //!   completion cycle.
@@ -27,6 +30,7 @@
 //! drained, which the epoch scheduler charges once per fold instead of
 //! stepping the tree tick by tick.
 
+use crate::fan::{completion_cycles, for_each_cluster, ruler_reduce};
 use crate::fan::{Fan, FanError, FanReduction, SegmentSum};
 
 /// One cluster output in a compiled FAN schedule.
@@ -65,8 +69,8 @@ struct ProgramOutput {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FanProgram {
-    /// Ordered add schedule: `work[dst] += work[src]`, in the exact
-    /// level-by-level order the hardware fires its adders.
+    /// Ordered add schedule: `work[dst] += work[src]`, each add after
+    /// both of its operands are reduced.
     adds: Vec<(usize, usize)>,
     /// Cluster outputs in left-to-right leaf order.
     outputs: Vec<ProgramOutput>,
@@ -76,9 +80,7 @@ pub struct FanProgram {
     size: usize,
     /// `true` after a successful [`FanProgram::compile`].
     valid: bool,
-    // Compile-time scratch, reused across compilations.
-    intervals: Vec<(usize, usize)>,
-    completion: Vec<u64>,
+    /// Contiguity-check scratch, reused across compilations.
     seen: Vec<u32>,
 }
 
@@ -102,79 +104,23 @@ impl FanProgram {
         if vec_ids.len() != fan.size() {
             return Err(FanError::SizeMismatch { expected: fan.size(), actual: vec_ids.len() });
         }
-        // Contiguity check, identical to the per-wave one in
-        // `Fan::reduce_into`: one id per run, sorted, no duplicates.
-        self.seen.clear();
-        let mut prev: Option<u32> = None;
-        for id in vec_ids.iter() {
-            if let Some(cur) = *id {
-                if prev != Some(cur) {
-                    self.seen.push(cur);
-                }
-            }
-            prev = *id;
-        }
-        self.seen.sort_unstable();
-        if let Some(dup) = self.seen.windows(2).find(|w| w[0] == w[1]) {
-            return Err(FanError::NonContiguousSegments(dup[0]));
-        }
-
-        // Value-free replay of the interval merge: partials live at each
-        // interval's leftmost leaf, so merging (s0..=e0) with (s1..=e1)
-        // records the add `work[s0] += work[s1]`.
-        let intervals = &mut self.intervals;
-        intervals.clear();
-        self.completion.resize(fan.size(), u64::MAX);
-        self.completion.fill(u64::MAX);
-        for (i, id) in vec_ids.iter().enumerate() {
-            if id.is_some() {
-                intervals.push((i, i));
-                let left_same = i > 0 && vec_ids[i - 1] == *id;
-                let right_same = i + 1 < fan.size() && vec_ids[i + 1] == *id;
-                if !left_same && !right_same {
-                    self.completion[i] = 0;
-                }
-            }
-        }
-        let levels = fan.level_count();
-        for lvl in 0..levels {
-            let mut i = 0;
-            while i + 1 < intervals.len() {
-                let (s0, e0) = intervals[i];
-                let (s1, e1) = intervals[i + 1];
-                let adjacent = e0 + 1 == s1;
-                let same_cluster = adjacent && vec_ids[e0] == vec_ids[s1];
-                let adder_id = e0;
-                if same_cluster && fan.adder_level(adder_id) == lvl {
-                    self.adds.push((s0, s1));
-                    intervals[i] = (s0, e1);
-                    intervals.remove(i + 1);
-                    let whole = (s0 == 0 || vec_ids[s0 - 1] != vec_ids[s0])
-                        && (e1 + 1 == fan.size() || vec_ids[e1 + 1] != vec_ids[e1]);
-                    if whole {
-                        self.completion[s0] = u64::from(lvl) + 1;
-                    }
-                    continue;
-                }
-                i += 1;
-            }
-        }
-
+        let (adds, outputs) = (&mut self.adds, &mut self.outputs);
         let mut critical = 0u64;
-        for &(s, e) in intervals.iter() {
-            let cycles = self.completion[s];
-            debug_assert_ne!(cycles, u64::MAX, "every cluster completes within log2(N) levels");
+        let walked = for_each_cluster(vec_ids, &mut self.seen, |vec_id, s, e| {
+            ruler_reduce(s, e, &mut |_| (), &mut |(), (), s, h| adds.push((s, h + 1)));
+            let cycles = completion_cycles(s, e);
             critical = critical.max(cycles);
-            let Some(vec_id) = vec_ids[s] else {
-                debug_assert!(false, "interval starts at an active leaf");
-                continue;
-            };
-            self.outputs.push(ProgramOutput {
+            outputs.push(ProgramOutput {
                 vec_id,
                 slot: s,
                 leaf_range: (s, e),
                 completion_cycles: cycles,
             });
+        });
+        if let Err(e) = walked {
+            self.adds.clear();
+            self.outputs.clear();
+            return Err(e);
         }
         self.critical_cycles = critical;
         self.valid = true;

@@ -137,10 +137,34 @@ impl SparseMatrix {
         self.bitmap.iter_ones().zip(&self.values).map(|((r, c), v)| (r, c, *v))
     }
 
-    /// The transpose of this sparse matrix.
+    /// The transpose of this sparse matrix. Stored zeros (either sign)
+    /// are dropped, as [`SparseMatrix::from_dense`] drops them.
+    ///
+    /// Column counts give each transposed row's first value slot; one
+    /// row-major pass then places every value, so rows of the transpose
+    /// fill in ascending column order without a dense round trip.
     #[must_use]
     pub fn transposed(&self) -> SparseMatrix {
-        SparseMatrix::from_dense(&self.to_dense().transposed())
+        let cols = self.cols();
+        let mut next = vec![0usize; cols + 1];
+        for (_, c, v) in self.iter() {
+            if v != 0.0 {
+                next[c + 1] += 1;
+            }
+        }
+        for c in 0..cols {
+            next[c + 1] += next[c];
+        }
+        let mut bitmap = Bitmap::new(cols, self.rows());
+        let mut values = vec![0.0; next[cols]];
+        for (r, c, v) in self.iter() {
+            if v != 0.0 {
+                bitmap.set(c, r, true);
+                values[next[c]] = v;
+                next[c] += 1;
+            }
+        }
+        Self { bitmap, values }
     }
 
     /// Total compressed footprint in bits: 32 bits per non-zero value plus
@@ -207,6 +231,39 @@ mod tests {
     fn transpose_roundtrip() {
         let s = SparseMatrix::from_dense(&sample());
         assert_eq!(s.transposed().transposed().to_dense(), sample());
+    }
+
+    #[test]
+    fn transposed_matches_the_dense_round_trip() {
+        use crate::gen::{sparse_uniform, Density};
+        for seed in 0..24u64 {
+            let (rows, cols) = (1 + (seed * 7) as usize % 13, 1 + (seed * 5) as usize % 71);
+            let density = Density::new([0.0, 0.1, 0.5, 1.0][seed as usize % 4]).unwrap();
+            let m = sparse_uniform(rows, cols, density, seed);
+            // Widen the pattern with explicit `+0.0` / `-0.0` values.
+            let mut bitmap = m.bitmap().clone();
+            let dense = m.to_dense();
+            let mut values = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if (r * 3 + c) % 4 == 0 {
+                        bitmap.set(r, c, true);
+                    }
+                    if bitmap.get(r, c) {
+                        let v = dense.get(r, c);
+                        values.push(if v != 0.0 || r % 2 == 0 { v } else { -0.0 });
+                    }
+                }
+            }
+            for s in [m, SparseMatrix::from_parts(bitmap, values)] {
+                let want = SparseMatrix::from_dense(&s.to_dense().transposed());
+                let got = s.transposed();
+                assert_eq!(got.bitmap(), want.bitmap(), "seed {seed}");
+                let bits =
+                    |x: &SparseMatrix| x.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "seed {seed}");
+            }
+        }
     }
 
     #[test]
