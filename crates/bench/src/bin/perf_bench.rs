@@ -45,7 +45,8 @@ use sigma_bench::harness::{
     default_registry, demo_suite, records_table, records_to_json, EngineEntry, RunCache, Sweep,
 };
 use sigma_bench::perf::{cases, measure, measure_with, parse_baseline, to_json, PerfMeasurement};
-use sigma_bench::util::{json_string, Table};
+use sigma_bench::util::Table;
+use sigma_telemetry::json::quote;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -396,12 +397,12 @@ fn render_json(
             "    {{\"name\": {}, \"pes\": {}, \"cycles\": {}, \"wall_ms\": {:.3}, \
              \"cycles_per_sec\": {:.1}, \"baseline_cycles_per_sec\": {baseline_field}, \
              \"ratio\": {ratio_field}, \"tolerance\": {tol}, \"verdict\": {}}}{}\n",
-            json_string(m.case.name),
+            quote(m.case.name),
             m.case.pes(),
             m.cycles,
             m.best_secs * 1e3,
             m.cycles_per_sec,
-            json_string(verdict),
+            quote(verdict),
             if i + 1 == measurements.len() { "" } else { "," },
         ));
     }

@@ -1,13 +1,15 @@
-//! The content-addressed run cache: cross-sweep memoization of
-//! (engine, workload, seed) cells, with in-flight deduplication.
+//! The run store: [`RunCache`], the one persistent memo of sweep cells.
 //!
-//! The write-ahead journal (PR 7) memoizes cells *within* one resumable
-//! sweep; heavy DSE traffic (ROADMAP items 4 and 5) repeats the same
-//! cells *across* sweeps and CLI invocations. [`RunCache`] closes that
-//! gap: a persistent store shared by any number of sweeps, fronted by an
-//! in-memory `BTreeMap` index, that answers a repeated cell in one map
-//! lookup instead of a simulation — the Benes `RouteCache` idea lifted
-//! to whole-run granularity.
+//! It plays two roles. Opened with a capacity, it is the
+//! content-addressed cross-sweep cache behind `Sweep::with_cache` /
+//! `sigma_cli --cache`: heavy DSE traffic repeats the same cells across
+//! sweeps and CLI invocations, and the cache answers a repeated cell in
+//! one map lookup instead of a simulation — the Benes `RouteCache` idea
+//! lifted to whole-run granularity. Opened with an unbounded capacity,
+//! it is the write-ahead journal behind
+//! [`Sweep::resume`](crate::harness::Sweep::resume), which memoizes every
+//! cell of one sweep, whatever its status, so a killed sweep resumes
+//! where it stopped.
 //!
 //! # Keying
 //!
@@ -16,9 +18,35 @@
 //! engine slug, [`Engine::fingerprint`] (every result-affecting
 //! `SigmaConfig` knob), the fault plan, workload name + shape + exact
 //! density bit patterns, and the materialized seed — digested to 128
-//! bits as two independently-salted FNV-1a 64 halves. The canonical
-//! string is stored *alongside* every entry and compared on hit, so an
-//! FNV collision degrades to a miss, never a silently aliased record.
+//! bits as two independently-salted FNV-1a 64 halves (hand-rolled, and
+//! deliberately *not* `std::collections`' `RandomState`, which the D1
+//! determinism lints ban). The digest indexes an in-memory `BTreeMap`;
+//! the canonical string is stored *alongside* every entry and compared
+//! on hit, so an FNV collision degrades to a miss, never a silently
+//! aliased record.
+//!
+//! # Line format and crash model
+//!
+//! Every inserted cell is appended as one canonical JSON line,
+//! `{"schema": 3, "key": "<32 hex>", "cell": "<canonical>", "sum":
+//! "<16 hex>", "record": {…}}`, where `sum` is the FNV-1a 64 digest of
+//! the rendered record, and fsynced before the insert returns.
+//!
+//! * **Appends** are followed by `sync_data`, so a SIGKILL can lose at
+//!   most the line being written — which then survives as a *truncated
+//!   final line*, skipped with a warning; every earlier line is durable.
+//! * **Replay** rebuilds each line's key digest from its stored `cell`,
+//!   its record digest from the parsed record, and the whole line from
+//!   both; a line that differs in any of them, that does not parse, that
+//!   repeats an earlier key, or that carries another schema is skipped
+//!   with one warning, and its cell simply runs again. One bad line never
+//!   poisons the rest of the store.
+//! * **Compaction** rewrites the whole store to exactly the resident
+//!   entries through a sibling temp file, fsyncs it, and atomically
+//!   renames it over the store ([`write_atomic`]) — a crash mid-compaction
+//!   leaves either the old or the new file, never a torn one. This is the
+//!   only non-append write path, and the sigma-lint D6 rule holds the
+//!   harness to it.
 //!
 //! # Coalescing
 //!
@@ -28,25 +56,26 @@
 //! a hit, counted separately as *coalesced*) or abandoned (one waiter
 //! inherits the lease). Identical in-flight cells execute exactly once.
 //!
-//! # Eviction and crash-safety
+//! # Eviction
 //!
 //! The index is capped: inserting beyond `capacity` evicts the
-//! least-recently-used entry (a generation counter bumped on every hit).
-//! Persistence reuses the journal machinery wholesale — fsynced
-//! canonical-JSON appends, tolerant replay, and write-temp/fsync/rename
-//! compaction (triggered amortized, once per `capacity` appends) — so
-//! the crash model and the sigma-lint D6 atomic-write ban carry over
-//! unchanged.
+//! least-recently-used entry (a generation counter bumped on every hit),
+//! and once a capacity's worth of appends has landed the store is
+//! compacted, bounding the file to ~2x capacity lines. An unbounded
+//! store never evicts and never compacts on its own.
 //!
 //! [`Engine::fingerprint`]: sigma_core::Engine::fingerprint
 //! [`RECORD_SCHEMA`]: crate::harness::record::RECORD_SCHEMA
 
-use crate::harness::journal::{fnv1a_64, replay, JournalWriter};
 use crate::harness::record::{RunRecord, RECORD_SCHEMA};
 use crate::harness::sweep::WorkloadSpec;
 use sigma_core::{Engine, FaultPlan};
+use sigma_telemetry::json::{self, quote, Json};
 use sigma_telemetry::{FlightRecorder, Stage};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -55,16 +84,65 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 /// entries written by older layouts can never replay as hits.
 pub const CELL_KEY_REVISION: u32 = 1;
 
+/// Version stamped into every store line; replay skips other versions
+/// with a `stale schema` warning and their cells run again.
+///
+/// v2 widened the key to 128 bits and added the stored `"cell"`
+/// canonical identity; v3 added the `"sum"` record digest, without which
+/// a flipped digit inside a record replayed as a wrong row.
+pub const STORE_SCHEMA: u32 = 3;
+
 /// Salt prefixed to the canonical string for the low digest half, so the
 /// two FNV-1a 64 halves of the 128-bit key are independent functions.
 const LO_DIGEST_SALT: &str = "sigma-cellkey-lo|";
 
+/// FNV-1a 64-bit over `bytes` — deterministic across platforms and runs.
+#[must_use]
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Atomically replaces the file at `path` with `bytes`: write a
+/// `.tmp`-suffixed sibling, fsync it, rename it over `path`, then
+/// best-effort fsync the parent directory so the rename itself is
+/// durable. A crash at any point leaves either the old file or the new
+/// one, never a torn mix — this is the one non-append write primitive
+/// the sigma-lint D6 rule holds harness persistence code to, shared by
+/// store compaction, figure CSV/JSON emission, and the flight
+/// recorder's event log.
+///
+/// # Errors
+///
+/// Propagates the I/O error when the temp write or rename fails.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = PathBuf::from(tmp_name);
+    {
+        let mut tmp_file = File::create(&tmp)?;
+        tmp_file.write_all(bytes)?;
+        tmp_file.sync_data()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = File::open(parent) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
+}
+
 /// The full content identity of one sweep cell, canonicalized and
 /// digested.
 ///
-/// Equality (and journal/cache hits) compare the *canonical string*, not
-/// the digest — the digest only indexes. See the module docs for what
-/// the canonical string covers.
+/// Equality (and store hits) compare the *canonical string*, not the
+/// digest — the digest only indexes. See the module docs for what the
+/// canonical string covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellKey {
     hi: u64,
@@ -121,8 +199,8 @@ impl CellKey {
         Self::new(engine_slug, &engine.fingerprint(), workload, seed)
     }
 
-    /// Rebuilds a key from a canonical string (journal replay); the
-    /// digest is always recomputed, never trusted from disk.
+    /// Rebuilds a key from a canonical string (store replay); the digest
+    /// is always recomputed, never trusted from disk.
     #[must_use]
     pub fn from_canonical(canonical: String) -> Self {
         let hi = fnv1a_64(canonical.as_bytes());
@@ -149,6 +227,58 @@ impl CellKey {
     }
 }
 
+/// Renders one store line, without its newline, from a key and the
+/// record's [`RunRecord::to_json`] text.
+fn render_line(key: &CellKey, record_json: &str) -> String {
+    format!(
+        "{{\"schema\": {STORE_SCHEMA}, \"key\": \"{}\", \"cell\": {}, \"sum\": \"{:016x}\", \"record\": {record_json}}}",
+        key.hex(),
+        quote(key.canonical()),
+        fnv1a_64(record_json.as_bytes())
+    )
+}
+
+/// Outcome of parsing one syntactically valid store line.
+enum Parsed {
+    /// A current-schema entry.
+    Entry(CellKey, Box<RunRecord>),
+    /// A line from a different schema version — its layout may not match
+    /// ours, so it is reported without attempting to read it.
+    StaleSchema(u32),
+}
+
+/// Parses and verifies one store line: the key digest must match the
+/// stored canonical identity, the record digest the parsed record, and
+/// the line must be exactly what [`render_line`] writes for both — so
+/// any damaged byte is corruption, never an entry.
+fn parse_line(line: &str) -> Result<Parsed, String> {
+    let value = json::parse(line)?;
+    let schema =
+        value.get("schema").and_then(Json::number::<u32>).ok_or("schema is not an integer")?;
+    if schema != STORE_SCHEMA {
+        return Ok(Parsed::StaleSchema(schema));
+    }
+    let text = |name: &str| {
+        value.get(name).and_then(Json::as_str).ok_or_else(|| format!("{name} is not a string"))
+    };
+    let stored_hex = text("key")?;
+    let key = CellKey::from_canonical(text("cell")?.to_string());
+    if key.hex() != stored_hex {
+        return Err(format!(
+            "key {stored_hex} does not match the digest of the stored cell identity"
+        ));
+    }
+    let record = RunRecord::from_json(value.get("record").ok_or("missing field \"record\"")?)?;
+    let record_json = record.to_json();
+    if text("sum")? != format!("{:016x}", fnv1a_64(record_json.as_bytes())) {
+        return Err(format!("record digest mismatch for key {stored_hex}"));
+    }
+    if render_line(&key, &record_json) != line {
+        return Err("line is not in canonical form".to_string());
+    }
+    Ok(Parsed::Entry(key, Box::new(record)))
+}
+
 /// Observable cache traffic since the cache was opened (monotonic; the
 /// loaded-entry count is a level, not a counter).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -171,17 +301,59 @@ pub struct CacheStats {
 /// One resident cache entry.
 #[derive(Debug)]
 struct Slot {
-    canonical: String,
+    key: CellKey,
     record: RunRecord,
     /// Generation stamp of the last hit/insert; smallest evicts first.
     last_used: u64,
 }
 
+/// Digest-indexed entries; the key inside each slot carries the
+/// authoritative canonical identity.
+type Index = BTreeMap<(u64, u64), Slot>;
+
+/// Replays store text, oldest line first, into an index whose
+/// generation stamps follow file order. The first occurrence of each key
+/// wins; every other non-blank line leaves exactly one warning.
+fn replay(text: &str) -> (Index, Vec<String>) {
+    let mut index = Index::new();
+    let mut warnings = Vec::new();
+    let lines: Vec<&str> = text.split('\n').collect();
+    for (i, line) in lines.iter().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        // Only the final fragment can lack its newline: a torn append.
+        let torn = i + 1 == lines.len();
+        let warning = match parse_line(line) {
+            Ok(Parsed::Entry(key, record)) => {
+                let last_used = index.len() as u64 + 1;
+                match index.entry(key.digest()) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(Slot { key, record: *record, last_used });
+                        continue;
+                    }
+                    Entry::Occupied(held) if held.get().key == key => {
+                        format!("duplicate key {}; keeping the first occurrence", key.hex())
+                    }
+                    Entry::Occupied(_) => {
+                        format!("digest collision on {}; keeping the first occurrence", key.hex())
+                    }
+                }
+            }
+            Ok(Parsed::StaleSchema(schema)) => {
+                format!("stale schema version {schema} (want {STORE_SCHEMA}); skipped")
+            }
+            Err(_) if torn => "truncated final line (crash mid-append); skipped".to_string(),
+            Err(why) => format!("{why}; skipped"),
+        };
+        warnings.push(format!("store line {}: {warning}", i + 1));
+    }
+    (index, warnings)
+}
+
 #[derive(Debug)]
 struct CacheState {
-    /// Digest-indexed entries; the canonical string inside each slot is
-    /// the authoritative identity.
-    index: BTreeMap<(u64, u64), Slot>,
+    index: Index,
     /// Digests currently leased to an executor.
     pending: BTreeMap<(u64, u64), ()>,
     generation: u64,
@@ -190,20 +362,20 @@ struct CacheState {
 
 /// The durable half of the cache, behind its own mutex (the designated
 /// I/O lock, registered in sigma-lint's `D8_IO_LOCK_ALLOWLIST`): the
-/// fsynced append and the amortized compaction serialize here, so no
-/// disk wait ever happens under the index lock and coalesced waiters
-/// wake as soon as the in-memory insert lands.
+/// fsynced append and the compaction serialize here, so no disk wait
+/// ever happens under the index lock and coalesced waiters wake as soon
+/// as the in-memory insert lands.
 ///
 /// Lock order: `store` may take `state` briefly (compaction snapshots
 /// the resident index); `state` never takes `store`.
 #[derive(Debug)]
 struct StoreState {
-    writer: JournalWriter,
+    file: File,
     appends_since_compaction: u64,
     io_warnings: Vec<String>,
 }
 
-/// A persistent, capacity-bounded, coalescing result cache. See the
+/// A persistent, capacity-bounded, coalescing result store. See the
 /// module docs; share one instance across sweeps via `Arc`.
 #[derive(Debug)]
 pub struct RunCache {
@@ -246,8 +418,9 @@ impl CellLease<'_> {
         &self.key
     }
 
-    /// Publishes the executed cell: inserts it into the index, appends
-    /// it durably to the store, and wakes every coalesced waiter.
+    /// Publishes the executed cell: inserts it into the index, wakes
+    /// every coalesced waiter, then appends it durably to the store —
+    /// the line is fsynced before this returns.
     ///
     /// An I/O failure on the append degrades to a warning (see
     /// [`RunCache::warnings`]): the entry still serves from memory for
@@ -270,42 +443,41 @@ impl Drop for CellLease<'_> {
 }
 
 impl RunCache {
-    /// Opens (or creates) the cache persisted at `path`, holding at most
-    /// `capacity` entries (clamped to at least 1). Corrupt store content
-    /// never errors: damaged lines are skipped into [`RunCache::warnings`]
-    /// and their cells simply miss. When the store holds more than
-    /// `capacity` entries, the oldest (earliest-written) are dropped.
+    /// Opens (or creates) the store persisted at `path`, holding at most
+    /// `capacity` entries (clamped to at least 1; `usize::MAX` never
+    /// evicts). Corrupt store content never errors: damaged lines are
+    /// skipped into [`RunCache::warnings`] and their cells simply miss.
+    /// When the store holds more than `capacity` entries, the oldest
+    /// (earliest-written) are dropped.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors opening the store file (a *missing* file is
-    /// a fresh cache, not an error).
+    /// a fresh store, not an error).
     pub fn open(path: &Path, capacity: usize) -> std::io::Result<Self> {
         let capacity = capacity.max(1);
-        let replayed = replay(path)?;
-        let mut warnings = replayed.warnings;
-        let mut index = BTreeMap::new();
-        let mut generation = 0u64;
-        for (key, record) in replayed.entries {
-            generation += 1;
-            let slot =
-                Slot { canonical: key.canonical().to_string(), record, last_used: generation };
-            if index.insert(key.digest(), slot).is_some() {
-                // replay() already deduplicates per key; two *distinct*
-                // canonicals on one digest are a persisted collision.
-                warnings.push(format!(
-                    "cache load: digest collision on {}; keeping the later entry",
-                    key.hex()
-                ));
-            }
-        }
+        let raw = match std::fs::read(path) {
+            Ok(raw) => raw,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        // Invalid UTF-8 (binary garbage) must degrade per line, not fail
+        // the whole replay: convert lossily.
+        let text = String::from_utf8_lossy(&raw);
+        let (mut index, warnings) = replay(&text);
+        let generation = index.len() as u64;
         while index.len() > capacity {
             if let Some(oldest) = min_generation_digest(&index) {
                 index.remove(&oldest);
             }
         }
         let entries = index.len() as u64;
-        let writer = JournalWriter::open(path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+        if !text.is_empty() && !text.ends_with('\n') {
+            // Close a torn tail, so the next append starts a line of its
+            // own instead of extending the damaged one.
+            file.write_all(b"\n")?;
+        }
         Ok(Self {
             state: Mutex::new(CacheState {
                 index,
@@ -314,7 +486,7 @@ impl RunCache {
                 stats: CacheStats { entries, ..CacheStats::default() },
             }),
             store: Mutex::new(StoreState {
-                writer,
+                file,
                 appends_since_compaction: 0,
                 io_warnings: Vec::new(),
             }),
@@ -329,8 +501,9 @@ impl RunCache {
     /// Attaches a flight recorder (builder-style, before sharing the
     /// cache via `Arc`): every [`RunCache::lookup`] lands a
     /// [`Stage::CacheProbe`] span (labelled hit / miss / coalesced, and
-    /// covering any in-flight coalescing wait) and every insert a
-    /// [`Stage::CacheInsert`] span.
+    /// covering any in-flight coalescing wait), every insert a
+    /// [`Stage::CacheInsert`] span, and within it the durable append and
+    /// its fsync [`Stage::JournalAppend`] / [`Stage::JournalFsync`] spans.
     #[must_use]
     pub fn with_flight_recorder(mut self, recorder: FlightRecorder) -> Self {
         self.recorder = recorder;
@@ -381,7 +554,7 @@ impl RunCache {
                 // The canonical comparison is the hit condition; a digest
                 // collision (different canonical) falls through as a miss
                 // and can never alias.
-                if slot.canonical == key.canonical {
+                if slot.key.canonical == key.canonical {
                     slot.last_used = generation;
                     let record = Box::new(slot.record.clone());
                     if waited {
@@ -418,10 +591,25 @@ impl RunCache {
         state.generation += 1;
         let generation = state.generation;
         let slot = state.index.get_mut(&key.digest())?;
-        (slot.canonical == key.canonical).then(|| {
+        (slot.key.canonical == key.canonical).then(|| {
             slot.last_used = generation;
             Box::new(slot.record.clone())
         })
+    }
+
+    /// Atomically rewrites the store to exactly the resident entries,
+    /// least recently used first (so a reopen restores their recency):
+    /// damaged, duplicate, stale-schema and torn lines, and the lines of
+    /// evicted entries, are all dropped. A crash mid-compaction leaves
+    /// the old store or the new one, never a torn mix.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the I/O error when the rewrite or the reopen for
+    /// appending fails.
+    pub fn compact(&self) -> std::io::Result<()> {
+        let mut store = self.lock_store();
+        self.compact_store(&mut store)
     }
 
     /// Inserts a fulfilled cell, evicts beyond capacity, wakes waiters,
@@ -439,11 +627,7 @@ impl RunCache {
         let generation = state.generation;
         state.index.insert(
             key.digest(),
-            Slot {
-                canonical: key.canonical.clone(),
-                record: record.clone(),
-                last_used: generation,
-            },
+            Slot { key: key.clone(), record: record.clone(), last_used: generation },
         );
         while state.index.len() > self.capacity {
             if let Some(oldest) = min_generation_digest(&state.index) {
@@ -456,39 +640,65 @@ impl RunCache {
         drop(state);
         self.cond.notify_all();
 
+        let mut line = render_line(key, &record.to_json());
+        line.push('\n');
         // Durable half, serialized by the designated I/O lock only.
         let mut store = self.lock_store();
-        if let Err(e) = store.writer.append(key, record) {
-            let hex = key.hex();
-            store.io_warnings.push(format!("cache append failed for {hex}: {e}"));
+        if let Err(e) = self.append(&mut store, &line, &record.workload) {
+            store.io_warnings.push(format!("store append failed for {}: {e}", key.hex()));
         } else {
             store.appends_since_compaction += 1;
         }
-        // Amortized store compaction: evicted and superseded lines pile
-        // up append-only; once a capacity's worth has landed, rewrite
-        // the file to exactly the resident index (atomically). The
-        // index is snapshotted under a brief `state` reacquisition —
-        // store -> state nesting only, never the reverse.
+        // Amortized compaction: evicted and superseded lines pile up
+        // append-only; once a capacity's worth has landed, rewrite the
+        // file to exactly the resident index.
         if store.appends_since_compaction >= self.capacity as u64 {
             store.appends_since_compaction = 0;
-            let entries: Vec<(CellKey, RunRecord)> = {
-                let state = self.lock();
-                state
-                    .index
-                    .values()
-                    .map(|slot| {
-                        (CellKey::from_canonical(slot.canonical.clone()), slot.record.clone())
-                    })
-                    .collect()
-            };
-            let borrowed: Vec<(&CellKey, &RunRecord)> =
-                entries.iter().map(|(k, r)| (k, r)).collect();
-            if let Err(e) = store.writer.compact(&borrowed) {
-                store.io_warnings.push(format!("cache compaction failed: {e}"));
+            if let Err(e) = self.compact_store(&mut store) {
+                store.io_warnings.push(format!("store compaction failed: {e}"));
             }
         }
         drop(store);
         self.recorder.span_since(Stage::CacheInsert, &record.workload, t0);
+    }
+
+    /// Writes one rendered line and fsyncs it. Spans are recorded before
+    /// either error propagates (sigma-lint D9): a failed write still
+    /// lands its timing, so the Perfetto timeline never loses the span
+    /// that explains the failure.
+    fn append(&self, store: &mut StoreState, line: &str, label: &str) -> std::io::Result<()> {
+        let t0 = self.recorder.now_us();
+        let wrote = store.file.write_all(line.as_bytes());
+        self.recorder.span_since(Stage::JournalAppend, label, t0);
+        wrote?;
+        let t1 = self.recorder.now_us();
+        let synced = store.file.sync_data();
+        self.recorder.span_since(Stage::JournalFsync, label, t1);
+        synced
+    }
+
+    /// [`RunCache::compact`] under an already-held store lock. The index
+    /// is snapshotted under a brief `state` reacquisition — store ->
+    /// state nesting only, never the reverse — and rendered outside it.
+    fn compact_store(&self, store: &mut StoreState) -> std::io::Result<()> {
+        let mut entries: Vec<(u64, CellKey, RunRecord)> = {
+            let state = self.lock();
+            state
+                .index
+                .values()
+                .map(|slot| (slot.last_used, slot.key.clone(), slot.record.clone()))
+                .collect()
+        };
+        entries.sort_by_key(|(last_used, _, _)| *last_used);
+        let mut content = String::new();
+        for (_, key, record) in &entries {
+            content.push_str(&render_line(key, &record.to_json()));
+            content.push('\n');
+        }
+        write_atomic(&self.path, content.as_bytes())?;
+        // Re-open so later appends land after the rewritten content.
+        store.file = OpenOptions::new().create(true).append(true).open(&self.path)?;
+        Ok(())
     }
 
     /// Locks the index state, recovering from a poisoned mutex (a
@@ -510,14 +720,14 @@ impl RunCache {
 }
 
 /// The digest of the entry with the smallest generation stamp.
-fn min_generation_digest(index: &BTreeMap<(u64, u64), Slot>) -> Option<(u64, u64)> {
+fn min_generation_digest(index: &Index) -> Option<(u64, u64)> {
     index.iter().min_by_key(|(_, slot)| slot.last_used).map(|(digest, _)| *digest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::record::CellProfile;
+    use crate::harness::record::{CellProfile, RunStatus};
     use sigma_core::model::GemmProblem;
     use sigma_core::{CycleStats, EngineRun};
     use sigma_matrix::{GemmShape, Matrix};
@@ -551,7 +761,7 @@ mod tests {
     }
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("sigma_cache_tests");
+        let dir = std::env::temp_dir().join("sigma_store_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}_{}.cache", std::process::id()))
     }
@@ -895,5 +1105,305 @@ mod tests {
         }
         assert_eq!(*cache.probe(&k).unwrap(), sample("a"));
         let _ = std::fs::remove_file(cache.path());
+    }
+
+    /// Fulfills `key` with `record` through the public lease path.
+    fn put(cache: &RunCache, key: &CellKey, record: &RunRecord) {
+        match cache.lookup(key) {
+            Lookup::Miss(lease) => lease.fulfill(record),
+            Lookup::Hit(_) => panic!("{} is already stored", key.hex()),
+        }
+    }
+
+    /// A store at `name` holding `cells`, written through a fresh cache
+    /// that is closed again before returning.
+    fn store_with(name: &str, cells: &[(CellKey, RunRecord)]) -> PathBuf {
+        let path = tmp(name);
+        let _ = std::fs::remove_file(&path);
+        let cache = RunCache::open(&path, 8).unwrap();
+        for (k, r) in cells {
+            put(&cache, k, r);
+        }
+        path
+    }
+
+    fn failure() -> RunRecord {
+        RunRecord::from_failure(
+            "e",
+            "E \"quoted\"\nnamé",
+            1,
+            "w",
+            &workload().problem,
+            0,
+            RunStatus::Timeout,
+            "engine exceeded the 10 ms watchdog budget".to_string(),
+            CellProfile::default(),
+        )
+    }
+
+    fn degraded() -> RunRecord {
+        let mut r = sample("slow");
+        r.status = RunStatus::Degraded;
+        r.error = Some("budget exhausted twice; degraded".to_string());
+        r
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn write_atomic_replaces_content_and_cleans_temp() {
+        let path = tmp("write_atomic");
+        let _ = std::fs::remove_file(&path);
+        write_atomic(&path, b"first").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"first");
+        write_atomic(&path, b"second, longer content").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second, longer content");
+        let mut tmp_name = path.as_os_str().to_os_string();
+        tmp_name.push(".tmp");
+        assert!(!PathBuf::from(tmp_name).exists(), "temp sibling cleaned up");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn missing_store_opens_empty() {
+        let cache = fresh("never_written", 8);
+        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.warnings().is_empty());
+        let _ = std::fs::remove_file(cache.path());
+    }
+
+    /// Every status round-trips byte-exactly through a reopen, including
+    /// a failure record's quoted, multi-line, non-ASCII engine name and
+    /// its infinite `max_abs_err`.
+    #[test]
+    fn records_of_every_status_round_trip_exactly() {
+        let cells = [(key("a"), sample("a")), (key("slow"), degraded()), (key("fail"), failure())];
+        let path = store_with("round_trip_all", &cells);
+        let cache = RunCache::open(&path, 8).unwrap();
+        assert!(cache.warnings().is_empty(), "{:?}", cache.warnings());
+        for (k, r) in &cells {
+            let got = cache.probe(k).unwrap();
+            assert_eq!(&*got, r);
+            assert_eq!(got.to_json(), r.to_json());
+            assert_eq!(got.row(), r.row());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A canonical identity whose stored digest no longer matches (the
+    /// on-disk shape of a stale or tampered key) is corruption — it must
+    /// warn and rerun, never replay as a hit.
+    #[test]
+    fn mismatched_key_digest_is_rejected_as_corruption() {
+        let path = store_with("digest_mismatch", &[(key("a"), sample("a"))]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let good = key("a").hex();
+        let flipped = if good.as_bytes()[0] == b'0' { '1' } else { '0' };
+        let bad = format!("{flipped}{}", &good[1..]);
+        std::fs::write(&path, text.replacen(&good, &bad, 1)).unwrap();
+        let cache = RunCache::open(&path, 8).unwrap();
+        assert!(cache.probe(&key("a")).is_none(), "tampered line must not replay");
+        assert_eq!(cache.warnings().len(), 1);
+        assert!(cache.warnings()[0].contains("does not match"), "{:?}", cache.warnings());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A flipped digit inside the record — a well-formed line with a
+    /// wrong value — is caught by the record digest and reruns.
+    #[test]
+    fn a_flipped_record_digit_fails_the_record_digest() {
+        let path = store_with("record_digest", &[(key("a"), sample("a")), (key("b"), sample("b"))]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cycles = format!("\"total_cycles\": {}", sample("a").total_cycles);
+        let bumped = format!("\"total_cycles\": {}", sample("a").total_cycles + 1);
+        std::fs::write(&path, text.replacen(&cycles, &bumped, 1)).unwrap();
+        let cache = RunCache::open(&path, 8).unwrap();
+        assert!(cache.probe(&key("a")).is_none(), "a wrong row must never be served");
+        assert_eq!(*cache.probe(&key("b")).unwrap(), sample("b"));
+        assert_eq!(cache.warnings().len(), 1);
+        assert!(cache.warnings()[0].contains("record digest mismatch"), "{:?}", cache.warnings());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A line that parses to the very record it was written for, but is
+    /// not spelled the way the store writes it (here an upper-case
+    /// exponent), is damage all the same: it warns and reruns.
+    #[test]
+    fn a_non_canonical_spelling_is_rejected() {
+        let path = store_with("canonical", &[(key("a"), sample("a"))]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"max_abs_err\": 1e-6"), "{text}");
+        std::fs::write(&path, text.replacen("1e-6", "1E-6", 1)).unwrap();
+        let cache = RunCache::open(&path, 8).unwrap();
+        assert!(cache.probe(&key("a")).is_none());
+        assert_eq!(cache.warnings().len(), 1);
+        assert!(cache.warnings()[0].contains("not in canonical form"), "{:?}", cache.warnings());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn truncated_final_line_is_skipped_with_a_warning() {
+        let path = store_with("torn_tail", &[(key("a"), sample("a")), (key("b"), sample("b"))]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() - 25]).unwrap();
+        let cache = RunCache::open(&path, 8).unwrap();
+        assert!(cache.probe(&key("a")).is_some());
+        assert!(cache.probe(&key("b")).is_none());
+        assert_eq!(cache.warnings().len(), 1);
+        assert!(cache.warnings()[0].contains("truncated final line"), "{:?}", cache.warnings());
+        // The torn tail is closed on open: a fresh append lands on a line
+        // of its own and survives the next reopen.
+        put(&cache, &key("b"), &sample("b"));
+        drop(cache);
+        let reopened = RunCache::open(&path, 8).unwrap();
+        assert_eq!(*reopened.probe(&key("b")).unwrap(), sample("b"));
+        assert_eq!(reopened.warnings().len(), 1, "only the torn line still warns");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn garbage_duplicates_and_stale_schema_are_skipped_with_warnings() {
+        use std::io::Write;
+        let path = store_with("corruption", &[(key("a"), sample("a"))]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        // A well-formed line of the previous schema (no record digest).
+        let v2 = text.replacen(&format!("\"schema\": {STORE_SCHEMA}"), "\"schema\": 2", 1);
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"\xff\xfenot json at all\n").unwrap();
+        f.write_all(v2.as_bytes()).unwrap();
+        // A duplicate of the first key with different content, then a
+        // fresh key.
+        let dup = render_line(&key("a"), &sample("dup").to_json());
+        f.write_all(format!("{dup}\n").as_bytes()).unwrap();
+        f.write_all(format!("{}\n", render_line(&key("b"), &sample("b").to_json())).as_bytes())
+            .unwrap();
+        drop(f);
+        let cache = RunCache::open(&path, 8).unwrap();
+        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(cache.probe(&key("a")).unwrap().engine_slug, "a", "first occurrence wins");
+        assert!(cache.probe(&key("b")).is_some());
+        let warnings = cache.warnings();
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert!(warnings.iter().any(|w| w.contains("stale schema version 2")));
+        assert!(warnings.iter().any(|w| w.contains("duplicate key")));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn compaction_rewrites_atomically_and_preserves_appendability() {
+        use std::io::Write;
+        let path = store_with("compaction_scrub", &[(key("a"), sample("a"))]);
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(format!("{}\n", render_line(&key("a"), &sample("dup").to_json())).as_bytes())
+            .unwrap();
+        f.write_all(b"garbage\n").unwrap();
+        f.write_all(format!("{}\n", render_line(&key("b"), &sample("b").to_json())).as_bytes())
+            .unwrap();
+        drop(f);
+        let cache = RunCache::open(&path, usize::MAX).unwrap();
+        assert_eq!(cache.warnings().len(), 2);
+        cache.compact().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2);
+        // The store keeps appending after the rewrite.
+        put(&cache, &key("c"), &sample("c"));
+        drop(cache);
+        let after = RunCache::open(&path, usize::MAX).unwrap();
+        assert!(after.warnings().is_empty(), "{:?}", after.warnings());
+        assert_eq!(after.stats().entries, 3);
+        let mut tmp_name = path.as_os_str().to_os_string();
+        tmp_name.push(".tmp");
+        assert!(!PathBuf::from(tmp_name).exists(), "temp file cleaned up");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn recorder_times_appends_and_fsyncs() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let ticks = Arc::new(AtomicU64::new(0));
+        let rec = FlightRecorder::with_clock(64, move || ticks.fetch_add(5, Ordering::Relaxed));
+        let cache = fresh("recorder_io", 8).with_flight_recorder(rec.clone());
+        put(&cache, &key("a"), &sample("a"));
+        put(&cache, &key("b"), &sample("b"));
+        let snap = rec.snapshot();
+        assert_eq!(snap.stage("journal_append").unwrap().count, 2);
+        assert_eq!(snap.stage("journal_fsync").unwrap().count, 2);
+        // Two probes, two inserts, and an append and an fsync per insert.
+        assert_eq!(snap.spans.len(), 8);
+        let _ = std::fs::remove_file(cache.path());
+    }
+
+    /// One seeded corruption fuzzer over the single store format. At
+    /// every byte offset of a three-line store it truncates there, flips
+    /// a seeded bit of that byte, and duplicates the line holding it.
+    /// No reopen may panic or serve a record other than the one written
+    /// for its key; a cell is served exactly when its line survives
+    /// intact, and every other non-blank line of the damaged file warns
+    /// exactly once.
+    #[test]
+    fn corruption_at_every_byte_warns_and_reruns_never_a_wrong_row() {
+        let cells = [(key("a"), sample("a")), (key("slow"), degraded()), (key("fail"), failure())];
+        let path = store_with("fuzz", &cells);
+        let clean = std::fs::read(&path).unwrap();
+        let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
+        assert_eq!(lines.len(), cells.len());
+        let bodies: Vec<String> =
+            lines.iter().map(|l| String::from_utf8(l[..l.len() - 1].to_vec()).unwrap()).collect();
+
+        let check = |damaged: &[u8], what: &str| -> Vec<String> {
+            std::fs::write(&path, damaged).unwrap();
+            let cache = RunCache::open(&path, 8).unwrap();
+            let text = String::from_utf8_lossy(damaged);
+            let fragments: Vec<&str> = text.split('\n').collect();
+            let mut seen = vec![false; bodies.len()];
+            let mut expected_warnings = 0;
+            for fragment in fragments.iter().filter(|f| !f.trim().is_empty()) {
+                match bodies.iter().position(|b| b == fragment) {
+                    Some(i) if !seen[i] => seen[i] = true,
+                    _ => expected_warnings += 1,
+                }
+            }
+            for ((k, r), intact) in cells.iter().zip(&seen) {
+                match cache.probe(k) {
+                    Some(got) => {
+                        assert_eq!(&*got, r, "{what}: wrong row for {}", k.hex());
+                        assert!(intact, "{what}: served {} from a damaged line", k.hex());
+                    }
+                    None => assert!(!intact, "{what}: intact line for {} not served", k.hex()),
+                }
+            }
+            let warnings = cache.warnings();
+            assert_eq!(warnings.len(), expected_warnings, "{what}: {warnings:?}");
+            warnings
+        };
+
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for at in 0..clean.len() {
+            let line = clean[..at].iter().filter(|&&b| b == b'\n').count();
+            let line_start = lines[..line].iter().map(|l| l.len()).sum::<usize>();
+
+            let warnings = check(&clean[..at], &format!("truncate at {at}"));
+            if at > line_start && at + 1 < line_start + lines[line].len() {
+                assert!(warnings[0].contains("truncated final line"), "{warnings:?}");
+            }
+
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mut flipped = clean.clone();
+            flipped[at] ^= 1 << (state % 8);
+            check(&flipped, &format!("flip bit {} of byte {at}", state % 8));
+
+            let mut doubled = clean[..line_start + lines[line].len()].to_vec();
+            doubled.extend_from_slice(&clean[line_start..]);
+            let warnings = check(&doubled, &format!("duplicate line {line}"));
+            assert!(warnings[0].contains("duplicate key"), "{warnings:?}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,7 +7,7 @@
 //! * `--json <dir>` — also write each table as `<slug>.json`;
 //! * `--quiet` — suppress the text rendering (files only).
 
-use crate::harness::journal::write_atomic;
+use crate::harness::cache::write_atomic;
 use crate::util::Table;
 use std::path::Path;
 

@@ -3,10 +3,10 @@
 //! A recorded sweep persists its [`FlightSnapshot`] (spans, stage
 //! latency histograms, gauges, periodic snapshots) plus the telemetry
 //! registry's counters as one append-friendly JSONL file, written
-//! atomically through [`write_atomic`](crate::harness::journal::write_atomic)
+//! atomically through [`write_atomic`](crate::harness::cache::write_atomic)
 //! so a crash can never leave a torn log (the same D6 contract as the
-//! run journal). `sigma_cli report --from PATH` reads the log back —
-//! tolerantly, like journal replay: damaged lines become warnings, not
+//! run store). `sigma_cli report --from PATH` reads the log back —
+//! tolerantly, like store replay: damaged lines become warnings, not
 //! errors — and converts it into a Chrome trace-event JSON (one track
 //! per recorded worker thread; journal, cache, and watchdog activity on
 //! fixed named tracks; gauge snapshots as counter series) that is
@@ -24,8 +24,9 @@
 //! | `snap`    | one periodic gauge sample                          |
 //! | `span`    | one thread-tagged wall-clock span                  |
 
-use crate::harness::journal::{field, parse_json, write_atomic, Json};
-use crate::util::{json_string, Table};
+use crate::harness::cache::write_atomic;
+use crate::util::Table;
+use sigma_telemetry::json::{self, quote, Json};
 use sigma_telemetry::{
     validate_chrome_trace, ChromeTrace, FlightSnapshot, MetricsReport, ReportHist, SpanRecord,
     Stage, TelemetrySnapshot, TraceSummary,
@@ -54,19 +55,19 @@ pub fn render_event_log(
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"kind\": \"meta\", \"schema\": {FLIGHT_SCHEMA}, \"process\": {}, \"dropped_spans\": {}}}\n",
-        json_string(process),
+        quote(process),
         flight.dropped_spans
     ));
     for (name, v) in &telemetry.counters {
         out.push_str(&format!(
             "{{\"kind\": \"counter\", \"name\": {}, \"value\": {v}}}\n",
-            json_string(name)
+            quote(name)
         ));
     }
     for (name, v) in &flight.gauges {
         out.push_str(&format!(
             "{{\"kind\": \"gauge\", \"name\": {}, \"value\": {v}}}\n",
-            json_string(name)
+            quote(name)
         ));
     }
     for h in telemetry
@@ -78,7 +79,7 @@ pub fn render_event_log(
         let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
         out.push_str(&format!(
             "{{\"kind\": \"hist\", \"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}\n",
-            json_string(&h.name),
+            quote(&h.name),
             h.count,
             h.sum,
             h.max,
@@ -87,7 +88,7 @@ pub fn render_event_log(
     }
     for s in &flight.snaps {
         let gauges: Vec<String> =
-            s.gauges.iter().map(|(n, v)| format!("{}: {v}", json_string(n))).collect();
+            s.gauges.iter().map(|(n, v)| format!("{}: {v}", quote(n))).collect();
         out.push_str(&format!(
             "{{\"kind\": \"snap\", \"ts_us\": {}, \"gauges\": {{{}}}}}\n",
             s.ts_us,
@@ -97,8 +98,8 @@ pub fn render_event_log(
     for sp in &flight.spans {
         out.push_str(&format!(
             "{{\"kind\": \"span\", \"stage\": {}, \"label\": {}, \"thread\": {}, \"start_us\": {}, \"dur_us\": {}}}\n",
-            json_string(sp.stage.name()),
-            json_string(&sp.label),
+            quote(sp.stage.name()),
+            quote(&sp.label),
             sp.thread,
             sp.start_us,
             sp.dur_us
@@ -176,17 +177,18 @@ impl EventLog {
 }
 
 /// Required u64 field on a parsed JSON object.
-fn num(obj: &[(String, Json)], name: &str) -> Result<u64, String> {
-    field(obj, name)?
-        .as_raw()
-        .ok_or_else(|| format!("field {name:?} is not a number"))?
-        .parse::<u64>()
-        .map_err(|e| format!("field {name:?}: {e}"))
+fn num(obj: &Json, name: &str) -> Result<u64, String> {
+    obj.get(name)
+        .ok_or_else(|| format!("missing field {name:?}"))?
+        .number()
+        .ok_or_else(|| format!("field {name:?} is not a u64"))
 }
 
 /// Required string field on a parsed JSON object.
-fn text(obj: &[(String, Json)], name: &str) -> Result<String, String> {
-    Ok(field(obj, name)?
+fn text(obj: &Json, name: &str) -> Result<String, String> {
+    Ok(obj
+        .get(name)
+        .ok_or_else(|| format!("missing field {name:?}"))?
         .as_str()
         .ok_or_else(|| format!("field {name:?} is not a string"))?
         .to_string())
@@ -195,8 +197,10 @@ fn text(obj: &[(String, Json)], name: &str) -> Result<String, String> {
 /// Folds one parsed line into the log; the caller turns errors into
 /// warnings so one bad line never loses the rest.
 fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
-    let value = parse_json(line)?;
-    let obj = value.as_object().ok_or("line is not a JSON object")?;
+    let obj = &json::parse(line)?;
+    if obj.as_object().is_none() {
+        return Err("line is not a JSON object".to_string());
+    }
     match text(obj, "kind")?.as_str() {
         "meta" => {
             log.schema = u32::try_from(num(obj, "schema")?)
@@ -213,16 +217,12 @@ fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
         "counter" => log.counters.push((text(obj, "name")?, num(obj, "value")?)),
         "gauge" => log.gauges.push((text(obj, "name")?, num(obj, "value")?)),
         "hist" => {
-            let buckets = field(obj, "buckets")?
-                .as_array()
+            let buckets = obj
+                .get("buckets")
+                .and_then(Json::as_array)
                 .ok_or("buckets is not an array")?
                 .iter()
-                .map(|b| {
-                    b.as_raw()
-                        .ok_or_else(|| "bucket is not a number".to_string())?
-                        .parse::<u64>()
-                        .map_err(|e| format!("bucket: {e}"))
-                })
+                .map(|b| b.number().ok_or_else(|| "bucket is not a u64".to_string()))
                 .collect::<Result<Vec<u64>, String>>()?;
             log.hists.push(ReportHist {
                 name: text(obj, "name")?,
@@ -233,16 +233,13 @@ fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
             });
         }
         "snap" => {
-            let gauges = field(obj, "gauges")?
-                .as_object()
+            let gauges = obj
+                .get("gauges")
+                .and_then(Json::as_object)
                 .ok_or("gauges is not an object")?
                 .iter()
                 .map(|(name, v)| {
-                    let v = v
-                        .as_raw()
-                        .ok_or_else(|| format!("gauge {name:?} is not a number"))?
-                        .parse::<u64>()
-                        .map_err(|e| format!("gauge {name:?}: {e}"))?;
+                    let v = v.number().ok_or_else(|| format!("gauge {name:?} is not a u64"))?;
                     Ok((name.clone(), v))
                 })
                 .collect::<Result<Vec<(String, u64)>, String>>()?;
@@ -266,7 +263,7 @@ fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
 }
 
 /// Parses an event log, skipping damaged lines with a warning — the
-/// same tolerance contract as journal replay.
+/// same tolerance contract as run-store replay.
 #[must_use]
 pub fn parse_event_log(textual: &str) -> EventLog {
     let mut log = EventLog::default();

@@ -12,13 +12,12 @@
 //!   seeding, results in a thread-count-independent order, and per-cell
 //!   panic isolation plus a watchdog budget (`status` column:
 //!   `ok | error | panic | timeout`);
-//! * [`journal`] — the write-ahead run journal: crash-safe memoization
-//!   of completed cells keyed by a content hash, with tolerant replay
-//!   and atomic compaction, behind `Sweep::resume`;
-//! * [`cache`] — the persistent content-addressed [`RunCache`] shared
-//!   across sweeps and CLI invocations: verified 128-bit [`CellKey`]s,
-//!   in-flight duplicate coalescing, LRU eviction, and the journal's
-//!   crash model, behind `Sweep::with_cache` / `sigma_cli --cache`;
+//! * [`cache`] — the run store, [`RunCache`]: fsynced, checksummed
+//!   canonical-JSON lines keyed by verified 128-bit [`CellKey`]s, with
+//!   tolerant replay, atomic compaction, in-flight duplicate coalescing
+//!   and LRU eviction. It is both the cross-sweep cache behind
+//!   `Sweep::with_cache` / `sigma_cli --cache` and, never evicting, the
+//!   write-ahead journal behind `Sweep::resume` / `sigma_cli --resume`;
 //! * [`flight`] — the flight-recorder event log (JSONL persistence for
 //!   a sweep's wall-clock spans, stage latency histograms, and gauges)
 //!   and the `sigma_cli report` builder that turns a log into a
@@ -43,21 +42,22 @@ pub mod cache;
 pub mod chaos;
 pub mod emit;
 pub mod flight;
-pub mod journal;
 pub mod profile;
 pub mod record;
 pub mod registry;
 pub mod sweep;
 
 pub use analytic::{speedup_over, SigmaAnalytic};
-pub use cache::{CacheStats, CellKey, CellLease, Lookup, RunCache, CELL_KEY_REVISION};
+pub use cache::{
+    fnv1a_64, write_atomic, CacheStats, CellKey, CellLease, Lookup, RunCache, CELL_KEY_REVISION,
+    STORE_SCHEMA,
+};
 pub use chaos::{FlakyEngine, PanickingEngine, SpinningEngine, WedgingEngine};
 pub use emit::{emit_tables, emit_tables_with};
 pub use flight::{
     build_report, parse_event_log, read_event_log, render_event_log, stage_table, write_event_log,
     EventLog, FlightReport, SnapSample, FLIGHT_SCHEMA,
 };
-pub use journal::{fnv1a_64, replay, write_atomic, JournalReplay, JournalWriter, JOURNAL_SCHEMA};
 pub use profile::{EngineProfile, SweepProfile};
 pub use record::{records_table, records_to_json, CellProfile, RunRecord, RunStatus};
 pub use registry::{default_registry, engine_by_name, engine_names, EngineEntry};

@@ -8,7 +8,7 @@
 //! a fixed key order, so two identical sweeps summarize byte-identically.
 
 use crate::harness::record::{RunRecord, RunStatus};
-use crate::util::json_string;
+use sigma_telemetry::json::quote;
 
 /// Aggregate profile of one engine across all its sweep cells.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,7 +149,7 @@ impl SweepProfile {
         out.push_str(&format!("  \"total_attempts\": {},\n", self.total_attempts));
         out.push_str(&format!("  \"total_wall_ms\": {:.3},\n", self.total_wall_ms));
         out.push_str(&format!("  \"max_wall_ms\": {:.3},\n", self.max_wall_ms));
-        out.push_str(&format!("  \"slowest_cell\": {},\n", json_string(&self.slowest_cell)));
+        out.push_str(&format!("  \"slowest_cell\": {},\n", quote(&self.slowest_cell)));
         out.push_str(&format!("  \"peak_mem_est_bytes\": {},\n", self.peak_mem_est_bytes));
         out.push_str(&format!(
             "  \"route_cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.6}}},\n",
@@ -162,7 +162,7 @@ impl SweepProfile {
             out.push_str(&format!(
                 "    {{\"slug\": {}, \"cells\": {}, \"ok\": {}, \"wall_ms\": {:.3}, \
                  \"total_cycles\": {}, \"route_cache_hits\": {}, \"route_cache_misses\": {}}}{}\n",
-                json_string(&e.slug),
+                quote(&e.slug),
                 e.cells,
                 e.ok,
                 e.wall_ms,

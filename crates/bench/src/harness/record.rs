@@ -1,9 +1,10 @@
 //! The structured result row every sweep produces, and its CSV/JSON
 //! renderings.
 
-use crate::util::{json_string, Table};
+use crate::util::Table;
 use sigma_core::model::GemmProblem;
 use sigma_core::EngineRun;
+use sigma_telemetry::json::{quote, Json};
 
 /// Revision of the [`RunRecord`] layout itself (fields, column order,
 /// rendering). Content keys fold it in, so bumping it when a field is
@@ -377,9 +378,9 @@ impl RunRecord {
     #[must_use]
     pub fn to_json(&self) -> String {
         let kv: Vec<(&str, String)> = vec![
-            ("engine_slug", json_string(&self.engine_slug)),
-            ("engine", json_string(&self.engine)),
-            ("workload", json_string(&self.workload)),
+            ("engine_slug", quote(&self.engine_slug)),
+            ("engine", quote(&self.engine)),
+            ("workload", quote(&self.workload)),
             ("m", self.m.to_string()),
             ("n", self.n.to_string()),
             ("k", self.k.to_string()),
@@ -406,7 +407,7 @@ impl RunRecord {
                 },
             ),
             ("verified", self.verified.to_string()),
-            ("status", json_string(&self.status.to_string())),
+            ("status", quote(&self.status.to_string())),
             ("faults_injected", self.faults_injected.to_string()),
             ("faults_detected", self.faults_detected.to_string()),
             ("faults_corrected", self.faults_corrected.to_string()),
@@ -417,11 +418,81 @@ impl RunRecord {
             ("wall_ms", format!("{:.3}", self.wall_ms)),
             ("attempts", self.attempts.to_string()),
             ("mem_est_bytes", self.mem_est_bytes.to_string()),
-            ("error", self.error.as_deref().map_or_else(|| "null".to_string(), json_string)),
+            ("error", self.error.as_deref().map_or_else(|| "null".to_string(), quote)),
         ];
-        let body: Vec<String> =
-            kv.into_iter().map(|(k, v)| format!("{}: {v}", json_string(k))).collect();
+        let body: Vec<String> = kv.into_iter().map(|(k, v)| format!("{}: {v}", quote(k))).collect();
         format!("{{{}}}", body.join(", "))
+    }
+
+    /// Rebuilds a record from its [`RunRecord::to_json`] object. Every
+    /// field round-trips exactly (floats are written with `{:?}`, the
+    /// shortest text that parses back to the same bits), with one
+    /// documented exception: a non-finite `max_abs_err` is written as
+    /// `null` and reads back as `+inf`, the sentinel every failure
+    /// record uses.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or mistyped field.
+    pub fn from_json(obj: &Json) -> Result<Self, String> {
+        fn field<'a>(obj: &'a Json, name: &str) -> Result<&'a Json, String> {
+            obj.get(name).ok_or_else(|| format!("missing field {name:?}"))
+        }
+        fn text(obj: &Json, name: &str) -> Result<String, String> {
+            field(obj, name)?.as_str().map(str::to_string).ok_or(format!("{name} is not a string"))
+        }
+        fn num<T: std::str::FromStr>(obj: &Json, name: &str) -> Result<T, String> {
+            field(obj, name)?
+                .number()
+                .ok_or(format!("{name} is not a number of the expected width"))
+        }
+        let status_name = text(obj, "status")?;
+        let status =
+            RunStatus::parse(&status_name).ok_or(format!("unknown status {status_name:?}"))?;
+        let max_abs_err = match field(obj, "max_abs_err")? {
+            Json::Null => f64::INFINITY,
+            other => other.number().ok_or("max_abs_err is not a number")?,
+        };
+        let error = match field(obj, "error")? {
+            Json::Null => None,
+            other => Some(other.as_str().ok_or("error is not a string")?.to_string()),
+        };
+        Ok(RunRecord {
+            engine_slug: text(obj, "engine_slug")?,
+            engine: text(obj, "engine")?,
+            workload: text(obj, "workload")?,
+            m: num(obj, "m")?,
+            n: num(obj, "n")?,
+            k: num(obj, "k")?,
+            density_a: num(obj, "density_a")?,
+            density_b: num(obj, "density_b")?,
+            seed: num(obj, "seed")?,
+            pes: num(obj, "pes")?,
+            loading_cycles: num(obj, "loading_cycles")?,
+            streaming_cycles: num(obj, "streaming_cycles")?,
+            add_cycles: num(obj, "add_cycles")?,
+            total_cycles: num(obj, "total_cycles")?,
+            folds: num(obj, "folds")?,
+            useful_macs: num(obj, "useful_macs")?,
+            issued_macs: num(obj, "issued_macs")?,
+            stationary_utilization: num(obj, "stationary_utilization")?,
+            compute_efficiency: num(obj, "compute_efficiency")?,
+            overall_efficiency: num(obj, "overall_efficiency")?,
+            max_abs_err,
+            verified: field(obj, "verified")?.as_bool().ok_or("verified is not a boolean")?,
+            status,
+            faults_injected: num(obj, "faults_injected")?,
+            faults_detected: num(obj, "faults_detected")?,
+            faults_corrected: num(obj, "faults_corrected")?,
+            faults_escaped: num(obj, "faults_escaped")?,
+            route_cache_hits: num(obj, "route_cache_hits")?,
+            route_cache_misses: num(obj, "route_cache_misses")?,
+            idle_cycles_skipped: num(obj, "idle_cycles_skipped")?,
+            wall_ms: num(obj, "wall_ms")?,
+            attempts: num(obj, "attempts")?,
+            mem_est_bytes: num(obj, "mem_est_bytes")?,
+            error,
+        })
     }
 }
 

@@ -24,16 +24,15 @@
 //! fallback's numbers, so a sweep always terminates with a full grid.
 //!
 //! Crash-safety contract: [`Sweep::resume`] drives the same grid through
-//! the write-ahead [`journal`](crate::harness::journal) — completed
-//! cells replay from disk, missing cells run and are appended durably —
-//! and its final records are byte-identical to an uninterrupted
+//! a write-ahead journal — a [`RunCache`] store that never evicts —
+//! completed cells replay from disk, missing cells run and are appended
+//! durably, and its final records are byte-identical to an uninterrupted
 //! [`Sweep::run`].
 //!
 //! [`WedgingEngine`]: crate::harness::chaos::WedgingEngine
 
 use crate::harness::analytic::SigmaAnalytic;
 use crate::harness::cache::{CacheStats, CellKey, Lookup, RunCache};
-use crate::harness::journal::{replay, JournalWriter};
 use crate::harness::record::{CellProfile, RunRecord, RunStatus};
 use crate::harness::registry::EngineEntry;
 use sigma_baselines::AnalyticEngine;
@@ -44,8 +43,8 @@ use sigma_telemetry::{Counter, FlightRecorder, Gauge, Stage, Telemetry};
 use sigma_workloads::materialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Once, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Once, OnceLock};
 use std::time::Duration;
 
 /// One named workload of a sweep.
@@ -491,6 +490,11 @@ impl Sweep {
     /// byte-identical to an uninterrupted [`Sweep::run`] — a sweep
     /// killed at *any* point loses at most its in-flight cells.
     ///
+    /// The journal is a [`RunCache`] store that never evicts and
+    /// memoizes every cell, whatever its status, so it is probed first;
+    /// an attached shared cache is probed second and, as in
+    /// [`Sweep::run`], memoizes only `ok` records.
+    ///
     /// When a [`Telemetry`] registry is attached (see
     /// [`Sweep::with_telemetry_registry`]), the `journal_appends`,
     /// `resume_hits`, and `degraded_cells` counters are recorded.
@@ -505,74 +509,28 @@ impl Sweep {
         engines: &[EngineEntry],
         journal_path: &Path,
     ) -> std::io::Result<ResumeOutcome> {
-        let replayed = replay(journal_path)?;
+        let journal =
+            RunCache::open(journal_path, usize::MAX)?.with_flight_recorder(self.recorder.clone());
         let prepared = self.prepare();
         let jobs = self.jobs(engines);
-        let keys: Vec<CellKey> = jobs
-            .iter()
-            .map(|&(ei, wi)| {
-                CellKey::for_engine(
-                    &engines[ei].slug,
-                    engines[ei].engine.as_ref(),
-                    &self.workloads[wi],
-                    prepared[wi].seed,
-                )
-            })
-            .collect();
-        let writer = {
-            let mut w = JournalWriter::open(journal_path)?;
-            w.set_recorder(self.recorder.clone());
-            Mutex::new(w)
-        };
-        let append_warnings = Mutex::new(Vec::new());
+        let executed = AtomicU64::new(0);
         let cache_before = self.cache.as_ref().map(|c| c.stats());
-        let results: Vec<(RunRecord, bool)> = par_map(&jobs, self.threads, |ji, &(ei, wi)| {
-            let entry = &engines[ei];
-            let w = &self.workloads[wi];
-            let key = &keys[ji];
-            if let Some(done) = replayed.get(key) {
-                return (done.clone(), true);
-            }
-            // The journal (this sweep's own prior progress) misses; try
-            // the shared cross-sweep cache before simulating. A cache
-            // hit is not journaled here — the final compaction persists
-            // the full grid anyway — so `journal_appends` keeps meaning
-            // "cells executed by this invocation".
-            let mut lease = None;
-            if let Some(cache) = &self.cache {
-                match cache.lookup(key) {
-                    Lookup::Hit(record) => return (*record, false),
-                    Lookup::Miss(granted) => lease = Some(granted),
+        let results: Vec<(RunRecord, bool)> = par_map(&jobs, self.threads, |_, &(ei, wi)| {
+            let (entry, w, lazy) = (&engines[ei], &self.workloads[wi], &prepared[wi]);
+            let key = CellKey::for_engine(&entry.slug, entry.engine.as_ref(), w, lazy.seed);
+            match journal.lookup(&key) {
+                Lookup::Hit(done) => (*done, true),
+                Lookup::Miss(lease) => {
+                    let (record, ran) = self.run_cell_cached(entry, ei, wi, w, lazy);
+                    executed.fetch_add(u64::from(ran), Ordering::Relaxed);
+                    // Append (and fsync) before reporting the cell
+                    // complete: once a record is visible to the caller it
+                    // must survive a SIGKILL. An append failure degrades
+                    // to a warning — the cell just re-runs next time.
+                    lease.fulfill(&record);
+                    (record, false)
                 }
             }
-            let record = self.run_cell(entry, ei, wi, w, self.force_timed(&prepared[wi], w));
-            if let Some(granted) = lease {
-                // Only deterministic successes are worth memoizing: a
-                // panic/timeout/error record pins a transient failure.
-                // Dropping the lease hands execution to any waiter.
-                if record.status == RunStatus::Ok {
-                    granted.fulfill(&record);
-                }
-            }
-            // Append (and fsync) before reporting the cell complete:
-            // once a record is visible to the caller it must survive a
-            // SIGKILL. An append failure downgrades to a warning — the
-            // sweep still finishes, it just re-runs the cell next time.
-            match writer.lock() {
-                Ok(mut wtr) => {
-                    if let Err(e) = wtr.append(key, &record) {
-                        if let Ok(mut warns) = append_warnings.lock() {
-                            warns.push(format!("journal append failed for {}: {e}", key.hex()));
-                        }
-                    }
-                }
-                Err(_) => {
-                    if let Ok(mut warns) = append_warnings.lock() {
-                        warns.push(format!("journal writer poisoned before {}", key.hex()));
-                    }
-                }
-            }
-            (record, false)
         });
         self.record_cache_deltas(cache_before);
         // Resume has no live progress line; still leave one final gauge
@@ -584,20 +542,11 @@ impl Sweep {
         let records: Vec<RunRecord> = results.into_iter().map(|(r, _)| r).collect();
         let degraded_cells =
             records.iter().filter(|r| r.status == RunStatus::Degraded).count() as u64;
-        let mut writer = match writer.into_inner() {
-            Ok(w) => w,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let journal_appends = writer.appends();
-        // Rotate the journal to exactly the final grid, in job order:
-        // duplicates, skipped garbage, and torn tails are dropped.
-        let entries: Vec<(&CellKey, &RunRecord)> = keys.iter().zip(&records).collect();
-        writer.compact(&entries)?;
-        let mut warnings = replayed.warnings;
-        warnings.extend(match append_warnings.into_inner() {
-            Ok(w) => w,
-            Err(poisoned) => poisoned.into_inner(),
-        });
+        let journal_appends = executed.into_inner();
+        // Rewrite the journal to exactly the final grid: duplicates,
+        // skipped garbage, and torn tails are dropped.
+        journal.compact()?;
+        let warnings = journal.warnings();
         self.registry.add(Counter::JournalAppends, journal_appends);
         self.registry.add(Counter::ResumeHits, resume_hits);
         self.registry.add(Counter::DegradedCells, degraded_cells);
@@ -788,7 +737,7 @@ impl Sweep {
                 let label = format!("{}: {}", entry.slug, w.name);
                 self.recorder.span_since(Stage::QueueWait, &label, dispatched_us);
             }
-            let record = self.run_cell_cached(entry, ei, wi, w, &prepared[wi]);
+            let (record, _) = self.run_cell_cached(entry, ei, wi, w, &prepared[wi]);
             if progress {
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                 self.recorder.gauge_set(Gauge::CellsCompleted, done as u64);
@@ -828,7 +777,8 @@ impl Sweep {
     /// a panic/timeout/error record would pin a transient failure, so
     /// those cells re-execute every time (the abandoned lease hands
     /// execution to any coalesced waiter). A hit returns before the
-    /// workload's operands are ever materialized.
+    /// workload's operands are ever materialized. The flag is whether
+    /// the cell executed (false for a hit).
     fn run_cell_cached(
         &self,
         entry: &EngineEntry,
@@ -836,19 +786,19 @@ impl Sweep {
         wi: usize,
         w: &WorkloadSpec,
         lazy: &LazyPrepared,
-    ) -> RunRecord {
+    ) -> (RunRecord, bool) {
         let Some(cache) = &self.cache else {
-            return self.run_cell(entry, ei, wi, w, self.force_timed(lazy, w));
+            return (self.run_cell(entry, ei, wi, w, self.force_timed(lazy, w)), true);
         };
         let key = CellKey::for_engine(&entry.slug, entry.engine.as_ref(), w, lazy.seed);
         match cache.lookup(&key) {
-            Lookup::Hit(record) => *record,
+            Lookup::Hit(record) => (*record, false),
             Lookup::Miss(lease) => {
                 let record = self.run_cell(entry, ei, wi, w, self.force_timed(lazy, w));
                 if record.status == RunStatus::Ok {
                     lease.fulfill(&record);
                 }
-                record
+                (record, true)
             }
         }
     }
@@ -1532,7 +1482,7 @@ mod tests {
 
     /// Resume consults the shared cache after its own journal: a warm
     /// cache means a fresh journal resumes without executing anything,
-    /// and the final compaction still persists the full grid.
+    /// and the journal still persists the full grid.
     #[test]
     fn resume_consults_the_cache_before_executing() {
         let engines: Vec<_> = default_registry().into_iter().filter(|e| e.slug == "eie").collect();
@@ -1551,7 +1501,7 @@ mod tests {
         let outcome = sweep.resume(&engines, &path).unwrap();
         assert_eq!(outcome.records, baseline);
         assert_eq!(outcome.resume_hits, 0, "the journal was fresh");
-        assert_eq!(outcome.journal_appends, 0, "cache hits are not re-executed or appended");
+        assert_eq!(outcome.journal_appends, 0, "cache hits are not re-executed");
         assert_eq!(
             cache.stats().hits,
             warm_hwm.hits + baseline.len() as u64,

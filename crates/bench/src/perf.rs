@@ -17,6 +17,7 @@
 use sigma_core::{Dataflow, SigmaConfig, SigmaError, SigmaSim};
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::SparseMatrix;
+use sigma_telemetry::json::{self, Json};
 use std::time::Instant;
 
 /// One benchmark workload: a SIGMA geometry plus a GEMM shape/density.
@@ -285,36 +286,22 @@ pub fn to_json(measurements: &[PerfMeasurement]) -> String {
     out
 }
 
-/// Extracts `(name, cycles_per_sec)` pairs from a `BENCH_sim.json`
-/// produced by [`to_json`]. A hand-rolled scanner (no serde in this
-/// workspace): one case object per line, scanned for the `"name"` and
-/// `"cycles_per_sec"` fields.
+/// Extracts `(name, cycles_per_sec)` pairs, in file order, from a
+/// `BENCH_sim.json` produced by [`to_json`]. A document that does not
+/// parse, or has no `cases` array, yields no pairs; so does a case
+/// lacking either field.
 #[must_use]
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name) = field_str(line, "name") else { continue };
-        let Some(cps) = field_f64(line, "cycles_per_sec") else { continue };
-        out.push((name, cps));
-    }
-    out
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+pub fn parse_baseline(doc: &str) -> Vec<(String, f64)> {
+    let Ok(doc) = json::parse(doc) else { return Vec::new() };
+    doc.get("cases")
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|case| {
+            let name = case.get("name")?.as_str()?;
+            Some((name.to_string(), case.get("cycles_per_sec")?.number::<f64>()?))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -362,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_the_scanner() {
+    fn json_round_trips_through_the_parser() {
         let c = cases().into_iter().find(|c| c.name == "dense_128").unwrap();
         let m = PerfMeasurement {
             case: c,
@@ -388,10 +375,33 @@ mod tests {
     }
 
     #[test]
-    fn scanner_ignores_non_case_lines() {
+    fn parser_ignores_documents_without_cases() {
         assert!(parse_baseline("{\n  \"schema\": 1\n}\n").is_empty());
-        assert_eq!(field_f64("\"cycles_per_sec\": 12.5}", "cycles_per_sec"), Some(12.5));
-        assert_eq!(field_str("{\"name\": \"x\"}", "name").as_deref(), Some("x"));
-        assert_eq!(field_str("no fields here", "name"), None);
+        assert!(parse_baseline("not json").is_empty());
+    }
+
+    /// The committed baseline reads back as its seven ladder cases, each
+    /// with the throughput written on its own line of the file.
+    #[test]
+    fn committed_baseline_yields_every_case() {
+        let text = include_str!("../../../BENCH_sim.json");
+        let pairs = parse_baseline(text);
+        let names: Vec<&str> = pairs.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "dense_128",
+                "sparse_512",
+                "irregular_1k",
+                "sparse_irregular_4k",
+                "nlr_sparse_1k",
+                "dense_16k",
+                "sparse_16k"
+            ]
+        );
+        for (name, cps) in &pairs {
+            let line = text.lines().find(|l| l.contains(&format!("\"name\": \"{name}\""))).unwrap();
+            assert!(line.contains(&format!("\"cycles_per_sec\": {cps:.1}")), "{name}: {line}");
+        }
     }
 }

@@ -81,7 +81,7 @@ impl Table {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
+        out.push_str(&format!("  \"title\": {},\n", sigma_telemetry::json::quote(&self.title)));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             out.push_str("    {");
@@ -89,7 +89,11 @@ impl Table {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("{}: {}", json_string(h), json_string(c)));
+                out.push_str(&format!(
+                    "{}: {}",
+                    sigma_telemetry::json::quote(h),
+                    sigma_telemetry::json::quote(c)
+                ));
             }
             out.push_str(if i + 1 < self.rows.len() { "},\n" } else { "}\n" });
         }
@@ -158,26 +162,6 @@ impl std::fmt::Display for RowWidthError {
 }
 
 impl std::error::Error for RowWidthError {}
-
-/// Quotes and escapes a string as a JSON string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Geometric mean of a slice of positive values.
 ///
@@ -288,7 +272,5 @@ mod tests {
         let j = t.to_json();
         assert!(j.contains("\"title\": \"T \\\"quoted\\\"\""));
         assert!(j.contains("{\"x\": \"a\\nb\", \"y\": \"c\"}"));
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

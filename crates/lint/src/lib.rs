@@ -33,6 +33,7 @@ pub mod sarif;
 pub mod scopes;
 pub mod waivers;
 
+use sigma_telemetry::json::quote;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -262,9 +263,9 @@ pub fn report_to_json(report: &Report) -> String {
         let comma = if i + 1 < report.stale_waivers.len() { "," } else { "" };
         s.push_str(&format!(
             "    {{\"path\": {}, \"lint\": {}, \"reason\": {}}}{comma}\n",
-            json_str(&w.path),
-            json_str(w.lint.name()),
-            json_str(&w.reason)
+            quote(&w.path),
+            quote(w.lint.name()),
+            quote(&w.reason)
         ));
     }
     s.push_str("  ]\n}\n");
@@ -276,30 +277,13 @@ fn push_findings(s: &mut String, findings: &[Finding]) {
         let comma = if i + 1 < findings.len() { "," } else { "" };
         s.push_str(&format!(
             "    {{\"lint\": {}, \"path\": {}, \"line\": {}, \"token\": {}, \"hint\": {}}}{comma}\n",
-            json_str(f.lint.name()),
-            json_str(&f.path),
+            quote(f.lint.name()),
+            quote(&f.path),
             f.line,
-            json_str(&f.token),
-            json_str(&f.hint)
+            quote(&f.token),
+            quote(&f.hint)
         ));
     }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -311,11 +295,6 @@ mod tests {
         let root = Path::new("/repo");
         let abs = Path::new("/repo/crates/core/src/lib.rs");
         assert_eq!(relative_path(root, abs), "crates/core/src/lib.rs");
-    }
-
-    #[test]
-    fn json_escapes_special_chars() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -312,7 +312,7 @@ pub fn check_file(policy: &FilePolicy, src: &str) -> Vec<Finding> {
                 line: tok.line,
                 token: qualified_tail(&sig, src, i),
                 hint: "a crash mid-write must never corrupt a durable artifact: write a temp \
-                       sibling, sync, and rename over the target (see JournalWriter::compact), \
+                       sibling, sync, and rename over the target (see RunCache::compact), \
                        or carry a lint.toml waiver"
                     .into(),
             });
@@ -690,20 +690,13 @@ const D8_CALL_DENYLIST: &[&str] = &[
 /// `(path, lock display, reason)` triples exempt from D8: locks whose
 /// *documented job* is serializing durable I/O. Mirrors the D4 unsafe
 /// allowlist — in-code so the exemption carries its justification.
-pub const D8_IO_LOCK_ALLOWLIST: &[(&str, &str, &str)] = &[
-    (
-        "crates/bench/src/harness/cache.rs",
-        "RunCache.store",
-        "the store mutex is the designated I/O-serialization lock: append+compact must be \
-         atomic w.r.t. each other, and the index lock is never taken while holding it",
-    ),
-    (
-        "crates/bench/src/harness/sweep.rs",
-        "resume::writer",
-        "the resume journal writer mutex exists to serialize durable appends across sweep \
-         workers; no other lock is ever taken under it except the warning sink",
-    ),
-];
+pub const D8_IO_LOCK_ALLOWLIST: &[(&str, &str, &str)] = &[(
+    "crates/bench/src/harness/cache.rs",
+    "RunCache.store",
+    "the store mutex is the designated I/O-serialization lock: append+compact must be \
+         atomic w.r.t. each other, and the index lock is only taken under it briefly to \
+         snapshot entries for compaction, never the reverse",
+)];
 
 /// `Stage`-tagged counters and the stage span they must bump inside.
 const D9_STAGE_COUNTERS: &[(&str, &str)] = &[

@@ -6,11 +6,12 @@
 //! one `tool.driver` carrying all nine rule definitions, one `result`
 //! per finding — with stable key order so the artifact diffs cleanly
 //! across CI runs. [`validate_sarif_2_1_0`] asserts that shape back
-//! (via a tiny self-contained JSON reader), which is what the
+//! (read with the workspace's shared JSON parser), which is what the
 //! acceptance test pins.
 
 use crate::rules::Lint;
-use crate::{json_str, Report};
+use crate::Report;
+use sigma_telemetry::json::{self, quote, Json};
 
 /// Renders the report's unwaived findings as a SARIF 2.1.0 log.
 #[must_use]
@@ -28,8 +29,8 @@ pub fn report_to_sarif(report: &Report) -> String {
         let comma = if i + 1 < Lint::ALL.len() { "," } else { "" };
         s.push_str(&format!(
             "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}{comma}\n",
-            json_str(lint.name()),
-            json_str(lint.description())
+            quote(lint.name()),
+            quote(lint.description())
         ));
     }
     s.push_str("          ]\n        }\n      },\n");
@@ -38,18 +39,18 @@ pub fn report_to_sarif(report: &Report) -> String {
         let comma = if i + 1 < report.findings.len() { "," } else { "" };
         let rule_index = Lint::ALL.iter().position(|l| *l == f.lint).unwrap_or(0);
         s.push_str("        {\n");
-        s.push_str(&format!("          \"ruleId\": {},\n", json_str(f.lint.name())));
+        s.push_str(&format!("          \"ruleId\": {},\n", quote(f.lint.name())));
         s.push_str(&format!("          \"ruleIndex\": {rule_index},\n"));
         s.push_str("          \"level\": \"error\",\n");
         s.push_str(&format!(
             "          \"message\": {{\"text\": {}}},\n",
-            json_str(&format!("{} — {}", f.token, f.hint))
+            quote(&format!("{} — {}", f.token, f.hint))
         ));
         s.push_str("          \"locations\": [\n            {\n");
         s.push_str("              \"physicalLocation\": {\n");
         s.push_str(&format!(
             "                \"artifactLocation\": {{\"uri\": {}, \"uriBaseId\": \"%SRCROOT%\"}},\n",
-            json_str(&f.path)
+            quote(&f.path)
         ));
         s.push_str(&format!("                \"region\": {{\"startLine\": {}}}\n", f.line.max(1)));
         s.push_str("              }\n            }\n          ]\n");
@@ -59,233 +60,18 @@ pub fn report_to_sarif(report: &Report) -> String {
     s
 }
 
-/// A parsed JSON value — just enough for shape validation.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        Some(&b) => out.push(b as char),
-                        None => return Err("unterminated escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 passes through untouched.
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| format!("bad utf-8 at byte {}", self.pos))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            pairs.push((key, self.value()?));
-            self.ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-fn utf8_len(lead: u8) -> usize {
-    match lead {
-        0xF0..=0xF7 => 4,
-        0xE0..=0xEF => 3,
-        0xC0..=0xDF => 2,
-        _ => 1,
-    }
-}
-
-fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
 /// Asserts the SARIF 2.1.0 shape GitHub's upload action requires:
 /// version, one run with tool-driver rule metadata, and per-result
 /// `ruleId`/`message.text`/physical locations with positive lines.
 pub fn validate_sarif_2_1_0(src: &str) -> Result<(), String> {
-    let doc = parse_json(src)?;
+    let doc = json::parse(src)?;
     if doc.get("version").and_then(Json::as_str) != Some("2.1.0") {
         return Err("version must be \"2.1.0\"".into());
     }
     if doc.get("$schema").and_then(Json::as_str).is_none_or(|s| !s.contains("sarif-2.1.0")) {
         return Err("$schema must reference sarif-2.1.0".into());
     }
-    let runs = doc.get("runs").and_then(Json::as_arr).ok_or("runs must be an array")?;
+    let runs = doc.get("runs").and_then(Json::as_array).ok_or("runs must be an array")?;
     if runs.is_empty() {
         return Err("runs must be non-empty".into());
     }
@@ -297,7 +83,7 @@ pub fn validate_sarif_2_1_0(src: &str) -> Result<(), String> {
         }
         let rules = driver
             .get("rules")
-            .and_then(Json::as_arr)
+            .and_then(Json::as_array)
             .ok_or("tool.driver.rules must be an array")?;
         for rule in rules {
             if rule.get("id").and_then(Json::as_str).is_none_or(str::is_empty) {
@@ -305,7 +91,7 @@ pub fn validate_sarif_2_1_0(src: &str) -> Result<(), String> {
             }
         }
         let results =
-            run.get("results").and_then(Json::as_arr).ok_or("results must be an array")?;
+            run.get("results").and_then(Json::as_array).ok_or("results must be an array")?;
         for r in results {
             let rule_id =
                 r.get("ruleId").and_then(Json::as_str).ok_or("result.ruleId must be a string")?;
@@ -321,7 +107,7 @@ pub fn validate_sarif_2_1_0(src: &str) -> Result<(), String> {
             }
             let locations = r
                 .get("locations")
-                .and_then(Json::as_arr)
+                .and_then(Json::as_array)
                 .ok_or("result.locations must be an array")?;
             for loc in locations {
                 let phys =
@@ -337,8 +123,8 @@ pub fn validate_sarif_2_1_0(src: &str) -> Result<(), String> {
                 if phys
                     .get("region")
                     .and_then(|rg| rg.get("startLine"))
-                    .and_then(Json::as_num)
-                    .is_none_or(|n| n < 1.0)
+                    .and_then(Json::number::<u64>)
+                    .is_none_or(|n| n < 1)
                 {
                     return Err("physicalLocation.region.startLine must be >= 1".into());
                 }
@@ -430,14 +216,5 @@ mod tests {
         }"#;
         let err = validate_sarif_2_1_0(zero_line).unwrap_err();
         assert!(err.contains("startLine"), "{err}");
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a": [1, {"b": "x\n\"y\" é"}], "c": null}"#).unwrap();
-        let b = v.get("a").and_then(Json::as_arr).unwrap()[1].get("b").unwrap();
-        assert_eq!(b.as_str(), Some("x\n\"y\" é"));
-        assert!(parse_json("{\"a\": 1,}").is_err());
-        assert!(parse_json("[1, 2] trailing").is_err());
     }
 }

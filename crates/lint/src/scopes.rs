@@ -37,7 +37,7 @@ pub struct LockId {
     /// Workspace-unique key: `Struct.field` for fields,
     /// `path#fn::var` for function-local locks.
     pub identity: String,
-    /// Short human-readable form (`RunCache.state`, `resume::writer`).
+    /// Short human-readable form (`RunCache.state`, `fn_name::var`).
     pub display: String,
 }
 

@@ -33,6 +33,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::json::quote;
 use crate::registry::{bucket_ceil, bucket_floor, bucket_of, HistCells, HIST_BUCKETS};
 use crate::{HistSummary, TelemetrySnapshot};
 
@@ -48,9 +49,9 @@ pub enum Stage {
     Materialize,
     /// One watchdog-supervised engine attempt on a cell.
     EngineRun,
-    /// Journal line render + buffered write.
+    /// Run-store line write (a resume journal or a shared cache).
     JournalAppend,
-    /// Journal `sync_data` to stable storage.
+    /// Run-store `sync_data` to stable storage.
     JournalFsync,
     /// Run-cache lookup (including any in-flight coalescing wait).
     CacheProbe,
@@ -546,11 +547,11 @@ impl MetricsReport {
         let s = self.sorted();
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, v)) in s.counters.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\": {v}", if i == 0 { "" } else { ", " }));
+            out.push_str(&format!("{}{}: {v}", if i == 0 { "" } else { ", " }, quote(name)));
         }
         out.push_str("},\n  \"gauges\": {");
         for (i, (name, v)) in s.gauges.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\": {v}", if i == 0 { "" } else { ", " }));
+            out.push_str(&format!("{}{}: {v}", if i == 0 { "" } else { ", " }, quote(name)));
         }
         out.push_str("},\n  \"histograms\": [\n");
         for (i, h) in s.hists.iter().enumerate() {
@@ -562,9 +563,9 @@ impl MetricsReport {
                 .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
                 .collect();
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"max\": {}, \
+                "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \
                  \"mean\": {:.3}, \"buckets\": [{}]}}{}\n",
-                h.name,
+                quote(&h.name),
                 h.count,
                 h.sum,
                 h.max,
@@ -772,6 +773,31 @@ mod tests {
         assert!(json.find("\"early\"").unwrap() < json.find("\"late\"").unwrap());
         let prom = a.to_prometheus();
         assert!(prom.find("sigma_g1 8").unwrap() < prom.find("sigma_g2 9").unwrap());
+    }
+
+    /// Names read from an event log reach the JSON export: a counter,
+    /// gauge or histogram named with a quote and a backslash must still
+    /// render a document the shared parser reads back name for name.
+    #[test]
+    fn report_json_escapes_names() {
+        let odd = "a\"b\\c";
+        let report = MetricsReport {
+            counters: vec![(odd.to_string(), 1)],
+            gauges: vec![(odd.to_string(), 2)],
+            hists: vec![ReportHist {
+                name: odd.to_string(),
+                count: 1,
+                sum: 3,
+                max: 3,
+                buckets: vec![0, 0, 1],
+            }],
+        };
+        let doc = crate::json::parse(&report.to_json()).unwrap();
+        let member = |section: &str| doc.get(section).unwrap().as_object().unwrap()[0].0.clone();
+        assert_eq!(member("counters"), odd);
+        assert_eq!(member("gauges"), odd);
+        let hist = &doc.get("histograms").unwrap().as_array().unwrap()[0];
+        assert_eq!(hist.get("name").unwrap().as_str(), Some(odd));
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! pre-sized `AtomicU64` arrays: recording takes `&self`, never
 //! allocates, and is safe from the `Send + Sync` engine fleet.
 //!
-//! The workspace has no registry access (and no serde), so the exporter
-//! in [`perfetto`] hand-rolls the Chrome trace-event JSON and ships its
-//! own scanner-based validator, mirroring how `BENCH_sim.json` is
-//! produced and re-parsed in `sigma-bench`.
+//! The workspace has no registry access (and no serde), so [`json`]
+//! holds its one JSON codec — value type, parser and string escaper —
+//! which the exporters here, the bench harness and the linter share.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -35,6 +34,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod flight;
+pub mod json;
 pub mod perfetto;
 pub mod registry;
 

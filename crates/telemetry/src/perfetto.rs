@@ -1,35 +1,16 @@
 //! Chrome trace-event JSON export (loadable in `ui.perfetto.dev` or
-//! `chrome://tracing`) plus a scanner-based validator.
+//! `chrome://tracing`) plus a validator that reads it back.
 //!
 //! The builder emits the JSON object form of the trace-event format:
 //! `{"traceEvents": [...]}` with `"M"` metadata events naming the
 //! process/threads, `"X"` complete events for spans (one simulated cycle
 //! maps to one microsecond of trace time, so durations read directly as
 //! cycles), and `"C"` counter events for metric timelines. One event per
-//! line, so the no-serde validator can re-parse the output with the same
-//! line-scanner technique `BENCH_sim.json` uses.
+//! line keeps the document diffable; the validator parses it whole with
+//! the shared [`json`](crate::json) codec.
 
+use crate::json::{self, quote, Json};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// Escapes a string for embedding in JSON.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One buffered trace event, rendered lazily by [`ChromeTrace::to_json`].
 #[derive(Debug, Clone, PartialEq)]
@@ -97,25 +78,25 @@ impl ChromeTrace {
         let mut lines: Vec<String> = Vec::with_capacity(self.events.len() + 1);
         lines.push(format!(
             "{{\"ph\": \"M\", \"pid\": 1, \"name\": \"process_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            escape(&self.process)
+             \"args\": {{\"name\": {}}}}}",
+            quote(&self.process)
         ));
         for e in &self.events {
             lines.push(match e {
                 Event::ThreadName { tid, name } => format!(
                     "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
-                     \"args\": {{\"name\": \"{}\"}}}}",
-                    escape(name)
+                     \"args\": {{\"name\": {}}}}}",
+                    quote(name)
                 ),
                 Event::Span { tid, name, ts, dur } => format!(
                     "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {tid}, \"ts\": {ts}, \"dur\": {dur}, \
-                     \"name\": \"{}\"}}",
-                    escape(name)
+                     \"name\": {}}}",
+                    quote(name)
                 ),
                 Event::Counter { name, ts, value } => format!(
-                    "{{\"ph\": \"C\", \"pid\": 1, \"ts\": {ts}, \"name\": \"{}\", \
+                    "{{\"ph\": \"C\", \"pid\": 1, \"ts\": {ts}, \"name\": {}, \
                      \"args\": {{\"value\": {value}}}}}",
-                    escape(name)
+                    quote(name)
                 ),
             });
         }
@@ -149,41 +130,22 @@ impl TraceSummary {
     }
 }
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Re-parses a document produced by [`ChromeTrace::to_json`] and checks
-/// its schema: the `traceEvents` envelope is present, every event line
-/// carries a phase, spans carry `tid`/`ts`/`dur`, counters carry a value,
-/// and every span's thread is named. Returns per-track duration totals
-/// for cross-checking against `CycleStats`.
+/// Parses a document produced by [`ChromeTrace::to_json`] and checks
+/// its schema: the `traceEvents` envelope is present, every event
+/// carries a phase, spans carry `tid`/`ts`/`dur`/`name`, counters carry
+/// a value, and every span's thread is named. Returns per-track
+/// duration totals for cross-checking against `CycleStats`.
 ///
 /// # Errors
 ///
 /// Returns a message describing the first schema violation found.
-pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
-    let trimmed = json.trim_start();
-    if !trimmed.starts_with('{') {
-        return Err("document does not start with '{'".into());
+pub fn validate_chrome_trace(doc: &str) -> Result<TraceSummary, String> {
+    let doc = json::parse(doc)?;
+    if doc.as_object().is_none() {
+        return Err("document is not a JSON object".into());
     }
-    if !json.contains("\"traceEvents\": [") {
-        return Err("missing \"traceEvents\" array".into());
-    }
-    if !json.trim_end().ends_with('}') {
-        return Err("document does not end with '}'".into());
-    }
+    let events =
+        doc.get("traceEvents").and_then(Json::as_array).ok_or("missing \"traceEvents\" array")?;
 
     let mut thread_names: BTreeMap<u64, String> = BTreeMap::new();
     let mut per_tid: Vec<(u64, u64)> = Vec::new();
@@ -192,30 +154,30 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
     let mut total = 0u64;
     let mut end_ts = 0u64;
 
-    for (ln, line) in json.lines().enumerate() {
-        let Some(ph) = field_str(line, "ph") else { continue };
-        match ph.as_str() {
+    for (i, event) in events.iter().enumerate() {
+        let num = |key: &str, what: &str| {
+            event.get(key).and_then(Json::number::<u64>).ok_or_else(|| format!("event {i}: {what}"))
+        };
+        let text = |key: &str, what: &str| {
+            event.get(key).and_then(Json::as_str).ok_or_else(|| format!("event {i}: {what}"))
+        };
+        match text("ph", "lacks a phase")? {
             "M" => {
-                let name =
-                    field_str(line, "name").ok_or(format!("line {ln}: metadata without name"))?;
-                if name == "thread_name" {
-                    let tid = field_u64(line, "tid")
-                        .ok_or(format!("line {ln}: thread_name lacks tid"))?;
-                    // The display name lives in the args object, which is
-                    // the line's second "name" field.
-                    let args_at = line
-                        .find("\"args\"")
-                        .ok_or(format!("line {ln}: thread_name lacks args"))?;
-                    let display = field_str(&line[args_at..], "name")
-                        .ok_or(format!("line {ln}: thread_name args lack a name"))?;
-                    thread_names.insert(tid, display);
+                if text("name", "metadata without name")? == "thread_name" {
+                    let tid = num("tid", "thread_name lacks tid")?;
+                    let display = event
+                        .get("args")
+                        .and_then(|a| a.get("name"))
+                        .and_then(Json::as_str)
+                        .ok_or(format!("event {i}: thread_name args lack a name"))?;
+                    thread_names.insert(tid, display.to_string());
                 }
             }
             "X" => {
-                let tid = field_u64(line, "tid").ok_or(format!("line {ln}: span lacks tid"))?;
-                let ts = field_u64(line, "ts").ok_or(format!("line {ln}: span lacks ts"))?;
-                let dur = field_u64(line, "dur").ok_or(format!("line {ln}: span lacks dur"))?;
-                field_str(line, "name").ok_or(format!("line {ln}: span lacks name"))?;
+                let tid = num("tid", "span lacks tid")?;
+                let ts = num("ts", "span lacks ts")?;
+                let dur = num("dur", "span lacks dur")?;
+                text("name", "span lacks name")?;
                 span_count += 1;
                 total += dur;
                 end_ts = end_ts.max(ts + dur);
@@ -225,11 +187,15 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
                 }
             }
             "C" => {
-                field_u64(line, "ts").ok_or(format!("line {ln}: counter lacks ts"))?;
-                field_u64(line, "value").ok_or(format!("line {ln}: counter lacks value"))?;
+                num("ts", "counter lacks ts")?;
+                event
+                    .get("args")
+                    .and_then(|a| a.get("value"))
+                    .and_then(Json::number::<u64>)
+                    .ok_or(format!("event {i}: counter lacks value"))?;
                 counter_count += 1;
             }
-            other => return Err(format!("line {ln}: unknown event phase {other:?}")),
+            other => return Err(format!("event {i}: unknown event phase {other:?}")),
         }
     }
 
@@ -281,6 +247,21 @@ mod tests {
         assert_eq!(j, ct.to_json());
         assert!(j.contains("quote\\\"back\\\\slash\\nline"));
         validate_chrome_trace(&j).unwrap();
+    }
+
+    /// A thread name holding a quote must come back whole: the
+    /// validator reads the document with the shared parser, not by
+    /// scanning to the next quote character.
+    #[test]
+    fn quoted_thread_names_round_trip() {
+        let mut ct = ChromeTrace::new("p");
+        ct.thread(1, "a\"b");
+        ct.thread(2, "back\\slash");
+        ct.span(1, "s", 0, 3);
+        ct.span(2, "t", 3, 4);
+        let summary = validate_chrome_trace(&ct.to_json()).unwrap();
+        assert_eq!(summary.track("a\"b"), Some(3));
+        assert_eq!(summary.track("back\\slash"), Some(4));
     }
 
     #[test]

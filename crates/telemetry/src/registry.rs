@@ -9,6 +9,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::json::quote;
+
 /// Monotonic event counters recorded by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
@@ -428,7 +430,7 @@ impl TelemetrySnapshot {
         out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
         out.push_str("  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\": {v}", if i == 0 { "" } else { ", " }));
+            out.push_str(&format!("{}{}: {v}", if i == 0 { "" } else { ", " }, quote(name)));
         }
         out.push_str("},\n  \"histograms\": [\n");
         for (i, h) in self.hists.iter().enumerate() {
@@ -440,9 +442,9 @@ impl TelemetrySnapshot {
                 .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
                 .collect();
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"max\": {}, \
+                "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \
                  \"mean\": {:.3}, \"buckets\": [{}]}}{}\n",
-                h.name,
+                quote(h.name),
                 h.count,
                 h.sum,
                 h.max,
