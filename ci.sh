@@ -29,6 +29,12 @@ cargo run -q -p sigma-bench --bin fault_campaign -- --smoke --quiet
 # counts, resume from the surviving journal, and demand the final
 # CSV/JSON renderings be byte-identical to an uninterrupted run.
 cargo run -q --release -p sigma-bench --bin chaos_resume -- --smoke
+# Figure identity gate: every all_figures table must match the committed
+# results/csv byte for byte; a change that moves a figure regenerates
+# results/csv in the same commit and says why.
+rm -rf /tmp/sigma_ci_figs
+cargo run -q --release -p sigma-bench --bin all_figures -- --csv /tmp/sigma_ci_figs --quiet
+diff -r /tmp/sigma_ci_figs results/csv
 # Perf regression gate: compare simulated-cycles-per-second against the
 # committed BENCH_sim.json baseline (release build; the check self-skips
 # in debug builds where timings are incomparable).
