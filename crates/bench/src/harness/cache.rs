@@ -585,8 +585,9 @@ impl RunCache {
     /// Probes without leasing: a verified hit returns the record (and
     /// refreshes its generation), anything else — absent or in flight —
     /// returns `None` without blocking or counting a miss.
+    #[cfg(test)]
     #[must_use]
-    pub fn probe(&self, key: &CellKey) -> Option<Box<RunRecord>> {
+    pub(crate) fn probe(&self, key: &CellKey) -> Option<Box<RunRecord>> {
         let mut state = self.lock();
         state.generation += 1;
         let generation = state.generation;

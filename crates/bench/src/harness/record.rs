@@ -147,7 +147,8 @@ pub struct RunRecord {
     pub faults_escaped: u64,
     /// Benes route-cache hits across the run.
     pub route_cache_hits: u64,
-    /// Benes route-cache misses (cold routings) across the run.
+    /// Benes route-cache misses (first loads of a prefix length on a
+    /// Flex-DPE) across the run.
     pub route_cache_misses: u64,
     /// Dead streaming cycles (no non-zero operand) the event scheduler
     /// fast-forwarded; still included in `streaming_cycles`/`total_cycles`.

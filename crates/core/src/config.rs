@@ -110,7 +110,6 @@ pub struct SigmaConfig {
     dataflow: Dataflow,
     double_buffered: bool,
     packing: PackingOrder,
-    route_cache: bool,
     telemetry: bool,
 }
 
@@ -146,7 +145,6 @@ impl SigmaConfig {
             dataflow,
             double_buffered: false,
             packing: PackingOrder::GroupMajor,
-            route_cache: true,
             telemetry: false,
         })
     }
@@ -175,7 +173,6 @@ impl SigmaConfig {
             dataflow,
             double_buffered: false,
             packing: PackingOrder::GroupMajor,
-            route_cache: true,
             telemetry: false,
         }
     }
@@ -195,7 +192,6 @@ impl SigmaConfig {
             dataflow: Dataflow::WeightStationary,
             double_buffered: false,
             packing: PackingOrder::GroupMajor,
-            route_cache: true,
             telemetry: false,
         }
     }
@@ -263,23 +259,6 @@ impl SigmaConfig {
         self
     }
 
-    /// Whether Benes route configurations are memoized across folds
-    /// (default: on). Caching is exact — cache hits replay switch
-    /// settings the cold router already produced and validated — so
-    /// simulated outputs and cycle statistics are identical either way;
-    /// disabling it exists for differential testing and perf analysis.
-    #[must_use]
-    pub fn route_cache(&self) -> bool {
-        self.route_cache
-    }
-
-    /// Returns a copy with Benes route memoization on or off.
-    #[must_use]
-    pub fn with_route_cache(mut self, enabled: bool) -> Self {
-        self.route_cache = enabled;
-        self
-    }
-
     /// Whether the engine records telemetry (default: off). Telemetry is
     /// observational only — counters and histograms accumulate in a
     /// [`sigma_telemetry::Telemetry`] registry, and simulated outputs and
@@ -344,16 +323,13 @@ impl SigmaConfig {
     }
 
     /// Canonical string naming every knob that can influence a simulated
-    /// result — geometry, bandwidths, dataflow, buffering, packing, and
-    /// the route-cache switch. Two configurations with equal
-    /// keys produce bitwise-identical [`EngineRun`]s on identical
-    /// operands, so result caches key cells by this string (plus workload
-    /// and seed) instead of by the lossy display name.
+    /// result — geometry, bandwidths, dataflow, buffering and packing. Two
+    /// configurations with equal keys produce bitwise-identical
+    /// [`EngineRun`]s on identical operands, so result caches key cells by
+    /// this string (plus workload and seed) instead of by the lossy display
+    /// name.
     ///
-    /// The route-cache switch is included even though cached and cold
-    /// routing are proven bitwise-equal: the cache contract is "equal
-    /// key ⇒ equal bytes by construction", not "equal bytes by theorem".
-    /// Telemetry is excluded: it is observational only. The leading `c2`
+    /// Telemetry is excluded: it is observational only. The leading `c3`
     /// is this key's own layout revision; bump it when a knob is added,
     /// renamed or removed.
     ///
@@ -370,13 +346,12 @@ impl SigmaConfig {
             Dataflow::NoLocalReuse => "nlr",
         };
         format!(
-            "c2;dpes={};dpe={};ibw={};sbw={};df={dataflow};dbuf={};pack={packing};rc={}",
+            "c3;dpes={};dpe={};ibw={};sbw={};df={dataflow};dbuf={};pack={packing}",
             self.num_dpes,
             self.dpe_size,
             self.input_bandwidth,
             self.stream_bandwidth,
             u8::from(self.double_buffered),
-            u8::from(self.route_cache),
         )
     }
 }
@@ -462,10 +437,7 @@ mod tests {
     #[test]
     fn canonical_key_covers_every_result_affecting_knob() {
         let base = SigmaConfig::new(2, 8, 16, Dataflow::WeightStationary).unwrap();
-        assert_eq!(
-            base.canonical_key(),
-            "c2;dpes=2;dpe=8;ibw=16;sbw=16;df=ws;dbuf=0;pack=group;rc=1"
-        );
+        assert_eq!(base.canonical_key(), "c3;dpes=2;dpe=8;ibw=16;sbw=16;df=ws;dbuf=0;pack=group");
         let key = base.canonical_key();
         // Every knob that changes simulated results must change the key.
         let variants = [
@@ -477,7 +449,6 @@ mod tests {
             base.with_dataflow(Dataflow::NoLocalReuse),
             base.with_double_buffering(true),
             base.with_packing_order(PackingOrder::ContractionMajor),
-            base.with_route_cache(false),
         ];
         let mut keys: Vec<String> = variants.iter().map(SigmaConfig::canonical_key).collect();
         keys.push(key.clone());

@@ -26,7 +26,6 @@
 //! GEMM dataflow onto this orientation (weight-stationary transposes the
 //! `KN` operand; input-stationary uses `MK` directly).
 
-use crate::SigmaError;
 use sigma_matrix::{Bitmap, SparseMatrix};
 
 /// The order in which stationary′ non-zeros are packed into folds.
@@ -292,74 +291,6 @@ impl ControllerPlan {
     pub fn routing_offset(src: u32, dest: u32) -> i64 {
         i64::from(dest) - i64::from(src)
     }
-
-    /// The Benes distribution request for one fold, Flex-DPE and
-    /// streaming step: `request[slot] = Some(rank)` where `rank` is the
-    /// streamed value's arrival position (the rank of the slot's
-    /// contraction index among the step's non-zeros, restricted to this
-    /// fold's needed set).
-    ///
-    /// Within one FAN cluster the ranks increase with the slot index, so
-    /// the request is piecewise monotone with at most one restart per
-    /// cluster boundary.
-    #[must_use]
-    pub fn streaming_request(
-        &self,
-        fold_idx: usize,
-        dpe: usize,
-        dpe_size: usize,
-        streaming: &Bitmap,
-        step: usize,
-    ) -> Vec<Option<usize>> {
-        let fold = &self.folds[fold_idx];
-        // Rank of each needed non-zero streamed value, in contraction order.
-        let mut rank_of = vec![None; streaming.rows()];
-        let mut rank = 0usize;
-        for &k in &fold.distinct_contractions {
-            if streaming.get(k, step) {
-                rank_of[k] = Some(rank);
-                rank += 1;
-            }
-        }
-        let lo = dpe * dpe_size;
-        let hi = (lo + dpe_size).min(fold.elements.len());
-        let mut req = vec![None; dpe_size];
-        if lo < fold.elements.len() {
-            for (slot, e) in fold.elements[lo..hi].iter().enumerate() {
-                req[slot] = rank_of[e.contraction];
-            }
-        }
-        req
-    }
-
-    /// Routes one fold/DPE/step distribution request on a real Benes
-    /// network and returns the number of serialized passes it needs
-    /// (1 when the request is monotone — the common case; at most the
-    /// number of clusters resident in the Flex-DPE otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigmaError::DpeSizeNotPowerOfTwo`] if `dpe_size` is not
-    /// a valid Benes size, or [`SigmaError::Internal`] if the request
-    /// fails to route (impossible for controller-built requests).
-    pub fn distribution_passes(
-        &self,
-        fold_idx: usize,
-        dpe: usize,
-        dpe_size: usize,
-        streaming: &Bitmap,
-        step: usize,
-    ) -> Result<usize, SigmaError> {
-        let net = sigma_interconnect::BenesNetwork::new(dpe_size)
-            .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(dpe_size))?;
-        let req = self.streaming_request(fold_idx, dpe, dpe_size, streaming, step);
-        Ok(net
-            .route_general_multicast(&req)
-            .map_err(|e| {
-                SigmaError::Internal(format!("controller-built request failed to route: {e}"))
-            })?
-            .pass_count())
-    }
 }
 
 #[cfg(test)]
@@ -475,46 +406,6 @@ mod tests {
         assert_eq!(plan.stationary_prime_nnz, 0);
         assert_eq!(plan.dropped_stationary, 9);
         assert!(plan.folds.is_empty());
-    }
-
-    #[test]
-    fn streaming_requests_route_with_bounded_passes() {
-        let (stat, stream) = toy();
-        let plan = ControllerPlan::build(&stat, &stream, 8);
-        for step in 0..stream.cols() {
-            for dpe in 0..2 {
-                let req = plan.streaming_request(0, dpe, 4, &stream, step);
-                let passes = plan.distribution_passes(0, dpe, 4, &stream, step).unwrap();
-                // Pass count never exceeds the clusters resident in the DPE.
-                let clusters_here: std::collections::HashSet<_> = plan.folds[0].vec_ids
-                    [dpe * 4..(dpe * 4 + 4).min(plan.folds[0].occupied())]
-                    .iter()
-                    .flatten()
-                    .collect();
-                assert!(
-                    passes <= clusters_here.len().max(1),
-                    "step {step} dpe {dpe}: {passes} passes for {req:?}"
-                );
-                // And the routing actually delivers the request.
-                let net = sigma_interconnect::BenesNetwork::new(4).unwrap();
-                let routing = net.route_general_multicast(&req).unwrap();
-                let inputs: Vec<Option<usize>> = (0..4).map(Some).collect();
-                let out = routing.apply(&inputs);
-                for (slot, want) in req.iter().enumerate() {
-                    assert_eq!(out[slot], *want);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_request_ranks_follow_arrival_order() {
-        let (stat, stream) = toy();
-        let plan = ControllerPlan::build(&stat, &stream, 16);
-        // Step 0 streams k0 (rank 0) and k2 (rank 1); fold elements are
-        // (0,k0) (0,k2) (2,k0) (2,k1) (3,k2).
-        let req = plan.streaming_request(0, 0, 16, &stream, 0);
-        assert_eq!(&req[..5], &[Some(0), Some(1), Some(0), None, Some(1)]);
     }
 
     #[test]

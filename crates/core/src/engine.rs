@@ -557,7 +557,6 @@ impl SigmaSim {
                     active_dpes = occupied.div_ceil(dpe);
                     while engines.len() < active_dpes {
                         let mut unit = FlexDpe::new(dpe)?;
-                        unit.set_route_caching(self.config.route_cache());
                         unit.set_telemetry(self.telemetry.clone());
                         engines.push(unit);
                     }
@@ -689,8 +688,9 @@ impl SigmaSim {
             "event cursor and Table-II accounting must agree"
         );
         for unit in &engines {
-            stats.route_cache_hits += unit.route_cache().hits();
-            stats.route_cache_misses += unit.route_cache().misses();
+            let (hits, misses) = unit.route_counts();
+            stats.route_cache_hits += hits;
+            stats.route_cache_misses += misses;
         }
         self.telemetry.add(
             Counter::StationaryDropped,
@@ -978,9 +978,7 @@ impl SigmaSim {
             // (Fig. 5 Step iv: unicast into the multiplier buffers).
             let active_dpes = occupied.div_ceil(dpe);
             while engines.len() < active_dpes {
-                let mut unit = FlexDpe::new(dpe)?;
-                unit.set_route_caching(self.config.route_cache());
-                engines.push(unit);
+                engines.push(FlexDpe::new(dpe)?);
             }
             for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
                 let lo = d * dpe;
@@ -1051,8 +1049,9 @@ impl SigmaSim {
             prev_fold_stream = this_fold_stream;
         }
         for unit in &engines {
-            stats.route_cache_hits += unit.route_cache().hits();
-            stats.route_cache_misses += unit.route_cache().misses();
+            let (hits, misses) = unit.route_counts();
+            stats.route_cache_hits += hits;
+            stats.route_cache_misses += misses;
         }
         Ok(stats)
     }
@@ -1868,15 +1867,9 @@ mod tests {
         let a = sparse_uniform(8, 8, Density::DENSE, 7); // 64 nnz on 8 PEs: 8 folds
         let b = sparse_uniform(8, 4, Density::DENSE, 8);
         let run = sim.run_gemm(&a, &b).unwrap();
-        assert!(run.stats.route_cache_misses > 0);
-        assert!(run.stats.route_cache_hits > 0, "repeated full-prefix loads must hit");
-        // Caching off: every load routes cold, results identical.
-        let cold = SigmaSim::new(sim.config().with_route_cache(false)).unwrap();
-        let run2 = cold.run_gemm(&a, &b).unwrap();
-        assert_eq!(run2.stats.route_cache_hits, 0);
-        assert!(run2.stats.route_cache_misses >= run.stats.route_cache_misses);
-        assert_eq!(run.result, run2.result);
-        assert_eq!(run.stats.total_cycles(), run2.stats.total_cycles());
+        // 16 full-prefix loads over two units: each unit misses once.
+        assert_eq!(run.stats.route_cache_misses, 2);
+        assert_eq!(run.stats.route_cache_hits, 14);
     }
 
     #[test]

@@ -348,10 +348,10 @@ mod tests {
     fn sigma_fingerprint_tracks_result_affecting_knobs() {
         let cfg = SigmaConfig::new(2, 8, 16, Dataflow::WeightStationary).unwrap();
         let base = SigmaSim::new(cfg).unwrap().fingerprint();
-        assert!(base.starts_with("sigma-sim/c2;"), "versioned prefix: {base}");
+        assert!(base.starts_with("sigma-sim/c3;"), "versioned prefix: {base}");
         // Knobs that change results must change the fingerprint...
-        let rerouted = SigmaSim::new(cfg.with_route_cache(false)).unwrap();
-        assert_ne!(base, rerouted.fingerprint());
+        let repacked = SigmaSim::new(cfg.with_packing_order(crate::PackingOrder::ContractionMajor));
+        assert_ne!(base, repacked.unwrap().fingerprint());
         // ...while observational telemetry must not.
         let observed = SigmaSim::new(cfg.with_telemetry(true)).unwrap();
         assert_eq!(base, observed.fingerprint());

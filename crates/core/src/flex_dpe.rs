@@ -14,8 +14,16 @@
 //! The stationary store is *flattened* — dense `values`/`contractions`
 //! arrays plus a `u64` occupancy bitmask instead of `Vec<Option<..>>` —
 //! and the unit owns its scratch state (product and operand buffers,
-//! [`FanScratch`], the compiled [`FanProgram`], [`RouteCache`], request
-//! buffer), so the per-fold loading unicast is routed once and memoized.
+//! [`FanScratch`], the compiled [`FanProgram`]), so a warmed unit loads
+//! and steps without allocating.
+//!
+//! Loading does no routing. The loading unicast sends value `i` to
+//! multiplier `i` for a prefix of the slots, a pattern the Benes network
+//! always delivers (`sigma-interconnect` proves it at every size up to
+//! 1024), and the engine charges the paper's latch-free O(1) distribution
+//! as a fixed cycle. The unit still counts route-cache hits and misses:
+//! a miss is the first load of a prefix length, the load a controller that
+//! memoizes switch settings would have to configure.
 //!
 //! Two step functions share one product pass:
 //!
@@ -30,7 +38,7 @@
 use crate::config::SigmaError;
 use crate::controller::MappedElement;
 use crate::fault::FaultInjector;
-use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction, FanScratch, RouteCache};
+use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction, FanScratch};
 use sigma_telemetry::{Counter, Hist, Telemetry};
 
 /// The result of streaming one vector through a Flex-DPE.
@@ -72,8 +80,12 @@ pub struct FlexDpe {
     /// it per streamed wave instead of re-deriving the reduction structure
     /// ([`FlexDpe::step_compiled`]).
     program: FanProgram,
-    route_cache: RouteCache,
-    load_req: Vec<Option<usize>>,
+    /// One bit per prefix length `0..=size` this unit has loaded. The
+    /// loading request is a function of the length alone, so the first
+    /// load of a length is the only one a memoizing controller routes.
+    loaded_lengths: Vec<u64>,
+    route_hits: u64,
+    route_misses: u64,
     /// Sorted-and-deduped to count distinct contractions at load time;
     /// a Vec (not a hash set) so the count is allocation-free after
     /// warmup and independent of any per-process hasher state.
@@ -105,8 +117,9 @@ impl FlexDpe {
             operands: vec![0.0; size],
             fan_scratch: FanScratch::default(),
             program: FanProgram::default(),
-            route_cache: RouteCache::new(),
-            load_req: Vec::with_capacity(size),
+            loaded_lengths: vec![0; (size + 1).div_ceil(64)],
+            route_hits: 0,
+            route_misses: 0,
             distinct_scratch: Vec::with_capacity(size),
             telemetry: Telemetry::off(),
         })
@@ -130,17 +143,11 @@ impl FlexDpe {
         &self.vec_ids
     }
 
-    /// Turns Benes route memoization on or off (on by default). Disabled,
-    /// every load/stream request is routed cold — the differential-testing
-    /// mode the cached-vs-cold equivalence tests drive.
-    pub fn set_route_caching(&mut self, enabled: bool) {
-        self.route_cache.set_enabled(enabled);
-    }
-
-    /// The unit's route cache (hit/miss observability).
+    /// Route-cache `(hits, misses)` over this unit's loads: a miss is the
+    /// first load of a prefix length, a hit every later load of it.
     #[must_use]
-    pub fn route_cache(&self) -> &RouteCache {
-        &self.route_cache
+    pub fn route_counts(&self) -> (u64, u64) {
+        (self.route_hits, self.route_misses)
     }
 
     /// Attaches a telemetry handle (share one across units to aggregate).
@@ -158,18 +165,15 @@ impl FlexDpe {
     }
 
     /// Loads stationary elements into the first `elements.len()`
-    /// multiplier buffers, with their FAN cluster assignment. The
-    /// loading unicast is routed through the (memoized) Benes model and
-    /// validated against real switch states the first time each prefix
-    /// pattern is seen (value `i` arriving on port `i` must route to
-    /// multiplier `i`); cache hits reuse the already-validated
-    /// configuration, making steady-state loads allocation-free.
+    /// multiplier buffers, with their FAN cluster assignment, and counts
+    /// the load as a route-cache miss or hit ([`FlexDpe::route_counts`]).
+    /// The loading unicast is not routed (see the module docs). A warmed
+    /// unit loads without allocating, whatever the prefix length.
     ///
     /// # Errors
     ///
     /// Returns [`SigmaError::DpeSizeNotPowerOfTwo`] if more elements than
-    /// multipliers are supplied (size abuse), or propagates nothing else:
-    /// the identity loading pattern always routes.
+    /// multipliers are supplied (size abuse).
     ///
     /// # Panics
     ///
@@ -184,24 +188,14 @@ impl FlexDpe {
             return Err(SigmaError::DpeSizeNotPowerOfTwo(elements.len()));
         }
         assert_eq!(vec_ids.len(), self.size, "vec_ids must cover every multiplier");
-        // Route the loading unicast (identity prefix) through the cache.
-        self.load_req.clear();
-        self.load_req.extend((0..self.size).map(|i| (i < elements.len()).then_some(i)));
-        let (cfg, cold) = self
-            .route_cache
-            .route_monotone_multicast_tracked(&self.benes, &self.load_req)
-            .map_err(|e| {
-                SigmaError::Internal(format!("identity loading pattern failed to route: {e}"))
-            })?;
-        if cold && cfg!(debug_assertions) {
-            // Validate freshly derived switch settings end-to-end (debug
-            // builds only — the walk exists solely to feed the asserts);
-            // hits reuse a configuration that already passed this check.
-            let inputs: Vec<Option<usize>> = (0..self.size).map(Some).collect();
-            let delivered = cfg.apply(&inputs);
-            for (i, d) in delivered.iter().enumerate().take(elements.len()) {
-                debug_assert_eq!(*d, Some(i), "loading unicast misrouted");
-            }
+        let len = elements.len();
+        let bit = 1u64 << (len % 64);
+        let cold = self.loaded_lengths[len / 64] & bit == 0;
+        self.loaded_lengths[len / 64] |= bit;
+        if cold {
+            self.route_misses += 1;
+        } else {
+            self.route_hits += 1;
         }
         self.telemetry
             .add(if cold { Counter::RouteCacheMisses } else { Counter::RouteCacheHits }, 1);
@@ -617,8 +611,21 @@ mod tests {
         for _ in 0..5 {
             dpe.load(&els, &ids(&[0, 0, 1], 16)).unwrap();
         }
-        assert_eq!(dpe.route_cache().misses(), 1, "one cold route per distinct prefix");
-        assert_eq!(dpe.route_cache().hits(), 4);
+        assert_eq!(dpe.route_counts(), (4, 1), "one miss per distinct prefix length");
+    }
+
+    #[test]
+    fn route_counts_key_on_every_prefix_length() {
+        // Lengths 0 and `size` are distinct: a bitset that folded one into
+        // the other would count the first 16 as a hit.
+        let mut dpe = FlexDpe::new(16).unwrap();
+        let els: Vec<MappedElement> =
+            (0..16).map(|k| MappedElement { group: 0, contraction: k, value: 1.0 }).collect();
+        for len in [3, 3, 0, 16, 0, 16, 5] {
+            dpe.load(&els[..len], &ids(&vec![0; len], 16)).unwrap();
+        }
+        let (hits, misses) = dpe.route_counts();
+        assert_eq!((misses, hits), (4, 3));
     }
 
     #[test]
@@ -656,20 +663,6 @@ mod tests {
         assert_eq!(dist, 1); // O(1) Benes traversal
         assert_eq!(mul, 1);
         assert_eq!(red, 7); // log2(128) reduction levels
-    }
-
-    #[test]
-    fn route_caching_can_be_disabled() {
-        let mut dpe = FlexDpe::new(8).unwrap();
-        dpe.set_route_caching(false);
-        let els = elements(&[(0, 0, 1.0), (0, 1, 2.0)]);
-        for _ in 0..3 {
-            dpe.load(&els, &ids(&[0, 0], 8)).unwrap();
-        }
-        assert_eq!(dpe.route_cache().hits(), 0);
-        assert_eq!(dpe.route_cache().misses(), 3);
-        let step = step(&mut dpe, &[1.0, 2.0]);
-        assert_eq!(step.reduction.sums[0].value, 1.0 + 4.0);
     }
 
     #[test]

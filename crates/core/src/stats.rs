@@ -37,10 +37,11 @@ pub struct CycleStats {
     pub pes: u64,
     /// Words read from SRAM (each unique word once; multicast is free).
     pub sram_reads: u64,
-    /// Benes route configurations replayed from the route cache.
+    /// Flex-DPE loads of a prefix length the unit had loaded before: the
+    /// loads whose switch settings a memoizing controller would replay.
     pub route_cache_hits: u64,
-    /// Benes route configurations derived cold (cache miss or caching
-    /// disabled).
+    /// First loads of a prefix length on a Flex-DPE: the loads a
+    /// memoizing controller would have to configure.
     pub route_cache_misses: u64,
     /// Streaming cycles whose step carried no non-zero streamed operands —
     /// dead cycles the event scheduler fast-forwards in O(1). They remain

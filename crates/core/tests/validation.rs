@@ -92,28 +92,6 @@ proptest! {
     }
 }
 
-/// The controller's stationary loading pattern (compressed values to
-/// packed PE slots) is an identity-like monotone request — always Benes
-/// routable in one pass.
-#[test]
-fn stationary_loading_routes_on_benes() {
-    let a = sparse_uniform(8, 8, Density::new(0.4).unwrap(), 3);
-    let b = sparse_uniform(8, 8, Density::new(0.7).unwrap(), 4);
-    let plan = ControllerPlan::build(&a, b.bitmap(), 16);
-    let net = BenesNetwork::new(16).unwrap();
-    for fold in &plan.folds {
-        // Loading: value i (in SRAM arrival order) goes to PE slot i.
-        let req: Vec<Option<usize>> =
-            (0..16).map(|slot| if slot < fold.occupied() { Some(slot) } else { None }).collect();
-        let cfg = net.route_monotone_multicast(&req).unwrap();
-        let inputs: Vec<Option<u32>> = (0..16).map(|i| Some(i as u32)).collect();
-        let out = cfg.apply(&inputs);
-        for slot in 0..fold.occupied() {
-            assert_eq!(out[slot], Some(slot as u32));
-        }
-    }
-}
-
 /// Within one FAN cluster, a streaming step's distribution is a monotone
 /// multicast (contraction indices increase along the cluster's packed
 /// slots), so each cluster's slice of the per-step pattern routes on the

@@ -277,44 +277,6 @@ impl fmt::Display for BenesError {
 
 impl Error for BenesError {}
 
-/// A serialized multi-pass routing for an arbitrary multicast: each pass
-/// is one switch reconfiguration + traversal serving a monotone slice of
-/// the request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultipassRouting {
-    /// `(configuration, request slice)` per pass.
-    pub passes: Vec<(BenesConfig, Vec<Option<usize>>)>,
-}
-
-impl MultipassRouting {
-    /// Number of serialized traversals (1 = behaved like a single-pass
-    /// non-blocking network).
-    #[must_use]
-    pub fn pass_count(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// Executes every pass and merges deliveries: each output accepts its
-    /// value only from the pass that requested it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the network size.
-    #[must_use]
-    pub fn apply<T: Clone>(&self, inputs: &[Option<T>]) -> Vec<Option<T>> {
-        let mut out: Vec<Option<T>> = vec![None; inputs.len()];
-        for (cfg, req) in &self.passes {
-            let delivered = cfg.apply(inputs);
-            for (o, d) in delivered.into_iter().enumerate() {
-                if req[o].is_some() {
-                    out[o] = d;
-                }
-            }
-        }
-        out
-    }
-}
-
 /// A Benes network of a fixed power-of-two size.
 ///
 /// ```
@@ -410,55 +372,6 @@ impl BenesNetwork {
         route_perm(src)
     }
 
-    /// Routes an *arbitrary* multicast by decomposing it into the minimal
-    /// number of monotone passes: outputs are scanned left to right and a
-    /// new pass starts whenever the requested source decreases. Each pass
-    /// is one switch reconfiguration plus one traversal, so the returned
-    /// configuration count is the serialization cost — 1 for the monotone
-    /// patterns SIGMA's controller emits, more for adversarial requests.
-    ///
-    /// # Errors
-    ///
-    /// * [`BenesError::SizeMismatch`] if `src.len() != size`.
-    /// * [`BenesError::SourceOutOfRange`] if a source index is too large.
-    pub fn route_general_multicast(
-        &self,
-        src: &[Option<usize>],
-    ) -> Result<MultipassRouting, BenesError> {
-        if src.len() != self.size {
-            return Err(BenesError::SizeMismatch { expected: self.size, actual: src.len() });
-        }
-        for &s in src.iter().flatten() {
-            if s >= self.size {
-                return Err(BenesError::SourceOutOfRange(s));
-            }
-        }
-        // Greedy monotone decomposition.
-        let mut requests: Vec<Vec<Option<usize>>> = Vec::new();
-        let mut current: Vec<Option<usize>> = vec![None; self.size];
-        let mut last: Option<usize> = None;
-        let mut non_empty = false;
-        for (o, &s) in src.iter().enumerate() {
-            if let Some(s) = s {
-                if last.is_some_and(|l| s < l) {
-                    requests.push(std::mem::replace(&mut current, vec![None; self.size]));
-                }
-                current[o] = Some(s);
-                last = Some(s);
-                non_empty = true;
-            }
-        }
-        if non_empty {
-            requests.push(current);
-        }
-        let mut passes = Vec::with_capacity(requests.len());
-        for req in requests {
-            let cfg = self.route_monotone_multicast(&req)?;
-            passes.push((cfg, req));
-        }
-        Ok(MultipassRouting { passes })
-    }
-
     /// Routes a monotone multicast: output `o` receives input `src[o]`
     /// when `Some`, where the sequence of `Some` sources is non-decreasing.
     ///
@@ -477,18 +390,6 @@ impl BenesNetwork {
         &self,
         src: &[Option<usize>],
     ) -> Result<BenesConfig, BenesError> {
-        self.route_monotone_multicast_scratch(src, &mut MulticastScratch::default())
-    }
-
-    /// [`BenesNetwork::route_monotone_multicast`] with caller-owned
-    /// recursion scratch, so repeated cold routings (e.g. the route
-    /// cache's miss path) stay allocation-light: the coloring buffers are
-    /// reused across calls instead of reallocated per network node.
-    pub(crate) fn route_monotone_multicast_scratch(
-        &self,
-        src: &[Option<usize>],
-        scratch: &mut MulticastScratch,
-    ) -> Result<BenesConfig, BenesError> {
         if src.len() != self.size {
             return Err(BenesError::SizeMismatch { expected: self.size, actual: src.len() });
         }
@@ -504,7 +405,7 @@ impl BenesNetwork {
             }
             last = Some(s);
         }
-        route_multicast(src, 0, scratch)
+        route_multicast(src, 0, &mut MulticastScratch::default())
     }
 }
 
@@ -514,9 +415,9 @@ impl BenesNetwork {
 /// working vectors per node; allocating them fresh dominates cold-routing
 /// cost on wide networks. The scratch keeps one set per depth (sub-requests
 /// at the same depth are processed sequentially, so siblings can share),
-/// making repeated cold routes allocation-light.
+/// so one route allocates per depth rather than per node.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MulticastScratch {
+struct MulticastScratch {
     levels: Vec<MulticastLevel>,
 }
 
@@ -937,10 +838,18 @@ mod tests {
         check_multicast(8, &src);
     }
 
+    /// The Flex-DPE loading unicast — value `i` to multiplier `i` for a
+    /// prefix of length `p` — routes and delivers at every size up to 1024
+    /// and every prefix length. `FlexDpe::load` charges this pattern
+    /// without routing it, so this is where its routability is proven.
     #[test]
-    fn multicast_identity_like() {
-        let src: Vec<Option<usize>> = (0..16).map(Some).collect();
-        check_multicast(16, &src);
+    fn identity_prefixes_deliver_at_every_size() {
+        for n in (1..=10).map(|log| 1usize << log) {
+            for p in 0..=n {
+                let src: Vec<Option<usize>> = (0..n).map(|i| (i < p).then_some(i)).collect();
+                check_multicast(n, &src);
+            }
+        }
     }
 
     #[test]
@@ -963,58 +872,6 @@ mod tests {
         assert_eq!(SwitchState::Cross.apply(Some(1), Some(2)), (Some(2), Some(1)));
         assert_eq!(SwitchState::BroadcastUpper.apply(Some(1), Some(2)), (Some(1), Some(1)));
         assert_eq!(SwitchState::BroadcastLower.apply(Some(1), Some(2)), (Some(2), Some(2)));
-    }
-
-    #[test]
-    fn general_multicast_monotone_takes_one_pass() {
-        let net = BenesNetwork::new(8).unwrap();
-        let req: Vec<Option<usize>> = (0..8).map(|o| Some(o / 2)).collect();
-        let routing = net.route_general_multicast(&req).unwrap();
-        assert_eq!(routing.pass_count(), 1);
-    }
-
-    #[test]
-    fn general_multicast_handles_arbitrary_requests() {
-        let net = BenesNetwork::new(8).unwrap();
-        // Decreasing + repeated + gaps: not monotone.
-        let req = vec![Some(5), Some(2), Some(2), None, Some(7), Some(1), Some(1), Some(6)];
-        let routing = net.route_general_multicast(&req).unwrap();
-        assert!(routing.pass_count() > 1);
-        let inputs: Vec<Option<usize>> = (0..8).map(Some).collect();
-        let out = routing.apply(&inputs);
-        for (o, want) in req.iter().enumerate() {
-            assert_eq!(out[o], *want, "output {o}");
-        }
-    }
-
-    #[test]
-    fn general_multicast_reversal_costs_n_passes() {
-        // Strictly decreasing sources: every output starts a new pass.
-        let net = BenesNetwork::new(8).unwrap();
-        let req: Vec<Option<usize>> = (0..8).rev().map(Some).collect();
-        let routing = net.route_general_multicast(&req).unwrap();
-        assert_eq!(routing.pass_count(), 8);
-        let inputs: Vec<Option<usize>> = (0..8).map(Some).collect();
-        let out = routing.apply(&inputs);
-        assert_eq!(out[0], Some(7));
-        assert_eq!(out[7], Some(0));
-    }
-
-    #[test]
-    fn general_multicast_validates() {
-        let net = BenesNetwork::new(4).unwrap();
-        assert!(matches!(
-            net.route_general_multicast(&[Some(9), None, None, None]),
-            Err(BenesError::SourceOutOfRange(9))
-        ));
-        assert!(matches!(
-            net.route_general_multicast(&[None, None]),
-            Err(BenesError::SizeMismatch { .. })
-        ));
-        // All-empty request: zero passes, applies to nothing.
-        let r = net.route_general_multicast(&[None; 4]).unwrap();
-        assert_eq!(r.pass_count(), 0);
-        assert_eq!(r.apply(&[Some(1), Some(2), Some(3), Some(4)]), vec![None; 4]);
     }
 
     #[test]

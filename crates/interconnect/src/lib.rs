@@ -46,7 +46,7 @@ pub mod program;
 pub mod reduction;
 pub mod route_cache;
 
-pub use benes::{BenesConfig, BenesError, BenesNetwork, MultipassRouting, SwitchState};
+pub use benes::{BenesConfig, BenesError, BenesNetwork, SwitchState};
 pub use butterfly::{Butterfly, ButterflyRouting};
 pub use fan::{Fan, FanError, FanReduction, FanScratch, SegmentSum};
 pub use fault::{flip_bit, force_bit, AdderFault, StuckLevel};

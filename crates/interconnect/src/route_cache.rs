@@ -1,23 +1,19 @@
 //! Memoized Benes routing keyed by the multicast request pattern.
 //!
-//! SIGMA's controller emits a small set of *distinct* request patterns per
-//! GEMM: folds of an irregular sparse workload reuse a handful of cluster
-//! shapes, and the stationary-load unicast is the same identity prefix for
-//! every full fold. Deriving the switch configuration is the expensive part
-//! (the looping/coloring recursion walks the whole network), so
-//! [`RouteCache`] memoizes [`BenesConfig`]s and [`MultipassRouting`]s by the
-//! exact request vector. Entries live in a `BTreeMap` (ordered comparisons,
-//! no per-process hasher state — lookup order can never leak into results),
-//! a hit performs no heap allocation (the lookup key is built in a reusable
-//! scratch buffer); outputs are the very configurations the cold router
-//! produced, so cached and cold simulation are byte-identical by
-//! construction — and the test suite checks it anyway.
+//! [`RouteCache`] memoizes the [`BenesConfig`] that
+//! [`BenesNetwork::route_monotone_multicast`] derives for each exact
+//! request vector. The simulator no longer uses it: a Flex-DPE charges its
+//! identity-prefix loading unicast without routing it (the
+//! `identity_prefixes_deliver_at_every_size` test in [`crate::benes`]
+//! proves that pattern routes). The type stays as a component benchmark
+//! of a hot (memoized) route against a cold one.
 //!
-//! Disabling the cache ([`RouteCache::set_enabled`]) routes every request
-//! cold through the same entry points; the `sigma-core` proptests compare
-//! the two modes end-to-end.
+//! Entries live in a `BTreeMap` (ordered comparisons, no per-process
+//! hasher state), and a hit performs no heap allocation: the lookup key is
+//! built in a reusable scratch buffer. A hit returns the very
+//! configuration the cold router produced.
 
-use crate::benes::{BenesConfig, BenesError, BenesNetwork, MulticastScratch, MultipassRouting};
+use crate::benes::{BenesConfig, BenesError, BenesNetwork};
 use std::collections::BTreeMap;
 
 /// A request slot in the canonical key encoding: `u32::MAX` encodes `None`,
@@ -27,7 +23,7 @@ type RouteSlot = u32;
 
 const NONE_SLOT: RouteSlot = u32::MAX;
 
-/// Memoizes Benes switch configurations across folds/steps.
+/// Memoizes Benes switch configurations by request pattern.
 ///
 /// ```
 /// use sigma_interconnect::{BenesNetwork, RouteCache};
@@ -43,49 +39,19 @@ const NONE_SLOT: RouteSlot = u32::MAX;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouteCache {
-    enabled: bool,
-    monotone: BTreeMap<Box<[RouteSlot]>, usize>,
-    monotone_configs: Vec<BenesConfig>,
-    general: BTreeMap<Box<[RouteSlot]>, usize>,
-    general_routings: Vec<MultipassRouting>,
+    index: BTreeMap<Box<[RouteSlot]>, usize>,
+    configs: Vec<BenesConfig>,
     /// Reusable key buffer so cache hits do not allocate.
     key_buf: Vec<RouteSlot>,
-    /// Reusable recursion scratch so cold monotone routes stay
-    /// allocation-light.
-    route_scratch: MulticastScratch,
-    /// Cold-route storage when the cache is disabled (so the borrow-return
-    /// API shape is identical in both modes).
-    cold_config: Option<BenesConfig>,
-    cold_routing: Option<MultipassRouting>,
     hits: u64,
     misses: u64,
 }
 
 impl RouteCache {
-    /// Creates an empty, enabled cache.
+    /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
-        Self { enabled: true, ..Self::default() }
-    }
-
-    /// Creates a cache with caching on or off. Disabled, every request is
-    /// routed cold — useful for differential testing against the memoized
-    /// path.
-    #[must_use]
-    pub fn with_enabled(enabled: bool) -> Self {
-        Self { enabled, ..Self::default() }
-    }
-
-    /// Turns memoization on or off (existing entries are kept but unused
-    /// while disabled).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether memoization is active.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        Self::default()
     }
 
     /// Number of lookups served from the cache.
@@ -100,127 +66,32 @@ impl RouteCache {
         self.misses
     }
 
-    /// Number of distinct request patterns currently memoized.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.monotone_configs.len() + self.general_routings.len()
-    }
-
-    /// `true` when nothing has been memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all memoized configurations and counters.
-    pub fn clear(&mut self) {
-        self.monotone.clear();
-        self.monotone_configs.clear();
-        self.general.clear();
-        self.general_routings.clear();
-        self.cold_config = None;
-        self.cold_routing = None;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    fn encode_key(key_buf: &mut Vec<RouteSlot>, src: &[Option<usize>]) {
-        key_buf.clear();
-        key_buf.reserve(src.len());
-        for &s in src {
-            #[allow(clippy::cast_possible_truncation)]
-            key_buf.push(s.map_or(NONE_SLOT, |x| x as RouteSlot));
-        }
-    }
-
     /// Memoizing [`BenesNetwork::route_monotone_multicast`]: returns the
     /// cached switch configuration for this exact request pattern, routing
-    /// cold (and remembering the result) on first sight. The boolean is
-    /// `true` when this call was a miss — callers that validate freshly
-    /// derived configurations can skip re-validating hits.
+    /// cold (and remembering the result) on first sight.
     ///
     /// # Errors
     ///
-    /// Same as [`BenesNetwork::route_monotone_multicast`]; errors are not
-    /// cached.
-    pub fn route_monotone_multicast_tracked(
-        &mut self,
-        net: &BenesNetwork,
-        src: &[Option<usize>],
-    ) -> Result<(&BenesConfig, bool), BenesError> {
-        if !self.enabled {
-            self.misses += 1;
-            let cfg = net.route_monotone_multicast_scratch(src, &mut self.route_scratch)?;
-            return Ok((self.cold_config.insert(cfg), true));
-        }
-        Self::encode_key(&mut self.key_buf, src);
-        if let Some(&idx) = self.monotone.get(self.key_buf.as_slice()) {
-            self.hits += 1;
-            return Ok((&self.monotone_configs[idx], false));
-        }
-        let cfg = net.route_monotone_multicast_scratch(src, &mut self.route_scratch)?;
-        self.misses += 1;
-        let idx = self.monotone_configs.len();
-        self.monotone_configs.push(cfg);
-        self.monotone.insert(self.key_buf.clone().into_boxed_slice(), idx);
-        Ok((&self.monotone_configs[idx], true))
-    }
-
-    /// Memoizing [`BenesNetwork::route_monotone_multicast`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BenesNetwork::route_monotone_multicast`].
+    /// Same as [`BenesNetwork::route_monotone_multicast`]; errors are
+    /// neither cached nor counted.
     pub fn route_monotone_multicast(
         &mut self,
         net: &BenesNetwork,
         src: &[Option<usize>],
     ) -> Result<&BenesConfig, BenesError> {
-        self.route_monotone_multicast_tracked(net, src).map(|(cfg, _)| cfg)
-    }
-
-    /// Memoizing [`BenesNetwork::route_general_multicast`]: the multi-pass
-    /// decomposition (switch settings *and* per-pass request slices) is
-    /// derived once per distinct pattern. The boolean is `true` on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BenesNetwork::route_general_multicast`]; errors are not
-    /// cached.
-    pub fn route_general_multicast_tracked(
-        &mut self,
-        net: &BenesNetwork,
-        src: &[Option<usize>],
-    ) -> Result<(&MultipassRouting, bool), BenesError> {
-        if !self.enabled {
-            self.misses += 1;
-            let routing = net.route_general_multicast(src)?;
-            return Ok((self.cold_routing.insert(routing), true));
-        }
-        Self::encode_key(&mut self.key_buf, src);
-        if let Some(&idx) = self.general.get(self.key_buf.as_slice()) {
+        self.key_buf.clear();
+        #[allow(clippy::cast_possible_truncation)]
+        self.key_buf.extend(src.iter().map(|s| s.map_or(NONE_SLOT, |x| x as RouteSlot)));
+        if let Some(&idx) = self.index.get(self.key_buf.as_slice()) {
             self.hits += 1;
-            return Ok((&self.general_routings[idx], false));
+            return Ok(&self.configs[idx]);
         }
-        let routing = net.route_general_multicast(src)?;
+        let cfg = net.route_monotone_multicast(src)?;
         self.misses += 1;
-        let idx = self.general_routings.len();
-        self.general_routings.push(routing);
-        self.general.insert(self.key_buf.clone().into_boxed_slice(), idx);
-        Ok((&self.general_routings[idx], true))
-    }
-
-    /// Memoizing [`BenesNetwork::route_general_multicast`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BenesNetwork::route_general_multicast`].
-    pub fn route_general_multicast(
-        &mut self,
-        net: &BenesNetwork,
-        src: &[Option<usize>],
-    ) -> Result<&MultipassRouting, BenesError> {
-        self.route_general_multicast_tracked(net, src).map(|(r, _)| r)
+        let idx = self.configs.len();
+        self.configs.push(cfg);
+        self.index.insert(self.key_buf.clone().into_boxed_slice(), idx);
+        Ok(&self.configs[idx])
     }
 }
 
@@ -243,7 +114,6 @@ mod tests {
         assert_eq!(first, cold);
         assert_eq!(second, cold);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -256,25 +126,6 @@ mod tests {
         }
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 0);
-    }
-
-    #[test]
-    fn general_routing_caches_passes() {
-        let net = net(8);
-        let mut cache = RouteCache::new();
-        let req = vec![Some(5), Some(2), Some(2), None, Some(7), Some(1), Some(1), Some(6)];
-        let cold = net.route_general_multicast(&req).unwrap();
-        let (hot, miss) = cache.route_general_multicast_tracked(&net, &req).unwrap();
-        assert!(miss);
-        assert_eq!(*hot, cold);
-        let (hot2, miss2) = cache.route_general_multicast_tracked(&net, &req).unwrap();
-        assert!(!miss2);
-        assert_eq!(*hot2, cold);
-        let inputs: Vec<Option<usize>> = (0..8).map(Some).collect();
-        assert_eq!(
-            cold.apply(&inputs),
-            cache.route_general_multicast(&net, &req).unwrap().apply(&inputs)
-        );
     }
 
     #[test]
@@ -293,44 +144,17 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_routes_cold_every_time() {
-        let net = net(8);
-        let mut cache = RouteCache::with_enabled(false);
-        assert!(!cache.enabled());
-        let req: Vec<Option<usize>> = (0..8).map(Some).collect();
-        let cold = net.route_monotone_multicast(&req).unwrap();
-        for _ in 0..3 {
-            let (cfg, miss) = cache.route_monotone_multicast_tracked(&net, &req).unwrap();
-            assert!(miss, "disabled cache never reports hits");
-            assert_eq!(*cfg, cold);
-        }
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn errors_are_propagated_not_cached() {
         let net = net(4);
         let mut cache = RouteCache::new();
         let bad = vec![Some(2), Some(1), None, None];
-        assert_eq!(
-            cache.route_monotone_multicast(&net, &bad).unwrap_err(),
-            BenesError::NotMonotone
-        );
-        assert!(cache.is_empty());
-        assert_eq!(cache.misses(), 0, "failed routes are not counted as misses");
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let net = net(4);
-        let mut cache = RouteCache::new();
-        let req: Vec<Option<usize>> = (0..4).map(Some).collect();
-        cache.route_monotone_multicast(&net, &req).unwrap();
-        cache.route_monotone_multicast(&net, &req).unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        for _ in 0..2 {
+            assert_eq!(
+                cache.route_monotone_multicast(&net, &bad).unwrap_err(),
+                BenesError::NotMonotone
+            );
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "failed routes are not counted");
     }
 
     #[test]

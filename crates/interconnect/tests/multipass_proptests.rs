@@ -1,8 +1,7 @@
-//! Property tests for general (non-monotone) Benes multicast and the
-//! butterfly's blocking behavior.
+//! Property tests for the butterfly's blocking behavior.
 
 use proptest::prelude::*;
-use sigma_interconnect::{BenesNetwork, Butterfly};
+use sigma_interconnect::Butterfly;
 
 fn pot_size() -> impl Strategy<Value = usize> {
     (1u32..=5).prop_map(|e| 1usize << e)
@@ -10,37 +9,6 @@ fn pot_size() -> impl Strategy<Value = usize> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Arbitrary multicast requests always deliver via multipass routing,
-    /// and the pass count equals 1 + the number of source descents.
-    #[test]
-    fn general_multicast_always_delivers(
-        (n, raw) in pot_size().prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec(proptest::option::of(0usize..n), n))
-        })
-    ) {
-        let net = BenesNetwork::new(n).unwrap();
-        let routing = net.route_general_multicast(&raw).unwrap();
-        // Expected pass count from the descent structure.
-        let mut descents = 0usize;
-        let mut last: Option<usize> = None;
-        let mut any = false;
-        for &s in raw.iter().flatten() {
-            if last.is_some_and(|l| s < l) {
-                descents += 1;
-            }
-            last = Some(s);
-            any = true;
-        }
-        let expected = if any { descents + 1 } else { 0 };
-        prop_assert_eq!(routing.pass_count(), expected);
-
-        let inputs: Vec<Option<usize>> = (0..n).map(Some).collect();
-        let out = routing.apply(&inputs);
-        for (o, want) in raw.iter().enumerate() {
-            prop_assert_eq!(out[o], *want, "output {}", o);
-        }
-    }
 
     /// Butterfly routing always delivers every request exactly once, in
     /// at least one and at most `requests` waves; XOR permutations take

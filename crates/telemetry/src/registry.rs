@@ -14,9 +14,9 @@ use crate::json::quote;
 /// Monotonic event counters recorded by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Benes route configurations replayed from the route cache.
+    /// Flex-DPE loads of a prefix length the unit had loaded before.
     RouteCacheHits,
-    /// Benes route configurations derived cold (cache miss or disabled).
+    /// First loads of a prefix length on a Flex-DPE.
     RouteCacheMisses,
     /// Stationary-operand words read from SRAM (fold loading).
     SramStationaryReads,
