@@ -35,6 +35,19 @@ cargo run -q --release -p sigma-bench --bin chaos_resume -- --smoke
 rm -rf /tmp/sigma_ci_figs
 cargo run -q --release -p sigma-bench --bin all_figures -- --csv /tmp/sigma_ci_figs --quiet
 diff -r /tmp/sigma_ci_figs results/csv
+# Engine identity gate: layerbench's digest folds the stats and result
+# bits of every GEMM in a training step, so these pins catch any change
+# to what the stationary and No-Local-Reuse engines compute. A change
+# that moves one on purpose re-pins it in the same commit and says why.
+for pin in train_stationary:1:a7276609add1ba4f train_stationary:7919:32d2406d431e7258 \
+    nlr_wave:1:4948c77f8a833b59 nlr_wave:7919:423adcb017cecae1; do
+    workload=${pin%%:*}
+    seed=${pin#*:}
+    seed=${seed%%:*}
+    cargo run -q --release --offline --manifest-path layerbench/Cargo.toml -- \
+        --workload "$workload" --seed "$seed" --seconds 0.1 > /tmp/sigma_ci_layerbench.txt
+    grep -qx "digest ${pin##*:}" /tmp/sigma_ci_layerbench.txt
+done
 # Perf regression gate: compare simulated-cycles-per-second against the
 # committed BENCH_sim.json baseline (release build; the check self-skips
 # in debug builds where timings are incomparable).

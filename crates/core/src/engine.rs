@@ -16,7 +16,7 @@ use crate::flex_dpe::{DpeStep, FlexDpe};
 use crate::sched::{Event, EventQueue};
 use crate::stats::CycleStats;
 use crate::trace::{Phase, Trace};
-use sigma_interconnect::{Fan, FanReduction, FanScratch};
+use sigma_interconnect::{AdderFault, Fan};
 use sigma_matrix::abft::{check_product, correct_single, residual_tolerance, AbftVerdict};
 use sigma_matrix::{Bitmap, Matrix, SparseMatrix};
 use sigma_telemetry::{Counter, Hist, Telemetry};
@@ -703,14 +703,24 @@ impl SigmaSim {
     /// pairs stream; nothing is stationary. Pairs are grouped by output
     /// element into FAN clusters and packed into full-array waves.
     ///
-    /// Pairs are found on compressed metadata, the inner-product case of
-    /// sparse GEMM: each row of A and column of B is packed into a
-    /// k-aligned `u64` bitset ([`KPacked`]), and every output `(i, j)`
-    /// ANDs its two bitsets a word at a time and walks the set bits with
-    /// `trailing_zeros`. Cost scales with `m·n·k/64` words plus the useful
-    /// pairs, not `m·n·k`. Within each output, pairs come out in
-    /// ascending k, so waves, FAN clusters and f32 sums are those of a
-    /// dense `(i, j, k)` scan.
+    /// One streaming pass that stores no pair. Pairs are found on
+    /// compressed metadata, the inner-product case of sparse GEMM: the
+    /// rows of A and the columns of B are packed into k-aligned `u64`
+    /// occupancy words beside dense value rows ([`pack_nlr_operand`]). Every
+    /// output `(i, j)` ANDs its two word rows a word at a time and walks
+    /// the set bits with `trailing_zeros`; a pair's operands are then two
+    /// plain loads at its contraction index. Cost scales with `m·n·k/64`
+    /// words plus the useful pairs, not `m·n·k`, and scratch memory with
+    /// `(m+n)·k`. Within each output, pairs come out in ascending k, the
+    /// order of a dense `(i, j, k)` scan.
+    ///
+    /// Each product goes straight into a wave bounded at `pes` slots
+    /// ([`NlrWave`]), which is reduced in place whenever it fills: per
+    /// Flex-DPE chunk, each run of one output's pairs is one FAN cluster,
+    /// summed by [`Fan::cluster_sum`]. An output that fills a wave
+    /// continues in the next one. Waves, clusters, f32 sums, stats and
+    /// traces are those of listing every pair and cutting the list into
+    /// `pes`-sized waves.
     ///
     /// Fault support covers [`crate::fault::FaultSite::MultiplierOutput`]
     /// and [`crate::fault::FaultSite::FanAdder`]; NLR has no stationary
@@ -719,185 +729,266 @@ impl SigmaSim {
         &self,
         a: &SparseMatrix,
         b: &SparseMatrix,
-        mut trace: Option<&mut Trace>,
-        mut faults: Option<&mut FaultInjector<'_>>,
+        trace: Option<&mut Trace>,
+        faults: Option<&mut FaultInjector<'_>>,
         cancel: Option<&CancelToken>,
     ) -> Result<GemmRun, SigmaError> {
-        let pes = self.config.total_pes();
-        let stream_bw = self.config.stream_bandwidth() as u64;
-        let dpe = self.config.dpe_size();
-        let (m, n) = (a.rows(), b.cols());
+        let mut wave = NlrWave::new(self, a.rows(), b.cols(), trace, faults, cancel);
         #[cfg(test)]
-        let pairs = if self.tick_oracle { nlr_pairs_dense(a, b) } else { nlr_pairs(a, b) };
+        let streamed = if self.tick_oracle {
+            nlr_pairs_dense(a, b, &mut wave)
+        } else {
+            stream_nlr_pairs(a, b, &mut wave)
+        };
         #[cfg(not(test))]
-        let pairs = nlr_pairs(a, b);
-
-        let mut out = Matrix::zeros(m, n);
-        let mut stats = CycleStats { pes: pes as u64, ..CycleStats::default() };
-        stats.useful_macs = pairs.len() as u128;
-        stats.issued_macs = pairs.len() as u128;
-        stats.mapped_nonzeros = 0;
-        stats.occupied_slots = 0;
-        self.telemetry.add(Counter::UsefulMacs, pairs.len() as u64);
-        self.telemetry.add(Counter::IssuedMacs, pairs.len() as u64);
-
-        // Per-run scratch, reused across all waves and chunks.
-        let mut products = vec![0.0f32; dpe];
-        let mut ids: Vec<Option<u32>> = vec![None; dpe];
-        let mut cluster_outputs: Vec<(usize, usize)> = Vec::new();
-        let mut fan_scratch = FanScratch::default();
-        let mut red = FanReduction::default();
-
-        for (w, wave) in pairs.chunks(pes).enumerate() {
-            // Wave boundaries are NLR's fold boundaries.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(SigmaError::Cancelled);
-            }
-            stats.folds += 1;
-            // Two operands per multiplier must be distributed.
-            let stream_cycles = (2 * wave.len() as u64).div_ceil(stream_bw).max(1);
-            stats.streaming_cycles += stream_cycles;
-            stats.sram_reads += 2 * wave.len() as u64;
-            self.telemetry.add(Counter::SramStreamingReads, 2 * wave.len() as u64);
-            self.telemetry.add(Counter::StreamSteps, 1);
-            if let Some(t) = trace.as_deref_mut() {
-                t.record(Phase::Stream, w as u64, Some(0), stream_cycles);
-            }
-
-            let mut drain = 0u64;
-            for (d, chunk) in wave.chunks(dpe).enumerate() {
-                products.fill(0.0);
-                ids.fill(None);
-                cluster_outputs.clear();
-                for (slot, &(i, j, x, y)) in chunk.iter().enumerate() {
-                    if cluster_outputs.last() != Some(&(i, j)) {
-                        cluster_outputs.push((i, j));
-                    }
-                    #[allow(clippy::cast_possible_truncation)]
-                    let cid = (cluster_outputs.len() - 1) as u32;
-                    products[slot] = x * y;
-                    ids[slot] = Some(cid);
-                }
-                let adder_faults = if let Some(inj) = faults.as_deref_mut() {
-                    let cycle = stats.total_cycles();
-                    for (slot, p) in products.iter_mut().enumerate().take(chunk.len()) {
-                        *p = inj.apply_multiplier(d, slot, *p, cycle);
-                    }
-                    inj.adder_faults(d, cycle)
-                } else {
-                    Vec::new()
-                };
-                self.fan
-                    .reduce_into(&products, &ids, &adder_faults, &mut fan_scratch, &mut red)
-                    .map_err(|e| {
-                        SigmaError::Internal(format!("NLR fan reduction rejected: {e}"))
-                    })?;
-                drain = drain.max(red.critical_cycles);
-                self.telemetry.add(Counter::FanAdds, red.adds_performed as u64);
-                self.telemetry.add(Counter::FanClusterSums, red.sums.len() as u64);
-                for s in &red.sums {
-                    let (i, j) = cluster_outputs[s.vec_id as usize];
-                    out.set(i, j, out.get(i, j) + s.value);
-                }
-            }
-            stats.add_cycles += drain;
-            if let Some(t) = trace.as_deref_mut() {
-                t.record(Phase::Drain, w as u64, None, drain);
-            }
-        }
-
-        Ok(GemmRun { result: out, stats })
+        let streamed = stream_nlr_pairs(a, b, &mut wave);
+        streamed?;
+        wave.finish()
     }
 }
 
-/// The non-zero values of a sparse operand, one k-aligned `u64` bitset
-/// per row, for word-level intersection.
-struct KPacked {
-    /// Bitset words per row: `ceil(k / 64)`.
-    words_per_row: usize,
-    /// `rows × words_per_row` occupancy words; bit `k % 64` of word
-    /// `k / 64` marks a non-zero in column `k`.
-    bits: Vec<u64>,
-    /// Per word, the index in `values` of its lowest set bit.
-    base: Vec<usize>,
-    /// The non-zeros in row-major order.
-    values: Vec<f32>,
+/// Packs one NLR operand's `(vector, contraction, value)` entries into
+/// `vectors` vectors over a contraction of length `k`: per vector,
+/// `ceil(k / 64)` occupancy words for word-level intersection (bit
+/// `c % 64` of word `c / 64` marks a non-zero at contraction `c`), and `k`
+/// values stored densely, so the value at `c` is a plain load. Stored
+/// values equal to `0.0` (either sign; [`SparseMatrix::from_parts`] can
+/// hold them) are left out, as a dense scan would skip them.
+fn pack_nlr_operand(
+    vectors: usize,
+    k: usize,
+    entries: impl Iterator<Item = (usize, usize, f32)>,
+) -> (Vec<u64>, Vec<f32>) {
+    let words = k.div_ceil(64);
+    let mut bits = vec![0u64; vectors * words];
+    let mut values = vec![0.0f32; vectors * k];
+    for (r, c, v) in entries.filter(|&(_, _, v)| v != 0.0) {
+        bits[r * words + c / 64] |= 1 << (c % 64);
+        values[r * k + c] = v;
+    }
+    (bits, values)
 }
 
-impl KPacked {
-    /// Packs the rows of `m`. Stored values equal to `0.0` (either sign;
-    /// [`SparseMatrix::from_parts`] can hold them) are left out, as a
-    /// dense scan would skip them.
-    fn new(m: &SparseMatrix) -> Self {
-        let words_per_row = m.cols().div_ceil(64);
-        let mut bits = vec![0u64; m.rows() * words_per_row];
-        let mut values = Vec::with_capacity(m.nnz());
-        for (r, c, v) in m.iter().filter(|&(_, _, v)| v != 0.0) {
-            bits[r * words_per_row + c / 64] |= 1 << (c % 64);
-            values.push(v);
-        }
-        let mut base = Vec::with_capacity(bits.len());
-        let mut total = 0usize;
-        for word in &bits {
-            base.push(total);
-            total += word.count_ones() as usize;
-        }
-        Self { words_per_row, bits, base, values }
+/// Streams every useful NLR pair's product `a[i,k] · b[k,j]`, both operands
+/// non-zero, into `wave`, ordered by output `(i, j)` and then ascending `k`.
+/// B is read in its own row-major order.
+fn stream_nlr_pairs(
+    a: &SparseMatrix,
+    b: &SparseMatrix,
+    wave: &mut NlrWave<'_, '_>,
+) -> Result<(), SigmaError> {
+    let (k, n) = (a.cols(), b.cols());
+    if k == 0 {
+        return Ok(());
     }
-
-    /// The value at set bit `bit` of word `w`.
-    #[inline]
-    fn value(&self, w: usize, bit: u32) -> f32 {
-        self.values[self.base[w] + (self.bits[w] & ((1u64 << bit) - 1)).count_ones() as usize]
-    }
-}
-
-/// Every useful NLR pair `(i, j, a[i,k], b[k,j])`, both operands non-zero,
-/// ordered by output `(i, j)` and then ascending `k`.
-fn nlr_pairs(a: &SparseMatrix, b: &SparseMatrix) -> Vec<(usize, usize, f32, f32)> {
-    let rows = KPacked::new(a);
-    let cols = KPacked::new(&b.transposed());
-    let wpr = rows.words_per_row;
-    let mut pairs = Vec::new();
-    if wpr == 0 {
-        return pairs;
-    }
-    for (i, row) in rows.bits.chunks_exact(wpr).enumerate() {
+    let (row_bits, row_values) = pack_nlr_operand(a.rows(), k, a.iter());
+    let (col_bits, col_values) = pack_nlr_operand(n, k, b.iter().map(|(c, j, v)| (j, c, v)));
+    let words = k.div_ceil(64);
+    let a_rows = row_bits.chunks_exact(words).zip(row_values.chunks_exact(k));
+    for (i, (row, x)) in a_rows.enumerate() {
         if row.iter().all(|&w| w == 0) {
             continue;
         }
-        for (j, col) in cols.bits.chunks_exact(wpr).enumerate() {
-            for (w, (&x, &y)) in row.iter().zip(col).enumerate() {
-                let mut both = x & y;
+        let b_cols = col_bits.chunks_exact(words).zip(col_values.chunks_exact(k));
+        for (j, (col, y)) in b_cols.enumerate() {
+            wave.begin_output((i, j));
+            for (w, (&p, &q)) in row.iter().zip(col).enumerate() {
+                let mut both = p & q;
                 while both != 0 {
-                    let bit = both.trailing_zeros();
+                    let c = w * 64 + both.trailing_zeros() as usize;
                     both &= both - 1;
-                    pairs.push((i, j, rows.value(i * wpr + w, bit), cols.value(j * wpr + w, bit)));
+                    wave.push(x[c] * y[c])?;
                 }
             }
         }
     }
-    pairs
+    Ok(())
 }
 
-/// The dense `(i, j, k)` scan [`nlr_pairs`] replaces: the bitwise oracle
-/// for pair order and values.
+/// The dense `(i, j, k)` scan [`stream_nlr_pairs`] replaces, feeding the
+/// same wave: the bitwise oracle for pair order and values. Sharing the
+/// wave keeps the reduction, and so every bit of every sum, common to
+/// both pair sources.
 #[cfg(test)]
-fn nlr_pairs_dense(a: &SparseMatrix, b: &SparseMatrix) -> Vec<(usize, usize, f32, f32)> {
+fn nlr_pairs_dense(
+    a: &SparseMatrix,
+    b: &SparseMatrix,
+    wave: &mut NlrWave<'_, '_>,
+) -> Result<(), SigmaError> {
     let (a_d, b_d) = (a.to_dense(), b.to_dense());
-    let mut pairs = Vec::new();
     for i in 0..a.rows() {
         for j in 0..b.cols() {
+            wave.begin_output((i, j));
             for k in 0..a.cols() {
                 let x = a_d.get(i, k);
                 let y = b_d.get(k, j);
                 if x != 0.0 && y != 0.0 {
-                    pairs.push((i, j, x, y));
+                    wave.push(x * y)?;
                 }
             }
         }
     }
-    pairs
+    Ok(())
+}
+
+/// The bounded wave NLR pairs stream into. It holds up to `pes` products
+/// and one `(output, end)` entry per run of one output's pairs; a run
+/// holds at least one product, so neither buffer ever grows. A full wave
+/// is reduced in place and emptied ([`NlrWave::flush`]).
+struct NlrWave<'r, 'p> {
+    sim: &'r SigmaSim,
+    trace: Option<&'r mut Trace>,
+    faults: Option<&'r mut FaultInjector<'p>>,
+    cancel: Option<&'r CancelToken>,
+    /// One product slot per PE; the first `len` are filled.
+    products: Vec<f32>,
+    len: usize,
+    /// The wave's closed runs in slot order: run `r` covers the slots from
+    /// the previous run's end up to `end`, all pairs of `output`.
+    runs: Vec<((usize, usize), usize)>,
+    /// The output `(i, j)` of the open run, and its first slot.
+    output: (usize, usize),
+    run_start: usize,
+    /// The stuck adders armed on the chunk being reduced.
+    adder_faults: Vec<AdderFault>,
+    out: Matrix,
+    stats: CycleStats,
+}
+
+impl<'r, 'p> NlrWave<'r, 'p> {
+    fn new(
+        sim: &'r SigmaSim,
+        rows: usize,
+        cols: usize,
+        trace: Option<&'r mut Trace>,
+        faults: Option<&'r mut FaultInjector<'p>>,
+        cancel: Option<&'r CancelToken>,
+    ) -> Self {
+        let pes = sim.config.total_pes();
+        Self {
+            sim,
+            trace,
+            faults,
+            cancel,
+            products: vec![0.0; pes],
+            len: 0,
+            runs: Vec::with_capacity(pes),
+            output: (0, 0),
+            run_start: 0,
+            adder_faults: Vec::new(),
+            out: Matrix::zeros(rows, cols),
+            stats: CycleStats { pes: pes as u64, ..CycleStats::default() },
+        }
+    }
+
+    /// Starts the run of `output`'s pairs, closing the previous run.
+    #[inline]
+    fn begin_output(&mut self, output: (usize, usize)) {
+        self.close_run();
+        self.output = output;
+    }
+
+    #[inline]
+    fn close_run(&mut self) {
+        if self.len > self.run_start {
+            self.runs.push((self.output, self.len));
+            self.run_start = self.len;
+        }
+    }
+
+    /// Adds one product to the open run, issuing the wave once it is full.
+    #[inline]
+    fn push(&mut self, product: f32) -> Result<(), SigmaError> {
+        self.products[self.len] = product;
+        self.len += 1;
+        if self.len == self.products.len() {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Issues the filled part of the wave and empties it; the open run's
+    /// output continues in the next wave. Wave boundaries are NLR's fold
+    /// boundaries, and so its cancellation points. The wave streams two
+    /// operands per multiplier, then, per `dpe`-wide chunk: multiplier
+    /// faults, adder faults, and each run piece inside the chunk reduced
+    /// at its chunk-local leaves and added to its output, left to right.
+    /// The FAN drain is the chunks' slowest cluster.
+    ///
+    /// Never inlined: both pair sources share this one reduction, so
+    /// their sums agree to the bit, NaN payloads included.
+    #[inline(never)]
+    fn flush(&mut self) -> Result<(), SigmaError> {
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(SigmaError::Cancelled);
+        }
+        self.close_run();
+        let sim = self.sim;
+        let len = self.len;
+        let fold = self.stats.folds;
+        let stats = &mut self.stats;
+        stats.folds += 1;
+        // Two operands per multiplier must be distributed.
+        let stream_cycles = (2 * len as u64).div_ceil(sim.config.stream_bandwidth() as u64).max(1);
+        stats.streaming_cycles += stream_cycles;
+        stats.sram_reads += 2 * len as u64;
+        sim.telemetry.add(Counter::SramStreamingReads, 2 * len as u64);
+        sim.telemetry.add(Counter::StreamSteps, 1);
+        sim.telemetry.add(Counter::UsefulMacs, len as u64);
+        sim.telemetry.add(Counter::IssuedMacs, len as u64);
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.record(Phase::Stream, fold, Some(0), stream_cycles);
+        }
+
+        let dpe = sim.config.dpe_size();
+        let cycle = stats.total_cycles();
+        let (mut drain, mut adds, mut clusters) = (0u64, 0u64, 0u64);
+        let (mut run, mut start) = (0usize, 0usize);
+        for (d, base) in (0..len).step_by(dpe).enumerate() {
+            let chunk_end = len.min(base + dpe);
+            let chunk = &mut self.products[base..chunk_end];
+            self.adder_faults.clear();
+            if let Some(inj) = self.faults.as_deref_mut() {
+                for (slot, p) in chunk.iter_mut().enumerate() {
+                    *p = inj.apply_multiplier(d, slot, *p, cycle);
+                }
+                inj.adder_faults(d, cycle, &mut self.adder_faults);
+            }
+            while start < chunk_end {
+                let ((i, j), end) = self.runs[run];
+                let stop = end.min(chunk_end);
+                let (s, e) = (start - base, stop - 1 - base);
+                let (value, cycles) = sim.fan.cluster_sum(chunk, s, e, &self.adder_faults);
+                self.out.set(i, j, self.out.get(i, j) + value);
+                drain = drain.max(cycles);
+                adds += (e - s) as u64;
+                clusters += 1;
+                run += usize::from(stop == end);
+                start = stop;
+            }
+        }
+        stats.add_cycles += drain;
+        sim.telemetry.add(Counter::FanAdds, adds);
+        sim.telemetry.add(Counter::FanClusterSums, clusters);
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.record(Phase::Drain, fold, None, drain);
+        }
+        self.stats.useful_macs += len as u128;
+        self.len = 0;
+        self.run_start = 0;
+        self.runs.clear();
+        Ok(())
+    }
+
+    /// Issues the last, partial wave and returns the run. A GEMM without a
+    /// useful pair issues no wave.
+    fn finish(mut self) -> Result<GemmRun, SigmaError> {
+        if self.len > 0 {
+            self.flush()?;
+        }
+        let stats = CycleStats { issued_macs: self.stats.useful_macs, ..self.stats };
+        Ok(GemmRun { result: self.out, stats })
+    }
 }
 
 #[cfg(test)]
@@ -1376,16 +1467,57 @@ mod tests {
             ));
             cases.push((format!("k={k} empty row and column"), a, b));
         }
+        cases.extend(nlr_wave_edge_cases());
         cases
+    }
+
+    /// Operands whose outputs end on the wave and chunk edges of both NLR
+    /// test geometries (16 PEs as 2×8, 64 PEs as 4×16). A's rows 0 and 2
+    /// are dense and row 1 is empty, so row 0's outputs end after 16, 24,
+    /// 64, 264 and 272 pairs, and row 2's after 272 more of each:
+    /// - 16 ends a 16-PE wave and a 16-wide chunk;
+    /// - 24 ends an 8-wide chunk inside a 16-PE wave;
+    /// - 64 ends a wave of either size;
+    /// - output (0, 3) spans waves 64..264, at least 4 of either size.
+    ///
+    /// A last case has non-zeros on disjoint contractions: no pairs.
+    fn nlr_wave_edge_cases() -> Vec<(String, SparseMatrix, SparseMatrix)> {
+        let k = 230;
+        let mut a = Matrix::zeros(3, k);
+        for kk in 0..k {
+            a.set(0, kk, 1.0 + kk as f32 / 64.0);
+            a.set(2, kk, -0.5 - kk as f32 / 128.0);
+        }
+        let mut b = Matrix::zeros(k, 5);
+        for (j, pairs) in [16, 8, 40, 200, 8].into_iter().enumerate() {
+            for t in 0..pairs {
+                let kk = (13 * j + t) % k;
+                b.set(kk, j, if t % 3 == 0 { -0.75 } else { 0.25 + t as f32 / 32.0 });
+            }
+        }
+        let mut even = Matrix::zeros(4, k);
+        let mut odd = Matrix::zeros(k, 3);
+        for kk in (0..k).step_by(2) {
+            even.set(kk % 4, kk, 1.5);
+            odd.set(kk + 1, (kk + 1) % 3, 2.5);
+        }
+        vec![
+            (
+                "wave and chunk edges".to_string(),
+                SparseMatrix::from_dense(&a),
+                SparseMatrix::from_dense(&b),
+            ),
+            (
+                "no pairs".to_string(),
+                SparseMatrix::from_dense(&even),
+                SparseMatrix::from_dense(&odd),
+            ),
+        ]
     }
 
     #[test]
     fn nlr_pair_enumeration_matches_the_dense_oracle() {
-        let bits = |pairs: Vec<(usize, usize, f32, f32)>| -> Vec<(usize, usize, u32, u32)> {
-            pairs.into_iter().map(|(i, j, x, y)| (i, j, x.to_bits(), y.to_bits())).collect()
-        };
         for (ctx, a, b) in nlr_operand_cases() {
-            assert_eq!(bits(nlr_pairs(&a, &b)), bits(nlr_pairs_dense(&a, &b)), "{ctx}");
             for sim in
                 [cfg(2, 8, 16, Dataflow::NoLocalReuse), cfg(4, 16, 8, Dataflow::NoLocalReuse)]
             {
@@ -1394,6 +1526,17 @@ mod tests {
                 assert_eq!(run.stats, run_o.stats, "{ctx}");
                 assert_eq!(trace, trace_o, "{ctx}");
                 assert_bits_eq(&run.result, &run_o.result, &ctx);
+                // Every wave but the last is full.
+                let pes = sim.config().total_pes() as u128;
+                assert_eq!(u128::from(run.stats.folds), run.stats.useful_macs.div_ceil(pes));
+                match ctx.as_str() {
+                    "wave and chunk edges" => assert_eq!(run.stats.useful_macs, 544),
+                    "no pairs" => {
+                        assert_eq!(run.stats.useful_macs, 0);
+                        assert!(trace.events().is_empty(), "a GEMM without pairs issues no wave");
+                    }
+                    _ => {}
+                }
             }
         }
     }

@@ -334,10 +334,12 @@ impl<'a> FaultInjector<'a> {
         corrupted.filter(|bm| bm != bitmap)
     }
 
-    /// The stuck-at defects armed on `dpe`'s FAN adders, recorded as
-    /// fired the first time that DPE reduces with them armed.
-    pub fn adder_faults(&mut self, dpe: usize, cycle: u64) -> Vec<AdderFault> {
-        let mut out = Vec::new();
+    /// Replaces the contents of `out` with the stuck-at defects armed on
+    /// `dpe`'s FAN adders, in plan order, recording each as fired the first
+    /// time that DPE reduces with it armed. A caller that reuses `out`
+    /// lists the faults without allocating once it has held them all.
+    pub fn adder_faults(&mut self, dpe: usize, cycle: u64, out: &mut Vec<AdderFault>) {
+        out.clear();
         for idx in 0..self.plan.events.len() {
             let e = self.plan.events[idx];
             if let (FaultSite::FanAdder { dpe: d, adder }, FaultKind::StuckBit { bit, level }) =
@@ -349,7 +351,6 @@ impl<'a> FaultInjector<'a> {
                 }
             }
         }
-        out
     }
 
     /// Applies Benes delivery faults to the operands arriving at `dpe`'s
@@ -442,7 +443,9 @@ mod tests {
         inj.apply_port_faults(0, &mut delivered, 0);
         assert_eq!(delivered, [1.0, 2.0]);
         assert_eq!(inj.apply_multiplier(0, 0, 3.5, 0), 3.5);
-        assert!(inj.adder_faults(0, 0).is_empty());
+        let mut adder = vec![AdderFault { adder: 1, bit: 0, level: StuckLevel::One }];
+        inj.adder_faults(0, 0, &mut adder);
+        assert!(adder.is_empty(), "the buffer is replaced, not appended to");
         assert!(inj.corrupt_bitmap(&Bitmap::new(2, 2), 0).is_none());
         assert!(inj.into_report().fired.is_empty());
     }
@@ -556,8 +559,10 @@ mod tests {
             FaultKind::StuckBit { bit: 30, level: StuckLevel::Zero },
         );
         let mut inj = FaultInjector::new(&plan);
-        assert!(inj.adder_faults(0, 0).is_empty());
-        let f = inj.adder_faults(3, 4);
+        let mut f = Vec::new();
+        inj.adder_faults(0, 0, &mut f);
+        assert!(f.is_empty());
+        inj.adder_faults(3, 4, &mut f);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].adder, 5);
         assert_eq!(inj.fired().len(), 1);

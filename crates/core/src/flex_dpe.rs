@@ -14,8 +14,8 @@
 //! The stationary store is *flattened* — dense `values`/`contractions`
 //! arrays plus a `u64` occupancy bitmask instead of `Vec<Option<..>>` —
 //! and the unit owns its scratch state (product and operand buffers,
-//! [`FanScratch`], the compiled [`FanProgram`]), so a warmed unit loads
-//! and steps without allocating.
+//! [`FanScratch`], the armed adder-fault list, the compiled
+//! [`FanProgram`]), so a warmed unit loads and steps without allocating.
 //!
 //! Loading does no routing. The loading unicast sends value `i` to
 //! multiplier `i` for a prefix of the slots, a pattern the Benes network
@@ -25,19 +25,24 @@
 //! a miss is the first load of a prefix length, the load a controller that
 //! memoizes switch settings would have to configure.
 //!
-//! Two step functions share one product pass:
+//! Two step functions share one product pass, and both perform **zero
+//! heap allocations** once warm (`crates/core/tests/alloc_free.rs`):
 //!
 //! * [`FlexDpe::step_compiled`] — the engine's streaming step. It replays
-//!   the FAN schedule compiled at load time and performs **zero heap
-//!   allocations** once warm (`crates/core/tests/alloc_free.rs`).
+//!   the FAN schedule compiled at load time.
 //! * [`FlexDpe::step_faulted`] — the same step under an armed
 //!   [`FaultInjector`]. Port, multiplier and adder faults perturb the
 //!   wave, which reduces through [`Fan::reduce_into`] because the
-//!   compiled program has no adder hook.
+//!   compiled program has no adder hook. The injector lists the unit's
+//!   stuck adders into a buffer the unit keeps.
+//!
+//! Only stationary dataflows use this unit. No-Local-Reuse keeps nothing
+//! in the multiplier buffers, so the engine streams its pairs straight
+//! into [`Fan::cluster_sum`] instead.
 
 use crate::config::SigmaError;
 use crate::controller::MappedElement;
-use crate::fault::FaultInjector;
+use crate::fault::{AdderFault, FaultInjector};
 use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction, FanScratch};
 use sigma_telemetry::{Counter, Hist, Telemetry};
 
@@ -75,6 +80,8 @@ pub struct FlexDpe {
     /// Benes-port faults.
     operands: Vec<f32>,
     fan_scratch: FanScratch,
+    /// The stuck adders armed on this unit, refilled by every faulted step.
+    adder_faults: Vec<AdderFault>,
     /// The FAN add schedule compiled once per load: the schedule is a pure
     /// function of the `vecID` layout, so the event-driven engine replays
     /// it per streamed wave instead of re-deriving the reduction structure
@@ -116,6 +123,7 @@ impl FlexDpe {
             products: vec![0.0; size],
             operands: vec![0.0; size],
             fan_scratch: FanScratch::default(),
+            adder_faults: Vec::new(),
             program: FanProgram::default(),
             loaded_lengths: vec![0; (size + 1).div_ceil(64)],
             route_hits: 0,
@@ -288,8 +296,9 @@ impl FlexDpe {
     /// reduction. The compiled program has no adder hook, so the wave
     /// reduces through [`Fan::reduce_into`] — the same add order, so an
     /// injector that fires nothing leaves the step bitwise equal to
-    /// [`FlexDpe::step_compiled`]. Allocates only to list the adder
-    /// faults armed on this unit.
+    /// [`FlexDpe::step_compiled`]. The armed adder faults are listed into
+    /// a buffer the unit keeps, so a warmed unit steps without allocating
+    /// (the first firing of a fault still records it in the injector).
     ///
     /// `dpe_index` names this engine in the injector's site space and
     /// `cycle` stamps any fault that fires.
@@ -320,12 +329,12 @@ impl FlexDpe {
         for (slot, p) in self.products[..occ].iter_mut().enumerate() {
             *p = injector.apply_multiplier(dpe_index, slot, *p, cycle);
         }
-        let adder_faults = injector.adder_faults(dpe_index, cycle);
+        injector.adder_faults(dpe_index, cycle, &mut self.adder_faults);
         self.fan
             .reduce_into(
                 &self.products,
                 &self.vec_ids,
-                &adder_faults,
+                &self.adder_faults,
                 &mut self.fan_scratch,
                 &mut out.reduction,
             )
@@ -431,7 +440,8 @@ impl FlexDpe {
                     injector.apply_multiplier(dpe_index, slot, self.values[slot] * v, cycle);
             }
         }
-        let adder_faults = injector.adder_faults(dpe_index, cycle);
+        let mut adder_faults = Vec::new();
+        injector.adder_faults(dpe_index, cycle, &mut adder_faults);
         let reduction = self
             .fan
             .reduce_with_faults(&products, &self.vec_ids, &adder_faults)

@@ -1,8 +1,10 @@
 //! Verifies the allocation-free claim for the simulation hot loops: after
 //! a warmup pass, `FlexDpe::load` (of a repeated or a first-seen prefix
 //! length), the engine's streaming step `FlexDpe::step_compiled`
-//! (telemetry off and on) and `Fan::reduce_into` perform **zero** heap
-//! allocations.
+//! (telemetry off and on), the faulted step `FlexDpe::step_faulted` with
+//! a stuck adder armed, and `Fan::reduce_into` perform **zero** heap
+//! allocations; and a No-Local-Reuse GEMM allocates as often whatever its
+//! number of useful pairs.
 //!
 //! A counting `#[global_allocator]` makes the claim checkable instead of
 //! aspirational. This file intentionally holds a single `#[test]`: the
@@ -12,8 +14,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sigma_core::{DpeStep, FlexDpe, MappedElement, Telemetry};
-use sigma_interconnect::{Fan, FanReduction, FanScratch};
+use sigma_core::{
+    Dataflow, DpeStep, FaultInjector, FaultKind, FaultPlan, FaultSite, FlexDpe, MappedElement,
+    SigmaConfig, SigmaSim, Telemetry,
+};
+use sigma_interconnect::{Fan, FanReduction, FanScratch, StuckLevel};
+use sigma_matrix::gen::{sparse_uniform, Density};
 
 struct CountingAllocator;
 
@@ -112,6 +118,21 @@ fn warmed_hot_loops_do_not_allocate() {
     assert_eq!(stepping, 0, "warmed step_compiled allocated {stepping} times");
     assert_eq!(out.useful_macs, 9);
 
+    // The faulted step with a stuck adder armed on this unit lists the
+    // adder faults into a buffer the unit keeps: once the first step has
+    // recorded the firing, stepping allocates nothing.
+    let stuck = FaultPlan::single(
+        FaultSite::FanAdder { dpe: 0, adder: 0 },
+        FaultKind::StuckBit { bit: 30, level: StuckLevel::One },
+    );
+    let mut injector = FaultInjector::new(&stuck);
+    dpe.step_faulted(&cols[0], &mut injector, 0, 0, &mut out).unwrap();
+    assert_eq!(injector.fired().len(), 1);
+    let faulted = min_allocations_over(3, || {
+        dpe.step_faulted(&cols[1], &mut injector, 0, 1, &mut out).unwrap();
+    });
+    assert_eq!(faulted, 0, "warmed step_faulted allocated {faulted} times");
+
     // A prefix length the unit has never loaded (a route-cache miss) loads
     // without allocating too: counting it routes nothing, and the FAN
     // program recompiles into the capacity the longer layout left.
@@ -170,6 +191,19 @@ fn warmed_hot_loops_do_not_allocate() {
     for (a, b) in out_plain.reduction.sums.iter().zip(&out_disabled.reduction.sums) {
         assert_eq!(a.value.to_bits(), b.value.to_bits(), "cluster {} diverged bitwise", a.vec_id);
     }
+
+    // No-Local-Reuse holds no per-pair storage: a GEMM with 8x the
+    // contraction, so about 8x the useful pairs and waves, allocates
+    // exactly as often (operand packing, one wave, the result).
+    let nlr = SigmaSim::new(SigmaConfig::new(4, 16, 64, Dataflow::NoLocalReuse).unwrap()).unwrap();
+    let half = Density::new(0.5).unwrap();
+    let (a, b) = (sparse_uniform(24, 64, half, 11), sparse_uniform(64, 24, half, 12));
+    let (a8, b8) = (sparse_uniform(24, 512, half, 13), sparse_uniform(512, 24, half, 14));
+    let (short, run) = allocations_during(|| nlr.run_gemm(&a, &b).unwrap());
+    let (long, run8) = allocations_during(|| nlr.run_gemm(&a8, &b8).unwrap());
+    assert!(run8.stats.useful_macs > 6 * run.stats.useful_macs, "{run8:?}");
+    assert!(run8.stats.folds > 6 * run.stats.folds);
+    assert_eq!(long, short, "NLR allocations grew with the pair count");
 
     // Sanity: the counter itself is live (an intentional allocation is
     // seen), so the zeros above are meaningful.

@@ -43,11 +43,20 @@
 //! and the network fires one level per cycle, so `h` fires last: it joins
 //! the fully reduced halves `s..=h` and `h+1..=e`. Applied recursively,
 //! a cluster's sum is exactly `reduce(s..=h) + reduce(h+1..=e)`, down to
-//! single leaves — the association order of the level-by-level hardware
-//! schedule, reached in one left-to-right pass over the clusters with
-//! recursion depth at most `log₂N` and no working state. The cluster
-//! completes one cycle after `h` fires, at `level(h) + 1`.
+//! single leaves. The walk ([`ruler_reduce`]) fires the cluster's adders
+//! level by level, as the hardware schedule does, in place: a partial
+//! sum lives at its interval's leftmost leaf, and a level-`L` adder `h`
+//! adds the partial at `h + 1` into the one at `max(s, h + 1 − 2^L)`.
+//! It needs no working state beyond the leaves. The cluster completes
+//! one cycle after `h` fires, at `level(h) + 1`.
+//!
+//! [`Fan::cluster_sum`] is the one place that walk adds values: every
+//! cluster of [`Fan::reduce_into`] goes through it, and so does a caller
+//! that knows its cluster boundaries without a `vecID` layout (the
+//! engine's No-Local-Reuse waves). [`FanProgram`](crate::FanProgram)
+//! walks the same tree once per layout to record the add schedule.
 
+use crate::fault::AdderFault;
 use crate::{is_power_of_two, log2_ceil};
 use std::error::Error;
 use std::fmt;
@@ -117,16 +126,18 @@ pub struct FanReduction {
 
 /// Reusable working state for [`Fan::reduce_into`].
 ///
-/// Holds the contiguity check's run list, cleared (not dropped) between
-/// waves, so a warmed scratch makes the reduction allocation-free in
-/// steady state — the property the simulator's streaming hot loop relies
-/// on.
+/// Holds the contiguity check's run list and the wave's partial sums,
+/// cleared (not dropped) between waves, so a warmed scratch makes the
+/// reduction allocation-free in steady state — the property the
+/// simulator's faulted streaming step relies on.
 #[derive(Debug, Clone, Default)]
 pub struct FanScratch {
     /// One vecID per run, sorted for the contiguity check; a Vec (not a
     /// hash set) keeps the hot loop allocation-free after warmup and
     /// independent of per-process hasher state.
     seen: Vec<u32>,
+    /// A copy of the wave's values, reduced in place cluster by cluster.
+    work: Vec<f32>,
 }
 
 /// The highest-level adder among `s..e`, the adders joining leaves
@@ -154,23 +165,28 @@ pub(crate) fn completion_cycles(s: usize, e: usize) -> u64 {
     }
 }
 
-/// Reduces the cluster on leaves `s..=e` along the ruler tree (see the
-/// module docs): `leaf(i)` seeds leaf `i`, and `join(left, right, s, h)`
-/// fires adder `h` on the reduced halves `s..=h` and `h+1..=e`. Adds come
-/// out in post-order, each after both of its operands.
-pub(crate) fn ruler_reduce<T>(
-    s: usize,
-    e: usize,
-    leaf: &mut impl FnMut(usize) -> T,
-    join: &mut impl FnMut(T, T, usize, usize) -> T,
-) -> T {
+/// Walks the ruler tree of the cluster on leaves `s..=e` (see the module
+/// docs) level by level: `join(a, h)` fires adder `h`, adding the reduced
+/// partial held at leaf `h + 1` into the one held at leaf `a`, the
+/// leftmost leaf of the left half. Every add comes after the adds that
+/// reduce both of its operands, so performing the adds in call order
+/// ends with the cluster's sum at leaf `s`.
+pub(crate) fn ruler_reduce(s: usize, e: usize, mut join: impl FnMut(usize, usize)) {
     if s == e {
-        return leaf(s);
+        return;
     }
-    let h = top_adder(s, e);
-    let left = ruler_reduce(s, h, leaf, join);
-    let right = ruler_reduce(h + 1, e, leaf, join);
-    join(left, right, s, h)
+    for level in 0..=top_adder(s, e).trailing_ones() {
+        // Level-`L` adders sit at `2^L − 1` modulo `2^(L+1)`.
+        let half = 1usize << level;
+        let mut h = (s & !(2 * half - 1)) + half - 1;
+        if h < s {
+            h += 2 * half;
+        }
+        while h < e {
+            join(s.max(h + 1 - half), h);
+            h += 2 * half;
+        }
+    }
 }
 
 /// Calls `cluster(vec_id, s, e)` for every maximal run `s..=e` of one
@@ -352,12 +368,51 @@ impl Fan {
         &self,
         values: &[f32],
         vec_ids: &[Option<u32>],
-        faults: &[crate::fault::AdderFault],
+        faults: &[AdderFault],
     ) -> Result<FanReduction, FanError> {
         let mut scratch = FanScratch::default();
         let mut out = FanReduction::default();
         self.reduce_into(values, vec_ids, faults, &mut scratch, &mut out)?;
         Ok(out)
+    }
+
+    /// The sum of the cluster on leaves `s..=e` of one wave, reduced along
+    /// its ruler tree (see the module docs), and the cycles after wave
+    /// issue at which it completes. The cluster's products in
+    /// `work[s..=e]` are consumed in place: they are overwritten with
+    /// partial sums, and the sum ends at `work[s]`. Every activation of a
+    /// stuck adder in `faults` is corrupted right after its add, by each
+    /// fault on that adder in slice order; an empty slice takes a path
+    /// that never consults the list. [`Fan::reduce_into`] reduces each of
+    /// its clusters through this sum, so a caller that already knows its
+    /// cluster boundaries gets bitwise the same value without building a
+    /// `vecID` layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics (via slice indexing) if `e >= work.len()`; debug-asserts
+    /// `s <= e < size`.
+    #[inline]
+    pub fn cluster_sum(
+        &self,
+        work: &mut [f32],
+        s: usize,
+        e: usize,
+        faults: &[AdderFault],
+    ) -> (f32, u64) {
+        debug_assert!(s <= e && e < self.size, "leaves {s}..={e} outside a {} fan", self.size);
+        if faults.is_empty() {
+            ruler_reduce(s, e, |a, h| work[a] += work[h + 1]);
+        } else {
+            ruler_reduce(s, e, |a, h| {
+                let mut sum = work[a] + work[h + 1];
+                for fault in faults.iter().filter(|f| f.adder == h) {
+                    sum = fault.corrupt(sum);
+                }
+                work[a] = sum;
+            });
+        }
+        (work[s], completion_cycles(s, e))
     }
 
     /// Allocation-free [`Fan::reduce_with_faults`]: the wave's sums are
@@ -374,7 +429,7 @@ impl Fan {
         &self,
         values: &[f32],
         vec_ids: &[Option<u32>],
-        faults: &[crate::fault::AdderFault],
+        faults: &[AdderFault],
         scratch: &mut FanScratch,
         out: &mut FanReduction,
     ) -> Result<(), FanError> {
@@ -387,19 +442,15 @@ impl Fan {
         if vec_ids.len() != self.size {
             return Err(FanError::SizeMismatch { expected: self.size, actual: vec_ids.len() });
         }
-        // One pass over the clusters, each reduced along its ruler tree;
-        // stuck adders corrupt every activation of `h`, in plan order.
+        // One pass over the clusters, each reduced along its ruler tree in
+        // a copy of the wave.
         let mut adds = 0usize;
         let mut critical = 0u64;
-        let walked = for_each_cluster(vec_ids, &mut scratch.seen, |vec_id, s, e| {
-            let value = ruler_reduce(s, e, &mut |i| values[i], &mut |left, right, _, h| {
-                let mut sum = left + right;
-                for fault in faults.iter().filter(|f| f.adder == h) {
-                    sum = fault.corrupt(sum);
-                }
-                sum
-            });
-            let cycles = completion_cycles(s, e);
+        let FanScratch { seen, work } = scratch;
+        work.clear();
+        work.extend_from_slice(values);
+        let walked = for_each_cluster(vec_ids, seen, |vec_id, s, e| {
+            let (value, cycles) = self.cluster_sum(work, s, e, faults);
             adds += e - s;
             critical = critical.max(cycles);
             out.sums.push(SegmentSum {
@@ -422,7 +473,7 @@ impl Fan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{AdderFault, StuckLevel};
+    use crate::fault::StuckLevel;
     use crate::FanProgram;
 
     fn ids(spec: &[i64]) -> Vec<Option<u32>> {
@@ -625,6 +676,46 @@ mod tests {
             }
         }
         assert!(active_faults > 100 && idle_faults > 100, "{active_faults} / {idle_faults}");
+    }
+
+    #[test]
+    fn cluster_sum_matches_reduce_into_on_stuck_adders() {
+        let mut rng = 0xc1a5_7e75_u64;
+        let mut scratch = FanScratch::default();
+        let mut out = FanReduction::default();
+        let mut corrupted = 0usize;
+        for log in 1..=8 {
+            let size = 1usize << log;
+            let fan = Fan::new(size).unwrap();
+            for case in 0..64 {
+                let layout = random_layout(size, case % 2 == 0, &mut rng);
+                let values: Vec<f32> = (0..size)
+                    .map(|_| f32::from_bits(next(&mut rng) as u32 >> 9 | 0x3f80_0000) - 1.5)
+                    .collect();
+                let faults: Vec<AdderFault> = (0..next(&mut rng) % 4)
+                    .map(|_| AdderFault {
+                        adder: next(&mut rng) as usize % fan.adder_count(),
+                        bit: (next(&mut rng) % 32) as u32,
+                        level: if next(&mut rng).is_multiple_of(2) {
+                            StuckLevel::Zero
+                        } else {
+                            StuckLevel::One
+                        },
+                    })
+                    .collect();
+                fan.reduce_into(&values, &layout, &faults, &mut scratch, &mut out).unwrap();
+                for sum in &out.sums {
+                    let (s, e) = sum.leaf_range;
+                    let (value, cycles) = fan.cluster_sum(&mut values.clone(), s, e, &faults);
+                    let ctx = format!("size {size} case {case} leaves {s}..={e} {faults:?}");
+                    assert_eq!(value.to_bits(), sum.value.to_bits(), "{ctx}");
+                    assert_eq!(cycles, sum.completion_cycles, "{ctx}");
+                    let (clean, _) = fan.cluster_sum(&mut values.clone(), s, e, &[]);
+                    corrupted += usize::from(clean.to_bits() != value.to_bits());
+                }
+            }
+        }
+        assert!(corrupted > 50, "the stuck adders must change some sums ({corrupted})");
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! [`Fan::reduce_into`](crate::Fan::reduce_into) (see the `fan` module
 //! docs) once at load time and records:
 //!
-//! * the add sequence as `(dst, src)` leaf positions, in post-order per
+//! * the add sequence as `(dst, src)` leaf positions, level by level per
 //!   cluster. Partial sums live at each interval's leftmost leaf, so
-//!   every adder `h` on leaves `s..=e` becomes `work[s] += work[h + 1]`
-//!   after both halves are reduced — the hardware's association order,
-//!   and
+//!   every adder `h` whose left half starts at leaf `a` becomes
+//!   `work[a] += work[h + 1]` after both halves are reduced — the
+//!   hardware's association order, and
 //! * the output template: one entry per cluster in left-to-right leaf
 //!   order with its `vecID`, leaf range, accumulator slot, and
 //!   completion cycle.
@@ -107,7 +107,7 @@ impl FanProgram {
         let (adds, outputs) = (&mut self.adds, &mut self.outputs);
         let mut critical = 0u64;
         let walked = for_each_cluster(vec_ids, &mut self.seen, |vec_id, s, e| {
-            ruler_reduce(s, e, &mut |_| (), &mut |(), (), s, h| adds.push((s, h + 1)));
+            ruler_reduce(s, e, |a, h| adds.push((a, h + 1)));
             let cycles = completion_cycles(s, e);
             critical = critical.max(cycles);
             outputs.push(ProgramOutput {
