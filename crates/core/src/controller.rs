@@ -155,10 +155,13 @@ impl ControllerPlan {
             PackingOrder::ContractionMajor => Self::contraction_major_folds(mapped, total_pes),
         };
         let mut folds = Vec::new();
+        // One bit per contraction index, reused across folds: marking a
+        // fold's contractions and draining the set words in order yields
+        // them sorted and distinct without a sort.
+        let mut seen = vec![0u64; stationary.cols().div_ceil(64)];
         for chunk in chunks {
             let mut vec_ids = vec![None; total_pes];
             let mut cluster_groups = Vec::new();
-            let mut contractions = Vec::new();
             for (i, e) in chunk.iter().enumerate() {
                 let new_cluster = cluster_groups.last() != Some(&e.group);
                 if new_cluster {
@@ -167,10 +170,17 @@ impl ControllerPlan {
                 #[allow(clippy::cast_possible_truncation)]
                 let cid = (cluster_groups.len() - 1) as u32;
                 vec_ids[i] = Some(cid);
-                contractions.push(e.contraction);
+                seen[e.contraction / 64] |= 1 << (e.contraction % 64);
             }
-            contractions.sort_unstable();
-            contractions.dedup();
+            let distinct = seen.iter().map(|w| w.count_ones() as usize).sum();
+            let mut contractions = Vec::with_capacity(distinct);
+            for (w, word) in seen.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    contractions.push(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
             folds.push(Fold {
                 elements: chunk,
                 vec_ids,
@@ -473,6 +483,36 @@ mod tests {
         assert_eq!(cm.folds.len(), 3);
         assert_eq!(cm.folds[0].occupied(), 4);
         assert_eq!(cm.folds[2].occupied(), 2);
+    }
+
+    #[test]
+    fn distinct_contractions_equal_sort_and_dedup() {
+        use sigma_matrix::gen::{sparse_uniform, Density};
+        // Random plans in both packing orders, with contraction dims that
+        // straddle the 64-bit words of the set, some folds split one
+        // column and some span many.
+        let mut folds = 0;
+        for seed in 0..24u64 {
+            let groups = 1 + (seed as usize * 7) % 23;
+            let k = [1, 63, 64, 65, 130, 300][seed as usize % 6];
+            let density = Density::new(0.05 + 0.1 * (seed % 9) as f64).unwrap();
+            let stat = sparse_uniform(groups, k, density, seed);
+            let stream = sparse_uniform(k, 3, Density::new(0.7).unwrap(), seed ^ 0xFACE);
+            for pes in [4, 16, 128] {
+                for order in [PackingOrder::GroupMajor, PackingOrder::ContractionMajor] {
+                    let plan = ControllerPlan::build_with_order(&stat, stream.bitmap(), pes, order);
+                    for fold in &plan.folds {
+                        let mut expect: Vec<usize> =
+                            fold.elements.iter().map(|e| e.contraction).collect();
+                        expect.sort_unstable();
+                        expect.dedup();
+                        assert_eq!(fold.distinct_contractions, expect, "seed {seed} {order:?}");
+                        folds += 1;
+                    }
+                }
+            }
+        }
+        assert!(folds > 500, "only {folds} folds checked");
     }
 
     #[test]

@@ -16,10 +16,16 @@ use crate::flex_dpe::{DpeStep, FlexDpe};
 use crate::sched::{Event, EventQueue};
 use crate::stats::CycleStats;
 use crate::trace::{Phase, Trace};
-use sigma_interconnect::{AdderFault, Fan};
+use sigma_interconnect::{AdderFault, Fan, FanProgram};
 use sigma_matrix::abft::{check_product, correct_single, residual_tolerance, AbftVerdict};
 use sigma_matrix::{Bitmap, Matrix, SparseMatrix};
 use sigma_telemetry::{Counter, Hist, Telemetry};
+
+/// Consecutive streamed steps per block of the stationary datapath: each
+/// Flex-DPE replays its FAN program once per block, over this many lanes
+/// (32, the width the replay is compiled for). A 128-multiplier unit's
+/// tile is then 128 x 32 f32 = 16 KiB.
+const BLOCK_STEPS: usize = FanProgram::BLOCK_LANES;
 
 /// The outcome of one GEMM on SIGMA: the numeric product and the cycle
 /// accounting.
@@ -205,10 +211,7 @@ impl SigmaSim {
                     trace.as_deref_mut(),
                     faults.as_deref_mut(),
                     cancel,
-                    |group, step, v| {
-                        let cur = out.get(group, step);
-                        out.set(group, step, cur + v);
-                    },
+                    out.as_mut_slice(),
                 )?;
                 Ok((GemmRun { result: out, stats }, ()))
             }
@@ -225,10 +228,7 @@ impl SigmaSim {
                     trace,
                     faults.as_deref_mut(),
                     cancel,
-                    |group, step, v| {
-                        let cur = out.get(step, group);
-                        out.set(step, group, cur + v);
-                    },
+                    out.as_mut_slice(),
                 )?;
                 Ok((GemmRun { result: out, stats }, ()))
             }
@@ -409,7 +409,9 @@ impl SigmaSim {
 
     /// Canonical stationary execution: `stationary` is `G x K` (one FAN
     /// cluster per row), `streaming` is `K x S` (one streamed vector per
-    /// step). `emit(group, step, partial)` accumulates output.
+    /// step). Cluster sums accumulate into `out`, the caller's zeroed
+    /// row-major result ([`SigmaSim::output_strides`] places each
+    /// `(group, step)` cell in it).
     ///
     /// Each fold advances through a three-event chain on a deterministic
     /// [`EventQueue`] — `LoadFold` → `Stream` → `Drain`, the paper's
@@ -420,25 +422,32 @@ impl SigmaSim {
     ///   the streaming bitmap's occupancy words
     ///   ([`Bitmap::row_iter_ones`]) yields every step's send count in
     ///   O(nnz) instead of probing one (contraction, step) bit at a time.
-    /// * **Dead steps fast-forward**: a step with zero sends streams only
-    ///   `+0.0` operands, every product is `±0.0`, and every FAN add and
-    ///   output accumulation is a bitwise no-op (output cells can never
-    ///   hold `-0.0`, and `x + ±0.0 == x` bitwise for every non-`-0.0`
-    ///   `x`), so the datapath is skipped entirely and the cycle is
-    ///   charged in bulk — surfacing as
+    /// * **Dead steps are bitwise no-ops**: a step with zero sends
+    ///   streams only `+0.0` operands, every product is `±0.0`, and every
+    ///   FAN add and output accumulation is a bitwise no-op (output cells
+    ///   can never hold `-0.0`, and `x + ±0.0 == x` bitwise for every
+    ///   non-`-0.0` `x`). A block of [`BLOCK_STEPS`] steps that are all
+    ///   dead is skipped entirely; a dead step inside a live block runs
+    ///   with its neighbours, adding `±0.0`. Either way the cycle is
+    ///   charged in bulk, surfacing as
     ///   [`CycleStats::idle_cycles_skipped`].
-    /// * **Live steps replay the compiled FAN schedule**
-    ///   ([`FlexDpe::step_compiled`]) over a contiguous column gather,
-    ///   instead of re-deriving the reduction tree per wave.
+    /// * **Live steps run a block at a time**: each active unit walks the
+    ///   fold's live blocks of consecutive steps ([`FlexDpe::step_block`]),
+    ///   multiplying from a dense row-major `K x S` copy of the streaming
+    ///   operand and replaying its compiled FAN schedule once per block
+    ///   over contiguous lanes. Each cluster's lanes then add straight
+    ///   into its cells of the result. Per output cell the f32 ops and
+    ///   their order are a step-at-a-time walk's.
     /// * **The drain is a next-event hint**: the fold's add latency is
     ///   [`FlexDpe::drain_cycles`] (the FAN's latency-until-quiescent, a
     ///   constant of the layout), not a per-tick countdown.
     ///
     /// An armed, non-empty injector changes four things. Bitmap-word
     /// corruptions hit the streaming metadata *before* the controller
-    /// plans, and the column gather reads through the corrupted bitmap (a
-    /// cleared bit reads as zero). Every step executes, through
-    /// [`FlexDpe::step_faulted`]: a fault can fire on a dead step and turn
+    /// plans, and the streaming copy reads through the corrupted bitmap (a
+    /// cleared bit reads as zero). Every step executes on its own, through
+    /// [`FlexDpe::step_faulted`], because fault stamps are per step and a
+    /// fault can fire on a dead step and turn
     /// its `+0.0` into a live value, so the fast-forward is only sound
     /// with no injector (dead cycles are still counted as skipped). A
     /// fault is stamped with the total cycle count at the end of its step.
@@ -455,12 +464,11 @@ impl SigmaSim {
         mut trace: Option<&mut Trace>,
         faults: Option<&mut FaultInjector<'_>>,
         cancel: Option<&CancelToken>,
-        mut emit: impl FnMut(usize, usize, f32),
+        out: &mut [f32],
     ) -> Result<CycleStats, SigmaError> {
         #[cfg(test)]
         if self.tick_oracle {
-            return self
-                .run_stationary_lockstep(stationary, streaming, trace, faults, cancel, emit);
+            return self.run_stationary_lockstep(stationary, streaming, trace, faults, cancel, out);
         }
         let mut faults = faults.filter(|inj| !inj.is_empty());
         let pes = self.config.total_pes();
@@ -469,6 +477,7 @@ impl SigmaSim {
         let dpe = self.config.dpe_size();
         let steps = streaming.cols();
         let kdim = streaming.rows();
+        let (group_stride, step_stride) = self.output_strides(stationary.rows(), steps);
 
         let corrupted =
             faults.as_deref_mut().and_then(|inj| inj.corrupt_bitmap(streaming.bitmap(), 0));
@@ -482,14 +491,13 @@ impl SigmaSim {
         );
         self.telemetry.add(Counter::FoldsPlanned, plan.folds.len() as u64);
 
-        // Steps-major gather of the streaming matrix: the streamed column
-        // of step `s` is the contiguous slice `stream_tr[s*k .. (s+1)*k]`,
-        // so the hot loop indexes a dense slice instead of calling a
-        // column-strided closure per operand.
-        let mut stream_tr = vec![0.0f32; kdim * steps];
+        // The streaming operand, dense and row-major in its own `K x S`
+        // orientation: contraction `c`'s operands over a block of steps
+        // are one contiguous run.
+        let mut stream = vec![0.0f32; kdim * steps];
         for (r, c, v) in streaming.iter() {
             if corrupted.is_none() || stream_bitmap.get(r, c) {
-                stream_tr[c * kdim + r] = v;
+                stream[r * steps + c] = v;
             }
         }
 
@@ -497,13 +505,12 @@ impl SigmaSim {
         let mut engines: Vec<FlexDpe> = Vec::new();
         let mut local_ids: Vec<Option<u32>> = vec![None; dpe];
         let mut step_out = DpeStep::default();
+        let mut tile = vec![0.0f32; dpe * BLOCK_STEPS];
         let mut fanout_scratch: Vec<usize> = Vec::new();
         // Per-step send counts for the current fold, recomputed word-level
-        // per fold (see above), the steps the datapath executes, and —
-        // with faults armed — each step's end-of-step total cycle count.
-        // Reused across folds.
+        // per fold (see above), and — with faults armed — each step's
+        // end-of-step total cycle count. Reused across folds.
         let mut sends_buf: Vec<u64> = vec![0; steps];
-        let mut run_steps: Vec<u32> = Vec::with_capacity(steps);
         let mut step_end: Vec<u64> = Vec::new();
 
         let mut queue = EventQueue::new();
@@ -588,7 +595,6 @@ impl SigmaSim {
                     let mut fold_stream = 0u64;
                     let mut fold_sends = 0u64;
                     let mut dead_steps = 0u64;
-                    run_steps.clear();
                     step_end.clear();
                     for (step, &sends) in sends_buf.iter().enumerate() {
                         let step_cycles = sends.div_ceil(stream_bw).max(1);
@@ -597,7 +603,6 @@ impl SigmaSim {
                             t.record(Phase::Stream, f as u64, Some(step), step_cycles);
                         }
                         if faults.is_some() {
-                            run_steps.push(step as u32);
                             step_end.push(cursor + fold_stream);
                         }
                         if sends == 0 {
@@ -606,38 +611,49 @@ impl SigmaSim {
                         }
                         fold_sends += sends;
                         self.telemetry.observe(Hist::StreamStepCycles, step_cycles);
-                        if faults.is_none() {
-                            run_steps.push(step as u32);
-                        }
                     }
-                    // Pass 2 — the datapath, unit-outer/step-inner so each
-                    // unit's stationary state stays cache-resident across
-                    // the whole fold. Per output cell the accumulation
-                    // order is unchanged (fold-major, then unit-major:
-                    // within a fold each cluster touches a cell at most
-                    // once per step), so results match a step-outer walk
-                    // bitwise.
-                    let first_fired = faults.as_deref().map_or(0, |inj| inj.fired().len());
+                    // Pass 2 — the datapath, unit-outer so each unit's
+                    // stationary state stays cache-resident across the
+                    // whole fold: per step with faults armed, else per
+                    // live block. Per output cell the accumulation order
+                    // is unchanged (fold-major, then unit-major: within a
+                    // fold each cluster touches a cell at most once per
+                    // step), so results match a step-outer walk bitwise.
                     let mut fold_useful = 0u64;
-                    for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
-                        for &step in &run_steps {
-                            let step = step as usize;
-                            let col = &stream_tr[step * kdim..step * kdim + kdim];
-                            match faults.as_deref_mut() {
-                                Some(inj) => {
-                                    unit.step_faulted(col, inj, d, step_end[step], &mut step_out)?;
+                    if let Some(inj) = faults.as_deref_mut() {
+                        let first_fired = inj.fired().len();
+                        for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
+                            for (step, &cycle) in step_end.iter().enumerate() {
+                                let column = &stream[step..];
+                                unit.step_faulted(column, steps, inj, d, cycle, &mut step_out)?;
+                                fold_useful += step_out.useful_macs as u64;
+                                for s in &step_out.reduction.sums {
+                                    let group = fold.cluster_groups[s.vec_id as usize];
+                                    out[group * group_stride + step * step_stride] += s.value;
                                 }
-                                None => unit.step_compiled(col, &mut step_out)?,
-                            }
-                            fold_useful += step_out.useful_macs as u64;
-                            for s in &step_out.reduction.sums {
-                                let group = fold.cluster_groups[s.vec_id as usize];
-                                emit(group, step, s.value);
                             }
                         }
-                    }
-                    if let Some(inj) = faults.as_deref_mut() {
                         inj.sort_fired_since(first_fired);
+                    } else {
+                        for unit in engines.iter().take(active_dpes) {
+                            for s0 in (0..steps).step_by(BLOCK_STEPS) {
+                                let lanes = BLOCK_STEPS.min(steps - s0);
+                                if sends_buf[s0..s0 + lanes].iter().all(|&n| n == 0) {
+                                    continue;
+                                }
+                                let useful =
+                                    unit.step_block(&stream[s0..], steps, lanes, &mut tile)?;
+                                fold_useful += useful as u64;
+                                for (vec_id, slot) in unit.outputs() {
+                                    let group = fold.cluster_groups[vec_id as usize];
+                                    let cell = group * group_stride + s0 * step_stride;
+                                    let sums = &tile[slot * lanes..][..lanes];
+                                    for (j, &p) in sums.iter().enumerate() {
+                                        out[cell + j * step_stride] += p;
+                                    }
+                                }
+                            }
+                        }
                     }
                     stats.streaming_cycles += fold_stream;
                     stats.sram_reads += fold_sends;
@@ -697,6 +713,17 @@ impl SigmaSim {
             (stationary.nnz() as u64).saturating_sub(stats.mapped_nonzeros),
         );
         Ok(stats)
+    }
+
+    /// Strides `(group, step)` of the stationary output in the row-major
+    /// `M x N` result. IS groups are the rows (M) and its steps the columns
+    /// (N); WS groups are the columns and its steps the rows.
+    fn output_strides(&self, groups: usize, steps: usize) -> (usize, usize) {
+        if self.config.dataflow() == Dataflow::WeightStationary {
+            (1, groups)
+        } else {
+            (steps, 1)
+        }
     }
 
     /// The No-Local-Reuse dataflow (Fig. 4e): only useful multiplication
@@ -1010,13 +1037,14 @@ impl SigmaSim {
         mut trace: Option<&mut Trace>,
         mut faults: Option<&mut FaultInjector<'_>>,
         cancel: Option<&CancelToken>,
-        mut emit: impl FnMut(usize, usize, f32),
+        out: &mut [f32],
     ) -> Result<CycleStats, SigmaError> {
         let pes = self.config.total_pes();
         let bw = self.config.input_bandwidth() as u64;
         let stream_bw = self.config.stream_bandwidth() as u64;
         let dpe = self.config.dpe_size();
         let steps = streaming.cols();
+        let (group_stride, step_stride) = self.output_strides(stationary.rows(), steps);
 
         // A corrupted copy of the streaming bitmap, when the plan says so.
         // The controller and the compressed-stream reads both consult the
@@ -1127,7 +1155,7 @@ impl SigmaSim {
                     last_step_drain = last_step_drain.max(step_out.reduction.critical_cycles);
                     for s in &step_out.reduction.sums {
                         let group = fold.cluster_groups[s.vec_id as usize];
-                        emit(group, step, s.value);
+                        out[group * group_stride + step * step_stride] += s.value;
                     }
                 }
             }
@@ -1213,6 +1241,66 @@ mod tests {
         ]
     }
 
+    /// Runs whose streamed step counts straddle [`BLOCK_STEPS`] (1, 31,
+    /// 32, 33 and 70 steps) on WS and IS. Steps 3 and 30 are dead inside
+    /// live blocks, and at 70 steps so is every step from 32 on but 69:
+    /// an all-dead block between live ones, then a last block whose only
+    /// live step is its last lane. At 33 steps the last block is one live
+    /// lane.
+    fn block_edge_cases() -> Vec<(String, SigmaSim, SparseMatrix, SparseMatrix)> {
+        let mut runs = Vec::new();
+        for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
+            for steps in [1, 31, 32, 33, 70] {
+                let dead = |s: usize| s == 3 || s == 30 || (steps == 70 && s >= 32 && s != 69);
+                let seed = 900 + steps as u64;
+                // WS streams A's rows, IS streams B's columns.
+                let (a, b) = if df == Dataflow::WeightStationary {
+                    let a = sparse_uniform(steps, 14, Density::new(0.4).unwrap(), seed).to_dense();
+                    let a =
+                        Matrix::from_fn(steps, 14, |r, c| if dead(r) { 0.0 } else { a.get(r, c) });
+                    (
+                        SparseMatrix::from_dense(&a),
+                        sparse_uniform(14, 9, Density::new(0.6).unwrap(), seed + 1),
+                    )
+                } else {
+                    let b = sparse_uniform(14, steps, Density::new(0.4).unwrap(), seed).to_dense();
+                    let b =
+                        Matrix::from_fn(14, steps, |r, c| if dead(c) { 0.0 } else { b.get(r, c) });
+                    (
+                        sparse_uniform(9, 14, Density::new(0.6).unwrap(), seed + 1),
+                        SparseMatrix::from_dense(&b),
+                    )
+                };
+                let sim = cfg(4, 8, 8, df);
+                runs.push((format!("{df} {steps} steps"), sim, a, b));
+            }
+        }
+        runs
+    }
+
+    /// Operands near `f32::MAX`: products overflow to `±inf` and clusters
+    /// that add `inf` to `-inf` turn NaN, on WS and IS.
+    fn overflow_cases() -> Vec<(String, SigmaSim, SparseMatrix, SparseMatrix)> {
+        let huge = |rows, cols, seed: u64| {
+            let pattern = sparse_uniform(rows, cols, Density::new(0.7).unwrap(), seed).to_dense();
+            SparseMatrix::from_dense(&Matrix::from_fn(rows, cols, |r, c| {
+                let v = pattern.get(r, c);
+                if v == 0.0 || (r + c) % 3 == 0 {
+                    v
+                } else {
+                    let sign = if (5 * r + c) % 2 == 0 { 1.0 } else { -1.0 };
+                    sign * f32::MAX * (0.25 + 0.5 * v.fract())
+                }
+            }))
+        };
+        [Dataflow::WeightStationary, Dataflow::InputStationary]
+            .into_iter()
+            .map(|df| {
+                (format!("{df} overflow"), cfg(4, 8, 8, df), huge(40, 12, 77), huge(12, 37, 78))
+            })
+            .collect()
+    }
+
     #[test]
     fn event_and_lockstep_paths_are_bitwise_identical() {
         // The event scheduler must be indistinguishable from the tick-loop
@@ -1244,6 +1332,22 @@ mod tests {
         for (name, sim, a, b) in ladder_cases() {
             runs.push((name.to_string(), sim, a, b));
         }
+        let edges = block_edge_cases();
+        for (ctx, sim, a, b) in &edges {
+            let stats = sim.run_gemm(a, b).unwrap().stats;
+            assert!(
+                stats.idle_cycles_skipped > 0 || ctx.ends_with(" 1 steps"),
+                "{ctx}: no dead step"
+            );
+        }
+        runs.extend(edges);
+        let overflow = overflow_cases();
+        for (ctx, sim, a, b) in &overflow {
+            let result = sim.run_gemm(a, b).unwrap().result;
+            let specials = |f: fn(&f32) -> bool| result.as_slice().iter().filter(|v| f(v)).count();
+            assert!(specials(|v| v.is_infinite()) > 0 && specials(|v| v.is_nan()) > 0, "{ctx}");
+        }
+        runs.extend(overflow);
         for (ctx, event, a, b) in &runs {
             let (run_e, trace_e) = event.run_gemm_traced(a, b).unwrap();
             let (run_l, trace_l) = oracle(event).run_gemm_traced(a, b).unwrap();

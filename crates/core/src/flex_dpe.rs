@@ -25,12 +25,21 @@
 //! a miss is the first load of a prefix length, the load a controller that
 //! memoizes switch settings would have to configure.
 //!
-//! Two step functions share one product pass, and both perform **zero
-//! heap allocations** once warm (`crates/core/tests/alloc_free.rs`):
+//! The step functions perform **zero heap allocations** once warm
+//! (`crates/core/tests/alloc_free.rs`):
 //!
-//! * [`FlexDpe::step_compiled`] — the engine's streaming step. It replays
-//!   the FAN schedule compiled at load time.
-//! * [`FlexDpe::step_faulted`] — the same step under an armed
+//! * [`FlexDpe::step_block`] — the engine's streaming step. It takes a
+//!   block of consecutive streamed vectors from a dense, row-major
+//!   `K x S` streaming buffer (the streaming operand's own orientation)
+//!   and fills a caller-owned tile slot-major and lane-minor, so each
+//!   multiplier's products over the block are one contiguous run. The
+//!   FAN schedule compiled at load time then replays once for the whole
+//!   block ([`FanProgram::execute_lanes`]): every multiply and add runs
+//!   over contiguous lanes, and each lane sees the f32 ops, in the
+//!   order, of a step of its own.
+//! * [`FlexDpe::step_compiled`] — one streamed vector: the one-lane case
+//!   of the same product pass and replay, returning the reduction.
+//! * [`FlexDpe::step_faulted`] — one vector under an armed
 //!   [`FaultInjector`]. Port, multiplier and adder faults perturb the
 //!   wave, which reduces through [`Fan::reduce_into`] because the
 //!   compiled program has no adder hook. The injector lists the unit's
@@ -53,8 +62,6 @@ pub struct DpeStep {
     pub reduction: FanReduction,
     /// Multiplications whose streamed operand was non-zero.
     pub useful_macs: usize,
-    /// Distinct streamed values this DPE consumed (for SRAM accounting).
-    pub operands_consumed: usize,
 }
 
 /// One k-multiplier Flexible Dot Product Engine.
@@ -71,10 +78,9 @@ pub struct FlexDpe {
     occupied_words: Vec<u64>,
     vec_ids: Vec<Option<u32>>,
     occupied_count: usize,
-    /// Distinct contraction indices among the loaded elements, computed
-    /// once at load time (it is invariant across steps).
-    distinct_operands: usize,
     // Reusable hot-loop state.
+    /// The one-lane tile of [`FlexDpe::step_compiled`] and the faulted
+    /// step's products.
     products: Vec<f32>,
     /// Operands as delivered to each slot, for the faulted step's
     /// Benes-port faults.
@@ -93,10 +99,6 @@ pub struct FlexDpe {
     loaded_lengths: Vec<u64>,
     route_hits: u64,
     route_misses: u64,
-    /// Sorted-and-deduped to count distinct contractions at load time;
-    /// a Vec (not a hash set) so the count is allocation-free after
-    /// warmup and independent of any per-process hasher state.
-    distinct_scratch: Vec<usize>,
     telemetry: Telemetry,
 }
 
@@ -119,7 +121,6 @@ impl FlexDpe {
             occupied_words: vec![0; size.div_ceil(64)],
             vec_ids: vec![None; size],
             occupied_count: 0,
-            distinct_operands: 0,
             products: vec![0.0; size],
             operands: vec![0.0; size],
             fan_scratch: FanScratch::default(),
@@ -128,7 +129,6 @@ impl FlexDpe {
             loaded_lengths: vec![0; (size + 1).div_ceil(64)],
             route_hits: 0,
             route_misses: 0,
-            distinct_scratch: Vec::with_capacity(size),
             telemetry: Telemetry::off(),
         })
     }
@@ -181,7 +181,8 @@ impl FlexDpe {
     /// # Errors
     ///
     /// Returns [`SigmaError::DpeSizeNotPowerOfTwo`] if more elements than
-    /// multipliers are supplied (size abuse).
+    /// multipliers are supplied (size abuse), and [`SigmaError::Internal`]
+    /// if `vec_ids` assigns a cluster to a multiplier past the elements.
     ///
     /// # Panics
     ///
@@ -197,6 +198,9 @@ impl FlexDpe {
         }
         assert_eq!(vec_ids.len(), self.size, "vec_ids must cover every multiplier");
         let len = elements.len();
+        if vec_ids[len..].iter().any(Option::is_some) {
+            return Err(SigmaError::Internal("vecID on an unloaded multiplier".to_string()));
+        }
         let bit = 1u64 << (len % 64);
         let cold = self.loaded_lengths[len / 64] & bit == 0;
         self.loaded_lengths[len / 64] |= bit;
@@ -213,24 +217,18 @@ impl FlexDpe {
                 .observe(Hist::MultiplierOccupancyPct, (elements.len() * 100 / self.size) as u64);
         }
 
-        // In-place refill of the flattened stationary store. The product
-        // buffer is zeroed here (not per step) so `step_compiled` can rely
-        // on unoccupied slots staying 0.0 across the whole fold.
+        // In-place refill of the flattened stationary store. Only
+        // occupied slots carry clusters, so no step reads an unoccupied
+        // product.
         self.values.fill(0.0);
-        self.products.fill(0.0);
         self.occupied_words.fill(0);
-        self.distinct_scratch.clear();
         for (slot, e) in elements.iter().enumerate() {
             self.values[slot] = e.value;
             self.contractions[slot] = e.contraction;
             self.occupied_words[slot / 64] |= 1 << (slot % 64);
-            self.distinct_scratch.push(e.contraction);
         }
         self.vec_ids.copy_from_slice(vec_ids);
         self.occupied_count = elements.len();
-        self.distinct_scratch.sort_unstable();
-        self.distinct_scratch.dedup();
-        self.distinct_operands = self.distinct_scratch.len();
         // Compile the FAN add schedule for this vecID layout. Compilation
         // fails only for non-contiguous cluster layouts, which per-step
         // reduction would reject anyway; the program is simply marked
@@ -246,16 +244,23 @@ impl FlexDpe {
         self.occupied_words.fill(0);
         self.vec_ids.fill(None);
         self.occupied_count = 0;
-        self.distinct_operands = 0;
         // An all-idle layout compiles to the (valid) empty program.
         let _ = self.program.compile(&self.fan, &self.vec_ids);
     }
 
-    /// Allocation-free streaming step on the *compiled* FAN schedule: the
-    /// streamed operands arrive as a dense contraction-indexed column
-    /// slice and the reduction replays the add schedule compiled at
-    /// [`FlexDpe::load`] time instead of re-deriving the tree structure
-    /// per wave. This is the engine's steady-state path.
+    /// Allocation-free streaming step over a block of `lanes` consecutive
+    /// streamed vectors on the *compiled* FAN schedule. This is the
+    /// engine's steady-state path.
+    ///
+    /// `stream` is a dense, row-major streaming buffer with `stride`
+    /// values per contraction row, offset to the block's first step:
+    /// contraction `c`'s operand in lane `j` is `stream[c * stride + j]`.
+    /// The product pass fills `tile[slot * lanes + j]`, then the add
+    /// schedule compiled at [`FlexDpe::load`] time replays once over all
+    /// lanes ([`FanProgram::execute_lanes`]). Cluster `vec_id`'s sum for
+    /// lane `j` ends at `tile[slot * lanes + j]`, for each `(vec_id, slot)`
+    /// of [`FlexDpe::outputs`]. Returns the useful MACs (non-zero
+    /// operands) over all lanes.
     ///
     /// Records **no** per-step telemetry: the engine batches the per-step
     /// counters per fold (they are constants of the layout, see
@@ -269,28 +274,75 @@ impl FlexDpe {
     ///
     /// # Panics
     ///
+    /// Panics if `stream` does not cover `lanes` operands of every
+    /// contraction row the loaded elements reference, or `tile` holds
+    /// fewer than `lanes` values per occupied slot.
+    pub fn step_block(
+        &self,
+        stream: &[f32],
+        stride: usize,
+        lanes: usize,
+        tile: &mut [f32],
+    ) -> Result<usize, SigmaError> {
+        self.check_program()?;
+        let occ = self.occupied_prefix();
+        let (values, contractions) = (&self.values[..occ], &self.contractions[..occ]);
+        let useful = if lanes == FanProgram::BLOCK_LANES {
+            multiply_lanes(values, contractions, stream, stride, FanProgram::BLOCK_LANES, tile)
+        } else {
+            multiply_lanes(values, contractions, stream, stride, lanes, tile)
+        };
+        self.program.execute_lanes(tile, lanes);
+        Ok(useful)
+    }
+
+    /// The output template of the compiled FAN schedule: one
+    /// `(vec_id, slot)` pair per cluster, `slot` being the tile row where
+    /// [`FlexDpe::step_block`] leaves the cluster's sums.
+    pub fn outputs(&self) -> impl ExactSizeIterator<Item = (u32, usize)> + '_ {
+        self.program.outputs()
+    }
+
+    /// One streamed vector through the compiled FAN schedule: the
+    /// one-lane case of [`FlexDpe::step_block`]'s product pass and
+    /// replay, with the reduction written into `out`. `column` is the
+    /// dense contraction-indexed streamed vector.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FlexDpe::step_block`].
+    ///
+    /// # Panics
+    ///
     /// Panics if `column` does not cover every contraction index the
     /// loaded elements reference.
     pub fn step_compiled(&mut self, column: &[f32], out: &mut DpeStep) -> Result<(), SigmaError> {
-        if !self.program.is_valid() {
-            return Err(SigmaError::Internal(
-                "step_compiled without a valid compiled FAN program".to_string(),
-            ));
-        }
-        // No products.fill here: load() zeroes the buffer and the product
-        // pass rewrites every occupied slot, while the compiled program
-        // only reads cluster leaves (all occupied) — unoccupied slots stay
-        // 0.0 across steps by construction.
+        self.check_program()?;
         let occ = self.occupied_prefix();
-        let operands = self.contractions[..occ].iter().map(|&c| column[c]);
-        let useful = multiply(&mut self.products[..occ], &self.values[..occ], operands);
+        out.useful_macs = multiply_lanes(
+            &self.values[..occ],
+            &self.contractions[..occ],
+            column,
+            1,
+            1,
+            &mut self.products,
+        );
         self.program.execute_into(&mut self.products, &mut out.reduction);
-        out.useful_macs = useful;
-        out.operands_consumed = self.distinct_operands;
         Ok(())
     }
 
-    /// [`FlexDpe::step_compiled`] with an armed [`FaultInjector`]: Benes
+    fn check_program(&self) -> Result<(), SigmaError> {
+        if self.program.is_valid() {
+            Ok(())
+        } else {
+            Err(SigmaError::Internal("Flex-DPE step without a valid compiled FAN program".into()))
+        }
+    }
+
+    /// [`FlexDpe::step_compiled`] with an armed [`FaultInjector`], reading
+    /// contraction `c`'s operand from `stream[c * stride]` (`stride` 1
+    /// for a contraction-indexed column, the step count for a row-major
+    /// streaming buffer offset to the step): Benes
     /// delivery faults perturb the gathered operands, multiplier-output
     /// faults perturb the products, and stuck FAN adders corrupt the
     /// reduction. The compiled program has no adder hook, so the wave
@@ -313,7 +365,8 @@ impl FlexDpe {
     /// Same as [`FlexDpe::step_compiled`].
     pub fn step_faulted(
         &mut self,
-        column: &[f32],
+        stream: &[f32],
+        stride: usize,
         injector: &mut FaultInjector<'_>,
         dpe_index: usize,
         cycle: u64,
@@ -321,7 +374,7 @@ impl FlexDpe {
     ) -> Result<(), SigmaError> {
         let occ = self.occupied_prefix();
         for (x, &c) in self.operands[..occ].iter_mut().zip(&self.contractions[..occ]) {
-            *x = column[c];
+            *x = stream[c * stride];
         }
         injector.apply_port_faults(dpe_index, &mut self.operands[..occ], cycle);
         let delivered = self.operands[..occ].iter().copied();
@@ -340,7 +393,6 @@ impl FlexDpe {
             )
             .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
         out.useful_macs = useful;
-        out.operands_consumed = self.distinct_operands;
         Ok(())
     }
 
@@ -446,13 +498,37 @@ impl FlexDpe {
             .fan
             .reduce_with_faults(&products, &self.vec_ids, &adder_faults)
             .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
-        Ok(DpeStep { reduction, useful_macs: useful, operands_consumed: self.distinct_operands })
+        Ok(DpeStep { reduction, useful_macs: useful })
     }
 }
 
-/// The product pass both step functions share: `products[s] = values[s] *
-/// operand s` over the occupied prefix, returning how many operands were
-/// non-zero (the useful MACs).
+/// The product pass of the compiled steps: `tile[s * lanes + j] =
+/// values[s] * stream[contractions[s] * stride + j]` for every slot `s`
+/// and lane `j`, returning how many operands were non-zero (the useful
+/// MACs). Each slot's lanes are one contiguous run in both buffers.
+/// Always inlined, so a constant `lanes` compiles to fixed-length loops.
+#[inline(always)]
+fn multiply_lanes(
+    values: &[f32],
+    contractions: &[usize],
+    stream: &[f32],
+    stride: usize,
+    lanes: usize,
+    tile: &mut [f32],
+) -> usize {
+    let mut useful = 0usize;
+    let rows = tile[..values.len() * lanes].chunks_exact_mut(lanes);
+    for ((&v, &c), products) in values.iter().zip(contractions).zip(rows) {
+        for (p, &x) in products.iter_mut().zip(&stream[c * stride..][..lanes]) {
+            useful += usize::from(x != 0.0);
+            *p = v * x;
+        }
+    }
+    useful
+}
+
+/// The faulted step's product pass: `products[s] = values[s] * operand s`
+/// over the occupied prefix, returning how many operands were non-zero.
 #[inline]
 fn multiply(products: &mut [f32], values: &[f32], operands: impl Iterator<Item = f32>) -> usize {
     let mut useful = 0usize;
@@ -510,7 +586,6 @@ mod tests {
         // Streamed vector: x[k] = k + 1.
         let step = step(&mut dpe, &column(4, |k| (k + 1) as f32));
         assert_eq!(step.useful_macs, 5);
-        assert_eq!(step.operands_consumed, 4); // k in {0,1,2,3}
         let sums: Vec<f32> = step.reduction.sums.iter().map(|s| s.value).collect();
         // group0: 2*1 + 3*2 + 4*3 = 20; group1: 5*2 + 6*4 = 34.
         assert_eq!(sums, vec![20.0, 34.0]);
@@ -531,11 +606,10 @@ mod tests {
             let mut quiet = FaultInjector::new(&plan);
             let reference = dpe.step_reference(&|k| col[k], &mut quiet, 0, 0).unwrap();
             dpe.step_compiled(col, &mut a).unwrap();
-            dpe.step_faulted(col, &mut quiet, 0, 0, &mut b).unwrap();
+            dpe.step_faulted(col, 1, &mut quiet, 0, 0, &mut b).unwrap();
             assert_eq!(dpe.drain_cycles(), reference.reduction.critical_cycles, "{ctx}");
             for out in [&a, &b] {
                 assert_eq!(out.useful_macs, reference.useful_macs, "{ctx}");
-                assert_eq!(out.operands_consumed, reference.operands_consumed, "{ctx}");
                 assert_eq!(out.reduction.adds_performed, reference.reduction.adds_performed);
                 assert_eq!(out.reduction.critical_cycles, reference.reduction.critical_cycles);
                 assert_eq!(out.reduction.sums.len(), reference.reduction.sums.len(), "{ctx}");
@@ -562,6 +636,40 @@ mod tests {
     }
 
     #[test]
+    fn block_step_lanes_match_the_reference_step_bitwise() {
+        // A block of 6 streamed vectors, held row-major (K x 6) and offset
+        // to its first step: every lane of the tile must carry the
+        // reference step's cluster sums for its vector, bit for bit.
+        let plan = crate::fault::FaultPlan::none();
+        let mut dpe = FlexDpe::new(8).unwrap();
+        let els = elements(&[(0, 0, 2.5), (0, 1, -3.0), (0, 2, 4.0), (1, 1, 0.5), (1, 3, -6.0)]);
+        dpe.load(&els, &ids(&[0, 0, 0, 1, 1], 8)).unwrap();
+        let (s0, lanes, stride) = (2, 6, 9);
+        let value = |k: usize, step: usize| match (k + step) % 5 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.5 + step as f32,
+            3 => f32::MAX,
+            _ => -2.25,
+        };
+        let stream: Vec<f32> = (0..4 * stride).map(|i| value(i / stride, i % stride)).collect();
+        let mut tile = vec![f32::NAN; 8 * lanes];
+        let useful = dpe.step_block(&stream[s0..], stride, lanes, &mut tile).unwrap();
+        let mut expected_useful = 0;
+        for j in 0..lanes {
+            let mut quiet = FaultInjector::new(&plan);
+            let reference = dpe.step_reference(&|k| value(k, s0 + j), &mut quiet, 0, 0).unwrap();
+            expected_useful += reference.useful_macs;
+            assert_eq!(dpe.outputs().len(), reference.reduction.sums.len());
+            for ((vec_id, slot), sum) in dpe.outputs().zip(&reference.reduction.sums) {
+                assert_eq!(vec_id, sum.vec_id);
+                assert_eq!(tile[slot * lanes + j].to_bits(), sum.value.to_bits(), "lane {j}");
+            }
+        }
+        assert_eq!(useful, expected_useful);
+    }
+
+    #[test]
     fn step_faulted_applies_port_multiplier_and_adder_faults() {
         use crate::fault::{FaultKind, FaultPlan, FaultSite, StuckLevel};
         let mut dpe = FlexDpe::new(4).unwrap();
@@ -574,13 +682,13 @@ mod tests {
         let drop =
             FaultPlan::single(FaultSite::BenesPort { dpe: 2, port: 1 }, FaultKind::DroppedPort);
         let mut inj = FaultInjector::new(&drop);
-        dpe.step_faulted(&col, &mut inj, 2, 9, &mut out).unwrap();
+        dpe.step_faulted(&col, 1, &mut inj, 2, 9, &mut out).unwrap();
         assert_eq!(out.reduction.sums[0].value, 5.0);
         assert_eq!(out.useful_macs, 2);
         assert_eq!(inj.fired()[0].cycle, 9);
         // The same plan on another unit fires nothing.
         let mut other = FaultInjector::new(&drop);
-        dpe.step_faulted(&col, &mut other, 0, 9, &mut out).unwrap();
+        dpe.step_faulted(&col, 1, &mut other, 0, 9, &mut out).unwrap();
         assert_eq!(out.reduction.sums[0].value, 7.0);
         assert!(other.fired().is_empty());
         // A sign-stuck multiplier output and a sign-stuck root adder.
@@ -588,13 +696,13 @@ mod tests {
             FaultSite::MultiplierOutput { dpe: 0, slot: 2 },
             FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
         );
-        dpe.step_faulted(&col, &mut FaultInjector::new(&mult), 0, 0, &mut out).unwrap();
+        dpe.step_faulted(&col, 1, &mut FaultInjector::new(&mult), 0, 0, &mut out).unwrap();
         assert_eq!(out.reduction.sums[0].value, -1.0);
         let adder = FaultPlan::single(
             FaultSite::FanAdder { dpe: 0, adder: 1 },
             FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
         );
-        dpe.step_faulted(&col, &mut FaultInjector::new(&adder), 0, 0, &mut out).unwrap();
+        dpe.step_faulted(&col, 1, &mut FaultInjector::new(&adder), 0, 0, &mut out).unwrap();
         assert!(out.reduction.sums[0].value < 0.0, "the root add is forced negative");
     }
 
@@ -656,7 +764,6 @@ mod tests {
         assert_eq!(dpe.occupied(), 0);
         let step = step(&mut dpe, &[1.0]);
         assert!(step.reduction.sums.is_empty());
-        assert_eq!(step.operands_consumed, 0);
     }
 
     #[test]
@@ -664,6 +771,8 @@ mod tests {
         let mut dpe = FlexDpe::new(2).unwrap();
         let els = elements(&[(0, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0)]);
         assert!(dpe.load(&els, &ids(&[0, 0], 2)).is_err());
+        // A cluster on a multiplier past the loaded elements.
+        assert!(dpe.load(&els[..1], &ids(&[0, 0], 2)).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Verifies the allocation-free claim for the simulation hot loops: after
 //! a warmup pass, `FlexDpe::load` (of a repeated or a first-seen prefix
-//! length), the engine's streaming step `FlexDpe::step_compiled`
-//! (telemetry off and on), the faulted step `FlexDpe::step_faulted` with
+//! length), the engine's block step `FlexDpe::step_block`, the one-vector
+//! step `FlexDpe::step_compiled` (telemetry off and on), the faulted step `FlexDpe::step_faulted` with
 //! a stuck adder armed, and `Fan::reduce_into` perform **zero** heap
 //! allocations; and a No-Local-Reuse GEMM allocates as often whatever its
 //! number of useful pairs.
@@ -118,6 +118,20 @@ fn warmed_hot_loops_do_not_allocate() {
     assert_eq!(stepping, 0, "warmed step_compiled allocated {stepping} times");
     assert_eq!(out.useful_macs, 9);
 
+    // The engine's block step: products and the FAN replay run over a
+    // caller-owned tile, 32 streamed vectors at a time, from a row-major
+    // 8 x 40 streaming buffer.
+    const STEPS: usize = 40;
+    let stream: Vec<f32> = (0..8 * STEPS).map(|i| (i % 7) as f32 - 1.0).collect();
+    let mut tile = vec![0.0f32; SIZE * 32];
+    dpe.step_block(&stream, STEPS, 32, &mut tile).unwrap();
+    let mut block = 0usize;
+    let blocking = min_allocations_over(3, || {
+        block += 1;
+        dpe.step_block(&stream[block..], STEPS, 32, &mut tile).unwrap()
+    });
+    assert_eq!(blocking, 0, "warmed step_block allocated {blocking} times");
+
     // The faulted step with a stuck adder armed on this unit lists the
     // adder faults into a buffer the unit keeps: once the first step has
     // recorded the firing, stepping allocates nothing.
@@ -126,10 +140,10 @@ fn warmed_hot_loops_do_not_allocate() {
         FaultKind::StuckBit { bit: 30, level: StuckLevel::One },
     );
     let mut injector = FaultInjector::new(&stuck);
-    dpe.step_faulted(&cols[0], &mut injector, 0, 0, &mut out).unwrap();
+    dpe.step_faulted(&cols[0], 1, &mut injector, 0, 0, &mut out).unwrap();
     assert_eq!(injector.fired().len(), 1);
     let faulted = min_allocations_over(3, || {
-        dpe.step_faulted(&cols[1], &mut injector, 0, 1, &mut out).unwrap();
+        dpe.step_faulted(&cols[1], 1, &mut injector, 0, 1, &mut out).unwrap();
     });
     assert_eq!(faulted, 0, "warmed step_faulted allocated {faulted} times");
 

@@ -18,11 +18,16 @@
 //!   order with its `vecID`, leaf range, accumulator slot, and
 //!   completion cycle.
 //!
-//! [`FanProgram::execute_into`] then replays the adds over a wave's
-//! product buffer with the hardware's exact association order, so the
-//! resulting [`FanReduction`] is **bitwise identical** to
-//! [`Fan::reduce_into`](crate::Fan::reduce_into) at a fraction of the
-//! cost — this is the per-wave fast path of the event-driven simulator.
+//! [`FanProgram::execute_lanes`] then replays the adds over a tile of
+//! waves at once, held slot-major and lane-minor, so each compiled add
+//! is one add over contiguous lanes: the stationary dataflows stream
+//! many vectors through one layout, and the event-driven simulator
+//! reduces a block of consecutive steps per replay.
+//! [`FanProgram::execute_into`] is its one-lane case, which also emits
+//! the output template as a [`FanReduction`]. Either way each wave sees
+//! the hardware's exact association order, so its sums are **bitwise
+//! identical** to [`Fan::reduce_into`](crate::Fan::reduce_into) at a
+//! fraction of the cost.
 //!
 //! The compiled `critical_cycles` doubles as the network's
 //! *latency-until-quiescent* ([`FanProgram::latency_until_quiescent`]):
@@ -50,8 +55,9 @@ struct ProgramOutput {
 /// A compiled, value-independent FAN reduction schedule.
 ///
 /// Compile once per stationary load with [`FanProgram::compile`], then
-/// replay per streaming wave with [`FanProgram::execute_into`]. Both
-/// calls are allocation-free once the internal buffers are warm, so the
+/// replay per streaming wave with [`FanProgram::execute_into`], or per
+/// block of waves with [`FanProgram::execute_lanes`]. All three calls
+/// are allocation-free once the internal buffers are warm, so the
 /// simulator's steady-state hot loop stays heap-quiet.
 ///
 /// ```
@@ -85,6 +91,12 @@ pub struct FanProgram {
 }
 
 impl FanProgram {
+    /// The block width [`FanProgram::execute_lanes`] is compiled for: a
+    /// replay over exactly this many lanes (or one) runs fixed-length
+    /// loops, any other count runtime-length ones. Callers that stream in
+    /// blocks use it as their block width; 128 leaves of it are 16 KiB.
+    pub const BLOCK_LANES: usize = 32;
+
     /// Compiles the add schedule and output template for one `vecID`
     /// layout on `fan`. Reuses internal buffers, so recompilation is
     /// allocation-free once warm.
@@ -136,19 +148,17 @@ impl FanProgram {
     /// is bitwise identical to
     /// [`Fan::reduce_into`](crate::Fan::reduce_into) on the same values
     /// and the compiled `vecID` layout — same add order, same activation
-    /// counts, same completion times.
+    /// counts, same completion times. This is the one-lane case of
+    /// [`FanProgram::execute_lanes`].
     ///
     /// # Panics
     ///
     /// Panics (via slice indexing) if `work` is shorter than the
     /// compiled network size. Debug-asserts that the program is valid.
     pub fn execute_into(&self, work: &mut [f32], out: &mut FanReduction) {
-        debug_assert!(self.valid, "execute_into on an invalid FanProgram");
         debug_assert!(work.len() >= self.size);
+        self.execute_lanes(work, 1);
         out.sums.clear();
-        for &(dst, src) in &self.adds {
-            work[dst] += work[src];
-        }
         out.sums.reserve(self.outputs.len());
         for o in &self.outputs {
             out.sums.push(SegmentSum {
@@ -160,6 +170,37 @@ impl FanProgram {
         }
         out.adds_performed = self.adds.len();
         out.critical_cycles = self.critical_cycles;
+    }
+
+    /// Replays the compiled add schedule over `lanes` independent waves at
+    /// once. `tile` holds the waves slot-major and lane-minor: leaf `i` of
+    /// wave `j` is `tile[i * lanes + j]`. Each compiled add
+    /// `work[dst] += work[src]` becomes one add over `lanes` contiguous
+    /// values, so every wave sees exactly the f32 adds, in exactly the
+    /// order, that [`FanProgram::execute_into`] applies to it alone.
+    /// Cluster `o`'s sum for wave `j` ends at `tile[slot * lanes + j]`,
+    /// with `(vec_id, slot)` from [`FanProgram::outputs`]. Idle leaves
+    /// are never read.
+    ///
+    /// # Panics
+    ///
+    /// Panics (via slice indexing) if `tile` is shorter than
+    /// `lanes` times the highest active leaf. Debug-asserts that the
+    /// program is valid.
+    pub fn execute_lanes(&self, tile: &mut [f32], lanes: usize) {
+        debug_assert!(self.valid, "execute_lanes on an invalid FanProgram");
+        match lanes {
+            1 => replay_lanes(&self.adds, tile, 1),
+            Self::BLOCK_LANES => replay_lanes(&self.adds, tile, Self::BLOCK_LANES),
+            _ => replay_lanes(&self.adds, tile, lanes),
+        }
+    }
+
+    /// The output template: one `(vec_id, slot)` pair per cluster in
+    /// left-to-right leaf order, `slot` being the leaf where the
+    /// cluster's sum ends after a replay.
+    pub fn outputs(&self) -> impl ExactSizeIterator<Item = (u32, usize)> + '_ {
+        self.outputs.iter().map(|o| (o.vec_id, o.slot))
     }
 
     /// `true` after a successful [`FanProgram::compile`]; `false` for a
@@ -196,6 +237,20 @@ impl FanProgram {
     #[must_use]
     pub fn critical_cycles(&self) -> u64 {
         self.critical_cycles
+    }
+}
+
+/// The add replay over `lanes` lanes. Always inlined, so a constant
+/// `lanes` compiles to fixed-length loops.
+#[inline(always)]
+fn replay_lanes(adds: &[(usize, usize)], tile: &mut [f32], lanes: usize) {
+    for &(dst, src) in adds {
+        // A partial sum accumulates at its interval's leftmost leaf, so
+        // `dst < src` and the two lane runs never overlap.
+        let (left, right) = tile.split_at_mut(src * lanes);
+        for (d, &s) in left[dst * lanes..][..lanes].iter_mut().zip(&right[..lanes]) {
+            *d += s;
+        }
     }
 }
 
@@ -286,6 +341,78 @@ mod tests {
                 assert_eq!(a.leaf_range, b.leaf_range);
                 assert_eq!(a.completion_cycles, b.completion_cycles);
                 assert_eq!(a.value.to_bits(), b.value.to_bits(), "sums must match bit-for-bit");
+            }
+        }
+    }
+
+    #[test]
+    fn execute_lanes_matches_one_lane_replays_bitwise() {
+        // Random layouts (contiguous clusters with idle gaps) at every size
+        // up to 128, replayed over 1 to 33 lanes at once (the one-lane and
+        // block-width cases included), must leave each
+        // lane's cluster sums bit-equal to replaying that lane alone. The
+        // lanes mix ordinary values with ±0.0, ±inf, ±f32::MAX and NaN.
+        // The NaN is the hardware's own (inf - inf), the only one finite
+        // operands can produce: when two NaNs of different payloads meet,
+        // IEEE 754 leaves the result's payload open, and the compiler may
+        // commute an add differently in scalar and vector code.
+        let nan = std::hint::black_box(f32::INFINITY) - f32::INFINITY;
+        let special = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, nan, f32::MAX, -f32::MAX];
+        let mut x = 0x9e37_79b9u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x as usize
+        };
+        for size in (1..=7).map(|log| 1usize << log) {
+            let fan = Fan::new(size).unwrap();
+            for lanes in [1, 2, 7, 31, 32, 33, 32, 1] {
+                let mut layout = vec![None; size];
+                let (mut id, mut leaf) = (0u32, 0usize);
+                while leaf < size {
+                    let len = (1 + next() % 6).min(size - leaf);
+                    if next() % 4 != 0 {
+                        layout[leaf..leaf + len].fill(Some(id));
+                        id += 1;
+                    }
+                    leaf += len;
+                }
+                let mut program = FanProgram::default();
+                program.compile(&fan, &layout).unwrap();
+                let waves: Vec<Vec<f32>> = (0..lanes)
+                    .map(|_| {
+                        (0..size)
+                            .map(|_| match next() {
+                                r if r % 3 == 0 => special[(r >> 8) % special.len()],
+                                r => ((r % 100_000) as f32 / 100_000.0 - 0.5) * 1e3,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut tile = vec![0.0f32; size * lanes];
+                for (j, wave) in waves.iter().enumerate() {
+                    for (leaf, &v) in wave.iter().enumerate() {
+                        tile[leaf * lanes + j] = v;
+                    }
+                }
+                program.execute_lanes(&mut tile, lanes);
+                let mut out = FanReduction::default();
+                for (j, wave) in waves.iter().enumerate() {
+                    let mut work = wave.clone();
+                    program.execute_into(&mut work, &mut out);
+                    assert_eq!(out.sums.len(), program.outputs().len());
+                    for (sum, (vec_id, slot)) in out.sums.iter().zip(program.outputs()) {
+                        assert_eq!((sum.vec_id, sum.leaf_range.0), (vec_id, slot));
+                        let lane = tile[slot * lanes + j];
+                        assert_eq!(
+                            lane.to_bits(),
+                            sum.value.to_bits(),
+                            "size {size}, lane {j} of {lanes}, cluster {vec_id}: {lane} vs {}",
+                            sum.value
+                        );
+                    }
+                }
             }
         }
     }

@@ -157,6 +157,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Underlying row-major buffer, mutable.
+    #[must_use]
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Consumes the matrix and returns the row-major buffer.
     #[must_use]
     pub fn into_vec(self) -> Vec<f32> {
