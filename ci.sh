@@ -38,12 +38,15 @@ diff -r /tmp/sigma_ci_figs results/csv
 # Engine identity gate: layerbench's digest folds the stats and result
 # bits of every GEMM in a training step, so these pins catch any change
 # to what the stationary and No-Local-Reuse engines compute; fault_abft
-# runs the faulted step and its clean baseline inside run_gemm_checked.
+# runs the faulted step and its clean baseline inside run_gemm_checked;
+# sweep_dse folds the sweep CSV/JSON bytes, which hold every analytic
+# engine's product and each cell's error against the reference GEMM.
 # A change that moves one on purpose re-pins it in the same commit and
 # says why.
 for pin in train_stationary:1:a7276609add1ba4f train_stationary:7919:32d2406d431e7258 \
     nlr_wave:1:4948c77f8a833b59 nlr_wave:7919:423adcb017cecae1 \
-    fault_abft:1:c891eea38845f387 fault_abft:7919:c2db93611cc2eb1a; do
+    fault_abft:1:c891eea38845f387 fault_abft:7919:c2db93611cc2eb1a \
+    sweep_dse:1:aa2e6c6bff0df880 sweep_dse:7919:34937ec0e4993263; do
     workload=${pin%%:*}
     seed=${pin#*:}
     seed=${seed%%:*}

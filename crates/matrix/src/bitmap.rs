@@ -217,12 +217,20 @@ impl Bitmap {
     /// order — the order in which the SIGMA controller assigns counter
     /// values to stationary elements (Fig. 5, Step v).
     ///
-    /// Skips zero words and walks set bits with `trailing_zeros`, so cost
-    /// scales with `nnz + words`, not `rows * cols`. Bits past the logical
-    /// end are never set (`set`/`xor_word` maintain that invariant), so the
-    /// word scan cannot yield out-of-range coordinates.
+    /// Skips zero words and walks set bits with `trailing_zeros`, and a
+    /// row cursor that only moves forward finds each bit's row without a
+    /// division, so cost scales with `nnz + words + rows`, not
+    /// `rows * cols`. Bits past the logical end are never set
+    /// (`set`/`xor_word` maintain that invariant), so the word scan cannot
+    /// yield out-of-range coordinates; a 0-column bitmap has no words.
     pub fn iter_ones(&self) -> OnesIter<'_> {
-        OnesIter { bitmap: self, word_idx: 0, pending: self.words.first().copied().unwrap_or(0) }
+        OnesIter {
+            bitmap: self,
+            word_idx: 0,
+            pending: self.words.first().copied().unwrap_or(0),
+            row: 0,
+            row_start: 0,
+        }
     }
 
     /// Storage word `w` restricted to the bit range `[start, end)`:
@@ -290,6 +298,10 @@ pub struct OnesIter<'a> {
     bitmap: &'a Bitmap,
     word_idx: usize,
     pending: u64,
+    /// Row of the last yielded bit (0 before the first).
+    row: usize,
+    /// Bit address of `row`'s first column: `row * cols`.
+    row_start: usize,
 }
 
 impl Iterator for OnesIter<'_> {
@@ -304,7 +316,12 @@ impl Iterator for OnesIter<'_> {
         let tz = self.pending.trailing_zeros() as usize;
         self.pending &= self.pending - 1;
         let bit = self.word_idx * 64 + tz;
-        Some((bit / self.bitmap.cols, bit % self.bitmap.cols))
+        // A set bit implies `cols > 0`, so the cursor reaches its row.
+        while bit - self.row_start >= self.bitmap.cols {
+            self.row += 1;
+            self.row_start += self.bitmap.cols;
+        }
+        Some((self.row, bit - self.row_start))
     }
 }
 
@@ -421,6 +438,45 @@ mod tests {
         b.set(0, 2, true);
         let v: Vec<_> = b.iter_ones().collect();
         assert_eq!(v, vec![(0, 2), (1, 0)]);
+    }
+
+    #[test]
+    fn iter_ones_cursor_matches_the_division_form() {
+        let division = |b: &Bitmap| -> Vec<(usize, usize)> {
+            let mut out = Vec::new();
+            for (w, &word) in b.words.iter().enumerate() {
+                let mut pending = word;
+                while pending != 0 {
+                    let bit = w * 64 + pending.trailing_zeros() as usize;
+                    pending &= pending - 1;
+                    out.push((bit / b.cols(), bit % b.cols()));
+                }
+            }
+            out
+        };
+        for cols in [1, 63, 64, 65, 130] {
+            let rows = 7;
+            let mut b = Bitmap::new(rows, cols);
+            // Rows 1, 2 and 5 stay empty; the last bit sits in the last word.
+            for r in [0, 3, 4, 6] {
+                for c in (r % 3..cols).step_by(r + 2) {
+                    b.set(r, c, true);
+                }
+            }
+            b.set(rows - 1, cols - 1, true);
+            let fast: Vec<_> = b.iter_ones().collect();
+            assert_eq!(fast, division(&b), "cols {cols}");
+            assert_eq!(fast.last(), Some(&(rows - 1, cols - 1)), "cols {cols}");
+            // Only the very last bit: every row before it is empty.
+            let mut last = Bitmap::new(rows, cols);
+            last.set(rows - 1, cols - 1, true);
+            assert_eq!(last.iter_ones().collect::<Vec<_>>(), vec![(rows - 1, cols - 1)]);
+        }
+        // 0-column bitmaps have no words, so the cursor never runs.
+        for rows in [0, 1, 5, 1000] {
+            assert_eq!(Bitmap::new(rows, 0).iter_ones().next(), None);
+        }
+        assert_eq!(Bitmap::new(0, 5).iter_ones().next(), None);
     }
 
     #[test]

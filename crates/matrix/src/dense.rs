@@ -192,8 +192,9 @@ impl Matrix {
 
     /// Reference GEMM: `self[M,K] x rhs[K,N] -> [M,N]`.
     ///
-    /// This is the straightforward triple loop; it defines numerical ground
-    /// truth (per-output-element left-to-right accumulation order).
+    /// Numerical ground truth: each output element starts at `+0.0` and adds
+    /// its products in ascending-`k` order, with no zero-skipping or fused
+    /// multiply-add. The kernel streams rows of `rhs` and the output (i-k-j).
     ///
     /// # Panics
     ///
@@ -220,14 +221,17 @@ impl Matrix {
                 rhs: (rhs.rows, rhs.cols),
             });
         }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for j in 0..rhs.cols {
-                let mut acc = 0.0f32;
-                for k in 0..self.cols {
-                    acc += self.get(i, k) * rhs.get(k, j);
+        let (k, n) = (self.cols, rhs.cols);
+        let mut out = Matrix::zeros(self.rows, n);
+        // `chunks_exact(0)` panics; with K = 0 or N = 0 the zeros are the product.
+        if k == 0 || n == 0 {
+            return Ok(out);
+        }
+        for (a_row, c_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n)) {
+            for (&a, b_row) in a_row.iter().zip(rhs.data.chunks_exact(n)) {
+                for (c, &b) in c_row.iter_mut().zip(b_row) {
+                    *c += a * b;
                 }
-                out.set(i, j, acc);
             }
         }
         Ok(out)
@@ -235,8 +239,8 @@ impl Matrix {
 
     /// Training backward-pass GEMM `(A)^T x B`: `self[K,M]^T x rhs[K,N] -> [M,N]`.
     ///
-    /// This is the `(MK)^T x MN` weight-gradient product of Sec. I without
-    /// materializing the transpose.
+    /// This is the `(MK)^T x MN` weight-gradient product of Sec. I, with the
+    /// same per-element order as [`Matrix::matmul`].
     ///
     /// # Panics
     ///
@@ -244,23 +248,13 @@ impl Matrix {
     #[must_use]
     pub fn matmul_at(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "matmul_at requires equal row counts");
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for i in 0..self.cols {
-            for j in 0..rhs.cols {
-                let mut acc = 0.0f32;
-                for k in 0..self.rows {
-                    acc += self.get(k, i) * rhs.get(k, j);
-                }
-                out.set(i, j, acc);
-            }
-        }
-        out
+        self.transposed().matmul(rhs)
     }
 
     /// Training backward-pass GEMM `A x (B)^T`: `self[M,K] x rhs[N,K]^T -> [M,N]`.
     ///
-    /// This is the `MN x (KN)^T` input-gradient product of Sec. I without
-    /// materializing the transpose.
+    /// This is the `MN x (KN)^T` input-gradient product of Sec. I, with the
+    /// same per-element order as [`Matrix::matmul`].
     ///
     /// # Panics
     ///
@@ -268,17 +262,7 @@ impl Matrix {
     #[must_use]
     pub fn matmul_bt(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_bt requires equal column counts");
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            for j in 0..rhs.rows {
-                let mut acc = 0.0f32;
-                for k in 0..self.cols {
-                    acc += self.get(i, k) * rhs.get(j, k);
-                }
-                out.set(i, j, acc);
-            }
-        }
-        out
+        self.matmul(&rhs.transposed())
     }
 
     /// `true` if every element is finite (no NaN or infinity).
@@ -291,6 +275,8 @@ impl Matrix {
     ///
     /// Useful for comparing tree-reduced (simulator) results against the
     /// linearly-accumulated reference, where f32 rounding may differ.
+    /// Cells with identical bits differ by 0 (so matching infinities agree);
+    /// any other NaN difference makes the result NaN, which no `tol` accepts.
     ///
     /// # Panics
     ///
@@ -298,7 +284,11 @@ impl Matrix {
     #[must_use]
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
+        self.data
+            .iter()
+            .zip(&other.data)
+            .map(|(a, b)| if a.to_bits() == b.to_bits() { 0.0 } else { (a - b).abs() })
+            .fold(0.0f32, |max, d| if d > max || d.is_nan() { d } else { max })
     }
 
     /// `true` if every element differs from `other` by at most `tol`.
@@ -330,9 +320,166 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn seq(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32 + 1.0)
+    }
+
+    /// The i-j-k triple loop that defined the reference GEMM before the
+    /// row-streaming kernel: the bitwise oracle for it.
+    fn oracle_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.rows());
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0f32;
+                for k in 0..a.cols() {
+                    acc += a.get(i, k) * b.get(k, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    /// A kernel that skips zero entries of `a`: it drops `0 * inf = NaN`
+    /// and must fail the oracle comparison.
+    fn zero_skipping_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for k in 0..a.cols() {
+                let x = a.get(i, k);
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    out.set(i, j, out.get(i, j) + x * b.get(k, j));
+                }
+            }
+        }
+        out
+    }
+
+    /// First cell where `got` departs from `want`: bits must match wherever
+    /// the oracle is not NaN; where it is NaN, `got` must be some NaN
+    /// (vector and scalar adds may keep different NaN payloads).
+    fn oracle_mismatch(got: &Matrix, want: &Matrix) -> Option<(usize, f32, f32)> {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+        got.as_slice().iter().zip(want.as_slice()).enumerate().find_map(|(i, (&g, &w))| {
+            let ok = if w.is_nan() { g.is_nan() } else { g.to_bits() == w.to_bits() };
+            (!ok).then_some((i, g, w))
+        })
+    }
+
+    /// Values that stress bitwise identity: signed zeros, subnormals,
+    /// magnitudes whose products overflow, and (when `infs`) `±inf`.
+    fn nasty(rows: usize, cols: usize, infs: bool, rng: &mut StdRng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0u32..20) {
+            0..=2 => 0.0,
+            3 => -0.0,
+            4 => f32::from_bits(rng.gen_range(1..0x0080_0000)),
+            5 => -f32::from_bits(rng.gen_range(1..0x0080_0000)),
+            6 => rng.gen_range(1.0e37f32..3.0e38),
+            7 => -rng.gen_range(1.0e37f32..3.0e38),
+            8 if infs => f32::INFINITY,
+            9 if infs => f32::NEG_INFINITY,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+    }
+
+    /// `(m, k, n)` shapes: every zero dimension, 1x1, odd sizes, long `k`.
+    const ORACLE_SHAPES: [(usize, usize, usize); 12] = [
+        (0, 3, 4),
+        (3, 0, 4),
+        (3, 4, 0),
+        (0, 0, 0),
+        (1, 1, 1),
+        (1, 7, 1),
+        (3, 5, 7),
+        (7, 13, 9),
+        (9, 1, 11),
+        (5, 64, 65),
+        (4, 257, 3),
+        (3, 300, 17),
+    ];
+
+    #[test]
+    fn every_reference_gemm_matches_the_triple_loop_oracle_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x5167_a001);
+        for seed_case in 0..4 {
+            for &(m, k, n) in &ORACLE_SHAPES {
+                let a = nasty(m, k, false, &mut rng);
+                let b = nasty(k, n, true, &mut rng);
+                let want = oracle_matmul(&a, &b);
+                let at = a.transposed();
+                let bt = b.transposed();
+                let cases = [
+                    ("matmul", a.matmul(&b)),
+                    ("try_matmul", a.try_matmul(&b).unwrap()),
+                    ("matmul_at", at.matmul_at(&b)),
+                    ("matmul_bt", a.matmul_bt(&bt)),
+                ];
+                for (name, got) in cases {
+                    assert_eq!(
+                        oracle_mismatch(&got, &want),
+                        None,
+                        "{name} case {seed_case} shape {m}x{k}x{n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_oracle_comparison_rejects_a_zero_skipping_kernel() {
+        let mut rng = StdRng::seed_from_u64(0x5167_a001);
+        let mut caught = 0;
+        for &(m, k, n) in &ORACLE_SHAPES {
+            let a = nasty(m, k, false, &mut rng);
+            let b = nasty(k, n, true, &mut rng);
+            let want = oracle_matmul(&a, &b);
+            caught += usize::from(oracle_mismatch(&zero_skipping_matmul(&a, &b), &want).is_some());
+        }
+        assert!(caught > 0, "a zero-skipping kernel must disagree with the oracle");
+        // The minimal witness: `0 * inf` is NaN in the oracle, skipped here.
+        let a = Matrix::from_rows(&[&[0.0, 1.0]]);
+        let b = Matrix::from_rows(&[&[f32::INFINITY], &[2.0]]);
+        assert!(a.matmul(&b).get(0, 0).is_nan());
+        assert_eq!(oracle_mismatch(&a.matmul(&b), &oracle_matmul(&a, &b)), None);
+        assert!(oracle_mismatch(&zero_skipping_matmul(&a, &b), &oracle_matmul(&a, &b)).is_some());
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan_and_accepts_identical_bits() {
+        let a = seq(2, 2);
+        let mut nan = a.clone();
+        nan.set(0, 1, f32::NAN);
+        assert!(nan.max_abs_diff(&a).is_nan());
+        assert!(a.max_abs_diff(&nan).is_nan());
+        assert!(!nan.approx_eq(&a, 1.0e6));
+        assert!(!a.approx_eq(&nan, f32::INFINITY));
+        // Matching infinities (identical bits) agree; opposite ones do not.
+        let mut inf = a.clone();
+        inf.set(1, 0, f32::INFINITY);
+        assert_eq!(inf.max_abs_diff(&inf.clone()), 0.0);
+        assert!(inf.approx_eq(&inf.clone(), 0.0));
+        let mut neg = a.clone();
+        neg.set(1, 0, f32::NEG_INFINITY);
+        assert_eq!(inf.max_abs_diff(&neg), f32::INFINITY);
+        assert!(!inf.approx_eq(&neg, 1.0e6));
+        assert!(inf.max_abs_diff(&a).is_infinite());
+        // A NaN on both sides is still a NaN difference, not agreement by
+        // value; only an identical bit pattern counts as equal.
+        assert_eq!(nan.max_abs_diff(&nan.clone()), 0.0);
+        let mut other_nan = a.clone();
+        other_nan.set(0, 1, -f32::NAN);
+        assert!(nan.max_abs_diff(&other_nan).is_nan());
+        // Signed zeros differ by 0.
+        let pz = Matrix::zeros(1, 1);
+        let nz = Matrix::from_rows(&[&[-0.0]]);
+        assert_eq!(pz.max_abs_diff(&nz), 0.0);
     }
 
     #[test]

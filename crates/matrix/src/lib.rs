@@ -6,8 +6,10 @@
 //! about those operands:
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with the reference GEMM
-//!   implementations used to verify the simulated datapath
-//!   ([`Matrix::matmul`], [`Matrix::matmul_at`], [`Matrix::matmul_bt`]).
+//!   used to verify the simulated datapath ([`Matrix::matmul`],
+//!   [`Matrix::matmul_at`], [`Matrix::matmul_bt`]): one row-streaming
+//!   kernel in which every output element adds its products in
+//!   ascending-`k` order from `+0.0`.
 //! * [`Bitmap`] — the bit-packed occupancy map SIGMA uses as its on-chip
 //!   compression format (Sec. IV-C of the paper).
 //! * [`SparseMatrix`] — values + bitmap, the operand representation consumed

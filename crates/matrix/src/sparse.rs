@@ -59,9 +59,11 @@ impl SparseMatrix {
     /// Decompresses to a dense matrix.
     #[must_use]
     pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows(), self.cols());
+        let cols = self.cols();
+        let mut m = Matrix::zeros(self.rows(), cols);
+        let data = m.as_mut_slice();
         for ((r, c), v) in self.bitmap.iter_ones().zip(&self.values) {
-            m.set(r, c, *v);
+            data[r * cols + c] = *v;
         }
         m
     }
