@@ -30,11 +30,23 @@ cargo run -q -p sigma-bench --bin fault_campaign -- --smoke --quiet
 # CSV/JSON renderings be byte-identical to an uninterrupted run.
 cargo run -q --release -p sigma-bench --bin chaos_resume -- --smoke
 # Figure identity gate: every all_figures table must match the committed
-# results/csv byte for byte; a change that moves a figure regenerates
-# results/csv in the same commit and says why.
+# results/csv byte for byte, and the all_figures, ablations and
+# tables_qualitative text must match results/*.txt; a change that moves a
+# figure regenerates them in the same commit and says why.
 rm -rf /tmp/sigma_ci_figs
-cargo run -q --release -p sigma-bench --bin all_figures -- --csv /tmp/sigma_ci_figs --quiet
+cargo run -q --release -p sigma-bench --bin all_figures -- --csv /tmp/sigma_ci_figs \
+    > /tmp/sigma_ci_all_figures.txt
 diff -r /tmp/sigma_ci_figs results/csv
+diff /tmp/sigma_ci_all_figures.txt results/all_figures.txt
+cargo run -q --release -p sigma-bench --bin ablations > /tmp/sigma_ci_ablations.txt
+diff /tmp/sigma_ci_ablations.txt results/ablations.txt
+cargo run -q --release -p sigma-bench --bin tables_qualitative > /tmp/sigma_ci_tables.txt
+diff /tmp/sigma_ci_tables.txt results/tables.txt
+# Fault-campaign identity gate: the full campaign's tables must match the
+# committed results/fault_campaign byte for byte.
+rm -rf /tmp/sigma_ci_faults
+cargo run -q --release -p sigma-bench --bin fault_campaign -- --csv /tmp/sigma_ci_faults --quiet
+diff -r /tmp/sigma_ci_faults results/fault_campaign
 # Engine identity gate: layerbench's digest folds the stats and result
 # bits of every GEMM in a training step, so these pins catch any change
 # to what the stationary and No-Local-Reuse engines compute; fault_abft

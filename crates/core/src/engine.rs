@@ -12,7 +12,7 @@ use crate::cancel::CancelToken;
 use crate::config::{Dataflow, SigmaConfig, SigmaError};
 use crate::controller::ControllerPlan;
 use crate::fault::{FaultCounters, FaultInjector, FaultPlan, FaultReport};
-use crate::flex_dpe::{DpeStep, FlexDpe};
+use crate::flex_dpe::FlexDpe;
 use crate::sched::{Event, EventQueue};
 use crate::stats::CycleStats;
 use crate::trace::{Phase, Trace};
@@ -445,15 +445,16 @@ impl SigmaSim {
     /// An armed, non-empty injector changes four things. Bitmap-word
     /// corruptions hit the streaming metadata *before* the controller
     /// plans, and the streaming copy reads through the corrupted bitmap (a
-    /// cleared bit reads as zero). Every step executes on its own, through
-    /// [`FlexDpe::step_faulted`], because fault stamps are per step and a
-    /// fault can fire on a dead step and turn
-    /// its `+0.0` into a live value, so the fast-forward is only sound
-    /// with no injector (dead cycles are still counted as skipped). A
-    /// fault is stamped with the total cycle count at the end of its step.
-    /// And each fold's fired faults are stable-sorted by cycle, which
-    /// restores the step-major order of a cycle-by-cycle walk. An empty
-    /// injector takes the clean path unchanged.
+    /// cleared bit reads as zero). Every step runs as a one-lane block of
+    /// [`FlexDpe::step_block`], armed with the injector, because fault
+    /// stamps are per step. Dead steps run too: a fault can fire on a
+    /// dead step and turn its `+0.0` into a live value, so the
+    /// fast-forward is only sound with no injector (dead cycles are still
+    /// counted as skipped). A fault is stamped with the total cycle count
+    /// at the end of its step. And each fold's fired faults are
+    /// stable-sorted by cycle, which restores the step-major order of a
+    /// cycle-by-cycle walk. An empty injector takes the clean path
+    /// unchanged.
     ///
     /// A cycle-by-cycle tick loop survives in the unit tests as the
     /// bitwise oracle for results, stats, traces and fault reports.
@@ -504,7 +505,6 @@ impl SigmaSim {
         let mut stats = CycleStats { pes: pes as u64, ..CycleStats::default() };
         let mut engines: Vec<FlexDpe> = Vec::new();
         let mut local_ids: Vec<Option<u32>> = vec![None; dpe];
-        let mut step_out = DpeStep::default();
         let mut tile = vec![0.0f32; dpe * BLOCK_STEPS];
         let mut fanout_scratch: Vec<usize> = Vec::new();
         // Per-step send counts for the current fold, recomputed word-level
@@ -614,46 +614,37 @@ impl SigmaSim {
                     }
                     // Pass 2 — the datapath, unit-outer so each unit's
                     // stationary state stays cache-resident across the
-                    // whole fold: per step with faults armed, else per
-                    // live block. Per output cell the accumulation order
-                    // is unchanged (fold-major, then unit-major: within a
+                    // whole fold: per live block, or per step with faults
+                    // armed. Per output cell the accumulation order is
+                    // unchanged (fold-major, then unit-major: within a
                     // fold each cluster touches a cell at most once per
                     // step), so results match a step-outer walk bitwise.
                     let mut fold_useful = 0u64;
+                    let first_fired = faults.as_deref().map_or(0, |inj| inj.fired().len());
+                    let block = if faults.is_some() { 1 } else { BLOCK_STEPS };
+                    for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
+                        for s0 in (0..steps).step_by(block) {
+                            let lanes = block.min(steps - s0);
+                            let dead = sends_buf[s0..s0 + lanes].iter().all(|&n| n == 0);
+                            if dead && faults.is_none() {
+                                continue;
+                            }
+                            let armed = faults.as_deref_mut().map(|inj| (inj, d, step_end[s0]));
+                            let useful =
+                                unit.step_block(&stream[s0..], steps, lanes, &mut tile, armed)?;
+                            fold_useful += useful as u64;
+                            for (vec_id, slot) in unit.outputs() {
+                                let group = fold.cluster_groups[vec_id as usize];
+                                let cell = group * group_stride + s0 * step_stride;
+                                let sums = &tile[slot * lanes..][..lanes];
+                                for (j, &p) in sums.iter().enumerate() {
+                                    out[cell + j * step_stride] += p;
+                                }
+                            }
+                        }
+                    }
                     if let Some(inj) = faults.as_deref_mut() {
-                        let first_fired = inj.fired().len();
-                        for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
-                            for (step, &cycle) in step_end.iter().enumerate() {
-                                let column = &stream[step..];
-                                unit.step_faulted(column, steps, inj, d, cycle, &mut step_out)?;
-                                fold_useful += step_out.useful_macs as u64;
-                                for s in &step_out.reduction.sums {
-                                    let group = fold.cluster_groups[s.vec_id as usize];
-                                    out[group * group_stride + step * step_stride] += s.value;
-                                }
-                            }
-                        }
                         inj.sort_fired_since(first_fired);
-                    } else {
-                        for unit in engines.iter().take(active_dpes) {
-                            for s0 in (0..steps).step_by(BLOCK_STEPS) {
-                                let lanes = BLOCK_STEPS.min(steps - s0);
-                                if sends_buf[s0..s0 + lanes].iter().all(|&n| n == 0) {
-                                    continue;
-                                }
-                                let useful =
-                                    unit.step_block(&stream[s0..], steps, lanes, &mut tile)?;
-                                fold_useful += useful as u64;
-                                for (vec_id, slot) in unit.outputs() {
-                                    let group = fold.cluster_groups[vec_id as usize];
-                                    let cell = group * group_stride + s0 * step_stride;
-                                    let sums = &tile[slot * lanes..][..lanes];
-                                    for (j, &p) in sums.iter().enumerate() {
-                                        out[cell + j * step_stride] += p;
-                                    }
-                                }
-                            }
-                        }
                     }
                     stats.streaming_cycles += fold_stream;
                     stats.sram_reads += fold_sends;

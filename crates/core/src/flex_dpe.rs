@@ -13,9 +13,9 @@
 //!
 //! The stationary store is *flattened* — dense `values`/`contractions`
 //! arrays plus a `u64` occupancy bitmask instead of `Vec<Option<..>>` —
-//! and the unit owns its scratch state (product and operand buffers,
-//! [`FanScratch`], the armed adder-fault list, the compiled
-//! [`FanProgram`]), so a warmed unit loads and steps without allocating.
+//! and the unit owns its scratch state (the one-lane product buffer, the
+//! armed adder-fault list, the compiled [`FanProgram`]), so a warmed unit
+//! loads and steps without allocating.
 //!
 //! Loading does no routing. The loading unicast sends value `i` to
 //! multiplier `i` for a prefix of the slots, a pattern the Benes network
@@ -25,7 +25,7 @@
 //! a miss is the first load of a prefix length, the load a controller that
 //! memoizes switch settings would have to configure.
 //!
-//! The step functions perform **zero heap allocations** once warm
+//! Both step functions perform **zero heap allocations** once warm
 //! (`crates/core/tests/alloc_free.rs`):
 //!
 //! * [`FlexDpe::step_block`] — the engine's streaming step. It takes a
@@ -36,14 +36,12 @@
 //!   FAN schedule compiled at load time then replays once for the whole
 //!   block ([`FanProgram::execute_lanes`]): every multiply and add runs
 //!   over contiguous lanes, and each lane sees the f32 ops, in the
-//!   order, of a step of its own.
+//!   order, of a step of its own. Under an armed [`FaultInjector`] the
+//!   block is one step: port, multiplier and adder faults perturb the
+//!   wave, and the replay corrupts the unit's stuck adders after they
+//!   fire.
 //! * [`FlexDpe::step_compiled`] — one streamed vector: the one-lane case
 //!   of the same product pass and replay, returning the reduction.
-//! * [`FlexDpe::step_faulted`] — one vector under an armed
-//!   [`FaultInjector`]. Port, multiplier and adder faults perturb the
-//!   wave, which reduces through [`Fan::reduce_into`] because the
-//!   compiled program has no adder hook. The injector lists the unit's
-//!   stuck adders into a buffer the unit keeps.
 //!
 //! Only stationary dataflows use this unit. No-Local-Reuse keeps nothing
 //! in the multiplier buffers, so the engine streams its pairs straight
@@ -52,7 +50,7 @@
 use crate::config::SigmaError;
 use crate::controller::MappedElement;
 use crate::fault::{AdderFault, FaultInjector};
-use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction, FanScratch};
+use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction};
 use sigma_telemetry::{Counter, Hist, Telemetry};
 
 /// The result of streaming one vector through a Flex-DPE.
@@ -79,14 +77,9 @@ pub struct FlexDpe {
     vec_ids: Vec<Option<u32>>,
     occupied_count: usize,
     // Reusable hot-loop state.
-    /// The one-lane tile of [`FlexDpe::step_compiled`] and the faulted
-    /// step's products.
+    /// The one-lane tile of [`FlexDpe::step_compiled`].
     products: Vec<f32>,
-    /// Operands as delivered to each slot, for the faulted step's
-    /// Benes-port faults.
-    operands: Vec<f32>,
-    fan_scratch: FanScratch,
-    /// The stuck adders armed on this unit, refilled by every faulted step.
+    /// The stuck adders armed on this unit, refilled by every armed step.
     adder_faults: Vec<AdderFault>,
     /// The FAN add schedule compiled once per load: the schedule is a pure
     /// function of the `vecID` layout, so the event-driven engine replays
@@ -122,8 +115,6 @@ impl FlexDpe {
             vec_ids: vec![None; size],
             occupied_count: 0,
             products: vec![0.0; size],
-            operands: vec![0.0; size],
-            fan_scratch: FanScratch::default(),
             adder_faults: Vec::new(),
             program: FanProgram::default(),
             loaded_lengths: vec![0; (size + 1).div_ceil(64)],
@@ -250,7 +241,7 @@ impl FlexDpe {
 
     /// Allocation-free streaming step over a block of `lanes` consecutive
     /// streamed vectors on the *compiled* FAN schedule. This is the
-    /// engine's steady-state path.
+    /// engine's one datapath step, clean or faulted.
     ///
     /// `stream` is a dense, row-major streaming buffer with `stride`
     /// values per contraction row, offset to the block's first step:
@@ -262,6 +253,17 @@ impl FlexDpe {
     /// of [`FlexDpe::outputs`]. Returns the useful MACs (non-zero
     /// operands) over all lanes.
     ///
+    /// `faults` arms a [`FaultInjector`] as `(injector, dpe_index,
+    /// cycle)`: `dpe_index` names this unit in the injector's site space
+    /// and `cycle` stamps any fault that fires. Fault stamps are per step,
+    /// so an armed block is one lane. Its operands are gathered into the
+    /// tile, Benes delivery faults perturb them, multiplier-output faults
+    /// perturb the products, and the unit's stuck adders corrupt the
+    /// replay. An injector that fires nothing leaves the step bitwise
+    /// equal to a clean one. The stuck adders are listed into a buffer
+    /// the unit keeps, so a warmed armed step allocates nothing either
+    /// (the first firing of a fault still records it in the injector).
+    ///
     /// Records **no** per-step telemetry: the engine batches the per-step
     /// counters per fold (they are constants of the layout, see
     /// [`FlexDpe::record_steps_telemetry`]), so recording here would
@@ -270,7 +272,8 @@ impl FlexDpe {
     /// # Errors
     ///
     /// [`SigmaError::Internal`] if no valid program is compiled (a
-    /// non-contiguous layout was loaded, or nothing was loaded yet).
+    /// non-contiguous layout was loaded, or nothing was loaded yet), or
+    /// if an armed block is not exactly one lane.
     ///
     /// # Panics
     ///
@@ -278,21 +281,40 @@ impl FlexDpe {
     /// contraction row the loaded elements reference, or `tile` holds
     /// fewer than `lanes` values per occupied slot.
     pub fn step_block(
-        &self,
+        &mut self,
         stream: &[f32],
         stride: usize,
         lanes: usize,
         tile: &mut [f32],
+        faults: Option<(&mut FaultInjector<'_>, usize, u64)>,
     ) -> Result<usize, SigmaError> {
         self.check_program()?;
         let occ = self.occupied_prefix();
         let (values, contractions) = (&self.values[..occ], &self.contractions[..occ]);
-        let useful = if lanes == FanProgram::BLOCK_LANES {
-            multiply_lanes(values, contractions, stream, stride, FanProgram::BLOCK_LANES, tile)
-        } else {
-            multiply_lanes(values, contractions, stream, stride, lanes, tile)
+        let Some((injector, dpe, cycle)) = faults else {
+            let useful = if lanes == FanProgram::BLOCK_LANES {
+                multiply_lanes(values, contractions, stream, stride, FanProgram::BLOCK_LANES, tile)
+            } else {
+                multiply_lanes(values, contractions, stream, stride, lanes, tile)
+            };
+            self.program.execute_lanes(tile, lanes, &[]);
+            return Ok(useful);
         };
-        self.program.execute_lanes(tile, lanes);
+        if lanes != 1 {
+            return Err(SigmaError::Internal(format!("armed Flex-DPE step over {lanes} lanes")));
+        }
+        let products = &mut tile[..occ];
+        for (x, &c) in products.iter_mut().zip(contractions) {
+            *x = stream[c * stride];
+        }
+        injector.apply_port_faults(dpe, products, cycle);
+        let mut useful = 0usize;
+        for (slot, (p, &v)) in products.iter_mut().zip(values).enumerate() {
+            useful += usize::from(*p != 0.0);
+            *p = injector.apply_multiplier(dpe, slot, v * *p, cycle);
+        }
+        injector.adder_faults(dpe, cycle, &mut self.adder_faults);
+        self.program.execute_lanes(tile, 1, &self.adder_faults);
         Ok(useful)
     }
 
@@ -337,63 +359,6 @@ impl FlexDpe {
         } else {
             Err(SigmaError::Internal("Flex-DPE step without a valid compiled FAN program".into()))
         }
-    }
-
-    /// [`FlexDpe::step_compiled`] with an armed [`FaultInjector`], reading
-    /// contraction `c`'s operand from `stream[c * stride]` (`stride` 1
-    /// for a contraction-indexed column, the step count for a row-major
-    /// streaming buffer offset to the step): Benes
-    /// delivery faults perturb the gathered operands, multiplier-output
-    /// faults perturb the products, and stuck FAN adders corrupt the
-    /// reduction. The compiled program has no adder hook, so the wave
-    /// reduces through [`Fan::reduce_into`] — the same add order, so an
-    /// injector that fires nothing leaves the step bitwise equal to
-    /// [`FlexDpe::step_compiled`]. The armed adder faults are listed into
-    /// a buffer the unit keeps, so a warmed unit steps without allocating
-    /// (the first firing of a fault still records it in the injector).
-    ///
-    /// `dpe_index` names this engine in the injector's site space and
-    /// `cycle` stamps any fault that fires.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FAN errors, which cannot occur for controller-produced
-    /// cluster assignments (contiguous by construction).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`FlexDpe::step_compiled`].
-    pub fn step_faulted(
-        &mut self,
-        stream: &[f32],
-        stride: usize,
-        injector: &mut FaultInjector<'_>,
-        dpe_index: usize,
-        cycle: u64,
-        out: &mut DpeStep,
-    ) -> Result<(), SigmaError> {
-        let occ = self.occupied_prefix();
-        for (x, &c) in self.operands[..occ].iter_mut().zip(&self.contractions[..occ]) {
-            *x = stream[c * stride];
-        }
-        injector.apply_port_faults(dpe_index, &mut self.operands[..occ], cycle);
-        let delivered = self.operands[..occ].iter().copied();
-        let useful = multiply(&mut self.products[..occ], &self.values[..occ], delivered);
-        for (slot, p) in self.products[..occ].iter_mut().enumerate() {
-            *p = injector.apply_multiplier(dpe_index, slot, *p, cycle);
-        }
-        injector.adder_faults(dpe_index, cycle, &mut self.adder_faults);
-        self.fan
-            .reduce_into(
-                &self.products,
-                &self.vec_ids,
-                &self.adder_faults,
-                &mut self.fan_scratch,
-                &mut out.reduction,
-            )
-            .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
-        out.useful_macs = useful;
-        Ok(())
     }
 
     /// The occupied slot count. Occupancy is always a contiguous prefix
@@ -527,18 +492,6 @@ fn multiply_lanes(
     useful
 }
 
-/// The faulted step's product pass: `products[s] = values[s] * operand s`
-/// over the occupied prefix, returning how many operands were non-zero.
-#[inline]
-fn multiply(products: &mut [f32], values: &[f32], operands: impl Iterator<Item = f32>) -> usize {
-    let mut useful = 0usize;
-    for ((p, &v), x) in products.iter_mut().zip(values).zip(operands) {
-        useful += usize::from(x != 0.0);
-        *p = v * x;
-    }
-    useful
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,30 +546,32 @@ mod tests {
 
     #[test]
     fn step_functions_match_the_reference_step_bitwise() {
-        // The compiled step, the faulted step under an injector that never
-        // fires, and the oracle's reference step must agree bit for bit —
-        // same products, same f32 association order, same drain.
+        // The compiled step, the block step armed with an injector that
+        // never fires, and the oracle's reference step must agree bit for
+        // bit — same products, same f32 association order, same drain.
         let plan = crate::fault::FaultPlan::none();
         let mut dpe = FlexDpe::new(8).unwrap();
         let els = elements(&[(0, 0, 2.5), (0, 1, -3.0), (0, 2, 4.0), (1, 1, 0.5), (1, 3, -6.0)]);
         dpe.load(&els, &ids(&[0, 0, 0, 1, 1], 8)).unwrap();
         let mut a = DpeStep::default();
-        let mut b = DpeStep::default();
+        let mut tile = [f32::NAN; 8];
         let mut check = |dpe: &mut FlexDpe, col: &[f32], ctx: &str| {
             let mut quiet = FaultInjector::new(&plan);
             let reference = dpe.step_reference(&|k| col[k], &mut quiet, 0, 0).unwrap();
             dpe.step_compiled(col, &mut a).unwrap();
-            dpe.step_faulted(col, 1, &mut quiet, 0, 0, &mut b).unwrap();
+            let useful = dpe.step_block(col, 1, 1, &mut tile, Some((&mut quiet, 0, 0))).unwrap();
             assert_eq!(dpe.drain_cycles(), reference.reduction.critical_cycles, "{ctx}");
-            for out in [&a, &b] {
-                assert_eq!(out.useful_macs, reference.useful_macs, "{ctx}");
-                assert_eq!(out.reduction.adds_performed, reference.reduction.adds_performed);
-                assert_eq!(out.reduction.critical_cycles, reference.reduction.critical_cycles);
-                assert_eq!(out.reduction.sums.len(), reference.reduction.sums.len(), "{ctx}");
-                for (x, y) in out.reduction.sums.iter().zip(&reference.reduction.sums) {
-                    assert_eq!(x.vec_id, y.vec_id, "{ctx}");
-                    assert_eq!(x.value.to_bits(), y.value.to_bits(), "{ctx}");
-                }
+            assert_eq!(a.useful_macs, reference.useful_macs, "{ctx}");
+            assert_eq!(useful, reference.useful_macs, "{ctx}");
+            assert_eq!(a.reduction.adds_performed, reference.reduction.adds_performed);
+            assert_eq!(a.reduction.critical_cycles, reference.reduction.critical_cycles);
+            assert_eq!(a.reduction.sums.len(), reference.reduction.sums.len(), "{ctx}");
+            assert_eq!(dpe.outputs().len(), reference.reduction.sums.len(), "{ctx}");
+            let sums = a.reduction.sums.iter().zip(dpe.outputs());
+            for ((x, (vec_id, slot)), y) in sums.zip(&reference.reduction.sums) {
+                assert_eq!((x.vec_id, vec_id), (y.vec_id, y.vec_id), "{ctx}");
+                assert_eq!(x.value.to_bits(), y.value.to_bits(), "{ctx}");
+                assert_eq!(tile[slot].to_bits(), y.value.to_bits(), "{ctx}");
             }
             assert!(quiet.fired().is_empty());
         };
@@ -654,7 +609,7 @@ mod tests {
         };
         let stream: Vec<f32> = (0..4 * stride).map(|i| value(i / stride, i % stride)).collect();
         let mut tile = vec![f32::NAN; 8 * lanes];
-        let useful = dpe.step_block(&stream[s0..], stride, lanes, &mut tile).unwrap();
+        let useful = dpe.step_block(&stream[s0..], stride, lanes, &mut tile, None).unwrap();
         let mut expected_useful = 0;
         for j in 0..lanes {
             let mut quiet = FaultInjector::new(&plan);
@@ -670,40 +625,45 @@ mod tests {
     }
 
     #[test]
-    fn step_faulted_applies_port_multiplier_and_adder_faults() {
+    fn armed_block_step_applies_port_multiplier_and_adder_faults() {
         use crate::fault::{FaultKind, FaultPlan, FaultSite, StuckLevel};
         let mut dpe = FlexDpe::new(4).unwrap();
-        // One cluster over slots 0..3: x0*1 + x1*2 + x2*4.
+        // One cluster over slots 0..3: x0*1 + x1*2 + x2*4, summed at slot 0.
         let els = elements(&[(0, 0, 1.0), (0, 1, 2.0), (0, 2, 4.0)]);
         dpe.load(&els, &ids(&[0, 0, 0], 4)).unwrap();
         let col = [1.0f32, 1.0, 1.0];
-        let mut out = DpeStep::default();
+        let mut tile = [0.0f32; 4];
+        let mut step = |dpe: &mut FlexDpe, inj: &mut FaultInjector<'_>, d: usize, cycle: u64| {
+            let useful = dpe.step_block(&col, 1, 1, &mut tile, Some((inj, d, cycle))).unwrap();
+            (tile[0], useful)
+        };
         // Port 1 dropped: its product vanishes and stops being useful.
         let drop =
             FaultPlan::single(FaultSite::BenesPort { dpe: 2, port: 1 }, FaultKind::DroppedPort);
         let mut inj = FaultInjector::new(&drop);
-        dpe.step_faulted(&col, 1, &mut inj, 2, 9, &mut out).unwrap();
-        assert_eq!(out.reduction.sums[0].value, 5.0);
-        assert_eq!(out.useful_macs, 2);
+        assert_eq!(step(&mut dpe, &mut inj, 2, 9), (5.0, 2));
         assert_eq!(inj.fired()[0].cycle, 9);
         // The same plan on another unit fires nothing.
         let mut other = FaultInjector::new(&drop);
-        dpe.step_faulted(&col, 1, &mut other, 0, 9, &mut out).unwrap();
-        assert_eq!(out.reduction.sums[0].value, 7.0);
+        assert_eq!(step(&mut dpe, &mut other, 0, 9), (7.0, 3));
         assert!(other.fired().is_empty());
         // A sign-stuck multiplier output and a sign-stuck root adder.
         let mult = FaultPlan::single(
             FaultSite::MultiplierOutput { dpe: 0, slot: 2 },
             FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
         );
-        dpe.step_faulted(&col, 1, &mut FaultInjector::new(&mult), 0, 0, &mut out).unwrap();
-        assert_eq!(out.reduction.sums[0].value, -1.0);
+        assert_eq!(step(&mut dpe, &mut FaultInjector::new(&mult), 0, 0).0, -1.0);
         let adder = FaultPlan::single(
             FaultSite::FanAdder { dpe: 0, adder: 1 },
             FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
         );
-        dpe.step_faulted(&col, 1, &mut FaultInjector::new(&adder), 0, 0, &mut out).unwrap();
-        assert!(out.reduction.sums[0].value < 0.0, "the root add is forced negative");
+        let (sum, _) = step(&mut dpe, &mut FaultInjector::new(&adder), 0, 0);
+        assert!(sum < 0.0, "the root add is forced negative");
+        // Fault stamps are per step: an armed block must be one lane.
+        let mut wide = [0.0f32; 8];
+        let armed = Some((&mut inj, 2, 9));
+        let err = dpe.step_block(&[1.0; 6], 2, 2, &mut wide, armed).unwrap_err();
+        assert!(matches!(err, SigmaError::Internal(_)), "{err:?}");
     }
 
     #[test]

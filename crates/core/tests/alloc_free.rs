@@ -1,8 +1,9 @@
 //! Verifies the allocation-free claim for the simulation hot loops: after
 //! a warmup pass, `FlexDpe::load` (of a repeated or a first-seen prefix
-//! length), the engine's block step `FlexDpe::step_block`, the one-vector
-//! step `FlexDpe::step_compiled` (telemetry off and on), the faulted step `FlexDpe::step_faulted` with
-//! a stuck adder armed, and `Fan::reduce_into` perform **zero** heap
+//! length), the engine's block step `FlexDpe::step_block` (clean, and as
+//! a one-lane step armed with a Benes-port fault, a multiplier stuck bit
+//! and a stuck adder), the one-vector step `FlexDpe::step_compiled`
+//! (telemetry off and on), and `Fan::reduce_into` perform **zero** heap
 //! allocations; and a No-Local-Reuse GEMM allocates as often whatever its
 //! number of useful pairs.
 //!
@@ -124,28 +125,38 @@ fn warmed_hot_loops_do_not_allocate() {
     const STEPS: usize = 40;
     let stream: Vec<f32> = (0..8 * STEPS).map(|i| (i % 7) as f32 - 1.0).collect();
     let mut tile = vec![0.0f32; SIZE * 32];
-    dpe.step_block(&stream, STEPS, 32, &mut tile).unwrap();
+    dpe.step_block(&stream, STEPS, 32, &mut tile, None).unwrap();
     let mut block = 0usize;
     let blocking = min_allocations_over(3, || {
         block += 1;
-        dpe.step_block(&stream[block..], STEPS, 32, &mut tile).unwrap()
+        dpe.step_block(&stream[block..], STEPS, 32, &mut tile, None).unwrap()
     });
     assert_eq!(blocking, 0, "warmed step_block allocated {blocking} times");
 
-    // The faulted step with a stuck adder armed on this unit lists the
-    // adder faults into a buffer the unit keeps: once the first step has
-    // recorded the firing, stepping allocates nothing.
-    let stuck = FaultPlan::single(
-        FaultSite::FanAdder { dpe: 0, adder: 0 },
-        FaultKind::StuckBit { bit: 30, level: StuckLevel::One },
-    );
-    let mut injector = FaultInjector::new(&stuck);
-    dpe.step_faulted(&cols[0], 1, &mut injector, 0, 0, &mut out).unwrap();
-    assert_eq!(injector.fired().len(), 1);
+    // The armed one-lane step with every datapath fault kind on this unit:
+    // a dropped Benes port, a stuck multiplier-output bit and a stuck
+    // adder. The injector reuses its port scratch and the unit lists the
+    // adder faults into a buffer it keeps, so once the first step has
+    // recorded the firings, stepping allocates nothing.
+    let plan = FaultPlan::single(FaultSite::BenesPort { dpe: 0, port: 1 }, FaultKind::DroppedPort)
+        .with_event(
+            FaultSite::MultiplierOutput { dpe: 0, slot: 2 },
+            FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
+        )
+        .with_event(
+            FaultSite::FanAdder { dpe: 0, adder: 0 },
+            FaultKind::StuckBit { bit: 30, level: StuckLevel::One },
+        );
+    let mut injector = FaultInjector::new(&plan);
+    dpe.step_block(&stream, STEPS, 1, &mut tile, Some((&mut injector, 0, 0))).unwrap();
+    assert_eq!(injector.fired().len(), 3);
+    let mut step = 0u64;
     let faulted = min_allocations_over(3, || {
-        dpe.step_faulted(&cols[1], 1, &mut injector, 0, 1, &mut out).unwrap();
+        step += 1;
+        let armed = Some((&mut injector, 0, step));
+        dpe.step_block(&stream[step as usize..], STEPS, 1, &mut tile, armed).unwrap()
     });
-    assert_eq!(faulted, 0, "warmed step_faulted allocated {faulted} times");
+    assert_eq!(faulted, 0, "warmed armed step_block allocated {faulted} times");
 
     // A prefix length the unit has never loaded (a route-cache miss) loads
     // without allocating too: counting it routes nothing, and the FAN
@@ -155,7 +166,7 @@ fn warmed_hot_loops_do_not_allocate() {
     assert_eq!(first_seen, 0, "first load of a new prefix length allocated {first_seen} times");
     assert_eq!(dpe.route_counts(), (3, 2));
 
-    // The FAN reduction path in isolation, as the NLR dataflow drives it.
+    // The runtime FAN walk in isolation.
     let fan = Fan::new(SIZE).unwrap();
     let mut products = vec![0.0f32; SIZE];
     for (slot, p) in products.iter_mut().enumerate().take(9) {

@@ -54,7 +54,8 @@
 //! cluster of [`Fan::reduce_into`] goes through it, and so does a caller
 //! that knows its cluster boundaries without a `vecID` layout (the
 //! engine's No-Local-Reuse waves). [`FanProgram`](crate::FanProgram)
-//! walks the same tree once per layout to record the add schedule.
+//! walks the same tree once per layout to record the add schedule, and
+//! its replay corrupts stuck adders the same way.
 
 use crate::fault::AdderFault;
 use crate::{is_power_of_two, log2_ceil};
@@ -128,8 +129,7 @@ pub struct FanReduction {
 ///
 /// Holds the contiguity check's run list and the wave's partial sums,
 /// cleared (not dropped) between waves, so a warmed scratch makes the
-/// reduction allocation-free in steady state — the property the
-/// simulator's faulted streaming step relies on.
+/// runtime walk allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct FanScratch {
     /// One vecID per run, sorted for the contiguity check; a Vec (not a
@@ -673,6 +673,16 @@ mod tests {
                 let faulted = reduce_level_by_level(&fan, &values, &layout, &faults).unwrap();
                 fan.reduce_into(&values, &layout, &faults, &mut scratch, &mut out).unwrap();
                 assert_reductions_bitwise_eq(&out, &faulted, &format!("{ctx} {faults:?}"));
+
+                // The compiled replay's adder hook: one lane, same faults.
+                let mut work = values.clone();
+                program.execute_lanes(&mut work, 1, &faults);
+                assert_eq!(program.output_count(), faulted.sums.len(), "{ctx}");
+                for ((vec_id, slot), want) in program.outputs().zip(&faulted.sums) {
+                    assert_eq!(vec_id, want.vec_id, "{ctx}");
+                    let got = work[slot];
+                    assert_eq!(got.to_bits(), want.value.to_bits(), "{ctx} (program) {faults:?}");
+                }
             }
         }
         assert!(active_faults > 100 && idle_faults > 100, "{active_faults} / {idle_faults}");

@@ -29,6 +29,16 @@
 //! identical** to [`Fan::reduce_into`](crate::Fan::reduce_into) at a
 //! fraction of the cost.
 //!
+//! The replay also takes stuck FAN adders. A compiled add `(dst, src)`
+//! fires adder `src - 1` (the walk joins at adder `h` by adding leaf
+//! `h + 1`), so each fault on that adder corrupts the sum right after
+//! the add, in slice order, exactly as
+//! [`Fan::cluster_sum`](crate::Fan::cluster_sum) does. The simulator
+//! replays a faulted wave as one lane: a stuck bit can make a NaN with
+//! its own payload, and where two such NaNs meet, scalar and vector adds
+//! may keep different payloads, so only the one-lane scalar replay is
+//! bitwise the runtime walk.
+//!
 //! The compiled `critical_cycles` doubles as the network's
 //! *latency-until-quiescent* ([`FanProgram::latency_until_quiescent`]):
 //! the number of cycles after the final wave issue until every adder has
@@ -37,6 +47,7 @@
 
 use crate::fan::{completion_cycles, for_each_cluster, ruler_reduce};
 use crate::fan::{Fan, FanError, FanReduction, SegmentSum};
+use crate::fault::AdderFault;
 
 /// One cluster output in a compiled FAN schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,7 +168,7 @@ impl FanProgram {
     /// compiled network size. Debug-asserts that the program is valid.
     pub fn execute_into(&self, work: &mut [f32], out: &mut FanReduction) {
         debug_assert!(work.len() >= self.size);
-        self.execute_lanes(work, 1);
+        self.execute_lanes(work, 1, &[]);
         out.sums.clear();
         out.sums.reserve(self.outputs.len());
         for o in &self.outputs {
@@ -182,17 +193,24 @@ impl FanProgram {
     /// with `(vec_id, slot)` from [`FanProgram::outputs`]. Idle leaves
     /// are never read.
     ///
+    /// Every activation of a stuck adder in `faults` is corrupted right
+    /// after its add, by each fault on that adder in slice order (see the
+    /// module docs); an empty slice replays the plain adds.
+    ///
     /// # Panics
     ///
     /// Panics (via slice indexing) if `tile` is shorter than
     /// `lanes` times the highest active leaf. Debug-asserts that the
     /// program is valid.
-    pub fn execute_lanes(&self, tile: &mut [f32], lanes: usize) {
+    pub fn execute_lanes(&self, tile: &mut [f32], lanes: usize, faults: &[AdderFault]) {
         debug_assert!(self.valid, "execute_lanes on an invalid FanProgram");
-        match lanes {
-            1 => replay_lanes(&self.adds, tile, 1),
-            Self::BLOCK_LANES => replay_lanes(&self.adds, tile, Self::BLOCK_LANES),
-            _ => replay_lanes(&self.adds, tile, lanes),
+        let adds = &self.adds;
+        match (lanes, faults.is_empty()) {
+            (1, true) => replay_lanes(adds, tile, 1, &[]),
+            (Self::BLOCK_LANES, true) => replay_lanes(adds, tile, Self::BLOCK_LANES, &[]),
+            (_, true) => replay_lanes(adds, tile, lanes, &[]),
+            (1, false) => replay_lanes(adds, tile, 1, faults),
+            (_, false) => replay_lanes(adds, tile, lanes, faults),
         }
     }
 
@@ -240,16 +258,23 @@ impl FanProgram {
     }
 }
 
-/// The add replay over `lanes` lanes. Always inlined, so a constant
-/// `lanes` compiles to fixed-length loops.
+/// The add replay over `lanes` lanes, corrupting each add of a stuck
+/// adder after it fires. Always inlined, so a constant `lanes` compiles to
+/// fixed-length loops and an empty `faults` to the plain adds.
 #[inline(always)]
-fn replay_lanes(adds: &[(usize, usize)], tile: &mut [f32], lanes: usize) {
+fn replay_lanes(adds: &[(usize, usize)], tile: &mut [f32], lanes: usize, faults: &[AdderFault]) {
     for &(dst, src) in adds {
         // A partial sum accumulates at its interval's leftmost leaf, so
         // `dst < src` and the two lane runs never overlap.
         let (left, right) = tile.split_at_mut(src * lanes);
-        for (d, &s) in left[dst * lanes..][..lanes].iter_mut().zip(&right[..lanes]) {
+        let sums = &mut left[dst * lanes..][..lanes];
+        for (d, &s) in sums.iter_mut().zip(&right[..lanes]) {
             *d += s;
+        }
+        for fault in faults.iter().filter(|f| f.adder == src - 1) {
+            for d in sums.iter_mut() {
+                *d = fault.corrupt(*d);
+            }
         }
     }
 }
@@ -396,7 +421,7 @@ mod tests {
                         tile[leaf * lanes + j] = v;
                     }
                 }
-                program.execute_lanes(&mut tile, lanes);
+                program.execute_lanes(&mut tile, lanes, &[]);
                 let mut out = FanReduction::default();
                 for (j, wave) in waves.iter().enumerate() {
                     let mut work = wave.clone();
