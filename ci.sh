@@ -6,8 +6,8 @@ set -eux
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Static analysis gate: sigma-lint scans the workspace (including the
-# event-scheduler module crates/core/src/sched.rs — the D-rules are what
-# keep the epoch queue deterministic) for nondeterminism sources,
+# stationary engine crates/core/src/engine.rs — the D-rules are what
+# keep its cycle accounting deterministic) for nondeterminism sources,
 # panicking library code, truncating counter casts, unsafe outside the
 # allowlist, unvalidated Engine impls, and — via the workspace-wide
 # scope/lock-graph phase — lock-order inversions (D7), blocking I/O

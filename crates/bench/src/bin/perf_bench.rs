@@ -412,7 +412,7 @@ fn render_json(
 
 /// Per-case regression tolerance. Smoke runs use a loose 30% (two reps are
 /// noisy); full runs use 15%, tightened to 10% for the ≥4K-PE cases whose
-/// event-scheduler wall times are long enough to be timing-stable.
+/// wall times are long enough to be timing-stable.
 /// `SIGMA_PERF_TOLERANCE` overrides all of it.
 fn tolerance(smoke: bool, pes: usize) -> f64 {
     if let Ok(v) = std::env::var("SIGMA_PERF_TOLERANCE") {
@@ -435,7 +435,7 @@ fn tolerance(smoke: bool, pes: usize) -> f64 {
 fn render(measurements: &[PerfMeasurement], baseline: &[(String, f64)]) -> Table {
     let mut t = Table::new(
         "perf_bench - simulated cycles per second",
-        &["case", "pes", "gemm", "dataflow", "sched", "cycles", "wall_ms", "Mcyc/s", "vs baseline"],
+        &["case", "pes", "gemm", "dataflow", "cycles", "wall_ms", "Mcyc/s", "vs baseline"],
     );
     for m in measurements {
         let vs = baseline.iter().find(|(n, _)| n == m.case.name).map_or_else(
@@ -447,7 +447,6 @@ fn render(measurements: &[PerfMeasurement], baseline: &[(String, f64)]) -> Table
             m.case.pes().to_string(),
             m.case.shape(),
             m.case.dataflow.name().to_string(),
-            m.case.scheduler_mode().to_string(),
             m.cycles.to_string(),
             format!("{:.2}", m.best_secs * 1e3),
             format!("{:.3}", m.cycles_per_sec / 1e6),

@@ -150,7 +150,7 @@ pub struct RunRecord {
     /// Benes route-cache misses (first loads of a prefix length on a
     /// Flex-DPE) across the run.
     pub route_cache_misses: u64,
-    /// Dead streaming cycles (no non-zero operand) the event scheduler
+    /// Dead streaming cycles (no non-zero operand) the stationary engine
     /// fast-forwarded; still included in `streaming_cycles`/`total_cycles`.
     pub idle_cycles_skipped: u64,
     /// Wall-clock milliseconds the cell took (0.0 unless sweep telemetry

@@ -89,17 +89,6 @@ impl PerfCase {
             .with_telemetry(telemetry);
         SigmaSim::new_clamped(cfg)
     }
-
-    /// The scheduler the timed runs use: the stationary dataflows execute
-    /// on the epoch/event scheduler, while No-Local-Reuse packs
-    /// full-array waves and has no stationary schedule to skip.
-    #[must_use]
-    pub fn scheduler_mode(&self) -> &'static str {
-        match self.dataflow {
-            Dataflow::NoLocalReuse => "wave",
-            _ => "event",
-        }
-    }
 }
 
 /// The fixed benchmark ladder: dense/sparse/irregular shapes at 128, 512,
@@ -263,14 +252,12 @@ pub fn to_json(measurements: &[PerfMeasurement]) -> String {
     out.push_str("  \"cases\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pes\": {}, \"dataflow\": \"{}\", \"sched\": \"{}\", \
-             \"m\": {}, \"k\": {}, \
-             \"n\": {}, \"density_a\": {}, \"density_b\": {}, \"cycles\": {}, \
+            "    {{\"name\": \"{}\", \"pes\": {}, \"dataflow\": \"{}\", \"m\": {}, \
+             \"k\": {}, \"n\": {}, \"density_a\": {}, \"density_b\": {}, \"cycles\": {}, \
              \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}}}{}\n",
             m.case.name,
             m.case.pes(),
             m.case.dataflow.name(),
-            m.case.scheduler_mode(),
             m.case.m,
             m.case.k,
             m.case.n,
@@ -363,15 +350,6 @@ mod tests {
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].0, "dense_128");
         assert!((parsed[0].1 - 2468.0).abs() < 0.1);
-        assert!(json.contains("\"sched\": \"event\""), "baseline records the scheduler mode");
-    }
-
-    #[test]
-    fn scheduler_mode_reflects_dataflow() {
-        for c in cases() {
-            let expect = if c.dataflow == Dataflow::NoLocalReuse { "wave" } else { "event" };
-            assert_eq!(c.scheduler_mode(), expect, "{}", c.name);
-        }
     }
 
     #[test]

@@ -233,12 +233,7 @@ impl ControllerPlan {
     /// non-zero stationary element of `group` meets a non-zero streaming
     /// element at `step`.
     #[must_use]
-    pub fn output_bitmap(
-        &self,
-        stationary: &SparseMatrix,
-        streaming: &Bitmap,
-        groups: usize,
-    ) -> Bitmap {
+    pub fn output_bitmap(&self, streaming: &Bitmap, groups: usize) -> Bitmap {
         let steps = streaming.cols();
         let mut out = Bitmap::new(groups, steps);
         for fold in &self.folds {
@@ -250,7 +245,6 @@ impl ControllerPlan {
                 }
             }
         }
-        let _ = stationary; // shape context only; elements already filtered
         out
     }
 
@@ -365,7 +359,7 @@ mod tests {
     fn output_bitmap_marks_nonzero_outputs() {
         let (stat, stream) = toy();
         let plan = ControllerPlan::build(&stat, &stream, 16);
-        let out = plan.output_bitmap(&stat, &stream, 4);
+        let out = plan.output_bitmap(&stream, 4);
         // Group 0 holds k={0,2}: steps 0 (k0,k2), 1 (k2), 2 (k0) are set.
         assert!(out.get(0, 0) && out.get(0, 1) && out.get(0, 2));
         // Group 1 is empty.

@@ -13,7 +13,6 @@ use crate::config::{Dataflow, SigmaConfig, SigmaError};
 use crate::controller::ControllerPlan;
 use crate::fault::{FaultCounters, FaultInjector, FaultPlan, FaultReport};
 use crate::flex_dpe::FlexDpe;
-use crate::sched::{Event, EventQueue};
 use crate::stats::CycleStats;
 use crate::trace::{Phase, Trace};
 use sigma_interconnect::{AdderFault, Fan, FanProgram};
@@ -61,7 +60,7 @@ pub struct SigmaSim {
     fan: Fan,
     telemetry: Telemetry,
     /// Test builds only: run stationary folds on the lockstep tick oracle
-    /// ([`SigmaSim::run_stationary_lockstep`]) instead of the scheduler,
+    /// ([`SigmaSim::run_stationary_lockstep`]) instead of the fold loop,
     /// and find NLR pairs with the dense scan ([`nlr_pairs_dense`]).
     #[cfg(test)]
     tick_oracle: bool,
@@ -127,7 +126,7 @@ impl SigmaSim {
     ///
     /// Returns [`SigmaError::DimensionMismatch`] when `A.cols() != B.rows()`.
     pub fn run_gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(a, b, None, None, None).map(|(run, _)| run)
+        self.run_gemm_impl(a, b, None, None, None)
     }
 
     /// Like [`SigmaSim::run_gemm`], but polls `cancel` at every fold (or
@@ -144,7 +143,7 @@ impl SigmaSim {
         b: &SparseMatrix,
         cancel: &CancelToken,
     ) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(a, b, None, None, Some(cancel)).map(|(run, _)| run)
+        self.run_gemm_impl(a, b, None, None, Some(cancel))
     }
 
     /// Cancellable variant of [`SigmaSim::run_gemm_traced`]: polls
@@ -162,7 +161,7 @@ impl SigmaSim {
         cancel: &CancelToken,
     ) -> Result<(GemmRun, Trace), SigmaError> {
         let mut trace = Trace::new();
-        let (run, _) = self.run_gemm_impl(a, b, Some(&mut trace), None, Some(cancel))?;
+        let run = self.run_gemm_impl(a, b, Some(&mut trace), None, Some(cancel))?;
         Ok((run, trace))
     }
 
@@ -179,7 +178,7 @@ impl SigmaSim {
         b: &SparseMatrix,
     ) -> Result<(GemmRun, Trace), SigmaError> {
         let mut trace = Trace::new();
-        let (run, _) = self.run_gemm_impl(a, b, Some(&mut trace), None, None)?;
+        let run = self.run_gemm_impl(a, b, Some(&mut trace), None, None)?;
         Ok((run, trace))
     }
 
@@ -187,10 +186,10 @@ impl SigmaSim {
         &self,
         a: &SparseMatrix,
         b: &SparseMatrix,
-        mut trace: Option<&mut Trace>,
-        mut faults: Option<&mut FaultInjector<'_>>,
+        trace: Option<&mut Trace>,
+        faults: Option<&mut FaultInjector<'_>>,
         cancel: Option<&CancelToken>,
-    ) -> Result<(GemmRun, ()), SigmaError> {
+    ) -> Result<GemmRun, SigmaError> {
         if a.cols() != b.rows() {
             return Err(SigmaError::DimensionMismatch { k_a: a.cols(), k_b: b.rows() });
         }
@@ -201,41 +200,24 @@ impl SigmaSim {
             return Err(SigmaError::NonFiniteInput { operand: "B" });
         }
         let (m, n) = (a.rows(), b.cols());
-        match self.config.dataflow() {
-            Dataflow::InputStationary => {
-                // MK stationary (groups = rows m), KN streaming (steps = n).
-                let mut out = Matrix::zeros(m, n);
-                let stats = self.run_stationary(
-                    a,
-                    b,
-                    trace.as_deref_mut(),
-                    faults.as_deref_mut(),
-                    cancel,
-                    out.as_mut_slice(),
-                )?;
-                Ok((GemmRun { result: out, stats }, ()))
-            }
+        // IS: MK stationary (groups = rows m), KN streaming (steps = n).
+        // WS: KN stationary, so canonical groups are columns n (transpose
+        // B), and MK streams contraction-major (transpose A so steps are
+        // rows m).
+        let (bt, at);
+        let (stationary, streaming) = match self.config.dataflow() {
+            Dataflow::InputStationary => (a, b),
             Dataflow::WeightStationary => {
-                // KN stationary: canonical groups are columns n (transpose
-                // B), streaming is MK presented contraction-major
-                // (transpose A so steps are rows m).
-                let bt = b.transposed();
-                let at = a.transposed();
-                let mut out = Matrix::zeros(m, n);
-                let stats = self.run_stationary(
-                    &bt,
-                    &at,
-                    trace,
-                    faults.as_deref_mut(),
-                    cancel,
-                    out.as_mut_slice(),
-                )?;
-                Ok((GemmRun { result: out, stats }, ()))
+                bt = b.transposed();
+                at = a.transposed();
+                (&bt, &at)
             }
-            Dataflow::NoLocalReuse => {
-                Ok((self.run_no_local_reuse(a, b, trace, faults, cancel)?, ()))
-            }
-        }
+            Dataflow::NoLocalReuse => return self.run_no_local_reuse(a, b, trace, faults, cancel),
+        };
+        let mut out = Matrix::zeros(m, n);
+        let stats =
+            self.run_stationary(stationary, streaming, trace, faults, cancel, out.as_mut_slice())?;
+        Ok(GemmRun { result: out, stats })
     }
 
     /// Training backward pass for weights: computes `A^T x B` (the
@@ -306,7 +288,7 @@ impl SigmaSim {
         plan: &FaultPlan,
     ) -> Result<(GemmRun, FaultReport), SigmaError> {
         let mut injector = FaultInjector::new(plan);
-        let (mut run, _) = self.run_gemm_impl(a, b, None, Some(&mut injector), None)?;
+        let mut run = self.run_gemm_impl(a, b, None, Some(&mut injector), None)?;
         let report = injector.into_report();
         run.stats.faults_injected = report.counters.injected;
         Ok((run, report))
@@ -338,11 +320,8 @@ impl SigmaSim {
         // Ground truth for escape accounting: the fault-free execution has
         // the identical accumulation order, so agreement is exact up to
         // the faults themselves. Only needed when faults are armed.
-        let baseline = if plan.is_empty() {
-            None
-        } else {
-            Some(self.run_gemm_impl(a, b, None, None, None)?.0)
-        };
+        let baseline =
+            if plan.is_empty() { None } else { Some(self.run_gemm_impl(a, b, None, None, None)?) };
 
         let mut injector = FaultInjector::new(plan);
         let mut counters = FaultCounters::default();
@@ -351,7 +330,7 @@ impl SigmaSim {
         let mut merged: Option<CycleStats> = None;
         let (mut current, clean) = loop {
             attempts += 1;
-            let (mut run, _) = self.run_gemm_impl(a, b, None, Some(&mut injector), None)?;
+            let mut run = self.run_gemm_impl(a, b, None, Some(&mut injector), None)?;
             merged = Some(match merged {
                 Some(m) => m.merged(&run.stats),
                 None => run.stats,
@@ -413,10 +392,11 @@ impl SigmaSim {
     /// row-major result ([`SigmaSim::output_strides`] places each
     /// `(group, step)` cell in it).
     ///
-    /// Each fold advances through a three-event chain on a deterministic
-    /// [`EventQueue`] — `LoadFold` → `Stream` → `Drain`, the paper's
-    /// Table II load / stream / add phases — and the cycle cursor jumps
-    /// straight between interesting cycles:
+    /// One loop walks the plan's folds, and each fold runs the paper's
+    /// Table II phases in order: load (the visible part, with double
+    /// buffering), stream, then add (the FAN drain). A cycle cursor
+    /// advances by each phase's cost, so the work inside a phase never
+    /// ticks cycle by cycle:
     ///
     /// * **Per-fold send counts are batched word-level**: one walk over
     ///   the streaming bitmap's occupancy words
@@ -438,7 +418,7 @@ impl SigmaSim {
     ///   over contiguous lanes. Each cluster's lanes then add straight
     ///   into its cells of the result. Per output cell the f32 ops and
     ///   their order are a step-at-a-time walk's.
-    /// * **The drain is a next-event hint**: the fold's add latency is
+    /// * **The drain is one charge**: the fold's add latency is
     ///   [`FlexDpe::drain_cycles`] (the FAN's latency-until-quiescent, a
     ///   constant of the layout), not a per-tick countdown.
     ///
@@ -456,8 +436,9 @@ impl SigmaSim {
     /// cycle-by-cycle walk. An empty injector takes the clean path
     /// unchanged.
     ///
-    /// A cycle-by-cycle tick loop survives in the unit tests as the
-    /// bitwise oracle for results, stats, traces and fault reports.
+    /// A cycle-by-cycle tick loop with the same outer shape,
+    /// `SigmaSim::run_stationary_lockstep`, survives in the unit tests as
+    /// the bitwise oracle for results, stats, traces and fault reports.
     fn run_stationary(
         &self,
         stationary: &SparseMatrix,
@@ -513,186 +494,162 @@ impl SigmaSim {
         let mut sends_buf: Vec<u64> = vec![0; steps];
         let mut step_end: Vec<u64> = Vec::new();
 
-        let mut queue = EventQueue::new();
         let mut prev_fold_stream = 0u64;
-        let mut active_dpes = 0usize;
-        let mut end_cycle = 0u64;
-        if !plan.folds.is_empty() {
-            queue.push(0, Event::LoadFold(0));
-        }
-        while let Some((cursor, event)) = queue.pop() {
-            match event {
-                Event::LoadFold(f) => {
-                    // Fold boundaries are the cancellation points: nothing
-                    // is in flight before a load, so stopping here
-                    // abandons no work the caller could ever observe.
-                    if cancel.is_some_and(CancelToken::is_cancelled) {
-                        return Err(SigmaError::Cancelled);
+        let mut cycle = 0u64;
+        for (f, fold) in plan.folds.iter().enumerate() {
+            // Fold boundaries are the cancellation points: nothing is in
+            // flight before a load, so stopping here abandons no work the
+            // caller could ever observe.
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(SigmaError::Cancelled);
+            }
+            let occupied = fold.occupied();
+            stats.folds += 1;
+            stats.mapped_nonzeros += occupied as u64;
+            stats.occupied_slots += occupied as u64;
+            let load = (occupied as u64).div_ceil(bw);
+            let visible_load = if self.config.double_buffered() && f > 0 {
+                load.saturating_sub(prev_fold_stream)
+            } else {
+                load
+            };
+            stats.loading_cycles += visible_load;
+            if let Some(t) = trace.as_deref_mut() {
+                t.record(Phase::Load, f as u64, None, visible_load);
+            }
+            stats.sram_reads += occupied as u64;
+            self.telemetry.add(Counter::SramStationaryReads, occupied as u64);
+            if self.telemetry.is_enabled() {
+                fanout_scratch.clear();
+                fanout_scratch.extend(fold.elements.iter().map(|e| e.contraction));
+                fanout_scratch.sort_unstable();
+                let mut i = 0;
+                while i < fanout_scratch.len() {
+                    let mut j = i + 1;
+                    while j < fanout_scratch.len() && fanout_scratch[j] == fanout_scratch[i] {
+                        j += 1;
                     }
-                    let fold = &plan.folds[f];
-                    let occupied = fold.occupied();
-                    stats.folds += 1;
-                    stats.mapped_nonzeros += occupied as u64;
-                    stats.occupied_slots += occupied as u64;
-                    let load = (occupied as u64).div_ceil(bw);
-                    let visible_load = if self.config.double_buffered() && f > 0 {
-                        load.saturating_sub(prev_fold_stream)
-                    } else {
-                        load
-                    };
-                    stats.loading_cycles += visible_load;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(Phase::Load, f as u64, None, visible_load);
-                    }
-                    stats.sram_reads += occupied as u64;
-                    self.telemetry.add(Counter::SramStationaryReads, occupied as u64);
-                    if self.telemetry.is_enabled() {
-                        fanout_scratch.clear();
-                        fanout_scratch.extend(fold.elements.iter().map(|e| e.contraction));
-                        fanout_scratch.sort_unstable();
-                        let mut i = 0;
-                        while i < fanout_scratch.len() {
-                            let mut j = i + 1;
-                            while j < fanout_scratch.len() && fanout_scratch[j] == fanout_scratch[i]
-                            {
-                                j += 1;
-                            }
-                            self.telemetry.observe(Hist::MulticastFanout, (j - i) as u64);
-                            i = j;
-                        }
-                    }
-                    active_dpes = occupied.div_ceil(dpe);
-                    while engines.len() < active_dpes {
-                        let mut unit = FlexDpe::new(dpe)?;
-                        unit.set_telemetry(self.telemetry.clone());
-                        engines.push(unit);
-                    }
-                    for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
-                        let lo = d * dpe;
-                        let hi = (lo + dpe).min(occupied);
-                        local_ids.fill(None);
-                        local_ids[..hi - lo].copy_from_slice(&fold.vec_ids[lo..hi]);
-                        unit.load(&fold.elements[lo..hi], &local_ids)?;
-                    }
-                    queue.push(cursor + visible_load, Event::Stream(f));
+                    self.telemetry.observe(Hist::MulticastFanout, (j - i) as u64);
+                    i = j;
                 }
-                Event::Stream(f) => {
-                    let fold = &plan.folds[f];
-                    let occupied = fold.occupied();
-                    // Word-level send counting: one pass over the occupancy
-                    // words of this fold's contraction rows.
-                    sends_buf.fill(0);
-                    for &k in &fold.distinct_contractions {
-                        for c in stream_bitmap.row_iter_ones(k) {
-                            sends_buf[c] += 1;
-                        }
-                    }
-                    // Pass 1 — per-step accounting in step order: cycle
-                    // charges, trace records, and the dead-step
-                    // fast-forward (every streamed operand of a dead step
-                    // is +0.0, so the whole datapath is a bitwise no-op:
-                    // charge the cycle, skip the work).
-                    let mut fold_stream = 0u64;
-                    let mut fold_sends = 0u64;
-                    let mut dead_steps = 0u64;
-                    step_end.clear();
-                    for (step, &sends) in sends_buf.iter().enumerate() {
-                        let step_cycles = sends.div_ceil(stream_bw).max(1);
-                        fold_stream += step_cycles;
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.record(Phase::Stream, f as u64, Some(step), step_cycles);
-                        }
-                        if faults.is_some() {
-                            step_end.push(cursor + fold_stream);
-                        }
-                        if sends == 0 {
-                            dead_steps += step_cycles;
-                            continue;
-                        }
-                        fold_sends += sends;
-                        self.telemetry.observe(Hist::StreamStepCycles, step_cycles);
-                    }
-                    // Pass 2 — the datapath, unit-outer so each unit's
-                    // stationary state stays cache-resident across the
-                    // whole fold: per live block, or per step with faults
-                    // armed. Per output cell the accumulation order is
-                    // unchanged (fold-major, then unit-major: within a
-                    // fold each cluster touches a cell at most once per
-                    // step), so results match a step-outer walk bitwise.
-                    let mut fold_useful = 0u64;
-                    let first_fired = faults.as_deref().map_or(0, |inj| inj.fired().len());
-                    let block = if faults.is_some() { 1 } else { BLOCK_STEPS };
-                    for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
-                        for s0 in (0..steps).step_by(block) {
-                            let lanes = block.min(steps - s0);
-                            let dead = sends_buf[s0..s0 + lanes].iter().all(|&n| n == 0);
-                            if dead && faults.is_none() {
-                                continue;
-                            }
-                            let armed = faults.as_deref_mut().map(|inj| (inj, d, step_end[s0]));
-                            let useful =
-                                unit.step_block(&stream[s0..], steps, lanes, &mut tile, armed)?;
-                            fold_useful += useful as u64;
-                            for (vec_id, slot) in unit.outputs() {
-                                let group = fold.cluster_groups[vec_id as usize];
-                                let cell = group * group_stride + s0 * step_stride;
-                                let sums = &tile[slot * lanes..][..lanes];
-                                for (j, &p) in sums.iter().enumerate() {
-                                    out[cell + j * step_stride] += p;
-                                }
-                            }
-                        }
-                    }
-                    if let Some(inj) = faults.as_deref_mut() {
-                        inj.sort_fired_since(first_fired);
-                    }
-                    stats.streaming_cycles += fold_stream;
-                    stats.sram_reads += fold_sends;
-                    stats.issued_macs += occupied as u128 * steps as u128;
-                    stats.useful_macs += u128::from(fold_useful);
-                    stats.idle_cycles_skipped += dead_steps;
-                    self.telemetry.add(Counter::SramStreamingReads, fold_sends);
-                    self.telemetry.add(Counter::IdleCyclesSkipped, dead_steps);
-                    self.telemetry.add(Counter::UsefulMacs, fold_useful);
-                    if self.telemetry.is_enabled() {
-                        // Dead steps all cost exactly one cycle.
-                        self.telemetry.observe_n(Hist::StreamStepCycles, 1, dead_steps);
-                        for unit in engines.iter().take(active_dpes) {
-                            unit.record_steps_telemetry(steps as u64);
-                        }
-                    }
-                    prev_fold_stream = fold_stream;
-                    queue.push(cursor + fold_stream, Event::Drain(f));
+            }
+            let active_dpes = occupied.div_ceil(dpe);
+            while engines.len() < active_dpes {
+                let mut unit = FlexDpe::new(dpe)?;
+                unit.set_telemetry(self.telemetry.clone());
+                engines.push(unit);
+            }
+            for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
+                let lo = d * dpe;
+                let hi = (lo + dpe).min(occupied);
+                local_ids.fill(None);
+                local_ids[..hi - lo].copy_from_slice(&fold.vec_ids[lo..hi]);
+                unit.load(&fold.elements[lo..hi], &local_ids)?;
+            }
+            cycle += visible_load;
+
+            // Word-level send counting: one pass over the occupancy words
+            // of this fold's contraction rows.
+            sends_buf.fill(0);
+            for &k in &fold.distinct_contractions {
+                for c in stream_bitmap.row_iter_ones(k) {
+                    sends_buf[c] += 1;
                 }
-                Event::Drain(f) => {
-                    // The fold's add latency is the slowest unit's
-                    // latency-until-quiescent — a constant of the loaded
-                    // layout, so no per-tick countdown is needed.
-                    let drain = if steps == 0 {
-                        0
-                    } else {
-                        engines
-                            .iter()
-                            .take(active_dpes)
-                            .map(FlexDpe::drain_cycles)
-                            .max()
-                            .unwrap_or(0)
-                    };
-                    stats.add_cycles += drain;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(Phase::Drain, f as u64, None, drain);
+            }
+            // Pass 1 — per-step accounting in step order: cycle charges,
+            // trace records, and the dead-step fast-forward (every
+            // streamed operand of a dead step is +0.0, so the whole
+            // datapath is a bitwise no-op: charge the cycle, skip the
+            // work).
+            let mut fold_stream = 0u64;
+            let mut fold_sends = 0u64;
+            let mut dead_steps = 0u64;
+            step_end.clear();
+            for (step, &sends) in sends_buf.iter().enumerate() {
+                let step_cycles = sends.div_ceil(stream_bw).max(1);
+                fold_stream += step_cycles;
+                if let Some(t) = trace.as_deref_mut() {
+                    t.record(Phase::Stream, f as u64, Some(step), step_cycles);
+                }
+                if faults.is_some() {
+                    step_end.push(cycle + fold_stream);
+                }
+                if sends == 0 {
+                    dead_steps += step_cycles;
+                    continue;
+                }
+                fold_sends += sends;
+                self.telemetry.observe(Hist::StreamStepCycles, step_cycles);
+            }
+            // Pass 2 — the datapath, unit-outer so each unit's stationary
+            // state stays cache-resident across the whole fold: per live
+            // block, or per step with faults armed. Per output cell the
+            // accumulation order is unchanged (fold-major, then
+            // unit-major: within a fold each cluster touches a cell at
+            // most once per step), so results match a step-outer walk
+            // bitwise.
+            let mut fold_useful = 0u64;
+            let first_fired = faults.as_deref().map_or(0, |inj| inj.fired().len());
+            let block = if faults.is_some() { 1 } else { BLOCK_STEPS };
+            for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
+                for s0 in (0..steps).step_by(block) {
+                    let lanes = block.min(steps - s0);
+                    let dead = sends_buf[s0..s0 + lanes].iter().all(|&n| n == 0);
+                    if dead && faults.is_none() {
+                        continue;
                     }
-                    end_cycle = cursor + drain;
-                    if f + 1 < plan.folds.len() {
-                        queue.push(end_cycle, Event::LoadFold(f + 1));
+                    let armed = faults.as_deref_mut().map(|inj| (inj, d, step_end[s0]));
+                    let useful = unit.step_block(&stream[s0..], steps, lanes, &mut tile, armed)?;
+                    fold_useful += useful as u64;
+                    for (vec_id, slot) in unit.outputs() {
+                        let group = fold.cluster_groups[vec_id as usize];
+                        let cell = group * group_stride + s0 * step_stride;
+                        let sums = &tile[slot * lanes..][..lanes];
+                        for (j, &p) in sums.iter().enumerate() {
+                            out[cell + j * step_stride] += p;
+                        }
                     }
                 }
             }
+            if let Some(inj) = faults.as_deref_mut() {
+                inj.sort_fired_since(first_fired);
+            }
+            stats.streaming_cycles += fold_stream;
+            stats.sram_reads += fold_sends;
+            stats.issued_macs += occupied as u128 * steps as u128;
+            stats.useful_macs += u128::from(fold_useful);
+            stats.idle_cycles_skipped += dead_steps;
+            self.telemetry.add(Counter::SramStreamingReads, fold_sends);
+            self.telemetry.add(Counter::IdleCyclesSkipped, dead_steps);
+            self.telemetry.add(Counter::UsefulMacs, fold_useful);
+            if self.telemetry.is_enabled() {
+                // Dead steps all cost exactly one cycle.
+                self.telemetry.observe_n(Hist::StreamStepCycles, 1, dead_steps);
+                for unit in engines.iter().take(active_dpes) {
+                    unit.record_steps_telemetry(steps as u64);
+                }
+            }
+            prev_fold_stream = fold_stream;
+            cycle += fold_stream;
+
+            // The fold's add latency is the slowest unit's
+            // latency-until-quiescent — a constant of the loaded layout,
+            // so no per-tick countdown is needed.
+            let drain = if steps == 0 {
+                0
+            } else {
+                engines.iter().take(active_dpes).map(FlexDpe::drain_cycles).max().unwrap_or(0)
+            };
+            stats.add_cycles += drain;
+            if let Some(t) = trace.as_deref_mut() {
+                t.record(Phase::Drain, f as u64, None, drain);
+            }
+            cycle += drain;
         }
         debug_assert_eq!(
-            end_cycle,
+            cycle,
             stats.total_cycles(),
-            "event cursor and Table-II accounting must agree"
+            "fold cursor and Table-II accounting must agree"
         );
         for unit in &engines {
             let (hits, misses) = unit.route_counts();
@@ -1114,8 +1071,8 @@ impl SigmaSim {
                 stats.issued_macs += occupied as u128;
                 if sends == 0 {
                     // A dead step: no operand is streamed, but the cycle is
-                    // still spent. The event scheduler fast-forwards these;
-                    // the oracle executes them and counts them identically.
+                    // still spent. The fold loop fast-forwards these; the
+                    // oracle executes them and counts them identically.
                     stats.idle_cycles_skipped += step_cycles;
                 }
                 if let Some(t) = trace.as_deref_mut() {
@@ -1294,9 +1251,9 @@ mod tests {
 
     #[test]
     fn event_and_lockstep_paths_are_bitwise_identical() {
-        // The event scheduler must be indistinguishable from the tick-loop
+        // The fold loop must be indistinguishable from the tick-loop
         // oracle: same outputs (bitwise), same stats (including the idle
-        // counter — the oracle executes dead steps, the scheduler skips
+        // counter — the oracle executes dead steps, the fold loop skips
         // them, both charge them), same trace event sequence.
         let mut runs: Vec<(String, SigmaSim, SparseMatrix, SparseMatrix)> = Vec::new();
         for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
@@ -1349,10 +1306,10 @@ mod tests {
         }
     }
 
-    /// Runs `plan` checked on the event path and on the oracle and
+    /// Runs `plan` checked on the fold loop and on the oracle and
     /// demands identical counters, fired lists (order and cycle stamps),
     /// attempts, numeric effect, merged stats and result bits. Returns
-    /// the event path's outcome for case-specific checks.
+    /// the fold loop's outcome for case-specific checks.
     fn assert_fault_parity(
         sim: &SigmaSim,
         a: &SparseMatrix,
@@ -1405,11 +1362,14 @@ mod tests {
                 ),
             ];
             for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
-                let sim = cfg(4, 8, 8, df);
-                for (site, kind) in plans {
-                    let plan = FaultPlan::single(site, kind);
-                    let ctx = format!("seed {seed} {df} {site} {kind:?}");
-                    assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
+                for dbuf in [false, true] {
+                    let config = SigmaConfig::new(4, 8, 8, df).unwrap();
+                    let sim = SigmaSim::new(config.with_double_buffering(dbuf)).unwrap();
+                    for (site, kind) in plans {
+                        let plan = FaultPlan::single(site, kind);
+                        let ctx = format!("seed {seed} {df} dbuf={dbuf} {site} {kind:?}");
+                        assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
+                    }
                 }
             }
         }
@@ -1421,7 +1381,7 @@ mod tests {
         // Very sparse streaming operand with its first streamed vector all
         // zero: step 0 of every fold is dead, yet a transient Benes flip
         // fires there (the first time the port delivers) and turns a +0.0
-        // operand into a live one. The event path must execute the step
+        // operand into a live one. The fold loop must execute the step
         // the clean path fast-forwards, and stamp it like the tick loop.
         let dense_a = sparse_uniform(12, 14, Density::new(0.6).unwrap(), 71);
         let dense_b = sparse_uniform(14, 10, Density::new(0.6).unwrap(), 72);
@@ -1468,7 +1428,7 @@ mod tests {
     fn same_step_faults_on_two_dpes_keep_the_tick_order() {
         use crate::fault::{FaultKind, FaultSite};
         // Listed dpe 1 first: the tick loop still fires dpe 0 first within
-        // a step, and the event path must report the same order.
+        // a step, and the fold loop must report the same order.
         let a = sparse_uniform(10, 12, Density::new(0.9).unwrap(), 81);
         let b = sparse_uniform(12, 9, Density::new(0.9).unwrap(), 82);
         for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
@@ -1683,7 +1643,7 @@ mod tests {
     #[test]
     fn cancellation_stops_at_fold_boundaries_on_every_path() {
         // A pre-cancelled token must stop the run before any fold on the
-        // event path, the tick oracle, and NLR alike.
+        // fold loop, the tick oracle, and NLR alike.
         let a = sparse_uniform(12, 20, Density::new(0.6).unwrap(), 31);
         let b = sparse_uniform(20, 9, Density::new(0.6).unwrap(), 32);
         for df in [Dataflow::WeightStationary, Dataflow::InputStationary, Dataflow::NoLocalReuse] {

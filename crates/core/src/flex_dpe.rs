@@ -82,7 +82,7 @@ pub struct FlexDpe {
     /// The stuck adders armed on this unit, refilled by every armed step.
     adder_faults: Vec<AdderFault>,
     /// The FAN add schedule compiled once per load: the schedule is a pure
-    /// function of the `vecID` layout, so the event-driven engine replays
+    /// function of the `vecID` layout, so the stationary engine replays
     /// it per streamed wave instead of re-deriving the reduction structure
     /// ([`FlexDpe::step_compiled`]).
     program: FanProgram,
@@ -388,7 +388,7 @@ impl FlexDpe {
     /// current layout. Every
     /// per-step quantity except useful MACs is a pure function of the
     /// loaded layout — `n` waves add `n×` the same counter deltas and
-    /// observe the same histogram value `n` times — so the event-driven
+    /// observe the same histogram value `n` times — so the stationary
     /// engine calls this once per fold and the resulting registry state
     /// is identical to `steps` individual recordings. Useful MACs are
     /// data-dependent; the engine accumulates those separately.

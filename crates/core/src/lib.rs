@@ -68,7 +68,6 @@ pub mod fault;
 pub mod flex_dpe;
 pub mod model;
 pub mod noc;
-pub mod sched;
 pub mod stats;
 pub mod trace;
 
@@ -84,7 +83,6 @@ pub use fault::{
 };
 pub use flex_dpe::{DpeStep, FlexDpe};
 pub use noc::{MeshNoc, NocStats};
-pub use sched::{Event, EventQueue};
 pub use sigma_telemetry::{
     validate_chrome_trace, ChromeTrace, Counter, Hist, HistSummary, Telemetry, TelemetrySnapshot,
     TraceSummary,

@@ -44,7 +44,7 @@ pub struct CycleStats {
     /// memoizing controller would have to configure.
     pub route_cache_misses: u64,
     /// Streaming cycles whose step carried no non-zero streamed operands —
-    /// dead cycles the event scheduler fast-forwards in O(1). They remain
+    /// dead cycles the stationary engine fast-forwards in O(1). They remain
     /// part of [`CycleStats::streaming_cycles`] (and thus total cycles).
     /// A fault-injected run executes them (a fault may fire there) and
     /// counts them identically.

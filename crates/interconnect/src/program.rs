@@ -21,8 +21,8 @@
 //! [`FanProgram::execute_lanes`] then replays the adds over a tile of
 //! waves at once, held slot-major and lane-minor, so each compiled add
 //! is one add over contiguous lanes: the stationary dataflows stream
-//! many vectors through one layout, and the event-driven simulator
-//! reduces a block of consecutive steps per replay.
+//! many vectors through one layout, and the simulator reduces a block
+//! of consecutive steps per replay.
 //! [`FanProgram::execute_into`] is its one-lane case, which also emits
 //! the output template as a [`FanReduction`]. Either way each wave sees
 //! the hardware's exact association order, so its sums are **bitwise
@@ -42,8 +42,8 @@
 //! The compiled `critical_cycles` doubles as the network's
 //! *latency-until-quiescent* ([`FanProgram::latency_until_quiescent`]):
 //! the number of cycles after the final wave issue until every adder has
-//! drained, which the epoch scheduler charges once per fold instead of
-//! stepping the tree tick by tick.
+//! drained, which the simulator charges once per fold as its add latency
+//! instead of stepping the tree tick by tick.
 
 use crate::fan::{completion_cycles, for_each_cluster, ruler_reduce};
 use crate::fan::{Fan, FanError, FanReduction, SegmentSum};
@@ -242,8 +242,8 @@ impl FanProgram {
 
     /// Completion time of the slowest cluster — the cycles needed after
     /// the final wave issue for the tree to drain completely. This is
-    /// the FAN's *next-interesting-cycle* hint to the epoch scheduler:
-    /// between wave issue and `now + latency_until_quiescent()` nothing
+    /// the fold's add latency the simulator charges in one step: between
+    /// wave issue and `now + latency_until_quiescent()` nothing
     /// observable happens at the network boundary.
     #[must_use]
     pub fn latency_until_quiescent(&self) -> u64 {
@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     fn replay_is_bitwise_identical_across_many_waves() {
-        // One compile, many value waves — the event scheduler's usage
+        // One compile, many value waves — the stationary engine's usage
         // pattern. Values include negatives, zeros of both signs, and
         // magnitudes chosen to exercise rounding, so "bitwise" is a real
         // claim rather than an approximate one.

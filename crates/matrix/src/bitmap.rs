@@ -249,8 +249,8 @@ impl Bitmap {
     }
 
     /// Iterator over the column indices of set bits in row `r`, in
-    /// ascending order — the word-level primitive behind the epoch
-    /// scheduler's per-fold send batching: one pass over a streaming
+    /// ascending order — the word-level primitive behind the stationary
+    /// engine's per-fold send batching: one pass over a streaming
     /// contraction row yields every step that consumes it.
     ///
     /// Like [`Bitmap::iter_ones`], zero words are skipped and set bits

@@ -41,7 +41,7 @@ pub enum Counter {
     /// contraction rows that can never contribute).
     StationaryDropped,
     /// Streaming cycles whose step had no non-zero operands — dead
-    /// cycles the event scheduler fast-forwards in O(1) while still
+    /// cycles the stationary engine fast-forwards in O(1) while still
     /// charging them to the cycle totals.
     IdleCyclesSkipped,
     /// Completed sweep cells appended to the write-ahead run journal.
@@ -303,7 +303,7 @@ impl Telemetry {
 
     /// Records `n` identical histogram observations in one shot —
     /// bucket, count, sum, and max land exactly as `n` calls to
-    /// [`Telemetry::observe`] would. This is how the epoch scheduler
+    /// [`Telemetry::observe`] would. This is how the stationary engine
     /// accumulates per-step occupancy metrics whose value is constant
     /// across a whole fold without visiting every step. No-op when
     /// disabled or when `n == 0`.

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Step v: output bitmap.
-    let out_bm = plan.output_bitmap(&stationary, streaming.bitmap(), mk.rows());
+    let out_bm = plan.output_bitmap(streaming.bitmap(), mk.rows());
     println!("Step v — output bitmap (which C elements get non-zero work):\n{out_bm:?}");
 
     // Step vii: stream through real Flex-DPE hardware models.
