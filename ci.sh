@@ -58,7 +58,7 @@ diff -r /tmp/sigma_ci_faults results/fault_campaign
 for pin in train_stationary:1:a7276609add1ba4f train_stationary:7919:32d2406d431e7258 \
     nlr_wave:1:4948c77f8a833b59 nlr_wave:7919:423adcb017cecae1 \
     fault_abft:1:c891eea38845f387 fault_abft:7919:c2db93611cc2eb1a \
-    sweep_dse:1:aa2e6c6bff0df880 sweep_dse:7919:34937ec0e4993263; do
+    sweep_dse:1:4fef836b3e4a4e1a sweep_dse:7919:164749c74a1c89dd; do
     workload=${pin%%:*}
     seed=${pin#*:}
     seed=${seed%%:*}
@@ -71,8 +71,10 @@ done
 # in debug builds where timings are incomparable).
 cargo run -q --release -p sigma-bench --bin perf_bench -- --check --smoke
 # Telemetry smoke leg: the trace subcommand must emit a Chrome trace that
-# passes its own validator, and a telemetry sweep must surface the new
-# profiling columns and drop a telemetry_summary.json.
+# passes its own validator, and a telemetry sweep must drop a
+# telemetry_summary.json with the recorder's engine-run timings (its
+# records carry no wall time: the cache-parity leg below cmps its CSV
+# against a plain sweep's).
 cargo run -q --release -p sigma-bench --bin sigma_cli -- trace \
     --out /tmp/sigma_ci.trace.json --m 24 --n 24 --k 24 \
     --input-sparsity 0.5 --weight-sparsity 0.5
@@ -81,11 +83,12 @@ cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep --telemetry \
     --workload 16:16:16:0.5:0.5 --output csv \
     --out /tmp/sigma_ci_telemetry_summary.json > /tmp/sigma_ci_sweep.csv
 grep -q 'route_cache_hits' /tmp/sigma_ci_sweep.csv
-grep -q 'wall_ms' /tmp/sigma_ci_sweep.csv
+grep -q '"total_wall_ms"' /tmp/sigma_ci_telemetry_summary.json
 grep -q '"route_cache"' /tmp/sigma_ci_telemetry_summary.json
 # Run-cache parity gate: the same sweep cold (empty store), warm (reused
-# store), and cache-disabled must render byte-identical CSV and JSON —
-# a cache hit may only ever serve the bytes the engine would produce.
+# store), cache-disabled and with --telemetry must render byte-identical
+# CSV and JSON — a cache hit may only ever serve the bytes the engine
+# would produce, and records carry no wall time.
 rm -f /tmp/sigma_ci_cache.store
 cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
     --workload 16:16:16:0.5:0.5 --cache /tmp/sigma_ci_cache.store \
@@ -103,6 +106,7 @@ cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
 cmp /tmp/sigma_ci_cache_cold.csv /tmp/sigma_ci_cache_warm.csv
 cmp /tmp/sigma_ci_cache_cold.csv /tmp/sigma_ci_cache_off.csv
 cmp /tmp/sigma_ci_cache_warm.json /tmp/sigma_ci_cache_off.json
+cmp /tmp/sigma_ci_sweep.csv /tmp/sigma_ci_cache_off.csv
 rm -f /tmp/sigma_ci_cache.store
 # Run-cache bench leg: warm-sweep throughput must be >= 50x cold, with
 # exactly-once execution for in-flight duplicate cells (the gate

@@ -44,7 +44,7 @@ const KILL_POINTS: u64 = 6;
 /// A shim that stalls before delegating, so the child's journal grows
 /// slowly enough for the parent to aim its SIGKILL at a specific cell
 /// count. Name and numbers pass straight through: pacing changes wall
-/// time only, never records (telemetry is off, so `wall_ms` is 0.000).
+/// time only, never records (records carry no wall time).
 struct PacedEngine {
     inner: std::sync::Arc<dyn Engine>,
     pace: Duration,

@@ -19,8 +19,11 @@
 //! ```
 //!
 //! `--list-engines` prints the registry's slugs. `--telemetry` on a sweep
-//! turns on per-cell wall-time profiling, a live progress line, and a
-//! `telemetry_summary.json` artifact (path via `--out`).
+//! turns on the flight recorder (the sweep's one wall clock) with a live
+//! progress line, and writes a `telemetry_summary.json` artifact (path via
+//! `--out`) folded from the records and the recorder's spans. The
+//! records themselves carry no wall time, so the sweep's CSV/JSON output
+//! is byte-identical with or without it.
 //!
 //! `--resume JOURNAL` makes `--sweep` crash-safe: every completed cell is
 //! appended (and fsynced) to the journal as it finishes, cells already in
@@ -34,8 +37,8 @@
 //! (`--cache-cap N` bounds resident entries, default 4096; `--cache-stats`
 //! prints hit-rate/miss/coalesce/eviction counts to stderr afterwards).
 //!
-//! `--flight-recorder LOG` on a sweep turns on the harness flight
-//! recorder: every watchdogged attempt, retry backoff, watchdog
+//! `--flight-recorder LOG` on a sweep turns on the same flight recorder
+//! and persists it: every watchdogged attempt, retry backoff, watchdog
 //! cancellation, operand materialization, queue wait, journal append +
 //! fsync, and cache probe/insert is timed on a monotonic process clock
 //! and persisted — atomically — as a JSONL event log, alongside
@@ -63,7 +66,7 @@ use sigma_core::{validate_chrome_trace, Dataflow, SigmaConfig, SigmaSim};
 use sigma_energy::EnergyBreakdown;
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::GemmShape;
-use sigma_telemetry::{FlightRecorder, Stage, Telemetry};
+use sigma_telemetry::{Counter, FlightRecorder, Stage, Telemetry};
 use sigma_workloads::materialize;
 
 #[derive(Debug)]
@@ -498,22 +501,23 @@ fn run_sweep(args: &Args) -> i32 {
             }
         }
     };
-    // The flight recorder's wall clock is injected here, at the harness
-    // edge: a monotonic microsecond counter since process start. With
-    // the flag absent the recorder is a `None` handle and every
-    // recording call below is an inlined early return.
+    // The flight recorder's wall clock — the sweep's only one — is
+    // injected here, at the harness edge: a monotonic microsecond counter
+    // since process start. With neither flag the recorder is a `None`
+    // handle and every recording call below is an inlined early return.
     let epoch = std::time::Instant::now();
-    let (recorder, flight_registry) = if args.flight_recorder.is_some() {
+    let recorder = if args.telemetry || args.flight_recorder.is_some() {
         let clock = move || u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
-        (FlightRecorder::with_clock(65_536, clock), Telemetry::enabled())
+        FlightRecorder::with_clock(65_536, clock)
     } else {
-        (FlightRecorder::off(), Telemetry::off())
+        FlightRecorder::off()
     };
-    let mut sweep = Sweep::new(workloads)
-        .with_seed(args.seed)
-        .with_telemetry(args.telemetry)
-        .with_flight_recorder(recorder.clone())
-        .with_telemetry_registry(flight_registry.clone());
+    // The event log's counters: the harness's own tallies, copied in
+    // once the sweep is done.
+    let flight_registry =
+        if args.flight_recorder.is_some() { Telemetry::enabled() } else { Telemetry::off() };
+    let mut sweep =
+        Sweep::new(workloads).with_seed(args.seed).with_flight_recorder(recorder.clone());
     if let Some(t) = args.threads {
         sweep = sweep.with_threads(t);
     }
@@ -527,7 +531,8 @@ fn run_sweep(args: &Args) -> i32 {
                     warned += 1;
                 }
                 sweep = sweep.with_cache(Arc::clone(&cache));
-                Some(cache)
+                let before = cache.stats();
+                Some((cache, before))
             }
             Err(e) => {
                 eprintln!("cannot open cache {path}: {e}");
@@ -550,6 +555,9 @@ fn run_sweep(args: &Args) -> i32 {
                         "[resume] {} cells replayed from {path}, {} executed",
                         outcome.resume_hits, outcome.journal_appends
                     );
+                    flight_registry.add(Counter::JournalAppends, outcome.journal_appends);
+                    flight_registry.add(Counter::ResumeHits, outcome.resume_hits);
+                    flight_registry.add(Counter::DegradedCells, outcome.degraded_cells);
                     outcome.records
                 }
                 Err(e) => {
@@ -560,12 +568,16 @@ fn run_sweep(args: &Args) -> i32 {
         }
         None => sweep.run(&default_registry()),
     };
-    if let Some(cache) = &cache {
+    if let Some((cache, before)) = &cache {
         for warning in cache.warnings().iter().skip(warned) {
             eprintln!("[cache] {warning}");
         }
+        let s = cache.stats();
+        flight_registry.add(Counter::CacheHits, s.hits - before.hits);
+        flight_registry.add(Counter::CacheMisses, s.misses - before.misses);
+        flight_registry.add(Counter::InflightCoalesced, s.coalesced - before.coalesced);
+        flight_registry.add(Counter::CacheEvictions, s.evictions - before.evictions);
         if args.cache_stats {
-            let s = cache.stats();
             let probes = s.hits + s.misses;
             let hit_rate = if probes == 0 { 0.0 } else { 100.0 * s.hits as f64 / probes as f64 };
             eprintln!(
@@ -581,8 +593,8 @@ fn run_sweep(args: &Args) -> i32 {
             );
         }
     }
+    let flight = recorder.snapshot();
     if let Some(path) = &args.flight_recorder {
-        let flight = recorder.snapshot();
         let telem = flight_registry.snapshot();
         let process = format!("sigma sweep seed {}", args.seed);
         if let Err(e) = write_event_log(std::path::Path::new(path), &process, &flight, &telem) {
@@ -603,7 +615,7 @@ fn run_sweep(args: &Args) -> i32 {
         Output::Json => print!("{}", records_to_json(&records)),
     }
     if args.telemetry {
-        let summary = SweepProfile::from_records(&records).to_json();
+        let summary = SweepProfile::new(&records, &flight).to_json();
         let path = args.out.as_deref().unwrap_or("telemetry_summary.json");
         match std::fs::write(path, &summary) {
             Ok(()) => eprintln!("wrote {path}"),

@@ -24,8 +24,9 @@
 //!   validated Perfetto trace plus a per-stage latency table;
 //! * [`chaos`] — deliberately misbehaving engines (panic / wedge /
 //!   flake) used to prove the sweep's degradation contract;
-//! * [`profile`] — the sweep-level telemetry aggregate (wall time, retry
-//!   pressure, route-cache economy) behind `telemetry_summary.json`;
+//! * [`profile`] — the sweep-level telemetry aggregate (retry pressure
+//!   and route-cache economy from the records, wall time from the flight
+//!   recorder) behind `telemetry_summary.json`;
 //! * [`record`] — the structured [`RunRecord`] row every sweep produces,
 //!   rendered via [`Table`](crate::util::Table) (text/CSV) or JSON;
 //! * [`analytic`] — [`SigmaAnalytic`], the best-dataflow analytic SIGMA

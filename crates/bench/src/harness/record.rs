@@ -10,7 +10,7 @@ use sigma_telemetry::json::{quote, Json};
 /// rendering). Content keys fold it in, so bumping it when a field is
 /// added or re-rendered invalidates every persisted cell instead of
 /// replaying records whose layout no longer matches this code.
-pub const RECORD_SCHEMA: u32 = 1;
+pub const RECORD_SCHEMA: u32 = 2;
 
 /// How an (engine, workload) cell terminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,18 +59,11 @@ impl std::fmt::Display for RunStatus {
     }
 }
 
-/// Harness-level profiling of one sweep cell: wall time, retry count,
-/// and an operand-footprint proxy for peak memory.
-///
-/// The default profile is all-zero with one attempt, which is what every
-/// cell reports when sweep telemetry is off — keeping the CSV/JSON output
-/// byte-identical to a telemetry-free harness (`wall_ms` renders as
-/// `0.000` deterministically).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Harness-level profile of one sweep cell: retry count and an
+/// operand-footprint proxy for peak memory. Both are deterministic; wall
+/// time is the flight recorder's, never a record's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellProfile {
-    /// Wall-clock time of the cell in milliseconds (0.0 when sweep
-    /// telemetry is off, so records stay deterministic).
-    pub wall_ms: f64,
     /// Executions the cell took: 1 plus any watchdog/panic retries.
     pub attempts: u32,
     /// Deterministic operand-footprint proxy in bytes (nnz of both
@@ -80,7 +73,7 @@ pub struct CellProfile {
 
 impl Default for CellProfile {
     fn default() -> Self {
-        Self { wall_ms: 0.0, attempts: 1, mem_est_bytes: 0 }
+        Self { attempts: 1, mem_est_bytes: 0 }
     }
 }
 
@@ -153,9 +146,6 @@ pub struct RunRecord {
     /// Dead streaming cycles (no non-zero operand) the stationary engine
     /// fast-forwarded; still included in `streaming_cycles`/`total_cycles`.
     pub idle_cycles_skipped: u64,
-    /// Wall-clock milliseconds the cell took (0.0 unless sweep telemetry
-    /// was on).
-    pub wall_ms: f64,
     /// Executions the cell took (1 + retries).
     pub attempts: u32,
     /// Deterministic operand-memory proxy in bytes.
@@ -166,7 +156,7 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// Column headers, in field order.
-    pub const HEADERS: [&'static str; 34] = [
+    pub const HEADERS: [&'static str; 33] = [
         "engine_slug",
         "engine",
         "workload",
@@ -197,7 +187,6 @@ impl RunRecord {
         "route_cache_hits",
         "route_cache_misses",
         "idle_cycles_skipped",
-        "wall_ms",
         "attempts",
         "mem_est_bytes",
         "error",
@@ -250,7 +239,6 @@ impl RunRecord {
             route_cache_hits: s.route_cache_hits,
             route_cache_misses: s.route_cache_misses,
             idle_cycles_skipped: s.idle_cycles_skipped,
-            wall_ms: profile.wall_ms,
             attempts: profile.attempts,
             mem_est_bytes: profile.mem_est_bytes,
             error: None,
@@ -327,7 +315,6 @@ impl RunRecord {
             route_cache_hits: 0,
             route_cache_misses: 0,
             idle_cycles_skipped: 0,
-            wall_ms: profile.wall_ms,
             attempts: profile.attempts,
             mem_est_bytes: profile.mem_est_bytes,
             error: Some(error),
@@ -368,7 +355,6 @@ impl RunRecord {
             self.route_cache_hits.to_string(),
             self.route_cache_misses.to_string(),
             self.idle_cycles_skipped.to_string(),
-            format!("{:.3}", self.wall_ms),
             self.attempts.to_string(),
             self.mem_est_bytes.to_string(),
             self.error.clone().unwrap_or_default(),
@@ -416,7 +402,6 @@ impl RunRecord {
             ("route_cache_hits", self.route_cache_hits.to_string()),
             ("route_cache_misses", self.route_cache_misses.to_string()),
             ("idle_cycles_skipped", self.idle_cycles_skipped.to_string()),
-            ("wall_ms", format!("{:.3}", self.wall_ms)),
             ("attempts", self.attempts.to_string()),
             ("mem_est_bytes", self.mem_est_bytes.to_string()),
             ("error", self.error.as_deref().map_or_else(|| "null".to_string(), quote)),
@@ -489,7 +474,6 @@ impl RunRecord {
             route_cache_hits: num(obj, "route_cache_hits")?,
             route_cache_misses: num(obj, "route_cache_misses")?,
             idle_cycles_skipped: num(obj, "idle_cycles_skipped")?,
-            wall_ms: num(obj, "wall_ms")?,
             attempts: num(obj, "attempts")?,
             mem_est_bytes: num(obj, "mem_est_bytes")?,
             error,
@@ -606,9 +590,8 @@ mod tests {
     #[test]
     fn profile_and_route_cache_columns_render() {
         let mut r = sample();
-        assert!(r.to_json().contains("\"wall_ms\": 0.000"), "default profile is deterministic");
         assert!(r.to_json().contains("\"attempts\": 1"));
-        r.wall_ms = 12.3456;
+        assert!(!RunRecord::HEADERS.contains(&"wall_ms"), "records carry no wall time");
         r.attempts = 3;
         r.mem_est_bytes = 4096;
         r.route_cache_hits = 9;
@@ -616,7 +599,6 @@ mod tests {
         r.idle_cycles_skipped = 17;
         let row = r.row();
         let col = |name: &str| RunRecord::HEADERS.iter().position(|h| *h == name).unwrap();
-        assert_eq!(row[col("wall_ms")], "12.346");
         assert_eq!(row[col("attempts")], "3");
         assert_eq!(row[col("mem_est_bytes")], "4096");
         assert_eq!(row[col("route_cache_hits")], "9");

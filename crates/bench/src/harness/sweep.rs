@@ -32,14 +32,14 @@
 //! [`WedgingEngine`]: crate::harness::chaos::WedgingEngine
 
 use crate::harness::analytic::SigmaAnalytic;
-use crate::harness::cache::{CacheStats, CellKey, Lookup, RunCache};
+use crate::harness::cache::{CellKey, Lookup, RunCache};
 use crate::harness::record::{CellProfile, RunRecord, RunStatus};
 use crate::harness::registry::EngineEntry;
 use sigma_baselines::AnalyticEngine;
 use sigma_core::model::GemmProblem;
 use sigma_core::{CancelToken, Engine, EngineError, EngineRun};
 use sigma_matrix::{GemmShape, Matrix, SparseMatrix};
-use sigma_telemetry::{Counter, FlightRecorder, Gauge, Stage, Telemetry};
+use sigma_telemetry::{FlightRecorder, Gauge, Stage};
 use sigma_workloads::materialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -277,8 +277,6 @@ pub struct Sweep {
     retries: u32,
     backoff: Duration,
     cancel_grace: Duration,
-    telemetry: bool,
-    registry: Telemetry,
     recorder: FlightRecorder,
     live: Arc<AtomicUsize>,
     cache: Option<Arc<RunCache>>,
@@ -300,8 +298,6 @@ impl Sweep {
             retries: 0,
             backoff: Duration::from_millis(25),
             cancel_grace: Duration::from_millis(250),
-            telemetry: false,
-            registry: Telemetry::off(),
             recorder: FlightRecorder::off(),
             live: Arc::new(AtomicUsize::new(0)),
             cache: None,
@@ -375,24 +371,18 @@ impl Sweep {
         self
     }
 
-    /// Attaches a [`Telemetry`] registry; [`Sweep::resume`] records its
-    /// `journal_appends` / `resume_hits` / `degraded_cells` counters
-    /// there. Detached (the default) the calls are no-ops.
-    #[must_use]
-    pub fn with_telemetry_registry(mut self, registry: Telemetry) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`]: watchdogged attempts, retry
-    /// backoffs, watchdog cancellations, operand materializations, and
-    /// queue waits are recorded as thread-tagged wall-clock spans and
-    /// per-stage latency histograms, and the sweep maintains the
-    /// `cells_total` / `cells_completed` / `live_cell_threads` gauges
-    /// (plus `cache_entries` when a cache is attached) with periodic
-    /// snapshots. Detached (the default) every recording call is an
-    /// inlined early return, so records — and their rendered CSV/JSON —
-    /// stay byte-identical to a recorder-free sweep.
+    /// Attaches a [`FlightRecorder`], the sweep's only wall clock:
+    /// watchdogged attempts, retry backoffs, watchdog cancellations,
+    /// operand materializations, and queue waits are recorded as
+    /// thread-tagged spans and per-stage latency histograms, the sweep
+    /// maintains the `cells_total` / `cells_completed` /
+    /// `live_cell_threads` gauges (plus `cache_entries` when a cache is
+    /// attached) with periodic snapshots, and a live one-line progress
+    /// counter goes to stderr. Records never carry wall time, so they —
+    /// and their rendered CSV/JSON — are byte-identical with the
+    /// recorder on, off, or never attached.
+    /// [`SweepProfile`](crate::harness::profile::SweepProfile) folds the
+    /// records and the recorder's snapshot into a timing summary.
     ///
     /// The recorder's clock is injected by the caller (the `sigma_cli`
     /// harness passes a monotonic epoch), keeping wall-clock reads out
@@ -417,11 +407,7 @@ impl Sweep {
     /// sharing the cache — coalesce onto one executor. Records are
     /// byte-identical to an uncached run by key construction: the
     /// [`CellKey`] covers every result-affecting knob, so a hit can
-    /// only serve the bytes the engine would have produced. (Wall-time
-    /// telemetry columns are the one exception — a hit replays the
-    /// *original* cell's wall time — so cache parity is stated for the
-    /// default telemetry-off records, which render those columns as
-    /// constants.)
+    /// only serve the bytes the engine would have produced.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<RunCache>) -> Self {
         self.cache = Some(cache);
@@ -439,23 +425,6 @@ impl Sweep {
     #[must_use]
     pub fn cache(&self) -> Option<&Arc<RunCache>> {
         self.cache.as_ref()
-    }
-
-    /// Turns harness telemetry on or off (default: off). With telemetry
-    /// on, each record carries the cell's wall-clock time and a live
-    /// one-line progress counter is written to stderr; with it off, the
-    /// timing columns render as constants, so records stay byte-identical
-    /// across thread counts and machines.
-    #[must_use]
-    pub fn with_telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
-    /// Whether harness telemetry is on.
-    #[must_use]
-    pub fn telemetry(&self) -> bool {
-        self.telemetry
     }
 
     /// The sweep seed.
@@ -495,10 +464,6 @@ impl Sweep {
     /// an attached shared cache is probed second and, as in
     /// [`Sweep::run`], memoizes only `ok` records.
     ///
-    /// When a [`Telemetry`] registry is attached (see
-    /// [`Sweep::with_telemetry_registry`]), the `journal_appends`,
-    /// `resume_hits`, and `degraded_cells` counters are recorded.
-    ///
     /// # Errors
     ///
     /// Propagates I/O errors opening or compacting the journal. A
@@ -514,7 +479,6 @@ impl Sweep {
         let prepared = self.prepare();
         let jobs = self.jobs(engines);
         let executed = AtomicU64::new(0);
-        let cache_before = self.cache.as_ref().map(|c| c.stats());
         let results: Vec<(RunRecord, bool)> = par_map(&jobs, self.threads, |_, &(ei, wi)| {
             let (entry, w, lazy) = (&engines[ei], &self.workloads[wi], &prepared[wi]);
             let key = CellKey::for_engine(&entry.slug, entry.engine.as_ref(), w, lazy.seed);
@@ -532,7 +496,6 @@ impl Sweep {
                 }
             }
         });
-        self.record_cache_deltas(cache_before);
         // Resume has no live progress line; still leave one final gauge
         // sample so a recorded resume renders counter tracks.
         self.recorder.gauge_set(Gauge::CellsTotal, jobs.len() as u64);
@@ -547,9 +510,6 @@ impl Sweep {
         // skipped garbage, and torn tails are dropped.
         journal.compact()?;
         let warnings = journal.warnings();
-        self.registry.add(Counter::JournalAppends, journal_appends);
-        self.registry.add(Counter::ResumeHits, resume_hits);
-        self.registry.add(Counter::DegradedCells, degraded_cells);
         Ok(ResumeOutcome { records, journal_appends, resume_hits, degraded_cells, warnings })
     }
 
@@ -601,7 +561,6 @@ impl Sweep {
         w: &WorkloadSpec,
         input: &Prepared,
     ) -> RunRecord {
-        let started = self.telemetry.then(std::time::Instant::now);
         // The span label is only built when the recorder is on, so a
         // recorder-free cell allocates nothing extra.
         let owned_label = self.recorder.is_enabled().then(|| format!("{}: {}", entry.slug, w.name));
@@ -667,13 +626,9 @@ impl Sweep {
             }
         }
         // The operand footprint is derived from nnz alone, so it is
-        // deterministic; wall time is only recorded when telemetry is
-        // on, keeping default records byte-identical across machines.
-        let profile = CellProfile {
-            wall_ms: started.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3),
-            attempts,
-            mem_est_bytes: operand_footprint_bytes(&input.a, &input.b),
-        };
+        // deterministic.
+        let profile =
+            CellProfile { attempts, mem_est_bytes: operand_footprint_bytes(&input.a, &input.b) };
         match outcome {
             CellOutcome::Done(run) => {
                 let (name, pes) = match &degraded_from {
@@ -719,18 +674,15 @@ impl Sweep {
         let jobs = self.jobs(engines);
         let total = jobs.len();
         let completed = AtomicUsize::new(0);
-        let cache_before = self.cache.as_ref().map(|c| c.stats());
-        let progress = self.telemetry || self.recorder.is_enabled();
-        let started = progress.then(std::time::Instant::now);
-        // Queue wait is measured from one shared stamp at dispatch: a
-        // cell's wait is how long after the sweep started a worker first
-        // picked it up.
+        // Queue wait, elapsed time and ETA are all measured from one
+        // shared stamp at dispatch: a cell's wait is how long after the
+        // sweep started a worker first picked it up.
         let dispatched_us = self.recorder.now_us();
         self.recorder.gauge_set(Gauge::CellsTotal, total as u64);
         self.recorder.gauge_set(Gauge::CellsCompleted, 0);
         self.recorder.snap();
         let snap_every = (total / 16).max(1);
-        let records = par_map(&jobs, threads, |_, &(ei, wi)| {
+        par_map(&jobs, threads, |_, &(ei, wi)| {
             let entry = &engines[ei];
             let w = &self.workloads[wi];
             if self.recorder.is_enabled() {
@@ -738,20 +690,20 @@ impl Sweep {
                 self.recorder.span_since(Stage::QueueWait, &label, dispatched_us);
             }
             let (record, _) = self.run_cell_cached(entry, ei, wi, w, &prepared[wi]);
-            if progress {
+            if self.recorder.is_enabled() {
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                 self.recorder.gauge_set(Gauge::CellsCompleted, done as u64);
                 self.recorder
                     .gauge_set(Gauge::LiveCellThreads, self.live.load(Ordering::SeqCst) as u64);
                 if let Some(cache) = &self.cache {
-                    if self.recorder.is_enabled() {
-                        self.recorder.gauge_set(Gauge::CacheEntries, cache.stats().entries);
-                    }
+                    self.recorder.gauge_set(Gauge::CacheEntries, cache.stats().entries);
                 }
                 if done.is_multiple_of(snap_every) || done == total {
                     self.recorder.snap();
                 }
-                let elapsed = started.map_or(0.0, |t| t.elapsed().as_secs_f64());
+                let elapsed =
+                    Duration::from_micros(self.recorder.now_us().saturating_sub(dispatched_us))
+                        .as_secs_f64();
                 let eta = if done > 0 && done < total {
                     elapsed / done as f64 * (total - done) as f64
                 } else {
@@ -766,9 +718,7 @@ impl Sweep {
                 }
             }
             record
-        });
-        self.record_cache_deltas(cache_before);
-        records
+        })
     }
 
     /// Runs one cell through the attached [`RunCache`], if any: probe
@@ -818,24 +768,6 @@ impl Sweep {
         let prepared = lazy.force(w);
         self.recorder.span_since(Stage::Materialize, &w.name, t0);
         prepared
-    }
-
-    /// Folds the cache activity attributable to this sweep into the
-    /// telemetry registry as before/after stat deltas. When several
-    /// sweeps share one cache concurrently the attribution is
-    /// approximate (deltas include the neighbours' traffic); the
-    /// counters are observational and never feed into records.
-    fn record_cache_deltas(&self, before: Option<CacheStats>) {
-        let (Some(cache), Some(before)) = (&self.cache, before) else {
-            return;
-        };
-        let after = cache.stats();
-        self.registry.add(Counter::CacheHits, after.hits.saturating_sub(before.hits));
-        self.registry.add(Counter::CacheMisses, after.misses.saturating_sub(before.misses));
-        self.registry
-            .add(Counter::InflightCoalesced, after.coalesced.saturating_sub(before.coalesced));
-        self.registry
-            .add(Counter::CacheEvictions, after.evictions.saturating_sub(before.evictions));
     }
 }
 
@@ -1218,24 +1150,18 @@ mod tests {
     }
 
     #[test]
-    fn resume_records_telemetry_counters() {
-        use sigma_telemetry::{Counter, Telemetry};
+    fn resume_outcome_counts_appends_hits_and_degradations() {
         let engines: Vec<_> = default_registry().into_iter().filter(|e| e.slug == "eie").collect();
         let suite = demo_suite().into_iter().take(2).collect::<Vec<_>>();
-        let registry = Telemetry::enabled();
-        let sweep = Sweep::new(suite)
-            .with_seed(2)
-            .with_threads(1)
-            .with_telemetry_registry(registry.clone());
+        let sweep = Sweep::new(suite).with_seed(2).with_threads(1);
         let path = journal_path("resume_telemetry");
         let _ = std::fs::remove_file(&path);
-        let _ = sweep.resume(&engines, &path).unwrap();
-        assert_eq!(registry.counter(Counter::JournalAppends), 2);
-        assert_eq!(registry.counter(Counter::ResumeHits), 0);
-        let _ = sweep.resume(&engines, &path).unwrap();
-        assert_eq!(registry.counter(Counter::JournalAppends), 2, "second pass appends nothing");
-        assert_eq!(registry.counter(Counter::ResumeHits), 2);
-        assert_eq!(registry.counter(Counter::DegradedCells), 0);
+        let first = sweep.resume(&engines, &path).unwrap();
+        assert_eq!((first.journal_appends, first.resume_hits), (2, 0));
+        let second = sweep.resume(&engines, &path).unwrap();
+        assert_eq!(second.journal_appends, 0, "second pass appends nothing");
+        assert_eq!(second.resume_hits, 2);
+        assert_eq!(second.degraded_cells, 0);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1320,7 +1246,6 @@ mod tests {
     /// CSV/JSON artifacts — while the warm run executes nothing.
     #[test]
     fn cached_sweep_is_byte_identical_to_uncached() {
-        use sigma_telemetry::{Counter, Telemetry};
         let engines: Vec<_> = default_registry()
             .into_iter()
             .filter(|e| e.slug == "eie" || e.slug == "scnn")
@@ -1332,22 +1257,17 @@ mod tests {
         let path = cache_path("parity");
         let _ = std::fs::remove_file(&path);
         let cache = Arc::new(RunCache::open(&path, 64).unwrap());
-        let registry = Telemetry::enabled();
-        let sweep = Sweep::new(suite)
-            .with_seed(13)
-            .with_threads(2)
-            .with_telemetry_registry(registry.clone())
-            .with_cache(Arc::clone(&cache));
+        let sweep = Sweep::new(suite).with_seed(13).with_threads(2).with_cache(Arc::clone(&cache));
 
         let cold = sweep.run(&engines);
         assert_eq!(cold, uncached, "a cold cache must not perturb records");
-        assert_eq!(registry.counter(Counter::CacheMisses), cells);
-        assert_eq!(registry.counter(Counter::CacheHits), 0);
+        assert_eq!(cache.stats().misses, cells);
+        assert_eq!(cache.stats().hits, 0);
 
         let warm = sweep.run(&engines);
         assert_eq!(warm, uncached, "a warm cache must replay bit-exactly");
-        assert_eq!(registry.counter(Counter::CacheHits), cells, "warm run is all hits");
-        assert_eq!(registry.counter(Counter::CacheMisses), cells, "no new misses when warm");
+        assert_eq!(cache.stats().hits, cells, "warm run is all hits");
+        assert_eq!(cache.stats().misses, cells, "no new misses when warm");
         assert_eq!(
             crate::harness::record::records_to_json(&warm),
             crate::harness::record::records_to_json(&uncached)

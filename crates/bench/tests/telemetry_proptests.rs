@@ -3,10 +3,12 @@
 //!
 //! Two contracts:
 //!
-//! 1. Any engine that returns a [`Trace`](sigma_core::Trace) must return
-//!    one whose per-phase totals reconcile with its
+//! 1. A traced SIGMA run returns a [`Trace`](sigma_core::Trace) whose
+//!    per-phase totals reconcile with its
 //!    [`CycleStats`](sigma_core::CycleStats) — the trace is the
-//!    authoritative decomposition of the Table-II totals, not decoration.
+//!    authoritative decomposition of the Table-II totals, not decoration
+//!    — and tracing is observational: the traced run equals the untraced
+//!    one the harness's engines execute.
 //! 2. The Chrome trace-event rendering of any such trace must pass the
 //!    scanner validator, and its per-phase track durations must sum back
 //!    to the stats' phase totals (and overall total) exactly.
@@ -20,11 +22,11 @@ use sigma_workloads::materialize;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Contract 1 over the full registry: every produced trace is
-    /// consistent with its run's stats, across random shapes and
-    /// sparsities.
+    /// Contract 1 on every dataflow: each trace is consistent with its
+    /// run's stats, and the traced run equals the untraced one, across
+    /// random shapes and sparsities.
     #[test]
-    fn every_engine_trace_reconciles_with_its_stats(
+    fn every_dataflow_trace_reconciles_with_its_stats(
         m in 1usize..20, n in 1usize..20, k in 1usize..16,
         da in 0u8..=10, db in 0u8..=10, seed in any::<u64>()
     ) {
@@ -34,23 +36,19 @@ proptest! {
             f64::from(db) / 10.0,
         );
         let (a, b) = materialize(&p, seed);
-        for entry in sigma_bench::harness::default_registry() {
-            // An engine may refuse a shape (config limits); only produced
-            // traces are under test here.
-            if let Ok(run) = entry.engine.run(&a, &b) {
-                if let Some(trace) = &run.trace {
-                    prop_assert!(
-                        trace.consistent_with(&run.stats),
-                        "engine {} returned an inconsistent trace \
-                         (load {} stream {} drain {} vs stats {})",
-                        entry.slug,
-                        trace.phase_cycles(sigma_core::Phase::Load),
-                        trace.phase_cycles(sigma_core::Phase::Stream),
-                        trace.phase_cycles(sigma_core::Phase::Drain),
-                        run.stats.total_cycles()
-                    );
-                }
-            }
+        for dataflow in Dataflow::ALL {
+            let sim = SigmaSim::new(SigmaConfig::new(2, 8, 16, dataflow).unwrap()).unwrap();
+            let (run, trace) = sim.run_gemm_traced(&a, &b).unwrap();
+            prop_assert!(
+                trace.consistent_with(&run.stats),
+                "{dataflow} returned an inconsistent trace \
+                 (load {} stream {} drain {} vs stats {})",
+                trace.phase_cycles(sigma_core::Phase::Load),
+                trace.phase_cycles(sigma_core::Phase::Stream),
+                trace.phase_cycles(sigma_core::Phase::Drain),
+                run.stats.total_cycles()
+            );
+            prop_assert_eq!(&run, &sim.run_gemm(&a, &b).unwrap(), "{} traced != untraced", dataflow);
         }
     }
 

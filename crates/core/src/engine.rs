@@ -146,25 +146,6 @@ impl SigmaSim {
         self.run_gemm_impl(a, b, None, None, Some(cancel))
     }
 
-    /// Cancellable variant of [`SigmaSim::run_gemm_traced`]: polls
-    /// `cancel` at fold boundaries like
-    /// [`SigmaSim::run_gemm_cancellable`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigmaError::Cancelled`] when the token fires, plus
-    /// everything [`SigmaSim::run_gemm_traced`] can return.
-    pub fn run_gemm_traced_cancellable(
-        &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
-        cancel: &CancelToken,
-    ) -> Result<(GemmRun, Trace), SigmaError> {
-        let mut trace = Trace::new();
-        let run = self.run_gemm_impl(a, b, Some(&mut trace), None, Some(cancel))?;
-        Ok((run, trace))
-    }
-
     /// Like [`SigmaSim::run_gemm`], but also returns a cycle-stamped
     /// [`Trace`] of every load / streaming step / drain event, validated
     /// to be consistent with the returned stats.
@@ -212,12 +193,27 @@ impl SigmaSim {
                 at = a.transposed();
                 (&bt, &at)
             }
-            Dataflow::NoLocalReuse => return self.run_no_local_reuse(a, b, trace, faults, cancel),
+            Dataflow::NoLocalReuse => {
+                return self
+                    .run_no_local_reuse(a, b, trace, faults, cancel)
+                    .inspect(|run| self.count_run(&run.stats))
+            }
         };
         let mut out = Matrix::zeros(m, n);
         let stats =
             self.run_stationary(stationary, streaming, trace, faults, cancel, out.as_mut_slice())?;
+        self.count_run(&stats);
         Ok(GemmRun { result: out, stats })
+    }
+
+    /// Adds a finished run's MAC and idle-skip totals to the telemetry
+    /// registry: those counters mirror [`CycleStats`], so they are taken
+    /// from it once per run instead of being counted in the hot loops.
+    fn count_run(&self, stats: &CycleStats) {
+        let saturating = |v: u128| u64::try_from(v).unwrap_or(u64::MAX);
+        self.telemetry.add(Counter::UsefulMacs, saturating(stats.useful_macs));
+        self.telemetry.add(Counter::IssuedMacs, saturating(stats.issued_macs));
+        self.telemetry.add(Counter::IdleCyclesSkipped, stats.idle_cycles_skipped);
     }
 
     /// Training backward pass for weights: computes `A^T x B` (the
@@ -620,8 +616,6 @@ impl SigmaSim {
             stats.useful_macs += u128::from(fold_useful);
             stats.idle_cycles_skipped += dead_steps;
             self.telemetry.add(Counter::SramStreamingReads, fold_sends);
-            self.telemetry.add(Counter::IdleCyclesSkipped, dead_steps);
-            self.telemetry.add(Counter::UsefulMacs, fold_useful);
             if self.telemetry.is_enabled() {
                 // Dead steps all cost exactly one cycle.
                 self.telemetry.observe_n(Hist::StreamStepCycles, 1, dead_steps);
@@ -909,8 +903,6 @@ impl<'r, 'p> NlrWave<'r, 'p> {
         stats.sram_reads += 2 * len as u64;
         sim.telemetry.add(Counter::SramStreamingReads, 2 * len as u64);
         sim.telemetry.add(Counter::StreamSteps, 1);
-        sim.telemetry.add(Counter::UsefulMacs, len as u64);
-        sim.telemetry.add(Counter::IssuedMacs, len as u64);
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(Phase::Stream, fold, Some(0), stream_cycles);
         }
@@ -1369,6 +1361,60 @@ mod tests {
                         let plan = FaultPlan::single(site, kind);
                         let ctx = format!("seed {seed} {df} dbuf={dbuf} {site} {kind:?}");
                         assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Why no fault stamp from a fold after fold 0 can reach a report: a
+    /// fault is recorded once, at its first firing; a faulted run steps
+    /// every loaded unit through every streamed step; a plan of two or
+    /// more folds fills fold 0 in either packing order; and a stuck FAN
+    /// adder fires when its unit reduces, whether or not a cluster spans
+    /// it. So every multiplier, Benes port and adder site first fires in
+    /// fold 0. This pins that, with the fold-0 stamps against the oracle
+    /// and double buffering on and off; a fault model that leaves a site
+    /// idle in fold 0 fails here, and that site's later-fold stamp then
+    /// needs its own oracle comparison.
+    #[test]
+    fn every_armed_site_first_fires_in_fold_zero() {
+        use crate::fault::{FaultKind, FaultSite};
+        use sigma_interconnect::StuckLevel;
+        let a = sparse_uniform(7, 9, Density::new(0.5).unwrap(), 81);
+        let b = sparse_uniform(9, 5, Density::new(0.6).unwrap(), 82);
+        let stuck = FaultKind::StuckBit { bit: 22, level: StuckLevel::One };
+        let mut sites = Vec::new();
+        for dpe in 0..2 {
+            for slot in 0..4 {
+                sites.push((FaultSite::MultiplierOutput { dpe, slot }, stuck));
+                sites.push((FaultSite::BenesPort { dpe, port: slot }, FaultKind::DroppedPort));
+            }
+            for adder in 0..3 {
+                sites.push((FaultSite::FanAdder { dpe, adder }, stuck));
+            }
+        }
+        for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
+            for order in [crate::PackingOrder::GroupMajor, crate::PackingOrder::ContractionMajor] {
+                for dbuf in [false, true] {
+                    let config = SigmaConfig::new(2, 4, 4, df).unwrap().with_packing_order(order);
+                    let sim = SigmaSim::new(config.with_double_buffering(dbuf)).unwrap();
+                    let (clean, trace) = sim.run_gemm_traced(&a, &b).unwrap();
+                    assert!(clean.stats.folds >= 3, "{df} {order:?}: several folds");
+                    let fold0_end = trace
+                        .events()
+                        .iter()
+                        .filter(|e| e.fold == 0)
+                        .map(|e| e.start + e.cycles)
+                        .max()
+                        .unwrap();
+                    for &(site, kind) in &sites {
+                        let plan = FaultPlan::single(site, kind);
+                        let ctx = format!("{df} {order:?} dbuf={dbuf} {site}");
+                        let policy = RecoveryPolicy::default();
+                        let (_, report) = assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
+                        assert_eq!(report.fired.len(), 1, "{ctx}");
+                        assert!(report.fired[0].cycle <= fold0_end, "{ctx}: fired after fold 0");
                     }
                 }
             }
@@ -2072,31 +2118,45 @@ mod tests {
 
     #[test]
     fn telemetry_does_not_change_results_and_agrees_with_stats() {
-        let base = SigmaConfig::new(2, 8, 16, Dataflow::InputStationary).unwrap();
-        let plain = SigmaSim::new(base).unwrap();
-        let tele = SigmaSim::new(base.with_telemetry(true)).unwrap();
-        let a = sparse_uniform(10, 12, Density::new(0.6).unwrap(), 61);
-        let b = sparse_uniform(12, 7, Density::new(0.5).unwrap(), 62);
-        let p = plain.run_gemm(&a, &b).unwrap();
-        let t = tele.run_gemm(&a, &b).unwrap();
-        assert_eq!(p, t, "telemetry is observational only");
-        assert!(!plain.telemetry_handle().snapshot().enabled);
-        let snap = tele.telemetry_handle().snapshot();
-        assert!(snap.enabled);
-        // The counters recompose the CycleStats accounting exactly.
-        assert_eq!(
-            snap.counter("sram_stationary_reads").unwrap()
-                + snap.counter("sram_streaming_reads").unwrap(),
-            t.stats.sram_reads
-        );
-        assert_eq!(snap.counter("route_cache_hits").unwrap(), t.stats.route_cache_hits);
-        assert_eq!(snap.counter("route_cache_misses").unwrap(), t.stats.route_cache_misses);
-        assert_eq!(snap.counter("folds_planned").unwrap(), t.stats.folds);
-        assert_eq!(u128::from(snap.counter("useful_macs").unwrap()), t.stats.useful_macs);
-        assert_eq!(u128::from(snap.counter("issued_macs").unwrap()), t.stats.issued_macs);
-        assert!(snap.hist("multicast_fanout").unwrap().count > 0);
-        assert!(snap.hist("stream_step_cycles").unwrap().count > 0);
-        assert!(snap.hist("multiplier_occupancy_pct").unwrap().max <= 100);
+        for dataflow in [Dataflow::InputStationary, Dataflow::NoLocalReuse] {
+            let base = SigmaConfig::new(2, 8, 16, dataflow).unwrap();
+            let plain = SigmaSim::new(base).unwrap();
+            let tele = SigmaSim::new(base.with_telemetry(true)).unwrap();
+            let a = sparse_uniform(10, 12, Density::new(0.6).unwrap(), 61);
+            // Column 3 of B is empty: a dead streamed step on IS.
+            let mut dense_b = sparse_uniform(12, 7, Density::new(0.5).unwrap(), 62).to_dense();
+            for r in 0..12 {
+                dense_b.set(r, 3, 0.0);
+            }
+            let b = SparseMatrix::from_dense(&dense_b);
+            let p = plain.run_gemm(&a, &b).unwrap();
+            let t = tele.run_gemm(&a, &b).unwrap();
+            assert_eq!(p, t, "{dataflow}: telemetry is observational only");
+            assert!(!plain.telemetry_handle().snapshot().enabled);
+            let snap = tele.telemetry_handle().snapshot();
+            assert!(snap.enabled);
+            // The counters recompose the CycleStats accounting exactly.
+            let counter = |name: &str| snap.counter(name).unwrap();
+            assert_eq!(
+                counter("sram_stationary_reads") + counter("sram_streaming_reads"),
+                t.stats.sram_reads,
+                "{dataflow}"
+            );
+            assert_eq!(counter("route_cache_hits"), t.stats.route_cache_hits);
+            assert_eq!(counter("route_cache_misses"), t.stats.route_cache_misses);
+            assert_eq!(u128::from(counter("useful_macs")), t.stats.useful_macs, "{dataflow}");
+            assert_eq!(u128::from(counter("issued_macs")), t.stats.issued_macs, "{dataflow}");
+            assert_eq!(counter("idle_cycles_skipped"), t.stats.idle_cycles_skipped, "{dataflow}");
+            if dataflow == Dataflow::NoLocalReuse {
+                // NLR has no controller plan, multicast or stationary slots.
+                continue;
+            }
+            assert!(t.stats.idle_cycles_skipped > 0, "the fixture has dead steps");
+            assert_eq!(counter("folds_planned"), t.stats.folds);
+            assert!(snap.hist("multicast_fanout").unwrap().count > 0);
+            assert!(snap.hist("stream_step_cycles").unwrap().count > 0);
+            assert!(snap.hist("multiplier_occupancy_pct").unwrap().max <= 100);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! seven baseline designs over the same GEMM suite. [`Engine`] is the one
 //! entry point the experiment harness uses for all of them: sparse
 //! operands in, an [`EngineRun`] (numeric product + Table-II
-//! [`CycleStats`] + optional [`Trace`]) out. The trait is object-safe and
+//! [`CycleStats`]) out. The trait is object-safe and
 //! `Send + Sync`, so a heterogeneous fleet of boxed engines can be fanned
 //! across threads by a sweep driver.
 
@@ -12,28 +12,25 @@ use crate::cancel::CancelToken;
 use crate::config::SigmaError;
 use crate::engine::SigmaSim;
 use crate::stats::CycleStats;
-use crate::trace::Trace;
 use sigma_matrix::{Matrix, SparseMatrix};
 use sigma_telemetry::TelemetrySnapshot;
 
-/// The outcome of one GEMM on any engine: the numeric product, the cycle
-/// accounting, and (when the engine supports it) a cycle-stamped trace.
+/// The outcome of one GEMM on any engine: the numeric product and the
+/// cycle accounting. (A cycle-stamped trace of a SIGMA run comes from
+/// [`SigmaSim::run_gemm_traced`], outside the harness.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineRun {
     /// The computed `M x N` product.
     pub result: Matrix,
     /// Table-II style latency and utilization metrics.
     pub stats: CycleStats,
-    /// Optional cycle-stamped event trace (engines that do not model one
-    /// return `None`).
-    pub trace: Option<Trace>,
 }
 
 impl EngineRun {
-    /// Wraps a result and stats with no trace.
+    /// Wraps a result and its stats.
     #[must_use]
     pub fn new(result: Matrix, stats: CycleStats) -> Self {
-        Self { result, stats, trace: None }
+        Self { result, stats }
     }
 }
 
@@ -252,8 +249,8 @@ impl Engine for SigmaSim {
     }
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
-        let (run, trace) = self.run_gemm_traced(a, b)?;
-        Ok(EngineRun { result: run.result, stats: run.stats, trace: Some(trace) })
+        let run = self.run_gemm(a, b)?;
+        Ok(EngineRun::new(run.result, run.stats))
     }
 
     fn run_cancellable(
@@ -262,8 +259,8 @@ impl Engine for SigmaSim {
         b: &SparseMatrix,
         cancel: &CancelToken,
     ) -> Result<EngineRun, EngineError> {
-        let (run, trace) = self.run_gemm_traced_cancellable(a, b, cancel)?;
-        Ok(EngineRun { result: run.result, stats: run.stats, trace: Some(trace) })
+        let run = self.run_gemm_cancellable(a, b, cancel)?;
+        Ok(EngineRun::new(run.result, run.stats))
     }
 
     fn telemetry(&self) -> Option<TelemetrySnapshot> {
@@ -297,8 +294,6 @@ mod tests {
         let reference = a.to_dense().matmul(&b.to_dense());
         assert!(run.result.approx_eq(&reference, 1e-3 * 9.0));
         assert!(run.stats.total_cycles() > 0);
-        let trace = run.trace.expect("SIGMA returns a trace");
-        assert!(trace.consistent_with(&run.stats));
     }
 
     #[test]
