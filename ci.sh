@@ -130,4 +130,8 @@ cmp /tmp/sigma_ci_flight_on.csv /tmp/sigma_ci_cache_off.csv
 # Recorder overhead gate: no recorder, a disabled handle, and an enabled
 # recorder must render byte-identical sweep records/CSV/JSON, and the
 # enabled leg's engine-run spans must reconcile with the grid's attempts.
-cargo run -q --release -p sigma-bench --bin perf_bench -- --recorder-check --smoke --quiet
+# A recorded sweep writes its progress line only to a terminal, so the
+# --quiet run must leave stderr empty.
+cargo run -q --release -p sigma-bench --bin perf_bench -- --recorder-check --smoke --quiet \
+    2> /tmp/sigma_ci_recorder_check.err
+test ! -s /tmp/sigma_ci_recorder_check.err

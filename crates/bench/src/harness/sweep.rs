@@ -41,6 +41,7 @@ use sigma_core::{CancelToken, Engine, EngineError, EngineRun};
 use sigma_matrix::{GemmShape, Matrix, SparseMatrix};
 use sigma_telemetry::{FlightRecorder, Gauge, Stage};
 use sigma_workloads::materialize;
+use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -682,6 +683,9 @@ impl Sweep {
         self.recorder.gauge_set(Gauge::CellsCompleted, 0);
         self.recorder.snap();
         let snap_every = (total / 16).max(1);
+        // The progress line is for a person watching a terminal; a
+        // recorded sweep whose stderr is a pipe or a file stays quiet.
+        let progress = std::io::stderr().is_terminal();
         par_map(&jobs, threads, |_, &(ei, wi)| {
             let entry = &engines[ei];
             let w = &self.workloads[wi];
@@ -701,20 +705,22 @@ impl Sweep {
                 if done.is_multiple_of(snap_every) || done == total {
                     self.recorder.snap();
                 }
-                let elapsed =
-                    Duration::from_micros(self.recorder.now_us().saturating_sub(dispatched_us))
-                        .as_secs_f64();
-                let eta = if done > 0 && done < total {
-                    elapsed / done as f64 * (total - done) as f64
-                } else {
-                    0.0
-                };
-                eprint!(
-                    "\r[sweep] {done}/{total} cells | {elapsed:.1}s elapsed, eta {eta:.1}s ({}: {})",
-                    entry.slug, w.name
-                );
-                if done == total {
-                    eprintln!();
+                if progress {
+                    let elapsed =
+                        Duration::from_micros(self.recorder.now_us().saturating_sub(dispatched_us))
+                            .as_secs_f64();
+                    let eta = if done > 0 && done < total {
+                        elapsed / done as f64 * (total - done) as f64
+                    } else {
+                        0.0
+                    };
+                    eprint!(
+                        "\r[sweep] {done}/{total} cells | {elapsed:.1}s elapsed, eta {eta:.1}s ({}: {})",
+                        entry.slug, w.name
+                    );
+                    if done == total {
+                        eprintln!();
+                    }
                 }
             }
             record

@@ -22,9 +22,12 @@
 //! The controller works in a *canonical orientation*: the stationary
 //! operand is a `G × K` matrix whose rows are dot-product groups and whose
 //! columns are the contraction dimension; the streaming operand is
-//! `K × S` with one streamed vector per step. The engine maps either
-//! GEMM dataflow onto this orientation (weight-stationary transposes the
-//! `KN` operand; input-stationary uses `MK` directly).
+//! `K × S` with one streamed vector per step. Either operand may be
+//! stored in the other orientation ([`Operand`]): weight-stationary keeps
+//! `KN` stationary with its columns as the groups, and streams `MK` with
+//! its rows as the steps, and the training GEMMs `AᵀB` and `ABᵀ` read
+//! their transposed operand the same way. The plan reads the stored
+//! matrices; no transposed copy is built.
 
 use sigma_matrix::{Bitmap, SparseMatrix};
 
@@ -46,6 +49,67 @@ pub enum PackingOrder {
     GroupMajor,
     /// Contraction-slice-major across all groups.
     ContractionMajor,
+}
+
+/// A stored matrix read as itself or, with `transposed`, as its
+/// transpose: an operand in either orientation, copied in neither.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    /// The matrix as stored.
+    pub matrix: &'a SparseMatrix,
+    /// Whether the operand is the transpose of `matrix`.
+    pub transposed: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// `matrix` as stored.
+    pub fn new(matrix: &'a SparseMatrix) -> Self {
+        Self { matrix, transposed: false }
+    }
+
+    /// This operand's transpose.
+    #[must_use]
+    pub fn t(self) -> Self {
+        Self { transposed: !self.transposed, ..self }
+    }
+
+    /// Rows of the operand (columns of the stored matrix when transposed).
+    pub fn rows(&self) -> usize {
+        if self.transposed {
+            self.matrix.cols()
+        } else {
+            self.matrix.rows()
+        }
+    }
+
+    /// Columns of the operand.
+    pub fn cols(&self) -> usize {
+        if self.transposed {
+            self.matrix.rows()
+        } else {
+            self.matrix.cols()
+        }
+    }
+
+    /// The operand's stored `(row, col, value)` entries in the stored
+    /// matrix's row-major order, with coordinates in the operand's own
+    /// orientation.
+    pub fn entries(self) -> impl Iterator<Item = (usize, usize, f32)> + 'a {
+        let t = self.transposed;
+        self.matrix.iter().map(move |(r, c, v)| if t { (c, r, v) } else { (r, c, v) })
+    }
+
+    /// The operand as a matrix of its own: the stored one, or its
+    /// [`SparseMatrix::transposed`] copy. Test builds only, where the
+    /// tick oracle takes canonical matrices.
+    #[cfg(test)]
+    pub fn to_matrix(self) -> SparseMatrix {
+        if self.transposed {
+            self.matrix.transposed()
+        } else {
+            self.matrix.clone()
+        }
+    }
 }
 
 /// One stationary′ non-zero mapped onto a multiplier.
@@ -125,40 +189,48 @@ impl ControllerPlan {
         total_pes: usize,
         order: PackingOrder,
     ) -> Self {
-        assert_eq!(
-            stationary.cols(),
-            streaming.rows(),
-            "stationary K ({}) must equal streaming K ({})",
-            stationary.cols(),
-            streaming.rows()
-        );
+        Self::build_oriented(Operand::new(stationary), streaming, false, total_pes, order)
+    }
+
+    /// [`ControllerPlan::build_with_order`] on operands in either
+    /// orientation: `stationary` is the `G × K` operand, and `streaming`
+    /// is the `K × S` streaming bitmap, or its `S × K` transpose when
+    /// `stream_transposed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands' contraction dimensions disagree or
+    /// `total_pes == 0`.
+    pub(crate) fn build_oriented(
+        stationary: Operand<'_>,
+        streaming: &Bitmap,
+        stream_transposed: bool,
+        total_pes: usize,
+        order: PackingOrder,
+    ) -> Self {
+        let stream_k = if stream_transposed { streaming.cols() } else { streaming.rows() };
+        let kdim = stationary.cols();
+        assert_eq!(kdim, stream_k, "stationary K ({kdim}) must equal streaming K ({stream_k})");
         assert!(total_pes > 0, "total_pes must be non-zero");
 
-        // Step ii: REGOR + stationary' filter.
-        let stream_or = streaming.rows_or();
-        let mut mapped = Vec::new();
-        let mut dropped = 0u64;
-        for (g, k, v) in stationary.iter() {
-            if stream_or[k] {
-                mapped.push(MappedElement { group: g, contraction: k, value: v });
-            } else {
-                dropped += 1;
-            }
-        }
-        let nnz = mapped.len() as u64;
-
-        // Steps iii-v: cut into folds, assign clusters.
+        // Step ii: REGOR + stationary' filter, and steps iii-v: cut into
+        // folds, assign clusters.
+        let stream_or = if stream_transposed { streaming.cols_or() } else { streaming.rows_or() };
         let chunks: Vec<Vec<MappedElement>> = match order {
-            PackingOrder::GroupMajor => {
-                mapped.chunks(total_pes).map(<[MappedElement]>::to_vec).collect()
+            PackingOrder::GroupMajor => Self::group_major_folds(stationary, &stream_or, total_pes),
+            PackingOrder::ContractionMajor => {
+                // One fold of unbounded size holds every element.
+                let mut all = Self::group_major_folds(stationary, &stream_or, usize::MAX);
+                Self::contraction_major_folds(all.pop().unwrap_or_default(), total_pes)
             }
-            PackingOrder::ContractionMajor => Self::contraction_major_folds(mapped, total_pes),
         };
+        let nnz = chunks.iter().map(Vec::len).sum::<usize>() as u64;
+        let dropped = stationary.matrix.nnz() as u64 - nnz;
         let mut folds = Vec::new();
         // One bit per contraction index, reused across folds: marking a
         // fold's contractions and draining the set words in order yields
         // them sorted and distinct without a sort.
-        let mut seen = vec![0u64; stationary.cols().div_ceil(64)];
+        let mut seen = vec![0u64; kdim.div_ceil(64)];
         for chunk in chunks {
             let mut vec_ids = vec![None; total_pes];
             let mut cluster_groups = Vec::new();
@@ -190,6 +262,71 @@ impl ControllerPlan {
         }
 
         ControllerPlan { stream_or, stationary_prime_nnz: nnz, dropped_stationary: dropped, folds }
+    }
+
+    /// Step ii's stationary′ elements in group-major order, each group's
+    /// contractions ascending, cut into folds of `total_pes`. A stored
+    /// `G × K` operand is read in row-major order. A transposed one
+    /// (stored `K × G`) takes one counting pass for each group's first
+    /// slot, then one row-major pass that places every element straight
+    /// into its fold, which fills each group in ascending contraction
+    /// order.
+    fn group_major_folds(
+        stationary: Operand<'_>,
+        stream_or: &[bool],
+        total_pes: usize,
+    ) -> Vec<Vec<MappedElement>> {
+        let m = stationary.matrix;
+        let mut folds = Vec::new();
+        if !stationary.transposed {
+            let mut fold = Vec::new();
+            for (seen, (group, contraction, value)) in m.iter().enumerate() {
+                if !stream_or[contraction] {
+                    continue;
+                }
+                if fold.len() == total_pes {
+                    folds.push(std::mem::take(&mut fold));
+                }
+                if fold.is_empty() {
+                    fold.reserve_exact(total_pes.min(m.nnz() - seen));
+                }
+                fold.push(MappedElement { group, contraction, value });
+            }
+            if !fold.is_empty() {
+                folds.push(fold);
+            }
+            return folds;
+        }
+        let mut counts = vec![0usize; m.cols()];
+        for (k, g) in m.bitmap().iter_ones() {
+            counts[g] += usize::from(stream_or[k]);
+        }
+        // Each group's first slot as (fold, offset).
+        let mut slot = Vec::with_capacity(counts.len());
+        let mut next = 0usize;
+        for &count in &counts {
+            slot.push((next / total_pes, next % total_pes));
+            next += count;
+        }
+        let empty = MappedElement { group: 0, contraction: 0, value: 0.0 };
+        let mut start = 0;
+        while start < next {
+            let len = total_pes.min(next - start);
+            folds.push(vec![empty; len]);
+            start += len;
+        }
+        for (contraction, group, value) in m.iter() {
+            if stream_or[contraction] {
+                let (f, o) = &mut slot[group];
+                folds[*f][*o] = MappedElement { group, contraction, value };
+                *o += 1;
+                if *o == total_pes {
+                    *f += 1;
+                    *o = 0;
+                }
+            }
+        }
+        folds
     }
 
     /// Builds contraction-major folds: greedily grow a contiguous
@@ -507,6 +644,41 @@ mod tests {
             }
         }
         assert!(folds > 500, "only {folds} folds checked");
+    }
+
+    #[test]
+    fn transposed_operands_plan_like_their_transposed_copies() {
+        use sigma_matrix::gen::{sparse_uniform, Density};
+        // Stationary stored K x G and streaming stored S x K, with
+        // contraction dims that straddle word edges, folds that split
+        // groups, and groups or contractions left empty by REGOR.
+        let mut plans = 0;
+        for seed in 0..18u64 {
+            let groups = 1 + (seed as usize * 5) % 19;
+            let k = [1, 63, 64, 65, 130, 7][seed as usize % 6];
+            let steps = 1 + (seed as usize * 3) % 11;
+            let density = |i: u64| Density::new(0.05 + 0.12 * ((seed + i) % 8) as f64).unwrap();
+            let stat_kg = sparse_uniform(k, groups, density(0), seed);
+            let stream_sk = sparse_uniform(steps, k, density(3), seed ^ 0xBEEF);
+            let stat_gk = stat_kg.transposed();
+            let stream_ks = stream_sk.bitmap().transposed();
+            for pes in [4, 16, 128] {
+                for order in [PackingOrder::GroupMajor, PackingOrder::ContractionMajor] {
+                    let want = ControllerPlan::build_with_order(&stat_gk, &stream_ks, pes, order);
+                    for (stationary, stream, by_step) in [
+                        (Operand::new(&stat_kg).t(), stream_sk.bitmap(), true),
+                        (Operand::new(&stat_kg).t(), &stream_ks, false),
+                        (Operand::new(&stat_gk), stream_sk.bitmap(), true),
+                    ] {
+                        let got =
+                            ControllerPlan::build_oriented(stationary, stream, by_step, pes, order);
+                        assert_eq!(got, want, "seed {seed} pes {pes} {order:?} {by_step}");
+                        plans += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(plans, 18 * 3 * 2 * 3);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::cancel::CancelToken;
 use crate::config::{Dataflow, SigmaConfig, SigmaError};
-use crate::controller::ControllerPlan;
+use crate::controller::{ControllerPlan, Operand};
 use crate::fault::{FaultCounters, FaultInjector, FaultPlan, FaultReport};
 use crate::flex_dpe::FlexDpe;
 use crate::stats::CycleStats;
@@ -126,7 +126,7 @@ impl SigmaSim {
     ///
     /// Returns [`SigmaError::DimensionMismatch`] when `A.cols() != B.rows()`.
     pub fn run_gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(a, b, None, None, None)
+        self.run_gemm_impl(Operand::new(a), Operand::new(b), None, None, None)
     }
 
     /// Like [`SigmaSim::run_gemm`], but polls `cancel` at every fold (or
@@ -143,7 +143,7 @@ impl SigmaSim {
         b: &SparseMatrix,
         cancel: &CancelToken,
     ) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(a, b, None, None, Some(cancel))
+        self.run_gemm_impl(Operand::new(a), Operand::new(b), None, None, Some(cancel))
     }
 
     /// Like [`SigmaSim::run_gemm`], but also returns a cycle-stamped
@@ -159,14 +159,18 @@ impl SigmaSim {
         b: &SparseMatrix,
     ) -> Result<(GemmRun, Trace), SigmaError> {
         let mut trace = Trace::new();
-        let run = self.run_gemm_impl(a, b, Some(&mut trace), None, None)?;
+        let run =
+            self.run_gemm_impl(Operand::new(a), Operand::new(b), Some(&mut trace), None, None)?;
         Ok((run, trace))
     }
 
+    /// Runs `C = A x B` on the configured dataflow, where `a` (`M x K`)
+    /// and `b` (`K x N`) are stored matrices read in either orientation,
+    /// so the training GEMMs `A^T x B` and `A x B^T` copy nothing.
     fn run_gemm_impl(
         &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
+        a: Operand<'_>,
+        b: Operand<'_>,
         trace: Option<&mut Trace>,
         faults: Option<&mut FaultInjector<'_>>,
         cancel: Option<&CancelToken>,
@@ -174,25 +178,19 @@ impl SigmaSim {
         if a.cols() != b.rows() {
             return Err(SigmaError::DimensionMismatch { k_a: a.cols(), k_b: b.rows() });
         }
-        if !a.all_finite() {
+        if !a.matrix.all_finite() {
             return Err(SigmaError::NonFiniteInput { operand: "A" });
         }
-        if !b.all_finite() {
+        if !b.matrix.all_finite() {
             return Err(SigmaError::NonFiniteInput { operand: "B" });
         }
         let (m, n) = (a.rows(), b.cols());
         // IS: MK stationary (groups = rows m), KN streaming (steps = n).
-        // WS: KN stationary, so canonical groups are columns n (transpose
-        // B), and MK streams contraction-major (transpose A so steps are
-        // rows m).
-        let (bt, at);
+        // WS: KN stationary with its columns n as the groups, and MK
+        // streaming contraction-major with its rows m as the steps.
         let (stationary, streaming) = match self.config.dataflow() {
             Dataflow::InputStationary => (a, b),
-            Dataflow::WeightStationary => {
-                bt = b.transposed();
-                at = a.transposed();
-                (&bt, &at)
-            }
+            Dataflow::WeightStationary => (b.t(), a.t()),
             Dataflow::NoLocalReuse => {
                 return self
                     .run_no_local_reuse(a, b, trace, faults, cancel)
@@ -219,29 +217,28 @@ impl SigmaSim {
     /// Training backward pass for weights: computes `A^T x B` (the
     /// `(MK)^T x MN` weight-gradient GEMM of Sec. I) on the accelerator.
     /// `A` is `K x M`-shaped as stored (i.e. the forward activation
-    /// matrix), transposed on the fly by the controller's mapping.
+    /// matrix). The controller reads it in the transposed role, as it
+    /// stores it: no transposed copy is made. Results, stats and traces
+    /// are [`SigmaSim::run_gemm`]'s on `A`'s [`SparseMatrix::transposed`]
+    /// copy.
     ///
     /// # Errors
     ///
     /// Returns [`SigmaError::DimensionMismatch`] when `a.rows() != b.rows()`.
     pub fn run_gemm_at(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, SigmaError> {
-        if a.rows() != b.rows() {
-            return Err(SigmaError::DimensionMismatch { k_a: a.rows(), k_b: b.rows() });
-        }
-        self.run_gemm(&a.transposed(), b)
+        self.run_gemm_impl(Operand::new(a).t(), Operand::new(b), None, None, None)
     }
 
     /// Training backward pass for inputs: computes `A x B^T` (the
-    /// `MN x (KN)^T` input-gradient GEMM of Sec. I) on the accelerator.
+    /// `MN x (KN)^T` input-gradient GEMM of Sec. I) on the accelerator,
+    /// reading the stored `B` in the transposed role, like
+    /// [`SigmaSim::run_gemm_at`].
     ///
     /// # Errors
     ///
     /// Returns [`SigmaError::DimensionMismatch`] when `a.cols() != b.cols()`.
     pub fn run_gemm_bt(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, SigmaError> {
-        if a.cols() != b.cols() {
-            return Err(SigmaError::DimensionMismatch { k_a: a.cols(), k_b: b.cols() });
-        }
-        self.run_gemm(a, &b.transposed())
+        self.run_gemm_impl(Operand::new(a), Operand::new(b).t(), None, None, None)
     }
 
     /// Runs the GEMM under both stationary dataflows and returns the one
@@ -284,6 +281,7 @@ impl SigmaSim {
         plan: &FaultPlan,
     ) -> Result<(GemmRun, FaultReport), SigmaError> {
         let mut injector = FaultInjector::new(plan);
+        let (a, b) = (Operand::new(a), Operand::new(b));
         let mut run = self.run_gemm_impl(a, b, None, Some(&mut injector), None)?;
         let report = injector.into_report();
         run.stats.faults_injected = report.counters.injected;
@@ -316,6 +314,7 @@ impl SigmaSim {
         // Ground truth for escape accounting: the fault-free execution has
         // the identical accumulation order, so agreement is exact up to
         // the faults themselves. Only needed when faults are armed.
+        let (a, b) = (Operand::new(a), Operand::new(b));
         let baseline =
             if plan.is_empty() { None } else { Some(self.run_gemm_impl(a, b, None, None, None)?) };
 
@@ -384,9 +383,10 @@ impl SigmaSim {
 
     /// Canonical stationary execution: `stationary` is `G x K` (one FAN
     /// cluster per row), `streaming` is `K x S` (one streamed vector per
-    /// step). Cluster sums accumulate into `out`, the caller's zeroed
-    /// row-major result ([`SigmaSim::output_strides`] places each
-    /// `(group, step)` cell in it).
+    /// step), each a stored matrix in either orientation ([`Operand`]).
+    /// Cluster sums accumulate into `out`, the caller's zeroed row-major
+    /// result ([`SigmaSim::output_strides`] places each `(group, step)`
+    /// cell in it).
     ///
     /// One loop walks the plan's folds, and each fold runs the paper's
     /// Table II phases in order: load (the visible part, with double
@@ -395,9 +395,12 @@ impl SigmaSim {
     /// ticks cycle by cycle:
     ///
     /// * **Per-fold send counts are batched word-level**: one walk over
-    ///   the streaming bitmap's occupancy words
-    ///   ([`Bitmap::row_iter_ones`]) yields every step's send count in
-    ///   O(nnz) instead of probing one (contraction, step) bit at a time.
+    ///   the streaming bitmap's occupancy words yields every step's send
+    ///   count instead of probing one (contraction, step) bit at a time.
+    ///   Stored `K x S`, the fold's contraction rows are walked
+    ///   ([`Bitmap::row_iter_ones`], O(nnz)); stored `S x K`, each step's
+    ///   row is ANDed with the fold's contraction set and counted
+    ///   ([`Bitmap::row_count_ones_masked`], O(S·K/64)).
     /// * **Dead steps are bitwise no-ops**: a step with zero sends
     ///   streams only `+0.0` operands, every product is `±0.0`, and every
     ///   FAN add and output accumulation is a bitwise no-op (output cells
@@ -421,24 +424,25 @@ impl SigmaSim {
     /// An armed, non-empty injector changes four things. Bitmap-word
     /// corruptions hit the streaming metadata *before* the controller
     /// plans, and the streaming copy reads through the corrupted bitmap (a
-    /// cleared bit reads as zero). Every step runs as a one-lane block of
-    /// [`FlexDpe::step_block`], armed with the injector, because fault
-    /// stamps are per step. Dead steps run too: a fault can fire on a
-    /// dead step and turn its `+0.0` into a live value, so the
-    /// fast-forward is only sound with no injector (dead cycles are still
-    /// counted as skipped). A fault is stamped with the total cycle count
-    /// at the end of its step. And each fold's fired faults are
-    /// stable-sorted by cycle, which restores the step-major order of a
-    /// cycle-by-cycle walk. An empty injector takes the clean path
-    /// unchanged.
+    /// cleared bit reads as zero). A corrupted word is a word of the
+    /// canonical `K x S` bitmap, whatever the stored orientation. Every
+    /// step runs as a one-lane block of [`FlexDpe::step_block`], armed
+    /// with the injector, because fault stamps are per step. Dead steps
+    /// run too: a fault can fire on a dead step and turn its `+0.0` into
+    /// a live value, so the fast-forward is only sound with no injector
+    /// (dead cycles are still counted as skipped). A fault is stamped
+    /// with the total cycle count at the end of its step. And each fold's
+    /// fired faults are stable-sorted by cycle, which restores the
+    /// step-major order of a cycle-by-cycle walk. An empty injector takes
+    /// the clean path unchanged.
     ///
     /// A cycle-by-cycle tick loop with the same outer shape,
     /// `SigmaSim::run_stationary_lockstep`, survives in the unit tests as
     /// the bitwise oracle for results, stats, traces and fault reports.
     fn run_stationary(
         &self,
-        stationary: &SparseMatrix,
-        streaming: &SparseMatrix,
+        stationary: Operand<'_>,
+        streaming: Operand<'_>,
         mut trace: Option<&mut Trace>,
         faults: Option<&mut FaultInjector<'_>>,
         cancel: Option<&CancelToken>,
@@ -446,7 +450,15 @@ impl SigmaSim {
     ) -> Result<CycleStats, SigmaError> {
         #[cfg(test)]
         if self.tick_oracle {
-            return self.run_stationary_lockstep(stationary, streaming, trace, faults, cancel, out);
+            let (stationary, streaming) = (stationary.to_matrix(), streaming.to_matrix());
+            return self.run_stationary_lockstep(
+                &stationary,
+                &streaming,
+                trace,
+                faults,
+                cancel,
+                out,
+            );
         }
         let mut faults = faults.filter(|inj| !inj.is_empty());
         let pes = self.config.total_pes();
@@ -455,27 +467,31 @@ impl SigmaSim {
         let dpe = self.config.dpe_size();
         let steps = streaming.cols();
         let kdim = streaming.rows();
+        let by_step = streaming.transposed;
         let (group_stride, step_stride) = self.output_strides(stationary.rows(), steps);
 
+        let stored = streaming.matrix.bitmap();
         let corrupted =
-            faults.as_deref_mut().and_then(|inj| inj.corrupt_bitmap(streaming.bitmap(), 0));
-        let stream_bitmap: &Bitmap = corrupted.as_ref().unwrap_or_else(|| streaming.bitmap());
+            faults.as_deref_mut().and_then(|inj| inj.corrupt_bitmap(stored, by_step, 0));
+        let stream_bitmap: &Bitmap = corrupted.as_ref().unwrap_or(stored);
 
-        let plan = ControllerPlan::build_with_order(
+        let plan = ControllerPlan::build_oriented(
             stationary,
             stream_bitmap,
+            by_step,
             pes,
             self.config.packing_order(),
         );
         self.telemetry.add(Counter::FoldsPlanned, plan.folds.len() as u64);
 
-        // The streaming operand, dense and row-major in its own `K x S`
-        // orientation: contraction `c`'s operands over a block of steps
-        // are one contiguous run.
+        // The streaming operand, dense and row-major in the canonical
+        // `K x S` orientation: contraction `c`'s operands over a block of
+        // steps are one contiguous run.
         let mut stream = vec![0.0f32; kdim * steps];
-        for (r, c, v) in streaming.iter() {
+        for (r, c, v) in streaming.matrix.iter() {
             if corrupted.is_none() || stream_bitmap.get(r, c) {
-                stream[r * steps + c] = v;
+                let (k, step) = if by_step { (c, r) } else { (r, c) };
+                stream[k * steps + step] = v;
             }
         }
 
@@ -485,9 +501,11 @@ impl SigmaSim {
         let mut tile = vec![0.0f32; dpe * BLOCK_STEPS];
         let mut fanout_scratch: Vec<usize> = Vec::new();
         // Per-step send counts for the current fold, recomputed word-level
-        // per fold (see above), and — with faults armed — each step's
-        // end-of-step total cycle count. Reused across folds.
+        // per fold (see above), the fold's contraction set when the
+        // streaming operand is stored by step, and — with faults armed —
+        // each step's end-of-step total cycle count. Reused across folds.
         let mut sends_buf: Vec<u64> = vec![0; steps];
+        let mut fold_ks: Vec<u64> = vec![0; if by_step { kdim.div_ceil(64) } else { 0 }];
         let mut step_end: Vec<u64> = Vec::new();
 
         let mut prev_fold_stream = 0u64;
@@ -545,11 +563,22 @@ impl SigmaSim {
             cycle += visible_load;
 
             // Word-level send counting: one pass over the occupancy words
-            // of this fold's contraction rows.
-            sends_buf.fill(0);
-            for &k in &fold.distinct_contractions {
-                for c in stream_bitmap.row_iter_ones(k) {
-                    sends_buf[c] += 1;
+            // of this fold's contraction rows, or of every step's row
+            // masked by the fold's contractions.
+            if by_step {
+                fold_ks.fill(0);
+                for &k in &fold.distinct_contractions {
+                    fold_ks[k / 64] |= 1 << (k % 64);
+                }
+                for (step, sends) in sends_buf.iter_mut().enumerate() {
+                    *sends = stream_bitmap.row_count_ones_masked(step, &fold_ks) as u64;
+                }
+            } else {
+                sends_buf.fill(0);
+                for &k in &fold.distinct_contractions {
+                    for c in stream_bitmap.row_iter_ones(k) {
+                        sends_buf[c] += 1;
+                    }
                 }
             }
             // Pass 1 — per-step accounting in step order: cycle charges,
@@ -652,7 +681,7 @@ impl SigmaSim {
         }
         self.telemetry.add(
             Counter::StationaryDropped,
-            (stationary.nnz() as u64).saturating_sub(stats.mapped_nonzeros),
+            (stationary.matrix.nnz() as u64).saturating_sub(stats.mapped_nonzeros),
         );
         Ok(stats)
     }
@@ -696,8 +725,8 @@ impl SigmaSim {
     /// metadata or per-slot Benes delivery to corrupt.
     fn run_no_local_reuse(
         &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
+        a: Operand<'_>,
+        b: Operand<'_>,
         trace: Option<&mut Trace>,
         faults: Option<&mut FaultInjector<'_>>,
         cancel: Option<&CancelToken>,
@@ -705,7 +734,7 @@ impl SigmaSim {
         let mut wave = NlrWave::new(self, a.rows(), b.cols(), trace, faults, cancel);
         #[cfg(test)]
         let streamed = if self.tick_oracle {
-            nlr_pairs_dense(a, b, &mut wave)
+            nlr_pairs_dense(&a.to_matrix(), &b.to_matrix(), &mut wave)
         } else {
             stream_nlr_pairs(a, b, &mut wave)
         };
@@ -719,10 +748,8 @@ impl SigmaSim {
 /// Packs one NLR operand's `(vector, contraction, value)` entries into
 /// `vectors` vectors over a contraction of length `k`: per vector,
 /// `ceil(k / 64)` occupancy words for word-level intersection (bit
-/// `c % 64` of word `c / 64` marks a non-zero at contraction `c`), and `k`
-/// values stored densely, so the value at `c` is a plain load. Stored
-/// values equal to `0.0` (either sign; [`SparseMatrix::from_parts`] can
-/// hold them) are left out, as a dense scan would skip them.
+/// `c % 64` of word `c / 64` marks a stored value at contraction `c`), and
+/// `k` values stored densely, so the value at `c` is a plain load.
 fn pack_nlr_operand(
     vectors: usize,
     k: usize,
@@ -731,27 +758,27 @@ fn pack_nlr_operand(
     let words = k.div_ceil(64);
     let mut bits = vec![0u64; vectors * words];
     let mut values = vec![0.0f32; vectors * k];
-    for (r, c, v) in entries.filter(|&(_, _, v)| v != 0.0) {
+    for (r, c, v) in entries {
         bits[r * words + c / 64] |= 1 << (c % 64);
         values[r * k + c] = v;
     }
     (bits, values)
 }
 
-/// Streams every useful NLR pair's product `a[i,k] · b[k,j]`, both operands
-/// non-zero, into `wave`, ordered by output `(i, j)` and then ascending `k`.
-/// B is read in its own row-major order.
+/// Streams every NLR pair's product `a[i,k] · b[k,j]`, both operands
+/// stored, into `wave`, ordered by output `(i, j)` and then ascending `k`.
+/// Each operand is read in its stored row-major order.
 fn stream_nlr_pairs(
-    a: &SparseMatrix,
-    b: &SparseMatrix,
+    a: Operand<'_>,
+    b: Operand<'_>,
     wave: &mut NlrWave<'_, '_>,
 ) -> Result<(), SigmaError> {
     let (k, n) = (a.cols(), b.cols());
     if k == 0 {
         return Ok(());
     }
-    let (row_bits, row_values) = pack_nlr_operand(a.rows(), k, a.iter());
-    let (col_bits, col_values) = pack_nlr_operand(n, k, b.iter().map(|(c, j, v)| (j, c, v)));
+    let (row_bits, row_values) = pack_nlr_operand(a.rows(), k, a.entries());
+    let (col_bits, col_values) = pack_nlr_operand(n, k, b.t().entries());
     let words = k.div_ceil(64);
     let a_rows = row_bits.chunks_exact(words).zip(row_values.chunks_exact(k));
     for (i, (row, x)) in a_rows.enumerate() {
@@ -775,9 +802,9 @@ fn stream_nlr_pairs(
 }
 
 /// The dense `(i, j, k)` scan [`stream_nlr_pairs`] replaces, feeding the
-/// same wave: the bitwise oracle for pair order and values. Sharing the
-/// wave keeps the reduction, and so every bit of every sum, common to
-/// both pair sources.
+/// same wave: the bitwise oracle for pair order and values. A pair is two
+/// stored operands, read from the bitmaps. Sharing the wave keeps the
+/// reduction, and so every bit of every sum, common to both pair sources.
 #[cfg(test)]
 fn nlr_pairs_dense(
     a: &SparseMatrix,
@@ -789,10 +816,8 @@ fn nlr_pairs_dense(
         for j in 0..b.cols() {
             wave.begin_output((i, j));
             for k in 0..a.cols() {
-                let x = a_d.get(i, k);
-                let y = b_d.get(k, j);
-                if x != 0.0 && y != 0.0 {
-                    wave.push(x * y)?;
+                if a.bitmap().get(i, k) && b.bitmap().get(k, j) {
+                    wave.push(a_d.get(i, k) * b_d.get(k, j))?;
                 }
             }
         }
@@ -990,7 +1015,7 @@ impl SigmaSim {
         // The controller and the compressed-stream reads both consult the
         // corrupted metadata; the true values are untouched.
         let corrupted =
-            faults.as_deref_mut().and_then(|inj| inj.corrupt_bitmap(streaming.bitmap(), 0));
+            faults.as_deref_mut().and_then(|inj| inj.corrupt_bitmap(streaming.bitmap(), false, 0));
         let stream_bitmap: &Bitmap = corrupted.as_ref().unwrap_or_else(|| streaming.bitmap());
 
         let plan = ControllerPlan::build_with_order(
@@ -1538,6 +1563,145 @@ mod tests {
             }
         }
         SparseMatrix::from_parts(bitmap, values)
+    }
+
+    /// Which operand a GEMM reads in the transposed role.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Role {
+        /// `A x B`, as stored ([`SigmaSim::run_gemm`]).
+        Plain,
+        /// `A^T x B` ([`SigmaSim::run_gemm_at`]).
+        At,
+        /// `A x B^T` ([`SigmaSim::run_gemm_bt`]).
+        Bt,
+    }
+
+    /// Runs `role`'s GEMM on the stored `a` and `b`, traced and with
+    /// `plan` armed: everything a public `run_gemm*` entry point computes,
+    /// plus the trace and the fault report.
+    fn run_role(
+        sim: &SigmaSim,
+        role: Role,
+        a: &SparseMatrix,
+        b: &SparseMatrix,
+        plan: &FaultPlan,
+    ) -> (GemmRun, Trace, FaultReport) {
+        let (a, b) = (Operand::new(a), Operand::new(b));
+        let (a, b) = match role {
+            Role::Plain => (a, b),
+            Role::At => (a.t(), b),
+            Role::Bt => (a, b.t()),
+        };
+        let mut trace = Trace::new();
+        let mut injector = FaultInjector::new(plan);
+        let run = sim.run_gemm_impl(a, b, Some(&mut trace), Some(&mut injector), None).unwrap();
+        (run, trace, injector.into_report())
+    }
+
+    fn assert_runs_eq(
+        x: &(GemmRun, Trace, FaultReport),
+        y: &(GemmRun, Trace, FaultReport),
+        ctx: &str,
+    ) {
+        assert_eq!(x.0.stats, y.0.stats, "{ctx}");
+        assert_eq!(x.1, y.1, "{ctx}");
+        assert_eq!(x.2, y.2, "{ctx}");
+        assert_bits_eq(&x.0.result, &y.0.result, ctx);
+    }
+
+    #[test]
+    fn transposed_roles_match_explicit_transposes_and_the_oracle() {
+        use crate::fault::{FaultKind, FaultSite};
+        // A streaming-metadata upset, which WS maps onto a stored
+        // operand read transposed, and a multiplier flip NLR sees too.
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::single(
+                FaultSite::BitmapWord { word: 1 },
+                FaultKind::CorruptWord { mask: 0x00ff_00f0_0f00_ff0f },
+            ),
+            FaultPlan::single(
+                FaultSite::MultiplierOutput { dpe: 0, slot: 2 },
+                FaultKind::TransientFlip { bit: 27 },
+            ),
+        ];
+        let mut corrupted = 0;
+        for df in [Dataflow::WeightStationary, Dataflow::InputStationary, Dataflow::NoLocalReuse] {
+            for dbuf in [false, true] {
+                let config = SigmaConfig::new(4, 8, 8, df).unwrap().with_double_buffering(dbuf);
+                let sim = SigmaSim::new(config).unwrap();
+                for seed in 0..4u64 {
+                    let (m, k, n) =
+                        (9 + seed as usize, 14 + 3 * seed as usize, 7 + 2 * seed as usize);
+                    let density =
+                        |i: u64| Density::new(0.2 + 0.15 * ((seed + i) % 5) as f64).unwrap();
+                    // Stored K x M and N x K, as dW and dX read them.
+                    let a_km = sparse_uniform(k, m, density(0), 700 + seed);
+                    let b_kn = sparse_uniform(k, n, density(1), 710 + seed);
+                    let a_mk = sparse_uniform(m, k, density(2), 720 + seed);
+                    let b_nk = sparse_uniform(n, k, density(3), 730 + seed);
+                    for (p, plan) in plans.iter().enumerate() {
+                        let cases = [
+                            (Role::At, &a_km, &b_kn, a_km.transposed(), b_kn.clone()),
+                            (Role::Bt, &a_mk, &b_nk, a_mk.clone(), b_nk.transposed()),
+                        ];
+                        for (role, a, b, a_explicit, b_explicit) in cases {
+                            let ctx = format!("{df} dbuf={dbuf} seed {seed} {role:?} plan {p}");
+                            let got = run_role(&sim, role, a, b, plan);
+                            let want = run_role(&sim, Role::Plain, &a_explicit, &b_explicit, plan);
+                            assert_runs_eq(&got, &want, &ctx);
+                            let tick = run_role(&oracle(&sim), role, a, b, plan);
+                            assert_runs_eq(&got, &tick, &format!("{ctx} oracle"));
+                            if plan.is_empty() {
+                                let public = match role {
+                                    Role::At => sim.run_gemm_at(a, b),
+                                    _ => sim.run_gemm_bt(a, b),
+                                };
+                                assert_eq!(public.unwrap().stats, got.0.stats, "{ctx}");
+                            }
+                            if p == 1 && df != Dataflow::NoLocalReuse {
+                                corrupted += usize::from(!got.2.fired.is_empty());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(corrupted, 2 * 2 * 4 * 2, "every bitmap upset must fire");
+    }
+
+    #[test]
+    fn stored_zeros_are_occupied_operands_in_every_role() {
+        // The bitmap is the occupancy: a stored `±0.0` takes a multiplier
+        // (stationary), a send (streaming) or an NLR pair like any other
+        // stored value, in every role. Results stay products of the
+        // values; the stats count the zeros.
+        let a_mk = with_stored_zeros(&sparse_uniform(9, 14, Density::new(0.4).unwrap(), 61));
+        let b_kn = with_stored_zeros(&sparse_uniform(14, 11, Density::new(0.5).unwrap(), 62));
+        let zero_free = |m: &SparseMatrix| SparseMatrix::from_dense(&m.to_dense());
+        let reference = a_mk.to_dense().matmul(&b_kn.to_dense());
+        for df in [Dataflow::WeightStationary, Dataflow::InputStationary, Dataflow::NoLocalReuse] {
+            let sim = cfg(4, 8, 8, df);
+            let none = FaultPlan::none();
+            let plain = run_role(&sim, Role::Plain, &a_mk, &b_kn, &none);
+            let (a_km, b_nk) = (a_mk.transposed(), b_kn.transposed());
+            for (role, a, b) in
+                [(Role::Plain, &a_mk, &b_kn), (Role::At, &a_km, &b_kn), (Role::Bt, &a_mk, &b_nk)]
+            {
+                let ctx = format!("{df} {role:?}");
+                let got = run_role(&sim, role, a, b, &none);
+                assert_runs_eq(&got, &run_role(&oracle(&sim), role, a, b, &none), &ctx);
+                assert_runs_eq(&got, &plain, &ctx);
+                assert!(got.0.result.approx_eq(&reference, 1e-3), "{ctx}");
+            }
+            let clean = sim.run_gemm(&zero_free(&a_mk), &zero_free(&b_kn)).unwrap().stats;
+            if df == Dataflow::NoLocalReuse {
+                assert!(plain.0.stats.useful_macs > clean.useful_macs, "{df}");
+            } else {
+                assert!(plain.0.stats.mapped_nonzeros > clean.mapped_nonzeros, "{df}");
+                assert!(plain.0.stats.sram_reads > clean.sram_reads, "{df}");
+            }
+        }
     }
 
     /// NLR operand pairs over an empty contraction and every length that

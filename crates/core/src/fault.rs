@@ -306,12 +306,21 @@ impl<'a> FaultInjector<'a> {
     }
 
     /// Applies the pending bitmap-word corruptions (one-shot) to a copy
-    /// of `bitmap`, the streaming operand's metadata. A corruption is
-    /// recorded as fired only when it flips an in-range bit: a word past
-    /// the end, or a mask whose bits all lie past the bitmap's logical
-    /// end, changes nothing and is consumed silently. Returns the
-    /// corrupted copy, or `None` when no bit flipped.
-    pub fn corrupt_bitmap(&mut self, bitmap: &Bitmap, cycle: u64) -> Option<Bitmap> {
+    /// of `bitmap`, the streaming operand's metadata. A fault's word
+    /// indexes the canonical `K x S` bitmap; with `transposed` the stored
+    /// `bitmap` is its `S x K` transpose, and the word's bits land on
+    /// their transposed positions ([`Bitmap::xor_transposed_word`]). A
+    /// corruption is recorded as fired only when it flips an in-range
+    /// bit: a word past the end, or a mask whose bits all lie past the
+    /// bitmap's logical end, changes nothing and is consumed silently.
+    /// Returns the corrupted copy, in the stored orientation, or `None`
+    /// when no bit flipped.
+    pub fn corrupt_bitmap(
+        &mut self,
+        bitmap: &Bitmap,
+        transposed: bool,
+        cycle: u64,
+    ) -> Option<Bitmap> {
         let mut corrupted: Option<Bitmap> = None;
         for idx in 0..self.plan.events.len() {
             let e = self.plan.events[idx];
@@ -327,7 +336,13 @@ impl<'a> FaultInjector<'a> {
             if word >= bitmap.word_count() {
                 continue;
             }
-            if corrupted.get_or_insert_with(|| bitmap.clone()).xor_word(word, mask) != 0 {
+            let copy = corrupted.get_or_insert_with(|| bitmap.clone());
+            let flipped = if transposed {
+                copy.xor_transposed_word(word, mask)
+            } else {
+                copy.xor_word(word, mask)
+            };
+            if flipped != 0 {
                 self.record(idx, cycle);
             }
         }
@@ -446,7 +461,7 @@ mod tests {
         let mut adder = vec![AdderFault { adder: 1, bit: 0, level: StuckLevel::One }];
         inj.adder_faults(0, 0, &mut adder);
         assert!(adder.is_empty(), "the buffer is replaced, not appended to");
-        assert!(inj.corrupt_bitmap(&Bitmap::new(2, 2), 0).is_none());
+        assert!(inj.corrupt_bitmap(&Bitmap::new(2, 2), false, 0).is_none());
         assert!(inj.into_report().fired.is_empty());
     }
 
@@ -521,12 +536,33 @@ mod tests {
         );
         let clean = Bitmap::new(12, 16); // 192 bits: three words
         let mut inj = FaultInjector::new(&plan);
-        let corrupted = inj.corrupt_bitmap(&clean, 0).unwrap();
+        let corrupted = inj.corrupt_bitmap(&clean, false, 0).unwrap();
         assert!(corrupted.get(8, 1) && corrupted.get(8, 3));
         assert_eq!(corrupted.count_ones(), 2);
         assert_eq!(inj.fired().len(), 1);
-        assert!(inj.corrupt_bitmap(&clean, 0).is_none());
+        assert!(inj.corrupt_bitmap(&clean, false, 0).is_none());
         assert_eq!(inj.fired().len(), 1);
+    }
+
+    #[test]
+    fn bitmap_corruptions_keep_the_canonical_word_on_a_transposed_store() {
+        // Canonical 12 x 10 (two words, the second partly past the end),
+        // stored as its 10 x 12 transpose.
+        let mut canonical = Bitmap::new(12, 10);
+        for i in (0..120).step_by(7) {
+            canonical.set(i / 10, i % 10, true);
+        }
+        let stored = canonical.transposed();
+        for (word, mask) in [(0, u64::MAX), (1, 0x0f0f_0f0f_0f0f_0f0f), (1, 1 << 60), (2, 1)] {
+            let plan =
+                FaultPlan::single(FaultSite::BitmapWord { word }, FaultKind::CorruptWord { mask });
+            let (mut on_canonical, mut on_stored) =
+                (FaultInjector::new(&plan), FaultInjector::new(&plan));
+            let want = on_canonical.corrupt_bitmap(&canonical, false, 3);
+            let got = on_stored.corrupt_bitmap(&stored, true, 3);
+            assert_eq!(got, want.map(|bm| bm.transposed()), "word {word} mask {mask:#x}");
+            assert_eq!(on_stored.fired(), on_canonical.fired(), "word {word} mask {mask:#x}");
+        }
     }
 
     #[test]
@@ -538,7 +574,7 @@ mod tests {
             let plan =
                 FaultPlan::single(FaultSite::BitmapWord { word }, FaultKind::CorruptWord { mask });
             let mut inj = FaultInjector::new(&plan);
-            assert!(inj.corrupt_bitmap(&clean, 0).is_none(), "word {word} mask {mask:#x}");
+            assert!(inj.corrupt_bitmap(&clean, false, 0).is_none(), "word {word} mask {mask:#x}");
             assert!(inj.fired().is_empty(), "word {word} mask {mask:#x}");
         }
         // Only the in-range half of a straddling mask fires.
@@ -548,7 +584,7 @@ mod tests {
         )
         .with_event(FaultSite::BitmapWord { word: 7 }, FaultKind::CorruptWord { mask: 1 });
         let mut inj = FaultInjector::new(&plan);
-        assert_eq!(inj.corrupt_bitmap(&clean, 0).unwrap().count_ones(), 1);
+        assert_eq!(inj.corrupt_bitmap(&clean, false, 0).unwrap().count_ones(), 1);
         assert_eq!(inj.fired().len(), 1);
     }
 

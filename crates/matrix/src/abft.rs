@@ -74,6 +74,12 @@ pub fn residual_tolerance(m: usize, n: usize, k: usize) -> f32 {
 /// flag their row or column; the pattern of flagged lines yields the
 /// verdict.
 ///
+/// Every matrix is read a row at a time. Column checksums keep one
+/// running sum per column, so each checksum still adds its terms in
+/// ascending index order from the value `f32`'s `Sum` starts at: the
+/// sign of a zero sum and the payload of a NaN are those of summing each
+/// line with an iterator.
+///
 /// # Panics
 ///
 /// Panics if the shapes are inconsistent (`a: M×K`, `b: K×N`, `c: M×N`).
@@ -82,11 +88,21 @@ pub fn check_product(a: &Matrix, b: &Matrix, c: &Matrix, tol: f32) -> AbftVerdic
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(b.rows(), k, "inner dimensions disagree");
     assert_eq!((c.rows(), c.cols()), (m, n), "product shape disagrees");
+    let start: f32 = std::iter::empty::<f32>().sum();
 
     // B's row sums (the `B·1` column checksum vector).
-    let b_row_sums: Vec<f32> = (0..k).map(|kk| (0..n).map(|j| b.get(kk, j)).sum()).collect();
-    // A's column sums (the `1ᵀ·A` row checksum vector).
-    let a_col_sums: Vec<f32> = (0..k).map(|kk| (0..m).map(|i| a.get(i, kk)).sum()).collect();
+    let b_row_sums: Vec<f32> = (0..k).map(|kk| b.row(kk).iter().sum()).collect();
+    // A's column sums (the `1ᵀ·A` row checksum vector), and C's.
+    let col_sums = |x: &Matrix| {
+        let mut sums = vec![start; x.cols()];
+        for i in 0..x.rows() {
+            for (s, &v) in sums.iter_mut().zip(x.row(i)) {
+                *s += v;
+            }
+        }
+        sums
+    };
+    let a_col_sums = col_sums(a);
 
     // A NaN residual must flag its line too.
     let out_of_tol = |r: f32| !r.is_finite() || r.abs() > tol;
@@ -94,8 +110,8 @@ pub fn check_product(a: &Matrix, b: &Matrix, c: &Matrix, tol: f32) -> AbftVerdic
     let mut rows = Vec::new();
     let mut row_delta = 0.0f32;
     for i in 0..m {
-        let observed: f32 = (0..n).map(|j| c.get(i, j)).sum();
-        let expected: f32 = b_row_sums.iter().enumerate().map(|(kk, s)| a.get(i, kk) * s).sum();
+        let observed: f32 = c.row(i).iter().sum();
+        let expected: f32 = a.row(i).iter().zip(&b_row_sums).map(|(x, s)| x * s).sum();
         let r = observed - expected;
         if out_of_tol(r) {
             rows.push(i);
@@ -103,14 +119,14 @@ pub fn check_product(a: &Matrix, b: &Matrix, c: &Matrix, tol: f32) -> AbftVerdic
         }
     }
 
-    let mut cols = Vec::new();
-    for j in 0..n {
-        let observed: f32 = (0..m).map(|i| c.get(i, j)).sum();
-        let expected: f32 = a_col_sums.iter().enumerate().map(|(kk, s)| s * b.get(kk, j)).sum();
-        if out_of_tol(observed - expected) {
-            cols.push(j);
+    let observed = col_sums(c);
+    let mut expected = vec![start; n];
+    for (kk, s) in a_col_sums.iter().enumerate() {
+        for (e, y) in expected.iter_mut().zip(b.row(kk)) {
+            *e += s * y;
         }
     }
+    let cols: Vec<usize> = (0..n).filter(|&j| out_of_tol(observed[j] - expected[j])).collect();
 
     match (rows.len(), cols.len()) {
         (0, 0) => AbftVerdict::Clean,
@@ -142,6 +158,94 @@ mod tests {
         let b = dense_uniform(k, n, seed ^ 0xabcd);
         let c = a.matmul(&b);
         (a, b, c)
+    }
+
+    /// The column-walking check that [`check_product`] replaced, kept as
+    /// its oracle: every checksum through bounds-checked `get`, each line
+    /// summed by an iterator.
+    fn check_product_by_columns(a: &Matrix, b: &Matrix, c: &Matrix, tol: f32) -> AbftVerdict {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let b_row_sums: Vec<f32> = (0..k).map(|kk| (0..n).map(|j| b.get(kk, j)).sum()).collect();
+        let a_col_sums: Vec<f32> = (0..k).map(|kk| (0..m).map(|i| a.get(i, kk)).sum()).collect();
+        let out_of_tol = |r: f32| !r.is_finite() || r.abs() > tol;
+        let mut rows = Vec::new();
+        let mut row_delta = 0.0f32;
+        for i in 0..m {
+            let observed: f32 = (0..n).map(|j| c.get(i, j)).sum();
+            let expected: f32 = b_row_sums.iter().enumerate().map(|(kk, s)| a.get(i, kk) * s).sum();
+            let r = observed - expected;
+            if out_of_tol(r) {
+                rows.push(i);
+                row_delta = r;
+            }
+        }
+        let mut cols = Vec::new();
+        for j in 0..n {
+            let observed: f32 = (0..m).map(|i| c.get(i, j)).sum();
+            let expected: f32 = a_col_sums.iter().enumerate().map(|(kk, s)| s * b.get(kk, j)).sum();
+            if out_of_tol(observed - expected) {
+                cols.push(j);
+            }
+        }
+        match (rows.len(), cols.len()) {
+            (0, 0) => AbftVerdict::Clean,
+            (1, 1) => AbftVerdict::SingleSite { row: rows[0], col: cols[0], delta: row_delta },
+            _ => AbftVerdict::MultiSite { rows, cols },
+        }
+    }
+
+    /// Verdicts with `delta` compared by bits, so a NaN delta must carry
+    /// the same payload and a zero the same sign.
+    fn verdict_bits(v: &AbftVerdict) -> (AbftVerdict, Option<u32>) {
+        match *v {
+            AbftVerdict::SingleSite { row, col, delta } => {
+                (AbftVerdict::SingleSite { row, col, delta: 0.0 }, Some(delta.to_bits()))
+            }
+            ref other => (other.clone(), None),
+        }
+    }
+
+    #[test]
+    fn row_streaming_check_matches_the_column_walk() {
+        let mut checked = 0;
+        for seed in 0..12u64 {
+            let (m, n, k) = (1 + seed as usize % 7, 1 + (seed as usize * 5) % 9, seed as usize % 6);
+            let (a, b, clean) = product(m, n, k, seed);
+            let tol = residual_tolerance(m, n, k);
+            let (i, j) = (seed as usize % m, (seed as usize * 3) % n);
+            let mut cases = vec![clean.clone()];
+            for v in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0] {
+                let mut c = clean.clone();
+                c.set(i, j, v);
+                cases.push(c);
+            }
+            // A NaN with a payload of its own, a single-site offset, and
+            // a second site in another row and column.
+            let mut c = clean.clone();
+            c.set(i, j, f32::from_bits(0x7fc0_1234));
+            cases.push(c);
+            let mut c = clean.clone();
+            c.set(i, j, c.get(i, j) + 3.0);
+            cases.push(c.clone());
+            c.set((i + 1) % m, (j + 1) % n, -5.0);
+            cases.push(c);
+            // Operands with negative zeros and infinities of their own.
+            let signed =
+                Matrix::from_fn(m, k, |r, q| if (r + q) % 3 == 0 { -0.0 } else { a.get(r, q) });
+            let mut huge = b.clone();
+            if k > 0 {
+                huge.set(0, 0, f32::INFINITY);
+            }
+            for (x, y) in [(&a, &b), (&signed, &b), (&a, &huge)] {
+                for c in &cases {
+                    let got = check_product(x, y, c, tol);
+                    let want = check_product_by_columns(x, y, c, tol);
+                    assert_eq!(verdict_bits(&got), verdict_bits(&want), "seed {seed}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 12 * 3 * 10);
     }
 
     #[test]

@@ -127,13 +127,21 @@ impl Bitmap {
     ///
     /// Panics if `word >= word_count()`.
     pub fn xor_word(&mut self, word: usize, mask: u64) -> u64 {
+        let flipped = self.in_range(word, mask);
+        self.words[word] ^= flipped;
+        flipped
+    }
+
+    /// `mask` restricted to the bits of storage word `word` that lie
+    /// before the logical end; panics if the word does not exist.
+    fn in_range(&self, word: usize, mask: u64) -> u64 {
         assert!(word < self.words.len(), "bitmap word {word} out of range");
-        let bits = self.rows * self.cols;
-        let first_bit = word * 64;
-        let valid = bits.saturating_sub(first_bit).min(64);
-        let keep = if valid == 64 { u64::MAX } else { (1u64 << valid) - 1 };
-        self.words[word] ^= mask & keep;
-        mask & keep
+        let valid = (self.rows * self.cols).saturating_sub(word * 64).min(64);
+        if valid == 64 {
+            mask
+        } else {
+            mask & ((1u64 << valid) - 1)
+        }
     }
 
     /// Number of set bits in row `r` (word-at-a-time popcount; rows are
@@ -189,6 +197,79 @@ impl Bitmap {
     #[must_use]
     pub fn rows_or(&self) -> Vec<bool> {
         (0..self.rows).map(|r| self.row_or(r)).collect()
+    }
+
+    /// The row vector of per-column ORs: `REGOR` of an operand whose
+    /// contraction runs along the columns (a streaming operand stored
+    /// transposed). Each row is ORed in 64 columns at a time.
+    #[must_use]
+    pub fn cols_or(&self) -> Vec<bool> {
+        let mut acc = vec![0u64; self.cols.div_ceil(64)];
+        for r in 0..self.rows {
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a |= self.row_word(r, j);
+            }
+        }
+        (0..self.cols).map(|c| (acc[c / 64] >> (c % 64)) & 1 == 1).collect()
+    }
+
+    /// Number of set bits in row `r` whose column is set in `mask` (bit
+    /// `c % 64` of `mask[c / 64]` marks column `c`; missing words read as
+    /// zero). Word-at-a-time, skipping zero mask words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows`.
+    #[must_use]
+    pub fn row_count_ones_masked(&self, r: usize, mask: &[u64]) -> usize {
+        assert!(r < self.rows, "bitmap row {r} out of bounds");
+        let words = self.cols.div_ceil(64);
+        mask.iter()
+            .take(words)
+            .enumerate()
+            .filter(|&(_, &m)| m != 0)
+            .map(|(j, &m)| (self.row_word(r, j) & m).count_ones() as usize)
+            .sum()
+    }
+
+    /// Columns `64 j ..` of row `r` (at most 64, fewer in a row's last
+    /// word), shifted down to bit 0: the row's `j`-th word as if rows were
+    /// padded to whole words.
+    #[inline]
+    fn row_word(&self, r: usize, j: usize) -> u64 {
+        let len = (self.cols - 64 * j).min(64);
+        let start = r * self.cols + 64 * j;
+        let (w, o) = (start / 64, start % 64);
+        let mut x = self.words[w] >> o;
+        if o + len > 64 {
+            x |= self.words[w + 1] << (64 - o);
+        }
+        if len < 64 {
+            x &= (1u64 << len) - 1;
+        }
+        x
+    }
+
+    /// [`Bitmap::xor_word`] applied to this bitmap's transpose: `mask`
+    /// flips the bits of storage word `word` of the `cols x rows`
+    /// row-major packing, which are this bitmap's `(r, c)` for transpose
+    /// bits `c * rows + r`. Bits past the logical end are masked off.
+    /// Returns the bits actually flipped, in the transpose's word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word >= word_count()`.
+    pub fn xor_transposed_word(&mut self, word: usize, mask: u64) -> u64 {
+        let flipped = self.in_range(word, mask);
+        let mut bits = flipped;
+        while bits != 0 {
+            let i = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (c, r) = (i / self.rows, i % self.rows);
+            let (w, b) = self.index(r, c);
+            self.words[w] ^= 1 << b;
+        }
+        flipped
     }
 
     /// Element-wise AND with another bitmap of the same shape.
@@ -641,6 +722,40 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn row_iter_ones_out_of_bounds_panics() {
         let _ = Bitmap::new(2, 8).row_iter_ones(2);
+    }
+
+    #[test]
+    fn transposed_word_ops_match_the_transpose() {
+        // Shapes whose rows and columns straddle word edges, plus empty
+        // rows and columns and a zero-column shape.
+        for (rows, cols) in [(5, 137), (7, 64), (3, 65), (70, 3), (1, 1), (4, 0), (9, 130)] {
+            let mut b = Bitmap::new(rows, cols);
+            for i in 0..rows * cols {
+                if (i % 7 == 0 || i % 31 == 3) && i / cols != 2 && i % cols != 1 {
+                    b.set(i / cols, i % cols, true);
+                }
+            }
+            let t = b.transposed();
+            assert_eq!(b.cols_or(), t.rows_or(), "{rows}x{cols}");
+            let mut mask = vec![0u64; cols.div_ceil(64)];
+            for c in (0..cols).filter(|c| c % 3 != 1) {
+                mask[c / 64] |= 1 << (c % 64);
+            }
+            for r in 0..rows {
+                let reference = (0..cols).filter(|&c| b.get(r, c) && c % 3 != 1).count();
+                assert_eq!(b.row_count_ones_masked(r, &mask), reference, "{rows}x{cols} row {r}");
+                assert_eq!(b.row_count_ones_masked(r, &[]), 0);
+            }
+            for word in 0..b.word_count() {
+                for mask in [u64::MAX, 0x0f0f_0f0f_0f0f_0f0f, 1 << 63, 0] {
+                    let mut got = b.clone();
+                    let mut want = t.clone();
+                    let flipped = got.xor_transposed_word(word, mask);
+                    assert_eq!(flipped, want.xor_word(word, mask), "{rows}x{cols} word {word}");
+                    assert_eq!(got, want.transposed(), "{rows}x{cols} word {word}");
+                }
+            }
+        }
     }
 
     #[test]

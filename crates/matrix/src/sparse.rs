@@ -139,8 +139,8 @@ impl SparseMatrix {
         self.bitmap.iter_ones().zip(&self.values).map(|((r, c), v)| (r, c, *v))
     }
 
-    /// The transpose of this sparse matrix. Stored zeros (either sign)
-    /// are dropped, as [`SparseMatrix::from_dense`] drops them.
+    /// The transpose of this sparse matrix. The bitmap is the occupancy,
+    /// so every stored value moves, a stored `+0.0` or `-0.0` included.
     ///
     /// Column counts give each transposed row's first value slot; one
     /// row-major pass then places every value, so rows of the transpose
@@ -149,22 +149,18 @@ impl SparseMatrix {
     pub fn transposed(&self) -> SparseMatrix {
         let cols = self.cols();
         let mut next = vec![0usize; cols + 1];
-        for (_, c, v) in self.iter() {
-            if v != 0.0 {
-                next[c + 1] += 1;
-            }
+        for (_, c) in self.bitmap.iter_ones() {
+            next[c + 1] += 1;
         }
         for c in 0..cols {
             next[c + 1] += next[c];
         }
         let mut bitmap = Bitmap::new(cols, self.rows());
-        let mut values = vec![0.0; next[cols]];
+        let mut values = vec![0.0; self.nnz()];
         for (r, c, v) in self.iter() {
-            if v != 0.0 {
-                bitmap.set(c, r, true);
-                values[next[c]] = v;
-                next[c] += 1;
-            }
+            bitmap.set(c, r, true);
+            values[next[c]] = v;
+            next[c] += 1;
         }
         Self { bitmap, values }
     }
@@ -236,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn transposed_matches_the_dense_round_trip() {
+    fn transposed_moves_every_stored_value() {
         use crate::gen::{sparse_uniform, Density};
         for seed in 0..24u64 {
             let (rows, cols) = (1 + (seed * 7) as usize % 13, 1 + (seed * 5) as usize % 71);
@@ -257,13 +253,21 @@ mod tests {
                     }
                 }
             }
+            let bits =
+                |x: &SparseMatrix| x.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             for s in [m, SparseMatrix::from_parts(bitmap, values)] {
-                let want = SparseMatrix::from_dense(&s.to_dense().transposed());
                 let got = s.transposed();
-                assert_eq!(got.bitmap(), want.bitmap(), "seed {seed}");
-                let bits =
-                    |x: &SparseMatrix| x.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "seed {seed}");
+                assert_eq!(got.bitmap(), &s.bitmap().transposed(), "seed {seed}");
+                let want: Vec<u32> =
+                    got.bitmap().iter_ones().map(|(c, r)| s.get(r, c).to_bits()).collect();
+                assert_eq!(bits(&got), want, "seed {seed}");
+                assert_eq!(got.transposed(), s, "seed {seed}");
+                // Without stored zeros it is the dense round trip.
+                if s.values().iter().all(|&v| v != 0.0) {
+                    let dense = SparseMatrix::from_dense(&s.to_dense().transposed());
+                    assert_eq!(bits(&got), bits(&dense), "seed {seed}");
+                    assert_eq!(got.bitmap(), dense.bitmap(), "seed {seed}");
+                }
             }
         }
     }
