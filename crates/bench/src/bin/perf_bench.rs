@@ -306,7 +306,11 @@ fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
     if speedup < DSE_WARM_MIN_SPEEDUP {
         eprintln!(
             "perf_bench: DSE-WARM REGRESSION: warm sweep is only {speedup:.1}x cold \
-             (floor {DSE_WARM_MIN_SPEEDUP:.0}x)"
+             (floor {DSE_WARM_MIN_SPEEDUP:.0}x): {cells} cells, cold {:.2} ms ({cold_rate:.1} \
+             cells/s), warm {:.2} ms ({warm_rate:.1} cells/s), uncached {:.2} ms",
+            cold_secs * 1e3,
+            warm_secs * 1e3,
+            uncached_secs * 1e3
         );
         return ExitCode::FAILURE;
     }

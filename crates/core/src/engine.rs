@@ -397,10 +397,12 @@ impl SigmaSim {
     /// * **Per-fold send counts are batched word-level**: one walk over
     ///   the streaming bitmap's occupancy words yields every step's send
     ///   count instead of probing one (contraction, step) bit at a time.
-    ///   Stored `K x S`, the fold's contraction rows are walked
-    ///   ([`Bitmap::row_iter_ones`], O(nnz)); stored `S x K`, each step's
-    ///   row is ANDed with the fold's contraction set and counted
-    ///   ([`Bitmap::row_count_ones_masked`], O(S·K/64)).
+    ///   Stored `K x S`, the fold's contraction rows are added a word at
+    ///   a time into bit-sliced per-step counters
+    ///   ([`Bitmap::col_count_ones_in_rows`], O(K·S/64 + S·log K));
+    ///   stored `S x K`, each step's row is ANDed with the fold's
+    ///   contraction set and counted ([`Bitmap::row_count_ones_masked`],
+    ///   O(S·K/64)).
     /// * **Dead steps are bitwise no-ops**: a step with zero sends
     ///   streams only `+0.0` operands, every product is `±0.0`, and every
     ///   FAN add and output accumulation is a bitwise no-op (output cells
@@ -574,12 +576,7 @@ impl SigmaSim {
                     *sends = stream_bitmap.row_count_ones_masked(step, &fold_ks) as u64;
                 }
             } else {
-                sends_buf.fill(0);
-                for &k in &fold.distinct_contractions {
-                    for c in stream_bitmap.row_iter_ones(k) {
-                        sends_buf[c] += 1;
-                    }
-                }
+                stream_bitmap.col_count_ones_in_rows(&fold.distinct_contractions, &mut sends_buf);
             }
             // Pass 1 — per-step accounting in step order: cycle charges,
             // trace records, and the dead-step fast-forward (every

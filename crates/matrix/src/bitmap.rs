@@ -117,6 +117,13 @@ impl Bitmap {
         self.words.len()
     }
 
+    /// The packed storage words, writable: bit `p & 63` of word `p >> 6`
+    /// is row-major position `p = r * cols + c`. The generators' fast
+    /// path; callers must leave bits past `rows * cols` clear.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// XORs `mask` into storage word `word` — a bitmap-word upset in the
     /// sparsity controller's metadata SRAM. Bits past the logical end of
     /// the bitmap are masked off so the corruption cannot create
@@ -314,42 +321,53 @@ impl Bitmap {
         }
     }
 
-    /// Storage word `w` restricted to the bit range `[start, end)`:
-    /// bits below `start` and at-or-above `end` are cleared.
-    #[inline]
-    fn masked_word(&self, w: usize, start: usize, end: usize) -> u64 {
-        let base = w * 64;
-        let mut word = self.words[w];
-        if start > base {
-            word &= u64::MAX << (start - base);
-        }
-        if end < base + 64 {
-            word &= (1u64 << (end - base)) - 1;
-        }
-        word
-    }
-
-    /// Iterator over the column indices of set bits in row `r`, in
-    /// ascending order — the word-level primitive behind the stationary
-    /// engine's per-fold send batching: one pass over a streaming
-    /// contraction row yields every step that consumes it.
+    /// Per-column popcounts over a set of rows: `counts[c]` becomes the
+    /// number of rows `r` in `rows` with bit `(r, c)` set — the stationary
+    /// engine's per-fold send counts when the streaming operand is stored
+    /// `K x S`, one contraction row per listed row.
     ///
-    /// Like [`Bitmap::iter_ones`], zero words are skipped and set bits
-    /// are walked with `trailing_zeros`, so cost scales with
-    /// `row nnz + row words`, not `cols`. Rows that straddle word
-    /// boundaries (the row-major packing does not pad) are masked at
-    /// both edges.
+    /// Word-at-a-time, 64 columns per pass: the listed rows' words are
+    /// summed into bit-sliced counters (plane `b` holds bit `b` of the 64
+    /// columns' counts), four rows at a time through a carry-save adder,
+    /// and each plane's set bits are unpacked once at the end. Cost scales
+    /// with `rows.len() * row words + cols * log2(rows.len())`, not with
+    /// the rows' set bits.
     ///
     /// # Panics
     ///
-    /// Panics if `r >= rows`.
-    pub fn row_iter_ones(&self, r: usize) -> RowOnesIter<'_> {
-        assert!(r < self.rows, "bitmap row {r} out of bounds");
-        let start = r * self.cols;
-        let end = start + self.cols;
-        let word_idx = start / 64;
-        let pending = if start < end { self.masked_word(word_idx, start, end) } else { 0 };
-        RowOnesIter { bitmap: self, start, end, word_idx, pending }
+    /// Panics if a listed row is out of bounds or `counts.len() != cols`.
+    pub fn col_count_ones_in_rows(&self, rows: &[usize], counts: &mut [u64]) {
+        assert_eq!(counts.len(), self.cols, "one count per column");
+        assert!(rows.iter().all(|&r| r < self.rows), "bitmap row out of bounds");
+        let planes = (usize::BITS - rows.len().leading_zeros()) as usize;
+        for (j, out) in counts.chunks_mut(64).enumerate() {
+            let mut sliced = [0u64; usize::BITS as usize];
+            let sliced = &mut sliced[..planes];
+            let mut quads = rows.chunks_exact(4);
+            for quad in &mut quads {
+                let [a, b, c, d] =
+                    [quad[0], quad[1], quad[2], quad[3]].map(|r| self.row_word(r, j));
+                // a + b + c + d = ones + 2 * (carry_abc + carry_d).
+                let ab = a ^ b;
+                let abc = ab ^ c;
+                let carry_abc = (a & b) | (ab & c);
+                let carry_d = abc & d;
+                add_sliced(sliced, 0, abc ^ d);
+                add_sliced(sliced, 1, carry_abc ^ carry_d);
+                add_sliced(sliced, 2, carry_abc & carry_d);
+            }
+            for &r in quads.remainder() {
+                add_sliced(sliced, 0, self.row_word(r, j));
+            }
+            out.fill(0);
+            for (b, &plane) in sliced.iter().enumerate() {
+                let mut bits = plane;
+                while bits != 0 {
+                    out[bits.trailing_zeros() as usize] += 1 << b;
+                    bits &= bits - 1;
+                }
+            }
+        }
     }
 
     /// The transpose of this bitmap.
@@ -369,6 +387,21 @@ impl Bitmap {
             return 0.0;
         }
         self.count_ones() as f64 / (self.rows * self.cols) as f64
+    }
+}
+
+/// Adds `carry` (one bit per column) times `2^from` into bit-sliced
+/// counters: a ripple carry from plane `from` up, stopping once no column
+/// carries.
+/// The caller sizes `planes` so that no count overflows the top plane.
+fn add_sliced(planes: &mut [u64], from: usize, mut carry: u64) {
+    for plane in &mut planes[from..] {
+        if carry == 0 {
+            return;
+        }
+        let next = *plane & carry;
+        *plane ^= carry;
+        carry = next;
     }
 }
 
@@ -403,38 +436,6 @@ impl Iterator for OnesIter<'_> {
             self.row_start += self.bitmap.cols;
         }
         Some((self.row, bit - self.row_start))
-    }
-}
-
-/// Word-skipping iterator over the set bits of one [`Bitmap`] row,
-/// yielding column indices in ascending order (see
-/// [`Bitmap::row_iter_ones`]).
-#[derive(Debug, Clone)]
-pub struct RowOnesIter<'a> {
-    bitmap: &'a Bitmap,
-    /// First bit of the row in the packed bit address space.
-    start: usize,
-    /// One past the last bit of the row.
-    end: usize,
-    word_idx: usize,
-    pending: u64,
-}
-
-impl Iterator for RowOnesIter<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.pending == 0 {
-            self.word_idx += 1;
-            if self.word_idx * 64 >= self.end {
-                return None;
-            }
-            self.pending = self.bitmap.masked_word(self.word_idx, self.start, self.end);
-        }
-        let tz = self.pending.trailing_zeros() as usize;
-        self.pending &= self.pending - 1;
-        Some(self.word_idx * 64 + tz - self.start)
     }
 }
 
@@ -625,8 +626,18 @@ mod tests {
             let reference: Vec<usize> = (0..b.cols()).filter(|&c| b.get(r, c)).collect();
             assert_eq!(b.row_count_ones(r), reference.len(), "row_count_ones row {r}");
             assert_eq!(b.row_or(r), !reference.is_empty(), "row_or row {r}");
-            let fast: Vec<usize> = b.row_iter_ones(r).collect();
-            assert_eq!(fast, reference, "row_iter_ones row {r}");
+            let mut counts = vec![0; b.cols()];
+            b.col_count_ones_in_rows(&[r], &mut counts);
+            let fast: Vec<usize> = (0..b.cols()).filter(|&c| counts[c] == 1).collect();
+            assert_eq!(fast, reference, "col_count_ones_in_rows row {r}");
+            assert!(counts.iter().all(|&n| n <= 1), "row {r}");
+        }
+        // Every row, listed twice, in a scrambled order.
+        let rows: Vec<usize> = (0..b.rows()).rev().chain(0..b.rows()).collect();
+        let mut counts = vec![0; b.cols()];
+        b.col_count_ones_in_rows(&rows, &mut counts);
+        for (c, &n) in counts.iter().enumerate() {
+            assert_eq!(n, 2 * b.col_count_ones(c) as u64, "col_count_ones_in_rows col {c}");
         }
         let naive: Vec<(usize, usize)> = (0..b.rows())
             .flat_map(|r| (0..b.cols()).map(move |c| (r, c)))
@@ -646,12 +657,10 @@ mod tests {
         for r in 1..4 {
             assert_eq!(b.row_count_ones(r), 0);
             assert!(!b.row_or(r));
-            assert_eq!(b.row_iter_ones(r).count(), 0);
         }
         // Zero-column shape: every row is an empty bit range.
         let degenerate = Bitmap::new(4, 0);
         assert_row_helpers_match_reference(&degenerate);
-        assert_eq!(degenerate.row_iter_ones(3).count(), 0);
         // Fully empty but non-degenerate bitmap.
         assert_row_helpers_match_reference(&Bitmap::new(3, 100));
     }
@@ -672,7 +681,9 @@ mod tests {
             b.set(1, cols - 1, true);
             assert_row_helpers_match_reference(&b);
             assert_eq!(b.row_count_ones(0), cols.div_ceil(3));
-            let edges: Vec<usize> = b.row_iter_ones(1).collect();
+            let mut counts = vec![0; cols];
+            b.col_count_ones_in_rows(&[1], &mut counts);
+            let edges: Vec<usize> = (0..cols).filter(|&c| counts[c] == 1).collect();
             if cols == 64 {
                 assert_eq!(edges, vec![0, 63]);
             } else {
@@ -683,7 +694,9 @@ mod tests {
         let mut one = Bitmap::new(1, 64);
         one.xor_word(0, u64::MAX);
         assert_eq!(one.row_count_ones(0), 64);
-        assert_eq!(one.row_iter_ones(0).count(), 64);
+        let mut counts = vec![0; 64];
+        one.col_count_ones_in_rows(&[0, 0, 0], &mut counts);
+        assert_eq!(counts, vec![3; 64]);
     }
 
     #[test]
@@ -720,8 +733,27 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn row_iter_ones_out_of_bounds_panics() {
-        let _ = Bitmap::new(2, 8).row_iter_ones(2);
+    fn col_count_ones_in_rows_out_of_bounds_panics() {
+        Bitmap::new(2, 8).col_count_ones_in_rows(&[2], &mut [0; 8]);
+    }
+
+    #[test]
+    fn col_count_ones_in_rows_carries_through_every_plane() {
+        // 1..=300 copies of a full row: counts that need up to nine
+        // planes, with carries rippling through all of them at 255/256.
+        let mut b = Bitmap::new(2, 70);
+        for c in 0..70 {
+            b.set(1, c, true);
+        }
+        for n in [1usize, 2, 3, 7, 8, 255, 256, 300] {
+            let rows = vec![1; n];
+            let mut counts = vec![u64::MAX; 70];
+            b.col_count_ones_in_rows(&rows, &mut counts);
+            assert_eq!(counts, vec![n as u64; 70], "{n} copies");
+        }
+        let mut counts = vec![9; 70];
+        b.col_count_ones_in_rows(&[], &mut counts);
+        assert_eq!(counts, vec![0; 70]);
     }
 
     #[test]

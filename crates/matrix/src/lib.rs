@@ -58,7 +58,7 @@ pub mod gen;
 mod sparse;
 
 pub use abft::AbftVerdict;
-pub use bitmap::{Bitmap, OnesIter, RowOnesIter};
+pub use bitmap::{Bitmap, OnesIter};
 pub use dense::Matrix;
 pub use error::{DimensionError, MatrixError};
 pub use sparse::SparseMatrix;
