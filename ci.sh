@@ -58,7 +58,7 @@ diff -r /tmp/sigma_ci_faults results/fault_campaign
 for pin in train_stationary:1:a7276609add1ba4f train_stationary:7919:32d2406d431e7258 \
     nlr_wave:1:4948c77f8a833b59 nlr_wave:7919:423adcb017cecae1 \
     fault_abft:1:c891eea38845f387 fault_abft:7919:c2db93611cc2eb1a \
-    sweep_dse:1:4fef836b3e4a4e1a sweep_dse:7919:164749c74a1c89dd; do
+    sweep_dse:1:c105f695cc6bac7a sweep_dse:7919:aadbb4ef87bc9c53; do
     workload=${pin%%:*}
     seed=${pin#*:}
     seed=${seed%%:*}
@@ -82,9 +82,9 @@ grep -q '"traceEvents"' /tmp/sigma_ci.trace.json
 cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep --telemetry \
     --workload 16:16:16:0.5:0.5 --output csv \
     --out /tmp/sigma_ci_telemetry_summary.json > /tmp/sigma_ci_sweep.csv
-grep -q 'route_cache_hits' /tmp/sigma_ci_sweep.csv
+grep -q 'idle_cycles_skipped' /tmp/sigma_ci_sweep.csv
 grep -q '"total_wall_ms"' /tmp/sigma_ci_telemetry_summary.json
-grep -q '"route_cache"' /tmp/sigma_ci_telemetry_summary.json
+grep -q '"peak_mem_est_bytes"' /tmp/sigma_ci_telemetry_summary.json
 # Run-cache parity gate: the same sweep cold (empty store), warm (reused
 # store), cache-disabled and with --telemetry must render byte-identical
 # CSV and JSON — a cache hit may only ever serve the bytes the engine
@@ -129,7 +129,7 @@ grep -q 'stage queue_wait: count=' /tmp/sigma_ci_flight_report.txt
 cmp /tmp/sigma_ci_flight_on.csv /tmp/sigma_ci_cache_off.csv
 # Recorder overhead gate: no recorder, a disabled handle, and an enabled
 # recorder must render byte-identical sweep records/CSV/JSON, and the
-# enabled leg's engine-run spans must reconcile with the grid's attempts.
+# enabled leg's engine-run spans must equal the cells it executed.
 # A recorded sweep writes its progress line only to a terminal, so the
 # --quiet run must leave stderr empty.
 cargo run -q --release -p sigma-bench --bin perf_bench -- --recorder-check --smoke --quiet \

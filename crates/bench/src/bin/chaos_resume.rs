@@ -28,7 +28,7 @@
 use sigma_bench::harness::{
     default_registry, demo_suite, derive_seed, records_table, records_to_json, EngineEntry, Sweep,
 };
-use sigma_core::{CancelToken, Engine, EngineError, EngineRun};
+use sigma_core::{Engine, EngineError, EngineRun};
 use sigma_matrix::SparseMatrix;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -62,16 +62,6 @@ impl Engine for PacedEngine {
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         std::thread::sleep(self.pace);
         self.inner.run(a, b)
-    }
-
-    fn run_cancellable(
-        &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
-        cancel: &CancelToken,
-    ) -> Result<EngineRun, EngineError> {
-        std::thread::sleep(self.pace);
-        self.inner.run_cancellable(a, b, cancel)
     }
 }
 

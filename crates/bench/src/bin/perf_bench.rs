@@ -27,7 +27,7 @@
 //! * `--recorder-check` — the flight-recorder zero-overhead gate: the same
 //!   sweep with no recorder, a disabled recorder handle, and an enabled
 //!   recorder must render byte-identical records/CSV/JSON, and the enabled
-//!   leg's engine-run span count must reconcile with the grid's attempts;
+//!   leg's engine-run span count must equal the cells it executed;
 //! * `--json` — machine-readable results on stdout (per-case cycles/sec
 //!   plus the tolerance verdict against the baseline) instead of the
 //!   table; report-only, so the committed baseline is never rewritten
@@ -330,7 +330,7 @@ fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
 /// 1. records plus rendered CSV/JSON byte-identical across all three
 ///    (wall-clock observation may never perturb results);
 /// 2. the enabled leg really recorded: its engine-run span count equals
-///    the grid's total attempts.
+///    the cells it executed (every cell, since no cache is attached).
 fn run_recorder_check(smoke: bool, quiet: bool) -> ExitCode {
     use sigma_telemetry::FlightRecorder;
     let workloads: Vec<_> =
@@ -357,12 +357,12 @@ fn run_recorder_check(smoke: bool, quiet: bool) -> ExitCode {
         }
     }
     let snap = recorder.snapshot();
-    let attempts: u64 = on.iter().map(|r| u64::from(r.attempts)).sum();
+    let executed = on.len() as u64;
     let engine_runs = snap.stage("engine_run").map_or(0, |h| h.count);
-    if engine_runs != attempts {
+    if engine_runs != executed {
         eprintln!(
             "perf_bench: RECORDER RECONCILE FAILURE: {engine_runs} engine-run spans vs \
-             {attempts} grid attempts"
+             {executed} executed cells"
         );
         return ExitCode::FAILURE;
     }

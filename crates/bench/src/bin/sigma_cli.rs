@@ -38,18 +38,18 @@
 //! prints hit-rate/miss/coalesce/eviction counts to stderr afterwards).
 //!
 //! `--flight-recorder LOG` on a sweep turns on the same flight recorder
-//! and persists it: every watchdogged attempt, retry backoff, watchdog
-//! cancellation, operand materialization, queue wait, journal append +
-//! fsync, and cache probe/insert is timed on a monotonic process clock
-//! and persisted — atomically — as a JSONL event log, alongside
+//! and persists it: every engine run, operand materialization, queue
+//! wait, journal append + fsync, and cache probe/insert is timed on a
+//! monotonic process clock and persisted — atomically — as a JSONL
+//! event log, alongside
 //! per-stage latency histograms and periodic gauge snapshots. The
 //! recorder lives entirely at this harness edge (the clock is injected),
 //! so library crates stay deterministic, and with the flag absent the
 //! sweep's output is byte-identical to a recorder-free build.
 //!
 //! `report --from LOG` converts an event log into a Perfetto-loadable
-//! Chrome trace (one track per worker thread; journal/cache/watchdog on
-//! named tracks; gauges as counter series), self-validated before it is
+//! Chrome trace (one track per worker thread; journal and cache on named
+//! tracks; gauges as counter series), self-validated before it is
 //! written, plus an aggregate per-stage latency table on stdout.
 //! `--metrics json|prom` instead re-exports the log's counters, gauges,
 //! and histograms as a `MetricsReport` JSON or Prometheus-text document.
@@ -557,7 +557,6 @@ fn run_sweep(args: &Args) -> i32 {
                     );
                     flight_registry.add(Counter::JournalAppends, outcome.journal_appends);
                     flight_registry.add(Counter::ResumeHits, outcome.resume_hits);
-                    flight_registry.add(Counter::DegradedCells, outcome.degraded_cells);
                     outcome.records
                 }
                 Err(e) => {

@@ -728,7 +728,7 @@ fn min_generation_digest(index: &Index) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::record::{CellProfile, RunStatus};
+    use crate::harness::record::RunStatus;
     use sigma_core::model::GemmProblem;
     use sigma_core::{CycleStats, EngineRun};
     use sigma_matrix::{GemmShape, Matrix};
@@ -743,18 +743,7 @@ mod tests {
             Matrix::zeros(4, 5),
             CycleStats { streaming_cycles: 10, pes: 8, ..CycleStats::default() },
         );
-        RunRecord::from_run(
-            slug,
-            "Engine",
-            8,
-            "wl",
-            &p,
-            7,
-            &run,
-            1e-6,
-            true,
-            CellProfile::default(),
-        )
+        RunRecord::from_run(slug, "Engine", 8, "wl", &p, 7, &run, 1e-6, true, 0)
     }
 
     fn key(tag: &str) -> CellKey {
@@ -1136,17 +1125,16 @@ mod tests {
             "w",
             &workload().problem,
             0,
-            RunStatus::Timeout,
-            "engine exceeded the 10 ms watchdog budget".to_string(),
-            CellProfile::default(),
+            RunStatus::Error,
+            "engine configuration error: too large".to_string(),
+            0,
         )
     }
 
-    fn degraded() -> RunRecord {
-        let mut r = sample("slow");
-        r.status = RunStatus::Degraded;
-        r.error = Some("budget exhausted twice; degraded".to_string());
-        r
+    fn panicked() -> RunRecord {
+        let p = workload().problem;
+        let why = "chaos: deliberate panic".to_string();
+        RunRecord::from_failure("boom", "Chaos", 1, "wl", &p, 7, RunStatus::Panic, why, 96)
     }
 
     #[test]
@@ -1183,7 +1171,7 @@ mod tests {
     /// its infinite `max_abs_err`.
     #[test]
     fn records_of_every_status_round_trip_exactly() {
-        let cells = [(key("a"), sample("a")), (key("slow"), degraded()), (key("fail"), failure())];
+        let cells = [(key("a"), sample("a")), (key("boom"), panicked()), (key("fail"), failure())];
         let path = store_with("round_trip_all", &cells);
         let cache = RunCache::open(&path, 8).unwrap();
         assert!(cache.warnings().is_empty(), "{:?}", cache.warnings());
@@ -1348,7 +1336,7 @@ mod tests {
     /// exactly once.
     #[test]
     fn corruption_at_every_byte_warns_and_reruns_never_a_wrong_row() {
-        let cells = [(key("a"), sample("a")), (key("slow"), degraded()), (key("fail"), failure())];
+        let cells = [(key("a"), sample("a")), (key("boom"), panicked()), (key("fail"), failure())];
         let path = store_with("fuzz", &cells);
         let clean = std::fs::read(&path).unwrap();
         let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();

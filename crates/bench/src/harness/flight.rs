@@ -8,8 +8,8 @@
 //! run store). `sigma_cli report --from PATH` reads the log back —
 //! tolerantly, like store replay: damaged lines become warnings, not
 //! errors — and converts it into a Chrome trace-event JSON (one track
-//! per recorded worker thread; journal, cache, and watchdog activity on
-//! fixed named tracks; gauge snapshots as counter series) that is
+//! per recorded worker thread; journal and cache activity on fixed
+//! named tracks; gauge snapshots as counter series) that is
 //! self-validated with [`validate_chrome_trace`] before it is written,
 //! plus an aggregate per-stage latency table.
 //!
@@ -40,8 +40,6 @@ pub const FLIGHT_SCHEMA: u32 = 1;
 const JOURNAL_TID: u64 = 1001;
 /// Fixed trace track for cache probe/insert spans.
 const CACHE_TID: u64 = 1002;
-/// Fixed trace track for watchdog cancellation spans.
-const WATCHDOG_TID: u64 = 1003;
 
 /// Renders the event log for one recorded run: meta line first, then
 /// counters, gauges, histograms, snapshots, and spans, each on its own
@@ -297,8 +295,7 @@ fn stage_track(stage: Stage) -> Option<(u64, &'static str)> {
     match stage {
         Stage::JournalAppend | Stage::JournalFsync => Some((JOURNAL_TID, "journal")),
         Stage::CacheProbe | Stage::CacheInsert => Some((CACHE_TID, "cache")),
-        Stage::WatchdogCancel => Some((WATCHDOG_TID, "watchdog")),
-        Stage::QueueWait | Stage::Materialize | Stage::EngineRun | Stage::RetryBackoff => None,
+        Stage::QueueWait | Stage::Materialize | Stage::EngineRun => None,
     }
 }
 
@@ -315,8 +312,8 @@ pub struct FlightReport {
 
 /// Converts a parsed event log into a validated Chrome trace plus the
 /// per-stage latency table. Worker threads become one track each (in
-/// first-span order); journal, cache, and watchdog spans go to fixed
-/// named tracks; every periodic gauge sample becomes a counter event.
+/// first-span order); journal and cache spans go to fixed named
+/// tracks; every periodic gauge sample becomes a counter event.
 ///
 /// # Errors
 ///

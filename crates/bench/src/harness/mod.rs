@@ -10,8 +10,7 @@
 //! * [`sweep`] — the parallel sweep driver: a workload suite fanned
 //!   across engines on scoped threads, with deterministic per-workload
 //!   seeding, results in a thread-count-independent order, and per-cell
-//!   panic isolation plus a watchdog budget (`status` column:
-//!   `ok | error | panic | timeout`);
+//!   panic isolation (`status` column: `ok | error | panic`);
 //! * [`cache`] — the run store, [`RunCache`]: fsynced, checksummed
 //!   canonical-JSON lines keyed by verified 128-bit [`CellKey`]s, with
 //!   tolerant replay, atomic compaction, in-flight duplicate coalescing
@@ -22,10 +21,10 @@
 //!   a sweep's wall-clock spans, stage latency histograms, and gauges)
 //!   and the `sigma_cli report` builder that turns a log into a
 //!   validated Perfetto trace plus a per-stage latency table;
-//! * [`chaos`] — deliberately misbehaving engines (panic / wedge /
-//!   flake) used to prove the sweep's degradation contract;
-//! * [`profile`] — the sweep-level telemetry aggregate (retry pressure
-//!   and route-cache economy from the records, wall time from the flight
+//! * [`chaos`] — a deliberately panicking engine used to prove the
+//!   sweep's panic isolation;
+//! * [`profile`] — the sweep-level telemetry aggregate (status, operand
+//!   footprint and cycles from the records, wall time from the flight
 //!   recorder) behind `telemetry_summary.json`;
 //! * [`record`] — the structured [`RunRecord`] row every sweep produces,
 //!   rendered via [`Table`](crate::util::Table) (text/CSV) or JSON;
@@ -53,15 +52,13 @@ pub use cache::{
     fnv1a_64, write_atomic, CacheStats, CellKey, CellLease, Lookup, RunCache, CELL_KEY_REVISION,
     STORE_SCHEMA,
 };
-pub use chaos::{FlakyEngine, PanickingEngine, SpinningEngine, WedgingEngine};
+pub use chaos::PanickingEngine;
 pub use emit::{emit_tables, emit_tables_with};
 pub use flight::{
     build_report, parse_event_log, read_event_log, render_event_log, stage_table, write_event_log,
     EventLog, FlightReport, SnapSample, FLIGHT_SCHEMA,
 };
 pub use profile::{EngineProfile, SweepProfile};
-pub use record::{records_table, records_to_json, CellProfile, RunRecord, RunStatus};
+pub use record::{records_table, records_to_json, RunRecord, RunStatus};
 pub use registry::{default_registry, engine_by_name, engine_names, EngineEntry};
-pub use sweep::{
-    demo_suite, derive_seed, live_cell_threads, par_map, ResumeOutcome, Sweep, WorkloadSpec,
-};
+pub use sweep::{demo_suite, derive_seed, par_map, ResumeOutcome, Sweep, WorkloadSpec};

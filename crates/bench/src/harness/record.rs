@@ -10,7 +10,7 @@ use sigma_telemetry::json::{quote, Json};
 /// rendering). Content keys fold it in, so bumping it when a field is
 /// added or re-rendered invalidates every persisted cell instead of
 /// replaying records whose layout no longer matches this code.
-pub const RECORD_SCHEMA: u32 = 2;
+pub const RECORD_SCHEMA: u32 = 3;
 
 /// How an (engine, workload) cell terminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,12 +24,6 @@ pub enum RunStatus {
     Error,
     /// The engine panicked; the sweep caught it and carried on.
     Panic,
-    /// The engine exceeded the watchdog budget and was abandoned.
-    Timeout,
-    /// The engine exhausted its budget repeatedly and the sweep fell
-    /// back to the analytic model: the record carries the fallback's
-    /// numbers, not the original engine's.
-    Degraded,
 }
 
 impl RunStatus {
@@ -40,8 +34,6 @@ impl RunStatus {
             "ok" => Some(RunStatus::Ok),
             "error" => Some(RunStatus::Error),
             "panic" => Some(RunStatus::Panic),
-            "timeout" => Some(RunStatus::Timeout),
-            "degraded" => Some(RunStatus::Degraded),
             _ => None,
         }
     }
@@ -53,27 +45,7 @@ impl std::fmt::Display for RunStatus {
             RunStatus::Ok => "ok",
             RunStatus::Error => "error",
             RunStatus::Panic => "panic",
-            RunStatus::Timeout => "timeout",
-            RunStatus::Degraded => "degraded",
         })
-    }
-}
-
-/// Harness-level profile of one sweep cell: retry count and an
-/// operand-footprint proxy for peak memory. Both are deterministic; wall
-/// time is the flight recorder's, never a record's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellProfile {
-    /// Executions the cell took: 1 plus any watchdog/panic retries.
-    pub attempts: u32,
-    /// Deterministic operand-footprint proxy in bytes (nnz of both
-    /// operands times the element + index cost).
-    pub mem_est_bytes: u64,
-}
-
-impl Default for CellProfile {
-    fn default() -> Self {
-        Self { attempts: 1, mem_est_bytes: 0 }
     }
 }
 
@@ -128,7 +100,7 @@ pub struct RunRecord {
     pub max_abs_err: f64,
     /// Whether the result matched the reference within tolerance.
     pub verified: bool,
-    /// How the cell terminated (`ok | error | panic | timeout`).
+    /// How the cell terminated (`ok | error | panic`).
     pub status: RunStatus,
     /// Fault events that fired during the run (fault campaigns only).
     pub faults_injected: u64,
@@ -138,25 +110,19 @@ pub struct RunRecord {
     pub faults_corrected: u64,
     /// Fault effects that left the final result wrong.
     pub faults_escaped: u64,
-    /// Benes route-cache hits across the run.
-    pub route_cache_hits: u64,
-    /// Benes route-cache misses (first loads of a prefix length on a
-    /// Flex-DPE) across the run.
-    pub route_cache_misses: u64,
     /// Dead streaming cycles (no non-zero operand) the stationary engine
     /// fast-forwarded; still included in `streaming_cycles`/`total_cycles`.
     pub idle_cycles_skipped: u64,
-    /// Executions the cell took (1 + retries).
-    pub attempts: u32,
-    /// Deterministic operand-memory proxy in bytes.
+    /// Deterministic operand-memory proxy in bytes (wall time is the
+    /// flight recorder's, never a record's).
     pub mem_est_bytes: u64,
-    /// Engine error / panic / timeout message, when the cell failed.
+    /// Engine error or panic message, when the cell failed.
     pub error: Option<String>,
 }
 
 impl RunRecord {
     /// Column headers, in field order.
-    pub const HEADERS: [&'static str; 33] = [
+    pub const HEADERS: [&'static str; 30] = [
         "engine_slug",
         "engine",
         "workload",
@@ -184,15 +150,13 @@ impl RunRecord {
         "faults_detected",
         "faults_corrected",
         "faults_escaped",
-        "route_cache_hits",
-        "route_cache_misses",
         "idle_cycles_skipped",
-        "attempts",
         "mem_est_bytes",
         "error",
     ];
 
-    /// Builds a record from a successful engine run.
+    /// Builds a record from a successful engine run; `mem_est_bytes` is
+    /// the cell's deterministic operand-footprint proxy.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn from_run(
@@ -205,7 +169,7 @@ impl RunRecord {
         run: &EngineRun,
         max_abs_err: f64,
         verified: bool,
-        profile: CellProfile,
+        mem_est_bytes: u64,
     ) -> Self {
         let s = &run.stats;
         Self {
@@ -236,11 +200,8 @@ impl RunRecord {
             faults_detected: s.faults_detected,
             faults_corrected: s.faults_corrected,
             faults_escaped: s.faults_escaped,
-            route_cache_hits: s.route_cache_hits,
-            route_cache_misses: s.route_cache_misses,
             idle_cycles_skipped: s.idle_cycles_skipped,
-            attempts: profile.attempts,
-            mem_est_bytes: profile.mem_est_bytes,
+            mem_est_bytes,
             error: None,
         }
     }
@@ -265,12 +226,12 @@ impl RunRecord {
             seed,
             RunStatus::Error,
             error,
-            CellProfile::default(),
+            0,
         )
     }
 
     /// Builds a record for a cell that did not produce a result: an
-    /// engine error, a caught panic, or a watchdog timeout.
+    /// engine error or a caught panic.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn from_failure(
@@ -282,7 +243,7 @@ impl RunRecord {
         seed: u64,
         status: RunStatus,
         error: String,
-        profile: CellProfile,
+        mem_est_bytes: u64,
     ) -> Self {
         Self {
             engine_slug: slug.to_string(),
@@ -312,11 +273,8 @@ impl RunRecord {
             faults_detected: 0,
             faults_corrected: 0,
             faults_escaped: 0,
-            route_cache_hits: 0,
-            route_cache_misses: 0,
             idle_cycles_skipped: 0,
-            attempts: profile.attempts,
-            mem_est_bytes: profile.mem_est_bytes,
+            mem_est_bytes,
             error: Some(error),
         }
     }
@@ -352,10 +310,7 @@ impl RunRecord {
             self.faults_detected.to_string(),
             self.faults_corrected.to_string(),
             self.faults_escaped.to_string(),
-            self.route_cache_hits.to_string(),
-            self.route_cache_misses.to_string(),
             self.idle_cycles_skipped.to_string(),
-            self.attempts.to_string(),
             self.mem_est_bytes.to_string(),
             self.error.clone().unwrap_or_default(),
         ]
@@ -399,10 +354,7 @@ impl RunRecord {
             ("faults_detected", self.faults_detected.to_string()),
             ("faults_corrected", self.faults_corrected.to_string()),
             ("faults_escaped", self.faults_escaped.to_string()),
-            ("route_cache_hits", self.route_cache_hits.to_string()),
-            ("route_cache_misses", self.route_cache_misses.to_string()),
             ("idle_cycles_skipped", self.idle_cycles_skipped.to_string()),
-            ("attempts", self.attempts.to_string()),
             ("mem_est_bytes", self.mem_est_bytes.to_string()),
             ("error", self.error.as_deref().map_or_else(|| "null".to_string(), quote)),
         ];
@@ -471,10 +423,7 @@ impl RunRecord {
             faults_detected: num(obj, "faults_detected")?,
             faults_corrected: num(obj, "faults_corrected")?,
             faults_escaped: num(obj, "faults_escaped")?,
-            route_cache_hits: num(obj, "route_cache_hits")?,
-            route_cache_misses: num(obj, "route_cache_misses")?,
             idle_cycles_skipped: num(obj, "idle_cycles_skipped")?,
-            attempts: num(obj, "attempts")?,
             mem_est_bytes: num(obj, "mem_est_bytes")?,
             error,
         })
@@ -517,18 +466,7 @@ mod tests {
             Matrix::zeros(4, 5),
             CycleStats { streaming_cycles: 10, pes: 8, ..CycleStats::default() },
         );
-        RunRecord::from_run(
-            "eng",
-            "Engine",
-            8,
-            "wl",
-            &p,
-            7,
-            &run,
-            1e-6,
-            true,
-            CellProfile::default(),
-        )
+        RunRecord::from_run("eng", "Engine", 8, "wl", &p, 7, &run, 1e-6, true, 0)
     }
 
     #[test]
@@ -544,35 +482,12 @@ mod tests {
     #[test]
     fn status_column_reflects_failure_kind() {
         let p = GemmProblem::dense(GemmShape::new(2, 2, 2));
-        let profile = CellProfile::default();
-        let panic = RunRecord::from_failure(
-            "e",
-            "E",
-            1,
-            "w",
-            &p,
-            0,
-            RunStatus::Panic,
-            "kaboom".into(),
-            profile,
-        );
-        let timeout = RunRecord::from_failure(
-            "e",
-            "E",
-            1,
-            "w",
-            &p,
-            0,
-            RunStatus::Timeout,
-            "wedged".into(),
-            profile,
-        );
+        let panic =
+            RunRecord::from_failure("e", "E", 1, "w", &p, 0, RunStatus::Panic, "kaboom".into(), 0);
         let status_col = RunRecord::HEADERS.iter().position(|h| *h == "status").unwrap();
         assert_eq!(panic.row()[status_col], "panic");
-        assert_eq!(timeout.row()[status_col], "timeout");
         assert_eq!(sample().row()[status_col], "ok");
         assert!(panic.to_json().contains("\"status\": \"panic\""));
-        assert!(timeout.to_json().contains("\"status\": \"timeout\""));
     }
 
     #[test]
@@ -588,23 +503,17 @@ mod tests {
     }
 
     #[test]
-    fn profile_and_route_cache_columns_render() {
+    fn footprint_and_idle_skip_columns_render() {
         let mut r = sample();
-        assert!(r.to_json().contains("\"attempts\": 1"));
-        assert!(!RunRecord::HEADERS.contains(&"wall_ms"), "records carry no wall time");
-        r.attempts = 3;
+        for gone in ["wall_ms", "attempts", "route_cache_hits", "route_cache_misses"] {
+            assert!(!RunRecord::HEADERS.contains(&gone), "records carry no {gone} column");
+        }
         r.mem_est_bytes = 4096;
-        r.route_cache_hits = 9;
-        r.route_cache_misses = 2;
         r.idle_cycles_skipped = 17;
         let row = r.row();
         let col = |name: &str| RunRecord::HEADERS.iter().position(|h| *h == name).unwrap();
-        assert_eq!(row[col("attempts")], "3");
         assert_eq!(row[col("mem_est_bytes")], "4096");
-        assert_eq!(row[col("route_cache_hits")], "9");
-        assert_eq!(row[col("route_cache_misses")], "2");
         assert_eq!(row[col("idle_cycles_skipped")], "17");
-        assert!(r.to_json().contains("\"route_cache_hits\": 9"));
         assert!(r.to_json().contains("\"idle_cycles_skipped\": 17"));
     }
 

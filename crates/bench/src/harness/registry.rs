@@ -15,9 +15,8 @@ use std::sync::Arc;
 
 /// A registered engine: a stable slug plus the shared engine itself.
 ///
-/// Engines are held behind [`Arc`] so a sweep can hand a clone of the
-/// handle to a watchdog thread without cloning (or consuming) the
-/// registry entry.
+/// Engines are held behind [`Arc`] so several entries (duplicate grid
+/// cells, or a wrapping shim) can share one engine without cloning it.
 pub struct EngineEntry {
     /// Stable lookup key (e.g. `"sigma"`, `"eie"`).
     pub slug: String,

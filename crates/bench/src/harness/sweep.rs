@@ -1,51 +1,42 @@
 //! The parallel sweep driver: a workload suite fanned across a fleet of
 //! engines on scoped threads.
 //!
-//! Determinism contract: operands are materialized up front from seeds
-//! derived only from the sweep seed and the workload index, jobs are
+//! Determinism contract: operands are materialized, on first use, from
+//! seeds derived only from the sweep seed and the workload index, jobs are
 //! indexed `engine-major x workload-minor`, and [`par_map`] returns
 //! results in job order regardless of thread count — so a parallel sweep
 //! is byte-identical to a serial one.
 //!
-//! Degradation contract: each (engine, workload) cell runs on its own
-//! watchdog thread behind `catch_unwind`, so a panicking engine yields a
-//! `status=panic` record, a wedged engine yields `status=timeout` once
-//! the budget lapses, and every other cell is unaffected — a sweep never
-//! dies because one engine does. On timeout the watchdog first cancels
-//! the cell's [`CancelToken`] and waits a bounded grace period:
-//! cooperative engines (the SIGMA simulator polls the token at fold
-//! boundaries) return promptly and the worker thread is *joined*, so the
-//! live-thread count stays bounded no matter how many cells time out.
-//! Only a non-cooperative engine (one that never polls, like
-//! [`WedgingEngine`]) leaves its thread running detached until it
-//! returns on its own — Rust has no safe forced thread cancellation.
-//! A cell whose budget lapses *twice* is degraded: the sweep reruns it
-//! on the analytic SIGMA model and records `status=degraded` with the
-//! fallback's numbers, so a sweep always terminates with a full grid.
+//! Panic isolation: each (engine, workload) cell is one inline call,
+//! `catch_unwind(|| engine.run(a, b))`, on the [`par_map`] worker that
+//! claimed it, so a panicking engine yields a `status=panic` record and
+//! every other cell is unaffected — a sweep never dies because one
+//! engine does. Every engine is deterministic, so a cell's record is the
+//! same on every host and a failed cell is never retried: retrying would
+//! only reproduce it. No cell has a time budget either; a cell runs to
+//! completion.
 //!
 //! Crash-safety contract: [`Sweep::resume`] drives the same grid through
 //! a write-ahead journal — a [`RunCache`] store that never evicts —
 //! completed cells replay from disk, missing cells run and are appended
 //! durably, and its final records are byte-identical to an uninterrupted
-//! [`Sweep::run`].
-//!
-//! [`WedgingEngine`]: crate::harness::chaos::WedgingEngine
+//! [`Sweep::run`]. A sweep that hangs or is killed is recovered by
+//! killing it and running [`Sweep::resume`] on the same journal.
 
-use crate::harness::analytic::SigmaAnalytic;
 use crate::harness::cache::{CellKey, Lookup, RunCache};
-use crate::harness::record::{CellProfile, RunRecord, RunStatus};
+use crate::harness::record::{RunRecord, RunStatus};
 use crate::harness::registry::EngineEntry;
-use sigma_baselines::AnalyticEngine;
 use sigma_core::model::GemmProblem;
-use sigma_core::{CancelToken, Engine, EngineError, EngineRun};
+use sigma_core::{Engine, EngineRun};
 use sigma_matrix::{GemmShape, Matrix, SparseMatrix};
 use sigma_telemetry::{FlightRecorder, Gauge, Stage};
 use sigma_workloads::materialize;
+use std::cell::Cell;
 use std::io::IsTerminal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Once, OnceLock};
+use std::sync::{Arc, Once, OnceLock};
 use std::time::Duration;
 
 /// One named workload of a sweep.
@@ -127,21 +118,23 @@ where
     all.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Name given to per-cell watchdog threads; the quiet panic hook keys
-/// off it so deliberate chaos-engine panics don't spam stderr.
-const CELL_THREAD_NAME: &str = "sweep-cell";
+thread_local! {
+    /// Whether this thread is inside a sweep cell's `catch_unwind`; the
+    /// quiet panic hook keys off it.
+    static IN_CELL: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Installs (once per process) a panic hook that suppresses the default
-/// backtrace printout for panics on [`CELL_THREAD_NAME`] threads — those
+/// backtrace printout for panics raised inside a sweep cell — those
 /// panics are caught, recorded as `status=panic`, and surfaced in the
-/// record's `error` column instead. All other threads keep the previous
-/// hook's behavior.
+/// record's `error` column instead. Every other panic, on any thread,
+/// keeps the previous hook's behavior.
 fn install_quiet_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if std::thread::current().name() != Some(CELL_THREAD_NAME) {
+            if !IN_CELL.with(Cell::get) {
                 previous(info);
             }
         }));
@@ -159,112 +152,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How one attempt at one (engine, workload) cell ended.
-enum CellOutcome {
-    /// The engine returned a run.
-    Done(Box<EngineRun>),
-    /// The cell failed; carry the status and a message for the record.
-    Failed(RunStatus, String),
-}
-
-/// Cell worker threads currently alive (spawned and not yet exited),
-/// across every sweep in the process.
-static LIVE_CELL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Decrements the live-thread counters when a cell worker exits, however
-/// it exits (normal return, caught panic, cancellation).
-struct LiveThreadGuard {
-    local: Arc<AtomicUsize>,
-}
-
-impl LiveThreadGuard {
-    fn enter(local: &Arc<AtomicUsize>) -> Self {
-        LIVE_CELL_THREADS.fetch_add(1, Ordering::SeqCst);
-        local.fetch_add(1, Ordering::SeqCst);
-        Self { local: Arc::clone(local) }
-    }
-}
-
-impl Drop for LiveThreadGuard {
-    fn drop(&mut self) {
-        LIVE_CELL_THREADS.fetch_sub(1, Ordering::SeqCst);
-        self.local.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Cell worker threads currently alive across the whole process.
-///
-/// After a sweep over cooperative engines returns, this settles back to
-/// its pre-sweep value even when cells timed out — the watchdog cancels
-/// and joins them. Only non-cooperative engines (never polling their
-/// [`CancelToken`]) can hold it elevated.
-#[must_use]
-pub fn live_cell_threads() -> usize {
-    LIVE_CELL_THREADS.load(Ordering::SeqCst)
-}
-
-/// Runs one attempt of `engine` on `(a, b)` on a dedicated watchdog
-/// thread, converting panics and budget overruns into [`CellOutcome`]s.
-///
-/// On a budget overrun the watchdog cancels the cell's [`CancelToken`]
-/// and waits up to `grace` for the engine to notice (cooperative engines
-/// poll at fold boundaries), joining the thread instead of leaking it.
-/// The cell is recorded `timeout` either way — the budget was exceeded —
-/// so cancellation changes resource usage, never records.
-fn attempt_cell(
-    engine: &Arc<dyn Engine>,
-    a: &Arc<SparseMatrix>,
-    b: &Arc<SparseMatrix>,
-    budget: Option<Duration>,
-    grace: Duration,
-    live: &Arc<AtomicUsize>,
-    flight: (&FlightRecorder, &str),
-) -> CellOutcome {
-    let (recorder, label) = flight;
+/// Runs `engine` on `(a, b)` on the calling thread behind
+/// `catch_unwind`: an engine error or a caught panic becomes the failed
+/// cell's status and message.
+fn run_engine(
+    engine: &dyn Engine,
+    a: &SparseMatrix,
+    b: &SparseMatrix,
+) -> Result<EngineRun, (RunStatus, String)> {
     install_quiet_panic_hook();
-    let engine = Arc::clone(engine);
-    let (a, b) = (Arc::clone(a), Arc::clone(b));
-    let cancel = CancelToken::new();
-    let token = cancel.clone();
-    let live = Arc::clone(live);
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new().name(CELL_THREAD_NAME.to_string()).spawn(move || {
-        let _guard = LiveThreadGuard::enter(&live);
-        let outcome = catch_unwind(AssertUnwindSafe(|| engine.run_cancellable(&a, &b, &token)));
-        // The receiver may have given up (timeout); a failed send is fine.
-        let _ = tx.send(outcome);
-    });
-    if spawned.is_err() {
-        return CellOutcome::Failed(RunStatus::Error, "could not spawn watchdog thread".into());
-    }
-    let received = match budget {
-        Some(budget) => match rx.recv_timeout(budget) {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                // Budget exceeded: ask the engine to stop at its next
-                // fold boundary, then wait a grace period so cooperative
-                // engines' threads are reaped rather than leaked. The
-                // flight-recorder span covers cancel-to-reap (or grace
-                // expiry), i.e. how long the watchdog actually waited.
-                let t0 = recorder.now_us();
-                cancel.cancel();
-                let _ = rx.recv_timeout(grace);
-                recorder.span_since(Stage::WatchdogCancel, label, t0);
-                let budget_ms = u64::try_from(budget.as_millis()).unwrap_or(u64::MAX);
-                let msg = EngineError::Timeout { budget_ms }.to_string();
-                return CellOutcome::Failed(RunStatus::Timeout, msg);
-            }
-        },
-        None => match rx.recv() {
-            Ok(outcome) => outcome,
-            // Only reachable if the cell thread died without sending.
-            Err(_) => return CellOutcome::Failed(RunStatus::Panic, "cell thread died".into()),
-        },
-    };
-    match received {
-        Ok(Ok(run)) => CellOutcome::Done(Box::new(run)),
-        Ok(Err(e)) => CellOutcome::Failed(RunStatus::Error, e.to_string()),
-        Err(payload) => CellOutcome::Failed(RunStatus::Panic, panic_message(payload.as_ref())),
+    let outer = IN_CELL.replace(true);
+    let outcome = catch_unwind(AssertUnwindSafe(|| engine.run(a, b)));
+    IN_CELL.set(outer);
+    match outcome {
+        Ok(Ok(run)) => Ok(run),
+        Ok(Err(e)) => Err((RunStatus::Error, e.to_string())),
+        Err(payload) => Err((RunStatus::Panic, panic_message(payload.as_ref()))),
     }
 }
 
@@ -274,19 +177,13 @@ pub struct Sweep {
     workloads: Vec<WorkloadSpec>,
     seed: u64,
     threads: usize,
-    budget: Option<Duration>,
-    retries: u32,
-    backoff: Duration,
-    cancel_grace: Duration,
     recorder: FlightRecorder,
-    live: Arc<AtomicUsize>,
     cache: Option<Arc<RunCache>>,
 }
 
 impl Sweep {
-    /// Creates a sweep over `workloads` with the default seed, a thread
-    /// count taken from the machine (capped at 8), a 30 s per-cell
-    /// watchdog budget, and no retries.
+    /// Creates a sweep over `workloads` with the default seed and a
+    /// thread count taken from the machine (capped at 8).
     #[must_use]
     pub fn new(workloads: Vec<WorkloadSpec>) -> Self {
         let threads =
@@ -295,24 +192,9 @@ impl Sweep {
             workloads,
             seed: 0x0053_4947_4d41,
             threads,
-            budget: Some(Duration::from_secs(30)),
-            retries: 0,
-            backoff: Duration::from_millis(25),
-            cancel_grace: Duration::from_millis(250),
             recorder: FlightRecorder::off(),
-            live: Arc::new(AtomicUsize::new(0)),
             cache: None,
         }
-    }
-
-    /// Cell worker threads of *this* sweep (and its clones) currently
-    /// alive. After a run over cooperative engines this settles back to
-    /// zero even when cells timed out — the watchdog cancels and joins
-    /// them; see the free function [`live_cell_threads`] for the
-    /// process-wide count.
-    #[must_use]
-    pub fn live_threads(&self) -> usize {
-        self.live.load(Ordering::SeqCst)
     }
 
     /// Overrides the sweep seed.
@@ -329,57 +211,13 @@ impl Sweep {
         self
     }
 
-    /// Overrides the per-cell watchdog budget (`None` = wait forever).
-    #[must_use]
-    pub fn with_budget(mut self, budget: Option<Duration>) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Allows up to `retries` extra attempts for a cell that panicked,
-    /// errored, or timed out (the record keeps the *last* outcome).
-    ///
-    /// Retries are spaced by deterministic seeded exponential backoff
-    /// (see [`Sweep::with_backoff`]), and a cell whose budget lapses on
-    /// two attempts is degraded to the analytic model instead of burning
-    /// further budget (`status=degraded`).
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Overrides the base retry backoff (default 25 ms; `Duration::ZERO`
-    /// disables sleeping entirely).
-    ///
-    /// Attempt `n`'s delay is `backoff * 2^(n-1)` (exponent capped at 5)
-    /// plus a jitter in `[0, backoff)` derived deterministically from
-    /// the sweep seed and the cell's coordinates — so two runs of the
-    /// same sweep back off identically, but a fleet of flaky cells does
-    /// not retry in lockstep.
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Overrides the post-cancellation grace period (default 250 ms) the
-    /// watchdog waits for a timed-out engine to notice its
-    /// [`CancelToken`] before detaching the thread.
-    #[must_use]
-    pub fn with_cancel_grace(mut self, grace: Duration) -> Self {
-        self.cancel_grace = grace;
-        self
-    }
-
-    /// Attaches a [`FlightRecorder`], the sweep's only wall clock:
-    /// watchdogged attempts, retry backoffs, watchdog cancellations,
-    /// operand materializations, and queue waits are recorded as
+    /// Attaches a [`FlightRecorder`], the sweep's only wall clock:    /// Attaches a [`FlightRecorder`], the sweep's only wall clock: engine
+    /// runs, operand materializations, and queue waits are recorded as
     /// thread-tagged spans and per-stage latency histograms, the sweep
-    /// maintains the `cells_total` / `cells_completed` /
-    /// `live_cell_threads` gauges (plus `cache_entries` when a cache is
-    /// attached) with periodic snapshots, and a live one-line progress
-    /// counter goes to stderr. Records never carry wall time, so they —
+    /// maintains the `cells_total` / `cells_completed` gauges (plus
+    /// `cache_entries` when a cache is attached) with periodic
+    /// snapshots, and a live one-line progress counter goes to stderr
+    /// when stderr is a terminal. Records never carry wall time, so they —
     /// and their rendered CSV/JSON — are byte-identical with the
     /// recorder on, off, or never attached.
     /// [`SweepProfile`](crate::harness::profile::SweepProfile) folds the
@@ -486,7 +324,7 @@ impl Sweep {
             match journal.lookup(&key) {
                 Lookup::Hit(done) => (*done, true),
                 Lookup::Miss(lease) => {
-                    let (record, ran) = self.run_cell_cached(entry, ei, wi, w, lazy);
+                    let (record, ran) = self.run_cell_cached(entry, w, lazy);
                     executed.fetch_add(u64::from(ran), Ordering::Relaxed);
                     // Append (and fsync) before reporting the cell
                     // complete: once a record is visible to the caller it
@@ -504,14 +342,12 @@ impl Sweep {
         self.recorder.snap();
         let resume_hits = results.iter().filter(|(_, hit)| *hit).count() as u64;
         let records: Vec<RunRecord> = results.into_iter().map(|(r, _)| r).collect();
-        let degraded_cells =
-            records.iter().filter(|r| r.status == RunStatus::Degraded).count() as u64;
         let journal_appends = executed.into_inner();
         // Rewrite the journal to exactly the final grid: duplicates,
         // skipped garbage, and torn tails are dropped.
         journal.compact()?;
         let warnings = journal.warnings();
-        Ok(ResumeOutcome { records, journal_appends, resume_hits, degraded_cells, warnings })
+        Ok(ResumeOutcome { records, journal_appends, resume_hits, warnings })
     }
 
     /// One lazily-materialized slot per workload. Seeds are derived
@@ -534,138 +370,42 @@ impl Sweep {
             .collect()
     }
 
-    /// Deterministic backoff before retry attempt `attempt` (the second
-    /// execution is attempt 2): exponential in the attempt number with
-    /// seeded jitter, a pure function of (sweep seed, cell coordinates,
-    /// attempt).
-    fn backoff_delay(&self, ei: usize, wi: usize, attempt: u32) -> Duration {
-        if self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = 2u32.saturating_pow(attempt.saturating_sub(2).min(5));
-        let base = self.backoff.saturating_mul(exp);
-        let cell_seed = self.seed ^ ((ei as u64) << 32) ^ (wi as u64);
-        let jitter_span = u64::try_from(self.backoff.as_nanos()).unwrap_or(u64::MAX).max(1);
-        let jitter_ns = derive_seed(cell_seed, u64::from(attempt)) % jitter_span;
-        base.saturating_add(Duration::from_nanos(jitter_ns))
-    }
-
-    /// Runs one (engine, workload) cell to a final record: watchdogged
-    /// attempts with deterministic backoff between them, then — if the
-    /// budget lapsed on two or more attempts — the graceful-degradation
-    /// ladder onto the analytic SIGMA model.
-    fn run_cell(
-        &self,
-        entry: &EngineEntry,
-        ei: usize,
-        wi: usize,
-        w: &WorkloadSpec,
-        input: &Prepared,
-    ) -> RunRecord {
+    /// Runs one (engine, workload) cell to its record: one engine run,
+    /// then verification against the reference GEMM.
+    fn run_cell(&self, entry: &EngineEntry, w: &WorkloadSpec, input: &Prepared) -> RunRecord {
         // The span label is only built when the recorder is on, so a
         // recorder-free cell allocates nothing extra.
-        let owned_label = self.recorder.is_enabled().then(|| format!("{}: {}", entry.slug, w.name));
-        let label = owned_label.as_deref().unwrap_or("");
-        let mut t0 = self.recorder.now_us();
-        let mut outcome = attempt_cell(
-            &entry.engine,
-            &input.a,
-            &input.b,
-            self.budget,
-            self.cancel_grace,
-            &self.live,
-            (&self.recorder, label),
-        );
-        self.recorder.span_since(Stage::EngineRun, label, t0);
-        let mut attempts: u32 = 1;
-        let mut timeouts = u32::from(matches!(outcome, CellOutcome::Failed(RunStatus::Timeout, _)));
-        while attempts <= self.retries && matches!(outcome, CellOutcome::Failed(..)) {
-            attempts += 1;
-            t0 = self.recorder.now_us();
-            std::thread::sleep(self.backoff_delay(ei, wi, attempts));
-            self.recorder.span_since(Stage::RetryBackoff, label, t0);
-            t0 = self.recorder.now_us();
-            outcome = attempt_cell(
-                &entry.engine,
-                &input.a,
-                &input.b,
-                self.budget,
-                self.cancel_grace,
-                &self.live,
-                (&self.recorder, label),
-            );
-            self.recorder.span_since(Stage::EngineRun, label, t0);
-            timeouts += u32::from(matches!(outcome, CellOutcome::Failed(RunStatus::Timeout, _)));
-        }
-        // Graceful degradation: a cell that exhausted its budget twice
-        // is not going to finish — rerun it on the analytic model so the
-        // sweep still terminates with a full grid. The record keeps the
-        // original engine's slug (the grid cell), carries the fallback's
-        // name and numbers, and is marked `degraded`.
-        let mut degraded_from = None;
-        if timeouts >= 2 {
-            if let CellOutcome::Failed(RunStatus::Timeout, msg) = &outcome {
-                let fallback: Arc<dyn Engine> =
-                    Arc::new(AnalyticEngine::new(SigmaAnalytic::paper()));
-                let tf = self.recorder.now_us();
-                let fb = attempt_cell(
-                    &fallback,
-                    &input.a,
-                    &input.b,
-                    self.budget,
-                    self.cancel_grace,
-                    &self.live,
-                    (&self.recorder, label),
-                );
-                self.recorder.span_since(Stage::EngineRun, label, tf);
-                if let CellOutcome::Done(run) = fb {
-                    degraded_from =
-                        Some((format!("{msg}; degraded to analytic fallback"), fallback));
-                    attempts += 1;
-                    outcome = CellOutcome::Done(run);
-                }
-            }
-        }
+        let label = self.recorder.is_enabled().then(|| format!("{}: {}", entry.slug, w.name));
+        let t0 = self.recorder.now_us();
+        let outcome = run_engine(entry.engine.as_ref(), &input.a, &input.b);
+        self.recorder.span_since(Stage::EngineRun, label.as_deref().unwrap_or(""), t0);
         // The operand footprint is derived from nnz alone, so it is
         // deterministic.
-        let profile =
-            CellProfile { attempts, mem_est_bytes: operand_footprint_bytes(&input.a, &input.b) };
+        let mem_est_bytes = operand_footprint_bytes(&input.a, &input.b);
+        let (name, pes) = (entry.engine.name(), entry.engine.pes());
         match outcome {
-            CellOutcome::Done(run) => {
-                let (name, pes) = match &degraded_from {
-                    Some((_, fallback)) => (fallback.name(), fallback.pes()),
-                    None => (entry.engine.name(), entry.engine.pes()),
-                };
-                let max_abs_err = f64::from(run.result.max_abs_diff(&input.reference));
-                let verified = run.result.approx_eq(&input.reference, input.tol);
-                let mut record = RunRecord::from_run(
-                    &entry.slug,
-                    &name,
-                    pes,
-                    &w.name,
-                    &w.problem,
-                    input.seed,
-                    &run,
-                    max_abs_err,
-                    verified,
-                    profile,
-                );
-                if let Some((why, _)) = degraded_from {
-                    record.status = RunStatus::Degraded;
-                    record.error = Some(why);
-                }
-                record
-            }
-            CellOutcome::Failed(status, msg) => RunRecord::from_failure(
+            Ok(run) => RunRecord::from_run(
                 &entry.slug,
-                &entry.engine.name(),
-                entry.engine.pes(),
+                &name,
+                pes,
+                &w.name,
+                &w.problem,
+                input.seed,
+                &run,
+                f64::from(run.result.max_abs_diff(&input.reference)),
+                run.result.approx_eq(&input.reference, input.tol),
+                mem_est_bytes,
+            ),
+            Err((status, msg)) => RunRecord::from_failure(
+                &entry.slug,
+                &name,
+                pes,
                 &w.name,
                 &w.problem,
                 input.seed,
                 status,
                 msg,
-                profile,
+                mem_est_bytes,
             ),
         }
     }
@@ -693,12 +433,10 @@ impl Sweep {
                 let label = format!("{}: {}", entry.slug, w.name);
                 self.recorder.span_since(Stage::QueueWait, &label, dispatched_us);
             }
-            let (record, _) = self.run_cell_cached(entry, ei, wi, w, &prepared[wi]);
+            let (record, _) = self.run_cell_cached(entry, w, &prepared[wi]);
             if self.recorder.is_enabled() {
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                 self.recorder.gauge_set(Gauge::CellsCompleted, done as u64);
-                self.recorder
-                    .gauge_set(Gauge::LiveCellThreads, self.live.load(Ordering::SeqCst) as u64);
                 if let Some(cache) = &self.cache {
                     self.recorder.gauge_set(Gauge::CacheEntries, cache.stats().entries);
                 }
@@ -730,27 +468,25 @@ impl Sweep {
     /// Runs one cell through the attached [`RunCache`], if any: probe
     /// first (coalescing with any identical in-flight cell), execute on
     /// a miss, and memoize the result. Only `ok` records are inserted —
-    /// a panic/timeout/error record would pin a transient failure, so
-    /// those cells re-execute every time (the abandoned lease hands
-    /// execution to any coalesced waiter). A hit returns before the
+    /// a panic or error record is never memoized, so those cells
+    /// re-execute every time (the abandoned lease hands execution to any
+    /// coalesced waiter). A hit returns before the
     /// workload's operands are ever materialized. The flag is whether
     /// the cell executed (false for a hit).
     fn run_cell_cached(
         &self,
         entry: &EngineEntry,
-        ei: usize,
-        wi: usize,
         w: &WorkloadSpec,
         lazy: &LazyPrepared,
     ) -> (RunRecord, bool) {
         let Some(cache) = &self.cache else {
-            return (self.run_cell(entry, ei, wi, w, self.force_timed(lazy, w)), true);
+            return (self.run_cell(entry, w, self.force_timed(lazy, w)), true);
         };
         let key = CellKey::for_engine(&entry.slug, entry.engine.as_ref(), w, lazy.seed);
         match cache.lookup(&key) {
             Lookup::Hit(record) => (*record, false),
             Lookup::Miss(lease) => {
-                let record = self.run_cell(entry, ei, wi, w, self.force_timed(lazy, w));
+                let record = self.run_cell(entry, w, self.force_timed(lazy, w));
                 if record.status == RunStatus::Ok {
                     lease.fulfill(&record);
                 }
@@ -781,8 +517,8 @@ impl Sweep {
 /// product, and the verification tolerance.
 struct Prepared {
     seed: u64,
-    a: Arc<SparseMatrix>,
-    b: Arc<SparseMatrix>,
+    a: SparseMatrix,
+    b: SparseMatrix,
     reference: Matrix,
     tol: f32,
 }
@@ -805,7 +541,7 @@ impl LazyPrepared {
             // Accumulation-order slack grows with the contraction
             // length, like the agreement tests elsewhere.
             let tol = 1e-3 * w.problem.shape.k.max(1) as f32;
-            Prepared { seed: self.seed, a: Arc::new(a), b: Arc::new(b), reference, tol }
+            Prepared { seed: self.seed, a, b, reference, tol }
         })
     }
 }
@@ -819,8 +555,6 @@ pub struct ResumeOutcome {
     pub journal_appends: u64,
     /// Cells replayed from the journal instead of re-executed.
     pub resume_hits: u64,
-    /// Cells (replayed or fresh) that degraded to the analytic model.
-    pub degraded_cells: u64,
     /// Replay and append warnings (corrupt lines skipped, ...).
     pub warnings: Vec<String>,
 }
@@ -911,136 +645,39 @@ mod tests {
     }
 
     /// The acceptance scenario: the full 11-engine registry plus one
-    /// deliberately panicking and one deliberately wedged engine. The
-    /// sweep completes, those cells (and only those) report
-    /// `status=panic` / `status=timeout`, and every healthy cell is
-    /// byte-identical to a chaos-free sweep.
+    /// deliberately panicking engine, swept on one thread (cells run on
+    /// the caller's own thread) and on four. The sweep completes, the
+    /// panicking cells (and only those) report `status=panic` with the
+    /// payload in `error`, every healthy cell is byte-identical to a
+    /// panic-free sweep, and both thread counts give identical records.
     #[test]
     fn chaos_engines_degrade_to_status_rows_without_poisoning_the_sweep() {
-        use crate::harness::chaos::{PanickingEngine, WedgingEngine};
+        use crate::harness::chaos::PanickingEngine;
         let clean = default_registry();
         let mut fleet = default_registry();
         fleet.push(EngineEntry::new("chaos-panic", Box::new(PanickingEngine)));
-        fleet.push(EngineEntry::new(
-            "chaos-wedge",
-            Box::new(WedgingEngine::new(Duration::from_secs(60))),
-        ));
         let suite = demo_suite().into_iter().take(2).collect::<Vec<_>>();
         let workloads = suite.len();
-        let sweep = Sweep::new(suite).with_threads(4).with_budget(Some(Duration::from_secs(2)));
-        let records = sweep.run(&fleet);
-        let baseline = sweep.run(&clean);
-        assert_eq!(records.len(), (clean.len() + 2) * workloads);
-        for r in &records {
-            match r.engine_slug.as_str() {
-                "chaos-panic" => {
+        let sweep = Sweep::new(suite);
+        let baseline = sweep.clone().with_threads(4).run(&clean);
+        let runs: Vec<Vec<RunRecord>> =
+            [1, 4].iter().map(|&t| sweep.clone().with_threads(t).run(&fleet)).collect();
+        for records in &runs {
+            assert_eq!(records.len(), (clean.len() + 1) * workloads);
+            for r in records {
+                if r.engine_slug == "chaos-panic" {
                     assert_eq!(r.status, RunStatus::Panic, "{}", r.workload);
                     assert!(r.error.as_deref().unwrap().contains("deliberate panic"));
+                } else {
+                    assert_eq!(r.status, RunStatus::Ok, "{}", r.engine_slug);
                 }
-                "chaos-wedge" => {
-                    assert_eq!(r.status, RunStatus::Timeout, "{}", r.workload);
-                    assert!(r.error.as_deref().unwrap().contains("watchdog"));
-                }
-                _ => assert_eq!(r.status, RunStatus::Ok, "{}", r.engine_slug),
             }
+            // The healthy cells are byte-identical to a panic-free sweep.
+            let ok_rows: Vec<_> =
+                records.iter().filter(|r| r.status == RunStatus::Ok).cloned().collect();
+            assert_eq!(ok_rows, baseline);
         }
-        // The healthy cells are byte-identical to a chaos-free sweep.
-        let ok_rows: Vec<_> =
-            records.iter().filter(|r| r.status == RunStatus::Ok).cloned().collect();
-        assert_eq!(ok_rows, baseline);
-    }
-
-    #[test]
-    fn retries_recover_flaky_cells() {
-        use crate::harness::chaos::FlakyEngine;
-        let suite = vec![demo_suite().remove(0)];
-        let flaky_fleet = || vec![EngineEntry::new("chaos-flaky", Box::new(FlakyEngine::new(2)))];
-        let no_retry = Sweep::new(suite.clone()).with_threads(1).run(&flaky_fleet());
-        assert_eq!(no_retry[0].status, RunStatus::Panic);
-        let with_retry = Sweep::new(suite).with_threads(1).with_retries(2).run(&flaky_fleet());
-        assert_eq!(with_retry[0].status, RunStatus::Ok);
-        assert!(with_retry[0].verified);
-    }
-
-    #[test]
-    fn backoff_delays_are_deterministic_and_exponential() {
-        let sweep = Sweep::new(demo_suite()).with_seed(3);
-        let d2 = sweep.backoff_delay(1, 2, 2);
-        let d3 = sweep.backoff_delay(1, 2, 3);
-        let d4 = sweep.backoff_delay(1, 2, 4);
-        // Pure function of (seed, cell, attempt).
-        assert_eq!(d2, sweep.backoff_delay(1, 2, 2));
-        // Exponential envelope: attempt n's base doubles, jitter < base.
-        assert!(d3 > d2, "{d3:?} vs {d2:?}");
-        assert!(d4 > d3, "{d4:?} vs {d3:?}");
-        assert!(d4 < Duration::from_millis(25 * 4 + 25));
-        // Different cells jitter differently (with overwhelming odds).
-        let other = Sweep::new(demo_suite()).with_seed(3).backoff_delay(0, 0, 2);
-        assert_ne!(d2, other);
-        // Zero base disables sleeping entirely.
-        let quiet = Sweep::new(demo_suite()).with_backoff(Duration::ZERO);
-        assert_eq!(quiet.backoff_delay(1, 2, 2), Duration::ZERO);
-    }
-
-    /// Satellite 1 acceptance: N cooperative timeouts leave no lingering
-    /// watchdog threads — the cancel + grace join reaps every one.
-    #[test]
-    fn cooperative_timeouts_leave_a_bounded_thread_count() {
-        use crate::harness::chaos::SpinningEngine;
-        let fleet = vec![
-            EngineEntry::new("chaos-spin-a", Box::new(SpinningEngine::default())),
-            EngineEntry::new("chaos-spin-b", Box::new(SpinningEngine::default())),
-        ];
-        let suite = demo_suite().into_iter().take(3).collect::<Vec<_>>();
-        let cells = fleet.len() * suite.len();
-        let sweep = Sweep::new(suite)
-            .with_threads(2)
-            .with_budget(Some(Duration::from_millis(50)))
-            .with_cancel_grace(Duration::from_secs(2));
-        let records = sweep.run(&fleet);
-        assert_eq!(records.len(), cells);
-        assert!(records.iter().all(|r| r.status == RunStatus::Timeout));
-        // Every worker was joined within its grace period; allow a brief
-        // scheduling window for the last guard to drop. (The per-sweep
-        // counter is used because concurrently running tests park their
-        // own — deliberately non-cooperative — threads in the global one.)
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while sweep.live_threads() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(sweep.live_threads(), 0, "timed-out cooperative cells must be reaped");
-    }
-
-    /// Tentpole acceptance: a cell that exhausts its budget twice falls
-    /// back to the analytic model and is recorded `degraded`, with the
-    /// fallback's name and numbers under the original engine's slug.
-    #[test]
-    fn repeated_timeouts_degrade_to_the_analytic_model() {
-        use crate::harness::chaos::SpinningEngine;
-        let fleet = vec![EngineEntry::new("chaos-spin", Box::new(SpinningEngine::default()))];
-        let suite = vec![demo_suite().remove(0)];
-        let records = Sweep::new(suite)
-            .with_threads(1)
-            .with_budget(Some(Duration::from_millis(40)))
-            .with_cancel_grace(Duration::from_secs(2))
-            .with_retries(1)
-            .with_backoff(Duration::ZERO)
-            .run(&fleet);
-        let r = &records[0];
-        assert_eq!(r.status, RunStatus::Degraded);
-        assert_eq!(r.engine_slug, "chaos-spin", "grid cell keeps the original slug");
-        assert!(r.engine.contains("[analytic]"), "{}", r.engine);
-        assert!(r.error.as_deref().unwrap_or("").contains("degraded to analytic fallback"));
-        assert_eq!(r.attempts, 3, "two budgeted attempts plus the fallback");
-        assert!(r.verified, "the analytic fallback computes the real product");
-        assert!(r.total_cycles > 0, "the record carries the fallback's numbers");
-        // Without retries there is a single timeout attempt: no ladder.
-        let single = Sweep::new(vec![demo_suite().remove(0)])
-            .with_threads(1)
-            .with_budget(Some(Duration::from_millis(40)))
-            .with_cancel_grace(Duration::from_secs(2))
-            .run(&fleet);
-        assert_eq!(single[0].status, RunStatus::Timeout);
+        assert_eq!(runs[0], runs[1], "thread count must not change a record");
     }
 
     fn journal_path(name: &str) -> std::path::PathBuf {
@@ -1156,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_outcome_counts_appends_hits_and_degradations() {
+    fn resume_outcome_counts_appends_and_hits() {
         let engines: Vec<_> = default_registry().into_iter().filter(|e| e.slug == "eie").collect();
         let suite = demo_suite().into_iter().take(2).collect::<Vec<_>>();
         let sweep = Sweep::new(suite).with_seed(2).with_threads(1);
@@ -1167,7 +804,6 @@ mod tests {
         let second = sweep.resume(&engines, &path).unwrap();
         assert_eq!(second.journal_appends, 0, "second pass appends nothing");
         assert_eq!(second.resume_hits, 2);
-        assert_eq!(second.degraded_cells, 0);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1212,33 +848,6 @@ mod tests {
         assert_eq!(par_map(&[42usize], 8, |i, &x| (i, x)), vec![(0, 42)]);
         // Zero requested threads degrades to serial, not a panic.
         assert_eq!(par_map(&items, 0, |_, &x| x), items.to_vec());
-    }
-
-    #[test]
-    fn par_map_jobs_observe_cancellation_at_cell_boundaries() {
-        // Sweep cells poll a CancelToken at fold boundaries; model that
-        // contract directly: job 3 trips a shared token, and every job
-        // scheduled after the trip skips its work. par_map itself must
-        // still return a full, input-ordered result vector.
-        let token = CancelToken::new();
-        let items: Vec<usize> = (0..24).collect();
-        let results = par_map(&items, 2, |_, &x| {
-            if x == 3 {
-                token.cancel();
-            }
-            if token.is_cancelled() {
-                None
-            } else {
-                Some(x)
-            }
-        });
-        assert_eq!(results.len(), items.len(), "cancellation skips work, never drops slots");
-        assert_eq!(results[3], None, "the cancelling job observes its own trip");
-        let after_trip = &results[4..];
-        assert!(
-            after_trip.iter().filter(|r| r.is_none()).count() >= after_trip.len() - 1,
-            "jobs claimed after the trip see the cancelled token (at most one was in flight)"
-        );
     }
 
     fn cache_path(name: &str) -> std::path::PathBuf {
@@ -1336,8 +945,8 @@ mod tests {
     }
 
     /// Flight-recorder acceptance: span/histogram counts reconcile with
-    /// the grid (queue waits == cells, engine runs == total attempts,
-    /// materializations == workloads), gauges land on their final
+    /// the grid (queue waits == engine runs == cells, materializations ==
+    /// workloads), gauges land on their final
     /// values, and an *enabled* recorder does not perturb records.
     #[test]
     fn flight_recorder_spans_reconcile_with_the_grid() {
@@ -1365,8 +974,7 @@ mod tests {
         assert!(snap.enabled);
         assert_eq!(snap.dropped_spans, 0);
         assert_eq!(snap.stage("queue_wait").map_or(0, |h| h.count), cells);
-        let attempts: u64 = recorded.iter().map(|r| u64::from(r.attempts)).sum();
-        assert_eq!(snap.stage("engine_run").map_or(0, |h| h.count), attempts);
+        assert_eq!(snap.stage("engine_run").map_or(0, |h| h.count), cells);
         // One span per workload, plus at most one extra per racing
         // first-caller (the loser times its block on the winner).
         let materialized = snap.stage("materialize").map_or(0, |h| h.count);
@@ -1374,12 +982,11 @@ mod tests {
             (2..=cells).contains(&materialized),
             "materializations {materialized} outside [2, {cells}]"
         );
-        assert_eq!(snap.stage("retry_backoff").map_or(0, |h| h.count), 0, "no retries happened");
         assert_eq!(recorder.gauge(Gauge::CellsTotal), cells);
         assert_eq!(recorder.gauge(Gauge::CellsCompleted), cells);
         assert!(!snap.snaps.is_empty(), "periodic snapshots were taken");
         // Every queue wait and engine run left a span in the buffer.
-        assert!(snap.spans.len() as u64 >= cells + attempts);
+        assert!(snap.spans.len() as u64 >= 2 * cells);
     }
 
     /// A *disabled* recorder is the default: `with_flight_recorder(off)`

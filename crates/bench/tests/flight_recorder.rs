@@ -2,7 +2,7 @@
 //! a ≥ 32-cell sweep recorded with an enabled recorder must round-trip
 //! through the JSONL event log into a Perfetto trace that passes
 //! `validate_chrome_trace`, its per-stage histogram counts must
-//! reconcile with the sweep's own cell/attempt/cache counters, and a
+//! reconcile with the sweep's own cell and cache counters, and a
 //! disabled recorder must leave the sweep's outputs byte-identical.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,12 +48,9 @@ fn recorded_sweep_round_trips_into_a_validated_trace() {
     assert_eq!(log.dropped_spans, 0, "65k-span capacity must hold a demo grid");
 
     // Per-stage counts reconcile with the sweep's own counters.
-    let attempts: u64 = records.iter().map(|r| u64::from(r.attempts)).sum();
     let count = |s: Stage| log.stage(s).map_or(0, |h| h.count);
     assert_eq!(count(Stage::QueueWait), cells, "one queue-wait span per cell");
-    assert_eq!(count(Stage::EngineRun), attempts, "one engine-run span per attempt");
-    assert_eq!(count(Stage::RetryBackoff), 0, "healthy engines never retry");
-    assert_eq!(count(Stage::WatchdogCancel), 0, "healthy engines never time out");
+    assert_eq!(count(Stage::EngineRun), cells, "one engine-run span per executed cell");
     assert_eq!(count(Stage::CacheProbe), 0, "no cache attached, no probes");
 
     // Gauges landed at the final grid state.

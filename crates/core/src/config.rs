@@ -67,10 +67,6 @@ pub enum SigmaError {
     /// error); carried instead of panicking so sweep drivers can record
     /// the cell and continue.
     Internal(String),
-    /// The run was cancelled cooperatively (a watchdog set the
-    /// [`CancelToken`](crate::CancelToken) and the simulator stopped at
-    /// the next fold boundary). No partial result is returned.
-    Cancelled,
 }
 
 impl fmt::Display for SigmaError {
@@ -90,7 +86,6 @@ impl fmt::Display for SigmaError {
             SigmaError::Internal(what) => {
                 write!(f, "internal simulator invariant violated: {what}")
             }
-            SigmaError::Cancelled => write!(f, "run cancelled at a fold boundary"),
         }
     }
 }

@@ -8,7 +8,6 @@
 //! order as the hardware, and the test suite asserts it matches the
 //! reference GEMM.
 
-use crate::cancel::CancelToken;
 use crate::config::{Dataflow, SigmaConfig, SigmaError};
 use crate::controller::{ControllerPlan, Operand};
 use crate::fault::{FaultCounters, FaultInjector, FaultPlan, FaultReport};
@@ -126,24 +125,7 @@ impl SigmaSim {
     ///
     /// Returns [`SigmaError::DimensionMismatch`] when `A.cols() != B.rows()`.
     pub fn run_gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(Operand::new(a), Operand::new(b), None, None, None)
-    }
-
-    /// Like [`SigmaSim::run_gemm`], but polls `cancel` at every fold (or
-    /// NLR wave) boundary and stops early when a watchdog sets it. An
-    /// un-cancelled run is byte-identical to [`SigmaSim::run_gemm`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigmaError::Cancelled`] when the token fires before the
-    /// run completes, plus everything [`SigmaSim::run_gemm`] can return.
-    pub fn run_gemm_cancellable(
-        &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
-        cancel: &CancelToken,
-    ) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(Operand::new(a), Operand::new(b), None, None, Some(cancel))
+        self.run_gemm_impl(Operand::new(a), Operand::new(b), None, None)
     }
 
     /// Like [`SigmaSim::run_gemm`], but also returns a cycle-stamped
@@ -159,8 +141,7 @@ impl SigmaSim {
         b: &SparseMatrix,
     ) -> Result<(GemmRun, Trace), SigmaError> {
         let mut trace = Trace::new();
-        let run =
-            self.run_gemm_impl(Operand::new(a), Operand::new(b), Some(&mut trace), None, None)?;
+        let run = self.run_gemm_impl(Operand::new(a), Operand::new(b), Some(&mut trace), None)?;
         Ok((run, trace))
     }
 
@@ -173,7 +154,6 @@ impl SigmaSim {
         b: Operand<'_>,
         trace: Option<&mut Trace>,
         faults: Option<&mut FaultInjector<'_>>,
-        cancel: Option<&CancelToken>,
     ) -> Result<GemmRun, SigmaError> {
         if a.cols() != b.rows() {
             return Err(SigmaError::DimensionMismatch { k_a: a.cols(), k_b: b.rows() });
@@ -192,14 +172,14 @@ impl SigmaSim {
             Dataflow::InputStationary => (a, b),
             Dataflow::WeightStationary => (b.t(), a.t()),
             Dataflow::NoLocalReuse => {
-                return self
-                    .run_no_local_reuse(a, b, trace, faults, cancel)
-                    .inspect(|run| self.count_run(&run.stats))
+                let run = self.run_no_local_reuse(a, b, trace, faults);
+                self.count_run(&run.stats);
+                return Ok(run);
             }
         };
         let mut out = Matrix::zeros(m, n);
         let stats =
-            self.run_stationary(stationary, streaming, trace, faults, cancel, out.as_mut_slice())?;
+            self.run_stationary(stationary, streaming, trace, faults, out.as_mut_slice())?;
         self.count_run(&stats);
         Ok(GemmRun { result: out, stats })
     }
@@ -226,7 +206,7 @@ impl SigmaSim {
     ///
     /// Returns [`SigmaError::DimensionMismatch`] when `a.rows() != b.rows()`.
     pub fn run_gemm_at(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(Operand::new(a).t(), Operand::new(b), None, None, None)
+        self.run_gemm_impl(Operand::new(a).t(), Operand::new(b), None, None)
     }
 
     /// Training backward pass for inputs: computes `A x B^T` (the
@@ -238,7 +218,7 @@ impl SigmaSim {
     ///
     /// Returns [`SigmaError::DimensionMismatch`] when `a.cols() != b.cols()`.
     pub fn run_gemm_bt(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, SigmaError> {
-        self.run_gemm_impl(Operand::new(a), Operand::new(b).t(), None, None, None)
+        self.run_gemm_impl(Operand::new(a), Operand::new(b).t(), None, None)
     }
 
     /// Runs the GEMM under both stationary dataflows and returns the one
@@ -282,7 +262,7 @@ impl SigmaSim {
     ) -> Result<(GemmRun, FaultReport), SigmaError> {
         let mut injector = FaultInjector::new(plan);
         let (a, b) = (Operand::new(a), Operand::new(b));
-        let mut run = self.run_gemm_impl(a, b, None, Some(&mut injector), None)?;
+        let mut run = self.run_gemm_impl(a, b, None, Some(&mut injector))?;
         let report = injector.into_report();
         run.stats.faults_injected = report.counters.injected;
         Ok((run, report))
@@ -316,7 +296,7 @@ impl SigmaSim {
         // the faults themselves. Only needed when faults are armed.
         let (a, b) = (Operand::new(a), Operand::new(b));
         let baseline =
-            if plan.is_empty() { None } else { Some(self.run_gemm_impl(a, b, None, None, None)?) };
+            if plan.is_empty() { None } else { Some(self.run_gemm_impl(a, b, None, None)?) };
 
         let mut injector = FaultInjector::new(plan);
         let mut counters = FaultCounters::default();
@@ -325,7 +305,7 @@ impl SigmaSim {
         let mut merged: Option<CycleStats> = None;
         let (mut current, clean) = loop {
             attempts += 1;
-            let mut run = self.run_gemm_impl(a, b, None, Some(&mut injector), None)?;
+            let mut run = self.run_gemm_impl(a, b, None, Some(&mut injector))?;
             merged = Some(match merged {
                 Some(m) => m.merged(&run.stats),
                 None => run.stats,
@@ -447,20 +427,12 @@ impl SigmaSim {
         streaming: Operand<'_>,
         mut trace: Option<&mut Trace>,
         faults: Option<&mut FaultInjector<'_>>,
-        cancel: Option<&CancelToken>,
         out: &mut [f32],
     ) -> Result<CycleStats, SigmaError> {
         #[cfg(test)]
         if self.tick_oracle {
             let (stationary, streaming) = (stationary.to_matrix(), streaming.to_matrix());
-            return self.run_stationary_lockstep(
-                &stationary,
-                &streaming,
-                trace,
-                faults,
-                cancel,
-                out,
-            );
+            return self.run_stationary_lockstep(&stationary, &streaming, trace, faults, out);
         }
         let mut faults = faults.filter(|inj| !inj.is_empty());
         let pes = self.config.total_pes();
@@ -513,12 +485,6 @@ impl SigmaSim {
         let mut prev_fold_stream = 0u64;
         let mut cycle = 0u64;
         for (f, fold) in plan.folds.iter().enumerate() {
-            // Fold boundaries are the cancellation points: nothing is in
-            // flight before a load, so stopping here abandons no work the
-            // caller could ever observe.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(SigmaError::Cancelled);
-            }
             let occupied = fold.occupied();
             stats.folds += 1;
             stats.mapped_nonzeros += occupied as u64;
@@ -726,18 +692,16 @@ impl SigmaSim {
         b: Operand<'_>,
         trace: Option<&mut Trace>,
         faults: Option<&mut FaultInjector<'_>>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<GemmRun, SigmaError> {
-        let mut wave = NlrWave::new(self, a.rows(), b.cols(), trace, faults, cancel);
+    ) -> GemmRun {
+        let mut wave = NlrWave::new(self, a.rows(), b.cols(), trace, faults);
         #[cfg(test)]
-        let streamed = if self.tick_oracle {
-            nlr_pairs_dense(&a.to_matrix(), &b.to_matrix(), &mut wave)
+        if self.tick_oracle {
+            nlr_pairs_dense(&a.to_matrix(), &b.to_matrix(), &mut wave);
         } else {
-            stream_nlr_pairs(a, b, &mut wave)
-        };
+            stream_nlr_pairs(a, b, &mut wave);
+        }
         #[cfg(not(test))]
-        let streamed = stream_nlr_pairs(a, b, &mut wave);
-        streamed?;
+        stream_nlr_pairs(a, b, &mut wave);
         wave.finish()
     }
 }
@@ -765,14 +729,10 @@ fn pack_nlr_operand(
 /// Streams every NLR pair's product `a[i,k] · b[k,j]`, both operands
 /// stored, into `wave`, ordered by output `(i, j)` and then ascending `k`.
 /// Each operand is read in its stored row-major order.
-fn stream_nlr_pairs(
-    a: Operand<'_>,
-    b: Operand<'_>,
-    wave: &mut NlrWave<'_, '_>,
-) -> Result<(), SigmaError> {
+fn stream_nlr_pairs(a: Operand<'_>, b: Operand<'_>, wave: &mut NlrWave<'_, '_>) {
     let (k, n) = (a.cols(), b.cols());
     if k == 0 {
-        return Ok(());
+        return;
     }
     let (row_bits, row_values) = pack_nlr_operand(a.rows(), k, a.entries());
     let (col_bits, col_values) = pack_nlr_operand(n, k, b.t().entries());
@@ -790,12 +750,11 @@ fn stream_nlr_pairs(
                 while both != 0 {
                     let c = w * 64 + both.trailing_zeros() as usize;
                     both &= both - 1;
-                    wave.push(x[c] * y[c])?;
+                    wave.push(x[c] * y[c]);
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// The dense `(i, j, k)` scan [`stream_nlr_pairs`] replaces, feeding the
@@ -803,23 +762,18 @@ fn stream_nlr_pairs(
 /// stored operands, read from the bitmaps. Sharing the wave keeps the
 /// reduction, and so every bit of every sum, common to both pair sources.
 #[cfg(test)]
-fn nlr_pairs_dense(
-    a: &SparseMatrix,
-    b: &SparseMatrix,
-    wave: &mut NlrWave<'_, '_>,
-) -> Result<(), SigmaError> {
+fn nlr_pairs_dense(a: &SparseMatrix, b: &SparseMatrix, wave: &mut NlrWave<'_, '_>) {
     let (a_d, b_d) = (a.to_dense(), b.to_dense());
     for i in 0..a.rows() {
         for j in 0..b.cols() {
             wave.begin_output((i, j));
             for k in 0..a.cols() {
                 if a.bitmap().get(i, k) && b.bitmap().get(k, j) {
-                    wave.push(a_d.get(i, k) * b_d.get(k, j))?;
+                    wave.push(a_d.get(i, k) * b_d.get(k, j));
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// The bounded wave NLR pairs stream into. It holds up to `pes` products
@@ -830,7 +784,6 @@ struct NlrWave<'r, 'p> {
     sim: &'r SigmaSim,
     trace: Option<&'r mut Trace>,
     faults: Option<&'r mut FaultInjector<'p>>,
-    cancel: Option<&'r CancelToken>,
     /// One product slot per PE; the first `len` are filled.
     products: Vec<f32>,
     len: usize,
@@ -853,14 +806,12 @@ impl<'r, 'p> NlrWave<'r, 'p> {
         cols: usize,
         trace: Option<&'r mut Trace>,
         faults: Option<&'r mut FaultInjector<'p>>,
-        cancel: Option<&'r CancelToken>,
     ) -> Self {
         let pes = sim.config.total_pes();
         Self {
             sim,
             trace,
             faults,
-            cancel,
             products: vec![0.0; pes],
             len: 0,
             runs: Vec::with_capacity(pes),
@@ -889,18 +840,17 @@ impl<'r, 'p> NlrWave<'r, 'p> {
 
     /// Adds one product to the open run, issuing the wave once it is full.
     #[inline]
-    fn push(&mut self, product: f32) -> Result<(), SigmaError> {
+    fn push(&mut self, product: f32) {
         self.products[self.len] = product;
         self.len += 1;
         if self.len == self.products.len() {
-            self.flush()?;
+            self.flush();
         }
-        Ok(())
     }
 
     /// Issues the filled part of the wave and empties it; the open run's
     /// output continues in the next wave. Wave boundaries are NLR's fold
-    /// boundaries, and so its cancellation points. The wave streams two
+    /// boundaries. The wave streams two
     /// operands per multiplier, then, per `dpe`-wide chunk: multiplier
     /// faults, adder faults, and each run piece inside the chunk reduced
     /// at its chunk-local leaves and added to its output, left to right.
@@ -909,10 +859,7 @@ impl<'r, 'p> NlrWave<'r, 'p> {
     /// Never inlined: both pair sources share this one reduction, so
     /// their sums agree to the bit, NaN payloads included.
     #[inline(never)]
-    fn flush(&mut self) -> Result<(), SigmaError> {
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(SigmaError::Cancelled);
-        }
+    fn flush(&mut self) {
         self.close_run();
         let sim = self.sim;
         let len = self.len;
@@ -966,17 +913,16 @@ impl<'r, 'p> NlrWave<'r, 'p> {
         self.len = 0;
         self.run_start = 0;
         self.runs.clear();
-        Ok(())
     }
 
     /// Issues the last, partial wave and returns the run. A GEMM without a
     /// useful pair issues no wave.
-    fn finish(mut self) -> Result<GemmRun, SigmaError> {
+    fn finish(mut self) -> GemmRun {
         if self.len > 0 {
-            self.flush()?;
+            self.flush();
         }
         let stats = CycleStats { issued_macs: self.stats.useful_macs, ..self.stats };
-        Ok(GemmRun { result: self.out, stats })
+        GemmRun { result: self.out, stats }
     }
 }
 
@@ -998,7 +944,6 @@ impl SigmaSim {
         streaming: &SparseMatrix,
         mut trace: Option<&mut Trace>,
         mut faults: Option<&mut FaultInjector<'_>>,
-        cancel: Option<&CancelToken>,
         out: &mut [f32],
     ) -> Result<CycleStats, SigmaError> {
         let pes = self.config.total_pes();
@@ -1030,12 +975,6 @@ impl SigmaSim {
 
         let mut prev_fold_stream = 0u64;
         for fold in &plan.folds {
-            // Fold boundaries are the cancellation points: no stationary
-            // state is in flight, so stopping here abandons no work the
-            // caller could ever observe.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(SigmaError::Cancelled);
-            }
             let occupied = fold.occupied();
             stats.folds += 1;
             stats.mapped_nonzeros += occupied as u64;
@@ -1591,7 +1530,7 @@ mod tests {
         };
         let mut trace = Trace::new();
         let mut injector = FaultInjector::new(plan);
-        let run = sim.run_gemm_impl(a, b, Some(&mut trace), Some(&mut injector), None).unwrap();
+        let run = sim.run_gemm_impl(a, b, Some(&mut trace), Some(&mut injector)).unwrap();
         (run, trace, injector.into_report())
     }
 
@@ -1845,42 +1784,6 @@ mod tests {
             }
         }
         assert!(fired > 50, "the plans must fire on most cases ({fired} fired)");
-    }
-
-    #[test]
-    fn cancellation_stops_at_fold_boundaries_on_every_path() {
-        // A pre-cancelled token must stop the run before any fold on the
-        // fold loop, the tick oracle, and NLR alike.
-        let a = sparse_uniform(12, 20, Density::new(0.6).unwrap(), 31);
-        let b = sparse_uniform(20, 9, Density::new(0.6).unwrap(), 32);
-        for df in [Dataflow::WeightStationary, Dataflow::InputStationary, Dataflow::NoLocalReuse] {
-            let event = cfg(2, 8, 8, df);
-            for sim in [oracle(&event), event] {
-                let cancelled = CancelToken::new();
-                cancelled.cancel();
-                assert_eq!(
-                    sim.run_gemm_cancellable(&a, &b, &cancelled).unwrap_err(),
-                    SigmaError::Cancelled,
-                    "{df}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn uncancelled_run_is_byte_identical_to_plain_run() {
-        let a = sparse_uniform(10, 14, Density::new(0.4).unwrap(), 41);
-        let b = sparse_uniform(14, 7, Density::new(0.7).unwrap(), 42);
-        for df in [Dataflow::WeightStationary, Dataflow::InputStationary, Dataflow::NoLocalReuse] {
-            let sim = cfg(2, 8, 8, df);
-            let token = CancelToken::new();
-            let with_token = sim.run_gemm_cancellable(&a, &b, &token).unwrap();
-            let plain = sim.run_gemm(&a, &b).unwrap();
-            assert_eq!(with_token.stats, plain.stats, "{df}");
-            for (x, y) in with_token.result.as_slice().iter().zip(plain.result.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{df}");
-            }
-        }
     }
 
     #[test]

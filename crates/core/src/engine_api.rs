@@ -8,7 +8,6 @@
 //! `Send + Sync`, so a heterogeneous fleet of boxed engines can be fanned
 //! across threads by a sweep driver.
 
-use crate::cancel::CancelToken;
 use crate::config::SigmaError;
 use crate::engine::SigmaSim;
 use crate::stats::CycleStats;
@@ -49,16 +48,8 @@ pub enum EngineError {
     /// An operand (or an intermediate) contains NaN or infinity; the
     /// functional models only define behaviour over finite values.
     Numeric(String),
-    /// The engine exceeded the harness watchdog budget and was abandoned.
-    Timeout {
-        /// The watchdog budget that was exhausted, in milliseconds.
-        budget_ms: u64,
-    },
     /// The engine panicked; the payload is the panic message.
     Panicked(String),
-    /// The run was cancelled cooperatively: a harness watchdog set the
-    /// [`CancelToken`] and the engine stopped at its next fold boundary.
-    Cancelled,
 }
 
 impl std::fmt::Display for EngineError {
@@ -69,11 +60,7 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Config(msg) => write!(f, "engine configuration error: {msg}"),
             EngineError::Numeric(msg) => write!(f, "non-finite value: {msg}"),
-            EngineError::Timeout { budget_ms } => {
-                write!(f, "engine exceeded the {budget_ms} ms watchdog budget")
-            }
             EngineError::Panicked(msg) => write!(f, "engine panicked: {msg}"),
-            EngineError::Cancelled => write!(f, "run cancelled by the harness watchdog"),
         }
     }
 }
@@ -87,7 +74,6 @@ impl From<SigmaError> for EngineError {
                 EngineError::DimensionMismatch { k_a, k_b }
             }
             SigmaError::NonFiniteInput { .. } => EngineError::Numeric(e.to_string()),
-            SigmaError::Cancelled => EngineError::Cancelled,
             other => EngineError::Config(other.to_string()),
         }
     }
@@ -137,29 +123,6 @@ pub trait Engine: Send + Sync {
     /// engine cannot execute the problem.
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError>;
 
-    /// Cooperatively cancellable variant of [`Engine::run`]: the harness
-    /// watchdog holds a clone of `cancel` and sets it on timeout, and an
-    /// engine that supports cancellation polls it at fold boundaries and
-    /// returns [`EngineError::Cancelled`] instead of simulating to
-    /// completion. The default ignores the token and runs normally —
-    /// analytic baselines finish in microseconds, so there is nothing to
-    /// cancel. An un-cancelled run must be byte-identical to
-    /// [`Engine::run`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Engine::run`] returns, plus
-    /// [`EngineError::Cancelled`] when the token fires mid-run.
-    fn run_cancellable(
-        &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
-        cancel: &CancelToken,
-    ) -> Result<EngineRun, EngineError> {
-        let _ = cancel;
-        self.run(a, b)
-    }
-
     /// A snapshot of the engine's telemetry registry, when the engine
     /// records one and it is enabled. Analytic baselines (and engines
     /// built without telemetry) return `None` — the default.
@@ -192,14 +155,6 @@ impl<E: Engine + ?Sized> Engine for &E {
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         (**self).run(a, b)
     }
-    fn run_cancellable(
-        &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
-        cancel: &CancelToken,
-    ) -> Result<EngineRun, EngineError> {
-        (**self).run_cancellable(a, b, cancel)
-    }
     fn telemetry(&self) -> Option<TelemetrySnapshot> {
         (**self).telemetry()
     }
@@ -217,14 +172,6 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
     }
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         (**self).run(a, b)
-    }
-    fn run_cancellable(
-        &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
-        cancel: &CancelToken,
-    ) -> Result<EngineRun, EngineError> {
-        (**self).run_cancellable(a, b, cancel)
     }
     fn telemetry(&self) -> Option<TelemetrySnapshot> {
         (**self).telemetry()
@@ -250,16 +197,6 @@ impl Engine for SigmaSim {
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         let run = self.run_gemm(a, b)?;
-        Ok(EngineRun::new(run.result, run.stats))
-    }
-
-    fn run_cancellable(
-        &self,
-        a: &SparseMatrix,
-        b: &SparseMatrix,
-        cancel: &CancelToken,
-    ) -> Result<EngineRun, EngineError> {
-        let run = self.run_gemm_cancellable(a, b, cancel)?;
         Ok(EngineRun::new(run.result, run.stats))
     }
 

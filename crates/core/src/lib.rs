@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cancel;
 pub mod config;
 pub mod controller;
 pub mod dpu;
@@ -71,7 +70,6 @@ pub mod noc;
 pub mod stats;
 pub mod trace;
 
-pub use cancel::CancelToken;
 pub use config::{Dataflow, SigmaConfig, SigmaError};
 pub use controller::{ControllerPlan, Fold, MappedElement, PackingOrder};
 pub use dpu::{DpuAllocation, DpuAllocator, PartitionPolicy};

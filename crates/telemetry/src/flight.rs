@@ -47,7 +47,7 @@ pub enum Stage {
     QueueWait,
     /// Lazy workload materialization (operand generation + reference).
     Materialize,
-    /// One watchdog-supervised engine attempt on a cell.
+    /// One engine run on a cell.
     EngineRun,
     /// Run-store line write (a resume journal or a shared cache).
     JournalAppend,
@@ -57,15 +57,11 @@ pub enum Stage {
     CacheProbe,
     /// Run-cache insert (append + index update + amortized compaction).
     CacheInsert,
-    /// Deterministic backoff sleep between cell retry attempts.
-    RetryBackoff,
-    /// Cancelling a timed-out cell and grace-joining its thread.
-    WatchdogCancel,
 }
 
 impl Stage {
     /// Every stage, in emission order.
-    pub const ALL: [Stage; 9] = [
+    pub const ALL: [Stage; 7] = [
         Stage::QueueWait,
         Stage::Materialize,
         Stage::EngineRun,
@@ -73,8 +69,6 @@ impl Stage {
         Stage::JournalFsync,
         Stage::CacheProbe,
         Stage::CacheInsert,
-        Stage::RetryBackoff,
-        Stage::WatchdogCancel,
     ];
 
     /// Stable snake_case name (JSONL/Prometheus key).
@@ -88,8 +82,6 @@ impl Stage {
             Stage::JournalFsync => "journal_fsync",
             Stage::CacheProbe => "cache_probe",
             Stage::CacheInsert => "cache_insert",
-            Stage::RetryBackoff => "retry_backoff",
-            Stage::WatchdogCancel => "watchdog_cancel",
         }
     }
 
@@ -107,16 +99,13 @@ pub enum Gauge {
     CellsCompleted,
     /// Total cells the sweep will run.
     CellsTotal,
-    /// Watchdog cell threads currently alive.
-    LiveCellThreads,
     /// Entries resident in the run cache.
     CacheEntries,
 }
 
 impl Gauge {
     /// Every gauge, in emission order.
-    pub const ALL: [Gauge; 4] =
-        [Gauge::CellsCompleted, Gauge::CellsTotal, Gauge::LiveCellThreads, Gauge::CacheEntries];
+    pub const ALL: [Gauge; 3] = [Gauge::CellsCompleted, Gauge::CellsTotal, Gauge::CacheEntries];
 
     /// Stable snake_case name (JSONL/Prometheus key).
     #[must_use]
@@ -124,7 +113,6 @@ impl Gauge {
         match self {
             Gauge::CellsCompleted => "cells_completed",
             Gauge::CellsTotal => "cells_total",
-            Gauge::LiveCellThreads => "live_cell_threads",
             Gauge::CacheEntries => "cache_entries",
         }
     }
@@ -697,8 +685,8 @@ mod tests {
     fn span_since_uses_injected_clock_and_saturates() {
         let r = ticking();
         let t0 = r.now_us(); // 0
-        r.span_since(Stage::RetryBackoff, "sleep", t0); // now = 10
-        r.record_span(Stage::RetryBackoff, "clamped", 50, 20); // end < start
+        r.span_since(Stage::CacheProbe, "probe", t0); // now = 10
+        r.record_span(Stage::CacheProbe, "clamped", 50, 20); // end < start
         let snap = r.snapshot();
         assert_eq!(snap.spans[0].start_us, 0);
         assert_eq!(snap.spans[0].dur_us, 10);
@@ -851,19 +839,19 @@ mod tests {
 
     #[test]
     fn merge_sums_counters_and_hists_and_maxes_gauges() {
-        let mk = |hits: u64, dur: u64, live: u64| {
+        let mk = |hits: u64, dur: u64, done: u64| {
             let tele = Telemetry::enabled();
             tele.add(crate::Counter::CacheHits, hits);
             let r = ticking();
             r.record_span(Stage::EngineRun, "x", 0, dur);
-            r.gauge_set(Gauge::LiveCellThreads, live);
+            r.gauge_set(Gauge::CellsCompleted, done);
             MetricsReport::from_snapshots(&tele.snapshot(), &r.snapshot())
         };
         let mut a = mk(2, 4, 5);
         let b = mk(3, 4, 1);
         a.merge(&b);
         assert!(a.to_json().contains("\"cache_hits\": 5"));
-        assert!(a.to_json().contains("\"live_cell_threads\": 5"));
+        assert!(a.to_json().contains("\"cells_completed\": 5"));
         let h = a.hists.iter().find(|h| h.name == "engine_run").unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 8);

@@ -49,9 +49,6 @@ pub enum Counter {
     /// Sweep cells skipped on resume because the journal already held a
     /// matching completed record.
     ResumeHits,
-    /// Sweep cells that exhausted their watchdog budget repeatedly and
-    /// were rerun on the analytic fallback (`status=degraded`).
-    DegradedCells,
     /// Sweep cells answered by the content-addressed run cache.
     CacheHits,
     /// Sweep cells absent from the run cache (executed and inserted).
@@ -65,7 +62,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in emission order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 19] = [
         Counter::RouteCacheHits,
         Counter::RouteCacheMisses,
         Counter::SramStationaryReads,
@@ -81,7 +78,6 @@ impl Counter {
         Counter::IdleCyclesSkipped,
         Counter::JournalAppends,
         Counter::ResumeHits,
-        Counter::DegradedCells,
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::InflightCoalesced,
@@ -107,7 +103,6 @@ impl Counter {
             Counter::IdleCyclesSkipped => "idle_cycles_skipped",
             Counter::JournalAppends => "journal_appends",
             Counter::ResumeHits => "resume_hits",
-            Counter::DegradedCells => "degraded_cells",
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",
             Counter::InflightCoalesced => "inflight_coalesced",
