@@ -24,6 +24,10 @@ cargo run -q -p sigma-lint -- --sarif > /tmp/sigma_lint.sarif
 cargo test -q -p sigma-lint
 cargo build --workspace --release
 cargo test --workspace -q
+# Release test leg: the bitwise oracle tests of the FAN and the engine
+# also run optimized, where vectorized and scalar float code may part
+# ways (NaN payloads) and a debug build would not show it.
+cargo test --release -q -p sigma-interconnect -p sigma-core
 cargo run -q -p sigma-bench --bin fault_campaign -- --smoke --quiet
 # Crash-safety gate: SIGKILL a journaled child sweep at seeded cell
 # counts, resume from the surviving journal, and demand the final

@@ -14,7 +14,7 @@ use crate::fault::{FaultCounters, FaultInjector, FaultPlan, FaultReport};
 use crate::flex_dpe::FlexDpe;
 use crate::stats::CycleStats;
 use crate::trace::{Phase, Trace};
-use sigma_interconnect::{AdderFault, Fan, FanProgram};
+use sigma_interconnect::{AdderFault, Fan, FanProgram, FanScratch};
 use sigma_matrix::abft::{check_product, correct_single, residual_tolerance, AbftVerdict};
 use sigma_matrix::{Bitmap, Matrix, SparseMatrix};
 use sigma_telemetry::{Counter, Hist, Telemetry};
@@ -678,10 +678,11 @@ impl SigmaSim {
     /// Each product goes straight into a wave bounded at `pes` slots
     /// ([`NlrWave`]), which is reduced in place whenever it fills: per
     /// Flex-DPE chunk, each run of one output's pairs is one FAN cluster,
-    /// summed by [`Fan::cluster_sum`]. An output that fills a wave
-    /// continues in the next one. Waves, clusters, f32 sums, stats and
-    /// traces are those of listing every pair and cutting the list into
-    /// `pes`-sized waves.
+    /// and all of the chunk's clusters are summed in one pass of
+    /// [`Fan::reduce_chunk`]. An output that fills a wave continues in
+    /// the next one. Waves, clusters, f32 sums, stats and traces are
+    /// those of listing every pair and cutting the list into `pes`-sized
+    /// waves.
     ///
     /// Fault support covers [`crate::fault::FaultSite::MultiplierOutput`]
     /// and [`crate::fault::FaultSite::FanAdder`]; NLR has no stationary
@@ -744,7 +745,7 @@ fn stream_nlr_pairs(a: Operand<'_>, b: Operand<'_>, wave: &mut NlrWave<'_, '_>) 
         }
         let b_cols = col_bits.chunks_exact(words).zip(col_values.chunks_exact(k));
         for (j, (col, y)) in b_cols.enumerate() {
-            wave.begin_output((i, j));
+            wave.begin_output(i * n + j);
             for (w, (&p, &q)) in row.iter().zip(col).enumerate() {
                 let mut both = p & q;
                 while both != 0 {
@@ -766,7 +767,7 @@ fn nlr_pairs_dense(a: &SparseMatrix, b: &SparseMatrix, wave: &mut NlrWave<'_, '_
     let (a_d, b_d) = (a.to_dense(), b.to_dense());
     for i in 0..a.rows() {
         for j in 0..b.cols() {
-            wave.begin_output((i, j));
+            wave.begin_output(i * b.cols() + j);
             for k in 0..a.cols() {
                 if a.bitmap().get(i, k) && b.bitmap().get(k, j) {
                     wave.push(a_d.get(i, k) * b_d.get(k, j));
@@ -788,13 +789,16 @@ struct NlrWave<'r, 'p> {
     products: Vec<f32>,
     len: usize,
     /// The wave's closed runs in slot order: run `r` covers the slots from
-    /// the previous run's end up to `end`, all pairs of `output`.
-    runs: Vec<((usize, usize), usize)>,
-    /// The output `(i, j)` of the open run, and its first slot.
-    output: (usize, usize),
+    /// the previous run's end up to `end`, all pairs of the output at flat
+    /// index `output` (`i·n + j`).
+    runs: Vec<(u32, u32)>,
+    /// The flat output index of the open run, and its first slot.
+    output: u32,
     run_start: usize,
     /// The stuck adders armed on the chunk being reduced.
     adder_faults: Vec<AdderFault>,
+    /// The FAN's subtree sums of the chunk being reduced.
+    scratch: FanScratch,
     out: Matrix,
     stats: CycleStats,
 }
@@ -808,6 +812,8 @@ impl<'r, 'p> NlrWave<'r, 'p> {
         faults: Option<&'r mut FaultInjector<'p>>,
     ) -> Self {
         let pes = sim.config.total_pes();
+        let fits = |n: usize| u32::try_from(n).is_ok();
+        assert!(fits(rows * cols) && fits(pes), "NLR indexes outputs and slots in 32 bits");
         Self {
             sim,
             trace,
@@ -815,25 +821,28 @@ impl<'r, 'p> NlrWave<'r, 'p> {
             products: vec![0.0; pes],
             len: 0,
             runs: Vec::with_capacity(pes),
-            output: (0, 0),
+            output: 0,
             run_start: 0,
             adder_faults: Vec::new(),
+            scratch: FanScratch::default(),
             out: Matrix::zeros(rows, cols),
             stats: CycleStats { pes: pes as u64, ..CycleStats::default() },
         }
     }
 
-    /// Starts the run of `output`'s pairs, closing the previous run.
+    /// Starts the run of the pairs of the output at flat index `output`
+    /// (`i·n + j`), closing the previous run.
     #[inline]
-    fn begin_output(&mut self, output: (usize, usize)) {
+    fn begin_output(&mut self, output: usize) {
         self.close_run();
-        self.output = output;
+        // In range: `new` checked that every output index fits.
+        self.output = output as u32;
     }
 
     #[inline]
     fn close_run(&mut self) {
         if self.len > self.run_start {
-            self.runs.push((self.output, self.len));
+            self.runs.push((self.output, self.len as u32));
             self.run_start = self.len;
         }
     }
@@ -850,11 +859,11 @@ impl<'r, 'p> NlrWave<'r, 'p> {
 
     /// Issues the filled part of the wave and empties it; the open run's
     /// output continues in the next wave. Wave boundaries are NLR's fold
-    /// boundaries. The wave streams two
-    /// operands per multiplier, then, per `dpe`-wide chunk: multiplier
-    /// faults, adder faults, and each run piece inside the chunk reduced
-    /// at its chunk-local leaves and added to its output, left to right.
-    /// The FAN drain is the chunks' slowest cluster.
+    /// boundaries. The wave streams two operands per multiplier, then,
+    /// per `dpe`-wide chunk: multiplier faults, adder faults, and one
+    /// [`Fan::reduce_chunk`] pass whose clusters are the run pieces inside
+    /// the chunk, at chunk-local leaves, each sum added to its output,
+    /// left to right. The FAN drain is the chunks' slowest cluster.
     ///
     /// Never inlined: both pair sources share this one reduction, so
     /// their sums agree to the bit, NaN payloads included.
@@ -878,8 +887,9 @@ impl<'r, 'p> NlrWave<'r, 'p> {
 
         let dpe = sim.config.dpe_size();
         let cycle = stats.total_cycles();
-        let (mut drain, mut adds, mut clusters) = (0u64, 0u64, 0u64);
+        let (mut drain, mut clusters) = (0u64, 0u64);
         let (mut run, mut start) = (0usize, 0usize);
+        let out = self.out.as_mut_slice();
         for (d, base) in (0..len).step_by(dpe).enumerate() {
             let chunk_end = len.min(base + dpe);
             let chunk = &mut self.products[base..chunk_end];
@@ -890,19 +900,26 @@ impl<'r, 'p> NlrWave<'r, 'p> {
                 }
                 inj.adder_faults(d, cycle, &mut self.adder_faults);
             }
-            while start < chunk_end {
-                let ((i, j), end) = self.runs[run];
-                let stop = end.min(chunk_end);
-                let (s, e) = (start - base, stop - 1 - base);
-                let (value, cycles) = sim.fan.cluster_sum(chunk, s, e, &self.adder_faults);
-                self.out.set(i, j, self.out.get(i, j) + value);
+            let runs = &self.runs;
+            let pieces = std::iter::from_fn(|| {
+                (start < chunk_end).then(|| {
+                    let (output, end) = runs[run];
+                    let stop = chunk_end.min(end as usize);
+                    run += usize::from(stop == end as usize);
+                    let piece = (start - base, stop - 1 - base, output as usize);
+                    start = stop;
+                    piece
+                })
+            });
+            let add = |output: usize, sum: f32, cycles: u64| {
+                out[output] += sum;
                 drain = drain.max(cycles);
-                adds += (e - s) as u64;
                 clusters += 1;
-                run += usize::from(stop == end);
-                start = stop;
-            }
+            };
+            sim.fan.reduce_chunk(chunk, pieces, &self.adder_faults, &mut self.scratch, add);
         }
+        // Every run piece of `m` products takes `m − 1` adds.
+        let adds = len as u64 - clusters;
         stats.add_cycles += drain;
         sim.telemetry.add(Counter::FanAdds, adds);
         sim.telemetry.add(Counter::FanClusterSums, clusters);

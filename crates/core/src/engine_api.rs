@@ -33,7 +33,8 @@ impl EngineRun {
     }
 }
 
-/// Why an engine refused to run a GEMM.
+/// Why an engine refused to run a GEMM. A panic is not one of these:
+/// the sweep catches it and records the cell's status as a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// `A.cols() != B.rows()`.
@@ -48,8 +49,6 @@ pub enum EngineError {
     /// An operand (or an intermediate) contains NaN or infinity; the
     /// functional models only define behaviour over finite values.
     Numeric(String),
-    /// The engine panicked; the payload is the panic message.
-    Panicked(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -60,7 +59,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Config(msg) => write!(f, "engine configuration error: {msg}"),
             EngineError::Numeric(msg) => write!(f, "non-finite value: {msg}"),
-            EngineError::Panicked(msg) => write!(f, "engine panicked: {msg}"),
         }
     }
 }

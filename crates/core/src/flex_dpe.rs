@@ -45,7 +45,7 @@
 //!
 //! Only stationary dataflows use this unit. No-Local-Reuse keeps nothing
 //! in the multiplier buffers, so the engine streams its pairs straight
-//! into [`Fan::cluster_sum`] instead.
+//! into [`Fan::reduce_chunk`] instead.
 
 use crate::config::SigmaError;
 use crate::controller::MappedElement;

@@ -50,12 +50,23 @@
 //! It needs no working state beyond the leaves. The cluster completes
 //! one cycle after `h` fires, at `level(h) + 1`.
 //!
-//! [`Fan::cluster_sum`] is the one place that walk adds values: every
-//! cluster of [`Fan::reduce_into`] goes through it, and so does a caller
-//! that knows its cluster boundaries without a `vecID` layout (the
-//! engine's No-Local-Reuse waves). [`FanProgram`](crate::FanProgram)
-//! walks the same tree once per layout to record the add schedule, and
-//! its replay corrupts stuck adders the same way.
+//! ## One pass per chunk
+//!
+//! In the hardware every adder of a level fires in the same cycle for
+//! all clusters of a wave, and [`Fan::reduce_chunk`] adds values the same
+//! way: once per wave, not once per cluster. An aligned block of `2^k`
+//! leaves (its first leaf a multiple of `2^k`) is a FAN subtree, and its
+//! top adder is the one between its halves. No adder outside the block
+//! splits it, so a cluster that contains the block reduces it exactly as
+//! the subtree does. The pass therefore sums every aligned subtree of the
+//! chunk once, level by level, and then builds each cluster `s..=e` from
+//! O(log N) subtree sums in the ruler association. The half `s..=h` is a
+//! left fold of aligned blocks of growing size, the half `h+1..=e` a
+//! right fold of blocks of shrinking size, and adder `h` joins the two.
+//! [`Fan::reduce_into`] and the engine's No-Local-Reuse waves both reduce
+//! through it. [`FanProgram`](crate::FanProgram) walks the ruler tree
+//! ([`ruler_reduce`]) once per layout to record the add schedule, and its
+//! replay corrupts stuck adders the same way.
 
 use crate::fault::AdderFault;
 use crate::{is_power_of_two, log2_ceil};
@@ -125,19 +136,22 @@ pub struct FanReduction {
     pub critical_cycles: u64,
 }
 
-/// Reusable working state for [`Fan::reduce_into`].
+/// Reusable working state for [`Fan::reduce_into`] and
+/// [`Fan::reduce_chunk`].
 ///
-/// Holds the contiguity check's run list and the wave's partial sums,
-/// cleared (not dropped) between waves, so a warmed scratch makes the
-/// runtime walk allocation-free in steady state.
+/// Holds the contiguity check's run list and the wave's subtree sums,
+/// overwritten (not dropped) between waves, so a warmed scratch makes
+/// the reduction allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct FanScratch {
     /// One vecID per run, sorted for the contiguity check; a Vec (not a
     /// hash set) keeps the hot loop allocation-free after warmup and
     /// independent of per-process hasher state.
     seen: Vec<u32>,
-    /// A copy of the wave's values, reduced in place cluster by cluster.
-    work: Vec<f32>,
+    /// The sums of the wave's aligned subtrees, level by level: level
+    /// `k` (blocks of `2^k` leaves) starts at `2N − (2N >> k)`, so level
+    /// 0 is the leaves themselves.
+    subtrees: Vec<f32>,
 }
 
 /// The highest-level adder among `s..e`, the adders joining leaves
@@ -376,43 +390,110 @@ impl Fan {
         Ok(out)
     }
 
-    /// The sum of the cluster on leaves `s..=e` of one wave, reduced along
-    /// its ruler tree (see the module docs), and the cycles after wave
-    /// issue at which it completes. The cluster's products in
-    /// `work[s..=e]` are consumed in place: they are overwritten with
-    /// partial sums, and the sum ends at `work[s]`. Every activation of a
-    /// stuck adder in `faults` is corrupted right after its add, by each
-    /// fault on that adder in slice order; an empty slice takes a path
-    /// that never consults the list. [`Fan::reduce_into`] reduces each of
-    /// its clusters through this sum, so a caller that already knows its
-    /// cluster boundaries gets bitwise the same value without building a
-    /// `vecID` layout.
+    /// Reduces the clusters of one wave of up to `size` leaves in one
+    /// pass (see the module docs): every aligned subtree of `leaves` is
+    /// summed once, then each cluster is built from O(log N) subtree
+    /// sums in the hardware's association order. `clusters` yields each
+    /// cluster's inclusive leaf range `s..=e` with a caller's tag, left
+    /// to right and disjoint; idle leaves between clusters are allowed.
+    /// `sum(tag, value, completion_cycles)` receives each cluster's sum
+    /// in the same order: a singleton bypasses every adder (0 cycles),
+    /// a wider cluster completes one cycle after its top adder fires.
+    ///
+    /// Every add fires one adder, and each fault in `faults` on that
+    /// adder corrupts the sum right after the add, in slice order: a
+    /// subtree's add at its top adder, a fold's add at the adder between
+    /// its two blocks, the final add at the cluster's top adder. An
+    /// empty slice takes a path that never consults the list.
     ///
     /// # Panics
     ///
-    /// Panics (via slice indexing) if `e >= work.len()`; debug-asserts
-    /// `s <= e < size`.
-    #[inline]
-    pub fn cluster_sum(
+    /// Debug-asserts `leaves.len() <= size` and that every cluster lies
+    /// within `leaves`.
+    pub fn reduce_chunk<T>(
         &self,
-        work: &mut [f32],
-        s: usize,
-        e: usize,
+        leaves: &[f32],
+        clusters: impl IntoIterator<Item = (usize, usize, T)>,
         faults: &[AdderFault],
-    ) -> (f32, u64) {
-        debug_assert!(s <= e && e < self.size, "leaves {s}..={e} outside a {} fan", self.size);
+        scratch: &mut FanScratch,
+        sum: impl FnMut(T, f32, u64),
+    ) {
+        let subtrees = &mut scratch.subtrees;
         if faults.is_empty() {
-            ruler_reduce(s, e, |a, h| work[a] += work[h + 1]);
+            self.chunk_pass(leaves, clusters, subtrees, sum, |x, y, _| x + y);
         } else {
-            ruler_reduce(s, e, |a, h| {
-                let mut sum = work[a] + work[h + 1];
-                for fault in faults.iter().filter(|f| f.adder == h) {
+            self.chunk_pass(leaves, clusters, subtrees, sum, |x, y, adder| {
+                let mut sum = x + y;
+                for fault in faults.iter().filter(|f| f.adder == adder) {
                     sum = fault.corrupt(sum);
                 }
-                work[a] = sum;
+                sum
             });
         }
-        (work[s], completion_cycles(s, e))
+    }
+
+    /// [`Fan::reduce_chunk`]'s pass, where `join(x, y, adder)` is the add
+    /// `x + y` fired at `adder`.
+    #[inline]
+    fn chunk_pass<T>(
+        &self,
+        leaves: &[f32],
+        clusters: impl IntoIterator<Item = (usize, usize, T)>,
+        subtrees: &mut Vec<f32>,
+        mut sum: impl FnMut(T, f32, u64),
+        join: impl Fn(f32, f32, usize) -> f32,
+    ) {
+        let n = leaves.len();
+        debug_assert!(n <= self.size, "{n} leaves on a {} fan", self.size);
+        let level_start = |k: u32| 2 * self.size - ((2 * self.size) >> k);
+        subtrees.resize(2 * self.size, 0.0);
+        subtrees[..n].copy_from_slice(leaves);
+        // Level `k` from level `k − 1`: only the blocks that fit in `n`
+        // leaves, each added at its top adder, between its halves.
+        for k in 1..=self.level_count() {
+            let half = 1usize << (k - 1);
+            let (below, level) = subtrees.split_at_mut(level_start(k));
+            let pairs = below[level_start(k - 1)..].chunks_exact(2);
+            for (i, (node, pair)) in level[..n >> k].iter_mut().zip(pairs).enumerate() {
+                *node = join(pair[0], pair[1], (2 * i + 1) * half - 1);
+            }
+        }
+        let block = |p: usize, k: u32| subtrees[level_start(k) + (p >> k)];
+        for (s, e, tag) in clusters {
+            debug_assert!(s <= e && e < n, "cluster {s}..={e} outside {n} leaves");
+            if s == e {
+                sum(tag, leaves[s], 0);
+                continue;
+            }
+            let h = top_adder(s, e);
+            let top = h.trailing_ones();
+            // `s..=h` ends on a multiple of `2^top` and spans at most
+            // `2^top` leaves: blocks of growing size, each added on the
+            // right of the partial at the adder just left of it.
+            let k = s.trailing_zeros().min(top);
+            let mut left = block(s, k);
+            let mut p = s + (1 << k);
+            while p <= h {
+                let k = p.trailing_zeros();
+                left = join(left, block(p, k), p - 1);
+                p += 1 << k;
+            }
+            // `h+1..=e` starts on a multiple of `2^top`: one block per set
+            // bit of its length, largest first, reduced from the right,
+            // each added at the adder just right of it.
+            let (mut q, mut rest) = (e + 1, e - h);
+            let k = rest.trailing_zeros();
+            q -= 1 << k;
+            let mut right = block(q, k);
+            rest &= rest - 1;
+            while rest != 0 {
+                let k = rest.trailing_zeros();
+                q -= 1 << k;
+                right = join(block(q, k), right, q + (1 << k) - 1);
+                rest &= rest - 1;
+            }
+            sum(tag, join(left, right, h), u64::from(top) + 1);
+        }
     }
 
     /// Allocation-free [`Fan::reduce_with_faults`]: the wave's sums are
@@ -442,20 +523,17 @@ impl Fan {
         if vec_ids.len() != self.size {
             return Err(FanError::SizeMismatch { expected: self.size, actual: vec_ids.len() });
         }
-        // One pass over the clusters, each reduced along its ruler tree in
-        // a copy of the wave.
+        // The layout first, one entry per cluster, then one pass fills
+        // in the sums.
         let mut adds = 0usize;
         let mut critical = 0u64;
-        let FanScratch { seen, work } = scratch;
-        work.clear();
-        work.extend_from_slice(values);
-        let walked = for_each_cluster(vec_ids, seen, |vec_id, s, e| {
-            let (value, cycles) = self.cluster_sum(work, s, e, faults);
+        let walked = for_each_cluster(vec_ids, &mut scratch.seen, |vec_id, s, e| {
+            let cycles = completion_cycles(s, e);
             adds += e - s;
             critical = critical.max(cycles);
             out.sums.push(SegmentSum {
                 vec_id,
-                value,
+                value: 0.0,
                 leaf_range: (s, e),
                 completion_cycles: cycles,
             });
@@ -464,6 +542,8 @@ impl Fan {
             out.sums.clear();
             return Err(e);
         }
+        let clusters = out.sums.iter_mut().map(|c| (c.leaf_range.0, c.leaf_range.1, c));
+        self.reduce_chunk(values, clusters, faults, scratch, |c, value, _| c.value = value);
         out.adds_performed = adds;
         out.critical_cycles = critical;
         Ok(())
@@ -688,44 +768,99 @@ mod tests {
         assert!(active_faults > 100 && idle_faults > 100, "{active_faults} / {idle_faults}");
     }
 
+    /// The chunk pass against the level-by-level oracle, cluster by
+    /// cluster: full and partial chunks, layouts with idle leaves and
+    /// tilings of singletons and runs (as No-Local-Reuse waves are), one
+    /// cluster in three forced across the midpoint, and up to three
+    /// stuck adders drawn level first, so every level carries faults.
+    /// Values and stuck bits stay finite: where two NaNs meet, the
+    /// payload kept may depend on how the add was compiled.
     #[test]
-    fn cluster_sum_matches_reduce_into_on_stuck_adders() {
+    fn reduce_chunk_matches_the_level_by_level_oracle() {
         let mut rng = 0xc1a5_7e75_u64;
         let mut scratch = FanScratch::default();
-        let mut out = FanReduction::default();
-        let mut corrupted = 0usize;
-        for log in 1..=8 {
+        let (mut corrupted, mut partial, mut straddling) = (0usize, 0usize, 0usize);
+        let mut active_levels = [0usize; 8];
+        for log in 1..=8u32 {
             let size = 1usize << log;
             let fan = Fan::new(size).unwrap();
-            for case in 0..64 {
-                let layout = random_layout(size, case % 2 == 0, &mut rng);
+            for case in 0..96 {
+                let len =
+                    if case % 4 == 3 { 1 + next(&mut rng) as usize % (size - 1) } else { size };
+                partial += usize::from(len < size);
+                let mut layout = random_layout(size, case % 3 == 0, &mut rng);
+                let mut id = layout.iter().flatten().max().map_or(0, |&m| m + 1);
+                for (i, leaf) in layout.iter_mut().enumerate() {
+                    if i >= len {
+                        *leaf = None;
+                    } else if case % 2 == 1 && leaf.is_none() {
+                        *leaf = Some(id);
+                        id += 1;
+                    }
+                }
                 let values: Vec<f32> = (0..size)
-                    .map(|_| f32::from_bits(next(&mut rng) as u32 >> 9 | 0x3f80_0000) - 1.5)
-                    .collect();
-                let faults: Vec<AdderFault> = (0..next(&mut rng) % 4)
-                    .map(|_| AdderFault {
-                        adder: next(&mut rng) as usize % fan.adder_count(),
-                        bit: (next(&mut rng) % 32) as u32,
-                        level: if next(&mut rng).is_multiple_of(2) {
-                            StuckLevel::Zero
-                        } else {
-                            StuckLevel::One
-                        },
+                    .map(|_| match next(&mut rng) % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        r => {
+                            (r as f32 - 4.5)
+                                * (f32::from_bits(next(&mut rng) as u32 >> 9 | 0x3f80_0000) - 1.5)
+                        }
                     })
                     .collect();
-                fan.reduce_into(&values, &layout, &faults, &mut scratch, &mut out).unwrap();
-                for sum in &out.sums {
-                    let (s, e) = sum.leaf_range;
-                    let (value, cycles) = fan.cluster_sum(&mut values.clone(), s, e, &faults);
-                    let ctx = format!("size {size} case {case} leaves {s}..={e} {faults:?}");
-                    assert_eq!(value.to_bits(), sum.value.to_bits(), "{ctx}");
-                    assert_eq!(cycles, sum.completion_cycles, "{ctx}");
-                    let (clean, _) = fan.cluster_sum(&mut values.clone(), s, e, &[]);
-                    corrupted += usize::from(clean.to_bits() != value.to_bits());
+                let faults: Vec<AdderFault> = (0..next(&mut rng) % 4)
+                    .map(|_| {
+                        let level = next(&mut rng) as usize % log as usize;
+                        let block = next(&mut rng) as usize % (size >> (level + 1));
+                        let bit = (next(&mut rng) % 24) as u32;
+                        AdderFault {
+                            adder: (2 * block + 1) * (1 << level) - 1,
+                            bit: if bit == 23 { 31 } else { bit },
+                            level: if next(&mut rng).is_multiple_of(2) {
+                                StuckLevel::Zero
+                            } else {
+                                StuckLevel::One
+                            },
+                        }
+                    })
+                    .collect();
+                for f in &faults {
+                    if layout[f.adder].is_some() && layout[f.adder] == layout[f.adder + 1] {
+                        active_levels[fan.adder_level(f.adder) as usize] += 1;
+                    }
+                }
+                let clean = reduce_level_by_level(&fan, &values, &layout, &[]).unwrap();
+                let faulted = reduce_level_by_level(&fan, &values, &layout, &faults).unwrap();
+                let ctx = format!("size {size} case {case} len {len} {faults:?}");
+                for (want, fault_list) in [(&clean, &[][..]), (&faulted, &faults[..])] {
+                    let mut seen = 0;
+                    let clusters = want.sums.iter().map(|w| (w.leaf_range.0, w.leaf_range.1, w));
+                    fan.reduce_chunk(
+                        &values[..len],
+                        clusters,
+                        fault_list,
+                        &mut scratch,
+                        |w, v, c| {
+                            let (s, e) = w.leaf_range;
+                            assert_eq!(v.to_bits(), w.value.to_bits(), "{ctx}: leaves {s}..={e}");
+                            assert_eq!(c, w.completion_cycles, "{ctx}: leaves {s}..={e}");
+                            seen += 1;
+                        },
+                    );
+                    assert_eq!(seen, want.sums.len(), "{ctx}");
+                }
+                for (c, f) in clean.sums.iter().zip(&faulted.sums) {
+                    corrupted += usize::from(c.value.to_bits() != f.value.to_bits());
+                    let (s, e) = c.leaf_range;
+                    straddling += usize::from(s < size / 2 && e >= size / 2);
                 }
             }
         }
         assert!(corrupted > 50, "the stuck adders must change some sums ({corrupted})");
+        assert!(partial > 100 && straddling > 100, "{partial} partial, {straddling} straddling");
+        for (level, &n) in active_levels.iter().enumerate() {
+            assert!(n > 2, "level {level} carried {n} stuck adders that fire");
+        }
     }
 
     #[test]

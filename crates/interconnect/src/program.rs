@@ -33,7 +33,7 @@
 //! fires adder `src - 1` (the walk joins at adder `h` by adding leaf
 //! `h + 1`), so each fault on that adder corrupts the sum right after
 //! the add, in slice order, exactly as
-//! [`Fan::cluster_sum`](crate::Fan::cluster_sum) does. The simulator
+//! [`Fan::reduce_chunk`](crate::Fan::reduce_chunk) does. The simulator
 //! replays a faulted wave as one lane: a stuck bit can make a NaN with
 //! its own payload, and where two such NaNs meet, scalar and vector adds
 //! may keep different payloads, so only the one-lane scalar replay is
