@@ -112,9 +112,10 @@ cmp /tmp/sigma_ci_cache_cold.csv /tmp/sigma_ci_cache_off.csv
 cmp /tmp/sigma_ci_cache_warm.json /tmp/sigma_ci_cache_off.json
 cmp /tmp/sigma_ci_sweep.csv /tmp/sigma_ci_cache_off.csv
 rm -f /tmp/sigma_ci_cache.store
-# Run-cache bench leg: warm-sweep throughput must be >= 50x cold, with
-# exactly-once execution for in-flight duplicate cells (the gate
-# self-skips the speedup ratio in debug builds, like --check).
+# Run-cache bench leg: cold, warm and uncached sweeps must render the
+# same bytes, the cold pass must miss and each warm pass hit every cell,
+# and warm-sweep throughput must be >= 50x cold (the gate self-skips the
+# speedup ratio in debug builds, like --check).
 cargo run -q --release -p sigma-bench --bin perf_bench -- --dse-warm --smoke --quiet
 # Flight-recorder smoke leg: a recorded sweep must drop an event log
 # whose rendered Perfetto trace passes validate_chrome_trace with

@@ -22,8 +22,8 @@
 //!   report the instrumentation overhead per case; no baseline is written;
 //! * `--dse-warm` — the run-cache leg: sweep a DSE-style grid cold (empty
 //!   cache), then warm (same store), demand byte-identical CSV/JSON against
-//!   an uncached run, a ≥ 50x warm-over-cold cells/sec speedup, and
-//!   exactly-once execution for in-flight duplicates;
+//!   an uncached run, exact hit and miss counts, and a ≥ 50x
+//!   warm-over-cold cells/sec speedup;
 //! * `--recorder-check` — the flight-recorder zero-overhead gate: the same
 //!   sweep with no recorder, a disabled recorder handle, and an enabled
 //!   recorder must render byte-identical records/CSV/JSON, and the enabled
@@ -39,10 +39,10 @@
 //! magnitude off the committed numbers, so an unoptimized gate run warns
 //! and skips the comparison (force with `SIGMA_PERF_FORCE_CHECK=1`). The
 //! `--dse-warm` speedup gate skips under debug the same way (the parity
-//! and exactly-once checks always run).
+//! and hit/miss checks always run).
 
 use sigma_bench::harness::{
-    default_registry, demo_suite, records_table, records_to_json, EngineEntry, RunCache, Sweep,
+    default_registry, demo_suite, records_table, records_to_json, RunCache, Sweep,
 };
 use sigma_bench::perf::{cases, measure, measure_with, parse_baseline, to_json, PerfMeasurement};
 use sigma_bench::util::Table;
@@ -146,11 +146,10 @@ const DSE_WARM_MIN_SPEEDUP: f64 = 50.0;
 /// engine registry over demo workloads) three ways — uncached, cold cache,
 /// warm cache — and demands:
 ///
-/// 1. CSV and JSON renderings byte-identical across all three;
+/// 1. CSV and JSON renderings byte-identical across all three, with the
+///    cold pass missing every cell and each warm pass hitting every cell;
 /// 2. warm cells/sec ≥ [`DSE_WARM_MIN_SPEEDUP`] x cold (release builds
-///    only — debug timings skip the gate exactly like `--check`);
-/// 3. in-flight duplicates execute exactly once (a triplicated fleet on a
-///    fresh store resolves every duplicate as a hit or a coalesce).
+///    only — debug timings skip the gate exactly like `--check`).
 #[allow(clippy::too_many_lines)]
 fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
     // A DSE-style grid with enough simulation work per cell that the
@@ -229,42 +228,6 @@ fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Gate 3: a triplicated fleet on a fresh store — every duplicate must
-    // resolve as a hit or an in-flight coalesce, never a recomputation.
-    let dup_store =
-        std::env::temp_dir().join(format!("sigma_perf_dse_dedup_{}.cache", std::process::id()));
-    let _ = std::fs::remove_file(&dup_store);
-    let dup_cache = match RunCache::open(&dup_store, 4096) {
-        Ok(c) => Arc::new(c),
-        Err(e) => {
-            eprintln!("perf_bench: cannot open cache store {}: {e}", dup_store.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let twin = Arc::clone(&engines[0].engine);
-    let fleet = vec![
-        EngineEntry { slug: engines[0].slug.clone(), engine: Arc::clone(&twin) },
-        EngineEntry { slug: engines[0].slug.clone(), engine: Arc::clone(&twin) },
-        EngineEntry { slug: engines[0].slug.clone(), engine: twin },
-    ];
-    let _ = Sweep::new(workloads.clone())
-        .with_seed(33)
-        .with_threads(4)
-        .with_cache(Arc::clone(&dup_cache))
-        .run(&fleet);
-    let _ = std::fs::remove_file(&dup_store);
-    let dup = dup_cache.stats();
-    let unique = workloads.len() as u64;
-    let dupes = (fleet.len() as u64) * unique - unique;
-    if dup.misses != unique || dup.hits + dup.coalesced != dupes {
-        eprintln!(
-            "perf_bench: DSE-WARM DEDUP FAILURE: {unique} unique cells must miss exactly once \
-             and {dupes} duplicates must coalesce; got {} misses / {} hits / {} coalesced",
-            dup.misses, dup.hits, dup.coalesced
-        );
-        return ExitCode::FAILURE;
-    }
-
     // Gate 2: the speedup floor (skipped on debug timings, like --check).
     let cold_rate = cells as f64 / cold_secs.max(1e-9);
     let warm_rate = cells as f64 / warm_secs.max(1e-9);
@@ -277,8 +240,7 @@ fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
              \"uncached_secs\": {uncached_secs:.6},\n  \"cold_cells_per_sec\": {cold_rate:.1},\n  \
              \"warm_cells_per_sec\": {warm_rate:.1},\n  \"speedup\": {speedup:.1},\n  \
              \"min_speedup\": {DSE_WARM_MIN_SPEEDUP:.1},\n  \"speedup_gated\": {gate_speedup},\n  \
-             \"coalesced_duplicates\": {},\n  \"parity\": \"byte-identical\"\n}}",
-            dup.hits + dup.coalesced
+             \"parity\": \"byte-identical\"\n}}"
         );
     } else if !quiet {
         let mut t = Table::new(
@@ -314,11 +276,7 @@ fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    eprintln!(
-        "perf_bench: dse-warm passed ({speedup:.0}x warm-over-cold, parity byte-identical, \
-         {} duplicate cells deduplicated)",
-        dup.hits + dup.coalesced
-    );
+    eprintln!("perf_bench: dse-warm passed ({speedup:.0}x warm-over-cold, parity byte-identical)");
     ExitCode::SUCCESS
 }
 

@@ -35,7 +35,7 @@
 //! cells seen by *any* previous sweep or invocation sharing the store are
 //! served from it instead of re-simulated, with byte-identical output
 //! (`--cache-cap N` bounds resident entries, default 4096; `--cache-stats`
-//! prints hit-rate/miss/coalesce/eviction counts to stderr afterwards).
+//! prints hit-rate/miss/eviction counts to stderr afterwards).
 //!
 //! `--flight-recorder LOG` on a sweep turns on the same flight recorder
 //! and persists it: every engine run, operand materialization, queue
@@ -66,7 +66,7 @@ use sigma_core::{validate_chrome_trace, Dataflow, SigmaConfig, SigmaSim};
 use sigma_energy::EnergyBreakdown;
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::GemmShape;
-use sigma_telemetry::{Counter, FlightRecorder, Stage, Telemetry};
+use sigma_telemetry::{FlightRecorder, Stage};
 use sigma_workloads::materialize;
 
 #[derive(Debug)]
@@ -512,10 +512,9 @@ fn run_sweep(args: &Args) -> i32 {
     } else {
         FlightRecorder::off()
     };
-    // The event log's counters: the harness's own tallies, copied in
-    // once the sweep is done.
-    let flight_registry =
-        if args.flight_recorder.is_some() { Telemetry::enabled() } else { Telemetry::off() };
+    // The event log's counters: the resume and cache tallies of this
+    // sweep, collected once it is done.
+    let mut tallies: Vec<(&str, u64)> = Vec::new();
     let mut sweep =
         Sweep::new(workloads).with_seed(args.seed).with_flight_recorder(recorder.clone());
     if let Some(t) = args.threads {
@@ -553,10 +552,10 @@ fn run_sweep(args: &Args) -> i32 {
                     }
                     eprintln!(
                         "[resume] {} cells replayed from {path}, {} executed",
-                        outcome.resume_hits, outcome.journal_appends
+                        outcome.resume_hits, outcome.cells_executed
                     );
-                    flight_registry.add(Counter::JournalAppends, outcome.journal_appends);
-                    flight_registry.add(Counter::ResumeHits, outcome.resume_hits);
+                    tallies.push(("cells_executed", outcome.cells_executed));
+                    tallies.push(("resume_hits", outcome.resume_hits));
                     outcome.records
                 }
                 Err(e) => {
@@ -572,31 +571,28 @@ fn run_sweep(args: &Args) -> i32 {
             eprintln!("[cache] {warning}");
         }
         let s = cache.stats();
-        flight_registry.add(Counter::CacheHits, s.hits - before.hits);
-        flight_registry.add(Counter::CacheMisses, s.misses - before.misses);
-        flight_registry.add(Counter::InflightCoalesced, s.coalesced - before.coalesced);
-        flight_registry.add(Counter::CacheEvictions, s.evictions - before.evictions);
+        tallies.push(("cache_hits", s.hits - before.hits));
+        tallies.push(("cache_misses", s.misses - before.misses));
+        tallies.push(("cache_evictions", s.evictions - before.evictions));
         if args.cache_stats {
             let probes = s.hits + s.misses;
             let hit_rate = if probes == 0 { 0.0 } else { 100.0 * s.hits as f64 / probes as f64 };
             eprintln!(
                 "[cache] {} entries in {} (cap {}): {} hits, {} misses \
-                 ({hit_rate:.1}% hit rate), {} coalesced in flight, {} evictions",
+                 ({hit_rate:.1}% hit rate), {} evictions",
                 s.entries,
                 cache.path().display(),
                 cache.capacity(),
                 s.hits,
                 s.misses,
-                s.coalesced,
                 s.evictions
             );
         }
     }
     let flight = recorder.snapshot();
     if let Some(path) = &args.flight_recorder {
-        let telem = flight_registry.snapshot();
         let process = format!("sigma sweep seed {}", args.seed);
-        if let Err(e) = write_event_log(std::path::Path::new(path), &process, &flight, &telem) {
+        if let Err(e) = write_event_log(std::path::Path::new(path), &process, &flight, &tallies) {
             eprintln!("cannot write flight log {path}: {e}");
             return 1;
         }

@@ -48,13 +48,13 @@
 //!   only non-append write path, and the sigma-lint D6 rule holds the
 //!   harness to it.
 //!
-//! # Coalescing
+//! # Lookups
 //!
-//! Concurrent requests for the same key are deduplicated: the first
-//! caller's [`Lookup::Miss`] lease makes it the executor, and later
-//! callers block on a condvar until the lease is fulfilled (they wake to
-//! a hit, counted separately as *coalesced*) or abandoned (one waiter
-//! inherits the lease). Identical in-flight cells execute exactly once.
+//! [`RunCache::lookup`] returns a verified hit or nothing, and never
+//! blocks: a cell absent from the index simply runs. Every engine is
+//! deterministic, so a cell computed twice computes the same record, and
+//! [`RunCache::insert`] of a key that is already resident is a no-op that
+//! appends no line.
 //!
 //! # Eviction
 //!
@@ -77,7 +77,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Revision of the [`CellKey`] canonical layout itself. Bumping it (when
 /// a segment is added, removed, or re-rendered) changes every key, so
@@ -285,10 +285,11 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
 pub struct CacheStats {
     /// Lookups answered from the index.
     pub hits: u64,
-    /// Lookups that leased execution to the caller.
+    /// Lookups that found nothing.
     pub misses: u64,
-    /// Lookups that blocked on an in-flight duplicate and woke to its
-    /// result (counted instead of, not in addition to, `hits`).
+    /// Always 0: a lookup never waits on an in-flight duplicate, so none
+    /// is ever coalesced. The field stays because layerbench's harness
+    /// probe sums it into its lookup count.
     pub coalesced: u64,
     /// Entries evicted to stay within capacity.
     pub evictions: u64,
@@ -354,8 +355,6 @@ fn replay(text: &str) -> (Index, Vec<String>) {
 #[derive(Debug)]
 struct CacheState {
     index: Index,
-    /// Digests currently leased to an executor.
-    pending: BTreeMap<(u64, u64), ()>,
     generation: u64,
     stats: CacheStats,
 }
@@ -363,8 +362,7 @@ struct CacheState {
 /// The durable half of the cache, behind its own mutex (the designated
 /// I/O lock, registered in sigma-lint's `D8_IO_LOCK_ALLOWLIST`): the
 /// fsynced append and the compaction serialize here, so no disk wait
-/// ever happens under the index lock and coalesced waiters wake as soon
-/// as the in-memory insert lands.
+/// ever happens under the index lock and a lookup never waits on a disk.
 ///
 /// Lock order: `store` may take `state` briefly (compaction snapshots
 /// the resident index); `state` never takes `store`.
@@ -375,71 +373,16 @@ struct StoreState {
     io_warnings: Vec<String>,
 }
 
-/// A persistent, capacity-bounded, coalescing result store. See the
-/// module docs; share one instance across sweeps via `Arc`.
+/// A persistent, capacity-bounded result store. See the module docs;
+/// share one instance across sweeps via `Arc`.
 #[derive(Debug)]
 pub struct RunCache {
     state: Mutex<CacheState>,
     store: Mutex<StoreState>,
-    cond: Condvar,
     capacity: usize,
     path: PathBuf,
     load_warnings: Vec<String>,
     recorder: FlightRecorder,
-}
-
-/// What [`RunCache::lookup`] resolved to.
-#[derive(Debug)]
-pub enum Lookup<'a> {
-    /// The cell is cached (or an in-flight duplicate just completed);
-    /// here is its record.
-    Hit(Box<RunRecord>),
-    /// The cell is absent and *this caller* holds the execution lease:
-    /// run the cell and [`fulfill`](CellLease::fulfill) the lease (or
-    /// drop it to let a waiting duplicate take over).
-    Miss(CellLease<'a>),
-}
-
-/// An execution lease on one absent cell. Exactly one lease per key
-/// exists at a time; concurrent lookups for the same key block until the
-/// holder fulfills (they wake to a hit) or drops it (one waiter inherits
-/// the lease).
-#[derive(Debug)]
-pub struct CellLease<'a> {
-    cache: &'a RunCache,
-    key: CellKey,
-    fulfilled: bool,
-}
-
-impl CellLease<'_> {
-    /// The key this lease is for.
-    #[must_use]
-    pub fn key(&self) -> &CellKey {
-        &self.key
-    }
-
-    /// Publishes the executed cell: inserts it into the index, wakes
-    /// every coalesced waiter, then appends it durably to the store —
-    /// the line is fsynced before this returns.
-    ///
-    /// An I/O failure on the append degrades to a warning (see
-    /// [`RunCache::warnings`]): the entry still serves from memory for
-    /// this process, it just won't survive a restart.
-    pub fn fulfill(mut self, record: &RunRecord) {
-        self.fulfilled = true;
-        self.cache.insert(&self.key, record);
-    }
-}
-
-impl Drop for CellLease<'_> {
-    fn drop(&mut self) {
-        if !self.fulfilled {
-            let mut state = self.cache.lock();
-            state.pending.remove(&self.key.digest());
-            drop(state);
-            self.cache.cond.notify_all();
-        }
-    }
 }
 
 impl RunCache {
@@ -481,7 +424,6 @@ impl RunCache {
         Ok(Self {
             state: Mutex::new(CacheState {
                 index,
-                pending: BTreeMap::new(),
                 generation,
                 stats: CacheStats { entries, ..CacheStats::default() },
             }),
@@ -490,7 +432,6 @@ impl RunCache {
                 appends_since_compaction: 0,
                 io_warnings: Vec::new(),
             }),
-            cond: Condvar::new(),
             capacity,
             path: path.to_path_buf(),
             load_warnings: warnings,
@@ -500,10 +441,10 @@ impl RunCache {
 
     /// Attaches a flight recorder (builder-style, before sharing the
     /// cache via `Arc`): every [`RunCache::lookup`] lands a
-    /// [`Stage::CacheProbe`] span (labelled hit / miss / coalesced, and
-    /// covering any in-flight coalescing wait), every insert a
-    /// [`Stage::CacheInsert`] span, and within it the durable append and
-    /// its fsync [`Stage::JournalAppend`] / [`Stage::JournalFsync`] spans.
+    /// [`Stage::CacheProbe`] span (labelled hit / miss), every insert of
+    /// an absent key a [`Stage::CacheInsert`] span, and within it the
+    /// durable append and its fsync [`Stage::JournalAppend`] /
+    /// [`Stage::JournalFsync`] spans.
     #[must_use]
     pub fn with_flight_recorder(mut self, recorder: FlightRecorder) -> Self {
         self.recorder = recorder;
@@ -538,64 +479,34 @@ impl RunCache {
         self.lock().stats
     }
 
-    /// Resolves `key`: a verified hit returns the record; an absent key
-    /// returns the execution lease; an in-flight key blocks until its
-    /// executor finishes. See [`Lookup`].
+    /// A verified hit returns the record and refreshes its recency; an
+    /// absent key (or a digest collision) returns `None`. Never blocks
+    /// on another caller's cell.
     #[must_use]
-    pub fn lookup(&self, key: &CellKey) -> Lookup<'_> {
+    pub fn lookup(&self, key: &CellKey) -> Option<RunRecord> {
         let t0 = self.recorder.now_us();
-        let digest = key.digest();
-        let mut state = self.lock();
-        let mut waited = false;
-        loop {
-            state.generation += 1;
-            let generation = state.generation;
-            if let Some(slot) = state.index.get_mut(&digest) {
-                // The canonical comparison is the hit condition; a digest
-                // collision (different canonical) falls through as a miss
-                // and can never alias.
-                if slot.key.canonical == key.canonical {
-                    slot.last_used = generation;
-                    let record = Box::new(slot.record.clone());
-                    if waited {
-                        state.stats.coalesced += 1;
-                    } else {
-                        state.stats.hits += 1;
-                    }
-                    let label = if waited { "coalesced" } else { "hit" };
-                    self.recorder.span_since(Stage::CacheProbe, label, t0);
-                    return Lookup::Hit(record);
-                }
-            }
-            if state.pending.contains_key(&digest) {
-                state = match self.cond.wait(state) {
-                    Ok(s) => s,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                waited = true;
-                continue;
-            }
-            state.pending.insert(digest, ());
-            state.stats.misses += 1;
-            self.recorder.span_since(Stage::CacheProbe, "miss", t0);
-            return Lookup::Miss(CellLease { cache: self, key: key.clone(), fulfilled: false });
-        }
-    }
-
-    /// Probes without leasing: a verified hit returns the record (and
-    /// refreshes its generation), anything else — absent or in flight —
-    /// returns `None` without blocking or counting a miss.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn probe(&self, key: &CellKey) -> Option<Box<RunRecord>> {
         let mut state = self.lock();
         state.generation += 1;
         let generation = state.generation;
-        let slot = state.index.get_mut(&key.digest())?;
-        (slot.key.canonical == key.canonical).then(|| {
-            slot.last_used = generation;
-            Box::new(slot.record.clone())
-        })
+        // The canonical comparison is the hit condition; a digest
+        // collision (different canonical) is a miss and can never alias.
+        let hit = match state.index.get_mut(&key.digest()) {
+            Some(slot) if slot.key.canonical == key.canonical => {
+                slot.last_used = generation;
+                Some(slot.record.clone())
+            }
+            _ => None,
+        };
+        let label = if hit.is_some() {
+            state.stats.hits += 1;
+            "hit"
+        } else {
+            state.stats.misses += 1;
+            "miss"
+        };
+        drop(state);
+        self.recorder.span_since(Stage::CacheProbe, label, t0);
+        hit
     }
 
     /// Atomically rewrites the store to exactly the resident entries,
@@ -613,17 +524,22 @@ impl RunCache {
         self.compact_store(&mut store)
     }
 
-    /// Inserts a fulfilled cell, evicts beyond capacity, wakes waiters,
-    /// then appends to the store and compacts amortized.
+    /// Stores an executed cell: inserts it into the index, evicts beyond
+    /// capacity, then appends it durably to the store (the line is
+    /// fsynced before this returns) and compacts amortized. A key that
+    /// is already resident is left as it is, and no line is appended.
     ///
-    /// The in-memory publish (index insert + lease release + notify)
-    /// completes entirely under the index lock, *before* any disk I/O:
-    /// coalesced waiters wake to a hit while the fsync is still in
-    /// flight, and a slow disk can never stall a lookup.
-    fn insert(&self, key: &CellKey, record: &RunRecord) {
-        let t0 = self.recorder.now_us();
+    /// The in-memory insert completes under the index lock, *before* any
+    /// disk I/O, so a slow disk never stalls a lookup. An I/O failure on
+    /// the append degrades to a warning (see [`RunCache::warnings`]): the
+    /// entry still serves from memory for this process, it just won't
+    /// survive a restart.
+    pub fn insert(&self, key: &CellKey, record: &RunRecord) {
         let mut state = self.lock();
-        state.pending.remove(&key.digest());
+        if state.index.get(&key.digest()).is_some_and(|slot| slot.key == *key) {
+            return;
+        }
+        let t0 = self.recorder.now_us();
         state.generation += 1;
         let generation = state.generation;
         state.index.insert(
@@ -639,7 +555,6 @@ impl RunCache {
         state.stats.insertions += 1;
         state.stats.entries = state.index.len() as u64;
         drop(state);
-        self.cond.notify_all();
 
         let mut line = render_line(key, &record.to_json());
         line.push('\n');
@@ -829,20 +744,12 @@ mod tests {
     }
 
     #[test]
-    fn miss_fulfill_hit_round_trips_the_record() {
+    fn miss_insert_hit_round_trips_the_record() {
         let cache = fresh("round_trip", 8);
         let k = key("a");
-        match cache.lookup(&k) {
-            Lookup::Hit(_) => panic!("fresh cache cannot hit"),
-            Lookup::Miss(lease) => {
-                assert_eq!(lease.key(), &k);
-                lease.fulfill(&sample("a"));
-            }
-        }
-        match cache.lookup(&k) {
-            Lookup::Hit(record) => assert_eq!(*record, sample("a")),
-            Lookup::Miss(_) => panic!("fulfilled cell must hit"),
-        }
+        assert!(cache.lookup(&k).is_none(), "fresh cache cannot hit");
+        cache.insert(&k, &sample("a"));
+        assert_eq!(cache.lookup(&k), Some(sample("a")), "inserted cell must hit");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert_eq!(stats.entries, 1);
@@ -852,27 +759,13 @@ mod tests {
 
     #[test]
     fn cache_persists_across_reopen() {
-        let path = tmp("persist");
-        let _ = std::fs::remove_file(&path);
-        {
-            let cache = RunCache::open(&path, 8).unwrap();
-            if let Lookup::Miss(lease) = cache.lookup(&key("a")) {
-                lease.fulfill(&sample("a"));
-            }
-            if let Lookup::Miss(lease) = cache.lookup(&key("b")) {
-                lease.fulfill(&sample("b"));
-            };
-        }
+        let path = store_with("persist", &[(key("a"), sample("a")), (key("b"), sample("b"))]);
         let reopened = RunCache::open(&path, 8).unwrap();
         assert!(reopened.warnings().is_empty(), "{:?}", reopened.warnings());
         assert_eq!(reopened.stats().entries, 2);
-        match reopened.lookup(&key("a")) {
-            Lookup::Hit(record) => {
-                assert_eq!(*record, sample("a"), "records replay bit-exactly");
-                assert_eq!(record.to_json(), sample("a").to_json());
-            }
-            Lookup::Miss(_) => panic!("persisted cell must hit after reopen"),
-        }
+        let record = reopened.lookup(&key("a")).expect("persisted cell must hit after reopen");
+        assert_eq!(record, sample("a"), "records replay bit-exactly");
+        assert_eq!(record.to_json(), sample("a").to_json());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -880,17 +773,12 @@ mod tests {
     fn hit_verifies_the_canonical_string_not_just_the_digest() {
         let cache = fresh("collision", 8);
         let k = key("a");
-        if let Lookup::Miss(lease) = cache.lookup(&k) {
-            lease.fulfill(&sample("a"));
-        }
+        cache.insert(&k, &sample("a"));
         // Forge a key with the same digest but a different canonical —
         // exactly what an FNV collision would present.
         let forged =
             CellKey { hi: k.digest().0, lo: k.digest().1, canonical: "someone else".into() };
-        match cache.lookup(&forged) {
-            Lookup::Hit(_) => panic!("a digest collision must never alias"),
-            Lookup::Miss(lease) => drop(lease),
-        }
+        assert!(cache.lookup(&forged).is_none(), "a digest collision must never alias");
         let _ = std::fs::remove_file(cache.path());
     }
 
@@ -898,23 +786,16 @@ mod tests {
     fn capacity_evicts_least_recently_used() {
         let cache = fresh("eviction", 2);
         for tag in ["a", "b"] {
-            if let Lookup::Miss(lease) = cache.lookup(&key(tag)) {
-                lease.fulfill(&sample(tag));
-            }
+            cache.insert(&key(tag), &sample(tag));
         }
         // Touch "a" so "b" is the LRU entry, then insert "c".
-        assert!(matches!(cache.lookup(&key("a")), Lookup::Hit(_)));
-        if let Lookup::Miss(lease) = cache.lookup(&key("c")) {
-            lease.fulfill(&sample("c"));
-        }
+        assert!(cache.lookup(&key("a")).is_some());
+        cache.insert(&key("c"), &sample("c"));
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 2);
-        assert!(matches!(cache.lookup(&key("a")), Lookup::Hit(_)), "recently used survives");
-        assert!(matches!(cache.lookup(&key("c")), Lookup::Hit(_)));
-        match cache.lookup(&key("b")) {
-            Lookup::Miss(lease) => drop(lease),
-            Lookup::Hit(_) => panic!("LRU entry must have been evicted"),
-        }
+        assert!(cache.lookup(&key("a")).is_some(), "recently used survives");
+        assert!(cache.lookup(&key("c")).is_some());
+        assert!(cache.lookup(&key("b")).is_none(), "LRU entry must have been evicted");
         let _ = std::fs::remove_file(cache.path());
     }
 
@@ -926,10 +807,7 @@ mod tests {
         // 64 distinct cells through a 4-entry cache: without compaction
         // the store would hold 64 lines.
         for i in 0..64 {
-            let k = CellKey::new(&format!("slug{i}"), "fp", &workload(), 7);
-            if let Lookup::Miss(lease) = cache.lookup(&k) {
-                lease.fulfill(&sample("x"));
-            }
+            cache.insert(&CellKey::new(&format!("slug{i}"), "fp", &workload(), 7), &sample("x"));
         }
         assert!(cache.warnings().is_empty(), "{:?}", cache.warnings());
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
@@ -943,121 +821,51 @@ mod tests {
 
     #[test]
     fn reopen_with_smaller_capacity_drops_oldest_entries() {
-        let path = tmp("shrink");
-        let _ = std::fs::remove_file(&path);
-        {
-            let cache = RunCache::open(&path, 8).unwrap();
-            for tag in ["a", "b", "c"] {
-                if let Lookup::Miss(lease) = cache.lookup(&key(tag)) {
-                    lease.fulfill(&sample(tag));
-                }
-            }
-        }
+        let cells = ["a", "b", "c"].map(|tag| (key(tag), sample(tag)));
+        let path = store_with("shrink", &cells);
         let small = RunCache::open(&path, 1).unwrap();
         assert_eq!(small.stats().entries, 1);
-        assert!(matches!(small.lookup(&key("c")), Lookup::Hit(_)), "newest entry survives");
+        assert!(small.lookup(&key("c")).is_some(), "newest entry survives");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn corrupt_store_lines_degrade_to_warnings_and_misses() {
         use std::io::Write;
-        let path = tmp("corrupt");
-        let _ = std::fs::remove_file(&path);
-        {
-            let cache = RunCache::open(&path, 8).unwrap();
-            if let Lookup::Miss(lease) = cache.lookup(&key("a")) {
-                lease.fulfill(&sample("a"));
-            };
-        }
+        let path = store_with("corrupt", &[(key("a"), sample("a"))]);
         let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"\xff\xfegarbage\n").unwrap();
         drop(f);
         let cache = RunCache::open(&path, 8).unwrap();
         assert_eq!(cache.warnings().len(), 1, "{:?}", cache.warnings());
-        assert!(matches!(cache.lookup(&key("a")), Lookup::Hit(_)), "intact line still replays");
+        assert!(cache.lookup(&key("a")).is_some(), "intact line still replays");
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Tentpole acceptance (coalescing): N threads looking up the same
-    /// absent key produce exactly one lease; the others block and wake
-    /// to the executor's record. A barrier proves they overlap.
+    /// Inserting a key that is already resident changes nothing: no
+    /// store line, no insertion, no span, and the first record stays. A
+    /// reopened store therefore replays without a duplicate-key warning.
     #[test]
-    fn inflight_duplicates_execute_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Barrier;
-        let cache = fresh("coalesce", 8);
-        let k = key("shared");
-        let executions = AtomicUsize::new(0);
-        let start = Barrier::new(4);
-        let results: Vec<RunRecord> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        match cache.lookup(&k) {
-                            Lookup::Hit(record) => *record,
-                            Lookup::Miss(lease) => {
-                                executions.fetch_add(1, Ordering::SeqCst);
-                                // Hold the lease long enough that the
-                                // other threads demonstrably block.
-                                std::thread::sleep(std::time::Duration::from_millis(50));
-                                let record = sample("shared");
-                                lease.fulfill(&record);
-                                record
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+    fn inserting_a_resident_key_appends_no_line() {
+        let ticks = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let rec = FlightRecorder::with_clock(64, move || {
+            ticks.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         });
-        assert_eq!(executions.load(Ordering::SeqCst), 1, "exactly one executor");
-        assert!(results.iter().all(|r| r == &sample("shared")));
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.coalesced, 3, "the three duplicates coalesced");
-        assert_eq!(stats.insertions, 1);
-        let _ = std::fs::remove_file(cache.path());
-    }
-
-    /// An executor that dies (drops its lease without fulfilling) must
-    /// not wedge the waiters: one of them inherits the lease.
-    #[test]
-    fn abandoned_lease_hands_over_to_a_waiter() {
-        use std::sync::Barrier;
-        let cache = fresh("abandon", 8);
-        let k = key("fragile");
-        let start = Barrier::new(2);
-        let outcome: Vec<bool> = std::thread::scope(|s| {
-            let abandoner = s.spawn(|| {
-                let lookup = cache.lookup(&k);
-                start.wait();
-                match lookup {
-                    // Simulated executor death: drop without fulfilling.
-                    Lookup::Miss(lease) => {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        drop(lease);
-                        false
-                    }
-                    Lookup::Hit(_) => true,
-                }
-            });
-            let waiter = s.spawn(|| {
-                start.wait();
-                match cache.lookup(&k) {
-                    Lookup::Hit(_) => true,
-                    Lookup::Miss(lease) => {
-                        lease.fulfill(&sample("fragile"));
-                        false
-                    }
-                }
-            });
-            vec![abandoner.join().unwrap(), waiter.join().unwrap()]
-        });
-        assert_eq!(outcome, vec![false, false], "waiter inherited the lease after abandonment");
-        assert!(matches!(cache.lookup(&k), Lookup::Hit(_)), "the inherited lease was fulfilled");
-        let _ = std::fs::remove_file(cache.path());
+        let path = tmp("resident");
+        let _ = std::fs::remove_file(&path);
+        let cache = RunCache::open(&path, 8).unwrap().with_flight_recorder(rec.clone());
+        cache.insert(&key("a"), &sample("a"));
+        let before = std::fs::read(&path).unwrap();
+        cache.insert(&key("a"), &sample("other"));
+        assert_eq!(std::fs::read(&path).unwrap(), before, "no line appended");
+        assert_eq!(cache.stats().insertions, 1);
+        assert_eq!(rec.snapshot().stage("cache_insert").unwrap().count, 1);
+        assert_eq!(cache.lookup(&key("a")), Some(sample("a")), "the first record stays");
+        drop(cache);
+        let reopened = RunCache::open(&path, 8).unwrap();
+        assert!(reopened.warnings().is_empty(), "{:?}", reopened.warnings());
+        assert_eq!(reopened.stats().entries, 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1067,42 +875,17 @@ mod tests {
         let ticks = Arc::new(AtomicU64::new(0));
         let rec = FlightRecorder::with_clock(64, move || ticks.fetch_add(3, Ordering::Relaxed));
         let cache = fresh("recorder", 8).with_flight_recorder(rec.clone());
-        if let Lookup::Miss(lease) = cache.lookup(&key("a")) {
-            lease.fulfill(&sample("a"));
-        }
-        assert!(matches!(cache.lookup(&key("a")), Lookup::Hit(_)));
+        assert!(cache.lookup(&key("a")).is_none());
+        cache.insert(&key("a"), &sample("a"));
+        assert!(cache.lookup(&key("a")).is_some());
         let snap = rec.snapshot();
         let stats = cache.stats();
         // Probe spans reconcile with the traffic counters exactly.
-        assert_eq!(
-            snap.stage("cache_probe").unwrap().count,
-            stats.hits + stats.misses + stats.coalesced
-        );
+        assert_eq!(snap.stage("cache_probe").unwrap().count, stats.hits + stats.misses);
         assert_eq!(snap.stage("cache_insert").unwrap().count, stats.insertions);
         assert!(snap.spans.iter().any(|s| s.label == "hit"));
         assert!(snap.spans.iter().any(|s| s.label == "miss"));
         let _ = std::fs::remove_file(cache.path());
-    }
-
-    #[test]
-    fn probe_reads_without_leasing() {
-        let cache = fresh("probe", 8);
-        let k = key("a");
-        assert!(cache.probe(&k).is_none());
-        assert_eq!(cache.stats().misses, 0, "probe never counts a miss");
-        if let Lookup::Miss(lease) = cache.lookup(&k) {
-            lease.fulfill(&sample("a"));
-        }
-        assert_eq!(*cache.probe(&k).unwrap(), sample("a"));
-        let _ = std::fs::remove_file(cache.path());
-    }
-
-    /// Fulfills `key` with `record` through the public lease path.
-    fn put(cache: &RunCache, key: &CellKey, record: &RunRecord) {
-        match cache.lookup(key) {
-            Lookup::Miss(lease) => lease.fulfill(record),
-            Lookup::Hit(_) => panic!("{} is already stored", key.hex()),
-        }
     }
 
     /// A store at `name` holding `cells`, written through a fresh cache
@@ -1112,7 +895,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let cache = RunCache::open(&path, 8).unwrap();
         for (k, r) in cells {
-            put(&cache, k, r);
+            cache.insert(k, r);
         }
         path
     }
@@ -1176,8 +959,8 @@ mod tests {
         let cache = RunCache::open(&path, 8).unwrap();
         assert!(cache.warnings().is_empty(), "{:?}", cache.warnings());
         for (k, r) in &cells {
-            let got = cache.probe(k).unwrap();
-            assert_eq!(&*got, r);
+            let got = cache.lookup(k).unwrap();
+            assert_eq!(&got, r);
             assert_eq!(got.to_json(), r.to_json());
             assert_eq!(got.row(), r.row());
         }
@@ -1196,7 +979,7 @@ mod tests {
         let bad = format!("{flipped}{}", &good[1..]);
         std::fs::write(&path, text.replacen(&good, &bad, 1)).unwrap();
         let cache = RunCache::open(&path, 8).unwrap();
-        assert!(cache.probe(&key("a")).is_none(), "tampered line must not replay");
+        assert!(cache.lookup(&key("a")).is_none(), "tampered line must not replay");
         assert_eq!(cache.warnings().len(), 1);
         assert!(cache.warnings()[0].contains("does not match"), "{:?}", cache.warnings());
         let _ = std::fs::remove_file(&path);
@@ -1212,8 +995,8 @@ mod tests {
         let bumped = format!("\"total_cycles\": {}", sample("a").total_cycles + 1);
         std::fs::write(&path, text.replacen(&cycles, &bumped, 1)).unwrap();
         let cache = RunCache::open(&path, 8).unwrap();
-        assert!(cache.probe(&key("a")).is_none(), "a wrong row must never be served");
-        assert_eq!(*cache.probe(&key("b")).unwrap(), sample("b"));
+        assert!(cache.lookup(&key("a")).is_none(), "a wrong row must never be served");
+        assert_eq!(cache.lookup(&key("b")), Some(sample("b")));
         assert_eq!(cache.warnings().len(), 1);
         assert!(cache.warnings()[0].contains("record digest mismatch"), "{:?}", cache.warnings());
         let _ = std::fs::remove_file(&path);
@@ -1229,7 +1012,7 @@ mod tests {
         assert!(text.contains("\"max_abs_err\": 1e-6"), "{text}");
         std::fs::write(&path, text.replacen("1e-6", "1E-6", 1)).unwrap();
         let cache = RunCache::open(&path, 8).unwrap();
-        assert!(cache.probe(&key("a")).is_none());
+        assert!(cache.lookup(&key("a")).is_none());
         assert_eq!(cache.warnings().len(), 1);
         assert!(cache.warnings()[0].contains("not in canonical form"), "{:?}", cache.warnings());
         let _ = std::fs::remove_file(&path);
@@ -1241,16 +1024,16 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() - 25]).unwrap();
         let cache = RunCache::open(&path, 8).unwrap();
-        assert!(cache.probe(&key("a")).is_some());
-        assert!(cache.probe(&key("b")).is_none());
+        assert!(cache.lookup(&key("a")).is_some());
+        assert!(cache.lookup(&key("b")).is_none());
         assert_eq!(cache.warnings().len(), 1);
         assert!(cache.warnings()[0].contains("truncated final line"), "{:?}", cache.warnings());
         // The torn tail is closed on open: a fresh append lands on a line
         // of its own and survives the next reopen.
-        put(&cache, &key("b"), &sample("b"));
+        cache.insert(&key("b"), &sample("b"));
         drop(cache);
         let reopened = RunCache::open(&path, 8).unwrap();
-        assert_eq!(*reopened.probe(&key("b")).unwrap(), sample("b"));
+        assert_eq!(reopened.lookup(&key("b")), Some(sample("b")));
         assert_eq!(reopened.warnings().len(), 1, "only the torn line still warns");
         let _ = std::fs::remove_file(&path);
     }
@@ -1274,8 +1057,8 @@ mod tests {
         drop(f);
         let cache = RunCache::open(&path, 8).unwrap();
         assert_eq!(cache.stats().entries, 2);
-        assert_eq!(cache.probe(&key("a")).unwrap().engine_slug, "a", "first occurrence wins");
-        assert!(cache.probe(&key("b")).is_some());
+        assert_eq!(cache.lookup(&key("a")).unwrap().engine_slug, "a", "first occurrence wins");
+        assert!(cache.lookup(&key("b")).is_some());
         let warnings = cache.warnings();
         assert_eq!(warnings.len(), 3, "{warnings:?}");
         assert!(warnings.iter().any(|w| w.contains("stale schema version 2")));
@@ -1299,7 +1082,7 @@ mod tests {
         cache.compact().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2);
         // The store keeps appending after the rewrite.
-        put(&cache, &key("c"), &sample("c"));
+        cache.insert(&key("c"), &sample("c"));
         drop(cache);
         let after = RunCache::open(&path, usize::MAX).unwrap();
         assert!(after.warnings().is_empty(), "{:?}", after.warnings());
@@ -1317,13 +1100,13 @@ mod tests {
         let ticks = Arc::new(AtomicU64::new(0));
         let rec = FlightRecorder::with_clock(64, move || ticks.fetch_add(5, Ordering::Relaxed));
         let cache = fresh("recorder_io", 8).with_flight_recorder(rec.clone());
-        put(&cache, &key("a"), &sample("a"));
-        put(&cache, &key("b"), &sample("b"));
+        cache.insert(&key("a"), &sample("a"));
+        cache.insert(&key("b"), &sample("b"));
         let snap = rec.snapshot();
         assert_eq!(snap.stage("journal_append").unwrap().count, 2);
         assert_eq!(snap.stage("journal_fsync").unwrap().count, 2);
-        // Two probes, two inserts, and an append and an fsync per insert.
-        assert_eq!(snap.spans.len(), 8);
+        // Two inserts, and an append and an fsync per insert.
+        assert_eq!(snap.spans.len(), 6);
         let _ = std::fs::remove_file(cache.path());
     }
 
@@ -1358,9 +1141,9 @@ mod tests {
                 }
             }
             for ((k, r), intact) in cells.iter().zip(&seen) {
-                match cache.probe(k) {
+                match cache.lookup(k) {
                     Some(got) => {
-                        assert_eq!(&*got, r, "{what}: wrong row for {}", k.hex());
+                        assert_eq!(&got, r, "{what}: wrong row for {}", k.hex());
                         assert!(intact, "{what}: served {} from a damaged line", k.hex());
                     }
                     None => assert!(!intact, "{what}: intact line for {} not served", k.hex()),

@@ -1,8 +1,8 @@
 //! Flight-recorder event log and report builder.
 //!
 //! A recorded sweep persists its [`FlightSnapshot`] (spans, stage
-//! latency histograms, gauges, periodic snapshots) plus the telemetry
-//! registry's counters as one append-friendly JSONL file, written
+//! latency histograms, gauges, periodic snapshots) plus the sweep's own
+//! tallies (resume and cache counts) as one append-friendly JSONL file, written
 //! atomically through [`write_atomic`](crate::harness::cache::write_atomic)
 //! so a crash can never leave a torn log (the same D6 contract as the
 //! run store). `sigma_cli report --from PATH` reads the log back —
@@ -18,9 +18,9 @@
 //! | kind      | payload                                            |
 //! |-----------|----------------------------------------------------|
 //! | `meta`    | schema version, process name, dropped-span count   |
-//! | `counter` | one telemetry-registry counter                     |
+//! | `counter` | one sweep tally (resume or cache count)            |
 //! | `gauge`   | one gauge's final level                            |
-//! | `hist`    | one histogram (stage latencies and simulator hists)|
+//! | `hist`    | one stage latency histogram                        |
 //! | `snap`    | one periodic gauge sample                          |
 //! | `span`    | one thread-tagged wall-clock span                  |
 
@@ -29,7 +29,7 @@ use crate::util::Table;
 use sigma_telemetry::json::{self, quote, Json};
 use sigma_telemetry::{
     validate_chrome_trace, ChromeTrace, FlightSnapshot, MetricsReport, ReportHist, SpanRecord,
-    Stage, TelemetrySnapshot, TraceSummary,
+    Stage, TraceSummary,
 };
 use std::path::Path;
 
@@ -42,21 +42,18 @@ const JOURNAL_TID: u64 = 1001;
 const CACHE_TID: u64 = 1002;
 
 /// Renders the event log for one recorded run: meta line first, then
-/// counters, gauges, histograms, snapshots, and spans, each on its own
-/// line. Deterministic given the snapshots.
+/// the `(name, value)` tallies as counters, then gauges, stage
+/// histograms, snapshots, and spans, each on its own line.
+/// Deterministic given its inputs.
 #[must_use]
-pub fn render_event_log(
-    process: &str,
-    flight: &FlightSnapshot,
-    telemetry: &TelemetrySnapshot,
-) -> String {
+pub fn render_event_log(process: &str, flight: &FlightSnapshot, tallies: &[(&str, u64)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"kind\": \"meta\", \"schema\": {FLIGHT_SCHEMA}, \"process\": {}, \"dropped_spans\": {}}}\n",
         quote(process),
         flight.dropped_spans
     ));
-    for (name, v) in &telemetry.counters {
+    for (name, v) in tallies {
         out.push_str(&format!(
             "{{\"kind\": \"counter\", \"name\": {}, \"value\": {v}}}\n",
             quote(name)
@@ -68,12 +65,7 @@ pub fn render_event_log(
             quote(name)
         ));
     }
-    for h in telemetry
-        .hists
-        .iter()
-        .map(ReportHist::from)
-        .chain(flight.stages.iter().map(ReportHist::from))
-    {
+    for h in flight.stages.iter().map(ReportHist::from) {
         let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
         out.push_str(&format!(
             "{{\"kind\": \"hist\", \"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}\n",
@@ -116,9 +108,9 @@ pub fn write_event_log(
     path: &Path,
     process: &str,
     flight: &FlightSnapshot,
-    telemetry: &TelemetrySnapshot,
+    tallies: &[(&str, u64)],
 ) -> std::io::Result<()> {
-    write_atomic(path, render_event_log(process, flight, telemetry).as_bytes())
+    write_atomic(path, render_event_log(process, flight, tallies).as_bytes())
 }
 
 /// One periodic gauge sample read back from an event log (the owned
@@ -140,7 +132,7 @@ pub struct EventLog {
     pub process: String,
     /// Spans the recorder's bounded buffer rejected.
     pub dropped_spans: u64,
-    /// Telemetry-registry counters.
+    /// The sweep tallies (resume and cache counts), in log order.
     pub counters: Vec<(String, u64)>,
     /// Final gauge levels.
     pub gauges: Vec<(String, u64)>,
@@ -382,7 +374,7 @@ pub fn stage_table(log: &EventLog) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigma_telemetry::{Counter, FlightRecorder, Gauge, Telemetry};
+    use sigma_telemetry::{FlightRecorder, Gauge};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -391,7 +383,8 @@ mod tests {
         FlightRecorder::with_clock(128, move || tick.fetch_add(5, Ordering::Relaxed))
     }
 
-    fn demo_snapshots() -> (FlightSnapshot, TelemetrySnapshot) {
+    /// A small recorded run and its tallies.
+    fn demo_snapshots() -> (FlightSnapshot, Vec<(&'static str, u64)>) {
         let recorder = demo_recorder();
         let t0 = recorder.now_us();
         recorder.span_since(Stage::Materialize, "dense 32", t0);
@@ -404,15 +397,13 @@ mod tests {
         recorder.gauge_set(Gauge::CellsTotal, 4);
         recorder.gauge_set(Gauge::CellsCompleted, 2);
         recorder.snap();
-        let registry = Telemetry::enabled();
-        registry.add(Counter::CacheHits, 3);
-        (recorder.snapshot(), registry.snapshot())
+        (recorder.snapshot(), vec![("cache_hits", 3)])
     }
 
     #[test]
     fn event_log_round_trips_through_render_and_parse() {
-        let (flight, telemetry) = demo_snapshots();
-        let log = parse_event_log(&render_event_log("sigma sweep", &flight, &telemetry));
+        let (flight, tallies) = demo_snapshots();
+        let log = parse_event_log(&render_event_log("sigma sweep", &flight, &tallies));
         assert!(log.warnings.is_empty(), "{:?}", log.warnings);
         assert_eq!(log.schema, FLIGHT_SCHEMA);
         assert_eq!(log.process, "sigma sweep");
@@ -429,8 +420,8 @@ mod tests {
 
     #[test]
     fn damaged_lines_become_warnings_not_errors() {
-        let (flight, telemetry) = demo_snapshots();
-        let mut textual = render_event_log("sigma sweep", &flight, &telemetry);
+        let (flight, tallies) = demo_snapshots();
+        let mut textual = render_event_log("sigma sweep", &flight, &tallies);
         textual.push_str("not json at all\n");
         textual.push_str("{\"kind\": \"mystery\", \"x\": 1}\n");
         textual.push_str("{\"kind\": \"span\", \"stage\": \"nonsense\", \"label\": \"x\", \"thread\": 0, \"start_us\": 0, \"dur_us\": 1}\n");
@@ -449,8 +440,8 @@ mod tests {
 
     #[test]
     fn report_routes_stages_to_named_tracks_and_validates() {
-        let (flight, telemetry) = demo_snapshots();
-        let log = parse_event_log(&render_event_log("sigma sweep", &flight, &telemetry));
+        let (flight, tallies) = demo_snapshots();
+        let log = parse_event_log(&render_event_log("sigma sweep", &flight, &tallies));
         let report = build_report(&log).unwrap();
         assert_eq!(report.summary.span_count, flight.spans.len());
         // One counter sample per gauge in the one snapshot.
@@ -468,8 +459,8 @@ mod tests {
         let dir = std::env::temp_dir().join("sigma_flight_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("log_{}.flight.jsonl", std::process::id()));
-        let (flight, telemetry) = demo_snapshots();
-        write_event_log(&path, "sigma sweep", &flight, &telemetry).unwrap();
+        let (flight, tallies) = demo_snapshots();
+        write_event_log(&path, "sigma sweep", &flight, &tallies).unwrap();
         let log = read_event_log(&path).unwrap();
         assert!(log.warnings.is_empty(), "{:?}", log.warnings);
         assert_eq!(log.spans, flight.spans);

@@ -13,10 +13,10 @@
 //!   panic isolation (`status` column: `ok | error | panic`);
 //! * [`cache`] — the run store, [`RunCache`]: fsynced, checksummed
 //!   canonical-JSON lines keyed by verified 128-bit [`CellKey`]s, with
-//!   tolerant replay, atomic compaction, in-flight duplicate coalescing
-//!   and LRU eviction. It is both the cross-sweep cache behind
-//!   `Sweep::with_cache` / `sigma_cli --cache` and, never evicting, the
-//!   write-ahead journal behind `Sweep::resume` / `sigma_cli --resume`;
+//!   tolerant replay, atomic compaction and LRU eviction; a lookup never
+//!   blocks. It is both the cross-sweep cache behind `Sweep::with_cache`
+//!   / `sigma_cli --cache` and, never evicting, the write-ahead journal
+//!   behind `Sweep::resume` / `sigma_cli --resume`;
 //! * [`flight`] — the flight-recorder event log (JSONL persistence for
 //!   a sweep's wall-clock spans, stage latency histograms, and gauges)
 //!   and the `sigma_cli report` builder that turns a log into a
@@ -49,8 +49,7 @@ pub mod sweep;
 
 pub use analytic::{speedup_over, SigmaAnalytic};
 pub use cache::{
-    fnv1a_64, write_atomic, CacheStats, CellKey, CellLease, Lookup, RunCache, CELL_KEY_REVISION,
-    STORE_SCHEMA,
+    fnv1a_64, write_atomic, CacheStats, CellKey, RunCache, CELL_KEY_REVISION, STORE_SCHEMA,
 };
 pub use chaos::PanickingEngine;
 pub use emit::{emit_tables, emit_tables_with};

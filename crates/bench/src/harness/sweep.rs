@@ -17,13 +17,15 @@
 //! completion.
 //!
 //! Crash-safety contract: [`Sweep::resume`] drives the same grid through
-//! a write-ahead journal — a [`RunCache`] store that never evicts —
-//! completed cells replay from disk, missing cells run and are appended
-//! durably, and its final records are byte-identical to an uninterrupted
-//! [`Sweep::run`]. A sweep that hangs or is killed is recovered by
-//! killing it and running [`Sweep::resume`] on the same journal.
+//! the same loop as [`Sweep::run`], with a write-ahead journal — a
+//! [`RunCache`] store that never evicts — as the first store each cell
+//! checks: completed cells replay from disk, missing cells run and are
+//! appended durably, and its final records are byte-identical to an
+//! uninterrupted [`Sweep::run`]. A sweep that hangs or is killed is
+//! recovered by killing it and running [`Sweep::resume`] on the same
+//! journal.
 
-use crate::harness::cache::{CellKey, Lookup, RunCache};
+use crate::harness::cache::{CellKey, RunCache};
 use crate::harness::record::{RunRecord, RunStatus};
 use crate::harness::registry::EngineEntry;
 use sigma_core::model::GemmProblem;
@@ -211,7 +213,7 @@ impl Sweep {
         self
     }
 
-    /// Attaches a [`FlightRecorder`], the sweep's only wall clock:    /// Attaches a [`FlightRecorder`], the sweep's only wall clock: engine
+    /// Attaches a [`FlightRecorder`], the sweep's only wall clock: engine
     /// runs, operand materializations, and queue waits are recorded as
     /// thread-tagged spans and per-stage latency histograms, the sweep
     /// maintains the `cells_total` / `cells_completed` gauges (plus
@@ -240,23 +242,14 @@ impl Sweep {
     }
 
     /// Attaches a shared content-addressed [`RunCache`]: every cell
-    /// probes it before executing (a verified hit replaces the
-    /// simulation with one map lookup), executed cells are inserted,
-    /// and identical in-flight cells — here or in any concurrent sweep
-    /// sharing the cache — coalesce onto one executor. Records are
-    /// byte-identical to an uncached run by key construction: the
-    /// [`CellKey`] covers every result-affecting knob, so a hit can
-    /// only serve the bytes the engine would have produced.
+    /// looks it up before executing (a verified hit replaces the
+    /// simulation with one map lookup), and executed `ok` cells are
+    /// inserted. Records are byte-identical to an uncached run by key
+    /// construction: the [`CellKey`] covers every result-affecting knob,
+    /// so a hit can only serve the bytes the engine would have produced.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<RunCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Detaches any attached run cache (cells always execute).
-    #[must_use]
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
         self
     }
 
@@ -282,13 +275,7 @@ impl Sweep {
     /// verifying each result against the reference GEMM.
     #[must_use]
     pub fn run(&self, engines: &[EngineEntry]) -> Vec<RunRecord> {
-        self.execute(engines, self.threads)
-    }
-
-    /// Serial variant of [`Sweep::run`] — same records, one thread.
-    #[must_use]
-    pub fn run_serial(&self, engines: &[EngineEntry]) -> Vec<RunRecord> {
-        self.execute(engines, 1)
+        self.execute(engines, None).0
     }
 
     /// Resumes (or starts) a journaled sweep: cells whose key is already
@@ -299,8 +286,8 @@ impl Sweep {
     /// killed at *any* point loses at most its in-flight cells.
     ///
     /// The journal is a [`RunCache`] store that never evicts and
-    /// memoizes every cell, whatever its status, so it is probed first;
-    /// an attached shared cache is probed second and, as in
+    /// memoizes every cell, whatever its status, so it is checked first;
+    /// an attached shared cache is checked second and, as in
     /// [`Sweep::run`], memoizes only `ok` records.
     ///
     /// # Errors
@@ -315,39 +302,16 @@ impl Sweep {
     ) -> std::io::Result<ResumeOutcome> {
         let journal =
             RunCache::open(journal_path, usize::MAX)?.with_flight_recorder(self.recorder.clone());
-        let prepared = self.prepare();
-        let jobs = self.jobs(engines);
-        let executed = AtomicU64::new(0);
-        let results: Vec<(RunRecord, bool)> = par_map(&jobs, self.threads, |_, &(ei, wi)| {
-            let (entry, w, lazy) = (&engines[ei], &self.workloads[wi], &prepared[wi]);
-            let key = CellKey::for_engine(&entry.slug, entry.engine.as_ref(), w, lazy.seed);
-            match journal.lookup(&key) {
-                Lookup::Hit(done) => (*done, true),
-                Lookup::Miss(lease) => {
-                    let (record, ran) = self.run_cell_cached(entry, w, lazy);
-                    executed.fetch_add(u64::from(ran), Ordering::Relaxed);
-                    // Append (and fsync) before reporting the cell
-                    // complete: once a record is visible to the caller it
-                    // must survive a SIGKILL. An append failure degrades
-                    // to a warning — the cell just re-runs next time.
-                    lease.fulfill(&record);
-                    (record, false)
-                }
-            }
-        });
-        // Resume has no live progress line; still leave one final gauge
-        // sample so a recorded resume renders counter tracks.
-        self.recorder.gauge_set(Gauge::CellsTotal, jobs.len() as u64);
-        self.recorder.gauge_set(Gauge::CellsCompleted, jobs.len() as u64);
-        self.recorder.snap();
-        let resume_hits = results.iter().filter(|(_, hit)| *hit).count() as u64;
-        let records: Vec<RunRecord> = results.into_iter().map(|(r, _)| r).collect();
-        let journal_appends = executed.into_inner();
+        let (records, cells_executed) = self.execute(engines, Some(&journal));
         // Rewrite the journal to exactly the final grid: duplicates,
         // skipped garbage, and torn tails are dropped.
         journal.compact()?;
-        let warnings = journal.warnings();
-        Ok(ResumeOutcome { records, journal_appends, resume_hits, warnings })
+        Ok(ResumeOutcome {
+            records,
+            cells_executed,
+            resume_hits: journal.stats().hits,
+            warnings: journal.warnings(),
+        })
     }
 
     /// One lazily-materialized slot per workload. Seeds are derived
@@ -410,11 +374,21 @@ impl Sweep {
         }
     }
 
-    fn execute(&self, engines: &[EngineEntry], threads: usize) -> Vec<RunRecord> {
+    /// The one sweep loop behind [`Sweep::run`] and [`Sweep::resume`]:
+    /// each cell is resolved by [`Sweep::resolve`] on a [`par_map`]
+    /// worker, with a queue-wait span, the progress gauges and the live
+    /// progress line around it. Returns the records and the number of
+    /// cells whose engine ran.
+    fn execute(
+        &self,
+        engines: &[EngineEntry],
+        journal: Option<&RunCache>,
+    ) -> (Vec<RunRecord>, u64) {
         let prepared = self.prepare();
         let jobs = self.jobs(engines);
         let total = jobs.len();
         let completed = AtomicUsize::new(0);
+        let executed = AtomicU64::new(0);
         // Queue wait, elapsed time and ETA are all measured from one
         // shared stamp at dispatch: a cell's wait is how long after the
         // sweep started a worker first picked it up.
@@ -426,14 +400,15 @@ impl Sweep {
         // The progress line is for a person watching a terminal; a
         // recorded sweep whose stderr is a pipe or a file stays quiet.
         let progress = std::io::stderr().is_terminal();
-        par_map(&jobs, threads, |_, &(ei, wi)| {
+        let records = par_map(&jobs, self.threads, |_, &(ei, wi)| {
             let entry = &engines[ei];
             let w = &self.workloads[wi];
             if self.recorder.is_enabled() {
                 let label = format!("{}: {}", entry.slug, w.name);
                 self.recorder.span_since(Stage::QueueWait, &label, dispatched_us);
             }
-            let (record, _) = self.run_cell_cached(entry, w, &prepared[wi]);
+            let (record, ran) = self.resolve(entry, w, &prepared[wi], journal);
+            executed.fetch_add(u64::from(ran), Ordering::Relaxed);
             if self.recorder.is_enabled() {
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                 self.recorder.gauge_set(Gauge::CellsCompleted, done as u64);
@@ -462,37 +437,49 @@ impl Sweep {
                 }
             }
             record
-        })
+        });
+        (records, executed.into_inner())
     }
 
-    /// Runs one cell through the attached [`RunCache`], if any: probe
-    /// first (coalescing with any identical in-flight cell), execute on
-    /// a miss, and memoize the result. Only `ok` records are inserted —
-    /// a panic or error record is never memoized, so those cells
-    /// re-execute every time (the abandoned lease hands execution to any
-    /// coalesced waiter). A hit returns before the
-    /// workload's operands are ever materialized. The flag is whether
-    /// the cell executed (false for a hit).
-    fn run_cell_cached(
+    /// One cell's record from the first store that holds it — the
+    /// journal, then the attached cache — or else from the engine. Only
+    /// `ok` records go into the cache: a panic or error cell re-runs
+    /// every time. The journal takes every record, whatever its status.
+    /// A stored record returns before the workload's operands are ever
+    /// materialized. The flag is whether the engine ran.
+    fn resolve(
         &self,
         entry: &EngineEntry,
         w: &WorkloadSpec,
         lazy: &LazyPrepared,
+        journal: Option<&RunCache>,
     ) -> (RunRecord, bool) {
-        let Some(cache) = &self.cache else {
+        let cache = self.cache.as_deref();
+        if journal.is_none() && cache.is_none() {
             return (self.run_cell(entry, w, self.force_timed(lazy, w)), true);
-        };
+        }
         let key = CellKey::for_engine(&entry.slug, entry.engine.as_ref(), w, lazy.seed);
-        match cache.lookup(&key) {
-            Lookup::Hit(record) => (*record, false),
-            Lookup::Miss(lease) => {
+        if let Some(done) = journal.and_then(|j| j.lookup(&key)) {
+            return (done, false);
+        }
+        let (record, ran) = match cache.and_then(|c| c.lookup(&key)) {
+            Some(hit) => (hit, false),
+            None => {
                 let record = self.run_cell(entry, w, self.force_timed(lazy, w));
-                if record.status == RunStatus::Ok {
-                    lease.fulfill(&record);
+                if let Some(cache) = cache.filter(|_| record.status == RunStatus::Ok) {
+                    cache.insert(&key, &record);
                 }
                 (record, true)
             }
+        };
+        if let Some(journal) = journal {
+            // Append (and fsync) before the cell counts as complete: once
+            // a record is visible to the caller it must survive a
+            // SIGKILL. An append failure degrades to a warning — the cell
+            // just re-runs next time.
+            journal.insert(&key, &record);
         }
+        (record, ran)
     }
 
     /// [`LazyPrepared::force`] with a [`Stage::Materialize`] span around
@@ -551,9 +538,10 @@ impl LazyPrepared {
 pub struct ResumeOutcome {
     /// The full grid, engine-major — byte-identical to [`Sweep::run`].
     pub records: Vec<RunRecord>,
-    /// Cells executed (and durably journaled) by *this* invocation.
-    pub journal_appends: u64,
-    /// Cells replayed from the journal instead of re-executed.
+    /// Cells whose engine ran in *this* invocation (not those served by
+    /// the journal or the shared cache).
+    pub cells_executed: u64,
+    /// Cells replayed from the journal: its lookup hits.
     pub resume_hits: u64,
     /// Replay and append warnings (corrupt lines skipped, ...).
     pub warnings: Vec<String>,
@@ -641,7 +629,7 @@ mod tests {
             default_registry().into_iter().filter(|e| e.slug != "sigma").take(4).collect();
         let sweep =
             Sweep::new(demo_suite().into_iter().take(2).collect()).with_seed(9).with_threads(4);
-        assert_eq!(sweep.run(&engines), sweep.run_serial(&engines));
+        assert_eq!(sweep.run(&engines), sweep.clone().with_threads(1).run(&engines));
     }
 
     /// The acceptance scenario: the full 11-engine registry plus one
@@ -703,14 +691,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let first = sweep.resume(&engines, &path).unwrap();
         assert_eq!(first.records, baseline);
-        assert_eq!(first.journal_appends, baseline.len() as u64);
+        assert_eq!(first.cells_executed, baseline.len() as u64);
         assert_eq!(first.resume_hits, 0);
         assert!(first.warnings.is_empty(), "{:?}", first.warnings);
 
         // Second resume: everything replays, nothing re-executes.
         let second = sweep.resume(&engines, &path).unwrap();
         assert_eq!(second.records, baseline);
-        assert_eq!(second.journal_appends, 0);
+        assert_eq!(second.cells_executed, 0);
         assert_eq!(second.resume_hits, baseline.len() as u64);
 
         // Simulated crash: keep only a prefix of the journal (as a
@@ -721,7 +709,7 @@ mod tests {
         std::fs::write(&path, keep).unwrap();
         let resumed = sweep.resume(&engines, &path).unwrap();
         assert_eq!(resumed.resume_hits, 2);
-        assert_eq!(resumed.journal_appends, baseline.len() as u64 - 2);
+        assert_eq!(resumed.cells_executed, baseline.len() as u64 - 2);
         assert_eq!(resumed.records, baseline);
         assert_eq!(
             crate::harness::record::records_to_json(&resumed.records),
@@ -800,9 +788,9 @@ mod tests {
         let path = journal_path("resume_telemetry");
         let _ = std::fs::remove_file(&path);
         let first = sweep.resume(&engines, &path).unwrap();
-        assert_eq!((first.journal_appends, first.resume_hits), (2, 0));
+        assert_eq!((first.cells_executed, first.resume_hits), (2, 0));
         let second = sweep.resume(&engines, &path).unwrap();
-        assert_eq!(second.journal_appends, 0, "second pass appends nothing");
+        assert_eq!(second.cells_executed, 0, "second pass executes nothing");
         assert_eq!(second.resume_hits, 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -906,44 +894,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Tentpole acceptance: identical cells scheduled concurrently in
-    /// one grid execute exactly once — duplicates resolve as hits or
-    /// in-flight coalesces, never as recomputation.
-    #[test]
-    fn duplicate_cells_in_one_sweep_execute_exactly_once() {
-        let mut fleet: Vec<_> =
-            default_registry().into_iter().filter(|e| e.slug == "eie").collect();
-        let twin = Arc::clone(&fleet[0].engine);
-        // Same slug + same engine => identical CellKey for every workload.
-        fleet.push(EngineEntry { slug: "eie".into(), engine: Arc::clone(&twin) });
-        fleet.push(EngineEntry { slug: "eie".into(), engine: twin });
-        let suite = demo_suite().into_iter().take(2).collect::<Vec<_>>();
-        let unique = suite.len() as u64;
-        let total = (fleet.len() * suite.len()) as u64;
-
-        let path = cache_path("dedup");
-        let _ = std::fs::remove_file(&path);
-        let cache = Arc::new(RunCache::open(&path, 64).unwrap());
-        let records = Sweep::new(suite)
-            .with_seed(29)
-            .with_threads(4)
-            .with_cache(Arc::clone(&cache))
-            .run(&fleet);
-        assert_eq!(records.len(), total as usize);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, unique, "each unique cell executes exactly once");
-        assert_eq!(stats.insertions, unique);
-        assert_eq!(
-            stats.hits + stats.coalesced,
-            total - unique,
-            "every duplicate was served from the cache or an in-flight lease"
-        );
-        // Triplicate rows are bit-identical — they are the same record.
-        assert_eq!(records[0], records[2]);
-        assert_eq!(records[0], records[4]);
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// Flight-recorder acceptance: span/histogram counts reconcile with
     /// the grid (queue waits == engine runs == cells, materializations ==
     /// workloads), gauges land on their final
@@ -1015,7 +965,7 @@ mod tests {
 
     /// Resume consults the shared cache after its own journal: a warm
     /// cache means a fresh journal resumes without executing anything,
-    /// and the journal still persists the full grid.
+    /// and the journal still appends, and then persists, the full grid.
     #[test]
     fn resume_consults_the_cache_before_executing() {
         let engines: Vec<_> = default_registry().into_iter().filter(|e| e.slug == "eie").collect();
@@ -1034,7 +984,9 @@ mod tests {
         let outcome = sweep.resume(&engines, &path).unwrap();
         assert_eq!(outcome.records, baseline);
         assert_eq!(outcome.resume_hits, 0, "the journal was fresh");
-        assert_eq!(outcome.journal_appends, 0, "cache hits are not re-executed");
+        assert_eq!(outcome.cells_executed, 0, "cache hits are not re-executed");
+        let journaled = std::fs::read_to_string(&path).unwrap().lines().count();
+        assert_eq!(journaled, baseline.len(), "every cell was journaled");
         assert_eq!(
             cache.stats().hits,
             warm_hwm.hits + baseline.len() as u64,
@@ -1046,5 +998,56 @@ mod tests {
         assert_eq!(replayed.records, baseline);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&store);
+    }
+
+    /// A recorded resume runs the same loop as a recorded run: one
+    /// queue-wait span per cell, one engine-run span per executed cell,
+    /// and the completed-cells gauge at the grid size when it is done.
+    #[test]
+    fn recorded_resume_spans_every_cell_like_a_run() {
+        use std::sync::atomic::AtomicU64;
+        let engines: Vec<_> = default_registry()
+            .into_iter()
+            .filter(|e| e.slug == "eie" || e.slug == "scnn")
+            .collect();
+        let suite = demo_suite().into_iter().take(2).collect::<Vec<_>>();
+        let cells = (engines.len() * suite.len()) as u64;
+        let recorded = |recorder: &FlightRecorder| {
+            Sweep::new(suite.clone())
+                .with_seed(31)
+                .with_threads(2)
+                .with_flight_recorder(recorder.clone())
+        };
+        let ticking = || {
+            let tick = Arc::new(AtomicU64::new(0));
+            FlightRecorder::with_clock(4096, move || tick.fetch_add(7, Ordering::Relaxed))
+        };
+        let path = journal_path("resume_recorded");
+        let _ = std::fs::remove_file(&path);
+
+        let fresh = ticking();
+        let first = recorded(&fresh).resume(&engines, &path).unwrap();
+        assert_eq!(first.cells_executed, cells);
+        let snap = fresh.snapshot();
+        assert_eq!(snap.stage("queue_wait").map_or(0, |h| h.count), cells);
+        assert_eq!(snap.stage("engine_run").map_or(0, |h| h.count), cells);
+        assert_eq!(fresh.gauge(Gauge::CellsCompleted), cells);
+        assert_eq!(fresh.gauge(Gauge::CellsTotal), cells);
+        assert!(snap.snaps.len() > 1, "periodic snapshots were taken");
+
+        // A partial journal: every cell still waits in the queue once,
+        // and only the cells the journal lacked run their engine.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let keep: String = text.lines().take(1).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, keep).unwrap();
+        let partial = ticking();
+        let resumed = recorded(&partial).resume(&engines, &path).unwrap();
+        assert_eq!((resumed.resume_hits, resumed.cells_executed), (1, cells - 1));
+        assert_eq!(resumed.records, first.records);
+        let snap = partial.snapshot();
+        assert_eq!(snap.stage("queue_wait").map_or(0, |h| h.count), cells);
+        assert_eq!(snap.stage("engine_run").map_or(0, |h| h.count), cells - 1);
+        assert_eq!(partial.gauge(Gauge::CellsCompleted), cells);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,7 +12,7 @@ use sigma_bench::harness::{
     build_report, default_registry, demo_suite, read_event_log, records_table, records_to_json,
     write_event_log, RunCache, Sweep, SweepProfile,
 };
-use sigma_telemetry::{FlightRecorder, Gauge, Stage, Telemetry};
+use sigma_telemetry::{FlightRecorder, Gauge, Stage};
 
 /// A deterministic injected clock: strictly increasing, no wall time.
 fn tick_clock() -> impl Fn() -> u64 + Send + Sync + 'static {
@@ -40,8 +40,7 @@ fn recorded_sweep_round_trips_into_a_validated_trace() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sweep.flight.jsonl");
     let flight = recorder.snapshot();
-    write_event_log(&path, "flight integration", &flight, &Telemetry::enabled().snapshot())
-        .unwrap();
+    write_event_log(&path, "flight integration", &flight, &[]).unwrap();
 
     let log = read_event_log(&path).unwrap();
     assert!(log.warnings.is_empty(), "clean log must parse warning-free: {:?}", log.warnings);
@@ -52,6 +51,10 @@ fn recorded_sweep_round_trips_into_a_validated_trace() {
     assert_eq!(count(Stage::QueueWait), cells, "one queue-wait span per cell");
     assert_eq!(count(Stage::EngineRun), cells, "one engine-run span per executed cell");
     assert_eq!(count(Stage::CacheProbe), 0, "no cache attached, no probes");
+    // The log carries the sweep's own tallies (none without a store) and
+    // its stage histograms, not the simulator's registry.
+    assert!(log.counters.is_empty(), "{:?}", log.counters);
+    assert!(log.hists.iter().all(|h| Stage::ALL.iter().any(|s| s.name() == h.name)));
 
     // Gauges landed at the final grid state.
     assert_eq!(log.gauges.iter().find(|(n, _)| n == "cells_total").map(|(_, v)| *v), Some(cells));
@@ -112,7 +115,7 @@ fn cached_sweep_probes_reconcile_with_cache_stats() {
     let count = |s: Stage| snap.stage(s.name()).map_or(0, |h| h.count);
     assert_eq!(
         count(Stage::CacheProbe),
-        stats.hits + stats.misses + stats.coalesced,
+        stats.hits + stats.misses,
         "every lookup outcome times exactly one probe span"
     );
     assert_eq!(count(Stage::CacheInsert), stats.insertions);

@@ -784,9 +784,9 @@ fn check_blocking(
                 if live.is_empty() {
                     continue;
                 }
-                // The cache's documented lease-wait: `cond.wait(guard)`
-                // hands the *only* live guard to the condvar, which is
-                // exactly how in-flight dedup is supposed to park.
+                // A condvar wait handed the *only* live guard:
+                // `cond.wait(guard)` releases that lock while the thread
+                // parks, so nothing is held across the block.
                 if matches!(file.text(m), "wait" | "wait_timeout")
                     && live.len() == 1
                     && first_arg_ident(file, m) == live[0].guard
@@ -1305,8 +1305,8 @@ impl S {
 
     #[test]
     fn d8_exempts_condvar_wait_on_the_sole_held_guard() {
-        // The cache's lease-wait: the guard handed to wait() is the one
-        // live guard, so the lock is *released* while parked.
+        // The guard handed to wait() is the one live guard, so the lock
+        // is *released* while parked.
         let src = "impl S { fn f(&self) {
             let mut g = self.a.lock();
             g = self.cond.wait(g);

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::quote;
 use crate::registry::{bucket_ceil, bucket_floor, bucket_of, HistCells, HIST_BUCKETS};
-use crate::{HistSummary, TelemetrySnapshot};
+use crate::HistSummary;
 
 /// Harness pipeline stages timed by the flight recorder.
 ///
@@ -53,9 +53,9 @@ pub enum Stage {
     JournalAppend,
     /// Run-store `sync_data` to stable storage.
     JournalFsync,
-    /// Run-cache lookup (including any in-flight coalescing wait).
+    /// Run-store lookup (a resume journal or a shared cache).
     CacheProbe,
-    /// Run-cache insert (append + index update + amortized compaction).
+    /// Run-store insert (index update + append + amortized compaction).
     CacheInsert,
 }
 
@@ -443,10 +443,9 @@ impl From<&HistSummary> for ReportHist {
     }
 }
 
-/// A merged metrics view — counters, gauges, histograms — rendered as
-/// JSON or Prometheus text exposition with deterministic (sorted-name)
-/// ordering. This is the payload a future `sigma-serve` metrics
-/// endpoint serves; today `sigma_cli report --metrics` prints it.
+/// A metrics view — counters, gauges, histograms — rendered as JSON or
+/// Prometheus text exposition with deterministic (sorted-name) ordering.
+/// `sigma_cli report --metrics` builds one from a parsed event log.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     /// `(name, value)` monotonic counters.
@@ -458,63 +457,6 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// Builds a report from a registry snapshot plus a flight snapshot:
-    /// registry counters and histograms, flight gauges and stage
-    /// latency histograms.
-    #[must_use]
-    pub fn from_snapshots(telemetry: &TelemetrySnapshot, flight: &FlightSnapshot) -> Self {
-        let mut report = MetricsReport::default();
-        for (name, v) in &telemetry.counters {
-            report.counters.push(((*name).to_string(), *v));
-        }
-        for h in &telemetry.hists {
-            report.hists.push(ReportHist::from(h));
-        }
-        for (name, v) in &flight.gauges {
-            report.gauges.push(((*name).to_string(), *v));
-        }
-        for h in &flight.stages {
-            report.hists.push(ReportHist::from(h));
-        }
-        report
-    }
-
-    /// Merges `other` into `self`: counters and histogram cells sum by
-    /// name, gauges keep the elementwise maximum (the high-water mark —
-    /// the meaningful combination for levels sampled over disjoint
-    /// intervals). Names absent on either side are adopted. Merging an
-    /// empty report is the identity.
-    pub fn merge(&mut self, other: &MetricsReport) {
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine = mine.saturating_add(*v),
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine = (*mine).max(*v),
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
-        for h in &other.hists {
-            match self.hists.iter_mut().find(|mine| mine.name == h.name) {
-                Some(mine) => {
-                    mine.count += h.count;
-                    mine.sum = mine.sum.saturating_add(h.sum);
-                    mine.max = mine.max.max(h.max);
-                    if mine.buckets.len() < h.buckets.len() {
-                        mine.buckets.resize(h.buckets.len(), 0);
-                    }
-                    for (b, add) in mine.buckets.iter_mut().zip(&h.buckets) {
-                        *b += add;
-                    }
-                }
-                None => self.hists.push(h.clone()),
-            }
-        }
-    }
-
     /// A copy with counters, gauges, and histograms sorted by name —
     /// the canonical order every exporter uses.
     #[must_use]
@@ -603,7 +545,6 @@ impl MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
 
     /// A deterministic test clock ticking 10µs per call.
     fn ticking() -> FlightRecorder {
@@ -790,12 +731,12 @@ mod tests {
 
     #[test]
     fn prometheus_histograms_are_cumulative_with_inf_tail() {
-        let tele = Telemetry::off();
         let r = ticking();
         for dur in [0u64, 1, 1, 3] {
             r.record_span(Stage::CacheProbe, "p", 0, dur);
         }
-        let report = MetricsReport::from_snapshots(&tele.snapshot(), &r.snapshot());
+        let hists = r.snapshot().stages.iter().map(ReportHist::from).collect();
+        let report = MetricsReport { hists, ..MetricsReport::default() };
         let prom = report.to_prometheus();
         assert!(prom.contains("# TYPE sigma_cache_probe histogram"));
         assert!(prom.contains("sigma_cache_probe_bucket{le=\"0\"} 1"));
@@ -804,58 +745,6 @@ mod tests {
         assert!(prom.contains("sigma_cache_probe_bucket{le=\"+Inf\"} 4"));
         assert!(prom.contains("sigma_cache_probe_sum 5"));
         assert!(prom.contains("sigma_cache_probe_count 4"));
-    }
-
-    #[test]
-    fn empty_report_merge_is_identity_both_ways() {
-        let tele = Telemetry::enabled();
-        tele.add(crate::Counter::CacheHits, 5);
-        let r = ticking();
-        r.record_span(Stage::EngineRun, "x", 0, 7);
-        r.gauge_set(Gauge::CellsTotal, 3);
-        let full = MetricsReport::from_snapshots(&tele.snapshot(), &r.snapshot());
-        let empty = MetricsReport::from_snapshots(
-            &Telemetry::off().snapshot(),
-            &FlightRecorder::off().snapshot(),
-        );
-
-        // full ∪ empty == full (counters/hists sum with zeros, gauges max
-        // with zeros).
-        let mut merged = full.clone();
-        merged.merge(&empty);
-        assert_eq!(merged.to_json(), full.to_json());
-        assert_eq!(merged.to_prometheus(), full.to_prometheus());
-
-        // empty ∪ full == full, modulo nothing: same rendering.
-        let mut other = empty.clone();
-        other.merge(&full);
-        assert_eq!(other.to_json(), full.to_json());
-
-        // A default (no families at all) merge adopts everything.
-        let mut blank = MetricsReport::default();
-        blank.merge(&full);
-        assert_eq!(blank.to_json(), full.to_json());
-    }
-
-    #[test]
-    fn merge_sums_counters_and_hists_and_maxes_gauges() {
-        let mk = |hits: u64, dur: u64, done: u64| {
-            let tele = Telemetry::enabled();
-            tele.add(crate::Counter::CacheHits, hits);
-            let r = ticking();
-            r.record_span(Stage::EngineRun, "x", 0, dur);
-            r.gauge_set(Gauge::CellsCompleted, done);
-            MetricsReport::from_snapshots(&tele.snapshot(), &r.snapshot())
-        };
-        let mut a = mk(2, 4, 5);
-        let b = mk(3, 4, 1);
-        a.merge(&b);
-        assert!(a.to_json().contains("\"cache_hits\": 5"));
-        assert!(a.to_json().contains("\"cells_completed\": 5"));
-        let h = a.hists.iter().find(|h| h.name == "engine_run").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 8);
-        assert_eq!(h.buckets[bucket_of(4)], 2);
     }
 
     #[test]

@@ -44,25 +44,11 @@ pub enum Counter {
     /// cycles the stationary engine fast-forwards in O(1) while still
     /// charging them to the cycle totals.
     IdleCyclesSkipped,
-    /// Completed sweep cells appended to the write-ahead run journal.
-    JournalAppends,
-    /// Sweep cells skipped on resume because the journal already held a
-    /// matching completed record.
-    ResumeHits,
-    /// Sweep cells answered by the content-addressed run cache.
-    CacheHits,
-    /// Sweep cells absent from the run cache (executed and inserted).
-    CacheMisses,
-    /// Sweep cells that blocked on an identical in-flight cell and
-    /// reused its result instead of recomputing.
-    InflightCoalesced,
-    /// Run-cache entries evicted to stay within capacity.
-    CacheEvictions,
 }
 
 impl Counter {
     /// Every counter, in emission order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 13] = [
         Counter::RouteCacheHits,
         Counter::RouteCacheMisses,
         Counter::SramStationaryReads,
@@ -76,12 +62,6 @@ impl Counter {
         Counter::FoldsPlanned,
         Counter::StationaryDropped,
         Counter::IdleCyclesSkipped,
-        Counter::JournalAppends,
-        Counter::ResumeHits,
-        Counter::CacheHits,
-        Counter::CacheMisses,
-        Counter::InflightCoalesced,
-        Counter::CacheEvictions,
     ];
 
     /// Stable snake_case name (CSV/JSON key).
@@ -101,12 +81,6 @@ impl Counter {
             Counter::FoldsPlanned => "folds_planned",
             Counter::StationaryDropped => "stationary_dropped",
             Counter::IdleCyclesSkipped => "idle_cycles_skipped",
-            Counter::JournalAppends => "journal_appends",
-            Counter::ResumeHits => "resume_hits",
-            Counter::CacheHits => "cache_hits",
-            Counter::CacheMisses => "cache_misses",
-            Counter::InflightCoalesced => "inflight_coalesced",
-            Counter::CacheEvictions => "cache_evictions",
         }
     }
 }
