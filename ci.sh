@@ -75,33 +75,24 @@ done
 # in debug builds where timings are incomparable).
 cargo run -q --release -p sigma-bench --bin perf_bench -- --check --smoke
 # Telemetry smoke leg: the trace subcommand must emit a Chrome trace that
-# passes its own validator, and a telemetry sweep must drop a
-# telemetry_summary.json with the recorder's engine-run timings (its
-# records carry no wall time: the cache-parity leg below cmps its CSV
-# against a plain sweep's).
+# passes its own validator.
 cargo run -q --release -p sigma-bench --bin sigma_cli -- trace \
     --out /tmp/sigma_ci.trace.json --m 24 --n 24 --k 24 \
     --input-sparsity 0.5 --weight-sparsity 0.5
 grep -q '"traceEvents"' /tmp/sigma_ci.trace.json
-cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep --telemetry \
-    --workload 16:16:16:0.5:0.5 --output csv \
-    --out /tmp/sigma_ci_telemetry_summary.json > /tmp/sigma_ci_sweep.csv
-grep -q 'idle_cycles_skipped' /tmp/sigma_ci_sweep.csv
-grep -q '"total_wall_ms"' /tmp/sigma_ci_telemetry_summary.json
-grep -q '"peak_mem_est_bytes"' /tmp/sigma_ci_telemetry_summary.json
 # Run-cache parity gate: the same sweep cold (empty store), warm (reused
-# store), cache-disabled and with --telemetry must render byte-identical
-# CSV and JSON — a cache hit may only ever serve the bytes the engine
-# would produce, and records carry no wall time.
+# store) and cache-disabled must render byte-identical CSV and JSON — a
+# cache hit may only ever serve the bytes the engine would produce.
 rm -f /tmp/sigma_ci_cache.store
 cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
     --workload 16:16:16:0.5:0.5 --cache /tmp/sigma_ci_cache.store \
-    --cache-stats --output csv > /tmp/sigma_ci_cache_cold.csv
+    --output csv > /tmp/sigma_ci_cache_cold.csv
 cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
     --workload 16:16:16:0.5:0.5 --cache /tmp/sigma_ci_cache.store \
-    --cache-stats --output csv > /tmp/sigma_ci_cache_warm.csv
+    --output csv > /tmp/sigma_ci_cache_warm.csv
 cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
     --workload 16:16:16:0.5:0.5 --output csv > /tmp/sigma_ci_cache_off.csv
+grep -q 'idle_cycles_skipped' /tmp/sigma_ci_cache_off.csv
 cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
     --workload 16:16:16:0.5:0.5 --cache /tmp/sigma_ci_cache.store \
     --output json > /tmp/sigma_ci_cache_warm.json
@@ -110,7 +101,6 @@ cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
 cmp /tmp/sigma_ci_cache_cold.csv /tmp/sigma_ci_cache_warm.csv
 cmp /tmp/sigma_ci_cache_cold.csv /tmp/sigma_ci_cache_off.csv
 cmp /tmp/sigma_ci_cache_warm.json /tmp/sigma_ci_cache_off.json
-cmp /tmp/sigma_ci_sweep.csv /tmp/sigma_ci_cache_off.csv
 rm -f /tmp/sigma_ci_cache.store
 # Run-cache bench leg: cold, warm and uncached sweeps must render the
 # same bytes, the cold pass must miss and each warm pass hit every cell,
@@ -118,10 +108,10 @@ rm -f /tmp/sigma_ci_cache.store
 # speedup ratio in debug builds, like --check).
 cargo run -q --release -p sigma-bench --bin perf_bench -- --dse-warm --smoke --quiet
 # Flight-recorder smoke leg: a recorded sweep must drop an event log
-# whose rendered Perfetto trace passes validate_chrome_trace with
-# non-zero per-stage totals (the report only prints `stage X: count=`
-# lines for stages that recorded spans), and the same sweep with the
-# recorder off must stay byte-identical to the plain run above.
+# whose rendered Perfetto trace passes validate_chrome_trace, whose
+# per-stage table shows non-zero engine_run and queue_wait counts, and
+# whose report splits engine time by engine; its CSV must stay
+# byte-identical to the plain run above (records carry no wall time).
 cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep \
     --workload 16:16:16:0.5:0.5 --flight-recorder /tmp/sigma_ci_flight.jsonl \
     --output csv > /tmp/sigma_ci_flight_on.csv
@@ -129,8 +119,9 @@ cargo run -q --release -p sigma-bench --bin sigma_cli -- report \
     --from /tmp/sigma_ci_flight.jsonl \
     --out /tmp/sigma_ci_flight.trace.json > /tmp/sigma_ci_flight_report.txt
 grep -q '"traceEvents"' /tmp/sigma_ci_flight.trace.json
-grep -q 'stage engine_run: count=' /tmp/sigma_ci_flight_report.txt
-grep -q 'stage queue_wait: count=' /tmp/sigma_ci_flight_report.txt
+grep -Eq '^ *engine_run +[1-9]' /tmp/sigma_ci_flight_report.txt
+grep -Eq '^ *queue_wait +[1-9]' /tmp/sigma_ci_flight_report.txt
+grep -q '^== flight engines ==' /tmp/sigma_ci_flight_report.txt
 cmp /tmp/sigma_ci_flight_on.csv /tmp/sigma_ci_cache_off.csv
 # Recorder overhead gate: no recorder, a disabled handle, and an enabled
 # recorder must render byte-identical sweep records/CSV/JSON, and the

@@ -18,12 +18,10 @@
 //!     [--m M --n N --k K --input-sparsity S --weight-sparsity S] [--telemetry]
 //! ```
 //!
-//! `--list-engines` prints the registry's slugs. `--telemetry` on a sweep
-//! turns on the flight recorder (the sweep's one wall clock) with a live
-//! progress line, and writes a `telemetry_summary.json` artifact (path via
-//! `--out`) folded from the records and the recorder's spans. The
-//! records themselves carry no wall time, so the sweep's CSV/JSON output
-//! is byte-identical with or without it.
+//! `--list-engines` prints the registry's slugs. `--telemetry` belongs to
+//! `trace` alone, where it prints the simulator registry's snapshot; a
+//! sweep is recorded with `--flight-recorder` (below), and `--sweep
+//! --telemetry` is refused.
 //!
 //! `--resume JOURNAL` makes `--sweep` crash-safe: every completed cell is
 //! appended (and fsynced) to the journal as it finishes, cells already in
@@ -34,23 +32,27 @@
 //! `--cache STORE` attaches the persistent content-addressed run cache:
 //! cells seen by *any* previous sweep or invocation sharing the store are
 //! served from it instead of re-simulated, with byte-identical output
-//! (`--cache-cap N` bounds resident entries, default 4096; `--cache-stats`
-//! prints hit-rate/miss/eviction counts to stderr afterwards).
+//! (`--cache-cap N` bounds resident entries, default 4096), and prints
+//! one `[cache] … hits, … misses, … evictions` line to stderr afterwards.
 //!
-//! `--flight-recorder LOG` on a sweep turns on the same flight recorder
-//! and persists it: every engine run, operand materialization, queue
-//! wait, journal append + fsync, and cache probe/insert is timed on a
-//! monotonic process clock and persisted — atomically — as a JSONL
-//! event log, alongside
-//! per-stage latency histograms and periodic gauge snapshots. The
-//! recorder lives entirely at this harness edge (the clock is injected),
-//! so library crates stay deterministic, and with the flag absent the
-//! sweep's output is byte-identical to a recorder-free build.
+//! `--flight-recorder LOG` is the one switch that records a sweep: it
+//! turns on the flight recorder (the sweep's one wall clock) with a live
+//! progress line on a terminal, times every engine run, operand
+//! materialization, queue wait, journal append + fsync, and cache
+//! probe/insert on a monotonic process clock, and persists — atomically
+//! — a JSONL event log, alongside per-stage latency histograms and
+//! periodic gauge snapshots. The recorder lives entirely at this harness
+//! edge (the clock is injected), so library crates stay deterministic,
+//! and the records carry no wall time, so the sweep's CSV/JSON output is
+//! byte-identical with or without it.
 //!
-//! `report --from LOG` converts an event log into a Perfetto-loadable
+//! `report --from LOG` is the one reader of that log. It prints the
+//! per-stage latency table, the per-engine `engine_run` table (count,
+//! sum and max over the retained spans), the slowest cell and the
+//! dropped-span count, and converts the log into a Perfetto-loadable
 //! Chrome trace (one track per worker thread; journal and cache on named
 //! tracks; gauges as counter series), self-validated before it is
-//! written, plus an aggregate per-stage latency table on stdout.
+//! written with `--out`.
 //! `--metrics json|prom` instead re-exports the log's counters, gauges,
 //! and histograms as a `MetricsReport` JSON or Prometheus-text document.
 
@@ -59,14 +61,14 @@ use std::sync::Arc;
 use sigma_baselines::{GemmAccelerator, SystolicArray};
 use sigma_bench::harness::{
     build_report, default_registry, demo_suite, engine_by_name, read_event_log, records_table,
-    records_to_json, write_event_log, RunCache, Sweep, SweepProfile, WorkloadSpec,
+    records_to_json, write_event_log, RunCache, Sweep, WorkloadSpec,
 };
 use sigma_core::model::{estimate, estimate_best, GemmProblem};
 use sigma_core::{validate_chrome_trace, Dataflow, SigmaConfig, SigmaSim};
 use sigma_energy::EnergyBreakdown;
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::GemmShape;
-use sigma_telemetry::{FlightRecorder, Stage};
+use sigma_telemetry::FlightRecorder;
 use sigma_workloads::materialize;
 
 #[derive(Debug)]
@@ -89,7 +91,6 @@ struct Args {
     resume: Option<String>,
     cache: Option<String>,
     cache_cap: usize,
-    cache_stats: bool,
     flight_recorder: Option<String>,
     report: bool,
     from: Option<String>,
@@ -134,7 +135,6 @@ impl Args {
             resume: None,
             cache: None,
             cache_cap: 4096,
-            cache_stats: false,
             flight_recorder: None,
             report: false,
             from: None,
@@ -228,7 +228,6 @@ impl Args {
                     args.cache_cap = v.parse().map_err(|e| format!("--cache-cap: {e}"))?;
                     Ok(())
                 })?,
-                "--cache-stats" => args.cache_stats = true,
                 "--flight-recorder" => take(&mut |v| {
                     args.flight_recorder = Some(v.to_string());
                     Ok(())
@@ -263,9 +262,8 @@ impl Args {
                         [--functional] [--energy] \
                         | --engine NAME [--seed S] \
                         | --sweep [--workload M:N:K[:da[:db]]]... [--threads T] [--seed S] \
-                        [--output text|csv|json] [--telemetry] [--out SUMMARY.json] \
-                        [--resume JOURNAL] \
-                        [--cache STORE] [--cache-cap N] [--cache-stats] \
+                        [--output text|csv|json] [--resume JOURNAL] \
+                        [--cache STORE] [--cache-cap N] \
                         [--flight-recorder LOG.jsonl] \
                         | trace [--out TRACE.json] [--telemetry] [--seed S] \
                         | report --from LOG.jsonl [--out TRACE.json] \
@@ -425,8 +423,9 @@ fn run_trace(args: &Args) -> i32 {
 }
 
 /// `report --from LOG`: converts a flight-recorder event log into a
-/// validated Perfetto trace (written with `--out`) plus an aggregate
-/// per-stage latency table; `--metrics json|prom` re-exports the log's
+/// validated Perfetto trace (written with `--out`) plus the per-stage
+/// latency table, the per-engine `engine_run` table, the slowest cell
+/// and the dropped-span count; `--metrics json|prom` re-exports the log's
 /// counters, gauges, and histograms instead. Exits non-zero if the log
 /// is unreadable or the built trace fails its own validator.
 fn run_report(args: &Args) -> i32 {
@@ -456,20 +455,16 @@ fn run_report(args: &Args) -> i32 {
         Some(MetricsOut::Prometheus) => print!("{}", log.metrics_report().to_prometheus()),
         None => {
             println!("{}", report.table.render());
-            for stage in Stage::ALL {
-                if let Some(h) = log.stage(stage) {
-                    if h.count > 0 {
-                        println!(
-                            "[report] stage {}: count={} sum_us={} mean_us={:.1} max_us={}",
-                            stage.name(),
-                            h.count,
-                            h.sum,
-                            h.mean(),
-                            h.max
-                        );
-                    }
+            println!("{}", report.engines.render());
+            match log.slowest_cell() {
+                Some(span) => {
+                    println!("[report] slowest cell: {} ({} us)", span.label, span.dur_us)
                 }
+                None => println!("[report] slowest cell: none (no engine_run span retained)"),
             }
+            let partial = " (the engine table and the slowest cell cover only the retained spans)";
+            let note = if log.dropped_spans > 0 { partial } else { "" };
+            println!("[report] dropped spans: {}{note}", log.dropped_spans);
         }
     }
     if let Some(out) = &args.out {
@@ -490,6 +485,13 @@ fn run_report(args: &Args) -> i32 {
 
 /// `--sweep`: the whole registry over the demo suite (or `--workload`s).
 fn run_sweep(args: &Args) -> i32 {
+    if args.telemetry || args.out.is_some() {
+        eprintln!(
+            "--sweep takes no --telemetry or --out: record it with --flight-recorder LOG, \
+             then read the log with `sigma_cli report --from LOG`"
+        );
+        return 2;
+    }
     let workloads = if args.workloads.is_empty() {
         demo_suite()
     } else {
@@ -503,10 +505,11 @@ fn run_sweep(args: &Args) -> i32 {
     };
     // The flight recorder's wall clock — the sweep's only one — is
     // injected here, at the harness edge: a monotonic microsecond counter
-    // since process start. With neither flag the recorder is a `None`
-    // handle and every recording call below is an inlined early return.
+    // since process start. Without `--flight-recorder` the recorder is a
+    // `None` handle and every recording call below is an inlined early
+    // return.
     let epoch = std::time::Instant::now();
-    let recorder = if args.telemetry || args.flight_recorder.is_some() {
+    let recorder = if args.flight_recorder.is_some() {
         let clock = move || u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
         FlightRecorder::with_clock(65_536, clock)
     } else {
@@ -574,23 +577,21 @@ fn run_sweep(args: &Args) -> i32 {
         tallies.push(("cache_hits", s.hits - before.hits));
         tallies.push(("cache_misses", s.misses - before.misses));
         tallies.push(("cache_evictions", s.evictions - before.evictions));
-        if args.cache_stats {
-            let probes = s.hits + s.misses;
-            let hit_rate = if probes == 0 { 0.0 } else { 100.0 * s.hits as f64 / probes as f64 };
-            eprintln!(
-                "[cache] {} entries in {} (cap {}): {} hits, {} misses \
-                 ({hit_rate:.1}% hit rate), {} evictions",
-                s.entries,
-                cache.path().display(),
-                cache.capacity(),
-                s.hits,
-                s.misses,
-                s.evictions
-            );
-        }
+        let probes = s.hits + s.misses;
+        let hit_rate = if probes == 0 { 0.0 } else { 100.0 * s.hits as f64 / probes as f64 };
+        eprintln!(
+            "[cache] {} entries in {} (cap {}): {} hits, {} misses \
+             ({hit_rate:.1}% hit rate), {} evictions",
+            s.entries,
+            cache.path().display(),
+            cache.capacity(),
+            s.hits,
+            s.misses,
+            s.evictions
+        );
     }
-    let flight = recorder.snapshot();
     if let Some(path) = &args.flight_recorder {
+        let flight = recorder.snapshot();
         let process = format!("sigma sweep seed {}", args.seed);
         if let Err(e) = write_event_log(std::path::Path::new(path), &process, &flight, &tallies) {
             eprintln!("cannot write flight log {path}: {e}");
@@ -608,17 +609,6 @@ fn run_sweep(args: &Args) -> i32 {
         Output::Text => println!("{}", records_table("Engine sweep", &records)),
         Output::Csv => print!("{}", records_table("Engine sweep", &records).to_csv()),
         Output::Json => print!("{}", records_to_json(&records)),
-    }
-    if args.telemetry {
-        let summary = SweepProfile::new(&records, &flight).to_json();
-        let path = args.out.as_deref().unwrap_or("telemetry_summary.json");
-        match std::fs::write(path, &summary) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return 1;
-            }
-        }
     }
     i32::from(records.iter().any(|r| !r.verified))
 }

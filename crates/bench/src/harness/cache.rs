@@ -4,8 +4,7 @@
 //! content-addressed cross-sweep cache behind `Sweep::with_cache` /
 //! `sigma_cli --cache`: heavy DSE traffic repeats the same cells across
 //! sweeps and CLI invocations, and the cache answers a repeated cell in
-//! one map lookup instead of a simulation — the Benes `RouteCache` idea
-//! lifted to whole-run granularity. Opened with an unbounded capacity,
+//! one map lookup instead of a simulation. Opened with an unbounded capacity,
 //! it is the write-ahead journal behind
 //! [`Sweep::resume`](crate::harness::Sweep::resume), which memoizes every
 //! cell of one sweep, whatever its status, so a killed sweep resumes
@@ -383,6 +382,12 @@ pub struct RunCache {
     path: PathBuf,
     load_warnings: Vec<String>,
     recorder: FlightRecorder,
+    /// Span labels, built once from the store's file name so that one
+    /// event log tells a sweep's journal from its cache: probes are
+    /// `"<file> hit"` / `"<file> miss"`, inserts `"<file>: <workload>"`.
+    hit_label: String,
+    miss_label: String,
+    file_name: String,
 }
 
 impl RunCache {
@@ -421,6 +426,7 @@ impl RunCache {
             // own instead of extending the damaged one.
             file.write_all(b"\n")?;
         }
+        let file_name = path.file_name().unwrap_or(path.as_os_str()).to_string_lossy().into_owned();
         Ok(Self {
             state: Mutex::new(CacheState {
                 index,
@@ -436,15 +442,20 @@ impl RunCache {
             path: path.to_path_buf(),
             load_warnings: warnings,
             recorder: FlightRecorder::off(),
+            hit_label: format!("{file_name} hit"),
+            miss_label: format!("{file_name} miss"),
+            file_name,
         })
     }
 
     /// Attaches a flight recorder (builder-style, before sharing the
     /// cache via `Arc`): every [`RunCache::lookup`] lands a
-    /// [`Stage::CacheProbe`] span (labelled hit / miss), every insert of
-    /// an absent key a [`Stage::CacheInsert`] span, and within it the
-    /// durable append and its fsync [`Stage::JournalAppend`] /
-    /// [`Stage::JournalFsync`] spans.
+    /// [`Stage::CacheProbe`] span (`"<file> hit"` / `"<file> miss"`),
+    /// every insert of an absent key a [`Stage::CacheInsert`] span, and
+    /// within it the durable append and its fsync
+    /// [`Stage::JournalAppend`] / [`Stage::JournalFsync`] spans, all
+    /// three labelled `"<file>: <workload>"`, where `<file>` is the
+    /// store's file name.
     #[must_use]
     pub fn with_flight_recorder(mut self, recorder: FlightRecorder) -> Self {
         self.recorder = recorder;
@@ -499,10 +510,10 @@ impl RunCache {
         };
         let label = if hit.is_some() {
             state.stats.hits += 1;
-            "hit"
+            &self.hit_label
         } else {
             state.stats.misses += 1;
-            "miss"
+            &self.miss_label
         };
         drop(state);
         self.recorder.span_since(Stage::CacheProbe, label, t0);
@@ -558,9 +569,13 @@ impl RunCache {
 
         let mut line = render_line(key, &record.to_json());
         line.push('\n');
+        // The label is only built when the recorder is on.
+        let label =
+            self.recorder.is_enabled().then(|| format!("{}: {}", self.file_name, record.workload));
+        let label = label.as_deref().unwrap_or("");
         // Durable half, serialized by the designated I/O lock only.
         let mut store = self.lock_store();
-        if let Err(e) = self.append(&mut store, &line, &record.workload) {
+        if let Err(e) = self.append(&mut store, &line, label) {
             store.io_warnings.push(format!("store append failed for {}: {e}", key.hex()));
         } else {
             store.appends_since_compaction += 1;
@@ -575,7 +590,7 @@ impl RunCache {
             }
         }
         drop(store);
-        self.recorder.span_since(Stage::CacheInsert, &record.workload, t0);
+        self.recorder.span_since(Stage::CacheInsert, label, t0);
     }
 
     /// Writes one rendered line and fsyncs it. Spans are recorded before
@@ -883,8 +898,12 @@ mod tests {
         // Probe spans reconcile with the traffic counters exactly.
         assert_eq!(snap.stage("cache_probe").unwrap().count, stats.hits + stats.misses);
         assert_eq!(snap.stage("cache_insert").unwrap().count, stats.insertions);
-        assert!(snap.spans.iter().any(|s| s.label == "hit"));
-        assert!(snap.spans.iter().any(|s| s.label == "miss"));
+        // Every label names the store, so a log tells it from another.
+        let file = cache.path().file_name().unwrap().to_string_lossy().into_owned();
+        let labels: Vec<&str> = snap.spans.iter().map(|s| s.label.as_str()).collect();
+        assert!(labels.contains(&format!("{file} miss").as_str()), "{labels:?}");
+        assert!(labels.contains(&format!("{file} hit").as_str()), "{labels:?}");
+        assert!(labels.contains(&format!("{file}: wl").as_str()), "{labels:?}");
         let _ = std::fs::remove_file(cache.path());
     }
 

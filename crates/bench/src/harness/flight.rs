@@ -11,7 +11,8 @@
 //! per recorded worker thread; journal and cache activity on fixed
 //! named tracks; gauge snapshots as counter series) that is
 //! self-validated with [`validate_chrome_trace`] before it is written,
-//! plus an aggregate per-stage latency table.
+//! plus an aggregate per-stage latency table and, from the retained
+//! `engine_run` spans, a per-engine table and the slowest cell.
 //!
 //! Line kinds, one JSON object per line:
 //!
@@ -151,6 +152,18 @@ impl EventLog {
     #[must_use]
     pub fn stage(&self, stage: Stage) -> Option<&ReportHist> {
         self.hists.iter().find(|h| h.name == stage.name())
+    }
+
+    /// The retained `engine_run` spans, in recording order.
+    fn engine_runs(&self) -> impl DoubleEndedIterator<Item = &SpanRecord> {
+        self.spans.iter().filter(|s| s.stage == Stage::EngineRun)
+    }
+
+    /// The longest retained `engine_run` span (the first one on a tie);
+    /// its label names the slowest cell.
+    #[must_use]
+    pub fn slowest_cell(&self) -> Option<&SpanRecord> {
+        self.engine_runs().rev().max_by_key(|s| s.dur_us)
     }
 
     /// Rebuilds a [`MetricsReport`] (counters + gauges + histograms)
@@ -300,6 +313,8 @@ pub struct FlightReport {
     pub summary: TraceSummary,
     /// Aggregate per-stage latency table (one row per [`Stage`]).
     pub table: Table,
+    /// Per-engine `engine_run` table over the retained spans.
+    pub engines: Table,
 }
 
 /// Converts a parsed event log into a validated Chrome trace plus the
@@ -349,7 +364,7 @@ pub fn build_report(log: &EventLog) -> Result<FlightReport, String> {
     }
     let trace_json = trace.to_json();
     let summary = validate_chrome_trace(&trace_json)?;
-    Ok(FlightReport { trace_json, summary, table: stage_table(log) })
+    Ok(FlightReport { trace_json, summary, table: stage_table(log), engines: engine_table(log) })
 }
 
 /// The aggregate per-stage latency table: one row per [`Stage`], in
@@ -367,6 +382,33 @@ pub fn stage_table(log: &EventLog) -> Table {
             format!("{mean:.1}"),
             max.to_string(),
         ]);
+    }
+    table
+}
+
+/// The per-engine `engine_run` table: the retained spans grouped by the
+/// engine slug that heads their `"{slug}: {workload}"` label, one row
+/// per engine in first-span order. When the recorder dropped spans, the
+/// rows cover only the retained ones, while the stage table's histogram
+/// still counts every run.
+#[must_use]
+pub fn engine_table(log: &EventLog) -> Table {
+    // (slug, count, sum, max) per engine.
+    let mut engines: Vec<(&str, u64, u64, u64)> = Vec::new();
+    for span in log.engine_runs() {
+        let slug = span.label.split_once(": ").map_or(span.label.as_str(), |(slug, _)| slug);
+        let idx = engines.iter().position(|e| e.0 == slug).unwrap_or_else(|| {
+            engines.push((slug, 0, 0, 0));
+            engines.len() - 1
+        });
+        let e = &mut engines[idx];
+        e.1 += 1;
+        e.2 += span.dur_us;
+        e.3 = e.3.max(span.dur_us);
+    }
+    let mut table = Table::new("flight engines", &["engine", "count", "sum_us", "max_us"]);
+    for (slug, count, sum, max) in engines {
+        table.push(vec![slug.to_string(), count.to_string(), sum.to_string(), max.to_string()]);
     }
     table
 }
@@ -452,6 +494,22 @@ mod tests {
         // The latency table has one row per stage, zeros included.
         assert_eq!(report.table.to_csv().lines().count(), 1 + Stage::ALL.len());
         assert!(report.table.to_csv().contains("engine_run,1,"));
+    }
+
+    #[test]
+    fn engine_table_groups_retained_runs_by_slug() {
+        let rec = FlightRecorder::with_clock(3, || 0);
+        for (label, us) in [("a: w0", 20), ("b: 16:16:16", 5), ("a: w1", 25), ("b: w1", 40)] {
+            rec.record_span(Stage::EngineRun, label, 0, us);
+        }
+        let log = parse_event_log(&render_event_log("sigma sweep", &rec.snapshot(), &[]));
+        assert_eq!(log.dropped_spans, 1);
+        // The fourth span was dropped: the histogram saw it, the table not.
+        assert_eq!(log.stage(Stage::EngineRun).map(|h| (h.count, h.sum)), Some((4, 90)));
+        let csv = engine_table(&log).to_csv();
+        assert_eq!(csv, "engine,count,sum_us,max_us\na,2,45,25\nb,1,5,5\n");
+        assert_eq!(log.slowest_cell().map(|s| s.label.as_str()), Some("a: w1"));
+        assert!(parse_event_log("").slowest_cell().is_none());
     }
 
     #[test]

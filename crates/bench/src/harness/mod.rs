@@ -20,12 +20,10 @@
 //! * [`flight`] — the flight-recorder event log (JSONL persistence for
 //!   a sweep's wall-clock spans, stage latency histograms, and gauges)
 //!   and the `sigma_cli report` builder that turns a log into a
-//!   validated Perfetto trace plus a per-stage latency table;
+//!   validated Perfetto trace plus per-stage and per-engine latency
+//!   tables — the one place a sweep's wall time is read back;
 //! * [`chaos`] — a deliberately panicking engine used to prove the
 //!   sweep's panic isolation;
-//! * [`profile`] — the sweep-level telemetry aggregate (status, operand
-//!   footprint and cycles from the records, wall time from the flight
-//!   recorder) behind `telemetry_summary.json`;
 //! * [`record`] — the structured [`RunRecord`] row every sweep produces,
 //!   rendered via [`Table`](crate::util::Table) (text/CSV) or JSON;
 //! * [`analytic`] — [`SigmaAnalytic`], the best-dataflow analytic SIGMA
@@ -42,7 +40,6 @@ pub mod cache;
 pub mod chaos;
 pub mod emit;
 pub mod flight;
-pub mod profile;
 pub mod record;
 pub mod registry;
 pub mod sweep;
@@ -54,10 +51,9 @@ pub use cache::{
 pub use chaos::PanickingEngine;
 pub use emit::{emit_tables, emit_tables_with};
 pub use flight::{
-    build_report, parse_event_log, read_event_log, render_event_log, stage_table, write_event_log,
-    EventLog, FlightReport, SnapSample, FLIGHT_SCHEMA,
+    build_report, engine_table, parse_event_log, read_event_log, render_event_log, stage_table,
+    write_event_log, EventLog, FlightReport, SnapSample, FLIGHT_SCHEMA,
 };
-pub use profile::{EngineProfile, SweepProfile};
 pub use record::{records_table, records_to_json, RunRecord, RunStatus};
 pub use registry::{default_registry, engine_by_name, engine_names, EngineEntry};
 pub use sweep::{demo_suite, derive_seed, par_map, ResumeOutcome, Sweep, WorkloadSpec};

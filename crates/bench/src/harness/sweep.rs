@@ -221,9 +221,10 @@ impl Sweep {
     /// snapshots, and a live one-line progress counter goes to stderr
     /// when stderr is a terminal. Records never carry wall time, so they —
     /// and their rendered CSV/JSON — are byte-identical with the
-    /// recorder on, off, or never attached.
-    /// [`SweepProfile`](crate::harness::profile::SweepProfile) folds the
-    /// records and the recorder's snapshot into a timing summary.
+    /// recorder on, off, or never attached. Engine-run spans are
+    /// labelled `"{slug}: {workload}"`, which is how
+    /// [`engine_table`](crate::harness::flight::engine_table) splits the
+    /// sweep's wall time by engine.
     ///
     /// The recorder's clock is injected by the caller (the `sigma_cli`
     /// harness passes a monotonic epoch), keeping wall-clock reads out

@@ -1,7 +1,8 @@
 //! `sigma_cli --sweep --resume` over a shared `--cache` that an earlier
 //! sweep filled: no cell executes, the journal still takes the whole
 //! grid, and the flight-recorder event log carries the sweep's own
-//! tallies, each named after what it counts.
+//! tallies, each named after what it counts, with every store span
+//! labelled by the store it belongs to.
 
 use std::path::Path;
 use std::process::Command;
@@ -64,5 +65,28 @@ fn resume_over_a_prefilled_cache_executes_nothing_and_logs_its_tallies() {
     assert_eq!(count(Stage::QueueWait), cells);
     assert_eq!(count(Stage::EngineRun), 0, "every cell came from the cache");
     assert_eq!(count(Stage::CacheInsert), cells, "every cell went into the journal");
+
+    // Each store's spans carry its file name, so they reconcile per
+    // store: probes with its hits + misses, inserts with its insertions.
+    let tally = |name: &str| counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).unwrap();
+    let spans = |stage: Stage, label: &dyn Fn(&str) -> bool| {
+        log.spans.iter().filter(|s| s.stage == stage && label(&s.label)).count() as u64
+    };
+    let probes = |label: &str| spans(Stage::CacheProbe, &|l| l == label);
+    let inserts = |file: &str| spans(Stage::CacheInsert, &|l| l.starts_with(&format!("{file}: ")));
+    assert_eq!(probes("cells.cache hit"), tally("cache_hits"));
+    assert_eq!(probes("cells.cache miss"), tally("cache_misses"));
+    assert_eq!(inserts("cells.cache"), 0, "a warm cache takes no insert");
+    assert_eq!(probes("sweep.journal hit"), tally("resume_hits"));
+    assert_eq!(probes("sweep.journal miss"), cells - tally("resume_hits"));
+    assert_eq!(inserts("sweep.journal"), journaled, "one insert per journal line");
+    assert_eq!(
+        probes("cells.cache hit")
+            + probes("cells.cache miss")
+            + probes("sweep.journal hit")
+            + probes("sweep.journal miss"),
+        count(Stage::CacheProbe),
+        "every probe span names its store"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

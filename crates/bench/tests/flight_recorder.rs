@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use sigma_bench::harness::{
     build_report, default_registry, demo_suite, read_event_log, records_table, records_to_json,
-    write_event_log, RunCache, Sweep, SweepProfile,
+    write_event_log, RunCache, Sweep,
 };
 use sigma_telemetry::{FlightRecorder, Gauge, Stage};
 
@@ -70,20 +70,6 @@ fn recorded_sweep_round_trips_into_a_validated_trace() {
     assert!(report.summary.counter_count as usize >= Gauge::ALL.len());
     let rendered = report.table.render();
     assert!(rendered.contains("engine_run"), "stage table lists every stage:\n{rendered}");
-
-    // The summary's per-engine split accounts for every retained
-    // engine-run span: the sweep's span labels match its records.
-    let profile = SweepProfile::new(&records, &flight);
-    let per_engine: f64 = profile.engines.iter().map(|e| e.wall_ms).sum();
-    assert!(profile.total_wall_ms > 0.0);
-    assert!((per_engine - profile.total_wall_ms).abs() < 1e-6, "{per_engine} vs {profile:?}");
-    assert!(
-        records
-            .iter()
-            .any(|r| format!("{}: {}", r.engine_slug, r.workload) == profile.slowest_cell),
-        "slowest cell {:?} names a grid cell",
-        profile.slowest_cell
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

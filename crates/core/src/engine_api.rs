@@ -12,7 +12,6 @@ use crate::config::SigmaError;
 use crate::engine::SigmaSim;
 use crate::stats::CycleStats;
 use sigma_matrix::{Matrix, SparseMatrix};
-use sigma_telemetry::TelemetrySnapshot;
 
 /// The outcome of one GEMM on any engine: the numeric product and the
 /// cycle accounting. (A cycle-stamped trace of a SIGMA run comes from
@@ -121,13 +120,6 @@ pub trait Engine: Send + Sync {
     /// engine cannot execute the problem.
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError>;
 
-    /// A snapshot of the engine's telemetry registry, when the engine
-    /// records one and it is enabled. Analytic baselines (and engines
-    /// built without telemetry) return `None` — the default.
-    fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        None
-    }
-
     /// Canonical revision string for this engine's *result-affecting*
     /// configuration: two engines with equal fingerprints must produce
     /// bitwise-identical [`EngineRun`]s on identical operands. Result
@@ -153,9 +145,6 @@ impl<E: Engine + ?Sized> Engine for &E {
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         (**self).run(a, b)
     }
-    fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        (**self).telemetry()
-    }
     fn fingerprint(&self) -> String {
         (**self).fingerprint()
     }
@@ -170,9 +159,6 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
     }
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         (**self).run(a, b)
-    }
-    fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        (**self).telemetry()
     }
     fn fingerprint(&self) -> String {
         (**self).fingerprint()
@@ -196,11 +182,6 @@ impl Engine for SigmaSim {
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         let run = self.run_gemm(a, b)?;
         Ok(EngineRun::new(run.result, run.stats))
-    }
-
-    fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        let handle = self.telemetry_handle();
-        handle.is_enabled().then(|| handle.snapshot())
     }
 
     fn fingerprint(&self) -> String {
@@ -249,20 +230,6 @@ mod tests {
         let err = Engine::run(&sim(), &a, &b).unwrap_err();
         assert_eq!(err, EngineError::DimensionMismatch { k_a: 5, k_b: 6 });
         assert!(err.to_string().contains("dimension mismatch"));
-    }
-
-    #[test]
-    fn telemetry_snapshot_flows_through_the_trait() {
-        let cfg = SigmaConfig::new(2, 8, 16, Dataflow::WeightStationary).unwrap();
-        let off: Box<dyn Engine> = Box::new(SigmaSim::new(cfg).unwrap());
-        assert!(off.telemetry().is_none(), "disabled telemetry reports None");
-        let on: Box<dyn Engine> = Box::new(SigmaSim::new(cfg.with_telemetry(true)).unwrap());
-        let a = sparse_uniform(6, 9, Density::new(0.5).unwrap(), 3);
-        let b = sparse_uniform(9, 5, Density::new(0.5).unwrap(), 4);
-        on.run(&a, &b).unwrap();
-        let snap = on.telemetry().expect("enabled telemetry reports a snapshot");
-        assert!(snap.enabled);
-        assert!(snap.counter("stream_steps").unwrap() > 0);
     }
 
     #[test]

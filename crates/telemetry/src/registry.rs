@@ -14,10 +14,6 @@ use crate::json::quote;
 /// Monotonic event counters recorded by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Flex-DPE loads of a prefix length the unit had loaded before.
-    RouteCacheHits,
-    /// First loads of a prefix length on a Flex-DPE.
-    RouteCacheMisses,
     /// Stationary-operand words read from SRAM (fold loading).
     SramStationaryReads,
     /// Streaming-operand words read from SRAM (one per distinct non-zero
@@ -31,56 +27,34 @@ pub enum Counter {
     FanAdds,
     /// Cluster sums leaving FAN trees over forwarding links.
     FanClusterSums,
-    /// Multiplications whose streamed operand was non-zero.
-    UsefulMacs,
-    /// Multiplications issued (occupied slots x steps).
-    IssuedMacs,
-    /// Stationary folds the controller planned.
-    FoldsPlanned,
     /// Stationary non-zeros the controller dropped (streaming-side empty
     /// contraction rows that can never contribute).
     StationaryDropped,
-    /// Streaming cycles whose step had no non-zero operands — dead
-    /// cycles the stationary engine fast-forwards in O(1) while still
-    /// charging them to the cycle totals.
-    IdleCyclesSkipped,
 }
 
 impl Counter {
     /// Every counter, in emission order.
-    pub const ALL: [Counter; 13] = [
-        Counter::RouteCacheHits,
-        Counter::RouteCacheMisses,
+    pub const ALL: [Counter; 7] = [
         Counter::SramStationaryReads,
         Counter::SramStreamingReads,
         Counter::BenesLoads,
         Counter::StreamSteps,
         Counter::FanAdds,
         Counter::FanClusterSums,
-        Counter::UsefulMacs,
-        Counter::IssuedMacs,
-        Counter::FoldsPlanned,
         Counter::StationaryDropped,
-        Counter::IdleCyclesSkipped,
     ];
 
     /// Stable snake_case name (CSV/JSON key).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Counter::RouteCacheHits => "route_cache_hits",
-            Counter::RouteCacheMisses => "route_cache_misses",
             Counter::SramStationaryReads => "sram_stationary_reads",
             Counter::SramStreamingReads => "sram_streaming_reads",
             Counter::BenesLoads => "benes_loads",
             Counter::StreamSteps => "stream_steps",
             Counter::FanAdds => "fan_adds",
             Counter::FanClusterSums => "fan_cluster_sums",
-            Counter::UsefulMacs => "useful_macs",
-            Counter::IssuedMacs => "issued_macs",
-            Counter::FoldsPlanned => "folds_planned",
             Counter::StationaryDropped => "stationary_dropped",
-            Counter::IdleCyclesSkipped => "idle_cycles_skipped",
         }
     }
 }
@@ -448,10 +422,10 @@ mod tests {
     fn counters_accumulate_across_clones() {
         let t = Telemetry::enabled();
         let u = t.clone();
-        t.add(Counter::RouteCacheHits, 2);
-        u.add(Counter::RouteCacheHits, 3);
-        assert_eq!(t.counter(Counter::RouteCacheHits), 5);
-        assert_eq!(u.snapshot().counter("route_cache_hits"), Some(5));
+        t.add(Counter::BenesLoads, 2);
+        u.add(Counter::BenesLoads, 3);
+        assert_eq!(t.counter(Counter::BenesLoads), 5);
+        assert_eq!(u.snapshot().counter("benes_loads"), Some(5));
     }
 
     #[test]
@@ -517,10 +491,10 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let t = Telemetry::enabled();
-        t.add(Counter::IssuedMacs, 9);
+        t.add(Counter::StreamSteps, 9);
         t.observe(Hist::MulticastFanout, 4);
         t.reset();
-        assert_eq!(t.counter(Counter::IssuedMacs), 0);
+        assert_eq!(t.counter(Counter::StreamSteps), 0);
         assert_eq!(t.snapshot().hist("multicast_fanout").unwrap().count, 0);
     }
 
