@@ -80,6 +80,17 @@ cargo run -q --release -p sigma-bench --bin sigma_cli -- trace \
     --out /tmp/sigma_ci.trace.json --m 24 --n 24 --k 24 \
     --input-sparsity 0.5 --weight-sparsity 0.5
 grep -q '"traceEvents"' /tmp/sigma_ci.trace.json
+# Foreign-flag leg: each mode takes only its own flags, so an --engine run
+# given the sweep's --flight-recorder and --cache and trace's --telemetry
+# must exit 2 before any work and leave neither the log nor the store.
+rm -rf /tmp/sigma_ci_foreign.jsonl /tmp/sigma_ci_foreign.cache
+status=0
+cargo run -q --release -p sigma-bench --bin sigma_cli -- --engine eie --m 8 --n 8 --k 8 \
+    --flight-recorder /tmp/sigma_ci_foreign.jsonl --cache /tmp/sigma_ci_foreign.cache \
+    --telemetry || status=$?
+test "$status" -eq 2
+test ! -e /tmp/sigma_ci_foreign.jsonl
+test ! -e /tmp/sigma_ci_foreign.cache
 # Run-cache parity gate: the same sweep cold (empty store), warm (reused
 # store) and cache-disabled must render byte-identical CSV and JSON — a
 # cache hit may only ever serve the bytes the engine would produce.

@@ -23,11 +23,14 @@
 //! ```
 //!
 //! Flags: `--smoke` (shorter pacing for CI; same number of kill points).
+//! The child takes only `--child --journal PATH [--pace-ms MS]`; any
+//! other flag, in either mode, exits 2 with the mode's usage line.
 //! Exits non-zero if any kill point fails to resume byte-identically.
 
 use sigma_bench::harness::{
     default_registry, demo_suite, derive_seed, records_table, records_to_json, EngineEntry, Sweep,
 };
+use sigma_bench::util::{exit_usage, Cli};
 use sigma_core::{Engine, EngineError, EngineRun};
 use sigma_matrix::SparseMatrix;
 use std::path::{Path, PathBuf};
@@ -166,24 +169,19 @@ fn run_kill_point(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let pace_ms = args
-        .iter()
-        .position(|a| a == "--pace-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok());
-    let journal_arg =
-        args.iter().position(|a| a == "--journal").and_then(|i| args.get(i + 1)).map(PathBuf::from);
-
-    if args.iter().any(|a| a == "--child") {
-        let Some(journal) = journal_arg else {
-            eprintln!("chaos_resume --child requires --journal PATH");
-            std::process::exit(2);
-        };
-        let pace = Duration::from_millis(pace_ms.unwrap_or(25));
-        std::process::exit(run_child(&journal, pace));
+    let cli = Cli::new("chaos_resume", 0, "parent", "[--smoke]")
+        .mode("--child --journal PATH [--pace-ms MS]");
+    let mut args = cli.from_env();
+    if args.mode() == "--child" {
+        let journal: Option<PathBuf> = args.value("--journal");
+        let pace_ms = args.value("--pace-ms").unwrap_or(25);
+        args.finish().unwrap_or_else(|msg| exit_usage(&msg));
+        let journal =
+            journal.unwrap_or_else(|| exit_usage("chaos_resume --child requires --journal PATH"));
+        std::process::exit(run_child(&journal, Duration::from_millis(pace_ms)));
     }
+    let smoke = args.switch("--smoke");
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
 
     let pace = Duration::from_millis(if smoke { 15 } else { 40 });
     let Ok(exe) = std::env::current_exe() else {

@@ -24,10 +24,11 @@
 //! ```
 //!
 //! Flags: `--smoke` (tiny trial counts for CI), plus the common
-//! `--csv DIR` / `--json DIR` / `--quiet` emit flags.
+//! `--csv DIR` / `--json DIR` / `--quiet` emit flags. They are read
+//! before the campaign runs: any other flag exits 2 at once.
 
-use sigma_bench::harness::{default_registry, derive_seed, emit_tables_with};
-use sigma_bench::util::Table;
+use sigma_bench::harness::{default_registry, derive_seed, Emit, EMIT_FLAGS};
+use sigma_bench::util::{exit_usage, Cli, Table};
 use sigma_core::fault::{FaultKind, FaultPlan, FaultSite, StuckLevel};
 use sigma_core::model::GemmProblem;
 use sigma_core::{Dataflow, RecoveryPolicy, SigmaConfig, SigmaSim};
@@ -325,17 +326,16 @@ fn output_corruption_leg(cc: &CampaignConfig, gate: &mut Gate) -> Table {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    args.retain(|a| a != "--smoke");
+    let cli = Cli::new("fault_campaign", 2, "", &format!("[--smoke] {EMIT_FLAGS}"));
+    let mut args = cli.from_env();
+    let smoke = args.switch("--smoke");
+    let emit = Emit::read(&mut args);
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
 
     let cc = CampaignConfig::new(smoke);
     let mut gate = Gate::default();
     let tables = [sigma_leg(&cc, &mut gate), output_corruption_leg(&cc, &mut gate)];
-    if let Err(msg) = emit_tables_with(&tables, &args, &mut std::io::stdout()) {
-        eprintln!("{msg} (flags: [--smoke] [--csv DIR] [--json DIR] [--quiet])");
-        std::process::exit(2);
-    }
+    emit.write(&tables, &mut std::io::stdout()).unwrap_or_else(|msg| exit_usage(&msg));
 
     let rate = if gate.transient_numeric == 0 {
         1.0

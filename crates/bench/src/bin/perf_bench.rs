@@ -35,6 +35,12 @@
 //! * `--out PATH` / `--baseline PATH` — override the baseline location;
 //! * `--quiet` — suppress the table.
 //!
+//! Each mode takes only its own flags, as `--help` lists them: the
+//! `--telemetry` and `--recorder-check` modes take `--smoke` and
+//! `--quiet`, `--dse-warm` also `--json`, and only the default ladder
+//! takes `--check`, `--out` and `--baseline`. Any other flag, or two
+//! modes at once, exits 2 with the mode's usage line.
+//!
 //! `--check` requires an optimized build: debug timings are an order of
 //! magnitude off the committed numbers, so an unoptimized gate run warns
 //! and skips the comparison (force with `SIGMA_PERF_FORCE_CHECK=1`). The
@@ -45,7 +51,7 @@ use sigma_bench::harness::{
     default_registry, demo_suite, records_table, records_to_json, RunCache, Sweep,
 };
 use sigma_bench::perf::{cases, measure, measure_with, parse_baseline, to_json, PerfMeasurement};
-use sigma_bench::util::Table;
+use sigma_bench::util::{exit_usage, Cli, Table};
 use sigma_telemetry::json::quote;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -58,55 +64,6 @@ const SMOKE_REPS: usize = 2;
 fn default_baseline_path() -> PathBuf {
     // crates/bench -> crates -> repo root.
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_sim.json")
-}
-
-struct Args {
-    check: bool,
-    smoke: bool,
-    quiet: bool,
-    telemetry: bool,
-    dse_warm: bool,
-    recorder_check: bool,
-    json: bool,
-    baseline: PathBuf,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        check: false,
-        smoke: false,
-        quiet: false,
-        telemetry: false,
-        dse_warm: false,
-        recorder_check: false,
-        json: false,
-        baseline: default_baseline_path(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => args.check = true,
-            "--smoke" => args.smoke = true,
-            "--quiet" => args.quiet = true,
-            "--telemetry" => args.telemetry = true,
-            "--dse-warm" => args.dse_warm = true,
-            "--recorder-check" => args.recorder_check = true,
-            "--json" => args.json = true,
-            "--out" | "--baseline" => {
-                let path = it.next().ok_or_else(|| format!("{arg} requires a path"))?;
-                args.baseline = PathBuf::from(path);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: perf_bench [--check] [--smoke] [--telemetry] [--dse-warm] \
-                     [--recorder-check] [--json] [--quiet] [--out PATH] [--baseline PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag: {other}")),
-        }
-    }
-    Ok(args)
 }
 
 /// `--telemetry`: times every ladder case with the registry off and on and
@@ -419,45 +376,56 @@ fn render(measurements: &[PerfMeasurement], baseline: &[(String, f64)]) -> Table
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("perf_bench: {e}");
-            return ExitCode::from(2);
-        }
+    let cli = Cli::new(
+        "perf_bench",
+        0,
+        "ladder",
+        "[--check] [--smoke] [--json] [--quiet] [--out PATH] [--baseline PATH]",
+    )
+    .mode("--telemetry [--smoke] [--quiet]")
+    .mode("--dse-warm [--smoke] [--json] [--quiet]")
+    .mode("--recorder-check [--smoke] [--quiet]");
+    let mut args = cli.from_env();
+    let mode = args.mode();
+    let smoke = args.switch("--smoke");
+    let quiet = args.switch("--quiet");
+    let json = matches!(mode, "ladder" | "--dse-warm") && args.switch("--json");
+    let (check, out, baseline) = if mode == "ladder" {
+        (args.switch("--check"), args.value("--out"), args.value("--baseline"))
+    } else {
+        (false, None, None)
     };
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
+    let baseline_path: PathBuf = out.or(baseline).unwrap_or_else(default_baseline_path);
 
-    let reps = if args.smoke { SMOKE_REPS } else { FULL_REPS };
-    let ladder: Vec<_> = cases().into_iter().filter(|c| !args.smoke || c.smoke).collect();
+    let reps = if smoke { SMOKE_REPS } else { FULL_REPS };
+    let ladder: Vec<_> = cases().into_iter().filter(|c| !smoke || c.smoke).collect();
 
-    if args.telemetry {
-        return run_overhead(&ladder, reps, args.quiet);
-    }
-    if args.dse_warm {
-        return run_dse_warm(args.smoke, args.quiet, args.json);
-    }
-    if args.recorder_check {
-        return run_recorder_check(args.smoke, args.quiet);
+    match mode {
+        "--telemetry" => return run_overhead(&ladder, reps, quiet),
+        "--dse-warm" => return run_dse_warm(smoke, quiet, json),
+        "--recorder-check" => return run_recorder_check(smoke, quiet),
+        _ => {}
     }
 
-    let baseline_text = std::fs::read_to_string(&args.baseline).unwrap_or_default();
+    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
     let baseline = parse_baseline(&baseline_text);
 
     let mut measurements = Vec::with_capacity(ladder.len());
     for case in &ladder {
-        if !args.quiet {
+        if !quiet {
             eprintln!("perf_bench: timing {} ({} PEs, {})...", case.name, case.pes(), case.shape());
         }
         measurements.push(measure(case, reps).expect("ladder case must simulate"));
     }
 
-    if args.json {
-        print!("{}", render_json(&measurements, &baseline, args.smoke));
-    } else if !args.quiet {
+    if json {
+        print!("{}", render_json(&measurements, &baseline, smoke));
+    } else if !quiet {
         print!("{}", render(&measurements, &baseline));
     }
 
-    if args.check {
+    if check {
         if cfg!(debug_assertions) && std::env::var_os("SIGMA_PERF_FORCE_CHECK").is_none() {
             eprintln!(
                 "perf_bench: --check skipped: unoptimized build timings are not comparable \
@@ -469,7 +437,7 @@ fn main() -> ExitCode {
         if baseline.is_empty() {
             eprintln!(
                 "perf_bench: no baseline at {} - run perf_bench without --check to create it",
-                args.baseline.display()
+                baseline_path.display()
             );
             return ExitCode::FAILURE;
         }
@@ -479,7 +447,7 @@ fn main() -> ExitCode {
                 eprintln!("perf_bench: note: case {} has no baseline entry yet", m.case.name);
                 continue;
             };
-            let tol = tolerance(args.smoke, m.case.pes());
+            let tol = tolerance(smoke, m.case.pes());
             let ratio = m.cycles_per_sec / old;
             if ratio < 1.0 - tol {
                 eprintln!(
@@ -497,28 +465,28 @@ fn main() -> ExitCode {
         if regressed {
             return ExitCode::FAILURE;
         }
-        if !args.quiet {
+        if !quiet {
             eprintln!(
                 "perf_bench: check passed (tolerance {:.0}%; {:.0}% at >=4K PEs)",
-                100.0 * tolerance(args.smoke, 0),
-                100.0 * tolerance(args.smoke, 4096),
+                100.0 * tolerance(smoke, 0),
+                100.0 * tolerance(smoke, 4096),
             );
         }
         return ExitCode::SUCCESS;
     }
-    if args.json {
+    if json {
         // Report-only: never rewrite the committed baseline from a mode
         // meant for machine consumers.
         return ExitCode::SUCCESS;
     }
 
     let json = to_json(&measurements);
-    if let Err(e) = std::fs::write(&args.baseline, &json) {
-        eprintln!("perf_bench: cannot write {}: {e}", args.baseline.display());
+    if let Err(e) = std::fs::write(&baseline_path, &json) {
+        eprintln!("perf_bench: cannot write {}: {e}", baseline_path.display());
         return ExitCode::FAILURE;
     }
-    if !args.quiet {
-        eprintln!("perf_bench: baseline written to {}", args.baseline.display());
+    if !quiet {
+        eprintln!("perf_bench: baseline written to {}", baseline_path.display());
     }
     ExitCode::SUCCESS
 }

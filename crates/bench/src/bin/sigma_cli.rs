@@ -18,10 +18,12 @@
 //!     [--m M --n N --k K --input-sparsity S --weight-sparsity S] [--telemetry]
 //! ```
 //!
-//! `--list-engines` prints the registry's slugs. `--telemetry` belongs to
-//! `trace` alone, where it prints the simulator registry's snapshot; a
-//! sweep is recorded with `--flight-recorder` (below), and `--sweep
-//! --telemetry` is refused.
+//! `--list-engines` prints the registry's slugs. Each mode takes only its
+//! own flags, as `--help` lists them: a flag of another mode, a misspelled
+//! flag, a value that does not parse or two modes at once exit 2 with the
+//! mode's usage line. So `--telemetry` belongs to `trace` alone, where it
+//! prints the simulator registry's snapshot; a sweep is recorded with
+//! `--flight-recorder` (below).
 //!
 //! `--resume JOURNAL` makes `--sweep` crash-safe: every completed cell is
 //! appended (and fsynced) to the journal as it finishes, cells already in
@@ -63,6 +65,7 @@ use sigma_bench::harness::{
     build_report, default_registry, demo_suite, engine_by_name, read_event_log, records_table,
     records_to_json, write_event_log, RunCache, Sweep, WorkloadSpec,
 };
+use sigma_bench::util::{exit_usage, Args, Cli};
 use sigma_core::model::{estimate, estimate_best, GemmProblem};
 use sigma_core::{validate_chrome_trace, Dataflow, SigmaConfig, SigmaSim};
 use sigma_energy::EnergyBreakdown;
@@ -71,249 +74,91 @@ use sigma_matrix::GemmShape;
 use sigma_telemetry::FlightRecorder;
 use sigma_workloads::materialize;
 
-#[derive(Debug)]
-struct Args {
-    m: usize,
-    n: usize,
-    k: usize,
+/// The GEMM flags of the analytic, `--engine` and `trace` modes.
+const GEMM: &str = "[--m M] [--n N] [--k K] [--input-sparsity S] [--weight-sparsity S]";
+
+/// The modes and their flags.
+fn cli() -> Cli {
+    Cli::new(
+        "sigma_cli",
+        2,
+        "analytic",
+        &format!("{GEMM} [--dpes D] [--dpe-size P] [--bandwidth W] [--functional] [--energy]"),
+    )
+    .mode(&format!("--engine NAME {GEMM} [--seed S]"))
+    .mode(
+        "--sweep [--workload M:N:K[:da[:db]]]... [--threads T] [--seed S] \
+         [--output text|csv|json] [--resume JOURNAL] [--cache STORE] [--cache-cap N] \
+         [--flight-recorder LOG.jsonl]",
+    )
+    .mode(&format!("trace [--out TRACE.json] {GEMM} [--seed S] [--telemetry]"))
+    .mode("report --from LOG.jsonl [--out TRACE.json] [--metrics json|prom]")
+    .mode("--list-engines")
+}
+
+/// A GEMM problem as the [`GEMM`] flags give it.
+struct Gemm {
+    shape: GemmShape,
     input_sparsity: f64,
     weight_sparsity: f64,
-    dpes: usize,
-    dpe_size: usize,
-    bandwidth: usize,
-    functional: bool,
-    energy: bool,
-    engine: Option<String>,
-    list_engines: bool,
-    sweep: bool,
-    trace: bool,
-    telemetry: bool,
-    resume: Option<String>,
-    cache: Option<String>,
-    cache_cap: usize,
-    flight_recorder: Option<String>,
-    report: bool,
-    from: Option<String>,
-    metrics: Option<MetricsOut>,
-    out: Option<String>,
-    threads: Option<usize>,
-    seed: u64,
-    output: Output,
-    workloads: Vec<String>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Output {
-    Text,
-    Csv,
-    Json,
-}
-
-/// `report --metrics` export format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricsOut {
-    Json,
-    Prometheus,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut args = Args {
-            m: 1024,
-            n: 1024,
-            k: 1024,
-            input_sparsity: 0.0,
-            weight_sparsity: 0.0,
-            dpes: 128,
-            dpe_size: 128,
-            bandwidth: 128,
-            functional: false,
-            energy: false,
-            engine: None,
-            list_engines: false,
-            sweep: false,
-            resume: None,
-            cache: None,
-            cache_cap: 4096,
-            flight_recorder: None,
-            report: false,
-            from: None,
-            metrics: None,
-            trace: false,
-            telemetry: false,
-            out: None,
-            threads: None,
-            seed: 1,
-            output: Output::Text,
-            workloads: Vec::new(),
-        };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let flag = argv[i].as_str();
-            let mut take = |field: &mut dyn FnMut(&str) -> Result<(), String>| {
-                i += 1;
-                let v = argv.get(i).ok_or_else(|| format!("{flag} needs a value"))?;
-                field(v)
-            };
-            match flag {
-                "--m" => take(&mut |v| {
-                    args.m = v.parse().map_err(|e| format!("--m: {e}"))?;
-                    Ok(())
-                })?,
-                "--n" => take(&mut |v| {
-                    args.n = v.parse().map_err(|e| format!("--n: {e}"))?;
-                    Ok(())
-                })?,
-                "--k" => take(&mut |v| {
-                    args.k = v.parse().map_err(|e| format!("--k: {e}"))?;
-                    Ok(())
-                })?,
-                "--input-sparsity" => take(&mut |v| {
-                    args.input_sparsity =
-                        v.parse().map_err(|e| format!("--input-sparsity: {e}"))?;
-                    Ok(())
-                })?,
-                "--weight-sparsity" => take(&mut |v| {
-                    args.weight_sparsity =
-                        v.parse().map_err(|e| format!("--weight-sparsity: {e}"))?;
-                    Ok(())
-                })?,
-                "--dpes" => take(&mut |v| {
-                    args.dpes = v.parse().map_err(|e| format!("--dpes: {e}"))?;
-                    Ok(())
-                })?,
-                "--dpe-size" => take(&mut |v| {
-                    args.dpe_size = v.parse().map_err(|e| format!("--dpe-size: {e}"))?;
-                    Ok(())
-                })?,
-                "--bandwidth" => take(&mut |v| {
-                    args.bandwidth = v.parse().map_err(|e| format!("--bandwidth: {e}"))?;
-                    Ok(())
-                })?,
-                "--engine" => take(&mut |v| {
-                    args.engine = Some(v.to_string());
-                    Ok(())
-                })?,
-                "--threads" => take(&mut |v| {
-                    args.threads = Some(v.parse().map_err(|e| format!("--threads: {e}"))?);
-                    Ok(())
-                })?,
-                "--seed" => take(&mut |v| {
-                    args.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-                    Ok(())
-                })?,
-                "--workload" => take(&mut |v| {
-                    args.workloads.push(v.to_string());
-                    Ok(())
-                })?,
-                "--output" => take(&mut |v| {
-                    args.output = match v {
-                        "text" => Output::Text,
-                        "csv" => Output::Csv,
-                        "json" => Output::Json,
-                        other => return Err(format!("--output: unknown format {other}")),
-                    };
-                    Ok(())
-                })?,
-                "--resume" => take(&mut |v| {
-                    args.resume = Some(v.to_string());
-                    Ok(())
-                })?,
-                "--cache" => take(&mut |v| {
-                    args.cache = Some(v.to_string());
-                    Ok(())
-                })?,
-                "--cache-cap" => take(&mut |v| {
-                    args.cache_cap = v.parse().map_err(|e| format!("--cache-cap: {e}"))?;
-                    Ok(())
-                })?,
-                "--flight-recorder" => take(&mut |v| {
-                    args.flight_recorder = Some(v.to_string());
-                    Ok(())
-                })?,
-                "--from" => take(&mut |v| {
-                    args.from = Some(v.to_string());
-                    Ok(())
-                })?,
-                "--metrics" => take(&mut |v| {
-                    args.metrics = match v {
-                        "json" => Some(MetricsOut::Json),
-                        "prom" | "prometheus" => Some(MetricsOut::Prometheus),
-                        other => return Err(format!("--metrics: unknown format {other}")),
-                    };
-                    Ok(())
-                })?,
-                "--out" => take(&mut |v| {
-                    args.out = Some(v.to_string());
-                    Ok(())
-                })?,
-                "--functional" => args.functional = true,
-                "--energy" => args.energy = true,
-                "--list-engines" => args.list_engines = true,
-                "--sweep" => args.sweep = true,
-                "--telemetry" => args.telemetry = true,
-                "trace" => args.trace = true,
-                "report" => args.report = true,
-                "--help" | "-h" => {
-                    return Err("usage: sigma_cli [--m M] [--n N] [--k K] \
-                        [--input-sparsity S] [--weight-sparsity S] \
-                        [--dpes D] [--dpe-size P] [--bandwidth W] \
-                        [--functional] [--energy] \
-                        | --engine NAME [--seed S] \
-                        | --sweep [--workload M:N:K[:da[:db]]]... [--threads T] [--seed S] \
-                        [--output text|csv|json] [--resume JOURNAL] \
-                        [--cache STORE] [--cache-cap N] \
-                        [--flight-recorder LOG.jsonl] \
-                        | trace [--out TRACE.json] [--telemetry] [--seed S] \
-                        | report --from LOG.jsonl [--out TRACE.json] \
-                        [--metrics json|prom] \
-                        | --list-engines"
-                        .to_string())
-                }
-                other => return Err(format!("unknown flag {other} (try --help)")),
-            }
-            i += 1;
+impl Gemm {
+    /// Takes the [`GEMM`] flags (default: dense 1024 x 1024 x 1024).
+    fn read(args: &mut Args<'_>) -> Self {
+        let mut dim = |flag| args.value(flag).unwrap_or(1024);
+        let shape = GemmShape::new(dim("--m"), dim("--n"), dim("--k"));
+        let input_sparsity = args.value("--input-sparsity").unwrap_or(0.0);
+        let weight_sparsity = args.value("--weight-sparsity").unwrap_or(0.0);
+        if !(0.0..1.0).contains(&input_sparsity) || !(0.0..1.0).contains(&weight_sparsity) {
+            args.fail("sparsities must be in [0, 1)");
         }
-        if !(0.0..1.0).contains(&args.input_sparsity) || !(0.0..1.0).contains(&args.weight_sparsity)
-        {
-            return Err("sparsities must be in [0, 1)".to_string());
-        }
-        Ok(args)
+        Self { shape, input_sparsity, weight_sparsity }
+    }
+
+    /// The shape with every dimension capped at `cap`.
+    fn capped(&self, cap: usize) -> GemmShape {
+        GemmShape::new(self.shape.m.min(cap), self.shape.n.min(cap), self.shape.k.min(cap))
+    }
+
+    /// The problem on `shape`, at this GEMM's densities.
+    fn problem(&self, shape: GemmShape) -> GemmProblem {
+        GemmProblem::sparse(shape, 1.0 - self.input_sparsity, 1.0 - self.weight_sparsity)
     }
 }
 
 /// `--list-engines`: the registry's vocabulary.
-fn list_engines() {
+fn list_engines(args: Args<'_>) -> i32 {
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
     println!("registered engines (use with --engine):");
     for entry in default_registry() {
         println!("  {:<16} {}", entry.slug, entry.engine.name());
     }
+    0
 }
 
 /// `--engine NAME`: one functional engine on materialized operands.
-fn run_engine(args: &Args) -> i32 {
-    let Some(engine) = engine_by_name(args.engine.as_deref().unwrap_or_default()) else {
-        eprintln!(
-            "unknown engine {:?}; try --list-engines",
-            args.engine.as_deref().unwrap_or_default()
-        );
+fn run_engine(mut args: Args<'_>) -> i32 {
+    let name: String = args.value("--engine").unwrap_or_default();
+    let gemm = Gemm::read(&mut args);
+    let seed = args.value("--seed").unwrap_or(1);
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
+    let Some(engine) = engine_by_name(&name) else {
+        eprintln!("unknown engine {name:?}; try --list-engines");
         return 2;
     };
     // Functional engines move every operand element; cap the materialized
     // problem like --functional does so arbitrary shapes stay tractable.
-    let cap = 128usize;
-    let shape = GemmShape::new(args.m.min(cap), args.n.min(cap), args.k.min(cap));
-    if (shape.m, shape.n, shape.k) != (args.m, args.n, args.k) {
+    let shape = gemm.capped(128);
+    if shape != gemm.shape {
         println!("(functional run capped to {shape})");
     }
-    let p = GemmProblem::sparse(shape, 1.0 - args.input_sparsity, 1.0 - args.weight_sparsity);
-    let (a, b) = materialize(&p, args.seed);
+    let (a, b) = materialize(&gemm.problem(shape), seed);
     match engine.run(&a, &b) {
         Ok(run) => {
             let reference = a.to_dense().matmul(&b.to_dense());
             let ok = run.result.approx_eq(&reference, 1e-3 * shape.k as f32);
-            println!("{} on {shape} (seed {})", engine.name(), args.seed);
+            println!("{} on {shape} (seed {seed})", engine.name());
             println!("  {}", run.stats);
             println!("  verified vs reference GEMM: {}", if ok { "PASS" } else { "FAIL" });
             i32::from(!ok)
@@ -325,44 +170,22 @@ fn run_engine(args: &Args) -> i32 {
     }
 }
 
-/// Parses a `--workload M:N:K[:da[:db]]` spec.
-fn parse_workload(spec: &str) -> Result<WorkloadSpec, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if !(3..=5).contains(&parts.len()) {
-        return Err(format!("--workload {spec}: expected M:N:K[:density_a[:density_b]]"));
-    }
-    let dim = |i: usize| -> Result<usize, String> {
-        match parts[i].parse::<usize>() {
-            Ok(0) => Err(format!("--workload {spec}: dimensions must be non-zero")),
-            Ok(d) => Ok(d),
-            Err(e) => Err(format!("--workload {spec}: {e}")),
-        }
-    };
-    let den = |i: usize| -> Result<f64, String> {
-        parts.get(i).map_or(Ok(1.0), |s| s.parse().map_err(|e| format!("--workload {spec}: {e}")))
-    };
-    let shape = GemmShape::new(dim(0)?, dim(1)?, dim(2)?);
-    let (da, db) = (den(3)?, den(4)?);
-    if !(0.0..=1.0).contains(&da) || !(0.0..=1.0).contains(&db) {
-        return Err(format!("--workload {spec}: densities must be in [0, 1]"));
-    }
-    Ok(WorkloadSpec::new(spec, GemmProblem::sparse(shape, da, db)))
-}
-
 /// `trace`: one functional SIGMA run rendered as a Chrome trace-event
 /// document, self-validated before it is written (track totals must
 /// equal the run's Table-II phase totals).
-fn run_trace(args: &Args) -> i32 {
-    let cap = 64usize;
-    let shape = GemmShape::new(args.m.min(cap), args.n.min(cap), args.k.min(cap));
-    if (shape.m, shape.n, shape.k) != (args.m, args.n, args.k) {
+fn run_trace(mut args: Args<'_>) -> i32 {
+    let out: Option<String> = args.value("--out");
+    let gemm = Gemm::read(&mut args);
+    let seed = args.value("--seed").unwrap_or(1);
+    let telemetry = args.switch("--telemetry");
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
+    let shape = gemm.capped(64);
+    if shape != gemm.shape {
         eprintln!("(traced functional run capped to {shape})");
     }
-    let p = GemmProblem::sparse(shape, 1.0 - args.input_sparsity, 1.0 - args.weight_sparsity);
-    let (a, b) = materialize(&p, args.seed);
-    let cfg = SigmaConfig::new(4, 16, 64, Dataflow::WeightStationary)
-        .unwrap()
-        .with_telemetry(args.telemetry);
+    let (a, b) = materialize(&gemm.problem(shape), seed);
+    let cfg =
+        SigmaConfig::new(4, 16, 64, Dataflow::WeightStationary).unwrap().with_telemetry(telemetry);
     let sim = SigmaSim::new(cfg).unwrap();
     let (run, trace) = match sim.run_gemm_traced(&a, &b) {
         Ok(pair) => pair,
@@ -372,7 +195,7 @@ fn run_trace(args: &Args) -> i32 {
         }
     };
 
-    let process = format!("SIGMA 4x16 {shape} seed {}", args.seed);
+    let process = format!("SIGMA 4x16 {shape} seed {seed}");
     let json = trace.to_chrome_trace(&process).to_json();
     let summary = match validate_chrome_trace(&json) {
         Ok(s) => s,
@@ -396,7 +219,7 @@ fn run_trace(args: &Args) -> i32 {
         }
     }
 
-    match &args.out {
+    match &out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {
                 eprintln!("trace: cannot write {path}: {e}");
@@ -415,7 +238,7 @@ fn run_trace(args: &Args) -> i32 {
         }
         None => print!("{json}"),
     }
-    if args.telemetry {
+    if telemetry {
         let handle = sim.telemetry_handle();
         eprintln!("telemetry snapshot:\n{}", handle.snapshot().to_json());
     }
@@ -428,8 +251,12 @@ fn run_trace(args: &Args) -> i32 {
 /// and the dropped-span count; `--metrics json|prom` re-exports the log's
 /// counters, gauges, and histograms instead. Exits non-zero if the log
 /// is unreadable or the built trace fails its own validator.
-fn run_report(args: &Args) -> i32 {
-    let Some(path) = &args.from else {
+fn run_report(mut args: Args<'_>) -> i32 {
+    let from: Option<String> = args.value("--from");
+    let out: Option<String> = args.value("--out");
+    let metrics = args.choice("--metrics", &["json", "prom", "prometheus"]);
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
+    let Some(path) = &from else {
         eprintln!("report needs --from LOG.jsonl (an event log from --sweep --flight-recorder)");
         return 2;
     };
@@ -450,9 +277,9 @@ fn run_report(args: &Args) -> i32 {
             return 1;
         }
     };
-    match args.metrics {
-        Some(MetricsOut::Json) => print!("{}", log.metrics_report().to_json()),
-        Some(MetricsOut::Prometheus) => print!("{}", log.metrics_report().to_prometheus()),
+    match metrics {
+        Some("json") => print!("{}", log.metrics_report().to_json()),
+        Some(_) => print!("{}", log.metrics_report().to_prometheus()),
         None => {
             println!("{}", report.table.render());
             println!("{}", report.engines.render());
@@ -467,7 +294,7 @@ fn run_report(args: &Args) -> i32 {
             println!("[report] dropped spans: {}{note}", log.dropped_spans);
         }
     }
-    if let Some(out) = &args.out {
+    if let Some(out) = &out {
         if let Err(e) = std::fs::write(out, &report.trace_json) {
             eprintln!("report: cannot write {out}: {e}");
             return 1;
@@ -484,32 +311,26 @@ fn run_report(args: &Args) -> i32 {
 }
 
 /// `--sweep`: the whole registry over the demo suite (or `--workload`s).
-fn run_sweep(args: &Args) -> i32 {
-    if args.telemetry || args.out.is_some() {
-        eprintln!(
-            "--sweep takes no --telemetry or --out: record it with --flight-recorder LOG, \
-             then read the log with `sigma_cli report --from LOG`"
-        );
-        return 2;
+fn run_sweep(mut args: Args<'_>) -> i32 {
+    let mut workloads: Vec<WorkloadSpec> = args.values("--workload");
+    let threads: Option<usize> = args.value("--threads");
+    let seed = args.value("--seed").unwrap_or(1);
+    let output = args.choice("--output", &["text", "csv", "json"]);
+    let resume: Option<String> = args.value("--resume");
+    let cache_path: Option<String> = args.value("--cache");
+    let cache_cap = args.value("--cache-cap").unwrap_or(4096);
+    let flight_log: Option<String> = args.value("--flight-recorder");
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
+    if workloads.is_empty() {
+        workloads = demo_suite();
     }
-    let workloads = if args.workloads.is_empty() {
-        demo_suite()
-    } else {
-        match args.workloads.iter().map(|s| parse_workload(s)).collect() {
-            Ok(w) => w,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return 2;
-            }
-        }
-    };
     // The flight recorder's wall clock — the sweep's only one — is
     // injected here, at the harness edge: a monotonic microsecond counter
     // since process start. Without `--flight-recorder` the recorder is a
     // `None` handle and every recording call below is an inlined early
     // return.
     let epoch = std::time::Instant::now();
-    let recorder = if args.flight_recorder.is_some() {
+    let recorder = if flight_log.is_some() {
         let clock = move || u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
         FlightRecorder::with_clock(65_536, clock)
     } else {
@@ -518,14 +339,13 @@ fn run_sweep(args: &Args) -> i32 {
     // The event log's counters: the resume and cache tallies of this
     // sweep, collected once it is done.
     let mut tallies: Vec<(&str, u64)> = Vec::new();
-    let mut sweep =
-        Sweep::new(workloads).with_seed(args.seed).with_flight_recorder(recorder.clone());
-    if let Some(t) = args.threads {
+    let mut sweep = Sweep::new(workloads).with_seed(seed).with_flight_recorder(recorder.clone());
+    if let Some(t) = threads {
         sweep = sweep.with_threads(t);
     }
     let mut warned = 0;
-    let cache = match &args.cache {
-        Some(path) => match RunCache::open(std::path::Path::new(path), args.cache_cap) {
+    let cache = match &cache_path {
+        Some(path) => match RunCache::open(std::path::Path::new(path), cache_cap) {
             Ok(cache) => {
                 let cache = Arc::new(cache.with_flight_recorder(recorder.clone()));
                 for warning in cache.warnings() {
@@ -543,7 +363,7 @@ fn run_sweep(args: &Args) -> i32 {
         },
         None => None,
     };
-    let records = match &args.resume {
+    let records = match &resume {
         Some(path) => {
             // Crash-safe mode: completed cells replay from the journal,
             // fresh cells are appended durably as they finish, and the
@@ -590,9 +410,9 @@ fn run_sweep(args: &Args) -> i32 {
             s.evictions
         );
     }
-    if let Some(path) = &args.flight_recorder {
+    if let Some(path) = &flight_log {
         let flight = recorder.snapshot();
-        let process = format!("sigma sweep seed {}", args.seed);
+        let process = format!("sigma sweep seed {seed}");
         if let Err(e) = write_event_log(std::path::Path::new(path), &process, &flight, &tallies) {
             eprintln!("cannot write flight log {path}: {e}");
             return 1;
@@ -605,63 +425,43 @@ fn run_sweep(args: &Args) -> i32 {
             flight.snaps.len()
         );
     }
-    match args.output {
-        Output::Text => println!("{}", records_table("Engine sweep", &records)),
-        Output::Csv => print!("{}", records_table("Engine sweep", &records).to_csv()),
-        Output::Json => print!("{}", records_to_json(&records)),
+    match output {
+        Some("csv") => print!("{}", records_table("Engine sweep", &records).to_csv()),
+        Some("json") => print!("{}", records_to_json(&records)),
+        _ => println!("{}", records_table("Engine sweep", &records)),
     }
     i32::from(records.iter().any(|r| !r.verified))
 }
 
-fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+/// The analytic default: per-dataflow Table-II estimates, the TPU
+/// baseline, and optionally the energy split and a functional check.
+fn run_analytic(mut args: Args<'_>) -> i32 {
+    let gemm = Gemm::read(&mut args);
+    let dpes = args.value("--dpes").unwrap_or(128);
+    let dpe_size = args.value("--dpe-size").unwrap_or(128);
+    let bandwidth = args.value("--bandwidth").unwrap_or(128);
+    let functional = args.switch("--functional");
+    let energy = args.switch("--energy");
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
 
-    if args.list_engines {
-        list_engines();
-        return;
-    }
-    if args.engine.is_some() {
-        std::process::exit(run_engine(&args));
-    }
-    if args.trace {
-        std::process::exit(run_trace(&args));
-    }
-    if args.report {
-        std::process::exit(run_report(&args));
-    }
-    if args.sweep {
-        std::process::exit(run_sweep(&args));
-    }
-
-    let shape = GemmShape::new(args.m, args.n, args.k);
-    let p = GemmProblem::sparse(shape, 1.0 - args.input_sparsity, 1.0 - args.weight_sparsity);
-    let cfg = match SigmaConfig::new(
-        args.dpes,
-        args.dpe_size,
-        args.bandwidth,
-        Dataflow::WeightStationary,
-    )
-    .and_then(|c| c.with_stream_bandwidth(args.dpes * args.dpe_size))
+    let shape = gemm.shape;
+    let p = gemm.problem(shape);
+    let cfg = match SigmaConfig::new(dpes, dpe_size, bandwidth, Dataflow::WeightStationary)
+        .and_then(|c| c.with_stream_bandwidth(dpes * dpe_size))
     {
         Ok(c) => c,
         Err(e) => {
             eprintln!("bad configuration: {e}");
-            std::process::exit(2);
+            return 2;
         }
     };
 
     println!(
         "GEMM {shape} | input sparsity {:.0}% | weight sparsity {:.0}% | SIGMA {} x Flex-DPE-{}",
-        args.input_sparsity * 100.0,
-        args.weight_sparsity * 100.0,
-        args.dpes,
-        args.dpe_size
+        gemm.input_sparsity * 100.0,
+        gemm.weight_sparsity * 100.0,
+        dpes,
+        dpe_size
     );
     println!();
     for df in Dataflow::ALL {
@@ -679,21 +479,18 @@ fn main() {
         t.total_cycles() as f64 / best.total_cycles() as f64
     );
 
-    if args.energy {
-        let b = EnergyBreakdown::from_stats(&best, args.dpe_size);
+    if energy {
+        let b = EnergyBreakdown::from_stats(&best, dpe_size);
         println!("\n  energy breakdown ({:.3} mJ total):", b.total_j() * 1e3);
         for (label, j) in b.rows() {
             println!("    {label:>10}: {:>8.3} mJ ({:>4.1}%)", j * 1e3, 100.0 * j / b.total_j());
         }
     }
 
-    if args.functional {
-        let cap = 64usize;
-        let fm = args.m.min(cap);
-        let fn_ = args.n.min(cap);
-        let fk = args.k.min(cap);
-        let a = sparse_uniform(fm, fk, Density::new(1.0 - args.input_sparsity).unwrap(), 1);
-        let b = sparse_uniform(fk, fn_, Density::new(1.0 - args.weight_sparsity).unwrap(), 2);
+    if functional {
+        let GemmShape { m: fm, n: fn_, k: fk } = gemm.capped(64);
+        let a = sparse_uniform(fm, fk, Density::new(1.0 - gemm.input_sparsity).unwrap(), 1);
+        let b = sparse_uniform(fk, fn_, Density::new(1.0 - gemm.weight_sparsity).unwrap(), 2);
         let sim = SigmaSim::new(SigmaConfig::new(4, 16, 64, Dataflow::WeightStationary).unwrap())
             .unwrap();
         let (df, run) = sim.run_best_stationary(&a, &b).unwrap();
@@ -703,8 +500,20 @@ fn main() {
             "\n  functional check on {fm}x{fk}x{fn_} (4 x Flex-DPE-16, {df}): {}",
             if ok { "PASS" } else { "FAIL" }
         );
-        if !ok {
-            std::process::exit(1);
-        }
+        return i32::from(!ok);
     }
+    0
+}
+
+fn main() {
+    let cli = cli();
+    let args = cli.from_env();
+    std::process::exit(match args.mode() {
+        "--list-engines" => list_engines(args),
+        "--engine" => run_engine(args),
+        "trace" => run_trace(args),
+        "report" => run_report(args),
+        "--sweep" => run_sweep(args),
+        _ => run_analytic(args),
+    });
 }

@@ -1,88 +1,78 @@
 //! The shared figure-binary entry point: every `src/bin/figNN_*` binary
 //! hands its tables here instead of hand-rolling print/CSV loops.
 //!
-//! Flags understood by every figure binary:
+//! Flags understood by every figure binary ([`EMIT_FLAGS`]):
 //!
 //! * `--csv <dir>` — also write each table as `<slug>.csv`;
 //! * `--json <dir>` — also write each table as `<slug>.json`;
 //! * `--quiet` — suppress the text rendering (files only).
 
 use crate::harness::cache::write_atomic;
-use crate::util::Table;
+use crate::util::{exit_usage, Args, Cli, Table};
 use std::path::Path;
 
+/// The usage of the emit flags.
+pub const EMIT_FLAGS: &str = "[--csv DIR] [--json DIR] [--quiet]";
+
+/// Where a binary's tables go: the text rendering and any file exports.
 #[derive(Debug, Default)]
-struct EmitOptions {
+pub struct Emit {
     csv_dir: Option<String>,
     json_dir: Option<String>,
     quiet: bool,
 }
 
-impl EmitOptions {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts = EmitOptions::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--csv" => {
-                    i += 1;
-                    opts.csv_dir = Some(args.get(i).ok_or("--csv needs a directory")?.clone());
-                }
-                "--json" => {
-                    i += 1;
-                    opts.json_dir = Some(args.get(i).ok_or("--json needs a directory")?.clone());
-                }
-                "--quiet" => opts.quiet = true,
-                other => return Err(format!("unknown flag {other}")),
-            }
-            i += 1;
+impl Emit {
+    /// Takes the [`EMIT_FLAGS`] from `args`.
+    pub fn read(args: &mut Args<'_>) -> Self {
+        Self {
+            csv_dir: args.value("--csv"),
+            json_dir: args.value("--json"),
+            quiet: args.switch("--quiet"),
         }
-        Ok(opts)
     }
-}
 
-/// Renders tables to `out` and optionally to CSV/JSON files, per `args`.
-///
-/// # Errors
-///
-/// Returns a message on unknown flags or file I/O failure.
-pub fn emit_tables_with(
-    tables: &[Table],
-    args: &[String],
-    out: &mut dyn std::io::Write,
-) -> Result<(), String> {
-    let opts = EmitOptions::parse(args)?;
-    for dir in [&opts.csv_dir, &opts.json_dir].into_iter().flatten() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
+    /// Renders `tables` to `out` unless quiet, and to the CSV/JSON
+    /// directories asked for.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on file I/O failure.
+    pub fn write(&self, tables: &[Table], out: &mut dyn std::io::Write) -> Result<(), String> {
+        for dir in [&self.csv_dir, &self.json_dir].into_iter().flatten() {
+            std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
+        }
+        for table in tables {
+            if !self.quiet {
+                writeln!(out, "{table}").map_err(|e| e.to_string())?;
+            }
+            // Atomic (temp + sync + rename) like every other harness
+            // artifact: a consumer never observes a half-written export.
+            if let Some(dir) = &self.csv_dir {
+                let path = Path::new(dir).join(format!("{}.csv", table.slug()));
+                write_atomic(&path, table.to_csv().as_bytes())
+                    .map_err(|e| format!("write {}: {e}", path.display()))?;
+            }
+            if let Some(dir) = &self.json_dir {
+                let path = Path::new(dir).join(format!("{}.json", table.slug()));
+                write_atomic(&path, table.to_json().as_bytes())
+                    .map_err(|e| format!("write {}: {e}", path.display()))?;
+            }
+        }
+        Ok(())
     }
-    for table in tables {
-        if !opts.quiet {
-            writeln!(out, "{table}").map_err(|e| e.to_string())?;
-        }
-        // Atomic (temp + sync + rename) like every other harness
-        // artifact: a consumer never observes a half-written export.
-        if let Some(dir) = &opts.csv_dir {
-            let path = Path::new(dir).join(format!("{}.csv", table.slug()));
-            write_atomic(&path, table.to_csv().as_bytes())
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-        }
-        if let Some(dir) = &opts.json_dir {
-            let path = Path::new(dir).join(format!("{}.json", table.slug()));
-            write_atomic(&path, table.to_json().as_bytes())
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-        }
-    }
-    Ok(())
 }
 
 /// The figure-binary `main` body: emits `tables` to stdout per the
-/// process arguments, exiting with status 2 on a usage error.
+/// process arguments, exiting with status 2 on a usage or I/O error.
 pub fn emit_tables(tables: &[Table]) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = emit_tables_with(tables, &args, &mut std::io::stdout()) {
-        eprintln!("{msg} (flags: [--csv DIR] [--json DIR] [--quiet])");
-        std::process::exit(2);
-    }
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = Path::new(&argv0).file_name().map_or(argv0.clone(), |f| f.to_string_lossy().into());
+    let cli = Cli::new(&bin, 2, "", EMIT_FLAGS);
+    let mut args = cli.from_env();
+    let emit = Emit::read(&mut args);
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
+    emit.write(tables, &mut std::io::stdout()).unwrap_or_else(|msg| exit_usage(&msg));
 }
 
 #[cfg(test)]
@@ -95,10 +85,18 @@ mod tests {
         t
     }
 
+    /// Reads `argv` as a figure binary does.
+    fn emit_of(argv: &[&str]) -> Result<Emit, String> {
+        let cli = Cli::new("fig", 2, "", EMIT_FLAGS);
+        let mut args = cli.parse(argv.iter().map(ToString::to_string).collect())?;
+        let emit = Emit::read(&mut args);
+        args.finish().map(|()| emit)
+    }
+
     #[test]
     fn text_emission_renders_tables() {
         let mut out = Vec::new();
-        emit_tables_with(&[sample()], &[], &mut out).unwrap();
+        emit_of(&[]).unwrap().write(&[sample()], &mut out).unwrap();
         let s = String::from_utf8(out).unwrap();
         assert!(s.contains("Fig. T"));
     }
@@ -109,12 +107,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let d = dir.to_string_lossy().to_string();
         let mut out = Vec::new();
-        emit_tables_with(
-            &[sample()],
-            &["--quiet".into(), "--csv".into(), d.clone(), "--json".into(), d.clone()],
-            &mut out,
-        )
-        .unwrap();
+        let emit = emit_of(&["--quiet", "--csv", &d, "--json", &d]).unwrap();
+        emit.write(&[sample()], &mut out).unwrap();
         assert!(out.is_empty(), "quiet must suppress text");
         let slug = sample().slug();
         assert_eq!(
@@ -136,9 +130,8 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let mut out = Vec::new();
-        let err = emit_tables_with(&[sample()], &["--nope".into()], &mut out).unwrap_err();
-        assert!(err.contains("--nope"));
-        assert!(emit_tables_with(&[sample()], &["--csv".into()], &mut out).is_err());
+        let err = emit_of(&["--nope"]).unwrap_err();
+        assert!(err.contains("--nope") && err.contains(EMIT_FLAGS), "{err}");
+        assert!(emit_of(&["--csv"]).unwrap_err().contains("--csv needs a value"));
     }
 }

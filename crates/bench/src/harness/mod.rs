@@ -16,7 +16,7 @@
 //!   tolerant replay, atomic compaction and LRU eviction; a lookup never
 //!   blocks. It is both the cross-sweep cache behind `Sweep::with_cache`
 //!   / `sigma_cli --cache` and, never evicting, the write-ahead journal
-//!   behind `Sweep::resume` / `sigma_cli --resume`;
+//!   behind `Sweep::resume` / `sigma_cli --sweep --resume`;
 //! * [`flight`] — the flight-recorder event log (JSONL persistence for
 //!   a sweep's wall-clock spans, stage latency histograms, and gauges)
 //!   and the `sigma_cli report` builder that turns a log into a
@@ -49,7 +49,7 @@ pub use cache::{
     fnv1a_64, write_atomic, CacheStats, CellKey, RunCache, CELL_KEY_REVISION, STORE_SCHEMA,
 };
 pub use chaos::PanickingEngine;
-pub use emit::{emit_tables, emit_tables_with};
+pub use emit::{emit_tables, Emit, EMIT_FLAGS};
 pub use flight::{
     build_report, engine_table, parse_event_log, read_event_log, render_event_log, stage_table,
     write_event_log, EventLog, FlightReport, SnapSample, FLIGHT_SCHEMA,

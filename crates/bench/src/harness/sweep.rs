@@ -58,6 +58,30 @@ impl WorkloadSpec {
     }
 }
 
+/// Parses `M:N:K[:density_a[:density_b]]` (densities default to 1), the
+/// form `sigma_cli --sweep --workload` takes; the spec is the name.
+impl std::str::FromStr for WorkloadSpec {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let parts: Vec<&str> = spec.split(':').collect();
+        if !(3..=5).contains(&parts.len()) {
+            return Err("expected M:N:K[:density_a[:density_b]]".to_string());
+        }
+        let dim = |i: usize| match parts[i].parse::<usize>() {
+            Ok(0) => Err("dimensions must be non-zero".to_string()),
+            d => d.map_err(|e| e.to_string()),
+        };
+        let den =
+            |i: usize| parts.get(i).map_or(Ok(1.0), |s| s.parse().map_err(|e| format!("{e}")));
+        let (shape, da, db) = (GemmShape::new(dim(0)?, dim(1)?, dim(2)?), den(3)?, den(4)?);
+        if !(0.0..=1.0).contains(&da) || !(0.0..=1.0).contains(&db) {
+            return Err("densities must be in [0, 1]".to_string());
+        }
+        Ok(Self::new(spec, GemmProblem::sparse(shape, da, db)))
+    }
+}
+
 /// Derives the seed for workload `index` from the sweep seed
 /// (SplitMix64), so per-workload operands are independent of engine
 /// order and thread count.

@@ -265,10 +265,11 @@ impl Matrix {
         self.matmul(&rhs.transposed())
     }
 
-    /// `true` if every element is finite (no NaN or infinity).
+    /// `true` if every element is finite (no NaN or infinity). A
+    /// reduction with no early exit, so it vectorizes.
     #[must_use]
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        self.data.iter().fold(true, |ok, v| ok & v.is_finite())
     }
 
     /// Maximum absolute element-wise difference to another matrix.
@@ -320,6 +321,7 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SparseMatrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -524,6 +526,26 @@ mod tests {
         assert!(m.all_finite());
         m.set(0, 1, f32::NAN);
         assert!(!m.all_finite());
+    }
+
+    #[test]
+    fn all_finite_finds_a_bad_value_anywhere() {
+        for len in 0..=67usize {
+            let mut m = Matrix::zeros(1, len);
+            for i in 0..len {
+                m.set(0, i, 1.0 + i as f32);
+            }
+            assert!(m.all_finite() && SparseMatrix::from_dense(&m).all_finite(), "len {len}");
+            let positions = if len == 0 { vec![] } else { vec![0, len / 2, len - 1] };
+            for at in positions {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut m = m.clone();
+                    m.set(0, at, bad);
+                    assert!(!m.all_finite(), "{bad} at {at} of {len}");
+                    assert!(!SparseMatrix::from_dense(&m).all_finite(), "{bad} at {at} of {len}");
+                }
+            }
+        }
     }
 
     #[test]

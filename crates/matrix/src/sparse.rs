@@ -98,10 +98,11 @@ impl SparseMatrix {
         self.values.len()
     }
 
-    /// `true` if every stored value is finite (no NaN or infinity).
+    /// `true` if every stored value is finite (no NaN or infinity). A
+    /// reduction with no early exit, so it vectorizes.
     #[must_use]
     pub fn all_finite(&self) -> bool {
-        self.values.iter().all(|v| v.is_finite())
+        self.values.iter().fold(true, |ok, v| ok & v.is_finite())
     }
 
     /// Fraction of elements that are zero, in `[0, 1]`.
