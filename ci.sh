@@ -75,11 +75,14 @@ done
 # in debug builds where timings are incomparable).
 cargo run -q --release -p sigma-bench --bin perf_bench -- --check --smoke
 # Telemetry smoke leg: the trace subcommand must emit a Chrome trace that
-# passes its own validator.
+# passes its own validator, and with --telemetry print the run's work
+# counts and the simulator's histograms to stderr.
 cargo run -q --release -p sigma-bench --bin sigma_cli -- trace \
     --out /tmp/sigma_ci.trace.json --m 24 --n 24 --k 24 \
-    --input-sparsity 0.5 --weight-sparsity 0.5
+    --input-sparsity 0.5 --weight-sparsity 0.5 --telemetry 2> /tmp/sigma_ci.telemetry.txt
 grep -q '"traceEvents"' /tmp/sigma_ci.trace.json
+grep -q '^work counts: stream_steps [1-9]' /tmp/sigma_ci.telemetry.txt
+grep -q '"multicast_fanout"' /tmp/sigma_ci.telemetry.txt
 # Foreign-flag leg: each mode takes only its own flags, so an --engine run
 # given the sweep's --flight-recorder and --cache and trace's --telemetry
 # must exit 2 before any work and leave neither the log nor the store.

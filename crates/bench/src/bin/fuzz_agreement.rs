@@ -7,8 +7,13 @@
 //! ```sh
 //! cargo run -p sigma-bench --bin fuzz_agreement -- 200
 //! ```
+//!
+//! The one argument is the GEMM count (default 100). A count that does
+//! not parse, or any other argument, exits 2 with the usage line before
+//! any GEMM runs.
 
 use sigma_bench::harness::{default_registry, EngineEntry};
+use sigma_bench::util::{exit_usage, Cli};
 use sigma_core::{Dataflow, PackingOrder, SigmaConfig, SigmaSim};
 use sigma_matrix::gen::{sparse_uniform, Density};
 
@@ -30,7 +35,10 @@ fn fleet() -> Vec<EngineEntry> {
 }
 
 fn main() {
-    let iters: u64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(100);
+    let cli = Cli::new("fuzz_agreement", 2, "", "[COUNT]");
+    let mut args = cli.from_env();
+    let iters: u64 = args.positional("COUNT").unwrap_or(100);
+    args.finish().unwrap_or_else(|msg| exit_usage(&msg));
     let fleet = fleet();
     let mut state = 0x1234_5678_9abc_def0u64;
     let mut rng = move || {

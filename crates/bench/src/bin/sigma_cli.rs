@@ -22,8 +22,8 @@
 //! own flags, as `--help` lists them: a flag of another mode, a misspelled
 //! flag, a value that does not parse or two modes at once exit 2 with the
 //! mode's usage line. So `--telemetry` belongs to `trace` alone, where it
-//! prints the simulator registry's snapshot; a sweep is recorded with
-//! `--flight-recorder` (below).
+//! prints the run's work counts and the simulator's histograms; a sweep is
+//! recorded with `--flight-recorder` (below).
 //!
 //! `--resume JOURNAL` makes `--sweep` crash-safe: every completed cell is
 //! appended (and fsynced) to the journal as it finishes, cells already in
@@ -239,8 +239,19 @@ fn run_trace(mut args: Args<'_>) -> i32 {
         None => print!("{json}"),
     }
     if telemetry {
-        let handle = sim.telemetry_handle();
-        eprintln!("telemetry snapshot:\n{}", handle.snapshot().to_json());
+        let s = &run.stats;
+        eprintln!(
+            "work counts: stream_steps {} fan_adds {} fan_cluster_sums {} stationary_dropped {} \
+             sram_stationary_reads {} sram_streaming_reads {} benes_loads {}",
+            s.stream_steps,
+            s.fan_adds,
+            s.fan_cluster_sums,
+            s.stationary_dropped,
+            s.mapped_nonzeros,
+            s.sram_reads - s.mapped_nonzeros,
+            s.route_cache_hits + s.route_cache_misses
+        );
+        eprintln!("telemetry histograms:\n{}", sim.telemetry_handle().snapshot().to_json());
     }
     0
 }

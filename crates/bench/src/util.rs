@@ -363,6 +363,18 @@ impl<'a> Args<'a> {
         out
     }
 
+    /// Takes the first argument that is not a flag, parsed as the `name`
+    /// operand of the mode's usage line (`[COUNT]`).
+    pub fn positional<T: std::str::FromStr>(&mut self, name: &str) -> Option<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        assert!(self.mode.usage.contains(name), "{name} is not in `{}`", self.mode.usage);
+        let at = self.items.iter().position(|(t, v)| v.is_none() && !t.starts_with('-'))?;
+        let (token, _) = self.items.remove(at);
+        token.parse().map_err(|e| self.fail(&format!("{name} {token}: {e}"))).ok()
+    }
+
     /// Takes the `name` flag's last value, which must be one of `choices`.
     pub fn choice(&mut self, name: &str, choices: &[&'static str]) -> Option<&'static str> {
         let value: String = self.value(name)?;

@@ -11,6 +11,7 @@ const PERF_BENCH: &str = env!("CARGO_BIN_EXE_perf_bench");
 const CHAOS_RESUME: &str = env!("CARGO_BIN_EXE_chaos_resume");
 const FAULT_CAMPAIGN: &str = env!("CARGO_BIN_EXE_fault_campaign");
 const FIG01: &str = env!("CARGO_BIN_EXE_fig01_workloads");
+const FUZZ: &str = env!("CARGO_BIN_EXE_fuzz_agreement");
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().unwrap()
@@ -196,6 +197,16 @@ fn fault_campaign_and_figure_binaries_parse_before_they_work() {
     refused(FAULT_CAMPAIGN, &["--smoke", "--nope"], &["--nope", "--smoke"]);
     refused(FAULT_CAMPAIGN, &["--smoke", "--csv"], &["--csv needs a value"]);
     refused(FIG01, &["--quiet", "--smoke"], &["--smoke", "--csv DIR"]);
+}
+
+#[test]
+fn fuzz_agreement_takes_one_count() {
+    refused(FUZZ, &["abc"], &["COUNT abc", "usage: fuzz_agreement [COUNT]"]);
+    refused(FUZZ, &["3", "--bogus"], &["unexpected --bogus", "usage: fuzz_agreement [COUNT]"]);
+    refused(FUZZ, &["3", "4"], &["unexpected 4"]);
+    let out = run(FUZZ, &["2"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("fuzz_agreement: 2 random GEMMs"));
 }
 
 #[test]

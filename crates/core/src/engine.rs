@@ -17,7 +17,7 @@ use crate::trace::{Phase, Trace};
 use sigma_interconnect::{AdderFault, Fan, FanProgram, FanScratch};
 use sigma_matrix::abft::{check_product, correct_single, residual_tolerance, AbftVerdict};
 use sigma_matrix::{Bitmap, Matrix, SparseMatrix};
-use sigma_telemetry::{Counter, Hist, Telemetry};
+use sigma_telemetry::{Hist, Telemetry};
 
 /// Consecutive streamed steps per block of the stationary datapath: each
 /// Flex-DPE replays its FAN program once per block, over this many lanes
@@ -110,10 +110,11 @@ impl SigmaSim {
         &self.config
     }
 
-    /// The simulator's telemetry handle — disabled (recording is a no-op)
-    /// unless the configuration asked for telemetry
-    /// ([`SigmaConfig::with_telemetry`]). Counters accumulate across runs;
-    /// call [`Telemetry::reset`] between runs for per-run numbers.
+    /// The simulator's histogram registry — disabled (recording is a
+    /// no-op) unless the configuration asked for telemetry
+    /// ([`SigmaConfig::with_telemetry`]). Histograms accumulate over every
+    /// run of this simulator; the work counts of one run are in its
+    /// [`CycleStats`].
     #[must_use]
     pub fn telemetry_handle(&self) -> &Telemetry {
         &self.telemetry
@@ -458,6 +459,12 @@ impl SigmaSim {
         let mut local_ids: Vec<Option<u32>> = vec![None; dpe];
         let mut tile = vec![0.0f32; dpe * BLOCK_STEPS];
         let mut fanout_scratch: Vec<usize> = Vec::new();
+        // The FAN's adders and forwarding links, for the occupancy
+        // histograms; counting the links walks the topology, so only a
+        // recording run does it.
+        let fan_capacity = self.telemetry.is_enabled().then(|| {
+            (self.fan.adder_count().max(1) as u64, self.fan.forwarding_link_count().max(1) as u64)
+        });
         // Per-step send counts for the current fold, recomputed word-level
         // per fold (see above), the fold's contraction set when the
         // streaming operand is stored by step, and — with faults armed —
@@ -484,7 +491,6 @@ impl SigmaSim {
                 t.record(Phase::Load, f as u64, None, visible_load);
             }
             stats.sram_reads += occupied as u64;
-            self.telemetry.add(Counter::SramStationaryReads, occupied as u64);
             if self.telemetry.is_enabled() {
                 fanout_scratch.clear();
                 fanout_scratch.extend(fold.elements.iter().map(|e| e.contraction));
@@ -501,9 +507,7 @@ impl SigmaSim {
             }
             let active_dpes = occupied.div_ceil(dpe);
             while engines.len() < active_dpes {
-                let mut unit = FlexDpe::new(dpe)?;
-                unit.set_telemetry(self.telemetry.clone());
-                engines.push(unit);
+                engines.push(FlexDpe::new(dpe)?);
             }
             for (d, unit) in engines.iter_mut().enumerate().take(active_dpes) {
                 let lo = d * dpe;
@@ -511,6 +515,8 @@ impl SigmaSim {
                 local_ids.fill(None);
                 local_ids[..hi - lo].copy_from_slice(&fold.vec_ids[lo..hi]);
                 unit.load(&fold.elements[lo..hi], &local_ids)?;
+                let occupancy_pct = ((hi - lo) * 100 / dpe) as u64;
+                self.telemetry.observe(Hist::MultiplierOccupancyPct, occupancy_pct);
             }
             cycle += visible_load;
 
@@ -591,12 +597,20 @@ impl SigmaSim {
             stats.issued_macs += occupied as u128 * steps as u128;
             stats.useful_macs += u128::from(fold_useful);
             stats.idle_cycles_skipped += dead_steps;
-            self.telemetry.add(Counter::SramStreamingReads, fold_sends);
-            if self.telemetry.is_enabled() {
-                // Dead steps all cost exactly one cycle.
-                self.telemetry.observe_n(Hist::StreamStepCycles, 1, dead_steps);
-                for unit in engines.iter().take(active_dpes) {
-                    unit.record_steps_telemetry(steps as u64);
+            // Dead steps all cost exactly one cycle.
+            self.telemetry.observe_n(Hist::StreamStepCycles, 1, dead_steps);
+            // Every step of a fold does its unit's FAN work, dead or live.
+            let fold_steps = steps as u64;
+            for unit in engines.iter().take(active_dpes) {
+                let (adds, sums) = unit.fan_work_per_step();
+                stats.stream_steps += fold_steps;
+                stats.fan_adds += adds * fold_steps;
+                stats.fan_cluster_sums += sums * fold_steps;
+                if let Some((adders, links)) = fan_capacity {
+                    let adder_pct = adds * 100 / adders;
+                    self.telemetry.observe_n(Hist::FanAdderOccupancyPct, adder_pct, fold_steps);
+                    let link_pct = sums * 100 / links;
+                    self.telemetry.observe_n(Hist::FanLinkOccupancyPct, link_pct, fold_steps);
                 }
             }
             prev_fold_stream = fold_stream;
@@ -626,10 +640,7 @@ impl SigmaSim {
             stats.route_cache_hits += hits;
             stats.route_cache_misses += misses;
         }
-        self.telemetry.add(
-            Counter::StationaryDropped,
-            (stationary.matrix.nnz() as u64).saturating_sub(stats.mapped_nonzeros),
-        );
+        stats.stationary_dropped = plan.dropped_stationary;
         Ok(stats)
     }
 
@@ -863,8 +874,7 @@ impl<'r, 'p> NlrWave<'r, 'p> {
         let stream_cycles = (2 * len as u64).div_ceil(sim.config.stream_bandwidth() as u64).max(1);
         stats.streaming_cycles += stream_cycles;
         stats.sram_reads += 2 * len as u64;
-        sim.telemetry.add(Counter::SramStreamingReads, 2 * len as u64);
-        sim.telemetry.add(Counter::StreamSteps, 1);
+        stats.stream_steps += 1;
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(Phase::Stream, fold, Some(0), stream_cycles);
         }
@@ -905,8 +915,8 @@ impl<'r, 'p> NlrWave<'r, 'p> {
         // Every run piece of `m` products takes `m − 1` adds.
         let adds = len as u64 - clusters;
         stats.add_cycles += drain;
-        sim.telemetry.add(Counter::FanAdds, adds);
-        sim.telemetry.add(Counter::FanClusterSums, clusters);
+        stats.fan_adds += adds;
+        stats.fan_cluster_sums += clusters;
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(Phase::Drain, fold, None, drain);
         }
@@ -933,7 +943,10 @@ impl SigmaSim {
     /// cycle through [`FlexDpe::step_reference`], and faults are stamped
     /// with the running total cycle count. The bitwise oracle for
     /// [`SigmaSim::run_stationary`]: same results, stats, traces and fault
-    /// reports. Telemetry is not recorded: nothing compares it.
+    /// reports. It counts the work fields its own way: steps, FAN adds and
+    /// cluster sums per tick from each reference step's reduction, and the
+    /// dropped stationary non-zeros from the streaming metadata. Histograms
+    /// are not recorded: nothing compares them.
     ///
     /// With an armed injector, bitmap-word corruptions are applied to the
     /// streaming metadata *before* the controller plans (the controller
@@ -1054,6 +1067,9 @@ impl SigmaSim {
                         }
                     };
                     stats.useful_macs += step_out.useful_macs as u128;
+                    stats.stream_steps += 1;
+                    stats.fan_adds += step_out.reduction.adds_performed as u64;
+                    stats.fan_cluster_sums += step_out.reduction.sums.len() as u64;
                     last_step_drain = last_step_drain.max(step_out.reduction.critical_cycles);
                     for s in &step_out.reduction.sums {
                         let group = fold.cluster_groups[s.vec_id as usize];
@@ -1074,6 +1090,11 @@ impl SigmaSim {
             stats.route_cache_hits += hits;
             stats.route_cache_misses += misses;
         }
+        // A stationary non-zero is dropped when its contraction row of the
+        // (possibly corrupted) streaming metadata is empty.
+        let partnerless = |k: usize| (0..steps).all(|step| !stream_bitmap.get(k, step));
+        stats.stationary_dropped =
+            stationary.iter().filter(|&(_, k, _)| partnerless(k)).count() as u64;
         Ok(stats)
     }
 }
@@ -2181,40 +2202,83 @@ mod tests {
         assert_eq!(run.stats.route_cache_hits, 14);
     }
 
+    /// `(stream_steps, fan_adds, fan_cluster_sums, stationary_dropped)`,
+    /// then the derived SRAM stationary reads, SRAM streaming reads and
+    /// Benes loads, then `(count, sum, max)` per histogram in
+    /// [`Hist::ALL`] order.
+    type WorkPins = ([u64; 4], [u64; 3], [(u64, u64, u64); 5]);
+
+    /// Fixed IS, WS and NLR GEMMs with pinned work counts. The pins are
+    /// what the telemetry registry's seven counters and five histograms
+    /// read on these GEMMs at `90617d3`, the last commit where the counts
+    /// lived in the registry, so they show that moving the counts into
+    /// [`CycleStats`] kept each one's meaning. The operands have an empty
+    /// row and column each: a dead streamed step and dropped stationary
+    /// non-zeros on both stationary dataflows. IS runs 4 folds, WS 2 and
+    /// NLR 11 waves. Telemetry stays observational: a recording simulator
+    /// returns the same run, bit for bit.
     #[test]
-    fn telemetry_does_not_change_results_and_agrees_with_stats() {
-        for dataflow in [Dataflow::InputStationary, Dataflow::NoLocalReuse] {
+    fn work_counts_are_pinned_and_telemetry_is_observational() {
+        let mut a = sparse_uniform(10, 12, Density::new(0.6).unwrap(), 61).to_dense();
+        let mut b = sparse_uniform(12, 7, Density::new(0.5).unwrap(), 62).to_dense();
+        for k in 0..12 {
+            a.set(2, k, 0.0); // a dead WS step
+            b.set(k, 3, 0.0); // a dead IS step
+        }
+        for r in 0..10 {
+            a.set(r, 7, 0.0); // drops B's row 7 on WS
+        }
+        for c in 0..7 {
+            b.set(5, c, 0.0); // drops A's column 5 on IS
+        }
+        let (a, b) = (SparseMatrix::from_dense(&a), SparseMatrix::from_dense(&b));
+        let cases: [(Dataflow, u64, WorkPins); 3] = [
+            (
+                Dataflow::InputStationary,
+                4,
+                (
+                    [49, 294, 98, 4],
+                    [56, 107, 7],
+                    [(35, 56, 3), (7, 700, 100), (49, 4172, 100), (49, 1218, 37), (28, 28, 1)],
+                ),
+            ),
+            (
+                Dataflow::WeightStationary,
+                2,
+                (
+                    [40, 220, 80, 4],
+                    [30, 99, 4],
+                    [(18, 30, 3), (4, 375, 100), (40, 3120, 85), (40, 990, 37), (20, 20, 1)],
+                ),
+            ),
+            (Dataflow::NoLocalReuse, 11, ([11, 106, 66, 0], [0, 344, 0], [(0, 0, 0); 5])),
+        ];
+        for (dataflow, folds, (counts, derived, hists)) in cases {
             let base = SigmaConfig::new(2, 8, 16, dataflow).unwrap();
             let plain = SigmaSim::new(base).unwrap();
             let tele = SigmaSim::new(base.with_telemetry(true)).unwrap();
-            let a = sparse_uniform(10, 12, Density::new(0.6).unwrap(), 61);
-            // Column 3 of B is empty: a dead streamed step on IS.
-            let mut dense_b = sparse_uniform(12, 7, Density::new(0.5).unwrap(), 62).to_dense();
-            for r in 0..12 {
-                dense_b.set(r, 3, 0.0);
-            }
-            let b = SparseMatrix::from_dense(&dense_b);
             let p = plain.run_gemm(&a, &b).unwrap();
             let t = tele.run_gemm(&a, &b).unwrap();
             assert_eq!(p, t, "{dataflow}: telemetry is observational only");
+            assert_eq!(oracle(&plain).run_gemm(&a, &b).unwrap().stats, p.stats, "{dataflow}");
+            let s = p.stats;
+            assert_eq!(s.folds, folds, "{dataflow}");
+            assert_eq!(
+                [s.stream_steps, s.fan_adds, s.fan_cluster_sums, s.stationary_dropped],
+                counts,
+                "{dataflow}"
+            );
+            let benes_loads = s.route_cache_hits + s.route_cache_misses;
+            let derived_now = [s.mapped_nonzeros, s.sram_reads - s.mapped_nonzeros, benes_loads];
+            assert_eq!(derived_now, derived, "{dataflow}");
+            if dataflow != Dataflow::NoLocalReuse {
+                assert!(s.idle_cycles_skipped > 0, "{dataflow}: the fixture has a dead step");
+            }
             assert!(!plain.telemetry_handle().snapshot().enabled);
             let snap = tele.telemetry_handle().snapshot();
             assert!(snap.enabled);
-            // The SRAM read split recomposes the CycleStats total exactly.
-            let counter = |name: &str| snap.counter(name).unwrap();
-            assert_eq!(
-                counter("sram_stationary_reads") + counter("sram_streaming_reads"),
-                t.stats.sram_reads,
-                "{dataflow}"
-            );
-            if dataflow == Dataflow::NoLocalReuse {
-                // NLR has no controller plan, multicast or stationary slots.
-                continue;
-            }
-            assert!(t.stats.idle_cycles_skipped > 0, "the fixture has dead steps");
-            assert!(snap.hist("multicast_fanout").unwrap().count > 0);
-            assert!(snap.hist("stream_step_cycles").unwrap().count > 0);
-            assert!(snap.hist("multiplier_occupancy_pct").unwrap().max <= 100);
+            let recorded: Vec<_> = snap.hists.iter().map(|h| (h.count, h.sum, h.max)).collect();
+            assert_eq!(recorded, hists, "{dataflow}");
         }
     }
 

@@ -51,7 +51,6 @@ use crate::config::SigmaError;
 use crate::controller::MappedElement;
 use crate::fault::{AdderFault, FaultInjector};
 use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction};
-use sigma_telemetry::{Counter, Hist, Telemetry};
 
 /// The result of streaming one vector through a Flex-DPE.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -92,7 +91,6 @@ pub struct FlexDpe {
     loaded_lengths: Vec<u64>,
     route_hits: u64,
     route_misses: u64,
-    telemetry: Telemetry,
 }
 
 impl FlexDpe {
@@ -120,7 +118,6 @@ impl FlexDpe {
             loaded_lengths: vec![0; (size + 1).div_ceil(64)],
             route_hits: 0,
             route_misses: 0,
-            telemetry: Telemetry::off(),
         })
     }
 
@@ -147,15 +144,6 @@ impl FlexDpe {
     #[must_use]
     pub fn route_counts(&self) -> (u64, u64) {
         (self.route_hits, self.route_misses)
-    }
-
-    /// Attaches a telemetry handle (share one across units to aggregate).
-    /// A disabled handle — the default — makes every recording site an
-    /// inlined no-op, keeping the hot loops allocation-free and branch-
-    /// cheap; recording through an enabled handle is atomic adds only, so
-    /// the loops stay allocation-free either way.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     #[inline]
@@ -199,11 +187,6 @@ impl FlexDpe {
             self.route_misses += 1;
         } else {
             self.route_hits += 1;
-        }
-        self.telemetry.add(Counter::BenesLoads, 1);
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .observe(Hist::MultiplierOccupancyPct, (elements.len() * 100 / self.size) as u64);
         }
 
         // In-place refill of the flattened stationary store. Only
@@ -262,10 +245,9 @@ impl FlexDpe {
     /// the unit keeps, so a warmed armed step allocates nothing either
     /// (the first firing of a fault still records it in the injector).
     ///
-    /// Records **no** per-step telemetry: the engine batches the per-step
-    /// counters per fold (they are constants of the layout, see
-    /// [`FlexDpe::record_steps_telemetry`]), so recording here would
-    /// double-count.
+    /// Counts no work: the FAN adds and cluster sums of a step are
+    /// constants of the loaded layout (`FlexDpe::fan_work_per_step`), so
+    /// the engine adds them once per fold.
     ///
     /// # Errors
     ///
@@ -382,33 +364,12 @@ impl FlexDpe {
         self.program.latency_until_quiescent()
     }
 
-    /// Batch-records the per-step telemetry of `steps` waves of the
-    /// current layout. Every
-    /// per-step quantity except useful MACs is a pure function of the
-    /// loaded layout — `n` waves add `n×` the same counter deltas and
-    /// observe the same histogram value `n` times — so the stationary
-    /// engine calls this once per fold and the resulting registry state
-    /// is identical to `steps` individual recordings. Useful MACs are
-    /// data-dependent; the engine accumulates those separately.
-    pub fn record_steps_telemetry(&self, steps: u64) {
-        if !self.telemetry.is_enabled() || steps == 0 {
-            return;
-        }
-        self.telemetry.add(Counter::StreamSteps, steps);
-        let adds = self.program.adds_performed() as u64;
-        let outs = self.program.output_count() as u64;
-        self.telemetry.add(Counter::FanAdds, adds * steps);
-        self.telemetry.add(Counter::FanClusterSums, outs * steps);
-        self.telemetry.observe_n(
-            Hist::FanAdderOccupancyPct,
-            adds * 100 / (self.fan.adder_count() as u64).max(1),
-            steps,
-        );
-        self.telemetry.observe_n(
-            Hist::FanLinkOccupancyPct,
-            outs * 100 / (self.fan.forwarding_link_count() as u64).max(1),
-            steps,
-        );
+    /// `(adds, cluster sums)` of one streamed step through the compiled
+    /// FAN schedule. Both are pure functions of the loaded `vecID`
+    /// layout, the same on every step of a fold, faulted or not.
+    #[must_use]
+    pub(crate) fn fan_work_per_step(&self) -> (u64, u64) {
+        (self.program.adds_performed() as u64, self.program.output_count() as u64)
     }
 
     /// Latency components of this engine: (distribution, multiply,
@@ -742,24 +703,16 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_loads_and_steps() {
+    fn fan_work_per_step_matches_a_step() {
         let mut dpe = FlexDpe::new(8).unwrap();
-        let t = Telemetry::enabled();
-        dpe.set_telemetry(t.clone());
-        let els = elements(&[(0, 0, 2.0), (0, 1, 3.0)]);
-        dpe.load(&els, &ids(&[0, 0], 8)).unwrap();
-        dpe.load(&els, &ids(&[0, 0], 8)).unwrap();
-        // Steps record nothing themselves; the engine batches them.
-        let out = step(&mut dpe, &[1.0, 2.0]);
-        assert_eq!(t.counter(Counter::StreamSteps), 0);
-        dpe.record_steps_telemetry(1);
-        assert_eq!(t.counter(Counter::BenesLoads), 2);
-        assert_eq!(t.counter(Counter::StreamSteps), 1);
-        assert_eq!(out.useful_macs, 2);
-        assert_eq!(t.counter(Counter::FanClusterSums), 1);
-        let snap = t.snapshot();
-        assert_eq!(snap.hist("multiplier_occupancy_pct").unwrap().count, 2);
-        assert_eq!(snap.hist("fan_adder_occupancy_pct").unwrap().count, 1);
+        let els = elements(&[(0, 0, 2.0), (0, 1, 3.0), (1, 2, 4.0), (2, 0, 1.0), (2, 2, 5.0)]);
+        dpe.load(&els, &ids(&[0, 0, 1, 2, 2], 8)).unwrap();
+        dpe.load(&els, &ids(&[0, 0, 1, 2, 2], 8)).unwrap();
+        assert_eq!(dpe.route_counts(), (1, 1), "every load is one hit or one miss");
+        let out = step(&mut dpe, &[1.0, 2.0, 3.0]);
+        let work = (out.reduction.adds_performed as u64, out.reduction.sums.len() as u64);
+        assert_eq!(dpe.fan_work_per_step(), work);
+        assert_eq!(work, (2, 3));
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use fault::{
 pub use flex_dpe::{DpeStep, FlexDpe};
 pub use noc::{MeshNoc, NocStats};
 pub use sigma_telemetry::{
-    validate_chrome_trace, ChromeTrace, Counter, Hist, HistSummary, Telemetry, TelemetrySnapshot,
+    validate_chrome_trace, ChromeTrace, Hist, HistSummary, Telemetry, TelemetrySnapshot,
     TraceSummary,
 };
 pub use stats::CycleStats;

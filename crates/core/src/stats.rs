@@ -36,13 +36,30 @@ pub struct CycleStats {
     /// Total PEs in the engine.
     pub pes: u64,
     /// Words read from SRAM (each unique word once; multicast is free).
+    /// The stationary share is [`CycleStats::mapped_nonzeros`] (every
+    /// mapped element is read once, at its fold's load); the streaming
+    /// share is `sram_reads - mapped_nonzeros`.
     pub sram_reads: u64,
     /// Flex-DPE loads of a prefix length the unit had loaded before: the
     /// loads whose switch settings a memoizing controller would replay.
     pub route_cache_hits: u64,
     /// First loads of a prefix length on a Flex-DPE: the loads a
-    /// memoizing controller would have to configure.
+    /// memoizing controller would have to configure. Every load is a hit
+    /// or a miss, so `route_cache_hits + route_cache_misses` is the count
+    /// of stationary loads pushed through a Benes distribution.
     pub route_cache_misses: u64,
+    /// Streamed steps summed over the Flex-DPEs that ran them: a
+    /// stationary fold adds its step count once per active unit, dead
+    /// steps included; an NLR wave adds one.
+    pub stream_steps: u64,
+    /// Additions performed inside FAN reduction trees, over all steps.
+    pub fan_adds: u64,
+    /// Cluster sums leaving FAN trees, over all steps.
+    pub fan_cluster_sums: u64,
+    /// Stationary non-zeros the controller dropped: their contraction row
+    /// of the streaming operand is empty, so they could only multiply
+    /// zeros.
+    pub stationary_dropped: u64,
     /// Streaming cycles whose step carried no non-zero streamed operands —
     /// dead cycles the stationary engine fast-forwards in O(1). They remain
     /// part of [`CycleStats::streaming_cycles`] (and thus total cycles).
@@ -127,6 +144,10 @@ impl CycleStats {
             sram_reads: self.sram_reads + other.sram_reads,
             route_cache_hits: self.route_cache_hits + other.route_cache_hits,
             route_cache_misses: self.route_cache_misses + other.route_cache_misses,
+            stream_steps: self.stream_steps + other.stream_steps,
+            fan_adds: self.fan_adds + other.fan_adds,
+            fan_cluster_sums: self.fan_cluster_sums + other.fan_cluster_sums,
+            stationary_dropped: self.stationary_dropped + other.stationary_dropped,
             idle_cycles_skipped: self.idle_cycles_skipped + other.idle_cycles_skipped,
             faults_injected: self.faults_injected + other.faults_injected,
             faults_detected: self.faults_detected + other.faults_detected,
@@ -172,6 +193,10 @@ mod tests {
             sram_reads: 5_000,
             route_cache_hits: 7,
             route_cache_misses: 3,
+            stream_steps: 40,
+            fan_adds: 200,
+            fan_cluster_sums: 60,
+            stationary_dropped: 5,
             ..CycleStats::default()
         }
     }
@@ -212,6 +237,10 @@ mod tests {
         assert_eq!(s.pes, 100);
         assert_eq!(s.route_cache_hits, 14);
         assert_eq!(s.route_cache_misses, 6);
+        assert_eq!(
+            (s.stream_steps, s.fan_adds, s.fan_cluster_sums, s.stationary_dropped),
+            (80, 400, 120, 10)
+        );
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Lightweight observability for the SIGMA simulator: a metrics registry
-//! (monotonic counters + cycle-bucketed histograms), a Chrome
+//! Lightweight observability for the SIGMA simulator: a histogram
+//! registry (power-of-two-bucketed distributions), a Chrome
 //! trace-event (Perfetto-loadable) JSON exporter, and a wall-clock
 //! [`flight`] recorder (thread-tagged spans, per-stage latency
 //! histograms, gauges, and a JSON/Prometheus [`MetricsReport`]) whose
 //! clock is injected by the harness so library code stays
 //! deterministic.
 //!
-//! The registry follows the fault injector's zero-overhead-when-disabled
+//! The simulator's exact work counts are not here: they are plain fields
+//! of each run's `CycleStats` in `sigma-core`, always on. The registry
+//! follows the fault injector's zero-overhead-when-disabled
 //! design: a [`Telemetry`] handle is an `Option<Arc<..>>` — a disabled
 //! handle is a `None` and every recording call is an inlined early
 //! return, so the hot simulation loops pay nothing when telemetry is off
@@ -42,4 +44,4 @@ pub use flight::{
     FlightRecorder, FlightSnapshot, Gauge, MetricsReport, ReportHist, SnapRecord, SpanRecord, Stage,
 };
 pub use perfetto::{validate_chrome_trace, ChromeTrace, TraceSummary};
-pub use registry::{Counter, Hist, HistSummary, Telemetry, TelemetrySnapshot};
+pub use registry::{Hist, HistSummary, Telemetry, TelemetrySnapshot};

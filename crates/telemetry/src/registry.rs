@@ -1,8 +1,8 @@
-//! The metrics registry: a fixed vocabulary of monotonic counters and
-//! power-of-two-bucketed histograms behind a cheaply cloneable handle.
+//! The histogram registry: a fixed vocabulary of power-of-two-bucketed
+//! histograms behind a cheaply cloneable handle.
 //!
 //! The vocabulary is a closed enum rather than string keys so recording
-//! is an array index + atomic add — no hashing, no locking, no
+//! is an array index + atomic adds — no hashing, no locking, no
 //! allocation — and so the set of instrumentation sites is reviewable in
 //! one place.
 
@@ -10,54 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::json::quote;
-
-/// Monotonic event counters recorded by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Stationary-operand words read from SRAM (fold loading).
-    SramStationaryReads,
-    /// Streaming-operand words read from SRAM (one per distinct non-zero
-    /// per step; multicast replication is free).
-    SramStreamingReads,
-    /// Stationary fold loads pushed through a Benes distribution.
-    BenesLoads,
-    /// Streaming steps executed across all Flex-DPEs.
-    StreamSteps,
-    /// Additions performed inside FAN reduction trees.
-    FanAdds,
-    /// Cluster sums leaving FAN trees over forwarding links.
-    FanClusterSums,
-    /// Stationary non-zeros the controller dropped (streaming-side empty
-    /// contraction rows that can never contribute).
-    StationaryDropped,
-}
-
-impl Counter {
-    /// Every counter, in emission order.
-    pub const ALL: [Counter; 7] = [
-        Counter::SramStationaryReads,
-        Counter::SramStreamingReads,
-        Counter::BenesLoads,
-        Counter::StreamSteps,
-        Counter::FanAdds,
-        Counter::FanClusterSums,
-        Counter::StationaryDropped,
-    ];
-
-    /// Stable snake_case name (CSV/JSON key).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::SramStationaryReads => "sram_stationary_reads",
-            Counter::SramStreamingReads => "sram_streaming_reads",
-            Counter::BenesLoads => "benes_loads",
-            Counter::StreamSteps => "stream_steps",
-            Counter::FanAdds => "fan_adds",
-            Counter::FanClusterSums => "fan_cluster_sums",
-            Counter::StationaryDropped => "stationary_dropped",
-        }
-    }
-}
 
 /// Histograms recorded by the simulator. Values land in power-of-two
 /// buckets (0, 1, 2, 3–4, 5–8, ...), which suits both cycle counts and
@@ -185,16 +137,12 @@ impl HistCells {
 /// The shared registry cells behind an enabled [`Telemetry`] handle.
 #[derive(Debug)]
 struct Registry {
-    counters: [AtomicU64; Counter::ALL.len()],
     hists: [HistCells; Hist::ALL.len()],
 }
 
 impl Registry {
     fn new() -> Self {
-        Self {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| HistCells::new()),
-        }
+        Self { hists: std::array::from_fn(|_| HistCells::new()) }
     }
 }
 
@@ -202,8 +150,7 @@ impl Registry {
 ///
 /// Disabled (the default) it is a `None` and every recording call is an
 /// inlined no-op; enabled it shares one atomic [`Registry`] across all
-/// clones, so a simulator and its per-fold `FlexDpe` units accumulate
-/// into the same counters.
+/// clones.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Registry>>,
@@ -226,14 +173,6 @@ impl Telemetry {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Adds `by` to a counter. No-op (and allocation-free) when disabled.
-    #[inline]
-    pub fn add(&self, counter: Counter, by: u64) {
-        if let Some(reg) = &self.inner {
-            reg.counters[counter as usize].fetch_add(by, Ordering::Relaxed);
-        }
     }
 
     /// Records one histogram observation. No-op when disabled.
@@ -260,34 +199,10 @@ impl Telemetry {
         }
     }
 
-    /// Current value of a counter (0 when disabled).
-    #[must_use]
-    pub fn counter(&self, counter: Counter) -> u64 {
-        self.inner.as_ref().map_or(0, |reg| reg.counters[counter as usize].load(Ordering::Relaxed))
-    }
-
-    /// Zeroes every counter and histogram (no-op when disabled).
-    pub fn reset(&self) {
-        if let Some(reg) = &self.inner {
-            for c in &reg.counters {
-                c.store(0, Ordering::Relaxed);
-            }
-            for h in &reg.hists {
-                for b in &h.buckets {
-                    b.store(0, Ordering::Relaxed);
-                }
-                h.count.store(0, Ordering::Relaxed);
-                h.sum.store(0, Ordering::Relaxed);
-                h.max.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// A point-in-time copy of the registry. Disabled handles return a
-    /// snapshot with `enabled = false` and every metric zero.
+    /// snapshot with `enabled = false` and every histogram empty.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let counters = Counter::ALL.iter().map(|&c| (c.name(), self.counter(c))).collect();
         let hists = Hist::ALL
             .iter()
             .enumerate()
@@ -307,7 +222,7 @@ impl Telemetry {
                 HistSummary { name: h.name(), count, sum, max, buckets }
             })
             .collect();
-        TelemetrySnapshot { enabled: self.is_enabled(), counters, hists }
+        TelemetrySnapshot { enabled: self.is_enabled(), hists }
     }
 }
 
@@ -340,24 +255,16 @@ impl HistSummary {
     }
 }
 
-/// A point-in-time copy of every counter and histogram.
+/// A point-in-time copy of every histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Whether the source handle was recording.
     pub enabled: bool,
-    /// `(name, value)` per counter, in [`Counter::ALL`] order.
-    pub counters: Vec<(&'static str, u64)>,
     /// One summary per histogram, in [`Hist::ALL`] order.
     pub hists: Vec<HistSummary>,
 }
 
 impl TelemetrySnapshot {
-    /// Looks a counter up by name.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-    }
-
     /// Looks a histogram up by name.
     #[must_use]
     pub fn hist(&self, name: &str) -> Option<&HistSummary> {
@@ -371,11 +278,7 @@ impl TelemetrySnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        out.push_str("  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            out.push_str(&format!("{}{}: {v}", if i == 0 { "" } else { ", " }, quote(name)));
-        }
-        out.push_str("},\n  \"histograms\": [\n");
+        out.push_str("  \"histograms\": [\n");
         for (i, h) in self.hists.iter().enumerate() {
             let nonzero: Vec<String> = h
                 .buckets
@@ -409,23 +312,22 @@ mod tests {
     fn disabled_handle_records_nothing() {
         let t = Telemetry::off();
         assert!(!t.is_enabled());
-        t.add(Counter::FanAdds, 5);
         t.observe(Hist::MulticastFanout, 3);
-        assert_eq!(t.counter(Counter::FanAdds), 0);
+        t.observe_n(Hist::StreamStepCycles, 2, 4);
         let snap = t.snapshot();
         assert!(!snap.enabled);
-        assert_eq!(snap.counter("fan_adds"), Some(0));
+        assert_eq!(snap.hist("stream_step_cycles").unwrap().count, 0);
         assert_eq!(snap.hist("multicast_fanout").unwrap().count, 0);
     }
 
     #[test]
-    fn counters_accumulate_across_clones() {
+    fn histograms_accumulate_across_clones() {
         let t = Telemetry::enabled();
         let u = t.clone();
-        t.add(Counter::BenesLoads, 2);
-        u.add(Counter::BenesLoads, 3);
-        assert_eq!(t.counter(Counter::BenesLoads), 5);
-        assert_eq!(u.snapshot().counter("benes_loads"), Some(5));
+        t.observe(Hist::MulticastFanout, 2);
+        u.observe(Hist::MulticastFanout, 3);
+        let h = t.snapshot().hist("multicast_fanout").unwrap().clone();
+        assert_eq!((h.count, h.sum, h.max), (2, 5, 3));
     }
 
     #[test]
@@ -489,31 +391,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let t = Telemetry::enabled();
-        t.add(Counter::StreamSteps, 9);
-        t.observe(Hist::MulticastFanout, 4);
-        t.reset();
-        assert_eq!(t.counter(Counter::StreamSteps), 0);
-        assert_eq!(t.snapshot().hist("multicast_fanout").unwrap().count, 0);
-    }
-
-    #[test]
     fn names_are_unique_and_snapshot_json_is_stable() {
-        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
-        names.extend(Hist::ALL.iter().map(|h| h.name()));
+        let names: Vec<&str> = Hist::ALL.iter().map(|h| h.name()).collect();
         let mut uniq = names.clone();
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), names.len());
 
         let t = Telemetry::enabled();
-        t.add(Counter::FanAdds, 3);
         t.observe(Hist::MulticastFanout, 2);
         let j1 = t.snapshot().to_json();
         let j2 = t.snapshot().to_json();
         assert_eq!(j1, j2);
-        assert!(j1.contains("\"fan_adds\": 3"));
-        assert!(j1.contains("\"multicast_fanout\""));
+        assert!(j1.contains("{\"name\": \"multicast_fanout\", \"count\": 1, \"sum\": 2"));
+        assert!(!j1.contains("counters"));
     }
 }
