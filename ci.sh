@@ -8,20 +8,23 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Static analysis gate: sigma-lint scans the workspace (including the
 # stationary engine crates/core/src/engine.rs — the D-rules are what
 # keep its cycle accounting deterministic) for nondeterminism sources,
-# panicking library code, truncating counter casts, unsafe outside the
-# allowlist, unvalidated Engine impls, and — via the workspace-wide
-# scope/lock-graph phase — lock-order inversions (D7), blocking I/O
-# under a live guard (D8), and unbalanced flight-recorder spans (D9).
+# panicking library code, truncating counter casts, unsafe outside
+# UNSAFE_ALLOWLIST, unvalidated Engine impls, and — via the
+# workspace-wide scope phase — locks taken out of the one order that
+# LOCKS declares or missing from it (D7), blocking I/O under a live
+# guard (D8), and unbalanced flight-recorder spans (D9).
 # --check-waivers also fails on stale lint.toml waivers and on a waiver
-# list past the budget of five; the JSON and SARIF reports are kept as
-# CI artifacts (the SARIF one feeds GitHub's inline PR annotations).
+# list past the budget of five; the SARIF log of unwaived findings is
+# the one machine-readable report (CI uploads it for inline PR
+# annotations).
 cargo run -q -p sigma-lint -- --check-waivers
-cargo run -q -p sigma-lint -- --json > /tmp/sigma_lint_report.json
 cargo run -q -p sigma-lint -- --sarif > /tmp/sigma_lint.sarif
-# Lint-fixtures leg: the analyzer's own corpus (known-good and
-# known-bad lock orders, blocking-under-guard, unbalanced spans, the
-# waiver budget) must keep producing its exact finding lists.
+# Lint tests: each rule D1-D9 planted into a live workspace file must
+# produce its exact finding list, and the waiver budget must hold.
 cargo test -q -p sigma-lint
+# Rustdoc gate: the workspace crates document without a warning (the
+# vendored test shims are excluded).
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --exclude rand --exclude proptest
 cargo build --workspace --release
 cargo test --workspace -q
 # Release test leg: the bitwise oracle tests of the FAN and the engine

@@ -358,13 +358,14 @@ struct CacheState {
     stats: CacheStats,
 }
 
-/// The durable half of the cache, behind its own mutex (the designated
-/// I/O lock, registered in sigma-lint's `D8_IO_LOCK_ALLOWLIST`): the
-/// fsynced append and the compaction serialize here, so no disk wait
-/// ever happens under the index lock and a lookup never waits on a disk.
+/// The durable half of the cache, behind its own mutex (a designated
+/// I/O lock in sigma-lint's `LOCKS` table): the fsynced append and the
+/// compaction serialize here, so no disk wait ever happens under the
+/// index lock and a lookup never waits on a disk.
 ///
-/// Lock order: `store` may take `state` briefly (compaction snapshots
-/// the resident index); `state` never takes `store`.
+/// Lock order, as `LOCKS` declares it: `store` before `state`.
+/// Compaction takes `state` briefly under `store` to snapshot the
+/// resident index; `state` never takes `store`.
 #[derive(Debug)]
 struct StoreState {
     file: File,

@@ -3,7 +3,7 @@
 //! A recorded sweep persists its [`FlightSnapshot`] (spans, stage
 //! latency histograms, gauges, periodic snapshots) plus the sweep's own
 //! tallies (resume and cache counts) as one append-friendly JSONL file, written
-//! atomically through [`write_atomic`](crate::harness::cache::write_atomic)
+//! atomically through [`write_atomic`]
 //! so a crash can never leave a torn log (the same D6 contract as the
 //! run store). `sigma_cli report --from PATH` reads the log back —
 //! tolerantly, like store replay: damaged lines become warnings, not

@@ -23,7 +23,7 @@
 //! operand is a `G × K` matrix whose rows are dot-product groups and whose
 //! columns are the contraction dimension; the streaming operand is
 //! `K × S` with one streamed vector per step. Either operand may be
-//! stored in the other orientation ([`Operand`]): weight-stationary keeps
+//! stored in the other orientation (`Operand`): weight-stationary keeps
 //! `KN` stationary with its columns as the groups, and streams `MK` with
 //! its rows as the steps, and the training GEMMs `AᵀB` and `ABᵀ` read
 //! their transposed operand the same way. The plan reads the stored

@@ -39,11 +39,11 @@
 //! Adder levels follow the ruler sequence `trailing_ones(i)`. Between two
 //! adders of the same level `L` there is always one of a higher level, so
 //! every leaf range `s..=e` has a *unique* highest-level adder `h`
-//! ([`top_adder`]). All other adders of the range sit strictly below it,
+//! (`top_adder`). All other adders of the range sit strictly below it,
 //! and the network fires one level per cycle, so `h` fires last: it joins
 //! the fully reduced halves `s..=h` and `h+1..=e`. Applied recursively,
 //! a cluster's sum is exactly `reduce(s..=h) + reduce(h+1..=e)`, down to
-//! single leaves. The walk ([`ruler_reduce`]) fires the cluster's adders
+//! single leaves. The walk (`ruler_reduce`) fires the cluster's adders
 //! level by level, as the hardware schedule does, in place: a partial
 //! sum lives at its interval's leftmost leaf, and a level-`L` adder `h`
 //! adds the partial at `h + 1` into the one at `max(s, h + 1 − 2^L)`.
@@ -65,7 +65,7 @@
 //! right fold of blocks of shrinking size, and adder `h` joins the two.
 //! [`Fan::reduce_into`] and the engine's No-Local-Reuse waves both reduce
 //! through it. [`FanProgram`](crate::FanProgram) walks the ruler tree
-//! ([`ruler_reduce`]) once per layout to record the add schedule, and its
+//! (`ruler_reduce`) once per layout to record the add schedule, and its
 //! replay corrupts stuck adders the same way.
 
 use crate::fault::AdderFault;

@@ -8,10 +8,10 @@
 //! (see [`rules`]) over a hand-rolled comment/string-aware lexer (see
 //! [`lexer`]). D1–D6 are token-local per file; D7–D9 run a second,
 //! workspace-wide phase over a brace-tree scope pass (see [`scopes`])
-//! and a cross-file lock-acquisition graph (see [`lockgraph`]).
-//! Waivers live in the repo-root `lint.toml` (see [`waivers`]); any
-//! unwaived finding fails CI. Findings render as text, `--json`, or
-//! SARIF 2.1.0 for inline CI annotations (see [`sarif`]).
+//! that checks every lock against one declared order
+//! ([`rules::LOCKS`]). Waivers live in the repo-root `lint.toml` (see
+//! [`waivers`]); any unwaived finding fails CI. Findings render as text
+//! or as SARIF 2.1.0 for inline CI annotations (see [`sarif`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,13 +27,11 @@
 )]
 
 pub mod lexer;
-pub mod lockgraph;
 pub mod rules;
 pub mod sarif;
 pub mod scopes;
 pub mod waivers;
 
-use sigma_telemetry::json::quote;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -55,9 +53,9 @@ pub const DETERMINISM_CRITICAL_CRATES: &[&str] =
 /// global allocator used by the zero-allocation hot-loop test.
 pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/tests/alloc_free.rs"];
 
-/// Directory names never scanned (vendored shims, build output, lint
-/// test fixtures).
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "results"];
+/// Directory names never scanned (vendored shims, build output,
+/// committed results).
+const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "results"];
 
 /// An I/O or configuration failure (distinct from lint findings).
 #[derive(Debug)]
@@ -246,44 +244,6 @@ fn sorted_dirs(dir: &Path) -> Result<Vec<PathBuf>, AnalyzerError> {
 fn relative_path(root: &Path, abs: &Path) -> String {
     let rel = abs.strip_prefix(root).unwrap_or(abs);
     rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
-}
-
-/// Renders the report as a JSON object (no external deps; keys sorted
-/// and stable for CI artifact diffing).
-#[must_use]
-pub fn report_to_json(report: &Report) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    s.push_str("  \"findings\": [\n");
-    push_findings(&mut s, &report.findings);
-    s.push_str("  ],\n  \"waived\": [\n");
-    push_findings(&mut s, &report.waived);
-    s.push_str("  ],\n  \"stale_waivers\": [\n");
-    for (i, w) in report.stale_waivers.iter().enumerate() {
-        let comma = if i + 1 < report.stale_waivers.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"path\": {}, \"lint\": {}, \"reason\": {}}}{comma}\n",
-            quote(&w.path),
-            quote(w.lint.name()),
-            quote(&w.reason)
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn push_findings(s: &mut String, findings: &[Finding]) {
-    for (i, f) in findings.iter().enumerate() {
-        let comma = if i + 1 < findings.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"lint\": {}, \"path\": {}, \"line\": {}, \"token\": {}, \"hint\": {}}}{comma}\n",
-            quote(f.lint.name()),
-            quote(&f.path),
-            f.line,
-            quote(&f.token),
-            quote(&f.hint)
-        ));
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo run -p sigma-lint                 # human-readable report, exit 1 on findings
-//! cargo run -p sigma-lint -- --json      # machine-readable report on stdout
-//! cargo run -p sigma-lint -- --sarif    # SARIF 2.1.0 log (GitHub PR annotations)
+//! cargo run -p sigma-lint -- --sarif    # SARIF 2.1.0 log of unwaived findings on stdout
 //! cargo run -p sigma-lint -- --check-waivers   # also fail on stale/over-budget waivers
 //! cargo run -p sigma-lint -- --root PATH # scan a different workspace root
 //! ```
@@ -12,14 +11,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut sarif = false;
     let mut check_waivers = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--sarif" => sarif = true,
             "--check-waivers" => check_waivers = true,
             "--root" => match args.next() {
@@ -33,7 +30,7 @@ fn main() -> ExitCode {
                 println!(
                     "sigma-lint: workspace determinism, numeric-safety & concurrency analyzer\n\
                      \n\
-                     USAGE: sigma-lint [--json] [--sarif] [--check-waivers] [--root PATH]\n\
+                     USAGE: sigma-lint [--sarif] [--check-waivers] [--root PATH]\n\
                      \n\
                      Lints:"
                 );
@@ -43,7 +40,10 @@ fn main() -> ExitCode {
                 println!(
                     "\n\
                      D1-D6 are per-file token rules; D7-D9 run a workspace-wide\n\
-                     scope/lock-graph phase.\n\
+                     scope phase that checks every lock against the one declared\n\
+                     order in LOCKS (crates/lint/src/rules.rs).\n\
+                     --sarif prints the unwaived findings as a SARIF 2.1.0 log;\n\
+                     the text report also counts waived findings and stale waivers.\n\
                      Waivers: lint.toml at the workspace root ([[waiver]] with\n\
                      path/lint/reason; empty reasons are rejected; --check-waivers\n\
                      enforces a budget of {} waivers).\n\
@@ -71,8 +71,6 @@ fn main() -> ExitCode {
 
     if sarif {
         print!("{}", sigma_lint::report_to_sarif(&report));
-    } else if json {
-        print!("{}", sigma_lint::report_to_json(&report));
     } else {
         for f in &report.findings {
             println!("{f}");

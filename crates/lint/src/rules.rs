@@ -1,11 +1,12 @@
 //! The nine domain lints (D1–D9) over a lexed token stream.
 //!
-//! Every rule works on [`lex`](crate::lexer::lex) output, so comments,
-//! doc comments, and string/raw-string literals can never trigger a
-//! finding, and `#[cfg(test)]` items are recognized and exempted where
-//! the policy allows test-only code more latitude. D1–D6 are
-//! token-local; D7–D9 run as a second, workspace-wide phase on top of
-//! the [`scopes`](crate::scopes) pass (see [`check_concurrency`]).
+//! Every rule works on [`lex`] output, so comments, doc comments, and
+//! string/raw-string literals can never trigger a finding, and
+//! `#[cfg(test)]` items are recognized and exempted where the policy
+//! allows test-only code more latitude. D1–D6 are token-local; D7–D9
+//! run as a second, workspace-wide phase on top of the [`scopes`] pass
+//! (see [`check_concurrency`]) and check the workspace's locks against
+//! the one declared order in [`LOCKS`].
 //!
 //! | lint | invariant                                                        |
 //! |------|------------------------------------------------------------------|
@@ -15,13 +16,14 @@
 //! | D4   | `unsafe` only in the explicit allowlist                          |
 //! | D5   | every `impl Engine` file validates operand finiteness            |
 //! | D6   | harness persistence code writes files atomically (temp+rename)   |
-//! | D7   | one global lock order: no inversions, no cycles, no re-entry     |
-//! | D8   | no blocking calls (fsync/sleep/join/recv/..) while a guard lives |
+//! | D7   | every lock declared in `LOCKS`, taken only in the declared order |
+//! | D8   | no blocking calls (fsync/sleep/join/wait/..) under a guard       |
 //! | D9   | flight-recorder spans balance; counters bump inside their span   |
 
+use std::collections::BTreeSet;
+
 use crate::lexer::{lex, Token, TokenKind};
-use crate::lockgraph;
-use crate::scopes::{self, Acquisition, FileScopes};
+use crate::scopes::{self, FileScopes};
 
 /// Which rule produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,13 +44,13 @@ pub enum Lint {
     /// the target path) in harness persistence code, where a crash
     /// mid-write must never corrupt a journal or result artifact.
     D6,
-    /// A lock-order hazard: two sites acquiring the same pair of locks
-    /// in opposite nesting order anywhere in the workspace, a longer
-    /// acquisition cycle, or re-acquiring a lock whose guard is live.
+    /// A lock-order hazard: a lock that [`LOCKS`] does not declare, or
+    /// an acquisition, while a guard is live, of a lock the table does
+    /// not order after the guard's (an equal rank is re-entry).
     D7,
     /// A blocking operation (`fsync`/`sync_all`/`write_all`/`sleep`/
-    /// `join`/`recv`, or a `Condvar::wait` on a *different* lock) while
-    /// a lock guard is live, outside the documented allowlist.
+    /// `join`/`recv`/`wait`) while a lock guard is live, unless the
+    /// guard's lock is a designated I/O lock in [`LOCKS`].
     D8,
     /// An unbalanced flight-recorder span (a `now_us` begin with no
     /// matching `span_since` on an early-return/`?` path), or a
@@ -76,18 +78,7 @@ impl Lint {
     /// Parses `"D1"`..`"D9"` (case-insensitive).
     #[must_use]
     pub fn parse(s: &str) -> Option<Lint> {
-        match s.to_ascii_uppercase().as_str() {
-            "D1" => Some(Lint::D1),
-            "D2" => Some(Lint::D2),
-            "D3" => Some(Lint::D3),
-            "D4" => Some(Lint::D4),
-            "D5" => Some(Lint::D5),
-            "D6" => Some(Lint::D6),
-            "D7" => Some(Lint::D7),
-            "D8" => Some(Lint::D8),
-            "D9" => Some(Lint::D9),
-            _ => None,
-        }
+        Lint::ALL.into_iter().find(|lint| lint.name().eq_ignore_ascii_case(s))
     }
 
     /// All lints, in order (drives rule metadata emission, e.g. SARIF).
@@ -104,7 +95,7 @@ impl Lint {
             Lint::D4 => "unsafe only in the explicit allowlist",
             Lint::D5 => "every impl Engine file validates operand finiteness",
             Lint::D6 => "harness persistence writes files atomically (temp+rename)",
-            Lint::D7 => "one global lock order: no inversions, cycles, or re-entry",
+            Lint::D7 => "every lock declared in LOCKS and taken only in the declared order",
             Lint::D8 => "no blocking operations while a lock guard is live",
             Lint::D9 => {
                 "flight-recorder spans balance on all paths; stage counters \
@@ -153,7 +144,7 @@ pub enum FileRole {
 }
 
 /// Per-file lint policy, derived from the workspace layout by
-/// [`Workspace`](crate::analyzer::Workspace).
+/// [`workspace_files`](crate::workspace_files).
 #[derive(Debug, Clone)]
 pub struct FilePolicy {
     /// Repo-relative path, forward slashes.
@@ -228,8 +219,9 @@ pub fn check_file(policy: &FilePolicy, src: &str) -> Vec<Finding> {
                 path: policy.path.clone(),
                 line: tok.line,
                 token: text.to_string(),
-                hint: "unsafe is allowed only in lint.toml-allowlisted files; rewrite safely or \
-                       extend the allowlist with a reason"
+                hint: "unsafe is allowed only in the files of UNSAFE_ALLOWLIST \
+                       (crates/lint/src/lib.rs); rewrite safely or extend the allowlist with a \
+                       reason"
                     .into(),
             });
         }
@@ -628,6 +620,26 @@ fn check_engine_impls(
 // Phase two: workspace-wide concurrency discipline (D7–D9).
 // ---------------------------------------------------------------------
 
+/// The workspace's locks, `Struct.field`, in their one global order: a
+/// thread holding a lock may take only locks listed after it (lint D7).
+/// A lock with a reason is a designated I/O lock: blocking under it is
+/// its documented job, so D8 allows it. Every `Mutex` field in shipped
+/// code must be listed, and field names are unique across the table
+/// (acquisitions resolve by field name).
+pub const LOCKS: &[(&str, Option<&str>)] = &[
+    (
+        "RunCache.store",
+        Some(
+            "the store mutex serializes the run store's durable I/O: append and compaction \
+             must be atomic with respect to each other; compaction takes the index lock \
+             under it briefly to snapshot the entries",
+        ),
+    ),
+    ("RunCache.state", None),
+    ("FlightInner.spans", None),
+    ("FlightInner.snaps", None),
+];
+
 /// Method calls that block the current thread. `join` only counts with
 /// an empty argument list (`handle.join()`, not `strings.join(", ")`).
 const D8_PRIMITIVES: &[&str] = &[
@@ -683,20 +695,7 @@ const D8_CALL_DENYLIST: &[&str] = &[
     "push_back",
     "pop_front",
     "append_value",
-    "notify_all",
-    "notify_one",
 ];
-
-/// `(path, lock display, reason)` triples exempt from D8: locks whose
-/// *documented job* is serializing durable I/O. Mirrors the D4 unsafe
-/// allowlist — in-code so the exemption carries its justification.
-pub const D8_IO_LOCK_ALLOWLIST: &[(&str, &str, &str)] = &[(
-    "crates/bench/src/harness/cache.rs",
-    "RunCache.store",
-    "the store mutex is the designated I/O-serialization lock: append+compact must be \
-         atomic w.r.t. each other, and the index lock is only taken under it briefly to \
-         snapshot entries for compaction, never the reverse",
-)];
 
 /// `Stage`-tagged counters and the stage span they must bump inside.
 const D9_STAGE_COUNTERS: &[(&str, &str)] = &[
@@ -707,40 +706,131 @@ const D9_STAGE_COUNTERS: &[(&str, &str)] = &[
     ("evictions", "CacheInsert"),
 ];
 
-/// Runs the cross-file concurrency rules over the whole workspace:
-/// D7 on the lock graph, D8 on guard extents, D9 on flight-recorder
-/// span balance in harness code.
+/// Runs the cross-file concurrency rules over the whole workspace: D7
+/// on every file, its undeclared-lock half on shipped code (library
+/// and binaries), D8 on library code, and D9 on harness library code.
 #[must_use]
 pub fn check_concurrency(files: &[(FilePolicy, String)]) -> Vec<Finding> {
     let inputs: Vec<(&str, &str)> =
         files.iter().map(|(p, s)| (p.path.as_str(), s.as_str())).collect();
     let scopes = scopes::analyze(&inputs);
-    let lib: std::collections::BTreeMap<&str, bool> =
-        files.iter().map(|(p, _)| (p.path.as_str(), p.role == FileRole::Lib)).collect();
+    let blocking = blocking_functions(&scopes);
 
-    let mut findings = lockgraph::check(&scopes);
-    findings.extend(check_blocking(&scopes, &lib));
-    for file in &scopes.files {
-        if lib.get(file.path).copied().unwrap_or(false)
-            && file.path.starts_with(D6_ATOMIC_WRITE_PREFIX)
-        {
-            findings.extend(check_span_balance(file));
+    let mut findings = Vec::new();
+    for ((policy, _), file) in files.iter().zip(&scopes.files) {
+        findings.extend(check_lock_order(file));
+        if policy.role != FileRole::TestOrBench {
+            findings.extend(check_lock_declarations(file));
+        }
+        if policy.role == FileRole::Lib {
+            findings.extend(check_blocking(file, &blocking));
+            if policy.path.starts_with(D6_ATOMIC_WRITE_PREFIX) {
+                findings.extend(check_span_balance(file));
+            }
         }
     }
     findings
 }
 
-/// D8: blocking operations while a guard is live. Blockingness
-/// propagates by name through workspace functions (fixpoint), filtered
-/// by [`D8_CALL_DENYLIST`].
-fn check_blocking(
-    scopes: &scopes::WorkspaceScopes<'_>,
-    lib: &std::collections::BTreeMap<&str, bool>,
-) -> Vec<Finding> {
-    use std::collections::BTreeSet;
+/// D7, the order half: inside one function, a live guard of rank `i`
+/// followed by an acquisition of rank `<= i` can deadlock against a
+/// thread that follows [`LOCKS`] (an equal rank self-deadlocks at once).
+fn check_lock_order(file: &FileScopes<'_>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for f in &file.functions {
+        for (ai, a) in f.acquisitions.iter().enumerate() {
+            for b in &f.acquisitions[ai + 1..] {
+                if !a.covers(b.site) || b.lock > a.lock {
+                    continue;
+                }
+                let (held, taken) = (LOCKS[a.lock].0, LOCKS[b.lock].0);
+                let hint = if a.lock == b.lock {
+                    format!(
+                        "`{}` re-acquires `{held}` (taken at line {}) while its guard is still \
+                         live — std::sync locks self-deadlock; drop the first guard or \
+                         restructure",
+                        f.qualified(),
+                        a.line
+                    )
+                } else {
+                    format!(
+                        "`{}` takes `{taken}` while holding `{held}` (taken at line {}), but \
+                         LOCKS orders `{taken}` first: a thread taking them in the declared \
+                         order can deadlock against this one; take `{taken}` first or drop \
+                         `{held}`",
+                        f.qualified(),
+                        a.line
+                    )
+                };
+                findings.push(Finding {
+                    lint: Lint::D7,
+                    path: file.path.to_string(),
+                    line: b.line,
+                    token: format!("{held} -> {taken}"),
+                    hint,
+                });
+            }
+        }
+    }
+    findings
+}
 
-    // Fixpoint: function names whose bodies (directly or transitively)
-    // hit a blocking primitive.
+/// D7, the declaration half: a `Mutex` field missing from [`LOCKS`], an
+/// `RwLock` field, or a `Mutex::new`/`RwLock::new` outside a struct
+/// literal's field initializer has no place in the declared order, so
+/// its acquisitions could not be checked.
+fn check_lock_declarations(file: &FileScopes<'_>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for field in &file.fields {
+        let head = file.text(field.head);
+        let lock = format!("{}.{}", field.owner, field.name);
+        if file.in_test[field.head]
+            || !matches!(head, "Mutex" | "RwLock")
+            || head == "Mutex" && LOCKS.iter().any(|(l, _)| *l == lock)
+        {
+            continue;
+        }
+        findings.push(Finding {
+            lint: Lint::D7,
+            path: file.path.to_string(),
+            line: file.sig[field.head].line,
+            token: format!("{lock}: {head}"),
+            hint: format!(
+                "`{lock}` is a lock that LOCKS (crates/lint/src/rules.rs) does not declare: add \
+                 it as a `Mutex` at its place in the global order (with a reason if it \
+                 serializes durable I/O)"
+            ),
+        });
+    }
+    for i in 0..file.sig.len().saturating_sub(3) {
+        let t = file.text(i);
+        let constructor = matches!(t, "Mutex" | "RwLock")
+            && (file.text(i + 1), file.text(i + 2), file.text(i + 3)) == (":", ":", "new");
+        // `field: Mutex::new(..)` initializes a field checked above.
+        let field_init = i >= 2
+            && file.text(i - 1) == ":"
+            && file.text(i - 2) != ":"
+            && file.sig[i - 2].kind == TokenKind::Ident;
+        if file.in_test[i] || !constructor || field_init {
+            continue;
+        }
+        findings.push(Finding {
+            lint: Lint::D7,
+            path: file.path.to_string(),
+            line: file.sig[i].line,
+            token: format!("{t}::new"),
+            hint: "a lock outside a struct field has no identity in LOCKS, so its order cannot \
+                   be checked: make it a `Mutex` field declared in LOCKS"
+                .into(),
+        });
+    }
+    findings
+}
+
+/// Names of the workspace functions whose bodies (directly or through
+/// other workspace functions, by name) hit a blocking primitive; name
+/// propagation skips [`D8_CALL_DENYLIST`].
+fn blocking_functions<'a>(scopes: &'a scopes::WorkspaceScopes<'_>) -> BTreeSet<&'a str> {
     let mut blocking: BTreeSet<&str> = BTreeSet::new();
     loop {
         let mut changed = false;
@@ -760,68 +850,43 @@ fn check_blocking(
             }
         }
         if !changed {
-            break;
+            return blocking;
         }
     }
+}
 
+/// D8 over one library file: a blocking call while a guard of a lock
+/// without an I/O reason in [`LOCKS`] is live; one finding per site.
+fn check_blocking(file: &FileScopes<'_>, blocking: &BTreeSet<&str>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for file in &scopes.files {
-        if !lib.get(file.path).copied().unwrap_or(false) {
-            continue;
-        }
-        for f in &file.functions {
-            for m in f.body.0 + 1..f.body.1 {
-                if file.in_test[m] {
-                    continue;
-                }
-                let primitive = primitive_site(file, m);
-                let propagated = propagated_call_site(file, m, &blocking);
-                if !primitive && !propagated {
-                    continue;
-                }
-                let live: Vec<&Acquisition> =
-                    f.acquisitions.iter().filter(|a| a.covers(m)).collect();
-                if live.is_empty() {
-                    continue;
-                }
-                // A condvar wait handed the *only* live guard:
-                // `cond.wait(guard)` releases that lock while the thread
-                // parks, so nothing is held across the block.
-                if matches!(file.text(m), "wait" | "wait_timeout")
-                    && live.len() == 1
-                    && first_arg_ident(file, m) == live[0].guard
-                {
-                    continue;
-                }
-                let mut reported = false;
-                for a in &live {
-                    if D8_IO_LOCK_ALLOWLIST
-                        .iter()
-                        .any(|(p, l, _)| *p == file.path && *l == a.lock.display)
-                    {
-                        continue;
-                    }
-                    if reported {
-                        break; // one finding per site even under nested guards
-                    }
-                    reported = true;
-                    let what = if primitive { "blocks" } else { "transitively blocks" };
-                    findings.push(Finding {
-                        lint: Lint::D8,
-                        path: file.path.to_string(),
-                        line: file.sig[m].line,
-                        token: format!(".{}()", file.text(m)),
-                        hint: format!(
-                            "`{}` {what} while holding `{}` (taken at line {}): move the \
-                             operation outside the guard, or register the lock as a \
-                             designated I/O lock in D8_IO_LOCK_ALLOWLIST",
-                            f.qualified(),
-                            a.lock.display,
-                            a.line
-                        ),
-                    });
-                }
+    for f in &file.functions {
+        for m in f.body.0 + 1..f.body.1 {
+            if file.in_test[m] {
+                continue;
             }
+            let primitive = primitive_site(file, m);
+            if !primitive && !propagated_call_site(file, m, blocking) {
+                continue;
+            }
+            let Some(a) = f.acquisitions.iter().find(|a| a.covers(m) && LOCKS[a.lock].1.is_none())
+            else {
+                continue;
+            };
+            let what = if primitive { "blocks" } else { "transitively blocks" };
+            findings.push(Finding {
+                lint: Lint::D8,
+                path: file.path.to_string(),
+                line: file.sig[m].line,
+                token: format!(".{}()", file.text(m)),
+                hint: format!(
+                    "`{}` {what} while holding `{}` (taken at line {}): move the operation \
+                     outside the guard, or give the lock an I/O reason in LOCKS if \
+                     serializing durable I/O is its job",
+                    f.qualified(),
+                    LOCKS[a.lock].0,
+                    a.line
+                ),
+            });
         }
     }
     findings
@@ -851,31 +916,13 @@ fn primitive_site(file: &FileScopes<'_>, m: usize) -> bool {
 
 /// Whether sig index `m` calls a workspace function marked blocking
 /// (by unqualified name, gated by the denylist).
-fn propagated_call_site(
-    file: &FileScopes<'_>,
-    m: usize,
-    blocking: &std::collections::BTreeSet<&str>,
-) -> bool {
+fn propagated_call_site(file: &FileScopes<'_>, m: usize, blocking: &BTreeSet<&str>) -> bool {
     let t = file.text(m);
     file.sig[m].kind == TokenKind::Ident
         && file.sig.get(m + 1).map(|x| x.text(file.src)) == Some("(")
         && !D8_CALL_DENYLIST.contains(&t)
         && !D8_PRIMITIVES.contains(&t)
         && blocking.contains(t)
-}
-
-/// First identifier of the first argument of the call at `m`.
-fn first_arg_ident(file: &FileScopes<'_>, m: usize) -> Option<String> {
-    let mut j = m + 2; // past the `(`
-    while j < file.sig.len() {
-        match file.text(j) {
-            ")" | "," => return None,
-            "&" | "mut" | "*" => j += 1,
-            t if file.sig[j].kind == TokenKind::Ident => return Some(t.to_string()),
-            _ => return None,
-        }
-    }
-    None
 }
 
 /// One recorder-span begin: `name = <recv>.now_us()`.
@@ -1256,33 +1303,79 @@ mod tests {
     // --- D7–D9: workspace concurrency phase -------------------------
 
     /// Runs [`check_concurrency`] over one lib-role file plus a struct
-    /// definition declaring three locks.
+    /// declaring two locks of [`LOCKS`]: `store` (rank 0, an I/O lock)
+    /// and `state` (rank 1).
     fn concurrency_lints(src: &str) -> Vec<(Lint, u32)> {
-        concurrency_lints_at("crates/demo/src/lib.rs", src)
-    }
-
-    fn concurrency_lints_at(path: &str, src: &str) -> Vec<(Lint, u32)> {
-        let locks = "pub struct S { a: Mutex<u32>, b: Mutex<u32>, cond: Condvar }";
+        let locks = "pub struct RunCache { store: Mutex<u32>, state: Mutex<u32> }";
         let files = vec![
             (FilePolicy { path: "crates/demo/src/s.rs".into(), ..lib_policy() }, locks.into()),
-            (FilePolicy { path: path.into(), ..lib_policy() }, src.to_string()),
+            (lib_policy(), src.to_string()),
         ];
         check_concurrency(&files).into_iter().map(|f| (f.lint, f.line)).collect()
     }
 
     #[test]
-    fn d8_flags_direct_blocking_primitives_under_a_guard() {
-        let src = "impl S { fn f(&self) { let g = self.a.lock(); file.sync_all()?; } }";
-        assert_eq!(concurrency_lints(src), vec![(Lint::D8, 1)]);
-        let src = "impl S { fn f(&self) { let g = self.a.lock(); drop(g); file.sync_all()?; } }";
+    fn locks_resolve_by_unique_field_names() {
+        let fields: BTreeSet<&str> =
+            LOCKS.iter().filter_map(|(lock, _)| lock.rsplit('.').next()).collect();
+        assert_eq!(fields.len(), LOCKS.len(), "{LOCKS:?}");
+    }
+
+    #[test]
+    fn d7_allows_only_the_declared_order() {
+        let src = "impl S { fn f(&self) {\n let g = self.store.lock();\n let h = self.state.lock();\n } }";
+        assert_eq!(concurrency_lints(src), vec![]);
+        let src = "impl S { fn f(&self) {\n let g = self.state.lock();\n let h = self.store.lock();\n } }";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D7, 3)]);
+        let src = "impl S { fn f(&self) {\n let g = self.state.lock();\n drop(g);\n let h = self.store.lock();\n } }";
         assert_eq!(concurrency_lints(src), vec![]);
     }
 
     #[test]
-    fn d8_join_only_blocks_with_no_arguments() {
-        let src = "impl S { fn f(&self) { let g = self.a.lock(); handle.join(); } }";
+    fn d7_re_entry_needs_a_live_named_guard() {
+        let src = "impl S { fn f(&self) {\n let _ = self.state.lock();\n let h = self.state.lock();\n } }";
+        assert_eq!(concurrency_lints(src), vec![], "`let _ =` drops the guard at once");
+        let src = "impl S { fn f(&self) {\n let _g = self.state.lock();\n let h = self.state.lock();\n } }";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D7, 3)]);
+    }
+
+    #[test]
+    fn d7_flags_every_lock_the_table_does_not_declare() {
+        let src = "pub struct Pool {\n jobs: Mutex<u32>,\n table: RwLock<u32>,\n }";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D7, 2), (Lint::D7, 3)]);
+        let src = "fn f() {\n let m = Mutex::new(0);\n let r = std::sync::RwLock::new(0);\n }";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D7, 2), (Lint::D7, 3)]);
+        let src = "static M: Mutex<u32> = Mutex::new(0);";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D7, 1)]);
+        // A declared field's struct-literal initializer, test code, and
+        // integration tests are not declarations.
+        let src = "fn open() -> RunCache {\n RunCache { state: Mutex::new(0), store: Mutex::new(0) }\n }\n\
+                   #[cfg(test)]\nmod tests { fn t() { let m = Mutex::new(0); } }";
+        assert_eq!(concurrency_lints(src), vec![]);
+        let test_file = FilePolicy { role: FileRole::TestOrBench, ..lib_policy() };
+        let files = vec![(test_file, "fn t() { let m = Mutex::new(0); }".to_string())];
+        assert_eq!(check_concurrency(&files), vec![]);
+    }
+
+    #[test]
+    fn d8_flags_direct_blocking_primitives_under_a_guard() {
+        let src = "impl S { fn f(&self) { let g = self.state.lock(); file.sync_all()?; } }";
         assert_eq!(concurrency_lints(src), vec![(Lint::D8, 1)]);
-        let src = "impl S { fn f(&self) { let g = self.a.lock(); let s = parts.join(\", \"); } }";
+        let src =
+            "impl S { fn f(&self) { let g = self.state.lock(); drop(g); file.sync_all()?; } }";
+        assert_eq!(concurrency_lints(src), vec![]);
+        // A condvar wait blocks like any other primitive.
+        let src =
+            "impl S { fn f(&self) { let mut g = self.state.lock(); g = self.cond.wait(g); } }";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D8, 1)]);
+    }
+
+    #[test]
+    fn d8_join_only_blocks_with_no_arguments() {
+        let src = "impl S { fn f(&self) { let g = self.state.lock(); handle.join(); } }";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D8, 1)]);
+        let src =
+            "impl S { fn f(&self) { let g = self.state.lock(); let s = parts.join(\", \"); } }";
         assert_eq!(concurrency_lints(src), vec![]);
     }
 
@@ -1292,11 +1385,11 @@ mod tests {
 impl S {
     fn flush_to_disk(&self) { self.file.sync_all(); }
     fn f(&self) {
-        let g = self.a.lock();
+        let g = self.state.lock();
         self.flush_to_disk();
     }
     fn g(&self) {
-        let g = self.a.lock();
+        let g = self.state.lock();
         map.insert(k, v); // std-collection name: never propagated
     }
 }";
@@ -1304,38 +1397,18 @@ impl S {
     }
 
     #[test]
-    fn d8_exempts_condvar_wait_on_the_sole_held_guard() {
-        // The guard handed to wait() is the one live guard, so the lock
-        // is *released* while parked.
-        let src = "impl S { fn f(&self) {
-            let mut g = self.a.lock();
-            g = self.cond.wait(g);
-        } }";
+    fn d8_allows_blocking_under_a_designated_io_lock_only() {
+        assert_eq!(LOCKS[0].0, "RunCache.store");
+        assert!(LOCKS[0].1.is_some());
+        let src = "impl S { fn f(&self) { let g = self.store.lock(); file.sync_all()?; } }";
         assert_eq!(concurrency_lints(src), vec![]);
-        // Waiting while a *second* guard is live still blocks that one.
-        let src = "impl S { fn f(&self) {
-            let h = self.b.lock();
-            let mut g = self.a.lock();
-            g = self.cond.wait(g);
-        } }";
-        assert_eq!(concurrency_lints(src), vec![(Lint::D8, 4)]);
-    }
-
-    #[test]
-    fn d8_allowlist_suppresses_designated_io_locks() {
-        let (path, lock, _) = D8_IO_LOCK_ALLOWLIST[0];
-        assert_eq!(lock, "RunCache.store");
-        let src = "
-pub struct RunCache { store: Mutex<u32> }
-impl RunCache { fn f(&self) { let g = self.store.lock(); file.sync_all()?; } }";
-        assert_eq!(concurrency_lints_at(path, src), vec![]);
-        // The same code anywhere else is a finding.
-        assert_eq!(concurrency_lints_at("crates/demo/src/lib.rs", src), vec![(Lint::D8, 3)]);
+        let src = "impl S { fn f(&self) {\n let g = self.store.lock();\n let h = self.state.lock();\n file.sync_all()?;\n } }";
+        assert_eq!(concurrency_lints(src), vec![(Lint::D8, 4)], "the state guard still counts");
     }
 
     #[test]
     fn d8_only_fires_in_lib_role_files() {
-        let src = "impl S { fn f(&self) { let g = self.a.lock(); file.sync_all()?; } }";
+        let src = "impl S { fn f(&self) { let g = self.state.lock(); file.sync_all()?; } }";
         let files = vec![(
             FilePolicy {
                 path: "crates/demo/src/main.rs".into(),

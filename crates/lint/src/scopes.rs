@@ -6,49 +6,38 @@
 //! significant tokens once, maintaining a context stack of `impl` /
 //! `struct` / `fn` / plain blocks, and produces per-function facts:
 //!
-//! * **Lock identities.** A `Mutex`/`RwLock` struct field becomes a
-//!   workspace-global identity `Struct.field` (resolved by unique field
-//!   name, so `self.state.lock()` and `inner.spans.lock()` both land on
-//!   the declaring struct). A `let v = Mutex::new(..)` local becomes a
-//!   function-scoped identity.
+//! * **Lock identities.** `x.field.lock()` resolves to the entry of
+//!   [`LOCKS`] whose field is `field` (its rank in the declared order),
+//!   so `self.state.lock()` and `inner.spans.lock()` both land on the
+//!   declaring struct without type inference. A lock the table does not
+//!   declare resolves to nothing; D7 reports its declaration instead.
 //! * **Guard-returning helpers.** A method whose signature mentions a
-//!   `MutexGuard`/`RwLock*Guard` and whose body acquires a known lock
-//!   field (e.g. `RunCache::lock`) is itself treated as an acquisition
-//!   site at every call site, resolved through the receiver's declared
-//!   field type.
+//!   `MutexGuard` and whose body locks a declared field (e.g.
+//!   `RunCache::lock`) is itself an acquisition at every call site,
+//!   resolved through the receiver's declared field type.
 //! * **Guard extents.** Each acquisition records the sig-token range
 //!   over which its guard is live: to the end of the enclosing block
-//!   for `let`-bound guards (truncated by an explicit `drop(guard)`),
+//!   for a named `let` guard (truncated by an explicit `drop(guard)`),
 //!   the matched block for `if let`/`while let`/`match` bindings, and
-//!   the end of the statement for temporaries.
+//!   the end of the statement for temporaries and `let _ =`.
 //!
-//! [`lockgraph`](crate::lockgraph) turns the acquisitions into a
-//! cross-file lock-order graph (D7); [`rules`](crate::rules) layers the
-//! blocking-under-guard (D8) and span-balance (D9) checks on top.
+//! [`crate::rules`] checks the acquisitions against the declared
+//! order (D7) and layers the blocking-under-guard (D8) and
+//! span-balance (D9) checks on top.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::rules::test_regions;
-
-/// A resolved lock.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockId {
-    /// Workspace-unique key: `Struct.field` for fields,
-    /// `path#fn::var` for function-local locks.
-    pub identity: String,
-    /// Short human-readable form (`RunCache.state`, `fn_name::var`).
-    pub display: String,
-}
+use crate::rules::{test_regions, LOCKS};
 
 /// One lock acquisition inside a function body.
 #[derive(Debug, Clone)]
 pub struct Acquisition {
-    /// Which lock is taken.
-    pub lock: LockId,
+    /// Which lock is taken: its index (rank) in [`LOCKS`].
+    pub lock: usize,
     /// 1-based line of the acquisition call.
     pub line: u32,
-    /// Sig-token index of the `lock`/`read`/`write`/helper token.
+    /// Sig-token index of the `lock`/helper token.
     pub site: usize,
     /// Sig-token index one past which the guard is no longer live.
     pub extent_end: usize,
@@ -72,8 +61,6 @@ pub struct FnScope {
     pub name: String,
     /// The `impl` target type, when the fn sits inside an impl block.
     pub owner: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Sig-token index of the `fn` keyword.
     pub sig_start: usize,
     /// Sig-token indices of the body's `{` and `}`.
@@ -81,8 +68,6 @@ pub struct FnScope {
     /// Every identifier appearing in the parameter list (used to exempt
     /// span-start values passed in from a caller).
     pub params: Vec<String>,
-    /// Locals bound directly to `Mutex::new`/`RwLock::new`.
-    pub local_locks: Vec<String>,
     /// Resolved lock acquisitions, in source order.
     pub acquisitions: Vec<Acquisition>,
 }
@@ -111,8 +96,20 @@ pub struct FileScopes<'a> {
     pub in_test: Vec<bool>,
     /// Every `fn` item, in source order.
     pub functions: Vec<FnScope>,
-    /// `(struct, field, head type ident)` for every named struct field.
-    fields: Vec<(String, String, String)>,
+    /// Every named struct field, in source order.
+    pub(crate) fields: Vec<Field>,
+}
+
+/// One named struct field.
+#[derive(Debug, Clone)]
+pub(crate) struct Field {
+    /// The declaring struct.
+    pub(crate) owner: String,
+    /// The field name.
+    pub(crate) name: String,
+    /// Sig-token index of the field type's head ident (`Mutex` in
+    /// `std::sync::Mutex<T>`).
+    pub(crate) head: usize,
 }
 
 impl FileScopes<'_> {
@@ -123,84 +120,56 @@ impl FileScopes<'_> {
     }
 }
 
-/// The workspace-wide analysis: per-file scopes plus the global lock
-/// and helper maps they were resolved against.
+/// The workspace-wide analysis: per-file scopes with their
+/// acquisitions resolved.
 #[derive(Debug)]
 pub struct WorkspaceScopes<'a> {
     /// One entry per input file, same order.
     pub files: Vec<FileScopes<'a>>,
 }
 
-/// Analyzes `(path, source)` pairs. Resolution is workspace-global:
-/// lock fields declared in one file resolve acquisitions in another.
+/// The rank in [`LOCKS`] of the declared lock whose field is `name`
+/// (field names are unique across the table).
+fn declared_lock(name: &str) -> Option<usize> {
+    LOCKS.iter().position(|(lock, _)| lock.rsplit('.').next() == Some(name))
+}
+
+/// Analyzes `(path, source)` pairs. Resolution is workspace-global: a
+/// guard helper defined in one file resolves call sites in another.
 #[must_use]
 pub fn analyze<'a>(files: &[(&'a str, &'a str)]) -> WorkspaceScopes<'a> {
     let mut parsed: Vec<FileScopes<'a>> = files.iter().map(|(p, s)| parse_file(p, s)).collect();
 
-    // Global lock-field map: field name -> declaring structs. Only
-    // unique names resolve; a collision would make identities ambiguous
-    // so colliding fields are skipped (conservative: no finding).
-    let mut lock_fields: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    // All field types, for typing helper-call receivers.
-    let mut field_types: BTreeMap<(String, String), String> = BTreeMap::new();
-    for file in &parsed {
-        for (sname, fname, head) in &file.fields {
-            field_types.insert((sname.clone(), fname.clone()), head.clone());
-            if head == "Mutex" || head == "RwLock" {
-                lock_fields.entry(fname.clone()).or_default().insert(sname.clone());
-            }
-        }
-    }
-    let unique_lock_field = |name: &str| -> Option<LockId> {
-        let structs = lock_fields.get(name)?;
-        if structs.len() != 1 {
-            return None;
-        }
-        let id = format!("{}.{name}", structs.iter().next()?);
-        Some(LockId { identity: id.clone(), display: id })
-    };
-
-    // Guard-returning helpers: (receiver type, method) -> lock.
-    let mut helpers: BTreeMap<(String, String), LockId> = BTreeMap::new();
+    // Guard-returning helpers: (receiver type, method) -> lock rank.
+    let mut helpers: BTreeMap<(String, String), usize> = BTreeMap::new();
     for file in &parsed {
         for f in &file.functions {
             let Some(owner) = &f.owner else { continue };
-            let sig_names = (f.sig_start..f.body.0).map(|i| file.text(i));
-            if !sig_names
-                .clone()
-                .any(|t| matches!(t, "MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard"))
-            {
+            if !(f.sig_start..f.body.0).any(|i| file.text(i) == "MutexGuard") {
                 continue;
             }
-            // The helper's body must acquire a resolvable lock field.
-            for m in f.body.0 + 1..f.body.1 {
-                if !matches!(file.text(m), "lock" | "read" | "write")
+            // The helper's body must lock a declared field.
+            let lock = (f.body.0 + 1..f.body.1).find_map(|m| {
+                if file.text(m) != "lock"
                     || file.sig.get(m + 1).map(|t| t.text(file.src)) != Some("(")
                 {
-                    continue;
+                    return None;
                 }
-                let chain = receiver_chain(file, m);
-                if let Some(last) = chain.last() {
-                    if let Some(lock) = unique_lock_field(last) {
-                        helpers.insert((owner.clone(), f.name.clone()), lock);
-                        break;
-                    }
-                }
+                receiver_chain(file, m).last().and_then(|last| declared_lock(last))
+            });
+            if let Some(lock) = lock {
+                helpers.insert((owner.clone(), f.name.clone()), lock);
             }
         }
     }
 
-    // Acquisition resolution.
     for file in &mut parsed {
         let brace_close = brace_pairs(file);
-        let fns = std::mem::take(&mut file.functions);
-        let mut resolved = Vec::with_capacity(fns.len());
-        for mut f in fns {
-            f.acquisitions =
-                resolve_acquisitions(file, &f, &brace_close, &unique_lock_field, &helpers);
-            resolved.push(f);
+        let mut fns = std::mem::take(&mut file.functions);
+        for f in &mut fns {
+            f.acquisitions = resolve_acquisitions(file, f, &brace_close, &helpers);
         }
-        file.functions = resolved;
+        file.functions = fns;
     }
 
     WorkspaceScopes { files: parsed }
@@ -279,7 +248,7 @@ struct Pending {
 enum PendingKind {
     Impl(String),
     Struct(String),
-    Fn { name: String, line: u32, sig_start: usize, params: Vec<String> },
+    Fn { name: String, sig_start: usize, params: Vec<String> },
 }
 
 enum Ctx {
@@ -289,7 +258,7 @@ enum Ctx {
     Block,
 }
 
-/// Structural scan: functions, struct fields, local locks.
+/// Structural scan: functions and struct fields.
 fn parse_file<'a>(path: &'a str, src: &'a str) -> FileScopes<'a> {
     let tokens = lex(src);
     let sig: Vec<Token> = tokens
@@ -310,14 +279,9 @@ fn parse_file<'a>(path: &'a str, src: &'a str) -> FileScopes<'a> {
 
     let mut ctx: Vec<Ctx> = Vec::new();
     let mut functions: Vec<FnScope> = Vec::new();
-    let mut fields: Vec<(String, String, String)> = Vec::new();
+    let mut fields: Vec<Field> = Vec::new();
     let mut pending: Option<Pending> = None;
-    // (var name, ctx depth when opened) for `let` bindings awaiting `;`.
-    let mut pending_lets: Vec<(String, usize)> = Vec::new();
 
-    let innermost_fn = |ctx: &[Ctx]| -> Option<usize> {
-        ctx.iter().rev().find_map(|c| if let Ctx::Fn(k) = c { Some(*k) } else { None })
-    };
     let current_impl = |ctx: &[Ctx]| -> Option<String> {
         ctx.iter().rev().find_map(|c| if let Ctx::Impl(s) = c { Some(s.clone()) } else { None })
     };
@@ -336,36 +300,10 @@ fn parse_file<'a>(path: &'a str, src: &'a str) -> FileScopes<'a> {
                     pending = Some(Pending {
                         kind: PendingKind::Fn {
                             name: text(i + 1).to_string(),
-                            line: sig[i].line,
                             sig_start: i,
                             params: fn_params(&sig, src, i + 1),
                         },
                     });
-                }
-                "let" => {
-                    let mut j = i + 1;
-                    if j < n && text(j) == "mut" {
-                        j += 1;
-                    }
-                    // Plain `let name =` only; `let Ok(..)`/`let (a, b)`
-                    // patterns never bind a lock directly.
-                    if j < n
-                        && sig[j].kind == TokenKind::Ident
-                        && text(j) != "_"
-                        && sig.get(j + 1).map(|t| t.text(src)) != Some("(")
-                    {
-                        pending_lets.push((text(j).to_string(), ctx.len()));
-                    }
-                }
-                "Mutex" | "RwLock"
-                    if i + 3 < n
-                        && text(i + 1) == ":"
-                        && text(i + 2) == ":"
-                        && text(i + 3) == "new" =>
-                {
-                    if let (Some(k), Some((var, _))) = (innermost_fn(&ctx), pending_lets.last()) {
-                        functions[k].local_locks.push(var.clone());
-                    }
                 }
                 _ => {}
             }
@@ -375,15 +313,13 @@ fn parse_file<'a>(path: &'a str, src: &'a str) -> FileScopes<'a> {
         match text(i) {
             "{" => {
                 let c = match pending.take().map(|p| p.kind) {
-                    Some(PendingKind::Fn { name, line, sig_start, params }) => {
+                    Some(PendingKind::Fn { name, sig_start, params }) => {
                         functions.push(FnScope {
                             name,
                             owner: current_impl(&ctx),
-                            line,
                             sig_start,
                             body: (i, n.saturating_sub(1)),
                             params,
-                            local_locks: Vec::new(),
                             acquisitions: Vec::new(),
                         });
                         Ctx::Fn(functions.len() - 1)
@@ -398,14 +334,8 @@ fn parse_file<'a>(path: &'a str, src: &'a str) -> FileScopes<'a> {
                 if let Some(Ctx::Fn(k)) = ctx.pop() {
                     functions[k].body.1 = i;
                 }
-                let depth = ctx.len();
-                pending_lets.retain(|(_, d)| *d <= depth);
             }
-            ";" => {
-                pending = None;
-                let depth = ctx.len();
-                pending_lets.retain(|(_, d)| *d < depth);
-            }
+            ";" => pending = None,
             ":" => {
                 // A struct-field colon (single `:`, directly inside a
                 // struct body, preceded by the field name).
@@ -416,7 +346,11 @@ fn parse_file<'a>(path: &'a str, src: &'a str) -> FileScopes<'a> {
                         && (i < 2 || text(i - 2) != ":");
                     if single {
                         if let Some(head) = field_type_head(&sig, src, i + 1) {
-                            fields.push((sname.clone(), text(i - 1).to_string(), head));
+                            fields.push(Field {
+                                owner: sname.clone(),
+                                name: text(i - 1).to_string(),
+                                head,
+                            });
                         }
                     }
                 }
@@ -499,17 +433,15 @@ fn fn_params(sig: &[Token], src: &str, name_idx: usize) -> Vec<String> {
     params
 }
 
-/// The head type ident of a field whose `:` sits just before
-/// `start` — the last path ident before generics or the field end
-/// (`std::sync::Mutex<..>` -> `Mutex`, `&'a RunCache` -> `RunCache`).
-fn field_type_head(sig: &[Token], src: &str, start: usize) -> Option<String> {
+/// The sig index of the head type ident of a field whose `:` sits just
+/// before `start` — the last path ident before generics or the field
+/// end (`std::sync::Mutex<..>` -> `Mutex`, `&'a RunCache` -> `RunCache`).
+fn field_type_head(sig: &[Token], src: &str, start: usize) -> Option<usize> {
     let mut head = None;
-    for tok in &sig[start..] {
+    for (j, tok) in sig.iter().enumerate().skip(start) {
         match tok.text(src) {
             "<" | "," | "}" | "(" => break,
-            t if tok.kind == TokenKind::Ident && t != "dyn" && t != "mut" => {
-                head = Some(t.to_string());
-            }
+            t if tok.kind == TokenKind::Ident && t != "dyn" && t != "mut" => head = Some(j),
             _ => {}
         }
     }
@@ -521,13 +453,10 @@ fn resolve_acquisitions(
     file: &FileScopes<'_>,
     f: &FnScope,
     brace_close: &BTreeMap<usize, usize>,
-    unique_lock_field: &dyn Fn(&str) -> Option<LockId>,
-    helpers: &BTreeMap<(String, String), LockId>,
+    helpers: &BTreeMap<(String, String), usize>,
 ) -> Vec<Acquisition> {
     let mut out: Vec<Acquisition> = Vec::new();
     let (open, close) = f.body;
-    // `(struct, field)` head types for helper receiver typing are folded
-    // into `helpers` lookups through the owner's declared fields below.
     for m in open + 1..close {
         if file.in_test[m]
             || file.sig[m].kind != TokenKind::Ident
@@ -540,8 +469,7 @@ fn resolve_acquisitions(
         if chain.is_empty() {
             continue;
         }
-        let lock = resolve_lock(file, f, name, &chain, unique_lock_field, helpers);
-        let Some(lock) = lock else { continue };
+        let Some(lock) = resolve_lock(file, f, name, &chain, helpers) else { continue };
         let r = m - 2 * chain.len();
         let (guard, extent_end) = classify_binding(file, f, brace_close, r, m);
         out.push(Acquisition { lock, line: file.sig[m].line, site: m, extent_end, guard });
@@ -565,31 +493,18 @@ fn resolve_acquisitions(
     out
 }
 
-/// Resolution order: unique lock field, then function-local lock, then
-/// guard-returning helper (typed through the receiver chain).
+/// Resolution order: a declared lock field, then a guard-returning
+/// helper (typed through the receiver chain).
 fn resolve_lock(
     file: &FileScopes<'_>,
     f: &FnScope,
     method: &str,
     chain: &[String],
-    unique_lock_field: &dyn Fn(&str) -> Option<LockId>,
-    helpers: &BTreeMap<(String, String), LockId>,
-) -> Option<LockId> {
-    let lockish = matches!(method, "lock" | "read" | "write");
-    if lockish {
-        if let Some(last) = chain.last() {
-            if last != "self" {
-                if let Some(lock) = unique_lock_field(last) {
-                    return Some(lock);
-                }
-            }
-        }
-        if chain.len() == 1 && f.local_locks.contains(&chain[0]) {
-            let var = &chain[0];
-            return Some(LockId {
-                identity: format!("{}#{}::{var}", file.path, f.name),
-                display: format!("{}::{var}", f.name),
-            });
+    helpers: &BTreeMap<(String, String), usize>,
+) -> Option<usize> {
+    if method == "lock" {
+        if let Some(lock) = chain.last().and_then(|last| declared_lock(last)) {
+            return Some(lock);
         }
     }
     // Helper call: receiver type is the owner (`self.h()`) or a field's
@@ -598,7 +513,8 @@ fn resolve_lock(
         [s] if s == "self" => f.owner.clone(),
         [s, field] if s == "self" => {
             let owner = f.owner.as_ref()?;
-            file.fields.iter().find(|(st, fl, _)| st == owner && fl == field).map(|t| t.2.clone())
+            let field = file.fields.iter().find(|fl| &fl.owner == owner && &fl.name == field)?;
+            Some(file.text(field.head).to_string())
         }
         _ => None,
     }?;
@@ -622,9 +538,12 @@ fn classify_binding(
     match prev(r) {
         Some("=") => {
             // `let [mut] name = ..` / `name = ..` -> named, live to the
-            // end of the enclosing block. `if/while let Ok(g) = ..` ->
-            // pattern, live over the following block.
-            if r >= 2 && file.text(r - 2) == ")" {
+            // end of the enclosing block; `let _ = ..` drops at once.
+            // `if/while let Ok(g) = ..` -> pattern, live over the
+            // following block.
+            if r >= 2 && file.text(r - 2) == "_" {
+                (None, statement_end(file, f, m))
+            } else if r >= 2 && file.text(r - 2) == ")" {
                 let guard = pattern_binding_name(file, r - 2);
                 let end = following_block_end(file, brace_close, m)
                     .unwrap_or_else(|| statement_end(file, f, m));
@@ -749,14 +668,19 @@ mod tests {
         analyze(&[("crates/demo/src/lib.rs", src)])
     }
 
+    fn rank(lock: &str) -> usize {
+        LOCKS.iter().position(|(l, _)| *l == lock).unwrap()
+    }
+
     #[test]
-    fn resolves_struct_lock_fields_through_self_and_locals() {
+    fn resolves_declared_lock_fields_only() {
         let src = "
-            pub struct Store { state: Mutex<Inner>, cond: Condvar }
-            impl Store {
+            pub struct RunCache { state: Mutex<Inner>, other: Mutex<u32> }
+            impl RunCache {
                 fn probe(&self) {
                     let mut state = self.state.lock();
                     state.touch();
+                    let o = self.other.lock();
                 }
             }
             fn local() {
@@ -766,57 +690,60 @@ mod tests {
         ";
         let w = ws(src);
         let probe = &w.files[0].functions[0];
-        assert_eq!(probe.qualified(), "Store::probe");
-        assert_eq!(probe.acquisitions.len(), 1);
-        assert_eq!(probe.acquisitions[0].lock.identity, "Store.state");
+        assert_eq!(probe.qualified(), "RunCache::probe");
+        assert_eq!(probe.acquisitions.len(), 1, "an undeclared field resolves to nothing");
+        assert_eq!(probe.acquisitions[0].lock, rank("RunCache.state"));
         assert_eq!(probe.acquisitions[0].guard.as_deref(), Some("state"));
         let local = &w.files[0].functions[1];
-        assert_eq!(local.acquisitions.len(), 1);
-        assert!(local.acquisitions[0].lock.identity.ends_with("#local::writer"));
-        assert_eq!(local.acquisitions[0].lock.display, "local::writer");
+        assert_eq!(local.acquisitions.len(), 0, "a local lock has no identity");
     }
 
     #[test]
     fn guard_helpers_resolve_at_call_sites_via_field_types() {
         let src = "
-            pub struct Store { state: Mutex<Inner> }
-            impl Store {
+            pub struct RunCache { state: Mutex<Inner> }
+            impl RunCache {
                 fn lock(&self) -> MutexGuard<'_, Inner> {
                     match self.state.lock() { Ok(g) => g, Err(p) => p.into_inner() }
                 }
                 fn direct(&self) { let g = self.lock(); g.touch(); }
             }
-            pub struct Lease<'a> { cache: &'a Store }
-            impl Drop for Lease<'_> {
+            pub struct Reader<'a> { cache: &'a RunCache }
+            impl Drop for Reader<'_> {
                 fn drop(&mut self) { let g = self.cache.lock(); g.touch(); }
             }
         ";
         let w = ws(src);
         let direct = &w.files[0].functions[1];
         assert_eq!(direct.acquisitions.len(), 1, "{:?}", direct.acquisitions);
-        assert_eq!(direct.acquisitions[0].lock.identity, "Store.state");
-        let lease_drop = &w.files[0].functions[2];
-        assert_eq!(lease_drop.owner.as_deref(), Some("Lease"));
-        assert_eq!(lease_drop.acquisitions.len(), 1, "{:?}", lease_drop.acquisitions);
-        assert_eq!(lease_drop.acquisitions[0].lock.identity, "Store.state");
+        assert_eq!(direct.acquisitions[0].lock, rank("RunCache.state"));
+        let reader_drop = &w.files[0].functions[2];
+        assert_eq!(reader_drop.owner.as_deref(), Some("Reader"));
+        assert_eq!(reader_drop.acquisitions.len(), 1, "{:?}", reader_drop.acquisitions);
+        assert_eq!(reader_drop.acquisitions[0].lock, rank("RunCache.state"));
     }
 
     #[test]
     fn extents_follow_bindings_and_drop() {
         let src = "
-            pub struct S { a: Mutex<u32>, b: Mutex<u32> }
-            impl S {
+            pub struct RunCache { state: Mutex<u32>, store: Mutex<u32> }
+            impl RunCache {
                 fn f(&self) {
-                    let g = self.a.lock();
+                    let g = self.state.lock();
                     drop(g);
-                    let h = self.b.lock();
+                    let h = self.store.lock();
                     h.touch();
                 }
                 fn pat(&self) {
-                    if let Ok(mut g) = self.a.lock() {
+                    if let Ok(mut g) = self.state.lock() {
                         g.touch();
                     }
-                    self.b.lock();
+                    self.store.lock();
+                }
+                fn discard(&self) {
+                    let _ = self.state.lock();
+                    let _g = self.store.lock();
+                    self.state.lock();
                 }
             }
         ";
@@ -829,22 +756,28 @@ mod tests {
         assert_eq!(a.guard.as_deref(), Some("g"));
         let b = &pat.acquisitions[1];
         assert!(a.extent_end < b.site, "if-let guard dies at its block: {a:?} vs {b:?}");
+        let discard = &w.files[0].functions[2];
+        let (a, b, c) =
+            (&discard.acquisitions[0], &discard.acquisitions[1], &discard.acquisitions[2]);
+        assert!(a.extent_end < b.site, "`let _ =` drops the guard at once: {a:?} vs {b:?}");
+        assert_eq!(b.guard.as_deref(), Some("_g"));
+        assert!(b.covers(c.site), "`let _g =` keeps the guard to the block end");
     }
 
     #[test]
     fn cross_file_field_resolution_and_test_exemption() {
-        let a = "pub struct Reg { spans: Mutex<Vec<u32>> }";
+        let a = "pub struct FlightInner { spans: Mutex<Vec<u32>> }";
         let b = "
-            fn record(inner: &Reg) { let mut spans = inner.spans.lock(); spans.push(1); }
+            fn record(inner: &FlightInner) { let mut spans = inner.spans.lock(); spans.push(1); }
             #[cfg(test)]
             mod tests {
-                fn t(inner: &Reg) { let g = inner.spans.lock(); }
+                fn t(inner: &FlightInner) { let g = inner.spans.lock(); }
             }
         ";
         let w = analyze(&[("a.rs", a), ("b.rs", b)]);
         let record = &w.files[1].functions[0];
         assert_eq!(record.acquisitions.len(), 1);
-        assert_eq!(record.acquisitions[0].lock.identity, "Reg.spans");
+        assert_eq!(record.acquisitions[0].lock, rank("FlightInner.spans"));
         let test_fn = &w.files[1].functions[1];
         assert_eq!(test_fn.acquisitions.len(), 0, "test code is exempt");
     }

@@ -1,9 +1,10 @@
 //! End-to-end analyzer tests: a synthetic workspace seeded with one
 //! violation per lint must produce findings with exact `file:line`
-//! coordinates, and the real workspace this crate ships in must scan
+//! coordinates; each rule D1–D9 must fire on its bug planted into a live
+//! workspace file; and the real workspace this crate ships in must scan
 //! clean (every remaining finding waived in `lint.toml`).
 
-use sigma_lint::{run, run_with_waivers, Lint, Waiver};
+use sigma_lint::{parse_waivers, run, run_with_waivers, Lint, Waiver};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -231,4 +232,222 @@ fn the_shipping_workspace_scans_clean() {
     // The waiver budget from the PR acceptance bar.
     assert!(report.waivers.len() <= 5, "waiver budget exceeded: {}", report.waivers.len());
     assert!(report.waivers.iter().all(|w| !w.reason.trim().is_empty()));
+}
+
+/// One rule's bug planted into a live workspace file. The file is read
+/// through `include_str!`, so the plant follows the file as it changes.
+struct Plant {
+    /// What the plant shows.
+    name: &'static str,
+    /// Repo-relative path of the live file.
+    path: &'static str,
+    /// The live file's source.
+    src: &'static str,
+    /// Text that must occur exactly once in `src`.
+    anchor: &'static str,
+    /// The text that replaces `anchor`.
+    replacement: &'static str,
+    /// Every unwaived finding the planted file must produce.
+    expect: &'static [(Lint, u32)],
+}
+
+const ENGINE: (&str, &str) =
+    ("crates/core/src/engine.rs", include_str!("../../core/src/engine.rs"));
+const ENGINES: (&str, &str) =
+    ("crates/baselines/src/engines.rs", include_str!("../../baselines/src/engines.rs"));
+const CHAOS: (&str, &str) =
+    ("crates/bench/src/harness/chaos.rs", include_str!("../../bench/src/harness/chaos.rs"));
+const CACHE: (&str, &str) =
+    ("crates/bench/src/harness/cache.rs", include_str!("../../bench/src/harness/cache.rs"));
+
+/// Anchors in `RunCache::lookup` and `RunCache::insert`; the
+/// `_UNDER_STATE` ones sit where the `state` guard is live.
+const LOOKUP_UNDER_STATE: &str = "        // The canonical comparison is the hit condition;";
+const LOOKUP_RECORD: &str =
+    "        self.recorder.span_since(Stage::CacheProbe, label, t0);\n        hit\n";
+const INSERT_UNDER_STATE: &str = "        state.stats.insertions += 1;";
+const INSERT_STORE: &str = "I/O lock only.\n        let mut store = self.lock_store();";
+
+fn plant(
+    name: &'static str,
+    (path, src): (&'static str, &'static str),
+    anchor: &'static str,
+    replacement: &'static str,
+    expect: &'static [(Lint, u32)],
+) -> Plant {
+    Plant { name, path, src, anchor, replacement, expect }
+}
+
+fn plants() -> Vec<Plant> {
+    use Lint::*;
+    let faults = "        let mut faults = faults.filter(|inj| !inj.is_empty());";
+    vec![
+        plant(
+            "D1: a wall-clock read in SigmaSim::run_stationary",
+            ENGINE,
+            faults,
+            "        let _t = Instant::now();\n        let mut faults = faults.filter(|inj| !inj.is_empty());",
+            &[(D1, 423)],
+        ),
+        plant(
+            "D2: an unwrap in SigmaSim::run_stationary",
+            ENGINE,
+            "let stream_bitmap: &Bitmap = corrupted.as_ref().unwrap_or(stored);",
+            "let stream_bitmap: &Bitmap = corrupted.as_ref().unwrap();",
+            &[(D2, 436)],
+        ),
+        plant(
+            "D3: a streaming-cycle count narrowed to u32",
+            ENGINE,
+            "            stats.streaming_cycles += fold_stream;",
+            "            stats.streaming_cycles += fold_stream;\n            let _narrow = stats.streaming_cycles as u32;",
+            &[(D3, 596)],
+        ),
+        plant(
+            "D4: an unsafe block in the stationary engine",
+            ENGINE,
+            faults,
+            "        let mut faults = unsafe { faults.filter(|inj| !inj.is_empty()) };",
+            &[(D4, 423)],
+        ),
+        plant(
+            "D5: the chaos engine without validate_finite",
+            CHAOS,
+            "        sigma_core::validate_finite(a, b)?;\n",
+            "",
+            &[(D5, 19)],
+        ),
+        plant(
+            "D5: the shared check_dims helper without validate_finite",
+            ENGINES,
+            "    sigma_core::validate_finite(a, b)\n}",
+            "    Ok(())\n}",
+            &[
+                (D5, 88),
+                (D5, 140),
+                (D5, 181),
+                (D5, 222),
+                (D5, 261),
+                (D5, 303),
+                (D5, 350),
+                (D5, 406),
+                (D5, 454),
+            ],
+        ),
+        plant(
+            "D6: RunCache::compact_store writing the store in place",
+            CACHE,
+            "        write_atomic(&self.path, content.as_bytes())?;",
+            "        std::fs::write(&self.path, content.as_bytes())?;",
+            &[(D6, 630)],
+        ),
+        plant(
+            "D7: RunCache::lookup re-entering state",
+            CACHE,
+            LOOKUP_UNDER_STATE,
+            "        let again = self.lock();\n        // The canonical comparison is the hit condition;",
+            &[(D7, 503)],
+        ),
+        plant(
+            "D7: RunCache::lookup taking store under state",
+            CACHE,
+            LOOKUP_UNDER_STATE,
+            "        let store = self.store.lock();\n        // The canonical comparison is the hit condition;",
+            &[(D7, 503)],
+        ),
+        plant(
+            "D7: RunCache::lookup taking store under state through lock_store",
+            CACHE,
+            LOOKUP_UNDER_STATE,
+            "        let store = self.lock_store();\n        // The canonical comparison is the hit condition;",
+            &[(D7, 503)],
+        ),
+        plant(
+            "D7 (clean): `let _ =` drops a store guard at once in RunCache::insert",
+            CACHE,
+            INSERT_STORE,
+            "I/O lock only.\n        let _ = self.lock_store();\n        let mut store = self.lock_store();",
+            &[],
+        ),
+        plant(
+            "D8: a sleep under state in RunCache::insert",
+            CACHE,
+            INSERT_UNDER_STATE,
+            "        std::thread::sleep(std::time::Duration::from_millis(1));\n        state.stats.insertions += 1;",
+            &[(D8, 567)],
+        ),
+        plant(
+            "D8: a sync_data under state in RunCache::insert",
+            CACHE,
+            INSERT_UNDER_STATE,
+            "        file.sync_data().ok();\n        state.stats.insertions += 1;",
+            &[(D8, 567)],
+        ),
+        plant(
+            "D8: a compaction, which fsyncs, under state in RunCache::lookup",
+            CACHE,
+            LOOKUP_UNDER_STATE,
+            "        self.compact().ok();\n        // The canonical comparison is the hit condition;",
+            &[(D8, 503)],
+        ),
+        plant(
+            "D9: a `?` between begin and record in RunCache::append",
+            CACHE,
+            "        let wrote = store.file.write_all(line.as_bytes());\n        \
+             self.recorder.span_since(Stage::JournalAppend, label, t0);\n        wrote?;",
+            "        store.file.write_all(line.as_bytes())?;\n        \
+             self.recorder.span_since(Stage::JournalAppend, label, t0);",
+            &[(D9, 603)],
+        ),
+        plant(
+            "D9: RunCache::lookup never recording its span (its counters lose it too)",
+            CACHE,
+            LOOKUP_RECORD,
+            "        hit\n",
+            &[(D9, 499), (D9, 513), (D9, 516)],
+        ),
+        plant(
+            "D9: hits bumped after the CacheProbe span in RunCache::lookup",
+            CACHE,
+            LOOKUP_RECORD,
+            "        self.recorder.span_since(Stage::CacheProbe, label, t0);\n        \
+             self.lock().stats.hits += 1;\n        hit\n",
+            &[(D9, 521)],
+        ),
+    ]
+}
+
+/// Lints one file placed at its repo path in a scratch workspace, with
+/// the repo's own waivers.
+fn live_findings(tag: &str, path: &str, src: &str) -> Vec<(Lint, String, u32)> {
+    let ws = FixtureWorkspace::new(tag);
+    ws.write(path, src);
+    let waivers = parse_waivers(include_str!("../../../lint.toml")).unwrap();
+    let report = run_with_waivers(&ws.root, waivers).unwrap();
+    report.findings.iter().map(|f| (f.lint, f.path.clone(), f.line)).collect()
+}
+
+#[test]
+fn every_rule_fires_on_its_bug_planted_in_live_code() {
+    let plants = plants();
+    for lint in Lint::ALL {
+        assert!(
+            plants.iter().any(|p| p.expect.iter().any(|(l, _)| *l == lint)),
+            "no live plant shows {lint} firing"
+        );
+    }
+    let mut failures = Vec::new();
+    for (i, p) in plants.iter().enumerate() {
+        assert_eq!(p.src.matches(p.anchor).count(), 1, "{}: anchor must occur once", p.name);
+        let clean = live_findings(&format!("live-{i}"), p.path, p.src);
+        assert_eq!(clean, vec![], "{}: the live file must scan clean", p.name);
+        let planted = p.src.replacen(p.anchor, p.replacement, 1);
+        let got = live_findings(&format!("plant-{i}"), p.path, &planted);
+        let want: Vec<_> =
+            p.expect.iter().map(|(l, line)| (*l, p.path.to_string(), *line)).collect();
+        if got != want {
+            failures.push(format!("{}:\n  want {want:?}\n  got  {got:?}", p.name));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -7,7 +7,7 @@
 //! maps to one microsecond of trace time, so durations read directly as
 //! cycles), and `"C"` counter events for metric timelines. One event per
 //! line keeps the document diffable; the validator parses it whole with
-//! the shared [`json`](crate::json) codec.
+//! the shared [`json`] codec.
 
 use crate::json::{self, quote, Json};
 use std::collections::BTreeMap;

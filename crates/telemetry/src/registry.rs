@@ -149,7 +149,7 @@ impl Registry {
 /// A cheaply cloneable telemetry handle.
 ///
 /// Disabled (the default) it is a `None` and every recording call is an
-/// inlined no-op; enabled it shares one atomic [`Registry`] across all
+/// inlined no-op; enabled it shares one atomic `Registry` across all
 /// clones.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
