@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Local mirror of the CI pipeline: formatting, lints, build, tests.
-# Run from the repo root: ./ci.sh
+# The CI pipeline: formatting, lints, build, tests and the identity and
+# perf gates. CI runs this script as its one step; run it from the repo
+# root the same way: ./ci.sh
 set -eux
 
 cargo fmt --all -- --check

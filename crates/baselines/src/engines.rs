@@ -23,7 +23,7 @@ use crate::scnn_functional::ScnnSim;
 use crate::systolic_functional::SystolicSim;
 use crate::GemmAccelerator;
 use sigma_core::model::GemmProblem;
-use sigma_core::{CycleStats, Engine, EngineError, EngineRun};
+use sigma_core::{CycleStats, Engine, EngineError, GemmRun};
 use sigma_matrix::{GemmShape, SparseMatrix};
 
 /// Useful (both-operands-non-zero) MACs of `A x B`, from the bitmaps:
@@ -98,7 +98,7 @@ impl Engine for SystolicEngine {
         self.rows * self.cols
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let (ad, bd) = (a.to_dense(), b.to_dense());
         let sim = SystolicSim::new(self.rows, self.cols);
@@ -117,7 +117,7 @@ impl Engine for SystolicEngine {
             pes: (self.rows * self.cols) as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(run.result, stats))
+        Ok(GemmRun { result: run.result, stats })
     }
 }
 
@@ -146,7 +146,7 @@ impl Engine for EieEngine {
         self.pes
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let run = EieSim::new(self.pes, self.macs_per_cycle).run_gemm(&a.to_dense(), &b.to_dense());
         let stats = CycleStats {
@@ -158,7 +158,7 @@ impl Engine for EieEngine {
             pes: self.pes as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(run.result, stats))
+        Ok(GemmRun { result: run.result, stats })
     }
 }
 
@@ -187,7 +187,7 @@ impl Engine for OuterSpaceEngine {
         self.multipliers
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let run = OuterProductSim::new(self.multipliers, self.merge_throughput)
             .run_gemm(&a.to_dense(), &b.to_dense());
@@ -199,7 +199,7 @@ impl Engine for OuterSpaceEngine {
             pes: self.multipliers as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(run.result, stats))
+        Ok(GemmRun { result: run.result, stats })
     }
 }
 
@@ -228,7 +228,7 @@ impl Engine for ScnnEngine {
         self.mults_per_cycle
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let run =
             ScnnSim::new(self.mults_per_cycle, self.banks).run_gemm(&a.to_dense(), &b.to_dense());
@@ -239,7 +239,7 @@ impl Engine for ScnnEngine {
             pes: self.mults_per_cycle as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(run.result, stats))
+        Ok(GemmRun { result: run.result, stats })
     }
 }
 
@@ -267,7 +267,7 @@ impl Engine for CambriconEngine {
         self.pes * self.lanes
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let run = CambriconSim::new(self.pes, self.lanes).run_gemm(&a.to_dense(), &b.to_dense());
         let stats = CycleStats {
@@ -279,7 +279,7 @@ impl Engine for CambriconEngine {
             pes: (self.pes * self.lanes) as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(run.result, stats))
+        Ok(GemmRun { result: run.result, stats })
     }
 }
 
@@ -309,7 +309,7 @@ impl Engine for EyerissEngine {
         self.pes
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let run = EyerissV2Sim::new(self.pes, self.buffer_words, self.fetch_bandwidth)
             .run_gemm(&a.to_dense(), &b.to_dense());
@@ -324,7 +324,7 @@ impl Engine for EyerissEngine {
             pes: self.pes as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(run.result, stats))
+        Ok(GemmRun { result: run.result, stats })
     }
 }
 
@@ -356,7 +356,7 @@ impl Engine for PackedSystolicEngine {
         self.rows * self.cols
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let (ad, bd) = (a.to_dense(), b.to_dense());
         let (result, packing) = run_packed_gemm(&ad, &bd, self.max_combine);
@@ -375,7 +375,7 @@ impl Engine for PackedSystolicEngine {
             pes: (self.rows * self.cols) as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(result, stats))
+        Ok(GemmRun { result, stats })
     }
 }
 
@@ -412,7 +412,7 @@ impl Engine for GpuEngine {
         V100_CUDA_CORES
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let p = problem_of(a, b);
         let seconds = GpuModel::default().dense_gemm_time_s(p.shape, self.precision);
@@ -425,7 +425,7 @@ impl Engine for GpuEngine {
             pes: V100_CUDA_CORES as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(a.to_dense().matmul(&b.to_dense()), stats))
+        Ok(GemmRun { result: a.to_dense().matmul(&b.to_dense()), stats })
     }
 }
 
@@ -460,10 +460,10 @@ impl<A: GemmAccelerator + Send + Sync> Engine for AnalyticEngine<A> {
         self.inner.pes()
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
         let stats = self.inner.simulate(&problem_of(a, b));
-        Ok(EngineRun::new(a.to_dense().matmul(&b.to_dense()), stats))
+        Ok(GemmRun { result: a.to_dense().matmul(&b.to_dense()), stats })
     }
 }
 

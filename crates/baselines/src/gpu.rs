@@ -8,7 +8,6 @@
 //! and index-traffic-bound, reproducing the observed ~4x efficiency drop
 //! versus dense FP32 on unstructured sparsity.
 
-use sigma_core::model::GemmProblem;
 use sigma_matrix::GemmShape;
 
 /// Numeric precision / engine selection on the modeled V100.
@@ -134,13 +133,6 @@ impl GpuModel {
     #[must_use]
     pub fn elementwise_time_s(&self, elements: u64, passes: f64) -> f64 {
         elements as f64 * 4.0 * passes / self.hbm_bw + self.launch_overhead_s
-    }
-
-    /// Convenience: time for a [`GemmProblem`] treating it as dense FP16
-    /// tensor-core work (training's common case).
-    #[must_use]
-    pub fn problem_time_s(&self, p: &GemmProblem) -> f64 {
-        self.dense_gemm_time_s(p.shape, GpuPrecision::Fp16Tensor)
     }
 }
 

@@ -31,7 +31,7 @@ use sigma_bench::harness::{
     default_registry, demo_suite, derive_seed, records_table, records_to_json, EngineEntry, Sweep,
 };
 use sigma_bench::util::{exit_usage, Cli};
-use sigma_core::{Engine, EngineError, EngineRun};
+use sigma_core::{Engine, EngineError, GemmRun};
 use sigma_matrix::SparseMatrix;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -62,7 +62,7 @@ impl Engine for PacedEngine {
         self.inner.pes()
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         std::thread::sleep(self.pace);
         self.inner.run(a, b)
     }

@@ -32,14 +32,10 @@ use sigma_bench::util::{exit_usage, Cli, Table};
 use sigma_core::fault::{FaultKind, FaultPlan, FaultSite, StuckLevel};
 use sigma_core::model::GemmProblem;
 use sigma_core::{Dataflow, RecoveryPolicy, SigmaConfig, SigmaSim};
+use sigma_interconnect::flip_bit;
 use sigma_matrix::abft::{check_product, correct_single, residual_tolerance, AbftVerdict};
 use sigma_matrix::GemmShape;
 use sigma_workloads::materialize;
-
-/// XORs one bit of an `f32` (the same upset model the injector uses).
-fn flip_bit(v: f32, bit: u32) -> f32 {
-    f32::from_bits(v.to_bits() ^ (1u32 << (bit % 32)))
-}
 
 /// Per-(site-class, target) tally of one campaign cell.
 #[derive(Debug, Default, Clone, Copy)]

@@ -15,8 +15,7 @@
 //! * `--check` — measure and compare against the committed baseline
 //!   without writing; exits non-zero when any case regresses by more than
 //!   the tolerance (15%, tightened to 10% for the ≥4K-PE cases; 30% under
-//!   `--smoke`, whose low rep count is noisier; override with
-//!   `SIGMA_PERF_TOLERANCE=<fraction>`);
+//!   `--smoke`, whose low rep count is noisier);
 //! * `--smoke` — CI subset: the small end of the ladder at low rep count;
 //! * `--telemetry` — measure each case twice (telemetry off, then on) and
 //!   report the instrumentation overhead per case; no baseline is written;
@@ -28,31 +27,25 @@
 //!   sweep with no recorder, a disabled recorder handle, and an enabled
 //!   recorder must render byte-identical records/CSV/JSON, and the enabled
 //!   leg's engine-run span count must equal the cells it executed;
-//! * `--json` — machine-readable results on stdout (per-case cycles/sec
-//!   plus the tolerance verdict against the baseline) instead of the
-//!   table; report-only, so the committed baseline is never rewritten
-//!   (combine with `--check` to keep the gate's exit code);
-//! * `--out PATH` / `--baseline PATH` — override the baseline location;
+//! * `--out PATH` — override the baseline location;
 //! * `--quiet` — suppress the table.
 //!
 //! Each mode takes only its own flags, as `--help` lists them: the
-//! `--telemetry` and `--recorder-check` modes take `--smoke` and
-//! `--quiet`, `--dse-warm` also `--json`, and only the default ladder
-//! takes `--check`, `--out` and `--baseline`. Any other flag, or two
-//! modes at once, exits 2 with the mode's usage line.
+//! `--telemetry`, `--dse-warm` and `--recorder-check` modes take
+//! `--smoke` and `--quiet`, and only the default ladder takes `--check`
+//! and `--out`. Any other flag, or two modes at once, exits 2 with the
+//! mode's usage line.
 //!
 //! `--check` requires an optimized build: debug timings are an order of
 //! magnitude off the committed numbers, so an unoptimized gate run warns
-//! and skips the comparison (force with `SIGMA_PERF_FORCE_CHECK=1`). The
-//! `--dse-warm` speedup gate skips under debug the same way (the parity
-//! and hit/miss checks always run).
+//! and skips the comparison. The `--dse-warm` speedup gate skips under
+//! debug the same way (the parity and hit/miss checks always run).
 
 use sigma_bench::harness::{
     default_registry, demo_suite, records_table, records_to_json, RunCache, Sweep,
 };
 use sigma_bench::perf::{cases, measure, measure_with, parse_baseline, to_json, PerfMeasurement};
 use sigma_bench::util::{exit_usage, Cli, Table};
-use sigma_telemetry::json::quote;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -108,7 +101,7 @@ const DSE_WARM_MIN_SPEEDUP: f64 = 50.0;
 /// 2. warm cells/sec ≥ [`DSE_WARM_MIN_SPEEDUP`] x cold (release builds
 ///    only — debug timings skip the gate exactly like `--check`).
 #[allow(clippy::too_many_lines)]
-fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
+fn run_dse_warm(smoke: bool, quiet: bool) -> ExitCode {
     // A DSE-style grid with enough simulation work per cell that the
     // cold/warm separation is timing-stable; smoke keeps the demo scale.
     let workloads: Vec<_> = if smoke {
@@ -189,17 +182,7 @@ fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
     let cold_rate = cells as f64 / cold_secs.max(1e-9);
     let warm_rate = cells as f64 / warm_secs.max(1e-9);
     let speedup = warm_rate / cold_rate;
-    let gate_speedup =
-        !cfg!(debug_assertions) || std::env::var_os("SIGMA_PERF_FORCE_CHECK").is_some();
-    if json {
-        println!(
-            "{{\n  \"schema\": 1,\n  \"bench\": \"dse_warm_cells_per_second\",\n  \"cells\": {cells},\n  \
-             \"uncached_secs\": {uncached_secs:.6},\n  \"cold_cells_per_sec\": {cold_rate:.1},\n  \
-             \"warm_cells_per_sec\": {warm_rate:.1},\n  \"speedup\": {speedup:.1},\n  \
-             \"min_speedup\": {DSE_WARM_MIN_SPEEDUP:.1},\n  \"speedup_gated\": {gate_speedup},\n  \
-             \"parity\": \"byte-identical\"\n}}"
-        );
-    } else if !quiet {
+    if !quiet {
         let mut t = Table::new(
             "perf_bench - dse_warm (sweep cells per second)",
             &["leg", "cells", "wall_ms", "cells/s"],
@@ -214,11 +197,10 @@ fn run_dse_warm(smoke: bool, quiet: bool, json: bool) -> ExitCode {
         }
         print!("{t}");
     }
-    if !gate_speedup {
+    if cfg!(debug_assertions) {
         eprintln!(
             "perf_bench: dse-warm speedup gate skipped: unoptimized build timings are not \
-             comparable (measured {speedup:.1}x; rerun with --release, or set \
-             SIGMA_PERF_FORCE_CHECK=1)"
+             comparable (measured {speedup:.1}x; rerun with --release)"
         );
         return ExitCode::SUCCESS;
     }
@@ -291,57 +273,10 @@ fn run_recorder_check(smoke: bool, quiet: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--json`: the measurement set plus per-case baseline verdicts, as one
-/// machine-readable document on stdout.
-fn render_json(
-    measurements: &[PerfMeasurement],
-    baseline: &[(String, f64)],
-    smoke: bool,
-) -> String {
-    let mut out = String::from(
-        "{\n  \"schema\": 1,\n  \"bench\": \"sim_cycles_per_second\",\n  \"cases\": [\n",
-    );
-    for (i, m) in measurements.iter().enumerate() {
-        let tol = tolerance(smoke, m.case.pes());
-        let old = baseline.iter().find(|(n, _)| n == m.case.name).map(|(_, v)| *v);
-        let (baseline_field, ratio_field, verdict) = match old {
-            Some(old) => {
-                let ratio = m.cycles_per_sec / old;
-                let verdict = if ratio < 1.0 - tol { "regressed" } else { "pass" };
-                (format!("{old:.1}"), format!("{ratio:.4}"), verdict)
-            }
-            None => ("null".to_string(), "null".to_string(), "no-baseline"),
-        };
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"pes\": {}, \"cycles\": {}, \"wall_ms\": {:.3}, \
-             \"cycles_per_sec\": {:.1}, \"baseline_cycles_per_sec\": {baseline_field}, \
-             \"ratio\": {ratio_field}, \"tolerance\": {tol}, \"verdict\": {}}}{}\n",
-            quote(m.case.name),
-            m.case.pes(),
-            m.cycles,
-            m.best_secs * 1e3,
-            m.cycles_per_sec,
-            quote(verdict),
-            if i + 1 == measurements.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Per-case regression tolerance. Smoke runs use a loose 30% (two reps are
 /// noisy); full runs use 15%, tightened to 10% for the ≥4K-PE cases whose
 /// wall times are long enough to be timing-stable.
-/// `SIGMA_PERF_TOLERANCE` overrides all of it.
 fn tolerance(smoke: bool, pes: usize) -> f64 {
-    if let Ok(v) = std::env::var("SIGMA_PERF_TOLERANCE") {
-        if let Ok(t) = v.parse::<f64>() {
-            if t > 0.0 {
-                return t;
-            }
-        }
-        eprintln!("perf_bench: ignoring invalid SIGMA_PERF_TOLERANCE={v:?}");
-    }
     if smoke {
         0.30
     } else if pes >= 4096 {
@@ -376,34 +311,28 @@ fn render(measurements: &[PerfMeasurement], baseline: &[(String, f64)]) -> Table
 }
 
 fn main() -> ExitCode {
-    let cli = Cli::new(
-        "perf_bench",
-        0,
-        "ladder",
-        "[--check] [--smoke] [--json] [--quiet] [--out PATH] [--baseline PATH]",
-    )
-    .mode("--telemetry [--smoke] [--quiet]")
-    .mode("--dse-warm [--smoke] [--json] [--quiet]")
-    .mode("--recorder-check [--smoke] [--quiet]");
+    let cli = Cli::new("perf_bench", 0, "ladder", "[--check] [--smoke] [--quiet] [--out PATH]")
+        .mode("--telemetry [--smoke] [--quiet]")
+        .mode("--dse-warm [--smoke] [--quiet]")
+        .mode("--recorder-check [--smoke] [--quiet]");
     let mut args = cli.from_env();
     let mode = args.mode();
     let smoke = args.switch("--smoke");
     let quiet = args.switch("--quiet");
-    let json = matches!(mode, "ladder" | "--dse-warm") && args.switch("--json");
-    let (check, out, baseline) = if mode == "ladder" {
-        (args.switch("--check"), args.value("--out"), args.value("--baseline"))
+    let (check, out) = if mode == "ladder" {
+        (args.switch("--check"), args.value("--out"))
     } else {
-        (false, None, None)
+        (false, None)
     };
     args.finish().unwrap_or_else(|msg| exit_usage(&msg));
-    let baseline_path: PathBuf = out.or(baseline).unwrap_or_else(default_baseline_path);
+    let baseline_path: PathBuf = out.unwrap_or_else(default_baseline_path);
 
     let reps = if smoke { SMOKE_REPS } else { FULL_REPS };
     let ladder: Vec<_> = cases().into_iter().filter(|c| !smoke || c.smoke).collect();
 
     match mode {
         "--telemetry" => return run_overhead(&ladder, reps, quiet),
-        "--dse-warm" => return run_dse_warm(smoke, quiet, json),
+        "--dse-warm" => return run_dse_warm(smoke, quiet),
         "--recorder-check" => return run_recorder_check(smoke, quiet),
         _ => {}
     }
@@ -419,18 +348,15 @@ fn main() -> ExitCode {
         measurements.push(measure(case, reps).expect("ladder case must simulate"));
     }
 
-    if json {
-        print!("{}", render_json(&measurements, &baseline, smoke));
-    } else if !quiet {
+    if !quiet {
         print!("{}", render(&measurements, &baseline));
     }
 
     if check {
-        if cfg!(debug_assertions) && std::env::var_os("SIGMA_PERF_FORCE_CHECK").is_none() {
+        if cfg!(debug_assertions) {
             eprintln!(
                 "perf_bench: --check skipped: unoptimized build timings are not comparable \
-                 to the committed baseline (rerun with --release, or set \
-                 SIGMA_PERF_FORCE_CHECK=1)"
+                 to the committed baseline (rerun with --release)"
             );
             return ExitCode::SUCCESS;
         }
@@ -474,12 +400,6 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    if json {
-        // Report-only: never rewrite the committed baseline from a mode
-        // meant for machine consumers.
-        return ExitCode::SUCCESS;
-    }
-
     let json = to_json(&measurements);
     if let Err(e) = std::fs::write(&baseline_path, &json) {
         eprintln!("perf_bench: cannot write {}: {e}", baseline_path.display());

@@ -55,8 +55,8 @@
 //! Chrome trace (one track per worker thread; journal and cache on named
 //! tracks; gauges as counter series), self-validated before it is
 //! written with `--out`.
-//! `--metrics json|prom` instead re-exports the log's counters, gauges,
-//! and histograms as a `MetricsReport` JSON or Prometheus-text document.
+//! `--metrics` instead re-exports the log's counters, gauges, and
+//! histograms as a `MetricsReport` JSON document.
 
 use std::sync::Arc;
 
@@ -92,7 +92,7 @@ fn cli() -> Cli {
          [--flight-recorder LOG.jsonl]",
     )
     .mode(&format!("trace [--out TRACE.json] {GEMM} [--seed S] [--telemetry]"))
-    .mode("report --from LOG.jsonl [--out TRACE.json] [--metrics json|prom]")
+    .mode("report --from LOG.jsonl [--out TRACE.json] [--metrics]")
     .mode("--list-engines")
 }
 
@@ -259,13 +259,13 @@ fn run_trace(mut args: Args<'_>) -> i32 {
 /// `report --from LOG`: converts a flight-recorder event log into a
 /// validated Perfetto trace (written with `--out`) plus the per-stage
 /// latency table, the per-engine `engine_run` table, the slowest cell
-/// and the dropped-span count; `--metrics json|prom` re-exports the log's
-/// counters, gauges, and histograms instead. Exits non-zero if the log
+/// and the dropped-span count; `--metrics` re-exports the log's
+/// counters, gauges, and histograms as JSON instead. Exits non-zero if the log
 /// is unreadable or the built trace fails its own validator.
 fn run_report(mut args: Args<'_>) -> i32 {
     let from: Option<String> = args.value("--from");
     let out: Option<String> = args.value("--out");
-    let metrics = args.choice("--metrics", &["json", "prom", "prometheus"]);
+    let metrics = args.switch("--metrics");
     args.finish().unwrap_or_else(|msg| exit_usage(&msg));
     let Some(path) = &from else {
         eprintln!("report needs --from LOG.jsonl (an event log from --sweep --flight-recorder)");
@@ -288,22 +288,18 @@ fn run_report(mut args: Args<'_>) -> i32 {
             return 1;
         }
     };
-    match metrics {
-        Some("json") => print!("{}", log.metrics_report().to_json()),
-        Some(_) => print!("{}", log.metrics_report().to_prometheus()),
-        None => {
-            println!("{}", report.table.render());
-            println!("{}", report.engines.render());
-            match log.slowest_cell() {
-                Some(span) => {
-                    println!("[report] slowest cell: {} ({} us)", span.label, span.dur_us)
-                }
-                None => println!("[report] slowest cell: none (no engine_run span retained)"),
-            }
-            let partial = " (the engine table and the slowest cell cover only the retained spans)";
-            let note = if log.dropped_spans > 0 { partial } else { "" };
-            println!("[report] dropped spans: {}{note}", log.dropped_spans);
+    if metrics {
+        print!("{}", log.metrics_report().to_json());
+    } else {
+        println!("{}", report.table.render());
+        println!("{}", report.engines.render());
+        match log.slowest_cell() {
+            Some(span) => println!("[report] slowest cell: {} ({} us)", span.label, span.dur_us),
+            None => println!("[report] slowest cell: none (no engine_run span retained)"),
         }
+        let partial = " (the engine table and the slowest cell cover only the retained spans)";
+        let note = if log.dropped_spans > 0 { partial } else { "" };
+        println!("[report] dropped spans: {}{note}", log.dropped_spans);
     }
     if let Some(out) = &out {
         if let Err(e) = std::fs::write(out, &report.trace_json) {

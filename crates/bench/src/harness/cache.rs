@@ -661,7 +661,7 @@ mod tests {
     use super::*;
     use crate::harness::record::RunStatus;
     use sigma_core::model::GemmProblem;
-    use sigma_core::{CycleStats, EngineRun};
+    use sigma_core::{CycleStats, GemmRun};
     use sigma_matrix::{GemmShape, Matrix};
 
     fn workload() -> WorkloadSpec {
@@ -670,10 +670,10 @@ mod tests {
 
     fn sample(slug: &str) -> RunRecord {
         let p = workload().problem;
-        let run = EngineRun::new(
-            Matrix::zeros(4, 5),
-            CycleStats { streaming_cycles: 10, pes: 8, ..CycleStats::default() },
-        );
+        let run = GemmRun {
+            result: Matrix::zeros(4, 5),
+            stats: CycleStats { streaming_cycles: 10, pes: 8, ..CycleStats::default() },
+        };
         RunRecord::from_run(slug, "Engine", 8, "wl", &p, 7, &run, 1e-6, true, 0)
     }
 

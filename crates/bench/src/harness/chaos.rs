@@ -7,7 +7,7 @@
 //!
 //! [`default_registry`]: super::registry::default_registry
 
-use sigma_core::{Engine, EngineError, EngineRun};
+use sigma_core::{Engine, EngineError, GemmRun};
 use sigma_matrix::SparseMatrix;
 
 /// An engine that panics on every [`Engine::run`] call.
@@ -28,7 +28,7 @@ impl Engine for PanickingEngine {
     // Deliberate: this engine exists to prove the sweep contains panics
     // (sigma-lint D2 waived for this file in lint.toml).
     #[allow(clippy::panic)]
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         sigma_core::validate_finite(a, b)?;
         panic!("chaos: deliberate panic from PanickingEngine");
     }

@@ -3,7 +3,7 @@
 
 use crate::util::Table;
 use sigma_core::model::GemmProblem;
-use sigma_core::EngineRun;
+use sigma_core::GemmRun;
 use sigma_telemetry::json::{quote, Json};
 
 /// Revision of the [`RunRecord`] layout itself (fields, column order,
@@ -166,7 +166,7 @@ impl RunRecord {
         workload: &str,
         problem: &GemmProblem,
         seed: u64,
-        run: &EngineRun,
+        run: &GemmRun,
         max_abs_err: f64,
         verified: bool,
         mem_est_bytes: u64,
@@ -462,10 +462,10 @@ mod tests {
 
     fn sample() -> RunRecord {
         let p = GemmProblem::sparse(GemmShape::new(4, 5, 6), 0.5, 0.25);
-        let run = EngineRun::new(
-            Matrix::zeros(4, 5),
-            CycleStats { streaming_cycles: 10, pes: 8, ..CycleStats::default() },
-        );
+        let run = GemmRun {
+            result: Matrix::zeros(4, 5),
+            stats: CycleStats { streaming_cycles: 10, pes: 8, ..CycleStats::default() },
+        };
         RunRecord::from_run("eng", "Engine", 8, "wl", &p, 7, &run, 1e-6, true, 0)
     }
 

@@ -29,7 +29,7 @@ use crate::harness::cache::{CellKey, RunCache};
 use crate::harness::record::{RunRecord, RunStatus};
 use crate::harness::registry::EngineEntry;
 use sigma_core::model::GemmProblem;
-use sigma_core::{Engine, EngineRun};
+use sigma_core::{Engine, GemmRun};
 use sigma_matrix::{GemmShape, Matrix, SparseMatrix};
 use sigma_telemetry::{FlightRecorder, Gauge, Stage};
 use sigma_workloads::materialize;
@@ -185,7 +185,7 @@ fn run_engine(
     engine: &dyn Engine,
     a: &SparseMatrix,
     b: &SparseMatrix,
-) -> Result<EngineRun, (RunStatus, String)> {
+) -> Result<GemmRun, (RunStatus, String)> {
     install_quiet_panic_hook();
     let outer = IN_CELL.replace(true);
     let outcome = catch_unwind(AssertUnwindSafe(|| engine.run(a, b)));
@@ -257,13 +257,6 @@ impl Sweep {
     pub fn with_flight_recorder(mut self, recorder: FlightRecorder) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// The attached flight recorder (disabled unless
-    /// [`Sweep::with_flight_recorder`] was called).
-    #[must_use]
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.recorder
     }
 
     /// Attaches a shared content-addressed [`RunCache`]: every cell

@@ -88,8 +88,9 @@ fn every_sigma_cli_mode_refuses_what_is_not_its_own() {
                 name: "report",
                 select: &["report", "--from", "trace"],
                 foreign: Some((&["--seed", "1"], "--seed")),
-                misspelled: (&["--metric", "json"], "--metric"),
-                malformed: (&["--metrics", "xml"], "--metrics xml"),
+                misspelled: (&["--metric"], "--metric"),
+                // `--metrics` is a switch, so a value after it is stray.
+                malformed: (&["--metrics", "json"], "unexpected json"),
             },
             Mode {
                 name: "--list-engines",
@@ -147,21 +148,21 @@ fn every_perf_bench_mode_refuses_what_is_not_its_own() {
             Mode {
                 name: "--telemetry",
                 select: &["--telemetry", "--smoke"],
-                foreign: Some((&["--json"], "--json")),
+                foreign: Some((&["--check"], "--check")),
                 misspelled: (&["--quite"], "--quite"),
                 malformed: (&["2"], "2"),
             },
             Mode {
                 name: "--dse-warm",
                 select: &["--dse-warm", "--smoke"],
-                foreign: Some((&["--check"], "--check")),
-                misspelled: (&["--jsn"], "--jsn"),
+                foreign: Some((&["--out", "o.json"], "--out")),
+                misspelled: (&["--quiett"], "--quiett"),
                 malformed: (&["3"], "3"),
             },
             Mode {
                 name: "--recorder-check",
                 select: &["--recorder-check", "--smoke"],
-                foreign: Some((&["--baseline", "b.json"], "--baseline")),
+                foreign: Some((&["--check"], "--check")),
                 misspelled: (&["--smok"], "--smok"),
                 malformed: (&["yes"], "yes"),
             },

@@ -103,7 +103,6 @@ pub struct SigmaConfig {
     input_bandwidth: usize,
     stream_bandwidth: usize,
     dataflow: Dataflow,
-    double_buffered: bool,
     packing: PackingOrder,
     telemetry: bool,
 }
@@ -138,7 +137,6 @@ impl SigmaConfig {
             input_bandwidth,
             stream_bandwidth: input_bandwidth,
             dataflow,
-            double_buffered: false,
             packing: PackingOrder::GroupMajor,
             telemetry: false,
         })
@@ -166,7 +164,6 @@ impl SigmaConfig {
             input_bandwidth,
             stream_bandwidth: input_bandwidth,
             dataflow,
-            double_buffered: false,
             packing: PackingOrder::GroupMajor,
             telemetry: false,
         }
@@ -185,7 +182,6 @@ impl SigmaConfig {
             input_bandwidth: 128,
             stream_bandwidth: 128 * 128,
             dataflow: Dataflow::WeightStationary,
-            double_buffered: false,
             packing: PackingOrder::GroupMajor,
             telemetry: false,
         }
@@ -222,23 +218,6 @@ impl SigmaConfig {
     #[must_use]
     pub fn stream_bandwidth(&self) -> usize {
         self.stream_bandwidth
-    }
-
-    /// Whether stationary loads are double-buffered: when enabled, fold
-    /// `i+1`'s loading overlaps fold `i`'s streaming, hiding all but the
-    /// first load (and any residue when loads exceed the streaming time).
-    /// The paper's Table II treats loading as *not* overlapped; this
-    /// switch exists for the ablation study.
-    #[must_use]
-    pub fn double_buffered(&self) -> bool {
-        self.double_buffered
-    }
-
-    /// Returns a copy with double-buffered stationary loading.
-    #[must_use]
-    pub fn with_double_buffering(mut self, enabled: bool) -> Self {
-        self.double_buffered = enabled;
-        self
     }
 
     /// The stationary fold packing order (see [`PackingOrder`]).
@@ -304,31 +283,18 @@ impl SigmaConfig {
         self
     }
 
-    /// Returns a copy with a different bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// [`SigmaError::ZeroBandwidth`] if `bw == 0`.
-    pub fn with_bandwidth(mut self, bw: usize) -> Result<Self, SigmaError> {
-        if bw == 0 {
-            return Err(SigmaError::ZeroBandwidth);
-        }
-        self.input_bandwidth = bw;
-        Ok(self)
-    }
-
     /// Canonical string naming every knob that can influence a simulated
-    /// result — geometry, bandwidths, dataflow, buffering and packing. Two
+    /// result — geometry, bandwidths, dataflow and packing. Two
     /// configurations with equal keys produce bitwise-identical
-    /// [`EngineRun`]s on identical operands, so result caches key cells by
+    /// [`GemmRun`]s on identical operands, so result caches key cells by
     /// this string (plus workload and seed) instead of by the lossy display
     /// name.
     ///
-    /// Telemetry is excluded: it is observational only. The leading `c3`
+    /// Telemetry is excluded: it is observational only. The leading `c4`
     /// is this key's own layout revision; bump it when a knob is added,
     /// renamed or removed.
     ///
-    /// [`EngineRun`]: crate::engine_api::EngineRun
+    /// [`GemmRun`]: crate::engine::GemmRun
     #[must_use]
     pub fn canonical_key(&self) -> String {
         let packing = match self.packing {
@@ -341,12 +307,8 @@ impl SigmaConfig {
             Dataflow::NoLocalReuse => "nlr",
         };
         format!(
-            "c3;dpes={};dpe={};ibw={};sbw={};df={dataflow};dbuf={};pack={packing}",
-            self.num_dpes,
-            self.dpe_size,
-            self.input_bandwidth,
-            self.stream_bandwidth,
-            u8::from(self.double_buffered),
+            "c4;dpes={};dpe={};ibw={};sbw={};df={dataflow};pack={packing}",
+            self.num_dpes, self.dpe_size, self.input_bandwidth, self.stream_bandwidth,
         )
     }
 }
@@ -396,9 +358,6 @@ mod tests {
     fn with_modifiers() {
         let c = SigmaConfig::paper().with_dataflow(Dataflow::InputStationary);
         assert_eq!(c.dataflow(), Dataflow::InputStationary);
-        let c2 = c.with_bandwidth(256).unwrap();
-        assert_eq!(c2.input_bandwidth(), 256);
-        assert!(c.with_bandwidth(0).is_err());
         assert!(!c.telemetry());
         assert!(c.with_telemetry(true).telemetry());
     }
@@ -432,17 +391,18 @@ mod tests {
     #[test]
     fn canonical_key_covers_every_result_affecting_knob() {
         let base = SigmaConfig::new(2, 8, 16, Dataflow::WeightStationary).unwrap();
-        assert_eq!(base.canonical_key(), "c3;dpes=2;dpe=8;ibw=16;sbw=16;df=ws;dbuf=0;pack=group");
+        assert_eq!(base.canonical_key(), "c4;dpes=2;dpe=8;ibw=16;sbw=16;df=ws;pack=group");
         let key = base.canonical_key();
         // Every knob that changes simulated results must change the key.
         let variants = [
             SigmaConfig::new(4, 8, 16, Dataflow::WeightStationary).unwrap(),
             SigmaConfig::new(2, 16, 16, Dataflow::WeightStationary).unwrap(),
-            base.with_bandwidth(32).unwrap(),
+            SigmaConfig::new(2, 8, 32, Dataflow::WeightStationary)
+                .unwrap()
+                .with_stream_bandwidth_clamped(16),
             base.with_stream_bandwidth_clamped(8),
             base.with_dataflow(Dataflow::InputStationary),
             base.with_dataflow(Dataflow::NoLocalReuse),
-            base.with_double_buffering(true),
             base.with_packing_order(PackingOrder::ContractionMajor),
         ];
         let mut keys: Vec<String> = variants.iter().map(SigmaConfig::canonical_key).collect();

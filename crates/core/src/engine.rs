@@ -25,8 +25,9 @@ use sigma_telemetry::{Hist, Telemetry};
 /// tile is then 128 x 32 f32 = 16 KiB.
 const BLOCK_STEPS: usize = FanProgram::BLOCK_LANES;
 
-/// The outcome of one GEMM on SIGMA: the numeric product and the cycle
-/// accounting.
+/// The outcome of one GEMM on any engine: the numeric product and the
+/// cycle accounting. (A cycle-stamped trace of a SIGMA run comes from
+/// [`SigmaSim::run_gemm_traced`], outside the harness.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct GemmRun {
     /// The computed `M x N` product.
@@ -41,14 +42,11 @@ pub struct RecoveryPolicy {
     /// Full re-executions allowed after a failed correction (bounded
     /// recompute; 0 disables recompute entirely).
     pub max_recomputes: u32,
-    /// ABFT residual tolerance override; `None` derives one from the
-    /// problem shape via [`sigma_matrix::abft::residual_tolerance`].
-    pub tolerance: Option<f32>,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self { max_recomputes: 2, tolerance: None }
+        Self { max_recomputes: 2 }
     }
 }
 
@@ -255,7 +253,8 @@ impl SigmaSim {
     }
 
     /// Executes `C = A x B` with a [`FaultPlan`] armed *and* the ABFT
-    /// row/column checksums watching the result: detected corruptions are
+    /// row/column checksums watching the result, at the
+    /// [`residual_tolerance`] of its shape: detected corruptions are
     /// corrected in place when single-site, otherwise the GEMM is
     /// recomputed up to [`RecoveryPolicy::max_recomputes`] times (transient
     /// faults stay consumed across recomputes; stuck-at defects keep
@@ -275,8 +274,7 @@ impl SigmaSim {
     ) -> Result<(GemmRun, FaultReport), SigmaError> {
         let ad = a.to_dense();
         let bd = b.to_dense();
-        let tol =
-            policy.tolerance.unwrap_or_else(|| residual_tolerance(a.rows(), b.cols(), a.cols()));
+        let tol = residual_tolerance(a.rows(), b.cols(), a.cols());
         // Ground truth for escape accounting: the fault-free execution has
         // the identical accumulation order, so agreement is exact up to
         // the faults themselves. Only needed when faults are armed.
@@ -355,10 +353,10 @@ impl SigmaSim {
     /// cell in it).
     ///
     /// One loop walks the plan's folds, and each fold runs the paper's
-    /// Table II phases in order: load (the visible part, with double
-    /// buffering), stream, then add (the FAN drain). A cycle cursor
-    /// advances by each phase's cost, so the work inside a phase never
-    /// ticks cycle by cycle:
+    /// Table II phases in order: load, stream, then add (the FAN drain),
+    /// none overlapped with another. A cycle cursor advances by each
+    /// phase's cost, so the work inside a phase never ticks cycle by
+    /// cycle:
     ///
     /// * **Per-fold send counts are batched word-level**: one walk over
     ///   the streaming bitmap's occupancy words yields every step's send
@@ -473,7 +471,6 @@ impl SigmaSim {
         let mut fold_ks: Vec<u64> = vec![0; if by_step { kdim.div_ceil(64) } else { 0 }];
         let mut step_end: Vec<u64> = Vec::new();
 
-        let mut prev_fold_stream = 0u64;
         let mut cycle = 0u64;
         for (f, fold) in plan.folds.iter().enumerate() {
             let occupied = fold.occupied();
@@ -481,14 +478,9 @@ impl SigmaSim {
             stats.mapped_nonzeros += occupied as u64;
             stats.occupied_slots += occupied as u64;
             let load = (occupied as u64).div_ceil(bw);
-            let visible_load = if self.config.double_buffered() && f > 0 {
-                load.saturating_sub(prev_fold_stream)
-            } else {
-                load
-            };
-            stats.loading_cycles += visible_load;
+            stats.loading_cycles += load;
             if let Some(t) = trace.as_deref_mut() {
-                t.record(Phase::Load, f as u64, None, visible_load);
+                t.record(Phase::Load, f as u64, None, load);
             }
             stats.sram_reads += occupied as u64;
             if self.telemetry.is_enabled() {
@@ -518,7 +510,7 @@ impl SigmaSim {
                 let occupancy_pct = ((hi - lo) * 100 / dpe) as u64;
                 self.telemetry.observe(Hist::MultiplierOccupancyPct, occupancy_pct);
             }
-            cycle += visible_load;
+            cycle += load;
 
             // Word-level send counting: one pass over the occupancy words
             // of this fold's contraction rows, or of every step's row
@@ -613,7 +605,6 @@ impl SigmaSim {
                     self.telemetry.observe_n(Hist::FanLinkOccupancyPct, link_pct, fold_steps);
                 }
             }
-            prev_fold_stream = fold_stream;
             cycle += fold_stream;
 
             // The fold's add latency is the slowest unit's
@@ -987,26 +978,17 @@ impl SigmaSim {
         let mut local_ids: Vec<Option<u32>> = vec![None; dpe];
         let no_faults = FaultPlan::none();
 
-        let mut prev_fold_stream = 0u64;
         for fold in &plan.folds {
             let occupied = fold.occupied();
             stats.folds += 1;
             stats.mapped_nonzeros += occupied as u64;
             stats.occupied_slots += occupied as u64;
             let load = (occupied as u64).div_ceil(bw);
-            let visible_load = if self.config.double_buffered() && stats.folds > 1 {
-                // Overlaps the previous fold's streaming; only the
-                // residue is visible.
-                load.saturating_sub(prev_fold_stream)
-            } else {
-                load
-            };
-            stats.loading_cycles += visible_load;
+            stats.loading_cycles += load;
             if let Some(t) = trace.as_deref_mut() {
-                t.record(Phase::Load, stats.folds - 1, None, visible_load);
+                t.record(Phase::Load, stats.folds - 1, None, load);
             }
             stats.sram_reads += occupied as u64;
-            let mut this_fold_stream = 0u64;
 
             // Load each active Flex-DPE with its slice of the fold
             // (Fig. 5 Step iv: unicast into the multiplier buffers).
@@ -1033,7 +1015,6 @@ impl SigmaSim {
                     .count() as u64;
                 let step_cycles = sends.div_ceil(stream_bw).max(1);
                 stats.streaming_cycles += step_cycles;
-                this_fold_stream += step_cycles;
                 stats.sram_reads += sends;
                 stats.issued_macs += occupied as u128;
                 if sends == 0 {
@@ -1083,7 +1064,6 @@ impl SigmaSim {
             if let Some(t) = trace.as_deref_mut() {
                 t.record(Phase::Drain, stats.folds - 1, None, last_step_drain);
             }
-            prev_fold_stream = this_fold_stream;
         }
         for unit in &engines {
             let (hits, misses) = unit.route_counts();
@@ -1235,20 +1215,18 @@ mod tests {
             for (i, &(da, db)) in
                 [(0.05, 0.1), (0.3, 0.6), (1.0, 1.0), (0.5, 0.02)].iter().enumerate()
             {
-                let base = SigmaConfig::new(4, 8, 8, df).unwrap();
-                for cfg in [base, base.with_double_buffering(true)] {
-                    let seed = 500 + i as u64;
-                    let a = sparse_uniform(9, 14, Density::new(da).unwrap(), seed);
-                    let b = sparse_uniform(14, 11, Density::new(db).unwrap(), seed + 1);
-                    let ctx = format!("{df} densities ({da},{db}) dbuf={}", cfg.double_buffered());
-                    runs.push((ctx, SigmaSim::new(cfg).unwrap(), a, b));
-                    if da <= 0.05 || db <= 0.05 {
-                        let (_, sim, a, b) = runs.last().unwrap();
-                        assert!(
-                            sim.run_gemm(a, b).unwrap().stats.idle_cycles_skipped > 0,
-                            "very sparse runs must have dead cycles to skip"
-                        );
-                    }
+                let cfg = SigmaConfig::new(4, 8, 8, df).unwrap();
+                let seed = 500 + i as u64;
+                let a = sparse_uniform(9, 14, Density::new(da).unwrap(), seed);
+                let b = sparse_uniform(14, 11, Density::new(db).unwrap(), seed + 1);
+                let ctx = format!("{df} densities ({da},{db})");
+                runs.push((ctx, SigmaSim::new(cfg).unwrap(), a, b));
+                if da <= 0.05 || db <= 0.05 {
+                    let (_, sim, a, b) = runs.last().unwrap();
+                    assert!(
+                        sim.run_gemm(a, b).unwrap().stats.idle_cycles_skipped > 0,
+                        "very sparse runs must have dead cycles to skip"
+                    );
                 }
             }
         }
@@ -1337,14 +1315,11 @@ mod tests {
                 ),
             ];
             for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
-                for dbuf in [false, true] {
-                    let config = SigmaConfig::new(4, 8, 8, df).unwrap();
-                    let sim = SigmaSim::new(config.with_double_buffering(dbuf)).unwrap();
-                    for (site, kind) in plans {
-                        let plan = FaultPlan::single(site, kind);
-                        let ctx = format!("seed {seed} {df} dbuf={dbuf} {site} {kind:?}");
-                        assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
-                    }
+                let sim = SigmaSim::new(SigmaConfig::new(4, 8, 8, df).unwrap()).unwrap();
+                for (site, kind) in plans {
+                    let plan = FaultPlan::single(site, kind);
+                    let ctx = format!("seed {seed} {df} {site} {kind:?}");
+                    assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
                 }
             }
         }
@@ -1356,10 +1331,9 @@ mod tests {
     /// more folds fills fold 0 in either packing order; and a stuck FAN
     /// adder fires when its unit reduces, whether or not a cluster spans
     /// it. So every multiplier, Benes port and adder site first fires in
-    /// fold 0. This pins that, with the fold-0 stamps against the oracle
-    /// and double buffering on and off; a fault model that leaves a site
-    /// idle in fold 0 fails here, and that site's later-fold stamp then
-    /// needs its own oracle comparison.
+    /// fold 0. This pins that, with the fold-0 stamps against the oracle;
+    /// a fault model that leaves a site idle in fold 0 fails here, and
+    /// that site's later-fold stamp then needs its own oracle comparison.
     #[test]
     fn every_armed_site_first_fires_in_fold_zero() {
         use crate::fault::{FaultKind, FaultSite};
@@ -1379,26 +1353,24 @@ mod tests {
         }
         for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
             for order in [crate::PackingOrder::GroupMajor, crate::PackingOrder::ContractionMajor] {
-                for dbuf in [false, true] {
-                    let config = SigmaConfig::new(2, 4, 4, df).unwrap().with_packing_order(order);
-                    let sim = SigmaSim::new(config.with_double_buffering(dbuf)).unwrap();
-                    let (clean, trace) = sim.run_gemm_traced(&a, &b).unwrap();
-                    assert!(clean.stats.folds >= 3, "{df} {order:?}: several folds");
-                    let fold0_end = trace
-                        .events()
-                        .iter()
-                        .filter(|e| e.fold == 0)
-                        .map(|e| e.start + e.cycles)
-                        .max()
-                        .unwrap();
-                    for &(site, kind) in &sites {
-                        let plan = FaultPlan::single(site, kind);
-                        let ctx = format!("{df} {order:?} dbuf={dbuf} {site}");
-                        let policy = RecoveryPolicy::default();
-                        let (_, report) = assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
-                        assert_eq!(report.fired.len(), 1, "{ctx}");
-                        assert!(report.fired[0].cycle <= fold0_end, "{ctx}: fired after fold 0");
-                    }
+                let config = SigmaConfig::new(2, 4, 4, df).unwrap().with_packing_order(order);
+                let sim = SigmaSim::new(config).unwrap();
+                let (clean, trace) = sim.run_gemm_traced(&a, &b).unwrap();
+                assert!(clean.stats.folds >= 3, "{df} {order:?}: several folds");
+                let fold0_end = trace
+                    .events()
+                    .iter()
+                    .filter(|e| e.fold == 0)
+                    .map(|e| e.start + e.cycles)
+                    .max()
+                    .unwrap();
+                for &(site, kind) in &sites {
+                    let plan = FaultPlan::single(site, kind);
+                    let ctx = format!("{df} {order:?} {site}");
+                    let policy = RecoveryPolicy::default();
+                    let (_, report) = assert_fault_parity(&sim, &a, &b, &plan, &policy, &ctx);
+                    assert_eq!(report.fired.len(), 1, "{ctx}");
+                    assert!(report.fired[0].cycle <= fold0_end, "{ctx}: fired after fold 0");
                 }
             }
         }
@@ -1488,7 +1460,7 @@ mod tests {
             FaultSite::FanAdder { dpe: 0, adder: 4 },
             FaultKind::StuckBit { bit: 31, level: sigma_interconnect::StuckLevel::One },
         );
-        let policy = RecoveryPolicy { max_recomputes: 2, tolerance: None };
+        let policy = RecoveryPolicy { max_recomputes: 2 };
         for df in [Dataflow::WeightStationary, Dataflow::InputStationary] {
             let sim = cfg(2, 8, 16, df);
             let ctx = format!("stuck adder {df}");
@@ -1585,47 +1557,42 @@ mod tests {
         ];
         let mut corrupted = 0;
         for df in [Dataflow::WeightStationary, Dataflow::InputStationary, Dataflow::NoLocalReuse] {
-            for dbuf in [false, true] {
-                let config = SigmaConfig::new(4, 8, 8, df).unwrap().with_double_buffering(dbuf);
-                let sim = SigmaSim::new(config).unwrap();
-                for seed in 0..4u64 {
-                    let (m, k, n) =
-                        (9 + seed as usize, 14 + 3 * seed as usize, 7 + 2 * seed as usize);
-                    let density =
-                        |i: u64| Density::new(0.2 + 0.15 * ((seed + i) % 5) as f64).unwrap();
-                    // Stored K x M and N x K, as dW and dX read them.
-                    let a_km = sparse_uniform(k, m, density(0), 700 + seed);
-                    let b_kn = sparse_uniform(k, n, density(1), 710 + seed);
-                    let a_mk = sparse_uniform(m, k, density(2), 720 + seed);
-                    let b_nk = sparse_uniform(n, k, density(3), 730 + seed);
-                    for (p, plan) in plans.iter().enumerate() {
-                        let cases = [
-                            (Role::At, &a_km, &b_kn, a_km.transposed(), b_kn.clone()),
-                            (Role::Bt, &a_mk, &b_nk, a_mk.clone(), b_nk.transposed()),
-                        ];
-                        for (role, a, b, a_explicit, b_explicit) in cases {
-                            let ctx = format!("{df} dbuf={dbuf} seed {seed} {role:?} plan {p}");
-                            let got = run_role(&sim, role, a, b, plan);
-                            let want = run_role(&sim, Role::Plain, &a_explicit, &b_explicit, plan);
-                            assert_runs_eq(&got, &want, &ctx);
-                            let tick = run_role(&oracle(&sim), role, a, b, plan);
-                            assert_runs_eq(&got, &tick, &format!("{ctx} oracle"));
-                            if plan.is_empty() {
-                                let public = match role {
-                                    Role::At => sim.run_gemm_at(a, b),
-                                    _ => sim.run_gemm_bt(a, b),
-                                };
-                                assert_eq!(public.unwrap().stats, got.0.stats, "{ctx}");
-                            }
-                            if p == 1 && df != Dataflow::NoLocalReuse {
-                                corrupted += usize::from(!got.2.fired.is_empty());
-                            }
+            let sim = SigmaSim::new(SigmaConfig::new(4, 8, 8, df).unwrap()).unwrap();
+            for seed in 0..4u64 {
+                let (m, k, n) = (9 + seed as usize, 14 + 3 * seed as usize, 7 + 2 * seed as usize);
+                let density = |i: u64| Density::new(0.2 + 0.15 * ((seed + i) % 5) as f64).unwrap();
+                // Stored K x M and N x K, as dW and dX read them.
+                let a_km = sparse_uniform(k, m, density(0), 700 + seed);
+                let b_kn = sparse_uniform(k, n, density(1), 710 + seed);
+                let a_mk = sparse_uniform(m, k, density(2), 720 + seed);
+                let b_nk = sparse_uniform(n, k, density(3), 730 + seed);
+                for (p, plan) in plans.iter().enumerate() {
+                    let cases = [
+                        (Role::At, &a_km, &b_kn, a_km.transposed(), b_kn.clone()),
+                        (Role::Bt, &a_mk, &b_nk, a_mk.clone(), b_nk.transposed()),
+                    ];
+                    for (role, a, b, a_explicit, b_explicit) in cases {
+                        let ctx = format!("{df} seed {seed} {role:?} plan {p}");
+                        let got = run_role(&sim, role, a, b, plan);
+                        let want = run_role(&sim, Role::Plain, &a_explicit, &b_explicit, plan);
+                        assert_runs_eq(&got, &want, &ctx);
+                        let tick = run_role(&oracle(&sim), role, a, b, plan);
+                        assert_runs_eq(&got, &tick, &format!("{ctx} oracle"));
+                        if plan.is_empty() {
+                            let public = match role {
+                                Role::At => sim.run_gemm_at(a, b),
+                                _ => sim.run_gemm_bt(a, b),
+                            };
+                            assert_eq!(public.unwrap().stats, got.0.stats, "{ctx}");
+                        }
+                        if p == 1 && df != Dataflow::NoLocalReuse {
+                            corrupted += usize::from(!got.2.fired.is_empty());
                         }
                     }
                 }
             }
         }
-        assert_eq!(corrupted, 2 * 2 * 4 * 2, "every bitmap upset must fire");
+        assert_eq!(corrupted, 2 * 4 * 2, "every bitmap upset must fire");
     }
 
     #[test]
@@ -1950,32 +1917,6 @@ mod tests {
     }
 
     #[test]
-    fn double_buffering_hides_loads_without_changing_results() {
-        let base = SigmaConfig::new(2, 4, 2, Dataflow::InputStationary).unwrap();
-        let plain = SigmaSim::new(base).unwrap();
-        let buffered = SigmaSim::new(base.with_double_buffering(true)).unwrap();
-        // Many folds (64 nnz on 8 PEs) with slow loading (bw 2).
-        let a = sparse_uniform(8, 8, Density::DENSE, 31);
-        let b = sparse_uniform(8, 16, Density::DENSE, 32);
-        let p = plain.run_gemm(&a, &b).unwrap();
-        let d = buffered.run_gemm(&a, &b).unwrap();
-        assert_eq!(p.result, d.result, "overlap must not change numerics");
-        assert!(
-            d.stats.loading_cycles < p.stats.loading_cycles,
-            "buffered {} vs plain {}",
-            d.stats.loading_cycles,
-            p.stats.loading_cycles
-        );
-        assert_eq!(p.stats.streaming_cycles, d.stats.streaming_cycles);
-        // Analytic model agrees directionally.
-        use crate::model::{estimate, GemmProblem};
-        let prob = GemmProblem::dense(sigma_matrix::GemmShape::new(8, 16, 8));
-        let em = estimate(&base, &prob);
-        let ed = estimate(&base.with_double_buffering(true), &prob);
-        assert!(ed.loading_cycles < em.loading_cycles);
-    }
-
-    #[test]
     fn backward_pass_gemms_match_reference() {
         let sim = cfg(2, 8, 16, Dataflow::InputStationary);
         // dW = X^T dY with X: K x M-shaped storage (rows shared).
@@ -2110,7 +2051,7 @@ mod tests {
                 level: sigma_interconnect::StuckLevel::One,
             },
         );
-        let policy = RecoveryPolicy { max_recomputes: 1, tolerance: None };
+        let policy = RecoveryPolicy { max_recomputes: 1 };
         let (run, report) = sim.run_gemm_checked(&a, &b, &plan, &policy).unwrap();
         assert!(report.counters.detected >= 1, "report: {report:?}");
         assert_eq!(report.counters.escaped, 1, "report: {report:?}");

@@ -3,34 +3,14 @@
 //! The paper's evaluation (Sec. VI) drives one SIGMA configuration and
 //! seven baseline designs over the same GEMM suite. [`Engine`] is the one
 //! entry point the experiment harness uses for all of them: sparse
-//! operands in, an [`EngineRun`] (numeric product + Table-II
-//! [`CycleStats`]) out. The trait is object-safe and
+//! operands in, a [`GemmRun`] (numeric product + Table-II
+//! [`CycleStats`](crate::CycleStats)) out. The trait is object-safe and
 //! `Send + Sync`, so a heterogeneous fleet of boxed engines can be fanned
 //! across threads by a sweep driver.
 
 use crate::config::SigmaError;
-use crate::engine::SigmaSim;
-use crate::stats::CycleStats;
-use sigma_matrix::{Matrix, SparseMatrix};
-
-/// The outcome of one GEMM on any engine: the numeric product and the
-/// cycle accounting. (A cycle-stamped trace of a SIGMA run comes from
-/// [`SigmaSim::run_gemm_traced`], outside the harness.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineRun {
-    /// The computed `M x N` product.
-    pub result: Matrix,
-    /// Table-II style latency and utilization metrics.
-    pub stats: CycleStats,
-}
-
-impl EngineRun {
-    /// Wraps a result and its stats.
-    #[must_use]
-    pub fn new(result: Matrix, stats: CycleStats) -> Self {
-        Self { result, stats }
-    }
-}
+use crate::engine::{GemmRun, SigmaSim};
+use sigma_matrix::SparseMatrix;
 
 /// Why an engine refused to run a GEMM. A panic is not one of these:
 /// the sweep catches it and records the cell's status as a panic.
@@ -118,11 +98,11 @@ pub trait Engine: Send + Sync {
     /// Returns [`EngineError::DimensionMismatch`] when
     /// `a.cols() != b.rows()`, or [`EngineError::Config`] when the
     /// engine cannot execute the problem.
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError>;
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError>;
 
     /// Canonical revision string for this engine's *result-affecting*
     /// configuration: two engines with equal fingerprints must produce
-    /// bitwise-identical [`EngineRun`]s on identical operands. Result
+    /// bitwise-identical [`GemmRun`]s on identical operands. Result
     /// caches fold this into the content key, so a configuration knob
     /// (or model revision) that changes outputs without changing the
     /// display name still invalidates cached cells.
@@ -142,7 +122,7 @@ impl<E: Engine + ?Sized> Engine for &E {
     fn pes(&self) -> usize {
         (**self).pes()
     }
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         (**self).run(a, b)
     }
     fn fingerprint(&self) -> String {
@@ -157,7 +137,7 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
     fn pes(&self) -> usize {
         (**self).pes()
     }
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         (**self).run(a, b)
     }
     fn fingerprint(&self) -> String {
@@ -179,9 +159,8 @@ impl Engine for SigmaSim {
         self.config().total_pes()
     }
 
-    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
-        let run = self.run_gemm(a, b)?;
-        Ok(EngineRun::new(run.result, run.stats))
+    fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
+        Ok(self.run_gemm(a, b)?)
     }
 
     fn fingerprint(&self) -> String {
@@ -245,7 +224,7 @@ mod tests {
     fn sigma_fingerprint_tracks_result_affecting_knobs() {
         let cfg = SigmaConfig::new(2, 8, 16, Dataflow::WeightStationary).unwrap();
         let base = SigmaSim::new(cfg).unwrap().fingerprint();
-        assert!(base.starts_with("sigma-sim/c3;"), "versioned prefix: {base}");
+        assert!(base.starts_with("sigma-sim/c4;"), "versioned prefix: {base}");
         // Knobs that change results must change the fingerprint...
         let repacked = SigmaSim::new(cfg.with_packing_order(crate::PackingOrder::ContractionMajor));
         assert_ne!(base, repacked.unwrap().fingerprint());
@@ -274,7 +253,7 @@ mod tests {
             fn pes(&self) -> usize {
                 64
             }
-            fn run(&self, _: &SparseMatrix, _: &SparseMatrix) -> Result<EngineRun, EngineError> {
+            fn run(&self, _: &SparseMatrix, _: &SparseMatrix) -> Result<GemmRun, EngineError> {
                 Err(EngineError::Config("toy".into()))
             }
         }

@@ -74,7 +74,7 @@ pub use config::{Dataflow, SigmaConfig, SigmaError};
 pub use controller::{ControllerPlan, Fold, MappedElement, PackingOrder};
 pub use dpu::{DpuAllocation, DpuAllocator, PartitionPolicy};
 pub use engine::{GemmRun, RecoveryPolicy, SigmaSim};
-pub use engine_api::{validate_finite, Engine, EngineError, EngineRun};
+pub use engine_api::{validate_finite, Engine, EngineError};
 pub use fault::{
     FaultCounters, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultReport, FaultSite,
     FiredFault,

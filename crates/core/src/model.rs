@@ -103,13 +103,11 @@ fn estimate_stationary(
     let folds = (nnz / pes).ceil();
     let full_fold_occupancy = nnz.min(pes);
 
-    // Loading: each fold's occupants unicast at `bw` words/cycle. With
-    // double buffering, every load after the first hides behind the
-    // previous fold's streaming; only the residue shows.
-    let per_full_load = (pes / bw).ceil();
-    let loading_raw = {
+    // Loading: each fold's occupants unicast at `bw` words/cycle, not
+    // overlapped with streaming (Table II).
+    let loading = {
         let rem = nnz - (folds - 1.0).max(0.0) * pes;
-        (folds - 1.0).max(0.0) * per_full_load + (rem / bw).ceil()
+        (folds - 1.0).max(0.0) * (pes / bw).ceil() + (rem / bw).ceil()
     };
 
     // Distinct contraction indices resident in a fold of `occupancy`
@@ -143,16 +141,6 @@ fn estimate_stationary(
     let sends_per_step =
         (full_folds * k_in_fold(full_fold_occupancy) + k_in_fold(last_occupancy)) * d_str / folds;
     let streaming = (full_folds * cycles_per_step_full + cycles_per_step_last) * steps as f64;
-
-    let loading = if config.double_buffered() {
-        // Hidden behind the previous fold's streaming when it fits.
-        let stream_per_fold = cycles_per_step_full * steps as f64;
-        let visible_rest = (folds - 1.0).max(0.0) * (per_full_load - stream_per_fold).max(0.0);
-        let first = (nnz.min(pes) / bw).ceil();
-        first + visible_rest
-    } else {
-        loading_raw
-    };
 
     let useful = nnz * steps as f64 * d_str;
     let issued = nnz * steps as f64;

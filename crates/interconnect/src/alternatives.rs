@@ -109,9 +109,11 @@ impl DistributionModel {
     /// destinations (multicast of the same value counts once).
     ///
     /// Non-blocking designs deliver everything in one traversal; the bus
-    /// serializes per unique value; the butterfly's internal conflicts cost
-    /// roughly 2x over non-blocking on adversarial patterns; a mesh pays
-    /// hop distance.
+    /// serializes per unique value; a mesh pays hop distance. The
+    /// butterfly's flat 2 cycles is an unmeasured assumption: a blocking
+    /// single-path network is taken to cost about twice a non-blocking
+    /// traversal, whatever the request pattern, and no router here checks
+    /// that against real conflict waves.
     #[must_use]
     pub fn delivery_cycles(&self, unique_values: u64) -> u64 {
         match self.kind {

@@ -39,7 +39,6 @@
 
 pub mod alternatives;
 pub mod benes;
-pub mod butterfly;
 pub mod fan;
 pub mod fault;
 pub mod program;
@@ -47,7 +46,6 @@ pub mod reduction;
 pub mod route_cache;
 
 pub use benes::{BenesConfig, BenesError, BenesNetwork, SwitchState};
-pub use butterfly::{Butterfly, ButterflyRouting};
 pub use fan::{Fan, FanError, FanReduction, FanScratch, SegmentSum};
 pub use fault::{flip_bit, force_bit, AdderFault, StuckLevel};
 pub use program::FanProgram;

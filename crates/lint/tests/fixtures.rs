@@ -287,28 +287,28 @@ fn plants() -> Vec<Plant> {
             ENGINE,
             faults,
             "        let _t = Instant::now();\n        let mut faults = faults.filter(|inj| !inj.is_empty());",
-            &[(D1, 423)],
+            &[(D1, 421)],
         ),
         plant(
             "D2: an unwrap in SigmaSim::run_stationary",
             ENGINE,
             "let stream_bitmap: &Bitmap = corrupted.as_ref().unwrap_or(stored);",
             "let stream_bitmap: &Bitmap = corrupted.as_ref().unwrap();",
-            &[(D2, 436)],
+            &[(D2, 434)],
         ),
         plant(
             "D3: a streaming-cycle count narrowed to u32",
             ENGINE,
             "            stats.streaming_cycles += fold_stream;",
             "            stats.streaming_cycles += fold_stream;\n            let _narrow = stats.streaming_cycles as u32;",
-            &[(D3, 596)],
+            &[(D3, 588)],
         ),
         plant(
             "D4: an unsafe block in the stationary engine",
             ENGINE,
             faults,
             "        let mut faults = unsafe { faults.filter(|inj| !inj.is_empty()) };",
-            &[(D4, 423)],
+            &[(D4, 421)],
         ),
         plant(
             "D5: the chaos engine without validate_finite",

@@ -163,12 +163,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Number of non-zero elements.
     #[must_use]
     pub fn nnz(&self) -> usize {

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::quote;
-use crate::registry::{bucket_ceil, bucket_floor, bucket_of, HistCells, HIST_BUCKETS};
+use crate::registry::{bucket_floor, bucket_of, HistCells, HIST_BUCKETS};
 use crate::HistSummary;
 
 /// Harness pipeline stages timed by the flight recorder.
@@ -443,8 +443,8 @@ impl From<&HistSummary> for ReportHist {
     }
 }
 
-/// A metrics view — counters, gauges, histograms — rendered as JSON or
-/// Prometheus text exposition with deterministic (sorted-name) ordering.
+/// A metrics view — counters, gauges, histograms — rendered as JSON
+/// with deterministic (sorted-name) ordering.
 /// `sigma_cli report --metrics` builds one from a parsed event log.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
@@ -505,39 +505,6 @@ impl MetricsReport {
             ));
         }
         out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Renders the report in the Prometheus text exposition format
-    /// (version 0.0.4): `sigma_`-prefixed families sorted by name,
-    /// histograms as cumulative `_bucket{le="..."}` series with `_sum`
-    /// and `_count`.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let s = self.sorted();
-        let mut out = String::new();
-        for (name, v) in &s.counters {
-            out.push_str(&format!("# TYPE sigma_{name} counter\nsigma_{name} {v}\n"));
-        }
-        for (name, v) in &s.gauges {
-            out.push_str(&format!("# TYPE sigma_{name} gauge\nsigma_{name} {v}\n"));
-        }
-        for h in &s.hists {
-            let name = &h.name;
-            out.push_str(&format!("# TYPE sigma_{name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (bi, &n) in h.buckets.iter().enumerate() {
-                cumulative += n;
-                let le = if bi + 1 == h.buckets.len() {
-                    "+Inf".to_string()
-                } else {
-                    bucket_ceil(bi).map_or_else(|| "+Inf".to_string(), |c| c.to_string())
-                };
-                out.push_str(&format!("sigma_{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("sigma_{name}_sum {}\n", h.sum));
-            out.push_str(&format!("sigma_{name}_count {}\n", h.count));
-        }
         out
     }
 }
@@ -696,12 +663,10 @@ mod tests {
             hists: a.hists.iter().rev().cloned().collect(),
         };
         assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.to_prometheus(), b.to_prometheus());
         let json = a.to_json();
         assert!(json.find("\"alpha\": 2").unwrap() < json.find("\"zeta\": 1").unwrap());
         assert!(json.find("\"early\"").unwrap() < json.find("\"late\"").unwrap());
-        let prom = a.to_prometheus();
-        assert!(prom.find("sigma_g1 8").unwrap() < prom.find("sigma_g2 9").unwrap());
+        assert!(json.find("\"g1\": 8").unwrap() < json.find("\"g2\": 9").unwrap());
     }
 
     /// Names read from an event log reach the JSON export: a counter,
@@ -727,24 +692,6 @@ mod tests {
         assert_eq!(member("gauges"), odd);
         let hist = &doc.get("histograms").unwrap().as_array().unwrap()[0];
         assert_eq!(hist.get("name").unwrap().as_str(), Some(odd));
-    }
-
-    #[test]
-    fn prometheus_histograms_are_cumulative_with_inf_tail() {
-        let r = ticking();
-        for dur in [0u64, 1, 1, 3] {
-            r.record_span(Stage::CacheProbe, "p", 0, dur);
-        }
-        let hists = r.snapshot().stages.iter().map(ReportHist::from).collect();
-        let report = MetricsReport { hists, ..MetricsReport::default() };
-        let prom = report.to_prometheus();
-        assert!(prom.contains("# TYPE sigma_cache_probe histogram"));
-        assert!(prom.contains("sigma_cache_probe_bucket{le=\"0\"} 1"));
-        assert!(prom.contains("sigma_cache_probe_bucket{le=\"1\"} 3"));
-        assert!(prom.contains("sigma_cache_probe_bucket{le=\"4\"} 4"));
-        assert!(prom.contains("sigma_cache_probe_bucket{le=\"+Inf\"} 4"));
-        assert!(prom.contains("sigma_cache_probe_sum 5"));
-        assert!(prom.contains("sigma_cache_probe_count 4"));
     }
 
     #[test]

@@ -76,18 +76,6 @@ pub(crate) fn bucket_floor(index: usize) -> u64 {
     }
 }
 
-/// Inclusive upper bound of a bucket, `None` for the open-ended last
-/// bucket (rendered as `+Inf` in Prometheus exposition).
-pub(crate) fn bucket_ceil(index: usize) -> Option<u64> {
-    if index + 1 >= HIST_BUCKETS {
-        return None;
-    }
-    Some(match index {
-        0 => 0,
-        i => 1u64 << (i - 1),
-    })
-}
-
 #[derive(Debug)]
 pub(crate) struct HistCells {
     pub(crate) buckets: [AtomicU64; HIST_BUCKETS],
@@ -378,16 +366,6 @@ mod tests {
         assert_eq!(bucket_floor(1), 1);
         assert_eq!(bucket_floor(3), 3);
         assert_eq!(bucket_floor(4), 5);
-        assert_eq!(bucket_ceil(0), Some(0));
-        assert_eq!(bucket_ceil(1), Some(1));
-        assert_eq!(bucket_ceil(3), Some(4));
-        assert_eq!(bucket_ceil(HIST_BUCKETS - 2), Some(1 << (HIST_BUCKETS - 3)));
-        assert_eq!(bucket_ceil(HIST_BUCKETS - 1), None);
-        // Floors and ceils tile the u64 line with no gaps: each bucket's
-        // ceil is the next bucket's floor minus one.
-        for i in 0..HIST_BUCKETS - 1 {
-            assert_eq!(bucket_ceil(i).unwrap(), bucket_floor(i + 1) - 1);
-        }
     }
 
     #[test]
