@@ -50,6 +50,15 @@ cargo run -q --release -p sigma-bench --bin ablations > /tmp/sigma_ci_ablations.
 diff /tmp/sigma_ci_ablations.txt results/ablations.txt
 cargo run -q --release -p sigma-bench --bin tables_qualitative > /tmp/sigma_ci_tables.txt
 diff /tmp/sigma_ci_tables.txt results/tables.txt
+# Sweep identity gate: every registry engine on the demo workloads, with
+# each Table-II phase, folds, MACs and max_abs_err, must match the
+# committed results/sweep renderings byte for byte.
+cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep --seed 7 --output csv \
+    > /tmp/sigma_ci_sweep.csv
+diff /tmp/sigma_ci_sweep.csv results/sweep/seed7.csv
+cargo run -q --release -p sigma-bench --bin sigma_cli -- --sweep --seed 7 --output json \
+    > /tmp/sigma_ci_sweep.json
+diff /tmp/sigma_ci_sweep.json results/sweep/seed7.json
 # Fault-campaign identity gate: the full campaign's tables must match the
 # committed results/fault_campaign byte for byte.
 rm -rf /tmp/sigma_ci_faults
