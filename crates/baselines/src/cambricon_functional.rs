@@ -9,29 +9,20 @@
 //! list in groups of `lanes` (the 16-wide synapse selectors of the real
 //! design); each group costs one cycle plus the indexing overhead.
 
-use sigma_matrix::Matrix;
-
-/// The outcome of a functional Cambricon-X-style run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CambriconRun {
-    /// The computed product.
-    pub result: Matrix,
-    /// Total cycles across the PE array.
-    pub cycles: u64,
-    /// Multiply-accumulates issued (weight-sparse, activation-dense).
-    pub issued_macs: u64,
-}
+use crate::engines::useful_macs;
+use sigma_core::{CycleStats, GemmRun};
+use sigma_matrix::{Matrix, SparseMatrix};
 
 /// A functional Cambricon-X-style weight-sparse engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CambriconSim {
-    pes: usize,
+#[derive(Debug, Clone, Copy)]
+pub struct CambriconEngine {
+    pub(crate) pes: usize,
     /// Synapse-selector width: weights consumed per PE per cycle.
-    lanes: usize,
+    pub(crate) lanes: usize,
 }
 
-impl CambriconSim {
-    /// Creates the engine.
+impl CambriconEngine {
+    /// `pes` PEs, each with `lanes` synapse-selector lanes.
     ///
     /// # Panics
     ///
@@ -42,16 +33,14 @@ impl CambriconSim {
         Self { pes, lanes }
     }
 
-    /// Runs `C = A[MxK] x B[KxN]`: output columns stripe across PEs; each
-    /// PE holds its columns' non-zero weights (with step indexes) and,
-    /// for every activation row `m`, walks them `lanes` at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    #[must_use]
-    pub fn run_gemm(&self, a: &Matrix, b: &Matrix) -> CambriconRun {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    /// The datapath behind [`sigma_core::Engine::run`] on checked
+    /// operands: output columns stripe across PEs; each PE holds its
+    /// columns' non-zero weights (with step indexes) and, for every
+    /// activation row `m`, walks them `lanes` at a time. The busiest PE
+    /// paces the array; activations issue densely.
+    pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
+        let (useful, b_nnz) = (useful_macs(a, b), b.nnz() as u64);
+        let (a, b) = (a.to_dense(), b.to_dense());
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
 
         // Compress each output column's weights: (k, w) pairs.
@@ -84,34 +73,46 @@ impl CambriconSim {
                 out.set(mm, nn, acc);
             }
         }
-        let cycles = per_pe_cycles.into_iter().max().unwrap_or(0);
-        CambriconRun { result: out, cycles, issued_macs: issued }
+        let stats = CycleStats {
+            streaming_cycles: per_pe_cycles.into_iter().max().unwrap_or(0),
+            useful_macs: useful,
+            issued_macs: u128::from(issued), // dense activations issue
+            mapped_nonzeros: b_nnz,
+            occupied_slots: b_nnz,
+            pes: (self.pes * self.lanes) as u64,
+            ..CycleStats::default()
+        };
+        GemmRun { result: out, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigma_core::Engine;
     use sigma_matrix::gen::{sparse_uniform, Density};
+
+    fn operand(rows: usize, cols: usize, density: f64, seed: u64) -> SparseMatrix {
+        sparse_uniform(rows, cols, Density::new(density).unwrap(), seed)
+    }
 
     #[test]
     fn computes_correct_product() {
-        let sim = CambriconSim::new(4, 4);
-        let a = sparse_uniform(6, 10, Density::new(0.6).unwrap(), 1).to_dense();
-        let b = sparse_uniform(10, 7, Density::new(0.3).unwrap(), 2).to_dense();
-        let run = sim.run_gemm(&a, &b);
-        assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
+        let a = operand(6, 10, 0.6, 1);
+        let b = operand(10, 7, 0.3, 2);
+        let run = CambriconEngine::new(4, 4).run(&a, &b).unwrap();
+        assert!(run.result.approx_eq(&a.to_dense().matmul(&b.to_dense()), 1e-4));
     }
 
     #[test]
     fn weight_sparsity_cuts_cycles() {
-        let a = sparse_uniform(8, 16, Density::DENSE, 3).to_dense();
-        let dense_w = sparse_uniform(16, 8, Density::DENSE, 4).to_dense();
-        let sparse_w = sparse_uniform(16, 8, Density::new(0.25).unwrap(), 5).to_dense();
-        let sim = CambriconSim::new(4, 4);
-        let d = sim.run_gemm(&a, &dense_w);
-        let s = sim.run_gemm(&a, &sparse_w);
-        assert!(s.cycles < d.cycles);
+        let a = operand(8, 16, 1.0, 3);
+        let dense_w = operand(16, 8, 1.0, 4);
+        let sparse_w = operand(16, 8, 0.25, 5);
+        let engine = CambriconEngine::new(4, 4);
+        let d = engine.run(&a, &dense_w).unwrap().stats;
+        let s = engine.run(&a, &sparse_w).unwrap().stats;
+        assert!(s.total_cycles() < d.total_cycles());
         assert!(s.issued_macs < d.issued_macs);
     }
 
@@ -119,20 +120,23 @@ mod tests {
     fn activation_sparsity_is_ignored() {
         // Same weights, sparser activations: identical cycle count (the
         // design cannot skip activation zeros).
-        let w = sparse_uniform(12, 6, Density::new(0.5).unwrap(), 6).to_dense();
-        let dense_a = sparse_uniform(8, 12, Density::DENSE, 7).to_dense();
-        let sparse_a = sparse_uniform(8, 12, Density::new(0.2).unwrap(), 8).to_dense();
-        let sim = CambriconSim::new(4, 4);
-        assert_eq!(sim.run_gemm(&dense_a, &w).cycles, sim.run_gemm(&sparse_a, &w).cycles);
+        let w = operand(12, 6, 0.5, 6);
+        let dense_a = operand(8, 12, 1.0, 7);
+        let sparse_a = operand(8, 12, 0.2, 8);
+        let engine = CambriconEngine::new(4, 4);
+        assert_eq!(
+            engine.run(&dense_a, &w).unwrap().stats.total_cycles(),
+            engine.run(&sparse_a, &w).unwrap().stats.total_cycles()
+        );
     }
 
     #[test]
     fn lane_width_amortizes_weight_walks() {
-        let a = sparse_uniform(4, 32, Density::DENSE, 9).to_dense();
-        let w = sparse_uniform(32, 4, Density::DENSE, 10).to_dense();
-        let narrow = CambriconSim::new(2, 4).run_gemm(&a, &w);
-        let wide = CambriconSim::new(2, 16).run_gemm(&a, &w);
-        assert!(wide.cycles < narrow.cycles);
+        let a = operand(4, 32, 1.0, 9);
+        let w = operand(32, 4, 1.0, 10);
+        let narrow = CambriconEngine::new(2, 4).run(&a, &w).unwrap();
+        let wide = CambriconEngine::new(2, 16).run(&a, &w).unwrap();
+        assert!(wide.stats.total_cycles() < narrow.stats.total_cycles());
         assert!(wide.result.approx_eq(&narrow.result, 1e-5));
     }
 
@@ -146,9 +150,9 @@ mod tests {
         b.set(0, 1, 1.0); // others: 1 weight
         b.set(0, 2, 1.0);
         b.set(0, 3, 1.0);
-        let a = sparse_uniform(4, 16, Density::DENSE, 11).to_dense();
-        let run = CambriconSim::new(4, 4).run_gemm(&a, &b);
+        let a = operand(4, 16, 1.0, 11);
+        let run = CambriconEngine::new(4, 4).run(&a, &SparseMatrix::from_dense(&b)).unwrap();
         // PE 0 walks ceil(16/4)=4 groups x 4 rows = 16 cycles; others 4.
-        assert_eq!(run.cycles, 16);
+        assert_eq!(run.stats.total_cycles(), 16);
     }
 }

@@ -19,34 +19,21 @@
 //! `A[m, k]` is broadcast, each PE multiplies it with its stored
 //! non-zeros of row `k` and accumulates into its output registers.
 
-use sigma_matrix::Matrix;
-
-/// The outcome of a functional EIE run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EieRun {
-    /// The computed product.
-    pub result: Matrix,
-    /// Broadcast cycles (one per non-zero activation, stretched when the
-    /// busiest PE needs multiple cycles to consume its matches).
-    pub cycles: u64,
-    /// Total multiply-accumulates performed (all useful by construction).
-    pub macs: u64,
-    /// The pace-setting imbalance: total cycles divided by the ideal
-    /// (perfectly balanced) cycles.
-    pub imbalance: f64,
-}
+use sigma_core::{CycleStats, GemmRun};
+use sigma_matrix::{Matrix, SparseMatrix};
 
 /// A functional EIE-style sparse engine with `pes` processing elements,
 /// each able to perform `macs_per_cycle` multiply-accumulates per cycle
 /// against a broadcast activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EieSim {
-    pes: usize,
+#[derive(Debug, Clone, Copy)]
+pub struct EieEngine {
+    pub(crate) pes: usize,
     macs_per_cycle: usize,
 }
 
-impl EieSim {
-    /// Creates the engine.
+impl EieEngine {
+    /// `pes` PEs, each consuming `macs_per_cycle` matches per broadcast
+    /// cycle.
     ///
     /// # Panics
     ///
@@ -57,22 +44,14 @@ impl EieSim {
         Self { pes, macs_per_cycle }
     }
 
-    /// Number of PEs.
-    #[must_use]
-    pub fn pes(&self) -> usize {
-        self.pes
-    }
-
-    /// Runs `C = A[MxK] x B[KxN]`, exploiting zeros in both operands
-    /// (zero activations are never broadcast; zero weights are never
-    /// stored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    #[must_use]
-    pub fn run_gemm(&self, a: &Matrix, b: &Matrix) -> EieRun {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    /// The datapath behind [`sigma_core::Engine::run`] on checked
+    /// operands: zero activations are never broadcast and zero weights
+    /// are never stored, so every issued MAC is useful. Broadcast cycles
+    /// (one per non-zero activation, stretched when the busiest PE needs
+    /// several cycles to consume its matches) are the streaming phase.
+    pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
+        let b_nnz = b.nnz() as u64;
+        let (a, b) = (a.to_dense(), b.to_dense());
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
 
         // Stationary weights: per PE, per contraction row k, the list of
@@ -91,7 +70,6 @@ impl EieSim {
         let mut out = Matrix::zeros(m, n);
         let mut cycles = 0u64;
         let mut macs = 0u64;
-        let mut ideal_work = 0u64;
 
         // Stream activations row by row (one output row at a time), and
         // within a row broadcast each non-zero activation.
@@ -114,38 +92,48 @@ impl EieSim {
                     }
                 }
                 macs += total as u64;
-                ideal_work += total as u64;
                 cycles += (busiest.div_ceil(self.macs_per_cycle) as u64).max(1);
             }
         }
-
-        let ideal_cycles = ideal_work.div_ceil((self.pes * self.macs_per_cycle) as u64).max(1);
-        EieRun { result: out, cycles, macs, imbalance: cycles as f64 / ideal_cycles as f64 }
+        let stats = CycleStats {
+            streaming_cycles: cycles,
+            useful_macs: u128::from(macs),
+            issued_macs: u128::from(macs), // only non-zero matches issue
+            mapped_nonzeros: b_nnz,
+            occupied_slots: b_nnz, // CSC stores only non-zeros
+            pes: self.pes as u64,
+            ..CycleStats::default()
+        };
+        GemmRun { result: out, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigma_core::Engine;
     use sigma_matrix::gen::{sparse_uniform, Density};
+
+    fn operand(rows: usize, cols: usize, density: f64, seed: u64) -> SparseMatrix {
+        sparse_uniform(rows, cols, Density::new(density).unwrap(), seed)
+    }
 
     #[test]
     fn computes_correct_product() {
-        let sim = EieSim::new(4, 1);
-        let a = sparse_uniform(6, 8, Density::new(0.4).unwrap(), 1).to_dense();
-        let b = sparse_uniform(8, 6, Density::new(0.3).unwrap(), 2).to_dense();
-        let run = sim.run_gemm(&a, &b);
-        assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
+        let a = operand(6, 8, 0.4, 1);
+        let b = operand(8, 6, 0.3, 2);
+        let run = EieEngine::new(4, 1).run(&a, &b).unwrap();
+        assert!(run.result.approx_eq(&a.to_dense().matmul(&b.to_dense()), 1e-4));
     }
 
     #[test]
     fn only_useful_macs_performed() {
-        let sim = EieSim::new(4, 1);
-        let a = sparse_uniform(5, 6, Density::new(0.5).unwrap(), 3).to_dense();
-        let b = sparse_uniform(6, 5, Density::new(0.5).unwrap(), 4).to_dense();
-        let run = sim.run_gemm(&a, &b);
+        let a = operand(5, 6, 0.5, 3);
+        let b = operand(6, 5, 0.5, 4);
+        let run = EieEngine::new(4, 1).run(&a, &b).unwrap();
         // Exact useful-pair count.
-        let mut expected = 0u64;
+        let (a, b) = (a.to_dense(), b.to_dense());
+        let mut expected = 0u128;
         for m in 0..5 {
             for n in 0..5 {
                 for k in 0..6 {
@@ -155,42 +143,44 @@ mod tests {
                 }
             }
         }
-        assert_eq!(run.macs, expected);
+        assert_eq!(run.stats.useful_macs, expected);
+        assert_eq!(run.stats.issued_macs, expected);
     }
 
     #[test]
     fn broadcast_is_the_floor() {
         // With many PEs and few output columns, each broadcast occupies
         // one cycle regardless: cycles == number of non-zero activations.
-        let sim = EieSim::new(64, 1);
-        let a = sparse_uniform(10, 12, Density::new(0.5).unwrap(), 5).to_dense();
-        let b = sparse_uniform(12, 4, Density::DENSE, 6).to_dense();
-        let run = sim.run_gemm(&a, &b);
-        assert_eq!(run.cycles, a.nnz() as u64);
-        // Most PEs idle: imbalance well above 1.
-        assert!(run.imbalance > 4.0, "imbalance {}", run.imbalance);
+        let a = operand(10, 12, 0.5, 5);
+        let b = operand(12, 4, 1.0, 6);
+        let run = EieEngine::new(64, 1).run(&a, &b).unwrap();
+        assert_eq!(run.stats.total_cycles(), a.nnz() as u64);
+        // Most PEs idle: the useful work would fill under a quarter of
+        // the broadcast cycles at full array width.
+        let efficiency = run.stats.compute_efficiency();
+        assert!(efficiency < 0.25, "compute efficiency {efficiency}");
     }
 
     #[test]
     fn zero_activations_are_skipped() {
-        let sim = EieSim::new(4, 1);
-        let dense_a = sparse_uniform(8, 8, Density::DENSE, 7).to_dense();
-        let sparse_a = sparse_uniform(8, 8, Density::new(0.25).unwrap(), 8).to_dense();
-        let b = sparse_uniform(8, 8, Density::new(0.5).unwrap(), 9).to_dense();
-        let dense_run = sim.run_gemm(&dense_a, &b);
-        let sparse_run = sim.run_gemm(&sparse_a, &b);
-        assert!(sparse_run.cycles < dense_run.cycles / 2);
+        let engine = EieEngine::new(4, 1);
+        let dense_a = operand(8, 8, 1.0, 7);
+        let sparse_a = operand(8, 8, 0.25, 8);
+        let b = operand(8, 8, 0.5, 9);
+        let dense_run = engine.run(&dense_a, &b).unwrap();
+        let sparse_run = engine.run(&sparse_a, &b).unwrap();
+        assert!(sparse_run.stats.total_cycles() < dense_run.stats.total_cycles() / 2);
     }
 
     #[test]
     fn wider_pes_amortize_matches() {
-        let a = sparse_uniform(6, 6, Density::DENSE, 10).to_dense();
-        let b = sparse_uniform(6, 64, Density::DENSE, 11).to_dense();
+        let a = operand(6, 6, 1.0, 10);
+        let b = operand(6, 64, 1.0, 11);
         // 2 PEs x 1 MAC: 32 matches per PE per broadcast -> 32 cycles each.
-        let slow = EieSim::new(2, 1).run_gemm(&a, &b);
-        let fast = EieSim::new(2, 8).run_gemm(&a, &b);
-        assert_eq!(slow.cycles, 36 * 32);
-        assert_eq!(fast.cycles, 36 * 4);
+        let slow = EieEngine::new(2, 1).run(&a, &b).unwrap();
+        let fast = EieEngine::new(2, 8).run(&a, &b).unwrap();
+        assert_eq!(slow.stats.total_cycles(), 36 * 32);
+        assert_eq!(fast.stats.total_cycles(), 36 * 4);
         assert!(fast.result.approx_eq(&slow.result, 1e-4));
     }
 
@@ -199,9 +189,9 @@ mod tests {
         // The analytic EIE model charges da*M*K/64 broadcasts (64-lane
         // bus); the functional engine with 1 broadcast/cycle matches the
         // un-laned count — the structural term, up to the lane constant.
-        let a = sparse_uniform(32, 32, Density::new(0.5).unwrap(), 12).to_dense();
-        let b = sparse_uniform(32, 16, Density::new(0.5).unwrap(), 13).to_dense();
-        let run = EieSim::new(256, 1).run_gemm(&a, &b);
-        assert_eq!(run.cycles, a.nnz() as u64);
+        let a = operand(32, 32, 0.5, 12);
+        let b = operand(32, 16, 0.5, 13);
+        let run = EieEngine::new(256, 1).run(&a, &b).unwrap();
+        assert_eq!(run.stats.total_cycles(), a.nnz() as u64);
     }
 }

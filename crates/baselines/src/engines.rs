@@ -7,21 +7,18 @@
 //! systolic array, and the V100 roofline model. Analytic
 //! [`GemmAccelerator`] models are adapted via [`AnalyticEngine`].
 //!
-//! Each adapter maps its engine's native latency terms onto the paper's
-//! Table-II [`CycleStats`] buckets so every design reports through one
-//! record schema: load-like phases into `loading_cycles`, pipelined
-//! compute into `streaming_cycles`, serialized post-compute phases into
-//! `add_cycles`.
+//! Each functional engine owns its parameters and its datapath (in its
+//! own module) and fills Table-II [`CycleStats`] directly, so every
+//! design reports through one record schema: load-like phases into
+//! `loading_cycles`, pipelined compute into `streaming_cycles`,
+//! serialized post-compute phases into `add_cycles`. The `impl Engine`
+//! blocks all sit here, behind one operand check.
 
-use crate::cambricon_functional::CambriconSim;
-use crate::eie_functional::EieSim;
-use crate::eyeriss_functional::EyerissV2Sim;
 use crate::gpu::{GpuModel, GpuPrecision};
-use crate::outerspace_functional::OuterProductSim;
-use crate::packed_functional::run_packed_gemm;
-use crate::scnn_functional::ScnnSim;
-use crate::systolic_functional::SystolicSim;
-use crate::GemmAccelerator;
+use crate::{
+    CambriconEngine, EieEngine, EyerissEngine, GemmAccelerator, OuterSpaceEngine,
+    PackedSystolicEngine, ScnnEngine, SystolicEngine, SystolicMapping,
+};
 use sigma_core::model::GemmProblem;
 use sigma_core::{CycleStats, Engine, EngineError, GemmRun};
 use sigma_matrix::{GemmShape, SparseMatrix};
@@ -54,37 +51,6 @@ pub fn problem_of(a: &SparseMatrix, b: &SparseMatrix) -> GemmProblem {
     GemmProblem::sparse(shape, da, db)
 }
 
-/// Which stationary mapping a [`SystolicEngine`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SystolicMapping {
-    /// Weights stationary, activations streamed (the TPU default).
-    WeightStationary,
-    /// Outputs stationary, both operands streamed.
-    OutputStationary,
-}
-
-/// The functional rigid systolic array behind one [`Engine`] face.
-#[derive(Debug, Clone, Copy)]
-pub struct SystolicEngine {
-    rows: usize,
-    cols: usize,
-    mapping: SystolicMapping,
-}
-
-impl SystolicEngine {
-    /// An `rows x cols` weight-stationary array.
-    #[must_use]
-    pub fn weight_stationary(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, mapping: SystolicMapping::WeightStationary }
-    }
-
-    /// An `rows x cols` output-stationary array.
-    #[must_use]
-    pub fn output_stationary(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, mapping: SystolicMapping::OutputStationary }
-    }
-}
-
 impl Engine for SystolicEngine {
     fn name(&self) -> String {
         let tag = match self.mapping {
@@ -100,40 +66,7 @@ impl Engine for SystolicEngine {
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
-        let (ad, bd) = (a.to_dense(), b.to_dense());
-        let sim = SystolicSim::new(self.rows, self.cols);
-        let run = match self.mapping {
-            SystolicMapping::WeightStationary => sim.run_gemm(&ad, &bd),
-            SystolicMapping::OutputStationary => sim.run_gemm_output_stationary(&ad, &bd),
-        };
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let stats = CycleStats {
-            streaming_cycles: run.cycles,
-            folds: run.folds,
-            useful_macs: useful_macs(a, b),
-            issued_macs: (m * n * k) as u128, // a rigid array issues every slot
-            mapped_nonzeros: b.nnz() as u64,
-            occupied_slots: (k * n) as u64, // stationary tile slots incl. zeros
-            pes: (self.rows * self.cols) as u64,
-            ..CycleStats::default()
-        };
-        Ok(GemmRun { result: run.result, stats })
-    }
-}
-
-/// EIE behind the [`Engine`] face.
-#[derive(Debug, Clone, Copy)]
-pub struct EieEngine {
-    pes: usize,
-    macs_per_cycle: usize,
-}
-
-impl EieEngine {
-    /// `pes` PEs, each consuming `macs_per_cycle` matches per broadcast
-    /// cycle.
-    #[must_use]
-    pub fn new(pes: usize, macs_per_cycle: usize) -> Self {
-        Self { pes, macs_per_cycle }
+        Ok(self.gemm(a, b))
     }
 }
 
@@ -148,33 +81,7 @@ impl Engine for EieEngine {
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
-        let run = EieSim::new(self.pes, self.macs_per_cycle).run_gemm(&a.to_dense(), &b.to_dense());
-        let stats = CycleStats {
-            streaming_cycles: run.cycles,
-            useful_macs: u128::from(run.macs),
-            issued_macs: u128::from(run.macs), // only non-zero matches issue
-            mapped_nonzeros: b.nnz() as u64,
-            occupied_slots: b.nnz() as u64, // CSC stores only non-zeros
-            pes: self.pes as u64,
-            ..CycleStats::default()
-        };
-        Ok(GemmRun { result: run.result, stats })
-    }
-}
-
-/// OuterSPACE behind the [`Engine`] face.
-#[derive(Debug, Clone, Copy)]
-pub struct OuterSpaceEngine {
-    multipliers: usize,
-    merge_throughput: usize,
-}
-
-impl OuterSpaceEngine {
-    /// `multipliers` parallel multipliers, merging `merge_throughput`
-    /// partial products per cycle.
-    #[must_use]
-    pub fn new(multipliers: usize, merge_throughput: usize) -> Self {
-        Self { multipliers, merge_throughput }
+        Ok(self.gemm(a, b))
     }
 }
 
@@ -189,33 +96,7 @@ impl Engine for OuterSpaceEngine {
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
-        let run = OuterProductSim::new(self.multipliers, self.merge_throughput)
-            .run_gemm(&a.to_dense(), &b.to_dense());
-        let stats = CycleStats {
-            streaming_cycles: run.multiply_cycles,
-            add_cycles: run.merge_cycles, // the serialized merge phase
-            useful_macs: u128::from(run.partial_products),
-            issued_macs: u128::from(run.partial_products),
-            pes: self.multipliers as u64,
-            ..CycleStats::default()
-        };
-        Ok(GemmRun { result: run.result, stats })
-    }
-}
-
-/// SCNN behind the [`Engine`] face.
-#[derive(Debug, Clone, Copy)]
-pub struct ScnnEngine {
-    mults_per_cycle: usize,
-    banks: usize,
-}
-
-impl ScnnEngine {
-    /// `mults_per_cycle` cartesian-product multipliers scattering into
-    /// `banks` accumulator banks.
-    #[must_use]
-    pub fn new(mults_per_cycle: usize, banks: usize) -> Self {
-        Self { mults_per_cycle, banks }
+        Ok(self.gemm(a, b))
     }
 }
 
@@ -230,31 +111,7 @@ impl Engine for ScnnEngine {
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
-        let run =
-            ScnnSim::new(self.mults_per_cycle, self.banks).run_gemm(&a.to_dense(), &b.to_dense());
-        let stats = CycleStats {
-            streaming_cycles: run.total_cycles(), // pipeline pace = slower stage
-            useful_macs: u128::from(run.macs),
-            issued_macs: u128::from(run.macs),
-            pes: self.mults_per_cycle as u64,
-            ..CycleStats::default()
-        };
-        Ok(GemmRun { result: run.result, stats })
-    }
-}
-
-/// Cambricon-X behind the [`Engine`] face.
-#[derive(Debug, Clone, Copy)]
-pub struct CambriconEngine {
-    pes: usize,
-    lanes: usize,
-}
-
-impl CambriconEngine {
-    /// `pes` PEs, each with `lanes` synapse-selector lanes.
-    #[must_use]
-    pub fn new(pes: usize, lanes: usize) -> Self {
-        Self { pes, lanes }
+        Ok(self.gemm(a, b))
     }
 }
 
@@ -269,34 +126,7 @@ impl Engine for CambriconEngine {
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
-        let run = CambriconSim::new(self.pes, self.lanes).run_gemm(&a.to_dense(), &b.to_dense());
-        let stats = CycleStats {
-            streaming_cycles: run.cycles,
-            useful_macs: useful_macs(a, b),
-            issued_macs: u128::from(run.issued_macs), // dense activations issue
-            mapped_nonzeros: b.nnz() as u64,
-            occupied_slots: b.nnz() as u64,
-            pes: (self.pes * self.lanes) as u64,
-            ..CycleStats::default()
-        };
-        Ok(GemmRun { result: run.result, stats })
-    }
-}
-
-/// Eyeriss v2 behind the [`Engine`] face.
-#[derive(Debug, Clone, Copy)]
-pub struct EyerissEngine {
-    pes: usize,
-    buffer_words: usize,
-    fetch_bandwidth: usize,
-}
-
-impl EyerissEngine {
-    /// `pes` PEs fed from a `buffer_words` global buffer at
-    /// `fetch_bandwidth` words per cycle.
-    #[must_use]
-    pub fn new(pes: usize, buffer_words: usize, fetch_bandwidth: usize) -> Self {
-        Self { pes, buffer_words, fetch_bandwidth }
+        Ok(self.gemm(a, b))
     }
 }
 
@@ -311,71 +141,23 @@ impl Engine for EyerissEngine {
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
-        let run = EyerissV2Sim::new(self.pes, self.buffer_words, self.fetch_bandwidth)
-            .run_gemm(&a.to_dense(), &b.to_dense());
-        // Fetches count as loading only when they serialize (buffer
-        // overflow); a buffered run hides them under compute.
-        let stats = CycleStats {
-            loading_cycles: run.total_cycles() - run.compute_cycles.min(run.total_cycles()),
-            streaming_cycles: run.compute_cycles.min(run.total_cycles()),
-            useful_macs: u128::from(run.macs),
-            issued_macs: u128::from(run.macs),
-            sram_reads: run.fetch_cycles * self.fetch_bandwidth as u64,
-            pes: self.pes as u64,
-            ..CycleStats::default()
-        };
-        Ok(GemmRun { result: run.result, stats })
-    }
-}
-
-/// The packed (column-combined) systolic array behind the [`Engine`]
-/// face: weights are column-packed with a zero conflict budget (lossless)
-/// and the packed matrix runs on a rigid weight-stationary array.
-#[derive(Debug, Clone, Copy)]
-pub struct PackedSystolicEngine {
-    rows: usize,
-    cols: usize,
-    max_combine: usize,
-}
-
-impl PackedSystolicEngine {
-    /// An `rows x cols` array packing up to `max_combine` weight columns
-    /// per physical column.
-    #[must_use]
-    pub fn new(rows: usize, cols: usize, max_combine: usize) -> Self {
-        Self { rows, cols, max_combine }
+        Ok(self.gemm(a, b))
     }
 }
 
 impl Engine for PackedSystolicEngine {
     fn name(&self) -> String {
-        format!("Packed systolic {}x{} (combine {})", self.rows, self.cols, self.max_combine)
+        let (rows, cols) = (self.array.rows, self.array.cols);
+        format!("Packed systolic {rows}x{cols} (combine {})", self.max_combine)
     }
 
     fn pes(&self) -> usize {
-        self.rows * self.cols
+        self.array.pes()
     }
 
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<GemmRun, EngineError> {
         check_dims(a, b)?;
-        let (ad, bd) = (a.to_dense(), b.to_dense());
-        let (result, packing) = run_packed_gemm(&ad, &bd, self.max_combine);
-        // Latency: the same array streaming the packed (narrower) weight
-        // matrix; numerics come from the scatter-correct packed run above.
-        let (packed, _) = crate::packed_functional::pack_weights(&bd, &packing);
-        let timing = SystolicSim::new(self.rows, self.cols).run_gemm(&ad, &packed);
-        let k = a.cols();
-        let stats = CycleStats {
-            streaming_cycles: timing.cycles,
-            folds: timing.folds,
-            useful_macs: useful_macs(a, b),
-            issued_macs: (a.rows() * packing.groups.len() * k) as u128,
-            mapped_nonzeros: b.nnz() as u64,
-            occupied_slots: (k * packing.groups.len()) as u64,
-            pes: (self.rows * self.cols) as u64,
-            ..CycleStats::default()
-        };
-        Ok(GemmRun { result, stats })
+        Ok(self.gemm(a, b))
     }
 }
 

@@ -15,48 +15,22 @@
 //!   is re-fetched once per output-row tile — the "buffer cliff" that
 //!   lets Eyeriss v2 win small GEMMs against SIGMA and lose big ones.
 
-use sigma_matrix::Matrix;
-
-/// The outcome of a functional Eyeriss v2-style run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EyerissRun {
-    /// The computed product.
-    pub result: Matrix,
-    /// Compute cycles: the busiest PE's useful-MAC count.
-    pub compute_cycles: u64,
-    /// SRAM fetch cycles (global buffer fills, including re-fetches).
-    pub fetch_cycles: u64,
-    /// Whether both operands fit the global buffer.
-    pub fits_buffer: bool,
-    /// Useful MACs performed.
-    pub macs: u64,
-}
-
-impl EyerissRun {
-    /// Total cycles: fetches overlap compute only when the operands are
-    /// buffered (fits), otherwise the re-fetch serializes.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        if self.fits_buffer {
-            self.compute_cycles.max(self.fetch_cycles)
-        } else {
-            self.compute_cycles + self.fetch_cycles
-        }
-    }
-}
+use sigma_core::{CycleStats, GemmRun};
+use sigma_matrix::{Matrix, SparseMatrix};
 
 /// A functional Eyeriss v2-style engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EyerissV2Sim {
-    pes: usize,
+#[derive(Debug, Clone, Copy)]
+pub struct EyerissEngine {
+    pub(crate) pes: usize,
     /// Global buffer capacity in operand words.
     buffer_words: usize,
     /// SRAM fetch bandwidth in words per cycle.
     fetch_bandwidth: usize,
 }
 
-impl EyerissV2Sim {
-    /// Creates the engine.
+impl EyerissEngine {
+    /// `pes` PEs fed from a `buffer_words` global buffer at
+    /// `fetch_bandwidth` words per cycle.
     ///
     /// # Panics
     ///
@@ -67,14 +41,13 @@ impl EyerissV2Sim {
         Self { pes, buffer_words, fetch_bandwidth }
     }
 
-    /// Runs `C = A[MxK] x B[KxN]` with output rows striped over PEs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    #[must_use]
-    pub fn run_gemm(&self, a: &Matrix, b: &Matrix) -> EyerissRun {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    /// The datapath behind [`sigma_core::Engine::run`] on checked
+    /// operands, with output rows striped over PEs. Compute (the busiest
+    /// PE's useful MACs) streams; SRAM fetches (global buffer fills,
+    /// re-fetches included) hide under compute when both operands fit
+    /// the buffer, and otherwise serialize as loading.
+    pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
+        let (a, b) = (a.to_dense(), b.to_dense());
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
 
         // Compressed row view of A and row view of B (CSC-equivalent for
@@ -131,37 +104,59 @@ impl EyerissV2Sim {
         };
         let fetch_cycles = fetched_words.div_ceil(self.fetch_bandwidth as u64);
 
-        EyerissRun { result: out, compute_cycles, fetch_cycles, fits_buffer: fits, macs }
+        let stats = CycleStats {
+            loading_cycles: if fits {
+                fetch_cycles.saturating_sub(compute_cycles)
+            } else {
+                fetch_cycles
+            },
+            streaming_cycles: compute_cycles,
+            useful_macs: u128::from(macs),
+            issued_macs: u128::from(macs),
+            sram_reads: fetch_cycles * self.fetch_bandwidth as u64,
+            pes: self.pes as u64,
+            ..CycleStats::default()
+        };
+        GemmRun { result: out, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigma_core::Engine;
     use sigma_matrix::gen::{sparse_uniform, Density};
+
+    fn operand(rows: usize, cols: usize, density: f64, seed: u64) -> SparseMatrix {
+        sparse_uniform(rows, cols, Density::new(density).unwrap(), seed)
+    }
+
+    /// SRAM fetch cycles of a run at `fetch_bandwidth` words per cycle.
+    fn fetch_cycles(stats: &CycleStats, fetch_bandwidth: u64) -> u64 {
+        stats.sram_reads / fetch_bandwidth
+    }
 
     #[test]
     fn computes_correct_product() {
-        let sim = EyerissV2Sim::new(8, 1 << 16, 16);
-        let a = sparse_uniform(9, 11, Density::new(0.4).unwrap(), 1).to_dense();
-        let b = sparse_uniform(11, 7, Density::new(0.4).unwrap(), 2).to_dense();
-        let run = sim.run_gemm(&a, &b);
-        assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
-        assert!(run.fits_buffer);
+        let a = operand(9, 11, 0.4, 1);
+        let b = operand(11, 7, 0.4, 2);
+        let run = EyerissEngine::new(8, 1 << 16, 16).run(&a, &b).unwrap();
+        assert!(run.result.approx_eq(&a.to_dense().matmul(&b.to_dense()), 1e-4));
+        // Buffered: the fetches hide under compute.
+        let fetch = fetch_cycles(&run.stats, 16);
+        assert_eq!(run.stats.loading_cycles, fetch.saturating_sub(run.stats.streaming_cycles));
     }
 
     #[test]
     fn exploits_both_sparsities() {
-        let sim = EyerissV2Sim::new(8, 1 << 16, 16);
+        let engine = EyerissEngine::new(8, 1 << 16, 16);
         let dense = {
-            let a = sparse_uniform(16, 16, Density::DENSE, 3).to_dense();
-            let b = sparse_uniform(16, 16, Density::DENSE, 4).to_dense();
-            sim.run_gemm(&a, &b).compute_cycles
+            let (a, b) = (operand(16, 16, 1.0, 3), operand(16, 16, 1.0, 4));
+            engine.run(&a, &b).unwrap().stats.streaming_cycles
         };
         let sparse = {
-            let a = sparse_uniform(16, 16, Density::new(0.3).unwrap(), 5).to_dense();
-            let b = sparse_uniform(16, 16, Density::new(0.3).unwrap(), 6).to_dense();
-            sim.run_gemm(&a, &b).compute_cycles
+            let (a, b) = (operand(16, 16, 0.3, 5), operand(16, 16, 0.3, 6));
+            engine.run(&a, &b).unwrap().stats.streaming_cycles
         };
         assert!((sparse as f64) < 0.3 * dense as f64, "{sparse} vs {dense}");
     }
@@ -170,14 +165,15 @@ mod tests {
     fn buffer_cliff_serializes_refetches() {
         // Same GEMM, two buffer sizes: overflowing multiplies fetch work
         // and stops it hiding behind compute.
-        let a = sparse_uniform(64, 32, Density::new(0.5).unwrap(), 7).to_dense();
-        let b = sparse_uniform(32, 64, Density::new(0.5).unwrap(), 8).to_dense();
-        let big = EyerissV2Sim::new(8, 1 << 20, 8).run_gemm(&a, &b);
-        let small = EyerissV2Sim::new(8, 64, 8).run_gemm(&a, &b);
-        assert!(big.fits_buffer);
-        assert!(!small.fits_buffer);
-        assert!(small.total_cycles() > big.total_cycles());
-        assert!(small.fetch_cycles > big.fetch_cycles);
+        let a = operand(64, 32, 0.5, 7);
+        let b = operand(32, 64, 0.5, 8);
+        let big = EyerissEngine::new(8, 1 << 20, 8).run(&a, &b).unwrap();
+        let small = EyerissEngine::new(8, 64, 8).run(&a, &b).unwrap();
+        let (big_fetch, small_fetch) = (fetch_cycles(&big.stats, 8), fetch_cycles(&small.stats, 8));
+        assert_eq!(big.stats.loading_cycles, big_fetch.saturating_sub(big.stats.streaming_cycles));
+        assert_eq!(small.stats.loading_cycles, small_fetch, "an overflow serializes every fetch");
+        assert!(small.stats.total_cycles() > big.stats.total_cycles());
+        assert!(small_fetch > big_fetch);
         assert!(big.result.approx_eq(&small.result, 1e-5));
     }
 
@@ -188,19 +184,21 @@ mod tests {
         for kk in 0..8 {
             a.set(0, kk, 1.0);
         }
-        let b = sparse_uniform(8, 8, Density::DENSE, 9).to_dense();
-        let run = EyerissV2Sim::new(8, 1 << 16, 64).run_gemm(&a, &b);
-        assert_eq!(run.compute_cycles, 64); // 8 k-entries x 8 outputs on PE 0
-        assert_eq!(run.macs, 64);
+        let b = operand(8, 8, 1.0, 9);
+        let run =
+            EyerissEngine::new(8, 1 << 16, 64).run(&SparseMatrix::from_dense(&a), &b).unwrap();
+        assert_eq!(run.stats.streaming_cycles, 64); // 8 k-entries x 8 outputs on PE 0
+        assert_eq!(run.stats.useful_macs, 64);
     }
 
     #[test]
     fn buffered_fetch_hides_behind_compute() {
-        let a = sparse_uniform(32, 32, Density::DENSE, 10).to_dense();
-        let b = sparse_uniform(32, 32, Density::DENSE, 11).to_dense();
-        let run = EyerissV2Sim::new(4, 1 << 20, 4).run_gemm(&a, &b);
-        assert!(run.fits_buffer);
-        // Compute dominates: total == compute.
-        assert_eq!(run.total_cycles(), run.compute_cycles.max(run.fetch_cycles));
+        let a = operand(32, 32, 1.0, 10);
+        let b = operand(32, 32, 1.0, 11);
+        let stats = EyerissEngine::new(4, 1 << 20, 4).run(&a, &b).unwrap().stats;
+        // Compute dominates: total == compute, no fetch cycle exposed.
+        assert!(fetch_cycles(&stats, 4) < stats.streaming_cycles);
+        assert_eq!(stats.loading_cycles, 0);
+        assert_eq!(stats.total_cycles(), stats.streaming_cycles);
     }
 }

@@ -13,6 +13,14 @@
 //! fold/skew arithmetic exactly, and the GPU model is a tiling/roofline
 //! model of a V100 (a substitution for the paper's silicon measurements —
 //! see `DESIGN.md`).
+//!
+//! Each design also has one *functional* [`Engine`](sigma_core::Engine)
+//! type that moves real values through its datapath and reports its
+//! cycles as [`CycleStats`]: [`SystolicEngine`] (weight- and
+//! output-stationary), [`PackedSystolicEngine`] (column combining),
+//! [`EieEngine`], [`OuterSpaceEngine`], [`ScnnEngine`],
+//! [`CambriconEngine`] and [`EyerissEngine`]. [`GpuEngine`] and
+//! [`AnalyticEngine`] put the analytic models behind the same trait.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -28,32 +36,29 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cambricon_functional;
-pub mod eie_functional;
+mod cambricon_functional;
+mod eie_functional;
 pub mod engines;
-pub mod eyeriss_functional;
+mod eyeriss_functional;
 pub mod gpu;
-pub mod outerspace_functional;
-pub mod packed_functional;
-pub mod scnn_functional;
+mod outerspace_functional;
+mod packed_functional;
+mod scnn_functional;
 pub mod sparse;
 pub mod systolic;
-pub mod systolic_functional;
+mod systolic_functional;
 
-pub use cambricon_functional::{CambriconRun, CambriconSim};
-pub use eie_functional::{EieRun, EieSim};
-pub use engines::{
-    useful_macs, AnalyticEngine, CambriconEngine, EieEngine, EyerissEngine, GpuEngine,
-    OuterSpaceEngine, PackedSystolicEngine, ScnnEngine, SystolicEngine, SystolicMapping,
-};
-pub use eyeriss_functional::{EyerissRun, EyerissV2Sim};
+pub use cambricon_functional::CambriconEngine;
+pub use eie_functional::EieEngine;
+pub use engines::{useful_macs, AnalyticEngine, GpuEngine};
+pub use eyeriss_functional::EyerissEngine;
 pub use gpu::{GpuModel, GpuPrecision};
-pub use outerspace_functional::{OuterProductRun, OuterProductSim};
-pub use packed_functional::{combine_columns, pack_weights, run_packed_gemm, ColumnPacking};
-pub use scnn_functional::{ScnnRun, ScnnSim};
+pub use outerspace_functional::OuterSpaceEngine;
+pub use packed_functional::{combine_columns, ColumnPacking, PackedSystolicEngine};
+pub use scnn_functional::ScnnEngine;
 pub use sparse::{SparseAccelerator, SparseAcceleratorKind};
 pub use systolic::SystolicArray;
-pub use systolic_functional::{SystolicRun, SystolicSim};
+pub use systolic_functional::{SystolicEngine, SystolicMapping};
 
 use sigma_core::model::GemmProblem;
 use sigma_core::CycleStats;

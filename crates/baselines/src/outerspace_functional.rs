@@ -9,42 +9,20 @@
 //! at a sustained merge throughput well below the multiplier count (the
 //! structural term of the analytic model).
 
-use sigma_matrix::Matrix;
-
-/// The outcome of a functional outer-product run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OuterProductRun {
-    /// The computed product.
-    pub result: Matrix,
-    /// Multiply-phase cycles: useful pairs over the multiplier pool.
-    pub multiply_cycles: u64,
-    /// Merge-phase cycles: partial products over the merge throughput.
-    pub merge_cycles: u64,
-    /// Number of partial products produced (== useful MACs).
-    pub partial_products: u64,
-    /// Largest per-output merge chain (accumulation depth).
-    pub max_chain: u64,
-}
-
-impl OuterProductRun {
-    /// Total cycles (phases are serialized, as in OuterSPACE's two-phase
-    /// execution).
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.multiply_cycles + self.merge_cycles
-    }
-}
+use sigma_core::{CycleStats, GemmRun};
+use sigma_matrix::{Matrix, SparseMatrix};
 
 /// A functional outer-product GEMM engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OuterProductSim {
-    multipliers: usize,
+#[derive(Debug, Clone, Copy)]
+pub struct OuterSpaceEngine {
+    pub(crate) multipliers: usize,
     /// Partial products merged per cycle (sustained).
     merge_throughput: usize,
 }
 
-impl OuterProductSim {
-    /// Creates the engine.
+impl OuterSpaceEngine {
+    /// `multipliers` parallel multipliers, merging `merge_throughput`
+    /// partial products per cycle.
     ///
     /// # Panics
     ///
@@ -55,19 +33,17 @@ impl OuterProductSim {
         Self { multipliers, merge_throughput }
     }
 
-    /// Runs `C = A[MxK] x B[KxN]` as `sum_k A[:,k] ⊗ B[k,:]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    #[must_use]
-    pub fn run_gemm(&self, a: &Matrix, b: &Matrix) -> OuterProductRun {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    /// The datapath behind [`sigma_core::Engine::run`] on checked
+    /// operands: `C = sum_k A[:,k] ⊗ B[k,:]`. The multiply phase (useful
+    /// pairs over the multiplier pool) streams; the serialized merge
+    /// phase (partial products over the merge throughput) is the add
+    /// phase, as in OuterSPACE's two-phase execution.
+    pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
+        let (a, b) = (a.to_dense(), b.to_dense());
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
 
         // Multiply phase: enumerate non-zero pairs per rank-1 update.
         let mut out = Matrix::zeros(m, n);
-        let mut chain = vec![0u64; m * n];
         let mut pairs = 0u64;
         for kk in 0..k {
             // Gather the non-zeros of A's column and B's row once.
@@ -86,44 +62,48 @@ impl OuterProductSim {
             for &(mm, av) in &col {
                 for &(nn, bv) in &row {
                     out.set(mm, nn, out.get(mm, nn) + av * bv);
-                    chain[mm * n + nn] += 1;
                     pairs += 1;
                 }
             }
         }
 
-        let multiply_cycles = pairs.div_ceil(self.multipliers as u64).max(u64::from(pairs > 0));
-        let merge_cycles = pairs.div_ceil(self.merge_throughput as u64);
-        OuterProductRun {
-            result: out,
-            multiply_cycles,
-            merge_cycles,
-            partial_products: pairs,
-            max_chain: chain.into_iter().max().unwrap_or(0),
-        }
+        let stats = CycleStats {
+            streaming_cycles: pairs.div_ceil(self.multipliers as u64).max(u64::from(pairs > 0)),
+            add_cycles: pairs.div_ceil(self.merge_throughput as u64),
+            useful_macs: u128::from(pairs),
+            issued_macs: u128::from(pairs),
+            pes: self.multipliers as u64,
+            ..CycleStats::default()
+        };
+        GemmRun { result: out, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigma_core::Engine;
     use sigma_matrix::gen::{sparse_uniform, Density};
+
+    fn operand(rows: usize, cols: usize, density: f64, seed: u64) -> SparseMatrix {
+        sparse_uniform(rows, cols, Density::new(density).unwrap(), seed)
+    }
 
     #[test]
     fn computes_correct_product() {
-        let sim = OuterProductSim::new(16, 4);
-        let a = sparse_uniform(7, 9, Density::new(0.4).unwrap(), 1).to_dense();
-        let b = sparse_uniform(9, 5, Density::new(0.4).unwrap(), 2).to_dense();
-        let run = sim.run_gemm(&a, &b);
-        assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
+        let a = operand(7, 9, 0.4, 1);
+        let b = operand(9, 5, 0.4, 2);
+        let run = OuterSpaceEngine::new(16, 4).run(&a, &b).unwrap();
+        assert!(run.result.approx_eq(&a.to_dense().matmul(&b.to_dense()), 1e-4));
     }
 
     #[test]
     fn pairs_equal_useful_macs() {
-        let a = sparse_uniform(6, 6, Density::new(0.5).unwrap(), 3).to_dense();
-        let b = sparse_uniform(6, 6, Density::new(0.5).unwrap(), 4).to_dense();
-        let run = OuterProductSim::new(8, 2).run_gemm(&a, &b);
-        let mut expected = 0u64;
+        let a = operand(6, 6, 0.5, 3);
+        let b = operand(6, 6, 0.5, 4);
+        let run = OuterSpaceEngine::new(8, 2).run(&a, &b).unwrap();
+        let (a, b) = (a.to_dense(), b.to_dense());
+        let mut expected = 0u128;
         for m in 0..6 {
             for n in 0..6 {
                 for k in 0..6 {
@@ -133,48 +113,39 @@ mod tests {
                 }
             }
         }
-        assert_eq!(run.partial_products, expected);
+        assert_eq!(run.stats.useful_macs, expected);
     }
 
     #[test]
     fn merge_phase_dominates_at_low_throughput() {
-        let a = sparse_uniform(16, 16, Density::new(0.5).unwrap(), 5).to_dense();
-        let b = sparse_uniform(16, 16, Density::new(0.5).unwrap(), 6).to_dense();
-        let run = OuterProductSim::new(64, 16).run_gemm(&a, &b);
-        assert!(run.merge_cycles > run.multiply_cycles);
+        let a = operand(16, 16, 0.5, 5);
+        let b = operand(16, 16, 0.5, 6);
+        let stats = OuterSpaceEngine::new(64, 16).run(&a, &b).unwrap().stats;
+        assert!(stats.add_cycles > stats.streaming_cycles);
         // The 4x throughput gap matches the analytic model's 0.25 factor.
-        assert_eq!(run.merge_cycles, run.partial_products.div_ceil(16));
-    }
-
-    #[test]
-    fn chain_depth_bounded_by_k() {
-        let a = sparse_uniform(4, 10, Density::DENSE, 7).to_dense();
-        let b = sparse_uniform(10, 4, Density::DENSE, 8).to_dense();
-        let run = OuterProductSim::new(8, 8).run_gemm(&a, &b);
-        assert_eq!(run.max_chain, 10);
+        assert_eq!(u128::from(stats.add_cycles), stats.useful_macs.div_ceil(16));
     }
 
     #[test]
     fn empty_operands_cost_nothing() {
-        let a = Matrix::zeros(4, 4);
-        let b = sparse_uniform(4, 4, Density::DENSE, 9).to_dense();
-        let run = OuterProductSim::new(8, 2).run_gemm(&a, &b);
-        assert_eq!(run.partial_products, 0);
-        assert_eq!(run.total_cycles(), 0);
+        let a = SparseMatrix::from_dense(&Matrix::zeros(4, 4));
+        let b = operand(4, 4, 1.0, 9);
+        let run = OuterSpaceEngine::new(8, 2).run(&a, &b).unwrap();
+        assert_eq!(run.stats.useful_macs, 0);
+        assert_eq!(run.stats.total_cycles(), 0);
         assert_eq!(run.result, Matrix::zeros(4, 4));
     }
 
     #[test]
     fn sparsity_in_both_operands_multiplies_savings() {
+        let engine = OuterSpaceEngine::new(4, 4);
         let dense_pair = {
-            let a = sparse_uniform(12, 12, Density::DENSE, 10).to_dense();
-            let b = sparse_uniform(12, 12, Density::DENSE, 11).to_dense();
-            OuterProductSim::new(4, 4).run_gemm(&a, &b).total_cycles()
+            let (a, b) = (operand(12, 12, 1.0, 10), operand(12, 12, 1.0, 11));
+            engine.run(&a, &b).unwrap().stats.total_cycles()
         };
         let sparse_pair = {
-            let a = sparse_uniform(12, 12, Density::new(0.3).unwrap(), 12).to_dense();
-            let b = sparse_uniform(12, 12, Density::new(0.3).unwrap(), 13).to_dense();
-            OuterProductSim::new(4, 4).run_gemm(&a, &b).total_cycles()
+            let (a, b) = (operand(12, 12, 0.3, 12), operand(12, 12, 0.3, 13));
+            engine.run(&a, &b).unwrap().stats.total_cycles()
         };
         // ~0.09x the work.
         assert!((sparse_pair as f64) < 0.2 * dense_pair as f64);

@@ -11,11 +11,60 @@
 //! we take the standard "prune conflicts" variant, which makes the
 //! computation *approximate* unless the column patterns are disjoint).
 //!
-//! This grounds the analytic `SparseAcceleratorKind::PackedSystolic`
-//! model: weight-sparsity-only benefit, capped packing, activations
-//! dense.
+//! [`PackedSystolicEngine`] packs with a zero conflict budget (lossless)
+//! and runs the packed matrix on a rigid weight-stationary array. This
+//! grounds the analytic `SparseAcceleratorKind::PackedSystolic` model:
+//! weight-sparsity-only benefit, capped packing, activations dense.
 
-use sigma_matrix::Matrix;
+use crate::engines::useful_macs;
+use crate::SystolicEngine;
+use sigma_core::{CycleStats, GemmRun};
+use sigma_matrix::{Matrix, SparseMatrix};
+
+/// The packed (column-combined) systolic array: an `rows x cols`
+/// weight-stationary array streaming the packed weight matrix.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedSystolicEngine {
+    pub(crate) array: SystolicEngine,
+    pub(crate) max_combine: usize,
+}
+
+impl PackedSystolicEngine {
+    /// An `rows x cols` array packing up to `max_combine` weight columns
+    /// per physical column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any parameter is zero.
+    #[must_use]
+    pub fn new(rows: usize, cols: usize, max_combine: usize) -> Self {
+        assert!(max_combine > 0, "max_combine must be non-zero");
+        Self { array: SystolicEngine::weight_stationary(rows, cols), max_combine }
+    }
+
+    /// The datapath behind [`sigma_core::Engine::run`] on checked
+    /// operands. The weights are packed once: the scatter-correct packed
+    /// product gives the numerics, and the same array streaming the
+    /// packed (narrower) weight matrix gives the latency.
+    pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
+        let (ad, bd) = (a.to_dense(), b.to_dense());
+        let packing = combine_columns(&bd, self.max_combine, 0);
+        let (packed, column_of) = pack_weights(&bd, &packing);
+        let result = packed_product(&ad, &bd, &column_of);
+        let k = a.cols();
+        let groups = packing.groups.len();
+        let mut stats = CycleStats {
+            useful_macs: useful_macs(a, b),
+            issued_macs: (a.rows() * groups * k) as u128,
+            mapped_nonzeros: b.nnz() as u64,
+            occupied_slots: (k * groups) as u64,
+            pes: (self.array.rows * self.array.cols) as u64,
+            ..CycleStats::default()
+        };
+        self.array.weight_stationary_pass(&ad, &packed, &mut stats);
+        GemmRun { result, stats }
+    }
+}
 
 /// The result of packing a sparse matrix's columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,14 +142,13 @@ pub fn combine_columns(w: &Matrix, max_combine: usize, conflict_budget: usize) -
 }
 
 /// Builds the packed weight matrix (`K x groups`) and the per-PE column
-/// index map, then reports the packed GEMM's systolic cost: the packed
-/// matrix has `groups.len()` physical columns instead of `N`.
+/// index map: the packed matrix has `groups.len()` physical columns
+/// instead of `N`.
 ///
 /// Returns `(packed_weights, column_of[g][r])` where `column_of[g][r]`
 /// is the original output column the PE at `(r, g)` contributes to (or
 /// `None` when no weight is packed there).
-#[must_use]
-pub fn pack_weights(w: &Matrix, packing: &ColumnPacking) -> (Matrix, Vec<Vec<Option<usize>>>) {
+fn pack_weights(w: &Matrix, packing: &ColumnPacking) -> (Matrix, Vec<Vec<Option<usize>>>) {
     let k = w.rows();
     let g_count = packing.groups.len();
     let mut packed = Matrix::zeros(k, g_count);
@@ -119,19 +167,13 @@ pub fn pack_weights(w: &Matrix, packing: &ColumnPacking) -> (Matrix, Vec<Vec<Opt
     (packed, column_of)
 }
 
-/// Runs `C = A x W` on a packed array *functionally*: activations stream
-/// densely; each packed column's per-row products scatter to their
-/// original output columns. Returns the result (exact when no conflicts
-/// were pruned) and the packed column count (the latency driver).
-#[must_use]
-pub fn run_packed_gemm(a: &Matrix, w: &Matrix, max_combine: usize) -> (Matrix, ColumnPacking) {
-    assert_eq!(a.cols(), w.rows(), "inner dimensions must agree");
-    let packing = combine_columns(w, max_combine, 0);
-    let (_, column_of) = pack_weights(w, &packing);
+/// `C = A x W` on the packed array: activations stream densely; each
+/// packed column's per-row products scatter to their original output
+/// columns (exact when no conflicts were pruned).
+fn packed_product(a: &Matrix, w: &Matrix, column_of: &[Vec<Option<usize>>]) -> Matrix {
     let (m, k) = (a.rows(), a.cols());
     let mut out = Matrix::zeros(m, w.cols());
-    for (g, col_map) in column_of.iter().enumerate() {
-        let _ = g;
+    for col_map in column_of {
         for mm in 0..m {
             for (r, dest) in col_map.iter().enumerate().take(k) {
                 if let Some(dest) = dest {
@@ -141,12 +183,13 @@ pub fn run_packed_gemm(a: &Matrix, w: &Matrix, max_combine: usize) -> (Matrix, C
             }
         }
     }
-    (out, packing)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigma_core::Engine;
     use sigma_matrix::gen::{sparse_uniform, Density};
 
     #[test]
@@ -167,12 +210,12 @@ mod tests {
     #[test]
     fn packed_gemm_exact_with_zero_budget_when_disjoint() {
         let w = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 3.0, 0.0], &[0.0, 0.0, 4.0]]);
-        let a = sparse_uniform(5, 3, Density::DENSE, 1).to_dense();
-        let (out, packing) = run_packed_gemm(&a, &w, 4);
-        assert_eq!(packing.conflicts_pruned, 0);
-        assert!(out.approx_eq(&a.matmul(&w), 1e-5));
-        // Three disjoint columns fit one physical column.
-        assert_eq!(packing.groups.len(), 1);
+        let a = sparse_uniform(5, 3, Density::DENSE, 1);
+        let run =
+            PackedSystolicEngine::new(4, 4, 4).run(&a, &SparseMatrix::from_dense(&w)).unwrap();
+        assert!(run.result.approx_eq(&a.to_dense().matmul(&w), 1e-5));
+        // Three disjoint columns fit one physical column: K x 1 slots.
+        assert_eq!(run.stats.occupied_slots, 3);
     }
 
     #[test]
@@ -218,12 +261,12 @@ mod tests {
     fn zero_budget_packing_is_always_exact() {
         // With conflict_budget 0 nothing is pruned, so the packed GEMM is
         // exact for any operand.
-        let w = sparse_uniform(24, 24, Density::new(0.15).unwrap(), 6).to_dense();
-        let a = sparse_uniform(10, 24, Density::new(0.8).unwrap(), 7).to_dense();
-        let (out, packing) = run_packed_gemm(&a, &w, 8);
-        assert_eq!(packing.conflicts_pruned, 0);
-        assert!(out.approx_eq(&a.matmul(&w), 1e-4));
-        // And the packed array is narrower than the original.
-        assert!(packing.groups.len() < 24);
+        let w = sparse_uniform(24, 24, Density::new(0.15).unwrap(), 6);
+        let a = sparse_uniform(10, 24, Density::new(0.8).unwrap(), 7);
+        let run = PackedSystolicEngine::new(4, 4, 8).run(&a, &w).unwrap();
+        assert!(run.result.approx_eq(&a.to_dense().matmul(&w.to_dense()), 1e-4));
+        // And the packed array is narrower than the original: fewer
+        // than 24 physical columns of K slots each.
+        assert!(run.stats.occupied_slots < 24 * 24, "{}", run.stats.occupied_slots);
     }
 }

@@ -12,42 +12,21 @@
 //! becomes the bottleneck. That is exactly the structural claim of the
 //! paper's Table III and our analytic SCNN model.
 
-use sigma_matrix::Matrix;
-
-/// The outcome of a functional SCNN-style run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScnnRun {
-    /// The computed product.
-    pub result: Matrix,
-    /// Multiplier-limited cycles.
-    pub multiply_cycles: u64,
-    /// Accumulator-bank-limited cycles (the usual GEMM bottleneck).
-    pub accumulate_cycles: u64,
-    /// Useful multiply-accumulates performed.
-    pub macs: u64,
-    /// Worst single-cycle bank conflict degree observed.
-    pub worst_conflict: u64,
-}
-
-impl ScnnRun {
-    /// Total cycles: the pipeline runs at the slower of the two stages.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.multiply_cycles.max(self.accumulate_cycles)
-    }
-}
+use sigma_core::{CycleStats, GemmRun};
+use sigma_matrix::{Matrix, SparseMatrix};
 
 /// A functional SCNN-style cartesian-product engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScnnSim {
+#[derive(Debug, Clone, Copy)]
+pub struct ScnnEngine {
     /// Multipliers per cycle (the F x I array, e.g. 16 for 4x4).
-    mults_per_cycle: usize,
+    pub(crate) mults_per_cycle: usize,
     /// Accumulator banks (each accepts one write per cycle).
-    banks: usize,
+    pub(crate) banks: usize,
 }
 
-impl ScnnSim {
-    /// Creates the engine.
+impl ScnnEngine {
+    /// `mults_per_cycle` cartesian-product multipliers scattering into
+    /// `banks` accumulator banks.
     ///
     /// # Panics
     ///
@@ -58,26 +37,22 @@ impl ScnnSim {
         Self { mults_per_cycle, banks }
     }
 
-    /// Runs `C = A[MxK] x B[KxN]`, skipping zeros in both operands.
+    /// The datapath behind [`sigma_core::Engine::run`] on checked
+    /// operands, skipping zeros in both.
     ///
     /// Per contraction index `k`, the non-zero activations of `A[:, k]`
     /// and non-zero weights of `B[k, :]` form a cartesian product; each
     /// cycle issues up to `mults_per_cycle` products, whose writes are
     /// then scheduled onto the banks (output `(m, n)` lives in bank
-    /// `(m * N + n) % banks`); conflicting writes serialize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    #[must_use]
-    pub fn run_gemm(&self, a: &Matrix, b: &Matrix) -> ScnnRun {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    /// `(m * N + n) % banks`); conflicting writes serialize. The pipeline
+    /// streams at the pace of its slower stage, multiplier or banks.
+    pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
+        let (a, b) = (a.to_dense(), b.to_dense());
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut out = Matrix::zeros(m, n);
         let mut macs = 0u64;
         let mut multiply_cycles = 0u64;
         let mut accumulate_cycles = 0u64;
-        let mut worst = 0u64;
 
         for kk in 0..k {
             let acts: Vec<(usize, f32)> = (0..m)
@@ -111,34 +86,45 @@ impl ScnnSim {
                     per_bank[(mm * n + nn) % self.banks] += 1;
                 }
                 let drain = per_bank.iter().copied().max().unwrap_or(0);
-                worst = worst.max(drain);
                 accumulate_cycles += drain.max(1);
             }
         }
-        ScnnRun { result: out, multiply_cycles, accumulate_cycles, macs, worst_conflict: worst }
+        let stats = CycleStats {
+            streaming_cycles: multiply_cycles.max(accumulate_cycles),
+            useful_macs: u128::from(macs),
+            issued_macs: u128::from(macs),
+            pes: self.mults_per_cycle as u64,
+            ..CycleStats::default()
+        };
+        GemmRun { result: out, stats }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigma_core::Engine;
     use sigma_matrix::gen::{sparse_uniform, Density};
+
+    fn operand(rows: usize, cols: usize, density: f64, seed: u64) -> SparseMatrix {
+        sparse_uniform(rows, cols, Density::new(density).unwrap(), seed)
+    }
 
     #[test]
     fn computes_correct_product() {
-        let sim = ScnnSim::new(16, 8);
-        let a = sparse_uniform(7, 9, Density::new(0.4).unwrap(), 1).to_dense();
-        let b = sparse_uniform(9, 6, Density::new(0.4).unwrap(), 2).to_dense();
-        let run = sim.run_gemm(&a, &b);
-        assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
+        let a = operand(7, 9, 0.4, 1);
+        let b = operand(9, 6, 0.4, 2);
+        let run = ScnnEngine::new(16, 8).run(&a, &b).unwrap();
+        assert!(run.result.approx_eq(&a.to_dense().matmul(&b.to_dense()), 1e-4));
     }
 
     #[test]
     fn macs_are_exactly_the_useful_pairs() {
-        let a = sparse_uniform(6, 5, Density::new(0.5).unwrap(), 3).to_dense();
-        let b = sparse_uniform(5, 6, Density::new(0.5).unwrap(), 4).to_dense();
-        let run = ScnnSim::new(4, 4).run_gemm(&a, &b);
-        let mut expected = 0u64;
+        let a = operand(6, 5, 0.5, 3);
+        let b = operand(5, 6, 0.5, 4);
+        let run = ScnnEngine::new(4, 4).run(&a, &b).unwrap();
+        let (a, b) = (a.to_dense(), b.to_dense());
+        let mut expected = 0u128;
         for mm in 0..6 {
             for nn in 0..6 {
                 for kk in 0..5 {
@@ -148,27 +134,30 @@ mod tests {
                 }
             }
         }
-        assert_eq!(run.macs, expected);
+        assert_eq!(run.stats.useful_macs, expected);
     }
 
     #[test]
     fn bank_conflicts_make_accumulation_the_bottleneck() {
-        // Few banks vs wide multiplier array: scatter dominates.
-        let a = sparse_uniform(16, 8, Density::DENSE, 5).to_dense();
-        let b = sparse_uniform(8, 16, Density::DENSE, 6).to_dense();
-        let run = ScnnSim::new(16, 2).run_gemm(&a, &b);
-        assert!(run.accumulate_cycles > run.multiply_cycles);
-        assert!(run.worst_conflict > 1);
-        assert_eq!(run.total_cycles(), run.accumulate_cycles);
+        // Few banks vs wide multiplier array: scatter dominates. Each
+        // k issues 16 x 16 products in 16 waves of 16 multiplies; a wave
+        // is one activation against all 16 weights, and its 16 writes
+        // land 8 deep in each of the 2 banks.
+        let a = operand(16, 8, 1.0, 5);
+        let b = operand(8, 16, 1.0, 6);
+        let stats = ScnnEngine::new(16, 2).run(&a, &b).unwrap().stats;
+        let waves = (stats.useful_macs / 16) as u64;
+        assert_eq!(waves, 8 * 16, "multiplier-bound cycles");
+        assert_eq!(stats.total_cycles(), 8 * waves, "bank-bound cycles");
     }
 
     #[test]
     fn many_banks_remove_the_conflicts() {
-        let a = sparse_uniform(8, 8, Density::new(0.5).unwrap(), 7).to_dense();
-        let b = sparse_uniform(8, 8, Density::new(0.5).unwrap(), 8).to_dense();
-        let few = ScnnSim::new(16, 2).run_gemm(&a, &b);
-        let many = ScnnSim::new(16, 256).run_gemm(&a, &b);
-        assert!(many.total_cycles() <= few.total_cycles());
+        let a = operand(8, 8, 0.5, 7);
+        let b = operand(8, 8, 0.5, 8);
+        let few = ScnnEngine::new(16, 2).run(&a, &b).unwrap();
+        let many = ScnnEngine::new(16, 256).run(&a, &b).unwrap();
+        assert!(many.stats.total_cycles() <= few.stats.total_cycles());
         assert!(many.result.approx_eq(&few.result, 1e-5));
     }
 
@@ -178,18 +167,17 @@ mod tests {
         // serialization keeps the realized cycle ratio above that, but it
         // must still sit well below dense. Averaged over seeds so a single
         // unlucky conflict pattern cannot flip the verdict.
+        let engine = ScnnEngine::new(8, 8);
         let dense = {
-            let a = sparse_uniform(12, 12, Density::DENSE, 9).to_dense();
-            let b = sparse_uniform(12, 12, Density::DENSE, 10).to_dense();
-            ScnnSim::new(8, 8).run_gemm(&a, &b).total_cycles()
+            let (a, b) = (operand(12, 12, 1.0, 9), operand(12, 12, 1.0, 10));
+            engine.run(&a, &b).unwrap().stats.total_cycles()
         };
         let seeds = [11u64, 21, 31, 41];
         let sparse_avg = seeds
             .iter()
             .map(|&s| {
-                let a = sparse_uniform(12, 12, Density::new(0.3).unwrap(), s).to_dense();
-                let b = sparse_uniform(12, 12, Density::new(0.3).unwrap(), s + 1).to_dense();
-                ScnnSim::new(8, 8).run_gemm(&a, &b).total_cycles() as f64
+                let (a, b) = (operand(12, 12, 0.3, s), operand(12, 12, 0.3, s + 1));
+                engine.run(&a, &b).unwrap().stats.total_cycles() as f64
             })
             .sum::<f64>()
             / seeds.len() as f64;
@@ -198,10 +186,10 @@ mod tests {
 
     #[test]
     fn empty_rows_cost_nothing() {
-        let a = Matrix::zeros(4, 4);
-        let b = sparse_uniform(4, 4, Density::DENSE, 13).to_dense();
-        let run = ScnnSim::new(4, 4).run_gemm(&a, &b);
-        assert_eq!(run.total_cycles(), 0);
-        assert_eq!(run.macs, 0);
+        let a = SparseMatrix::from_dense(&Matrix::zeros(4, 4));
+        let b = operand(4, 4, 1.0, 13);
+        let run = ScnnEngine::new(4, 4).run(&a, &b).unwrap();
+        assert_eq!(run.stats.total_cycles(), 0);
+        assert_eq!(run.stats.useful_macs, 0);
     }
 }

@@ -1,91 +1,113 @@
-//! A *functional* weight-stationary systolic array: real values move
-//! through real PE registers cycle by cycle, exactly like the TPU-style
-//! baseline the analytic model summarizes.
+//! [`SystolicEngine`]: a *functional* rigid systolic array, where real
+//! values move through real PE registers cycle by cycle, exactly like
+//! the TPU-style baseline the analytic model summarizes.
 //!
-//! Each PE holds one stationary weight; activations enter at the left
-//! edge with a one-cycle skew per row and propagate rightward; partial
-//! sums propagate downward, accumulating one `a·w` per row; finished
-//! sums fall out of the bottom edge. GEMMs larger than the array run as
-//! fold tiles over (K, N), with K-folds accumulating into the output.
+//! Weight-stationary: each PE holds one stationary weight; activations
+//! enter at the left edge with a one-cycle skew per row and propagate
+//! rightward; partial sums propagate downward, accumulating one `a·w`
+//! per row; finished sums fall out of the bottom edge. GEMMs larger than
+//! the array run as fold tiles over (K, N), with K-folds accumulating
+//! into the output. Output-stationary folds over (M, N) tiles instead.
 //!
-//! The simulator returns both the numeric product (verified against the
+//! A run returns both the numeric product (verified against the
 //! reference GEMM in tests) and the exact cycle count, which matches the
 //! SCALE-sim-style analytic formula `2R + C + M − 2` per fold — that
 //! agreement is itself a test, tying the analytic baseline model to real
 //! hardware behavior.
 
-use sigma_matrix::Matrix;
+use crate::engines::useful_macs;
+use sigma_core::{CycleStats, GemmRun};
+use sigma_matrix::{Matrix, SparseMatrix};
 
-/// A functional `R x C` weight-stationary systolic array.
+/// Which stationary mapping a [`SystolicEngine`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SystolicSim {
-    rows: usize,
-    cols: usize,
+pub enum SystolicMapping {
+    /// Weights stationary, activations streamed (the TPU default).
+    WeightStationary,
+    /// Outputs stationary, both operands streamed.
+    OutputStationary,
 }
 
-/// The outcome of a functional systolic run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystolicRun {
-    /// The computed product.
-    pub result: Matrix,
-    /// Total cycles: per fold, weight load (`R`) plus the streaming
-    /// pipeline until the last output drains.
-    pub cycles: u64,
-    /// Number of (K, N) fold tiles executed.
-    pub folds: u64,
+/// A functional rigid `rows x cols` systolic array in one of the two
+/// [`SystolicMapping`]s.
+#[derive(Debug, Clone, Copy)]
+pub struct SystolicEngine {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) mapping: SystolicMapping,
 }
 
-impl SystolicSim {
-    /// Creates the array.
+impl SystolicEngine {
+    /// An `rows x cols` weight-stationary array.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
     #[must_use]
-    pub fn new(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "array dimensions must be non-zero");
-        Self { rows, cols }
+    pub fn weight_stationary(rows: usize, cols: usize) -> Self {
+        Self::new(rows, cols, SystolicMapping::WeightStationary)
     }
 
-    /// Array rows (the contraction direction).
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Array columns (the output-width direction).
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Runs `C = A[MxK] x B[KxN]` with `B` stationary, folding over
-    /// `(K, N)` tiles.
+    /// An `rows x cols` output-stationary array.
     ///
     /// # Panics
     ///
-    /// Panics if `a.cols() != b.rows()`.
+    /// Panics if either dimension is zero.
     #[must_use]
-    pub fn run_gemm(&self, a: &Matrix, b: &Matrix) -> SystolicRun {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    pub fn output_stationary(rows: usize, cols: usize) -> Self {
+        Self::new(rows, cols, SystolicMapping::OutputStationary)
+    }
+
+    fn new(rows: usize, cols: usize, mapping: SystolicMapping) -> Self {
+        assert!(rows > 0 && cols > 0, "array dimensions must be non-zero");
+        Self { rows, cols, mapping }
+    }
+
+    /// The datapath behind [`sigma_core::Engine::run`] on checked
+    /// operands: every slot of the rigid array issues, zeros included.
+    pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
+        let (ad, bd) = (a.to_dense(), b.to_dense());
+        let (m, n, k) = (a.rows(), b.cols(), a.cols());
+        let mut stats = CycleStats {
+            useful_macs: useful_macs(a, b),
+            issued_macs: (m * n * k) as u128, // a rigid array issues every slot
+            mapped_nonzeros: b.nnz() as u64,
+            occupied_slots: (k * n) as u64, // stationary tile slots incl. zeros
+            pes: (self.rows * self.cols) as u64,
+            ..CycleStats::default()
+        };
+        let result = match self.mapping {
+            SystolicMapping::WeightStationary => self.weight_stationary_pass(&ad, &bd, &mut stats),
+            SystolicMapping::OutputStationary => self.output_stationary_pass(&ad, &bd, &mut stats),
+        };
+        GemmRun { result, stats }
+    }
+
+    /// Runs `C = A[MxK] x B[KxN]` with `B` stationary, folding over
+    /// `(K, N)` tiles; adds each fold's weight load (`R`) plus its
+    /// streaming pipeline to `stats.streaming_cycles`, and the folds to
+    /// `stats.folds`.
+    pub(crate) fn weight_stationary_pass(
+        &self,
+        a: &Matrix,
+        b: &Matrix,
+        stats: &mut CycleStats,
+    ) -> Matrix {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut out = Matrix::zeros(m, n);
-        let mut cycles = 0u64;
-        let mut folds = 0u64;
-
         let mut k0 = 0;
         while k0 < k {
             let kr = (k - k0).min(self.rows);
             let mut n0 = 0;
             while n0 < n {
                 let nc = (n - n0).min(self.cols);
-                cycles += self.run_fold(a, b, &mut out, k0, kr, n0, nc);
-                folds += 1;
+                stats.streaming_cycles += self.run_fold(a, b, &mut out, k0, kr, n0, nc);
+                stats.folds += 1;
                 n0 += nc;
             }
             k0 += kr;
         }
-        SystolicRun { result: out, cycles, folds }
+        out
     }
 
     /// Executes one stationary fold and returns its cycle count.
@@ -162,43 +184,28 @@ impl SystolicSim {
         cycles
     }
 
-    /// The SCALE-sim-style analytic cycle count for one fold of this
-    /// array with `streamed` activation rows: `R + (streamed − 1) +
-    /// (kr − 1) + (nc − 1) + 1`.
-    #[must_use]
-    pub fn analytic_fold_cycles(&self, kr: usize, nc: usize, streamed: usize) -> u64 {
-        self.rows as u64 + (streamed as u64 - 1) + (kr as u64 - 1) + (nc as u64 - 1) + 1
-    }
-
     /// Runs `C = A[MxK] x B[KxN]` in the *output-stationary* dataflow:
     /// each PE owns one output element, `A` streams from the left
     /// (row-skewed), `B` from the top (column-skewed), and finished
-    /// outputs shift down their columns to drain. Folds tile `(M, N)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.cols() != b.rows()`.
-    #[must_use]
-    pub fn run_gemm_output_stationary(&self, a: &Matrix, b: &Matrix) -> SystolicRun {
-        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    /// outputs shift down their columns to drain. Folds tile `(M, N)`;
+    /// their cycles and count land in `stats` as in
+    /// [`SystolicEngine::weight_stationary_pass`].
+    fn output_stationary_pass(&self, a: &Matrix, b: &Matrix, stats: &mut CycleStats) -> Matrix {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut out = Matrix::zeros(m, n);
-        let mut cycles = 0u64;
-        let mut folds = 0u64;
-
         let mut m0 = 0;
         while m0 < m {
             let mr = (m - m0).min(self.rows);
             let mut n0 = 0;
             while n0 < n {
                 let nc = (n - n0).min(self.cols);
-                cycles += self.run_fold_os(a, b, &mut out, m0, mr, n0, nc, k);
-                folds += 1;
+                stats.streaming_cycles += self.run_fold_os(a, b, &mut out, m0, mr, n0, nc, k);
+                stats.folds += 1;
                 n0 += nc;
             }
             m0 += mr;
         }
-        SystolicRun { result: out, cycles, folds }
+        out
     }
 
     /// One output-stationary fold; returns its cycle count.
@@ -268,43 +275,47 @@ impl SystolicSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigma_core::Engine;
     use sigma_matrix::gen::{dense_uniform, sparse_uniform, Density};
+
+    fn run(engine: SystolicEngine, a: &Matrix, b: &Matrix) -> GemmRun {
+        engine.run(&SparseMatrix::from_dense(a), &SparseMatrix::from_dense(b)).unwrap()
+    }
 
     #[test]
     fn single_fold_correct_and_timed() {
-        let sim = SystolicSim::new(4, 4);
         let a = dense_uniform(6, 4, 1);
         let b = dense_uniform(4, 4, 2);
-        let run = sim.run_gemm(&a, &b);
+        let run = run(SystolicEngine::weight_stationary(4, 4), &a, &b);
         assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
-        assert_eq!(run.folds, 1);
-        // 2R + C + M - 2 = 8 + 4 + 6 - 2 = 16.
-        assert_eq!(run.cycles, 16);
-        assert_eq!(run.cycles, sim.analytic_fold_cycles(4, 4, 6));
+        assert_eq!(run.stats.folds, 1);
+        // R + (M - 1) + (kr - 1) + (nc - 1) + 1 = 4 + 5 + 3 + 3 + 1
+        // = 2R + C + M - 2 = 16, all of it streaming.
+        assert_eq!(run.stats.total_cycles(), 16);
+        assert_eq!(run.stats.streaming_cycles, 16);
     }
 
     #[test]
     fn multi_fold_accumulates_k_tiles() {
-        let sim = SystolicSim::new(4, 4);
         let a = dense_uniform(5, 10, 3); // K = 10: three K-folds
         let b = dense_uniform(10, 7, 4); // N = 7: two N-folds
-        let run = sim.run_gemm(&a, &b);
+        let run = run(SystolicEngine::weight_stationary(4, 4), &a, &b);
         assert!(run.result.approx_eq(&a.matmul(&b), 1e-3));
-        assert_eq!(run.folds, 6);
+        assert_eq!(run.stats.folds, 6);
     }
 
     #[test]
     fn sparse_inputs_still_correct_but_not_faster() {
-        let sim = SystolicSim::new(4, 4);
+        let engine = SystolicEngine::weight_stationary(4, 4);
         let a = sparse_uniform(6, 8, Density::new(0.3).unwrap(), 5).to_dense();
         let b = sparse_uniform(8, 6, Density::new(0.3).unwrap(), 6).to_dense();
         let dense_a = dense_uniform(6, 8, 7);
         let dense_b = dense_uniform(8, 6, 8);
-        let sparse_run = sim.run_gemm(&a, &b);
-        let dense_run = sim.run_gemm(&dense_a, &dense_b);
+        let sparse_run = run(engine, &a, &b);
+        let dense_run = run(engine, &dense_a, &dense_b);
         assert!(sparse_run.result.approx_eq(&a.matmul(&b), 1e-3));
         // The rigid array cannot skip zeros: identical cycle count.
-        assert_eq!(sparse_run.cycles, dense_run.cycles);
+        assert_eq!(sparse_run.stats.total_cycles(), dense_run.stats.total_cycles());
     }
 
     #[test]
@@ -314,64 +325,65 @@ mod tests {
         use crate::systolic::SystolicArray;
         use sigma_core::model::GemmProblem;
         use sigma_matrix::GemmShape;
-        let sim = SystolicSim::new(8, 8);
         let model = SystolicArray::new(8, 8);
         for (m, k, n) in [(8usize, 8usize, 8usize), (12, 8, 8), (20, 8, 8)] {
             let a = dense_uniform(m, k, 11);
             let b = dense_uniform(k, n, 12);
-            let run = sim.run_gemm(&a, &b);
+            let run = run(SystolicEngine::weight_stationary(8, 8), &a, &b);
             let est =
                 model.simulate_weight_stationary(&GemmProblem::dense(GemmShape::new(m, n, k)));
-            assert_eq!(run.cycles, est.total_cycles(), "functional vs analytic on {m}-{n}-{k}");
+            assert_eq!(
+                run.stats.total_cycles(),
+                est.total_cycles(),
+                "functional vs analytic on {m}-{n}-{k}"
+            );
         }
     }
 
     #[test]
     fn output_stationary_correct_single_fold() {
-        let sim = SystolicSim::new(4, 4);
         let a = dense_uniform(4, 6, 21);
         let b = dense_uniform(6, 4, 22);
-        let run = sim.run_gemm_output_stationary(&a, &b);
+        let run = run(SystolicEngine::output_stationary(4, 4), &a, &b);
         assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
-        assert_eq!(run.folds, 1);
+        assert_eq!(run.stats.folds, 1);
         // K + (mr-1) + (nc-1) streaming + mr drain = 6 + 3 + 3 + 4.
-        assert_eq!(run.cycles, 16);
+        assert_eq!(run.stats.total_cycles(), 16);
     }
 
     #[test]
     fn output_stationary_folds_over_outputs() {
-        let sim = SystolicSim::new(4, 4);
         let a = dense_uniform(10, 5, 23);
         let b = dense_uniform(5, 9, 24);
-        let run = sim.run_gemm_output_stationary(&a, &b);
+        let run = run(SystolicEngine::output_stationary(4, 4), &a, &b);
         assert!(run.result.approx_eq(&a.matmul(&b), 1e-3));
-        assert_eq!(run.folds, 3 * 3);
+        assert_eq!(run.stats.folds, 3 * 3);
     }
 
     #[test]
     fn dataflow_choice_depends_on_shape() {
-        let sim = SystolicSim::new(8, 8);
+        let (ws, os) =
+            (SystolicEngine::weight_stationary(8, 8), SystolicEngine::output_stationary(8, 8));
         // Long-K GEMM: output-stationary avoids K-folding entirely.
         let a = dense_uniform(8, 64, 25);
         let b = dense_uniform(64, 8, 26);
-        let ws = sim.run_gemm(&a, &b);
-        let os = sim.run_gemm_output_stationary(&a, &b);
-        assert!(os.result.approx_eq(&ws.result, 1e-2));
-        assert!(os.cycles < ws.cycles, "OS {} should beat WS {} on long-K", os.cycles, ws.cycles);
+        let (ws1, os1) = (run(ws, &a, &b), run(os, &a, &b));
+        assert!(os1.result.approx_eq(&ws1.result, 1e-2));
+        let (ws1, os1) = (ws1.stats.total_cycles(), os1.stats.total_cycles());
+        assert!(os1 < ws1, "OS {os1} should beat WS {ws1} on long-K");
         // Large-M, small-K: weight-stationary wins (one weight load, long
         // stream vs many output tiles).
         let a2 = dense_uniform(64, 8, 27);
         let b2 = dense_uniform(8, 8, 28);
-        let ws2 = sim.run_gemm(&a2, &b2);
-        let os2 = sim.run_gemm_output_stationary(&a2, &b2);
-        assert!(ws2.cycles < os2.cycles, "WS {} should beat OS {}", ws2.cycles, os2.cycles);
+        let (ws2, os2) =
+            (run(ws, &a2, &b2).stats.total_cycles(), run(os, &a2, &b2).stats.total_cycles());
+        assert!(ws2 < os2, "WS {ws2} should beat OS {os2}");
     }
 
     #[test]
     fn identity_weights_pass_inputs_through() {
-        let sim = SystolicSim::new(4, 4);
         let a = dense_uniform(3, 4, 9);
-        let run = sim.run_gemm(&a, &Matrix::identity(4));
+        let run = run(SystolicEngine::weight_stationary(4, 4), &a, &Matrix::identity(4));
         assert!(run.result.approx_eq(&a, 1e-6));
     }
 
@@ -379,11 +391,10 @@ mod tests {
     fn irregular_small_tile_costs_like_full_array_load() {
         // A 2-column stationary tile still pays the full R-cycle load:
         // the rigidity SIGMA's O(1) loading avoids.
-        let sim = SystolicSim::new(8, 8);
         let a = dense_uniform(4, 8, 13);
         let b = dense_uniform(8, 2, 14);
-        let run = sim.run_gemm(&a, &b);
-        assert!(run.cycles >= 8, "must include the 8-cycle weight load");
+        let run = run(SystolicEngine::weight_stationary(8, 8), &a, &b);
+        assert!(run.stats.total_cycles() >= 8, "must include the 8-cycle weight load");
         assert!(run.result.approx_eq(&a.matmul(&b), 1e-4));
     }
 }

@@ -1,61 +1,48 @@
 //! Every functional machine in the repository — SIGMA's Flex-DPE engine,
 //! both systolic dataflows, EIE, OuterSPACE, SCNN, Cambricon-X, Eyeriss
 //! v2 and the packed (column-combined) systolic — must compute the same
-//! numeric product on the same operands. Nine independent datapaths
-//! agreeing is strong evidence each one moves data correctly.
+//! numeric product on the same sparse operands through `Engine::run`.
+//! Nine independent datapaths agreeing is strong evidence each one moves
+//! data correctly.
 
 use proptest::prelude::*;
 use sigma_baselines::{
-    run_packed_gemm, CambriconSim, EieSim, EyerissV2Sim, OuterProductSim, ScnnSim, SystolicSim,
+    CambriconEngine, EieEngine, EyerissEngine, OuterSpaceEngine, PackedSystolicEngine, ScnnEngine,
+    SystolicEngine,
 };
-use sigma_core::{Dataflow, SigmaConfig, SigmaSim};
+use sigma_core::{Dataflow, Engine, SigmaConfig, SigmaSim};
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::SparseMatrix;
 
 fn agree_on(m: usize, k: usize, n: usize, da: f64, db: f64, seed: u64) {
-    let a_sparse = sparse_uniform(m, k, Density::new(da).unwrap(), seed);
-    let b_sparse = sparse_uniform(k, n, Density::new(db).unwrap(), seed ^ 0xbeef);
-    let a = a_sparse.to_dense();
-    let b = b_sparse.to_dense();
-    let reference = a.matmul(&b);
+    let a = sparse_uniform(m, k, Density::new(da).unwrap(), seed);
+    let b = sparse_uniform(k, n, Density::new(db).unwrap(), seed ^ 0xbeef);
+    let reference = a.to_dense().matmul(&b.to_dense());
     let tol = 1e-3 * k as f32;
 
-    let sigma = SigmaSim::new(SigmaConfig::new(2, 16, 32, Dataflow::WeightStationary).unwrap())
-        .unwrap()
-        .run_gemm(&a_sparse, &b_sparse)
-        .unwrap();
-    assert!(sigma.result.approx_eq(&reference, tol), "SIGMA disagrees");
-
-    let sys = SystolicSim::new(4, 4);
-    assert!(sys.run_gemm(&a, &b).result.approx_eq(&reference, tol), "systolic WS disagrees");
-    assert!(
-        sys.run_gemm_output_stationary(&a, &b).result.approx_eq(&reference, tol),
-        "systolic OS disagrees"
-    );
-
-    assert!(EieSim::new(4, 2).run_gemm(&a, &b).result.approx_eq(&reference, tol), "EIE disagrees");
-    assert!(
-        OuterProductSim::new(8, 4).run_gemm(&a, &b).result.approx_eq(&reference, tol),
-        "OuterSPACE disagrees"
-    );
-    assert!(
-        ScnnSim::new(8, 4).run_gemm(&a, &b).result.approx_eq(&reference, tol),
-        "SCNN disagrees"
-    );
-    assert!(
-        CambriconSim::new(4, 4).run_gemm(&a, &b).result.approx_eq(&reference, tol),
-        "Cambricon-X disagrees"
-    );
-    assert!(
-        EyerissV2Sim::new(4, 1 << 16, 8).run_gemm(&a, &b).result.approx_eq(&reference, tol),
-        "Eyeriss v2 disagrees"
-    );
-    let (packed, packing) = run_packed_gemm(&a, &b, 8);
-    assert_eq!(packing.conflicts_pruned, 0, "zero-budget packing must be lossless");
-    assert!(packed.approx_eq(&reference, tol), "packed systolic disagrees");
+    let engines: Vec<Box<dyn Engine>> = vec![
+        Box::new(
+            SigmaSim::new(SigmaConfig::new(2, 16, 32, Dataflow::WeightStationary).unwrap())
+                .unwrap(),
+        ),
+        Box::new(SystolicEngine::weight_stationary(4, 4)),
+        Box::new(SystolicEngine::output_stationary(4, 4)),
+        Box::new(EieEngine::new(4, 2)),
+        Box::new(OuterSpaceEngine::new(8, 4)),
+        Box::new(ScnnEngine::new(8, 4)),
+        Box::new(CambriconEngine::new(4, 4)),
+        Box::new(EyerissEngine::new(4, 1 << 16, 8)),
+        // A zero conflict budget keeps column combining lossless.
+        Box::new(PackedSystolicEngine::new(4, 4, 8)),
+    ];
+    for engine in engines {
+        let run = engine.run(&a, &b).unwrap();
+        assert!(run.result.approx_eq(&reference, tol), "{} disagrees", engine.name());
+    }
 
     // Round-trip sanity on the sparse representation used throughout.
-    assert_eq!(SparseMatrix::from_dense(&a).to_dense(), a);
+    let dense = a.to_dense();
+    assert_eq!(SparseMatrix::from_dense(&dense).to_dense(), dense);
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! Property-based tests for the baseline machines.
+//! Property-based tests for the baseline machines, run through
+//! `Engine::run` on sparse operands.
 
 use proptest::prelude::*;
 use sigma_baselines::{
-    combine_columns, CambriconSim, EieSim, EyerissV2Sim, OuterProductSim, ScnnSim, SystolicArray,
-    SystolicSim,
+    combine_columns, CambriconEngine, EieEngine, EyerissEngine, OuterSpaceEngine, ScnnEngine,
+    SystolicArray, SystolicEngine,
 };
 use sigma_core::model::GemmProblem;
+use sigma_core::Engine;
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::GemmShape;
 
@@ -24,13 +26,13 @@ proptest! {
         m in 1usize..20, seed in any::<u64>()
     ) {
         let (r, c) = (8usize, 8usize);
-        let a = sparse_uniform(m, r, Density::DENSE, seed).to_dense();
-        let b = sparse_uniform(r, c, Density::DENSE, seed ^ 1).to_dense();
-        let run = SystolicSim::new(r, c).run_gemm(&a, &b);
+        let a = sparse_uniform(m, r, Density::DENSE, seed);
+        let b = sparse_uniform(r, c, Density::DENSE, seed ^ 1);
+        let run = SystolicEngine::weight_stationary(r, c).run(&a, &b).unwrap();
         let est = SystolicArray::new(r, c)
             .simulate_weight_stationary(&GemmProblem::dense(GemmShape::new(m, c, r)));
-        prop_assert_eq!(run.cycles, est.total_cycles());
-        prop_assert!(run.result.approx_eq(&a.matmul(&b), 1e-3));
+        prop_assert_eq!(run.stats.total_cycles(), est.total_cycles());
+        prop_assert!(run.result.approx_eq(&a.to_dense().matmul(&b.to_dense()), 1e-3));
     }
 
     /// Column combining never loses non-zeros at zero conflict budget,
@@ -54,16 +56,14 @@ proptest! {
     /// monotonically with activation density at fixed weights.
     #[test]
     fn sparse_engines_scale_with_density(seed in any::<u64>()) {
-        let b = sparse_uniform(12, 12, density(5), seed).to_dense();
-        let sparse_a = sparse_uniform(12, 12, density(2), seed ^ 2).to_dense();
-        let dense_a = sparse_uniform(12, 12, density(9), seed ^ 3).to_dense();
-        let eie = EieSim::new(8, 1);
-        prop_assert!(eie.run_gemm(&sparse_a, &b).cycles <= eie.run_gemm(&dense_a, &b).cycles);
-        let eye = EyerissV2Sim::new(8, 1 << 16, 16);
-        prop_assert!(
-            eye.run_gemm(&sparse_a, &b).compute_cycles
-                <= eye.run_gemm(&dense_a, &b).compute_cycles
-        );
+        let b = sparse_uniform(12, 12, density(5), seed);
+        let sparse_a = sparse_uniform(12, 12, density(2), seed ^ 2);
+        let dense_a = sparse_uniform(12, 12, density(9), seed ^ 3);
+        let cycles = |engine: &dyn Engine, a| engine.run(a, &b).unwrap().stats.streaming_cycles;
+        let eie = EieEngine::new(8, 1);
+        prop_assert!(cycles(&eie, &sparse_a) <= cycles(&eie, &dense_a));
+        let eye = EyerissEngine::new(8, 1 << 16, 16);
+        prop_assert!(cycles(&eye, &sparse_a) <= cycles(&eye, &dense_a));
     }
 
     /// SCNN's and OuterSPACE's useful-MAC counts agree exactly (both
@@ -72,11 +72,11 @@ proptest! {
     fn pair_counts_agree(
         da in 1u8..=9, db in 1u8..=9, seed in any::<u64>()
     ) {
-        let a = sparse_uniform(10, 8, density(da), seed).to_dense();
-        let b = sparse_uniform(8, 10, density(db), seed ^ 5).to_dense();
-        let scnn = ScnnSim::new(16, 8).run_gemm(&a, &b);
-        let osp = OuterProductSim::new(16, 8).run_gemm(&a, &b);
-        prop_assert_eq!(scnn.macs, osp.partial_products);
+        let a = sparse_uniform(10, 8, density(da), seed);
+        let b = sparse_uniform(8, 10, density(db), seed ^ 5);
+        let scnn = ScnnEngine::new(16, 8).run(&a, &b).unwrap();
+        let osp = OuterSpaceEngine::new(16, 8).run(&a, &b).unwrap();
+        prop_assert_eq!(scnn.stats.useful_macs, osp.stats.useful_macs);
         prop_assert!(scnn.result.approx_eq(&osp.result, 1e-3));
     }
 
@@ -86,10 +86,10 @@ proptest! {
     fn cambricon_issue_count(
         da in 1u8..=10, db in 1u8..=10, seed in any::<u64>()
     ) {
-        let a = sparse_uniform(7, 9, density(da), seed).to_dense();
-        let b = sparse_uniform(9, 6, density(db), seed ^ 7).to_dense();
-        let run = CambriconSim::new(4, 4).run_gemm(&a, &b);
-        prop_assert_eq!(run.issued_macs, b.nnz() as u64 * 7);
-        prop_assert!(run.result.approx_eq(&a.matmul(&b), 1e-3));
+        let a = sparse_uniform(7, 9, density(da), seed);
+        let b = sparse_uniform(9, 6, density(db), seed ^ 7);
+        let run = CambriconEngine::new(4, 4).run(&a, &b).unwrap();
+        prop_assert_eq!(run.stats.issued_macs, b.nnz() as u128 * 7);
+        prop_assert!(run.result.approx_eq(&a.to_dense().matmul(&b.to_dense()), 1e-3));
     }
 }

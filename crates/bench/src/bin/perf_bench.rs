@@ -17,8 +17,6 @@
 //!   the tolerance (15%, tightened to 10% for the ≥4K-PE cases; 30% under
 //!   `--smoke`, whose low rep count is noisier);
 //! * `--smoke` — CI subset: the small end of the ladder at low rep count;
-//! * `--telemetry` — measure each case twice (telemetry off, then on) and
-//!   report the instrumentation overhead per case; no baseline is written;
 //! * `--dse-warm` — the run-cache leg: sweep a DSE-style grid cold (empty
 //!   cache), then warm (same store), demand byte-identical CSV/JSON against
 //!   an uncached run, exact hit and miss counts, and a ≥ 50x
@@ -31,8 +29,8 @@
 //! * `--quiet` — suppress the table.
 //!
 //! Each mode takes only its own flags, as `--help` lists them: the
-//! `--telemetry`, `--dse-warm` and `--recorder-check` modes take
-//! `--smoke` and `--quiet`, and only the default ladder takes `--check`
+//! `--dse-warm` and `--recorder-check` modes take `--smoke` and
+//! `--quiet`, and only the default ladder takes `--check`
 //! and `--out`. Any other flag, or two modes at once, exits 2 with the
 //! mode's usage line.
 //!
@@ -44,7 +42,7 @@
 use sigma_bench::harness::{
     default_registry, demo_suite, records_table, records_to_json, RunCache, Sweep,
 };
-use sigma_bench::perf::{cases, measure, measure_with, parse_baseline, to_json, PerfMeasurement};
+use sigma_bench::perf::{cases, measure, parse_baseline, to_json, PerfMeasurement};
 use sigma_bench::util::{exit_usage, Cli, Table};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -57,36 +55,6 @@ const SMOKE_REPS: usize = 2;
 fn default_baseline_path() -> PathBuf {
     // crates/bench -> crates -> repo root.
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_sim.json")
-}
-
-/// `--telemetry`: times every ladder case with the registry off and on and
-/// prints the per-case overhead, so DESIGN.md's quoted number stays
-/// reproducible with one command.
-fn run_overhead(ladder: &[sigma_bench::perf::PerfCase], reps: usize, quiet: bool) -> ExitCode {
-    let mut t = Table::new(
-        "perf_bench - telemetry overhead (cycles simulated per second)",
-        &["case", "pes", "Mcyc/s off", "Mcyc/s on", "overhead"],
-    );
-    let mut worst: f64 = 0.0;
-    for case in ladder {
-        if !quiet {
-            eprintln!("perf_bench: timing {} off/on ({} PEs)...", case.name, case.pes());
-        }
-        let off = measure_with(case, reps, false).expect("ladder case must simulate");
-        let on = measure_with(case, reps, true).expect("ladder case must simulate");
-        let overhead = off.cycles_per_sec / on.cycles_per_sec - 1.0;
-        worst = worst.max(overhead);
-        t.push(vec![
-            case.name.to_string(),
-            case.pes().to_string(),
-            format!("{:.3}", off.cycles_per_sec / 1e6),
-            format!("{:.3}", on.cycles_per_sec / 1e6),
-            format!("{:+.1}%", 100.0 * overhead),
-        ]);
-    }
-    print!("{t}");
-    eprintln!("perf_bench: worst-case telemetry overhead {:.1}%", 100.0 * worst);
-    ExitCode::SUCCESS
 }
 
 /// The warm-over-cold cells/sec floor the `--dse-warm` leg must clear.
@@ -312,7 +280,6 @@ fn render(measurements: &[PerfMeasurement], baseline: &[(String, f64)]) -> Table
 
 fn main() -> ExitCode {
     let cli = Cli::new("perf_bench", 0, "ladder", "[--check] [--smoke] [--quiet] [--out PATH]")
-        .mode("--telemetry [--smoke] [--quiet]")
         .mode("--dse-warm [--smoke] [--quiet]")
         .mode("--recorder-check [--smoke] [--quiet]");
     let mut args = cli.from_env();
@@ -325,18 +292,15 @@ fn main() -> ExitCode {
         (false, None)
     };
     args.finish().unwrap_or_else(|msg| exit_usage(&msg));
-    let baseline_path: PathBuf = out.unwrap_or_else(default_baseline_path);
-
-    let reps = if smoke { SMOKE_REPS } else { FULL_REPS };
-    let ladder: Vec<_> = cases().into_iter().filter(|c| !smoke || c.smoke).collect();
-
     match mode {
-        "--telemetry" => return run_overhead(&ladder, reps, quiet),
         "--dse-warm" => return run_dse_warm(smoke, quiet),
         "--recorder-check" => return run_recorder_check(smoke, quiet),
         _ => {}
     }
 
+    let baseline_path: PathBuf = out.unwrap_or_else(default_baseline_path);
+    let reps = if smoke { SMOKE_REPS } else { FULL_REPS };
+    let ladder: Vec<_> = cases().into_iter().filter(|c| !smoke || c.smoke).collect();
     let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
     let baseline = parse_baseline(&baseline_text);
 

@@ -73,20 +73,13 @@ impl PerfCase {
     }
 
     /// The simulator for this case.
-    #[must_use]
-    pub fn sim(&self) -> SigmaSim {
-        self.sim_with(false)
-    }
-
-    /// The simulator for this case, with telemetry on or off.
     ///
     /// Every ladder geometry is valid, so the clamped constructors build
     /// it exactly; they only exist to keep this path infallible.
     #[must_use]
-    pub fn sim_with(&self, telemetry: bool) -> SigmaSim {
+    pub fn sim(&self) -> SigmaSim {
         let cfg = SigmaConfig::clamped(self.num_dpes, self.dpe_size, self.dpe_size, self.dataflow)
-            .with_stream_bandwidth_clamped(self.pes())
-            .with_telemetry(telemetry);
+            .with_stream_bandwidth_clamped(self.pes());
         SigmaSim::new_clamped(cfg)
     }
 }
@@ -208,24 +201,9 @@ pub struct PerfMeasurement {
 /// case is a valid GEMM, so failure is a simulator bug worth a loud stop
 /// at the caller.
 pub fn measure(case: &PerfCase, reps: usize) -> Result<PerfMeasurement, SigmaError> {
-    measure_with(case, reps, false)
-}
-
-/// [`measure`] with the telemetry registry enabled, for quantifying the
-/// instrumentation overhead (`perf_bench --telemetry` reports the on/off
-/// throughput ratio per case).
-///
-/// # Errors
-///
-/// Returns the simulator's error if the case fails to run, like [`measure`].
-pub fn measure_with(
-    case: &PerfCase,
-    reps: usize,
-    telemetry: bool,
-) -> Result<PerfMeasurement, SigmaError> {
     let reps = reps.max(1);
     let (a, b) = case.operands();
-    let sim = case.sim_with(telemetry);
+    let sim = case.sim();
     let warm = sim.run_gemm(&a, &b)?;
     let cycles = warm.stats.total_cycles();
     let mut best_secs = f64::INFINITY;

@@ -126,7 +126,7 @@ fn the_engine_mode_writes_no_log_and_no_store() {
 fn two_modes_at_once_are_refused() {
     refused(SIGMA_CLI, &["--sweep", "--engine", "eie"], &["--engine", "--sweep", "two modes"]);
     refused(SIGMA_CLI, &["trace", "report", "--from", "x"], &["trace", "report", "two modes"]);
-    refused(PERF_BENCH, &["--dse-warm", "--telemetry"], &["--dse-warm", "--telemetry"]);
+    refused(PERF_BENCH, &["--dse-warm", "--recorder-check"], &["--dse-warm", "--recorder-check"]);
     // A mode's name given as a flag's value selects nothing.
     let out = run(SIGMA_CLI, &["report", "--from", "--sweep"]);
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
@@ -146,13 +146,6 @@ fn every_perf_bench_mode_refuses_what_is_not_its_own() {
                 malformed: (&["--out"], "--out needs a value"),
             },
             Mode {
-                name: "--telemetry",
-                select: &["--telemetry", "--smoke"],
-                foreign: Some((&["--check"], "--check")),
-                misspelled: (&["--quite"], "--quite"),
-                malformed: (&["2"], "2"),
-            },
-            Mode {
                 name: "--dse-warm",
                 select: &["--dse-warm", "--smoke"],
                 foreign: Some((&["--out", "o.json"], "--out")),
@@ -168,6 +161,14 @@ fn every_perf_bench_mode_refuses_what_is_not_its_own() {
             },
         ],
     );
+}
+
+#[test]
+fn perf_bench_has_no_telemetry_mode() {
+    refused(PERF_BENCH, &["--telemetry", "--smoke"], &["--telemetry", "ladder mode"]);
+    let help = run(PERF_BENCH, &["--help"]);
+    let text = String::from_utf8_lossy(&[help.stdout, help.stderr].concat()).into_owned();
+    assert!(!text.contains("--telemetry"), "perf_bench --help still lists --telemetry:\n{text}");
 }
 
 #[test]
@@ -214,7 +215,7 @@ fn fuzz_agreement_takes_one_count() {
 fn help_lists_every_mode_and_keeps_each_exit_status() {
     let cases: [(&str, i32, &[&str]); 5] = [
         (SIGMA_CLI, 2, &["--engine NAME", "--sweep", "trace", "report --from", "--list-engines"]),
-        (PERF_BENCH, 0, &["--check", "--telemetry", "--dse-warm", "--recorder-check"]),
+        (PERF_BENCH, 0, &["--check", "--dse-warm", "--recorder-check"]),
         (CHAOS_RESUME, 0, &["--smoke", "--child --journal PATH"]),
         (FAULT_CAMPAIGN, 2, &["--smoke", "--quiet"]),
         (FIG01, 2, &["--csv DIR"]),

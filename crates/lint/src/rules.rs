@@ -733,8 +733,9 @@ pub fn check_concurrency(files: &[(FilePolicy, String)]) -> Vec<Finding> {
 }
 
 /// D7, the order half: inside one function, a live guard of rank `i`
-/// followed by an acquisition of rank `<= i` can deadlock against a
-/// thread that follows [`LOCKS`] (an equal rank self-deadlocks at once).
+/// (a guarded parameter included) followed by an acquisition of rank
+/// `<= i` can deadlock against a thread that follows [`LOCKS`] (an
+/// equal rank self-deadlocks at once).
 fn check_lock_order(file: &FileScopes<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in &file.functions {
@@ -744,22 +745,27 @@ fn check_lock_order(file: &FileScopes<'_>) -> Vec<Finding> {
                     continue;
                 }
                 let (held, taken) = (LOCKS[a.lock].0, LOCKS[b.lock].0);
-                let hint = if a.lock == b.lock {
+                let since = if a.param {
                     format!(
-                        "`{}` re-acquires `{held}` (taken at line {}) while its guard is still \
-                         live — std::sync locks self-deadlock; drop the first guard or \
-                         restructure",
-                        f.qualified(),
+                        "held through its `{}` parameter, line {}",
+                        a.guard.as_deref().unwrap_or("?"),
                         a.line
                     )
                 } else {
+                    format!("taken at line {}", a.line)
+                };
+                let hint = if a.lock == b.lock {
                     format!(
-                        "`{}` takes `{taken}` while holding `{held}` (taken at line {}), but \
-                         LOCKS orders `{taken}` first: a thread taking them in the declared \
-                         order can deadlock against this one; take `{taken}` first or drop \
-                         `{held}`",
-                        f.qualified(),
-                        a.line
+                        "`{}` re-acquires `{held}` ({since}) while its guard is still live — \
+                         std::sync locks self-deadlock; drop the first guard or restructure",
+                        f.qualified()
+                    )
+                } else {
+                    format!(
+                        "`{}` takes `{taken}` while holding `{held}` ({since}), but LOCKS orders \
+                         `{taken}` first: a thread taking them in the declared order can \
+                         deadlock against this one; take `{taken}` first or drop `{held}`",
+                        f.qualified()
                     )
                 };
                 findings.push(Finding {
@@ -1016,7 +1022,7 @@ fn check_span_balance(file: &FileScopes<'_>) -> Vec<Finding> {
         for e in &ends {
             let Some(var) = &e.start_var else { continue };
             let has_begin = begins.iter().any(|b| &b.name == var && b.site < e.site);
-            if !has_begin && !f.params.contains(var) {
+            if !has_begin && !f.params.iter().any(|p| &p.name == var) {
                 findings.push(Finding {
                     lint: Lint::D9,
                     path: file.path.to_string(),
@@ -1306,7 +1312,11 @@ mod tests {
     /// declaring two locks of [`LOCKS`]: `store` (rank 0, an I/O lock)
     /// and `state` (rank 1).
     fn concurrency_lints(src: &str) -> Vec<(Lint, u32)> {
-        let locks = "pub struct RunCache { store: Mutex<u32>, state: Mutex<u32> }";
+        concurrency_lints_with("pub struct RunCache { store: Mutex<u32>, state: Mutex<u32> }", src)
+    }
+
+    /// [`concurrency_lints`] with `locks` as the lock-declaring file.
+    fn concurrency_lints_with(locks: &str, src: &str) -> Vec<(Lint, u32)> {
         let files = vec![
             (FilePolicy { path: "crates/demo/src/s.rs".into(), ..lib_policy() }, locks.into()),
             (lib_policy(), src.to_string()),
@@ -1337,6 +1347,20 @@ mod tests {
         assert_eq!(concurrency_lints(src), vec![], "`let _ =` drops the guard at once");
         let src = "impl S { fn f(&self) {\n let _g = self.state.lock();\n let h = self.state.lock();\n } }";
         assert_eq!(concurrency_lints(src), vec![(Lint::D7, 3)]);
+    }
+
+    #[test]
+    fn d7_counts_a_payload_parameter_as_a_held_guard() {
+        let locks = "pub struct RunCache { store: Mutex<Disk>, state: Mutex<Vec<Index>> }";
+        let lints = |src: &str| concurrency_lints_with(locks, src);
+        let src = "impl S { fn f(&self, disk: &mut Disk) {\n let g = self.state.lock();\n } }";
+        assert_eq!(lints(src), vec![], "store -> state is the declared order");
+        let src = "impl S { fn f(&self, disk: &mut Disk) {\n let g = self.store.lock();\n } }";
+        assert_eq!(lints(src), vec![(Lint::D7, 2)], "re-entry under the caller's guard");
+        let src = "impl S {\n fn f<'a>(&self, n: u32, index: &'a Vec<Index>) {\n self.store.lock();\n } }";
+        assert_eq!(lints(src), vec![(Lint::D7, 3)], "store taken under state");
+        let src = "impl S { fn f(&self, other: &mut Vec<u32>) {\n self.store.lock();\n } }";
+        assert_eq!(lints(src), vec![], "only the whole payload type is a guard");
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   `MutexGuard` and whose body locks a declared field (e.g.
 //!   `RunCache::lock`) is itself an acquisition at every call site,
 //!   resolved through the receiver's declared field type.
+//! * **Guarded parameters.** A parameter typed as a declared lock's
+//!   payload (`store: &mut StoreState` for `store: Mutex<StoreState>`)
+//!   can only come from a live guard of that lock, so it counts as an
+//!   acquisition held over the whole function body.
 //! * **Guard extents.** Each acquisition records the sig-token range
 //!   over which its guard is live: to the end of the enclosing block
 //!   for a named `let` guard (truncated by an explicit `drop(guard)`),
@@ -43,6 +47,9 @@ pub struct Acquisition {
     pub extent_end: usize,
     /// The guard binding name, when bound to a named variable/pattern.
     pub guard: Option<String>,
+    /// Whether the guard is a parameter typed as the lock's payload,
+    /// held by the caller for the whole body.
+    pub param: bool,
 }
 
 impl Acquisition {
@@ -65,11 +72,22 @@ pub struct FnScope {
     pub sig_start: usize,
     /// Sig-token indices of the body's `{` and `}`.
     pub body: (usize, usize),
-    /// Every identifier appearing in the parameter list (used to exempt
-    /// span-start values passed in from a caller).
-    pub params: Vec<String>,
+    /// The `name: Type` parameters, in order.
+    pub params: Vec<Param>,
     /// Resolved lock acquisitions, in source order.
     pub acquisitions: Vec<Acquisition>,
+}
+
+/// One `name: Type` parameter of a `fn`.
+#[derive(Debug, Clone)]
+pub struct Param {
+    /// The binding name.
+    pub name: String,
+    /// The type's text without a leading `&`, lifetime or `mut`
+    /// (`&'a mut Vec<u32>` -> `Vec<u32>`).
+    pub ty: String,
+    /// 1-based line of the name.
+    pub line: u32,
 }
 
 impl FnScope {
@@ -163,11 +181,38 @@ pub fn analyze<'a>(files: &[(&'a str, &'a str)]) -> WorkspaceScopes<'a> {
         }
     }
 
+    // Declared locks' payload types: `Mutex<StoreState>` -> StoreState.
+    let mut payloads: BTreeMap<String, usize> = BTreeMap::new();
+    for file in &parsed {
+        for field in &file.fields {
+            let lock = format!("{}.{}", field.owner, field.name);
+            let Some(rank) = LOCKS.iter().position(|(l, _)| *l == lock) else { continue };
+            if file.in_test[field.head]
+                || file.text(field.head) != "Mutex"
+                || file.sig.get(field.head + 1).map(|t| t.text(file.src)) != Some("<")
+            {
+                continue;
+            }
+            let mut depth = 0i32;
+            let end = (field.head + 1..file.sig.len()).find(|&j| {
+                match file.text(j) {
+                    "<" => depth += 1,
+                    ">" => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+            });
+            if let Some(end) = end {
+                payloads.insert(type_text(&file.sig, file.src, field.head + 2, end), rank);
+            }
+        }
+    }
+
     for file in &mut parsed {
         let brace_close = brace_pairs(file);
         let mut fns = std::mem::take(&mut file.functions);
         for f in &mut fns {
-            f.acquisitions = resolve_acquisitions(file, f, &brace_close, &helpers);
+            f.acquisitions = resolve_acquisitions(file, f, &brace_close, &helpers, &payloads);
         }
         file.functions = fns;
     }
@@ -248,7 +293,7 @@ struct Pending {
 enum PendingKind {
     Impl(String),
     Struct(String),
-    Fn { name: String, sig_start: usize, params: Vec<String> },
+    Fn { name: String, sig_start: usize, params: Vec<Param> },
 }
 
 enum Ctx {
@@ -403,34 +448,58 @@ fn impl_target(sig: &[Token], src: &str, impl_idx: usize) -> String {
     cur.last().map_or_else(|| "?".to_string(), |s| (*s).to_string())
 }
 
-/// Every identifier inside the fn's parameter parens (a superset of the
-/// parameter names; used only as an exemption set).
-fn fn_params(sig: &[Token], src: &str, name_idx: usize) -> Vec<String> {
-    let n = sig.len();
-    let mut j = name_idx;
-    while j < n && sig[j].text(src) != "(" {
-        if matches!(sig[j].text(src), "{" | ";") {
-            return Vec::new();
-        }
-        j += 1;
-    }
-    let mut params = Vec::new();
-    let mut depth = 0i32;
-    while j < n {
-        match sig[j].text(src) {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
+/// The `name: Type` parameters of the fn named at `name_idx` (`self`
+/// and patterns have no name and are skipped).
+fn fn_params(sig: &[Token], src: &str, name_idx: usize) -> Vec<Param> {
+    let text = |j: usize| sig[j].text(src);
+    let Some(open) = (name_idx..sig.len())
+        .take_while(|&j| !matches!(text(j), "{" | ";"))
+        .find(|&j| text(j) == "(")
+    else {
+        return Vec::new();
+    };
+    let mut pieces = Vec::new();
+    let (mut start, mut nest, mut angle) = (open + 1, 0i32, 0i32);
+    for j in open..sig.len() {
+        match text(j) {
+            "(" | "[" => nest += 1,
+            ")" | "]" => {
+                nest -= 1;
+                if nest == 0 {
+                    pieces.push((start, j));
                     break;
                 }
             }
-            t if sig[j].kind == TokenKind::Ident => params.push(t.to_string()),
+            "<" => angle += 1,
+            ">" if text(j - 1) != "-" => angle -= 1,
+            "," if nest == 1 && angle == 0 => {
+                pieces.push((start, j));
+                start = j + 1;
+            }
             _ => {}
         }
-        j += 1;
     }
-    params
+    pieces
+        .into_iter()
+        .filter_map(|(s, e)| {
+            let s = if text(s) == "mut" { s + 1 } else { s };
+            (s + 2 < e && sig[s].kind == TokenKind::Ident && text(s + 1) == ":").then(|| Param {
+                name: text(s).to_string(),
+                ty: type_text(sig, src, s + 2, e),
+                line: sig[s].line,
+            })
+        })
+        .collect()
+}
+
+/// The concatenated text of sig tokens `start..end`, without a leading
+/// `&`, lifetime or `mut`.
+fn type_text(sig: &[Token], src: &str, start: usize, end: usize) -> String {
+    sig[start..end]
+        .iter()
+        .skip_while(|t| matches!(t.text(src), "&" | "mut") || t.kind == TokenKind::Lifetime)
+        .map(|t| t.text(src))
+        .collect()
 }
 
 /// The sig index of the head type ident of a field whose `:` sits just
@@ -448,15 +517,31 @@ fn field_type_head(sig: &[Token], src: &str, start: usize) -> Option<usize> {
     head
 }
 
-/// Finds and classifies every lock acquisition in `f`'s body.
+/// Finds and classifies every lock acquisition in `f`'s body, the
+/// guarded parameters first.
 fn resolve_acquisitions(
     file: &FileScopes<'_>,
     f: &FnScope,
     brace_close: &BTreeMap<usize, usize>,
     helpers: &BTreeMap<(String, String), usize>,
+    payloads: &BTreeMap<String, usize>,
 ) -> Vec<Acquisition> {
-    let mut out: Vec<Acquisition> = Vec::new();
     let (open, close) = f.body;
+    let mut out: Vec<Acquisition> = Vec::new();
+    if !file.in_test[f.sig_start] {
+        for p in &f.params {
+            if let Some(&lock) = payloads.get(&p.ty) {
+                out.push(Acquisition {
+                    lock,
+                    line: p.line,
+                    site: open,
+                    extent_end: close,
+                    guard: Some(p.name.clone()),
+                    param: true,
+                });
+            }
+        }
+    }
     for m in open + 1..close {
         if file.in_test[m]
             || file.sig[m].kind != TokenKind::Ident
@@ -472,7 +557,14 @@ fn resolve_acquisitions(
         let Some(lock) = resolve_lock(file, f, name, &chain, helpers) else { continue };
         let r = m - 2 * chain.len();
         let (guard, extent_end) = classify_binding(file, f, brace_close, r, m);
-        out.push(Acquisition { lock, line: file.sig[m].line, site: m, extent_end, guard });
+        out.push(Acquisition {
+            lock,
+            line: file.sig[m].line,
+            site: m,
+            extent_end,
+            guard,
+            param: false,
+        });
     }
     // Explicit `drop(guard)` truncates the extent.
     for m in open + 1..close {

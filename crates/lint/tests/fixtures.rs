@@ -323,15 +323,15 @@ fn plants() -> Vec<Plant> {
             "    sigma_core::validate_finite(a, b)\n}",
             "    Ok(())\n}",
             &[
+                (D5, 54),
+                (D5, 73),
                 (D5, 88),
-                (D5, 140),
-                (D5, 181),
-                (D5, 222),
-                (D5, 261),
-                (D5, 303),
-                (D5, 350),
-                (D5, 406),
-                (D5, 454),
+                (D5, 103),
+                (D5, 118),
+                (D5, 133),
+                (D5, 148),
+                (D5, 188),
+                (D5, 236),
             ],
         ),
         plant(
@@ -361,6 +361,14 @@ fn plants() -> Vec<Plant> {
             LOOKUP_UNDER_STATE,
             "        let store = self.lock_store();\n        // The canonical comparison is the hit condition;",
             &[(D7, 503)],
+        ),
+        plant(
+            "D7: RunCache::compact_store re-taking the store its parameter holds",
+            CACHE,
+            "    fn compact_store(&self, store: &mut StoreState) -> std::io::Result<()> {\n",
+            "    fn compact_store(&self, store: &mut StoreState) -> std::io::Result<()> {\n        \
+             let again = self.lock_store();\n",
+            &[(D7, 616)],
         ),
         plant(
             "D7 (clean): `let _ =` drops a store guard at once in RunCache::insert",
