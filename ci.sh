@@ -83,10 +83,6 @@ for pin in train_stationary:1:a7276609add1ba4f train_stationary:7919:32d2406d431
         --workload "$workload" --seed "$seed" --seconds 0.1 > /tmp/sigma_ci_layerbench.txt
     grep -qx "digest ${pin##*:}" /tmp/sigma_ci_layerbench.txt
 done
-# Perf regression gate: compare simulated-cycles-per-second against the
-# committed BENCH_sim.json baseline (release build; the check self-skips
-# in debug builds where timings are incomparable).
-cargo run -q --release -p sigma-bench --bin perf_bench -- --check --smoke
 # Telemetry smoke leg: the trace subcommand must emit a Chrome trace that
 # passes its own validator, and with --telemetry print the run's work
 # counts and the simulator's histograms to stderr.
@@ -129,11 +125,6 @@ cmp /tmp/sigma_ci_cache_cold.csv /tmp/sigma_ci_cache_warm.csv
 cmp /tmp/sigma_ci_cache_cold.csv /tmp/sigma_ci_cache_off.csv
 cmp /tmp/sigma_ci_cache_warm.json /tmp/sigma_ci_cache_off.json
 rm -f /tmp/sigma_ci_cache.store
-# Run-cache bench leg: cold, warm and uncached sweeps must render the
-# same bytes, the cold pass must miss and each warm pass hit every cell,
-# and warm-sweep throughput must be >= 50x cold (the gate self-skips the
-# speedup ratio in debug builds, like --check).
-cargo run -q --release -p sigma-bench --bin perf_bench -- --dse-warm --smoke --quiet
 # Flight-recorder smoke leg: a recorded sweep must drop an event log
 # whose rendered Perfetto trace passes validate_chrome_trace, whose
 # per-stage table shows non-zero engine_run and queue_wait counts, and
@@ -158,3 +149,14 @@ cmp /tmp/sigma_ci_flight_on.csv /tmp/sigma_ci_cache_off.csv
 cargo run -q --release -p sigma-bench --bin perf_bench -- --recorder-check --smoke --quiet \
     2> /tmp/sigma_ci_recorder_check.err
 test ! -s /tmp/sigma_ci_recorder_check.err
+# The two host-timing legs run last, so a slow host that fails one of
+# them cannot hide the deterministic legs above.
+# Perf regression gate: compare simulated-cycles-per-second against the
+# committed BENCH_sim.json baseline (release build; the check self-skips
+# in debug builds where timings are incomparable).
+cargo run -q --release -p sigma-bench --bin perf_bench -- --check --smoke
+# Run-cache bench leg: cold, warm and uncached sweeps must render the
+# same bytes, the cold pass must miss and each warm pass hit every cell,
+# and warm-sweep throughput must be >= 50x cold (the gate self-skips the
+# speedup ratio in debug builds, like --check).
+cargo run -q --release -p sigma-bench --bin perf_bench -- --dse-warm --smoke --quiet

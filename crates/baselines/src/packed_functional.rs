@@ -1,6 +1,6 @@
 //! Column combining (Kung et al., ASPLOS 2019) — the "Packed Systolic"
-//! baseline, implemented as a real packing algorithm plus execution on
-//! the functional systolic array.
+//! baseline, implemented as a real packing algorithm timed by the
+//! functional systolic array's fold formula.
 //!
 //! The idea: a sparse weight matrix's columns are greedily *combined*
 //! into groups whose non-zero patterns (mostly) don't collide on the
@@ -11,8 +11,9 @@
 //! we take the standard "prune conflicts" variant, which makes the
 //! computation *approximate* unless the column patterns are disjoint).
 //!
-//! [`PackedSystolicEngine`] packs with a zero conflict budget (lossless)
-//! and runs the packed matrix on a rigid weight-stationary array. This
+//! [`PackedSystolicEngine`] packs with a zero conflict budget (lossless),
+//! computes the scatter-correct packed product, and charges the folds a
+//! rigid weight-stationary array takes over the packed matrix. This
 //! grounds the analytic `SparseAcceleratorKind::PackedSystolic` model:
 //! weight-sparsity-only benefit, capped packing, activations dense.
 
@@ -44,12 +45,12 @@ impl PackedSystolicEngine {
 
     /// The datapath behind [`sigma_core::Engine::run`] on checked
     /// operands. The weights are packed once: the scatter-correct packed
-    /// product gives the numerics, and the same array streaming the
+    /// product gives the numerics, and the array's fold formula over the
     /// packed (narrower) weight matrix gives the latency.
     pub(crate) fn gemm(&self, a: &SparseMatrix, b: &SparseMatrix) -> GemmRun {
         let (ad, bd) = (a.to_dense(), b.to_dense());
         let packing = combine_columns(&bd, self.max_combine, 0);
-        let (packed, column_of) = pack_weights(&bd, &packing);
+        let column_of = pack_weights(&bd, &packing);
         let result = packed_product(&ad, &bd, &column_of);
         let k = a.cols();
         let groups = packing.groups.len();
@@ -61,7 +62,7 @@ impl PackedSystolicEngine {
             pes: (self.array.rows * self.array.cols) as u64,
             ..CycleStats::default()
         };
-        self.array.weight_stationary_pass(&ad, &packed, &mut stats);
+        self.array.charge_weight_stationary(a.rows(), k, groups, &mut stats);
         GemmRun { result, stats }
     }
 }
@@ -141,30 +142,23 @@ pub fn combine_columns(w: &Matrix, max_combine: usize, conflict_budget: usize) -
     ColumnPacking { groups, conflicts_pruned: pruned, retained }
 }
 
-/// Builds the packed weight matrix (`K x groups`) and the per-PE column
-/// index map: the packed matrix has `groups.len()` physical columns
-/// instead of `N`.
-///
-/// Returns `(packed_weights, column_of[g][r])` where `column_of[g][r]`
-/// is the original output column the PE at `(r, g)` contributes to (or
-/// `None` when no weight is packed there).
-fn pack_weights(w: &Matrix, packing: &ColumnPacking) -> (Matrix, Vec<Vec<Option<usize>>>) {
+/// Maps each PE of the packed array to its weight: `column_of[g][r]` is
+/// the original output column whose weight the PE at `(r, g)` holds (or
+/// `None` when no weight is packed there). The packed array has
+/// `groups.len()` physical columns instead of `N`.
+fn pack_weights(w: &Matrix, packing: &ColumnPacking) -> Vec<Vec<Option<usize>>> {
     let k = w.rows();
-    let g_count = packing.groups.len();
-    let mut packed = Matrix::zeros(k, g_count);
-    let mut column_of: Vec<Vec<Option<usize>>> = vec![vec![None; k]; g_count];
+    let mut column_of: Vec<Vec<Option<usize>>> = vec![vec![None; k]; packing.groups.len()];
     for (g, members) in packing.groups.iter().enumerate() {
         for &col in members {
             for (r, slot) in column_of[g].iter_mut().enumerate() {
-                let v = w.get(r, col);
-                if v != 0.0 && slot.is_none() {
-                    packed.set(r, g, v);
+                if w.get(r, col) != 0.0 && slot.is_none() {
                     *slot = Some(col);
                 }
             }
         }
     }
-    (packed, column_of)
+    column_of
 }
 
 /// `C = A x W` on the packed array: activations stream densely; each
@@ -255,6 +249,40 @@ mod tests {
             }
         }
         assert!(seen.into_iter().all(|s| s));
+    }
+
+    #[test]
+    fn packed_cycles_match_the_functional_pass_over_the_packed_weights() {
+        // The packed engine charges its latency by the fold formula; the
+        // functional weight-stationary pass over the packed `K x groups`
+        // matrix must count the same cycles and folds. K and N straddle
+        // the 4x4 array, and M = 0 and M = 1 are the formula's edges.
+        let array = SystolicEngine::weight_stationary(4, 4);
+        let engine = PackedSystolicEngine::new(4, 4, 2);
+        for (m, k, n, seed) in [(0, 7, 11, 1u64), (1, 7, 11, 2), (1, 4, 4, 3), (5, 9, 13, 4)] {
+            for density in [0.3, 1.0] {
+                let a = sparse_uniform(m, k, Density::DENSE, seed);
+                let w = sparse_uniform(k, n, Density::new(density).unwrap(), seed + 10);
+                let wd = w.to_dense();
+                let column_of = pack_weights(&wd, &combine_columns(&wd, 2, 0));
+                let mut packed = Matrix::zeros(k, column_of.len());
+                for (g, rows) in column_of.iter().enumerate() {
+                    for (r, col) in rows.iter().enumerate() {
+                        if let Some(col) = col {
+                            packed.set(r, g, wd.get(r, *col));
+                        }
+                    }
+                }
+                let mut want = CycleStats::default();
+                let _ = array.weight_stationary_pass(&a.to_dense(), &packed, &mut want);
+                let got = engine.run(&a, &w).unwrap().stats;
+                let at = format!("m={m} k={k} n={n} density={density}");
+                assert!(want.folds > 1 || (k, n) == (4, 4), "{at}: too few folds");
+                assert_eq!(got.folds, want.folds, "{at}");
+                assert_eq!(got.streaming_cycles, want.streaming_cycles, "{at}");
+                assert_eq!(got.total_cycles(), want.total_cycles(), "{at}");
+            }
+        }
     }
 
     #[test]

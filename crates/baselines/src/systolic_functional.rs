@@ -95,19 +95,50 @@ impl SystolicEngine {
     ) -> Matrix {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut out = Matrix::zeros(m, n);
-        let mut k0 = 0;
-        while k0 < k {
-            let kr = (k - k0).min(self.rows);
-            let mut n0 = 0;
-            while n0 < n {
-                let nc = (n - n0).min(self.cols);
-                stats.streaming_cycles += self.run_fold(a, b, &mut out, k0, kr, n0, nc);
-                stats.folds += 1;
-                n0 += nc;
-            }
-            k0 += kr;
+        for (k0, kr, n0, nc) in self.weight_folds(k, n) {
+            stats.streaming_cycles += self.run_fold(a, b, &mut out, k0, kr, n0, nc);
+            stats.folds += 1;
         }
         out
+    }
+
+    /// The `(k0, kr, n0, nc)` tiles a `K x N` stationary matrix folds
+    /// into, K-major: each K-fold's N-folds in turn.
+    fn weight_folds(
+        &self,
+        k: usize,
+        n: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        let (rows, cols) = (self.rows, self.cols);
+        (0..k).step_by(rows).flat_map(move |k0| {
+            (0..n).step_by(cols).map(move |n0| (k0, (k - k0).min(rows), n0, (n - n0).min(cols)))
+        })
+    }
+
+    /// Charges the cycles and folds of [`SystolicEngine::weight_stationary_pass`]
+    /// over an `m x k` by `k x n` GEMM without moving any value: the same
+    /// `(K, N)` tiling, each fold costing [`SystolicEngine::fold_cycles`].
+    pub(crate) fn charge_weight_stationary(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        stats: &mut CycleStats,
+    ) {
+        for (_, kr, _, nc) in self.weight_folds(k, n) {
+            stats.streaming_cycles += self.fold_cycles(m, kr, nc);
+            stats.folds += 1;
+        }
+    }
+
+    /// The cycle count [`SystolicEngine::run_fold`] returns for a `kr x nc`
+    /// fold streaming `m` activation rows: the `R`-cycle weight load, then
+    /// the last psum, for row `m - 1` in column `nc - 1`, leaves the
+    /// bottom edge after `m + kr + nc - 2` cycles. With no rows to stream
+    /// the fold is the load alone.
+    fn fold_cycles(&self, m: usize, kr: usize, nc: usize) -> u64 {
+        let stream = if m == 0 { 0 } else { m + kr + nc - 2 };
+        (self.rows + stream) as u64
     }
 
     /// Executes one stationary fold and returns its cycle count.
@@ -134,9 +165,13 @@ impl SystolicEngine {
             }
         }
 
-        // PE pipeline registers.
+        // PE pipeline registers, plus the next cycle's register file: each
+        // cycle writes every next-state register from the current state,
+        // then the two files swap.
         let mut a_reg = vec![vec![0.0f32; nc]; kr];
         let mut p_reg = vec![vec![0.0f32; nc]; kr];
+        let mut new_a = vec![vec![0.0f32; nc]; kr];
+        let mut new_p = vec![vec![0.0f32; nc]; kr];
         let mut collected = 0usize;
         let total_outputs = m * nc;
         let mut t = 0u64;
@@ -144,9 +179,7 @@ impl SystolicEngine {
         // (m, column c) leaves the bottom PE's register at m + kr + c.
         while collected < total_outputs {
             // Compute this cycle's register updates from the previous
-            // state (reverse order so reads see time t-1 values).
-            let mut new_a = vec![vec![0.0f32; nc]; kr];
-            let mut new_p = vec![vec![0.0f32; nc]; kr];
+            // state, so every read sees time t-1 values.
             for r in 0..kr {
                 for c in 0..nc {
                     let a_in = if c == 0 {
@@ -165,8 +198,8 @@ impl SystolicEngine {
                     new_p[r][c] = p_in + a_in * w[r][c];
                 }
             }
-            a_reg = new_a;
-            p_reg = new_p;
+            std::mem::swap(&mut a_reg, &mut new_a);
+            std::mem::swap(&mut p_reg, &mut new_p);
             t += 1;
             // After the update at cycle t-1 -> t, the bottom register of
             // column c holds the finished psum for activation row
@@ -222,16 +255,17 @@ impl SystolicEngine {
         k: usize,
     ) -> u64 {
         // Pipeline registers: a travels right, b travels down, psums stay.
+        // Each cycle writes the whole next register file, then swaps.
         let mut a_reg = vec![vec![0.0f32; nc]; mr];
         let mut b_reg = vec![vec![0.0f32; nc]; mr];
+        let mut new_a = vec![vec![0.0f32; nc]; mr];
+        let mut new_b = vec![vec![0.0f32; nc]; mr];
         let mut acc = vec![vec![0.0f32; nc]; mr];
 
         // PE (r, c) receives a[m0+r][k'] and b[k'][n0+c] simultaneously at
         // cycle k' + r + c; the last PE finishes at (k-1) + (mr-1) + (nc-1).
         let stream_cycles = (k as u64) + (mr as u64 - 1) + (nc as u64 - 1);
         for t in 0..stream_cycles {
-            let mut new_a = vec![vec![0.0f32; nc]; mr];
-            let mut new_b = vec![vec![0.0f32; nc]; mr];
             for r in 0..mr {
                 for c in 0..nc {
                     let a_in = if c == 0 {
@@ -259,8 +293,8 @@ impl SystolicEngine {
                     new_b[r][c] = b_in;
                 }
             }
-            a_reg = new_a;
-            b_reg = new_b;
+            std::mem::swap(&mut a_reg, &mut new_a);
+            std::mem::swap(&mut b_reg, &mut new_b);
         }
         for (r, row) in acc.iter().enumerate() {
             for (c, v) in row.iter().enumerate() {

@@ -34,8 +34,9 @@
 //! `--cache STORE` attaches the persistent content-addressed run cache:
 //! cells seen by *any* previous sweep or invocation sharing the store are
 //! served from it instead of re-simulated, with byte-identical output
-//! (`--cache-cap N` bounds resident entries, default 4096), and prints
-//! one `[cache] … hits, … misses, … evictions` line to stderr afterwards.
+//! (the store keeps the [`CACHE_CAPACITY`] most recently used entries),
+//! and prints one `[cache] … hits, … misses, … evictions` line to stderr
+//! afterwards.
 //!
 //! `--flight-recorder LOG` is the one switch that records a sweep: it
 //! turns on the flight recorder (the sweep's one wall clock) with a live
@@ -77,6 +78,10 @@ use sigma_workloads::materialize;
 /// The GEMM flags of the analytic, `--engine` and `trace` modes.
 const GEMM: &str = "[--m M] [--n N] [--k K] [--input-sparsity S] [--weight-sparsity S]";
 
+/// Entries a `--cache` store keeps resident; inserting past it evicts the
+/// least recently used.
+const CACHE_CAPACITY: usize = 4096;
+
 /// The modes and their flags.
 fn cli() -> Cli {
     Cli::new(
@@ -88,7 +93,7 @@ fn cli() -> Cli {
     .mode(&format!("--engine NAME {GEMM} [--seed S]"))
     .mode(
         "--sweep [--workload M:N:K[:da[:db]]]... [--threads T] [--seed S] \
-         [--output text|csv|json] [--resume JOURNAL] [--cache STORE] [--cache-cap N] \
+         [--output text|csv|json] [--resume JOURNAL] [--cache STORE] \
          [--flight-recorder LOG.jsonl]",
     )
     .mode(&format!("trace [--out TRACE.json] {GEMM} [--seed S] [--telemetry]"))
@@ -325,7 +330,6 @@ fn run_sweep(mut args: Args<'_>) -> i32 {
     let output = args.choice("--output", &["text", "csv", "json"]);
     let resume: Option<String> = args.value("--resume");
     let cache_path: Option<String> = args.value("--cache");
-    let cache_cap = args.value("--cache-cap").unwrap_or(4096);
     let flight_log: Option<String> = args.value("--flight-recorder");
     args.finish().unwrap_or_else(|msg| exit_usage(&msg));
     if workloads.is_empty() {
@@ -352,7 +356,7 @@ fn run_sweep(mut args: Args<'_>) -> i32 {
     }
     let mut warned = 0;
     let cache = match &cache_path {
-        Some(path) => match RunCache::open(std::path::Path::new(path), cache_cap) {
+        Some(path) => match RunCache::open(std::path::Path::new(path), CACHE_CAPACITY) {
             Ok(cache) => {
                 let cache = Arc::new(cache.with_flight_recorder(recorder.clone()));
                 for warning in cache.warnings() {

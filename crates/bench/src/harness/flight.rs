@@ -29,7 +29,7 @@ use crate::harness::cache::write_atomic;
 use crate::util::Table;
 use sigma_telemetry::json::{self, quote, Json};
 use sigma_telemetry::{
-    validate_chrome_trace, ChromeTrace, FlightSnapshot, MetricsReport, ReportHist, SpanRecord,
+    validate_chrome_trace, ChromeTrace, FlightSnapshot, HistSummary, MetricsReport, SpanRecord,
     Stage, TraceSummary,
 };
 use std::path::Path;
@@ -66,7 +66,7 @@ pub fn render_event_log(process: &str, flight: &FlightSnapshot, tallies: &[(&str
             quote(name)
         ));
     }
-    for h in flight.stages.iter().map(ReportHist::from) {
+    for h in &flight.stages {
         let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
         out.push_str(&format!(
             "{{\"kind\": \"hist\", \"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}\n",
@@ -138,7 +138,7 @@ pub struct EventLog {
     /// Final gauge levels.
     pub gauges: Vec<(String, u64)>,
     /// Histograms (stage latencies and simulator histograms alike).
-    pub hists: Vec<ReportHist>,
+    pub hists: Vec<HistSummary>,
     /// Periodic gauge samples, in recording order.
     pub snaps: Vec<SnapSample>,
     /// Retained spans, in recording order.
@@ -150,7 +150,7 @@ pub struct EventLog {
 impl EventLog {
     /// The per-stage latency histogram for `stage`, if recorded.
     #[must_use]
-    pub fn stage(&self, stage: Stage) -> Option<&ReportHist> {
+    pub fn stage(&self, stage: Stage) -> Option<&HistSummary> {
         self.hists.iter().find(|h| h.name == stage.name())
     }
 
@@ -227,7 +227,7 @@ fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
                 .iter()
                 .map(|b| b.number().ok_or_else(|| "bucket is not a u64".to_string()))
                 .collect::<Result<Vec<u64>, String>>()?;
-            log.hists.push(ReportHist {
+            log.hists.push(HistSummary {
                 name: text(obj, "name")?,
                 count: num(obj, "count")?,
                 sum: num(obj, "sum")?,

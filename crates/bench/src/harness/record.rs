@@ -206,30 +206,6 @@ impl RunRecord {
         }
     }
 
-    /// Builds a record for an engine that refused the problem.
-    #[must_use]
-    pub fn from_error(
-        slug: &str,
-        engine_name: &str,
-        pes: usize,
-        workload: &str,
-        problem: &GemmProblem,
-        seed: u64,
-        error: String,
-    ) -> Self {
-        Self::from_failure(
-            slug,
-            engine_name,
-            pes,
-            workload,
-            problem,
-            seed,
-            RunStatus::Error,
-            error,
-            0,
-        )
-    }
-
     /// Builds a record for a cell that did not produce a result: an
     /// engine error or a caught panic.
     #[must_use]
@@ -473,7 +449,8 @@ mod tests {
     fn row_width_matches_headers() {
         assert_eq!(sample().row().len(), RunRecord::HEADERS.len());
         let p = GemmProblem::dense(GemmShape::new(2, 2, 2));
-        let err = RunRecord::from_error("e", "E", 1, "w", &p, 0, "boom".into());
+        let err =
+            RunRecord::from_failure("e", "E", 1, "w", &p, 0, RunStatus::Error, "boom".into(), 0);
         assert_eq!(err.row().len(), RunRecord::HEADERS.len());
         assert!(!err.verified);
         assert_eq!(err.status, RunStatus::Error);

@@ -172,6 +172,16 @@ fn perf_bench_has_no_telemetry_mode() {
 }
 
 #[test]
+fn sigma_cli_sweep_has_no_cache_cap() {
+    let sweep = ["--sweep", "--workload", "8:8:8", "--cache-cap", "16"];
+    refused(SIGMA_CLI, &sweep, &["--cache-cap", "--sweep mode"]);
+    let help = run(SIGMA_CLI, &["--help"]);
+    let text = String::from_utf8_lossy(&[help.stdout, help.stderr].concat()).into_owned();
+    assert!(text.contains("--cache STORE"), "sigma_cli --help lost --cache:\n{text}");
+    assert!(!text.contains("--cache-cap"), "sigma_cli --help still lists --cache-cap:\n{text}");
+}
+
+#[test]
 fn both_chaos_resume_modes_refuse_what_is_not_their_own() {
     check_modes(
         CHAOS_RESUME,

@@ -2,17 +2,16 @@
 //! (Sec. IV-B).
 //!
 //! SIGMA's NoC statically partitions the Flex-DPEs into contiguous groups
-//! — Flexible Dot Product Units — one per concurrently running GEMM. The
-//! switches between Flex-DPEs act as a multicast bus within a DPU and as
-//! hop-by-hop forwarders between DPUs; they are configured once per
-//! mapping, with no dynamic routing.
+//! — Flexible Dot Product Units — one per concurrently running GEMM.
+//! [`DpuAllocator`] splits the pool in proportion to each GEMM's useful
+//! MACs and charges each DPU's switch configuration and per-fold
+//! boundary-partial merges on the [`MeshNoc`]; the switches are
+//! configured once per mapping, with no dynamic routing.
 
 use crate::config::{SigmaConfig, SigmaError};
-use crate::engine::{GemmRun, SigmaSim};
 use crate::model::{estimate_best, GemmProblem};
 use crate::noc::{MeshNoc, NocStats};
 use crate::stats::CycleStats;
-use sigma_matrix::{GemmShape, SparseMatrix};
 
 /// The assignment of one GEMM to a contiguous range of Flex-DPEs.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,20 +27,6 @@ pub struct DpuAllocation {
     /// Inter-DPE NoC accounting: static configuration of the DPU's
     /// switches plus the per-fold boundary-partial merges.
     pub noc: NocStats,
-}
-
-/// How the Flex-DPE pool is split across a batch of GEMMs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PartitionPolicy {
-    /// Shares proportional to each GEMM's useful MACs (the default).
-    #[default]
-    Proportional,
-    /// Equal shares regardless of job size.
-    Equal,
-    /// Makespan-driven: start from proportional, then greedily move one
-    /// Flex-DPE at a time from the job that finishes earliest to the one
-    /// that finishes latest while the makespan improves.
-    MakespanGreedy,
 }
 
 /// Partitions the Flex-DPE pool across a batch of GEMMs and estimates the
@@ -113,71 +98,6 @@ impl DpuAllocator {
         Ok(shares)
     }
 
-    /// Splits the pool under a [`PartitionPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DpuAllocator::partition`].
-    pub fn partition_with_policy(
-        &self,
-        problems: &[GemmProblem],
-        policy: PartitionPolicy,
-    ) -> Result<Vec<usize>, SigmaError> {
-        let pool = self.config.num_dpes();
-        match policy {
-            PartitionPolicy::Proportional => self.partition(problems),
-            PartitionPolicy::Equal => {
-                if problems.is_empty() || problems.len() > pool {
-                    return Err(SigmaError::NoDpes);
-                }
-                let base = pool / problems.len();
-                let extra = pool % problems.len();
-                Ok((0..problems.len()).map(|i| base + usize::from(i < extra)).collect())
-            }
-            PartitionPolicy::MakespanGreedy => {
-                let mut shares = self.partition(problems)?;
-                let job_cycles = |p: &GemmProblem, dpes: usize| -> u64 {
-                    // Geometry is valid by construction (dpes >= 1, the
-                    // parent dpe_size already validated, bandwidth >= 1);
-                    // clamped() is exact on valid input.
-                    let sub = SigmaConfig::clamped(
-                        dpes,
-                        self.config.dpe_size(),
-                        (self.config.input_bandwidth() * dpes / pool).max(1),
-                        self.config.dataflow(),
-                    );
-                    estimate_best(&sub, p).1.total_cycles()
-                };
-                let makespan = |shares: &[usize]| -> u64 {
-                    problems.iter().zip(shares).map(|(p, &d)| job_cycles(p, d)).max().unwrap_or(0)
-                };
-                let mut best = makespan(&shares);
-                // Greedy improvement: donate one DPE from the fastest
-                // donor (with > 1 DPE) to the slowest job.
-                for _ in 0..4 * pool {
-                    let times: Vec<u64> =
-                        problems.iter().zip(&shares).map(|(p, &d)| job_cycles(p, d)).collect();
-                    let Some(slowest) = (0..times.len()).max_by_key(|&i| times[i]) else { break };
-                    let donor = (0..times.len())
-                        .filter(|&i| i != slowest && shares[i] > 1)
-                        .min_by_key(|&i| times[i]);
-                    let Some(donor) = donor else { break };
-                    shares[donor] -= 1;
-                    shares[slowest] += 1;
-                    let new = makespan(&shares);
-                    if new >= best {
-                        // Revert and stop: no further improvement.
-                        shares[donor] += 1;
-                        shares[slowest] -= 1;
-                        break;
-                    }
-                    best = new;
-                }
-                Ok(shares)
-            }
-        }
-    }
-
     /// Allocates DPUs for a batch and estimates every GEMM's stats and the
     /// batch makespan (all DPUs run concurrently).
     ///
@@ -189,7 +109,7 @@ impl DpuAllocator {
         problems: &[GemmProblem],
     ) -> Result<(Vec<DpuAllocation>, u64), SigmaError> {
         let shares = self.partition(problems)?;
-        let mesh = MeshNoc::new(self.config.num_dpes(), self.config.input_bandwidth().max(1));
+        let mesh = MeshNoc::new(self.config.num_dpes());
         let mut allocations = Vec::with_capacity(problems.len());
         let mut first = 0usize;
         let mut makespan = 0u64;
@@ -218,44 +138,6 @@ impl DpuAllocator {
             first += dpes;
         }
         Ok((allocations, makespan))
-    }
-
-    /// Functionally executes a batch of concrete GEMMs, one Flex-DPU per
-    /// GEMM, all DPUs concurrent. Returns each GEMM's verified run and
-    /// the batch makespan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partition errors and per-GEMM dimension mismatches.
-    pub fn run_batch_functional(
-        &self,
-        gemms: &[(SparseMatrix, SparseMatrix)],
-    ) -> Result<(Vec<GemmRun>, u64), SigmaError> {
-        let problems: Vec<GemmProblem> = gemms
-            .iter()
-            .map(|(a, b)| {
-                let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
-                GemmProblem::sparse(shape, 1.0 - a.sparsity(), 1.0 - b.sparsity())
-            })
-            .collect();
-        let shares = self.partition(&problems)?;
-        let mut runs = Vec::with_capacity(gemms.len());
-        let mut makespan = 0u64;
-        for ((a, b), &dpes) in gemms.iter().zip(&shares) {
-            let sub = SigmaConfig::new(
-                dpes,
-                self.config.dpe_size(),
-                (self.config.input_bandwidth() * dpes / self.config.num_dpes()).max(1),
-                self.config.dataflow(),
-            )?
-            .with_stream_bandwidth(
-                (self.config.stream_bandwidth() * dpes / self.config.num_dpes()).max(1),
-            )?;
-            let (_, run) = SigmaSim::new(sub)?.run_best_stationary(a, b)?;
-            makespan = makespan.max(run.stats.total_cycles());
-            runs.push(run);
-        }
-        Ok((runs, makespan))
     }
 }
 
@@ -316,76 +198,6 @@ mod tests {
         let problems = vec![GemmProblem::dense(GemmShape::new(64, 64, 64)); 4];
         let shares = alloc.partition(&problems).unwrap();
         assert_eq!(shares, vec![4, 4, 4, 4]);
-    }
-
-    #[test]
-    fn partition_policies_cover_pool() {
-        let alloc = DpuAllocator::new(cfg());
-        let problems = [
-            GemmProblem::dense(GemmShape::new(512, 512, 512)),
-            GemmProblem::dense(GemmShape::new(64, 64, 64)),
-            GemmProblem::dense(GemmShape::new(128, 128, 128)),
-        ];
-        for policy in
-            [PartitionPolicy::Proportional, PartitionPolicy::Equal, PartitionPolicy::MakespanGreedy]
-        {
-            let shares = alloc.partition_with_policy(&problems, policy).unwrap();
-            assert_eq!(shares.iter().sum::<usize>(), 16, "{policy:?}");
-            assert!(shares.iter().all(|&s| s >= 1), "{policy:?}");
-        }
-        let eq = alloc.partition_with_policy(&problems, PartitionPolicy::Equal).unwrap();
-        assert_eq!(eq, vec![6, 5, 5]);
-    }
-
-    #[test]
-    fn makespan_greedy_never_loses_to_proportional() {
-        let alloc = DpuAllocator::new(cfg());
-        // A skewed batch where proportional underserves the big job's
-        // irregularity.
-        let problems = [
-            GemmProblem::sparse(GemmShape::new(2048, 64, 512), 0.3, 0.3),
-            GemmProblem::dense(GemmShape::new(96, 96, 96)),
-            GemmProblem::dense(GemmShape::new(64, 512, 32)),
-        ];
-        let cycles_for = |shares: &[usize]| -> u64 {
-            problems
-                .iter()
-                .zip(shares)
-                .map(|(p, &d)| {
-                    let sub =
-                        SigmaConfig::new(d, 32, (32 * d / 16).max(1), Dataflow::WeightStationary)
-                            .unwrap();
-                    crate::model::estimate_best(&sub, p).1.total_cycles()
-                })
-                .max()
-                .unwrap()
-        };
-        let prop = alloc.partition_with_policy(&problems, PartitionPolicy::Proportional).unwrap();
-        let greedy =
-            alloc.partition_with_policy(&problems, PartitionPolicy::MakespanGreedy).unwrap();
-        assert!(cycles_for(&greedy) <= cycles_for(&prop));
-    }
-
-    #[test]
-    fn functional_batch_is_numerically_correct() {
-        use sigma_matrix::gen::{sparse_uniform, Density};
-        let alloc = DpuAllocator::new(cfg());
-        let gemms: Vec<_> = (0..3)
-            .map(|i| {
-                (
-                    sparse_uniform(12, 10, Density::new(0.5).unwrap(), 40 + i),
-                    sparse_uniform(10, 8, Density::new(0.6).unwrap(), 50 + i),
-                )
-            })
-            .collect();
-        let (runs, makespan) = alloc.run_batch_functional(&gemms).unwrap();
-        assert_eq!(runs.len(), 3);
-        for ((a, b), run) in gemms.iter().zip(&runs) {
-            let reference = a.to_dense().matmul(&b.to_dense());
-            assert!(run.result.approx_eq(&reference, 1e-3));
-            assert!(run.stats.total_cycles() <= makespan);
-        }
-        assert_eq!(makespan, runs.iter().map(|r| r.stats.total_cycles()).max().unwrap());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The Flexible Dot Product Engine (Sec. IV-A) as an explicit
 //! microarchitectural unit: `k` multipliers with stationary-value
-//! buffers, a Benes distribution network, and a FAN reduction tree.
+//! buffers and a FAN reduction tree. The unit's Benes distribution
+//! network is charged, not modeled: see "Loading does no routing" below.
 //!
 //! [`FlexDpe`] executes one Flex-DPE's share of a fold: load stationary
 //! values into multiplier buffers (Fig. 5 Step iv), then accept one
@@ -50,7 +51,7 @@
 use crate::config::SigmaError;
 use crate::controller::MappedElement;
 use crate::fault::{AdderFault, FaultInjector};
-use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction};
+use sigma_interconnect::{Fan, FanProgram, FanReduction};
 
 /// The result of streaming one vector through a Flex-DPE.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -65,7 +66,6 @@ pub struct DpeStep {
 #[derive(Debug, Clone)]
 pub struct FlexDpe {
     size: usize,
-    benes: BenesNetwork,
     fan: Fan,
     /// Stationary values, slot-indexed (0.0 in unoccupied slots).
     values: Vec<f32>,
@@ -101,11 +101,9 @@ impl FlexDpe {
     /// Returns [`SigmaError::DpeSizeNotPowerOfTwo`] unless `size` is a
     /// power of two at least 2 (required by the Benes/FAN networks).
     pub fn new(size: usize) -> Result<Self, SigmaError> {
-        let benes = BenesNetwork::new(size).map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(size))?;
         let fan = Fan::new(size).map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(size))?;
         Ok(Self {
             size,
-            benes,
             fan,
             values: vec![0.0; size],
             contractions: vec![0; size],
@@ -370,14 +368,6 @@ impl FlexDpe {
     #[must_use]
     pub(crate) fn fan_work_per_step(&self) -> (u64, u64) {
         (self.program.adds_performed() as u64, self.program.output_count() as u64)
-    }
-
-    /// Latency components of this engine: (distribution, multiply,
-    /// reduction-levels) in cycles — the paper's "1-cycle distribution,
-    /// 1-cycle multiplication, 1-cycle per reduction level" pipeline.
-    #[must_use]
-    pub fn pipeline_depths(&self) -> (u64, u64, u64) {
-        (self.benes.traversal_latency_cycles(), 1, self.fan.latency_cycles())
     }
 
     /// The lockstep oracle's reference step: operands through a closure,
@@ -691,15 +681,6 @@ mod tests {
         assert!(dpe.load(&els, &ids(&[0, 0], 2)).is_err());
         // A cluster on a multiplier past the loaded elements.
         assert!(dpe.load(&els[..1], &ids(&[0, 0], 2)).is_err());
-    }
-
-    #[test]
-    fn pipeline_depths_match_paper() {
-        let dpe = FlexDpe::new(128).unwrap();
-        let (dist, mul, red) = dpe.pipeline_depths();
-        assert_eq!(dist, 1); // O(1) Benes traversal
-        assert_eq!(mul, 1);
-        assert_eq!(red, 7); // log2(128) reduction levels
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod trace;
 
 pub use config::{Dataflow, SigmaConfig, SigmaError};
 pub use controller::{ControllerPlan, Fold, MappedElement, PackingOrder};
-pub use dpu::{DpuAllocation, DpuAllocator, PartitionPolicy};
+pub use dpu::{DpuAllocation, DpuAllocator};
 pub use engine::{GemmRun, RecoveryPolicy, SigmaSim};
 pub use engine_api::{validate_finite, Engine, EngineError};
 pub use fault::{

@@ -1,12 +1,11 @@
 //! The inter-Flex-DPE NoC (Sec. IV-B): simple switches at each Flex-DPE
-//! intersection, connected in a 2-D mesh, statically configured when a
-//! GEMM is mapped.
+//! intersection, statically configured when a GEMM is mapped.
 //!
-//! Within a Flex-DPU the switches forward data across the member
-//! Flex-DPEs like a multicast bus; across Flex-DPUs they forward
-//! hop-by-hop like a conventional (but statically routed) mesh. There is
-//! no dynamic routing or flow control — configuration happens once per
-//! mapping, which is what keeps the switches tiny.
+//! There is no dynamic routing or flow control — configuration happens
+//! once per mapping, which is what keeps the switches tiny. The model
+//! charges what a batch run needs: writing each member switch of a
+//! Flex-DPU once, and merging each fold's boundary partial sums over the
+//! DPU's bus-like chain.
 
 use std::ops::Range;
 
@@ -34,53 +33,22 @@ impl NocStats {
     }
 }
 
-/// A 2-D mesh of per-Flex-DPE switches.
+/// The per-Flex-DPE switches of one SIGMA instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshNoc {
     dpes: usize,
-    cols: usize,
-    /// Words per link per cycle (design-time parameter, Sec. IV-B).
-    bandwidth: usize,
 }
 
 impl MeshNoc {
-    /// Creates a mesh for `dpes` Flex-DPEs with the given per-link
-    /// bandwidth (words/cycle), arranged in a near-square grid.
+    /// Creates the switches for `dpes` Flex-DPEs.
     ///
     /// # Panics
     ///
-    /// Panics if `dpes == 0` or `bandwidth == 0`.
+    /// Panics if `dpes == 0`.
     #[must_use]
-    pub fn new(dpes: usize, bandwidth: usize) -> Self {
+    pub fn new(dpes: usize) -> Self {
         assert!(dpes > 0, "mesh needs at least one DPE");
-        assert!(bandwidth > 0, "link bandwidth must be non-zero");
-        let cols = (dpes as f64).sqrt().ceil() as usize;
-        Self { dpes, cols, bandwidth }
-    }
-
-    /// Number of Flex-DPEs (switches).
-    #[must_use]
-    pub fn dpes(&self) -> usize {
-        self.dpes
-    }
-
-    /// Grid coordinates of a Flex-DPE's switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dpe >= dpes`.
-    #[must_use]
-    pub fn coords(&self, dpe: usize) -> (usize, usize) {
-        assert!(dpe < self.dpes, "dpe {dpe} out of range");
-        (dpe % self.cols, dpe / self.cols)
-    }
-
-    /// Manhattan hop distance between two Flex-DPEs.
-    #[must_use]
-    pub fn hop_distance(&self, a: usize, b: usize) -> u64 {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+        Self { dpes }
     }
 
     /// Statically configures a contiguous DPU: every member switch is
@@ -93,36 +61,6 @@ impl MeshNoc {
     pub fn configure_dpu(&self, dpu: &Range<usize>) -> NocStats {
         assert!(dpu.end <= self.dpes, "DPU range exceeds mesh");
         NocStats { hops: 0, cycles: 0, switches_configured: dpu.len() as u64 }
-    }
-
-    /// Multicasts `words` from the DPU's first member to every member —
-    /// the bus-like forwarding of Sec. IV-B. The chain is pipelined: the
-    /// words enter once and ripple through the members, so serialization
-    /// is `ceil(words / bandwidth)` cycles plus the chain fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or exceeds the mesh.
-    #[must_use]
-    pub fn multicast_within_dpu(&self, dpu: &Range<usize>, words: u64) -> NocStats {
-        assert!(!dpu.is_empty() && dpu.end <= self.dpes, "invalid DPU range");
-        let span = (dpu.len() - 1) as u64;
-        let serialization = words.div_ceil(self.bandwidth as u64);
-        // Every link in the chain carries the whole serialized stream.
-        NocStats {
-            hops: span * serialization,
-            cycles: serialization + span,
-            switches_configured: 0,
-        }
-    }
-
-    /// Forwards `words` hop-by-hop between two Flex-DPEs in different
-    /// DPUs (conventional-NoC behavior, statically routed).
-    #[must_use]
-    pub fn forward(&self, from: usize, to: usize, words: u64) -> NocStats {
-        let d = self.hop_distance(from, to);
-        let serialization = words.div_ceil(self.bandwidth as u64);
-        NocStats { hops: d * serialization, cycles: serialization + d, switches_configured: 0 }
     }
 
     /// Cycles to merge one boundary partial sum from each DPE of a DPU
@@ -146,56 +84,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_layout() {
-        let noc = MeshNoc::new(16, 4);
-        assert_eq!(noc.coords(0), (0, 0));
-        assert_eq!(noc.coords(5), (1, 1));
-        assert_eq!(noc.coords(15), (3, 3));
-        assert_eq!(noc.hop_distance(0, 15), 6);
-        assert_eq!(noc.hop_distance(3, 3), 0);
-    }
-
-    #[test]
-    fn non_square_counts_work() {
-        let noc = MeshNoc::new(6, 2);
-        assert_eq!(noc.dpes(), 6);
-        // ceil(sqrt(6)) = 3 columns.
-        assert_eq!(noc.coords(5), (2, 1));
-    }
-
-    #[test]
     fn dpu_configuration_touches_each_switch_once() {
-        let noc = MeshNoc::new(16, 4);
+        let noc = MeshNoc::new(16);
         let s = noc.configure_dpu(&(4..12));
         assert_eq!(s.switches_configured, 8);
         assert_eq!(s.cycles, 0);
     }
 
     #[test]
-    fn multicast_is_pipelined_bus() {
-        let noc = MeshNoc::new(16, 4);
-        // 8 words over a 4-member DPU at 4 words/cycle: 2 cycles of
-        // serialization + 3 chain-fill hops.
-        let s = noc.multicast_within_dpu(&(0..4), 8);
-        assert_eq!(s.cycles, 2 + 3);
-        // A single-member DPU needs no chain.
-        let s1 = noc.multicast_within_dpu(&(2..3), 8);
-        assert_eq!(s1.cycles, 2);
-    }
-
-    #[test]
-    fn forwarding_pays_distance() {
-        let noc = MeshNoc::new(16, 4);
-        let near = noc.forward(0, 1, 4);
-        let far = noc.forward(0, 15, 4);
-        assert!(far.cycles > near.cycles);
-        assert_eq!(near.cycles, 1 + 1);
-        assert_eq!(far.cycles, 1 + 6);
-    }
-
-    #[test]
     fn boundary_merge_serializes_members() {
-        let noc = MeshNoc::new(16, 4);
+        let noc = MeshNoc::new(16);
         assert_eq!(noc.merge_boundary_partials(&(0..8)).cycles, 7);
         assert_eq!(noc.merge_boundary_partials(&(0..1)).cycles, 1);
     }
@@ -208,11 +106,5 @@ mod tests {
         assert_eq!(m.hops, 4);
         assert_eq!(m.cycles, 7); // parallel paths: max
         assert_eq!(m.switches_configured, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn coords_bounds_checked() {
-        let _ = MeshNoc::new(4, 1).coords(4);
     }
 }

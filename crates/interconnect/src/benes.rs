@@ -93,107 +93,6 @@ impl BenesConfig {
         }
     }
 
-    /// Flattens the configuration into per-stage switch states, outermost
-    /// input column first, then the recursively interleaved subnetwork
-    /// columns, then the output columns — `2·log₂N − 1` stages of `N/2`
-    /// switches. Within a stage, switch `i` of the upper subnetwork comes
-    /// before switch `i` of the lower one.
-    #[must_use]
-    pub fn stages(&self) -> Vec<Vec<SwitchState>> {
-        match self {
-            BenesConfig::Leaf(s) => vec![vec![*s]],
-            BenesConfig::Node { input, upper, lower, output } => {
-                let up = upper.stages();
-                let low = lower.stages();
-                debug_assert_eq!(up.len(), low.len());
-                let mut stages = Vec::with_capacity(up.len() + 2);
-                stages.push(input.clone());
-                for (u, l) in up.into_iter().zip(low) {
-                    let mut merged = u;
-                    merged.extend(l);
-                    stages.push(merged);
-                }
-                stages.push(output.clone());
-                stages
-            }
-        }
-    }
-
-    /// Serializes the configuration into the two control bits per switch
-    /// the paper describes (Fig. 5 Step iv): bit 0 selects the vertical
-    /// (cross) output, bit 1 enables the diagonal broadcast. Stage-major,
-    /// switch-major, low bit first.
-    #[must_use]
-    pub fn control_bits(&self) -> Vec<bool> {
-        let mut bits = Vec::new();
-        for stage in self.stages() {
-            for s in stage {
-                let (cross, broadcast) = match s {
-                    SwitchState::Straight => (false, false),
-                    SwitchState::Cross => (true, false),
-                    SwitchState::BroadcastUpper => (false, true),
-                    SwitchState::BroadcastLower => (true, true),
-                };
-                bits.push(cross);
-                bits.push(broadcast);
-            }
-        }
-        bits
-    }
-
-    /// Reconstructs a configuration from control bits for a network of
-    /// `size` ports (the inverse of [`BenesConfig::control_bits`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenesError::NotPowerOfTwo`] for invalid sizes or
-    /// [`BenesError::SizeMismatch`] when the bit count is wrong
-    /// (`2 · switches` bits are required).
-    pub fn from_control_bits(size: usize, bits: &[bool]) -> Result<Self, BenesError> {
-        let net = BenesNetwork::new(size)?;
-        let expected = 2 * net.switch_count();
-        if bits.len() != expected {
-            return Err(BenesError::SizeMismatch { expected, actual: bits.len() });
-        }
-        let states: Vec<SwitchState> = bits
-            .chunks(2)
-            .map(|b| match (b[0], b[1]) {
-                (false, false) => SwitchState::Straight,
-                (true, false) => SwitchState::Cross,
-                (false, true) => SwitchState::BroadcastUpper,
-                (true, true) => SwitchState::BroadcastLower,
-            })
-            .collect();
-        // Rebuild stage structure, then fold back into the recursion.
-        let stage_len = size / 2;
-        let stages: Vec<Vec<SwitchState>> =
-            states.chunks(stage_len).map(<[SwitchState]>::to_vec).collect();
-        Ok(Self::from_stages(&stages))
-    }
-
-    /// Rebuilds the recursive form from flattened stages (inverse of
-    /// [`BenesConfig::stages`]).
-    fn from_stages(stages: &[Vec<SwitchState>]) -> Self {
-        if stages.len() == 1 {
-            debug_assert_eq!(stages[0].len(), 1);
-            return BenesConfig::Leaf(stages[0][0]);
-        }
-        // Each inner stage holds the upper subnetwork's switches followed
-        // by the lower's.
-        let inner = &stages[1..stages.len() - 1];
-        let per_sub = stages[0].len() / 2;
-        let upper_stages: Vec<Vec<SwitchState>> =
-            inner.iter().map(|st| st[..per_sub].to_vec()).collect();
-        let lower_stages: Vec<Vec<SwitchState>> =
-            inner.iter().map(|st| st[per_sub..].to_vec()).collect();
-        BenesConfig::Node {
-            input: stages[0].clone(),
-            upper: Box::new(Self::from_stages(&upper_stages)),
-            lower: Box::new(Self::from_stages(&lower_stages)),
-            output: stages[stages.len() - 1].clone(),
-        }
-    }
-
     /// Executes the configuration: pushes `inputs` through every switch
     /// stage and returns what arrives at each output port.
     ///
@@ -872,55 +771,6 @@ mod tests {
         assert_eq!(SwitchState::Cross.apply(Some(1), Some(2)), (Some(2), Some(1)));
         assert_eq!(SwitchState::BroadcastUpper.apply(Some(1), Some(2)), (Some(1), Some(1)));
         assert_eq!(SwitchState::BroadcastLower.apply(Some(1), Some(2)), (Some(2), Some(2)));
-    }
-
-    #[test]
-    fn stages_flatten_to_expected_shape() {
-        let net = BenesNetwork::new(8).unwrap();
-        let cfg = net.route_permutation(&[7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
-        let stages = cfg.stages();
-        assert_eq!(stages.len(), 5); // 2*log2(8) - 1
-        assert!(stages.iter().all(|s| s.len() == 4));
-    }
-
-    #[test]
-    fn control_bits_roundtrip_permutation() {
-        for n in [4usize, 8, 16, 32] {
-            let net = BenesNetwork::new(n).unwrap();
-            let src: Vec<usize> = (0..n).rev().collect();
-            let cfg = net.route_permutation(&src).unwrap();
-            let bits = cfg.control_bits();
-            assert_eq!(bits.len(), 2 * net.switch_count());
-            let back = BenesConfig::from_control_bits(n, &bits).unwrap();
-            assert_eq!(back, cfg);
-            // And the reconstructed config still routes correctly.
-            let inputs: Vec<Option<usize>> = (0..n).map(Some).collect();
-            let out = back.apply(&inputs);
-            for (o, &s) in src.iter().enumerate() {
-                assert_eq!(out[o], Some(s));
-            }
-        }
-    }
-
-    #[test]
-    fn control_bits_roundtrip_multicast() {
-        let net = BenesNetwork::new(16).unwrap();
-        let req: Vec<Option<usize>> = (0..16).map(|o| Some(o / 3)).collect();
-        let cfg = net.route_monotone_multicast(&req).unwrap();
-        let back = BenesConfig::from_control_bits(16, &cfg.control_bits()).unwrap();
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn from_control_bits_validates_length() {
-        assert!(matches!(
-            BenesConfig::from_control_bits(8, &[false; 3]),
-            Err(BenesError::SizeMismatch { .. })
-        ));
-        assert!(matches!(
-            BenesConfig::from_control_bits(6, &[]),
-            Err(BenesError::NotPowerOfTwo(6))
-        ));
     }
 
     #[test]

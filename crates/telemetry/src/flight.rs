@@ -1,6 +1,5 @@
 //! The harness flight recorder: wall-clock spans, per-stage latency
-//! histograms, gauges, and a [`MetricsReport`] with JSON and Prometheus
-//! text exposition.
+//! histograms, gauges, and a [`MetricsReport`] with a JSON export.
 //!
 //! Simulated time (cycles, counters, Chrome traces of the epoch
 //! scheduler) is covered by [`crate::registry`] and [`crate::perfetto`].
@@ -34,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::quote;
-use crate::registry::{bucket_floor, bucket_of, HistCells, HIST_BUCKETS};
+use crate::registry::{push_histograms, HistCells};
 use crate::HistSummary;
 
 /// Harness pipeline stages timed by the flight recorder.
@@ -71,7 +70,7 @@ impl Stage {
         Stage::CacheInsert,
     ];
 
-    /// Stable snake_case name (JSONL/Prometheus key).
+    /// Stable snake_case name (event-log and JSON key).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -107,7 +106,7 @@ impl Gauge {
     /// Every gauge, in emission order.
     pub const ALL: [Gauge; 3] = [Gauge::CellsCompleted, Gauge::CellsTotal, Gauge::CacheEntries];
 
-    /// Stable snake_case name (JSONL/Prometheus key).
+    /// Stable snake_case name (event-log and JSON key).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -281,14 +280,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Adds to a gauge. No-op when disabled.
-    #[inline]
-    pub fn gauge_add(&self, gauge: Gauge, by: u64) {
-        if let Some(inner) = &self.inner {
-            inner.gauges[gauge as usize].fetch_add(by, Ordering::Relaxed);
-        }
-    }
-
     /// Current gauge level (0 when disabled).
     #[must_use]
     pub fn gauge(&self, gauge: Gauge) -> u64 {
@@ -326,16 +317,7 @@ impl FlightRecorder {
                 enabled: false,
                 spans: Vec::new(),
                 dropped_spans: 0,
-                stages: Stage::ALL
-                    .iter()
-                    .map(|&s| HistSummary {
-                        name: s.name(),
-                        count: 0,
-                        sum: 0,
-                        max: 0,
-                        buckets: vec![0; HIST_BUCKETS],
-                    })
-                    .collect(),
+                stages: Stage::ALL.iter().map(|&s| HistCells::new().summary(s.name())).collect(),
                 gauges: Gauge::ALL.iter().map(|&g| (g.name(), 0)).collect(),
                 snaps: Vec::new(),
             };
@@ -389,60 +371,6 @@ impl FlightSnapshot {
     }
 }
 
-/// One histogram inside a [`MetricsReport`], with an owned name so
-/// reports can be rebuilt from parsed event logs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportHist {
-    /// Metric name (snake_case).
-    pub name: String,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Largest observed value.
-    pub max: u64,
-    /// Occupancy per power-of-two bucket (same geometry as
-    /// [`crate::Hist`]; the last bucket is open-ended).
-    pub buckets: Vec<u64>,
-}
-
-impl ReportHist {
-    /// Mean observed value (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Records one observation (used when rebuilding from raw samples).
-    pub fn observe(&mut self, value: u64) {
-        if self.buckets.len() < HIST_BUCKETS {
-            self.buckets.resize(HIST_BUCKETS, 0);
-        }
-        self.buckets[bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-    }
-}
-
-impl From<&HistSummary> for ReportHist {
-    fn from(h: &HistSummary) -> Self {
-        ReportHist {
-            name: h.name.to_string(),
-            count: h.count,
-            sum: h.sum,
-            max: h.max,
-            buckets: h.buckets.clone(),
-        }
-    }
-}
-
 /// A metrics view — counters, gauges, histograms — rendered as JSON
 /// with deterministic (sorted-name) ordering.
 /// `sigma_cli report --metrics` builds one from a parsed event log.
@@ -453,7 +381,7 @@ pub struct MetricsReport {
     /// `(name, level)` gauges.
     pub gauges: Vec<(String, u64)>,
     /// Histograms (stage latencies and simulator histograms alike).
-    pub hists: Vec<ReportHist>,
+    pub hists: Vec<HistSummary>,
 }
 
 impl MetricsReport {
@@ -483,28 +411,9 @@ impl MetricsReport {
         for (i, (name, v)) in s.gauges.iter().enumerate() {
             out.push_str(&format!("{}{}: {v}", if i == 0 { "" } else { ", " }, quote(name)));
         }
-        out.push_str("},\n  \"histograms\": [\n");
-        for (i, h) in s.hists.iter().enumerate() {
-            let nonzero: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
-                .collect();
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"mean\": {:.3}, \"buckets\": [{}]}}{}\n",
-                quote(&h.name),
-                h.count,
-                h.sum,
-                h.max,
-                h.mean(),
-                nonzero.join(", "),
-                if i + 1 < s.hists.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
+        out.push_str("},\n");
+        push_histograms(&mut out, &s.hists);
+        out.push_str("}\n");
         out
     }
 }
@@ -545,7 +454,6 @@ mod tests {
         r.record_span(Stage::EngineRun, "x", 0, 5);
         r.span_since(Stage::CacheProbe, "y", 0);
         r.gauge_set(Gauge::CellsTotal, 7);
-        r.gauge_add(Gauge::CellsCompleted, 1);
         r.snap();
         assert_eq!(r.gauge(Gauge::CellsTotal), 0);
         assert_eq!(r.dropped_spans(), 0);
@@ -618,9 +526,9 @@ mod tests {
     fn gauges_and_snaps_sample_current_levels() {
         let r = ticking();
         r.gauge_set(Gauge::CellsTotal, 32);
-        r.gauge_add(Gauge::CellsCompleted, 3);
+        r.gauge_set(Gauge::CellsCompleted, 3);
         r.snap();
-        r.gauge_add(Gauge::CellsCompleted, 4);
+        r.gauge_set(Gauge::CellsCompleted, 7);
         r.snap();
         assert_eq!(r.gauge(Gauge::CellsCompleted), 7);
         let snap = r.snapshot();
@@ -643,14 +551,14 @@ mod tests {
         a.counters.push(("alpha".into(), 2));
         a.gauges.push(("g2".into(), 9));
         a.gauges.push(("g1".into(), 8));
-        a.hists.push(ReportHist {
+        a.hists.push(HistSummary {
             name: "late".into(),
             count: 1,
             sum: 4,
             max: 4,
             buckets: vec![0, 0, 0, 1],
         });
-        a.hists.push(ReportHist {
+        a.hists.push(HistSummary {
             name: "early".into(),
             count: 0,
             sum: 0,
@@ -678,7 +586,7 @@ mod tests {
         let report = MetricsReport {
             counters: vec![(odd.to_string(), 1)],
             gauges: vec![(odd.to_string(), 2)],
-            hists: vec![ReportHist {
+            hists: vec![HistSummary {
                 name: odd.to_string(),
                 count: 1,
                 sum: 3,
@@ -692,19 +600,5 @@ mod tests {
         assert_eq!(member("gauges"), odd);
         let hist = &doc.get("histograms").unwrap().as_array().unwrap()[0];
         assert_eq!(hist.get("name").unwrap().as_str(), Some(odd));
-    }
-
-    #[test]
-    fn report_hist_observe_matches_hist_cells() {
-        let mut rh = ReportHist { name: "x".into(), count: 0, sum: 0, max: 0, buckets: Vec::new() };
-        let cells = HistCells::new();
-        for v in [0u64, 1, 5, 1 << 12, u64::MAX] {
-            rh.observe(v);
-            cells.observe(v);
-        }
-        let summary = cells.summary("x");
-        assert_eq!(rh.count, summary.count);
-        assert_eq!(rh.max, summary.max);
-        assert_eq!(rh.buckets, summary.buckets);
     }
 }

@@ -2,7 +2,7 @@
 //! registry (power-of-two-bucketed distributions), a Chrome
 //! trace-event (Perfetto-loadable) JSON exporter, and a wall-clock
 //! [`flight`] recorder (thread-tagged spans, per-stage latency
-//! histograms, gauges, and a JSON/Prometheus [`MetricsReport`]) whose
+//! histograms, gauges, and a JSON [`MetricsReport`]) whose
 //! clock is injected by the harness so library code stays
 //! deterministic.
 //!
@@ -41,7 +41,7 @@ pub mod perfetto;
 pub mod registry;
 
 pub use flight::{
-    FlightRecorder, FlightSnapshot, Gauge, MetricsReport, ReportHist, SnapRecord, SpanRecord, Stage,
+    FlightRecorder, FlightSnapshot, Gauge, MetricsReport, SnapRecord, SpanRecord, Stage,
 };
 pub use perfetto::{validate_chrome_trace, ChromeTrace, TraceSummary};
 pub use registry::{Hist, HistSummary, Telemetry, TelemetrySnapshot};

@@ -111,9 +111,9 @@ impl HistCells {
     }
 
     /// Flattens the cells into a [`HistSummary`] under `name`.
-    pub(crate) fn summary(&self, name: &'static str) -> HistSummary {
+    pub(crate) fn summary(&self, name: &str) -> HistSummary {
         HistSummary {
-            name,
+            name: name.to_string(),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
@@ -194,38 +194,30 @@ impl Telemetry {
         let hists = Hist::ALL
             .iter()
             .enumerate()
-            .map(|(hi, &h)| {
-                let (count, sum, max, buckets) = self.inner.as_ref().map_or_else(
-                    || (0, 0, 0, vec![0; HIST_BUCKETS]),
-                    |reg| {
-                        let cells = &reg.hists[hi];
-                        (
-                            cells.count.load(Ordering::Relaxed),
-                            cells.sum.load(Ordering::Relaxed),
-                            cells.max.load(Ordering::Relaxed),
-                            cells.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-                        )
-                    },
-                );
-                HistSummary { name: h.name(), count, sum, max, buckets }
+            .map(|(hi, &h)| match &self.inner {
+                Some(reg) => reg.hists[hi].summary(h.name()),
+                None => HistCells::new().summary(h.name()),
             })
             .collect();
         TelemetrySnapshot { enabled: self.is_enabled(), hists }
     }
 }
 
-/// One histogram, flattened for reporting.
+/// One histogram, flattened for reporting: a simulator histogram, a
+/// flight-recorder stage, or one read back from an event log (hence the
+/// owned name).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSummary {
-    /// Stable metric name.
-    pub name: &'static str,
+    /// Stable snake_case metric name.
+    pub name: String,
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
     pub sum: u64,
     /// Largest observed value.
     pub max: u64,
-    /// Occupancy per power-of-two bucket (see [`Hist`]).
+    /// Occupancy per power-of-two bucket (see [`Hist`]; the last bucket
+    /// is open-ended).
     pub buckets: Vec<u64>,
 }
 
@@ -266,30 +258,38 @@ impl TelemetrySnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        out.push_str("  \"histograms\": [\n");
-        for (i, h) in self.hists.iter().enumerate() {
-            let nonzero: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
-                .collect();
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"mean\": {:.3}, \"buckets\": [{}]}}{}\n",
-                quote(h.name),
-                h.count,
-                h.sum,
-                h.max,
-                h.mean(),
-                nonzero.join(", "),
-                if i + 1 < self.hists.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
+        push_histograms(&mut out, &self.hists);
+        out.push_str("}\n");
         out
     }
+}
+
+/// Appends the `"histograms"` member that closes both JSON exports
+/// ([`TelemetrySnapshot::to_json`] and `MetricsReport::to_json`): one line
+/// per histogram, listing only its non-empty buckets.
+pub(crate) fn push_histograms(out: &mut String, hists: &[HistSummary]) {
+    out.push_str("  \"histograms\": [\n");
+    for (i, h) in hists.iter().enumerate() {
+        let nonzero: Vec<String> = h
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
+            .collect();
+        out.push_str(&format!(
+            "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \
+             \"mean\": {:.3}, \"buckets\": [{}]}}{}\n",
+            quote(&h.name),
+            h.count,
+            h.sum,
+            h.max,
+            h.mean(),
+            nonzero.join(", "),
+            if i + 1 < hists.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ]\n");
 }
 
 #[cfg(test)]

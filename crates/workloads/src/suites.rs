@@ -126,29 +126,6 @@ pub fn deepbench_suite() -> Vec<NamedGemm> {
     fig1b_suite().into_iter().filter(|g| g.workload == Workload::DeepBench).collect()
 }
 
-/// The Fig. 1b suite rescaled to a different minibatch: the batch-bound
-/// dimension (M for the sequence/batch-major kernels) scales with
-/// `batch / base_batch`, keeping weights untouched. Sec. II: "Training is
-/// performed in different batch sizes, which lead to different input
-/// matrix dimensions."
-///
-/// # Panics
-///
-/// Panics if `batch == 0`.
-#[must_use]
-pub fn fig1b_suite_with_batch(batch: usize) -> Vec<NamedGemm> {
-    assert!(batch > 0, "batch must be non-zero");
-    // The tabulated shapes correspond to an effective base batch of 1
-    // unit of the M dimension.
-    fig1b_suite()
-        .into_iter()
-        .map(|mut g| {
-            g.shape = GemmShape::new(g.shape.m.saturating_mul(batch).max(1), g.shape.n, g.shape.k);
-            g
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,18 +157,6 @@ mod tests {
     fn deepbench_subset_filtered() {
         assert!(deepbench_suite().iter().all(|g| g.workload == Workload::DeepBench));
         assert!(!deepbench_suite().is_empty());
-    }
-
-    #[test]
-    fn batch_scaling_stretches_m_only() {
-        let base = fig1b_suite();
-        let scaled = fig1b_suite_with_batch(4);
-        for (b, s) in base.iter().zip(&scaled) {
-            assert_eq!(s.shape.m, b.shape.m * 4);
-            assert_eq!(s.shape.n, b.shape.n);
-            assert_eq!(s.shape.k, b.shape.k);
-        }
-        assert_eq!(fig1b_suite_with_batch(1)[0].shape, base[0].shape);
     }
 
     #[test]
